@@ -31,9 +31,8 @@
 //! iteration; a filtered run skips the gate, appends its rows with
 //! `partial=true` (gate queries exclude them), and writes a report file only
 //! when `--out=` is explicit (a partial report must not clobber the
-//! checked-in `BENCH_perf.json`). `perf --list` prints the scenario labels
-//! and the fused group each belongs to — the trace streams a run would share
-//! — without simulating anything; it honours `--filter`.
+//! checked-in `BENCH_perf.json`). `perf --list` prints the scenario labels,
+//! one per line, without simulating anything; it honours `--filter`.
 //!
 //! The results-warehouse subcommands operate on the store named by
 //! `--store=PATH` (default `bench/warehouse.bin`):
@@ -64,7 +63,7 @@
 //!
 //! Panic quarantine: `sweep --supervised` composes the journal with per-job
 //! supervision — a scenario whose every attempt panics is quarantined (with
-//! `--retries=N` solo retries under seeded backoff) instead of killing the
+//! `--retries=N` retries under seeded backoff) instead of killing the
 //! sweep, journaled as a typed failure entry (`--resume` skips it rather
 //! than re-crashing), recorded as a queryable `kind=failed` warehouse row,
 //! and listed in a `"failures"` array in the JSON.
@@ -90,9 +89,8 @@ use rnuca_os::rid_assignment;
 use rnuca_service::{Request, ServiceClient, ServiceConfig};
 use rnuca_sim::report::{fmt3, fmt_pct};
 use rnuca_sim::{
-    group_indices, DesignComparison, ExperimentConfig, ExperimentEngine, JournalError,
-    JournalReplay, QuarantinedSweep, ScenarioMatrix, ScenarioSweep, SnapshotArena, SweepError,
-    TextTable,
+    DesignComparison, ExperimentConfig, ExperimentEngine, JournalError, JournalReplay,
+    QuarantinedSweep, ScenarioMatrix, ScenarioSweep, SweepError, TextTable,
 };
 use rnuca_types::access::AccessClass;
 use rnuca_types::config::SystemConfig;
@@ -256,7 +254,7 @@ fn main() {
                 journal_arg.as_deref(),
                 resume,
             ),
-            "perf" if perf_list => perf_list_only(&cfg, perf_filter.as_deref()),
+            "perf" if perf_list => perf_list_only(perf_filter.as_deref()),
             "perf" => perf(
                 &cfg,
                 cfg_label,
@@ -309,7 +307,7 @@ fn sweep(
             Some(path) => {
                 let store = open_store(path);
                 let (sweep, summary) = matrix
-                    .run_forked_into(engine, &TraceArena::new(), &SnapshotArena::new(), &store)
+                    .run_forked_into(engine, &TraceArena::new(), &store)
                     .expect("the default sweep axes are valid");
                 save_store(&store, path);
                 eprintln!(
@@ -350,12 +348,11 @@ fn run_journaled_sweep(
         ));
     }
     let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
     let (sweep, resumed) = match store_path {
         Some(spath) => {
             let store = open_store(spath);
             let (sweep, summary, resumed) = matrix
-                .run_forked_into_journaled(engine, &arena, &snapshots, path, resume, &store)
+                .run_forked_into_journaled(engine, &arena, path, resume, &store)
                 .unwrap_or_else(|e| exit_sweep_error(jpath, e));
             save_store(&store, spath);
             eprintln!(
@@ -365,7 +362,7 @@ fn run_journaled_sweep(
             (sweep, resumed)
         }
         None => matrix
-            .run_forked_journaled(engine, &arena, &snapshots, path, resume)
+            .run_forked_journaled(engine, &arena, path, resume)
             .unwrap_or_else(|e| exit_sweep_error(jpath, e)),
     };
     eprintln!(
@@ -383,7 +380,7 @@ fn run_journaled_sweep(
 }
 
 /// `sweep --supervised`: the panic-quarantining sweep. One poisoned
-/// scenario gets `--retries` solo retries under seeded backoff and, if it
+/// scenario gets `--retries` retries under seeded backoff and, if it
 /// still fails, a typed failure entry — in the JSON's `"failures"` array,
 /// in the journal (so `--resume` skips it instead of re-crashing), and as a
 /// `kind=failed` warehouse row with the failure text in the `failure`
@@ -400,7 +397,6 @@ fn sweep_supervised(
     let matrix = rnuca_bench::default_sweep_matrix(cfg);
     let policy = RetryPolicy::immediate(retries).with_backoff(BackoffConfig::default_service());
     let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
     let sweep = match journal {
         Some(jpath) => {
             let path = Path::new(jpath);
@@ -421,7 +417,7 @@ fn sweep_supervised(
                     let store = open_store(spath);
                     let (sweep, summary, resumed) = matrix
                         .run_supervised_into_journaled(
-                            engine, &arena, &snapshots, path, resume, &policy, &store,
+                            engine, &arena, path, resume, &policy, &store,
                         )
                         .unwrap_or_else(|e| exit_sweep_error(jpath, e));
                     save_store(&store, spath);
@@ -432,7 +428,7 @@ fn sweep_supervised(
                     (sweep, resumed)
                 }
                 None => matrix
-                    .run_supervised_journaled(engine, &arena, &snapshots, path, resume, &policy)
+                    .run_supervised_journaled(engine, &arena, path, resume, &policy)
                     .unwrap_or_else(|e| exit_sweep_error(jpath, e)),
             };
             eprintln!(
@@ -451,7 +447,7 @@ fn sweep_supervised(
         }
         None => {
             let sweep = matrix
-                .run_supervised_forked(engine, &arena, &snapshots, retries)
+                .run_supervised_forked(engine, &arena, retries)
                 .unwrap_or_else(|e| exit_with(&format!("sweep failed: {e}")));
             if let Some(spath) = store_path {
                 let store = open_store(spath);
@@ -845,18 +841,16 @@ fn perf(
         }
     };
     println!(
-        "{} scenarios in {} fused groups ({} trace passes eliminated), {} refs, \
-         {:.0} blocks/sec (hot path), {:.2} jobs/sec, \
-         {:.2}s trace generation (once per unique stream), \
-         {:.2}s checkpoint warming (once per unique checkpoint) -> {written}",
+        "{} scenarios, {} refs, {:.0} blocks/sec (warm-up + measured loop), \
+         {:.2} jobs/sec, {:.2}s trace generation (once per unique stream), \
+         {:.2}s warm-up + {:.2}s measured -> {written}",
         report.totals.scenarios,
-        report.totals.groups,
-        report.totals.passes_eliminated,
         report.totals.refs,
         report.totals.blocks_per_sec,
         report.totals.jobs_per_sec,
         report.totals.tracegen_nanos as f64 / 1e9,
-        report.totals.snapshot_nanos as f64 / 1e9,
+        report.totals.warmup_nanos as f64 / 1e9,
+        report.totals.measured_nanos as f64 / 1e9,
     );
     if let Some(g) = gate {
         report_gate(&g, cfg_label);
@@ -883,21 +877,13 @@ fn selected_scenarios(filter: Option<&str>) -> Vec<PerfScenario> {
     }
 }
 
-/// `perf --list`: prints the scenario labels grouped by the fused trace
-/// stream each would share, without generating traces or simulating.
-fn perf_list_only(cfg: &ExperimentConfig, filter: Option<&str>) {
+/// `perf --list`: prints the scenario labels, one per line, without
+/// generating traces or simulating.
+fn perf_list_only(filter: Option<&str>) {
     let scenarios = selected_scenarios(filter);
-    let groups = group_indices(&scenarios, |s| s.group_key(cfg.seed));
-    println!(
-        "{} scenarios in {} fused groups (one trace pass per group):",
-        scenarios.len(),
-        groups.len()
-    );
-    for (key, indices) in &groups {
-        println!("{} ({} scenarios)", key.label(), indices.len());
-        for &i in indices {
-            println!("  {}", scenarios[i].label());
-        }
+    println!("{} scenarios:", scenarios.len());
+    for s in &scenarios {
+        println!("  {}", s.label());
     }
 }
 

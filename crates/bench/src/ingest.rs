@@ -72,9 +72,13 @@ fn config_label(warmup_refs: usize, measured_refs: usize) -> &'static str {
 }
 
 impl PerfReport {
-    /// This report as warehouse rows: one `scenario` row per result, one
-    /// `group` row per fused group, one `totals` row. `partial` marks rows
-    /// from a filtered run so gate queries can exclude them.
+    /// This report as warehouse rows: one `scenario` row per result and one
+    /// `totals` row. `partial` marks rows from a filtered run so gate
+    /// queries can exclude them.
+    ///
+    /// The warehouse has no warm-up column: a row's `loop_nanos` is its
+    /// warm-up plus measured time and `measured_nanos` the measured part,
+    /// so the warm-up is their difference.
     ///
     /// The `design` column stores the design *letter* (`P`/`A`/`S`/`R`/`I`),
     /// matching the sweep rows, so `design=R` selects R-NUCA across every
@@ -83,7 +87,7 @@ impl PerfReport {
         let label = self.cfg.label();
         let seed = self.cfg.seed as i64;
         let schema = PERF_SCHEMA_VERSION as i64;
-        let mut records = Vec::with_capacity(self.results.len() + self.groups.len() + 1);
+        let mut records = Vec::with_capacity(self.results.len() + 1);
         for res in &self.results {
             let mut r = RunRecord::new(RowKind::Scenario, seed, schema, label);
             r.partial = partial;
@@ -92,31 +96,18 @@ impl PerfReport {
             r.design = Some(res.letter.to_string());
             r.letter = Some(res.letter.to_string());
             r.cores = Some(res.cores as i64);
-            r.group = Some(res.group.clone());
             r.refs = Some(res.refs as i64);
             r.total_cpi = Some(res.total_cpi);
             r.off_chip_rate = Some(res.off_chip_rate);
-            r.fork_nanos = Some(res.fork_nanos as i64);
-            records.push(r);
-        }
-        for g in &self.groups {
-            let mut r = RunRecord::new(RowKind::Group, seed, schema, label);
-            r.partial = partial;
-            r.group = Some(g.label.clone());
-            r.scenarios = Some(g.scenarios as i64);
-            r.refs = Some(g.refs as i64);
-            r.fork_nanos = Some(g.fork_nanos as i64);
-            r.measured_nanos = Some(g.measured_nanos as i64);
-            r.blocks_per_sec = Some(g.blocks_per_sec);
+            r.measured_nanos = Some(res.measured_nanos as i64);
+            r.loop_nanos = Some((res.warmup_nanos + res.measured_nanos) as i64);
             records.push(r);
         }
         let t = &self.totals;
         let mut r = RunRecord::new(RowKind::Totals, seed, schema, label);
         r.partial = partial;
         r.scenarios = Some(t.scenarios as i64);
-        r.groups = Some(t.groups as i64);
         r.refs = Some(t.refs as i64);
-        r.fork_nanos = Some(t.fork_nanos as i64);
         r.measured_nanos = Some(t.measured_nanos as i64);
         r.loop_nanos = Some(t.loop_nanos as i64);
         r.blocks_per_sec = Some(t.blocks_per_sec);
@@ -163,8 +154,12 @@ fn perf_records(doc: &JsonValue) -> Result<Vec<RunRecord>, String> {
     let seed = num(config, "seed", "config")? as i64;
     let label = config_label(warmup, measured);
 
+    if schema != PERF_SCHEMA_VERSION as i64 {
+        return Err(format!(
+            "report: perf schema {schema} is not the supported version {PERF_SCHEMA_VERSION}"
+        ));
+    }
     let scenarios = array(doc, "scenarios", "report")?;
-    let groups = array(doc, "groups", "report")?;
     let totals = doc
         .get("totals")
         .ok_or_else(|| "report: missing 'totals' object".to_string())?;
@@ -192,7 +187,7 @@ fn perf_records(doc: &JsonValue) -> Result<Vec<RunRecord>, String> {
     }
     let partial = !full.is_subset(&have);
 
-    let mut records = Vec::with_capacity(scenarios.len() + groups.len() + 1);
+    let mut records = Vec::with_capacity(scenarios.len() + 1);
     for (i, s) in scenarios.iter().enumerate() {
         let ctx = format!("scenarios[{i}]");
         let workload = string(s, "workload", &ctx)?;
@@ -204,31 +199,18 @@ fn perf_records(doc: &JsonValue) -> Result<Vec<RunRecord>, String> {
         r.design = Some(letter.clone());
         r.letter = Some(letter);
         r.cores = Some(num(s, "cores", &ctx)? as i64);
-        r.group = Some(string(s, "group", &ctx)?);
         r.refs = Some(num(s, "refs", &ctx)? as i64);
         r.total_cpi = Some(num(s, "total_cpi", &ctx)?);
         r.off_chip_rate = Some(num(s, "off_chip_rate", &ctx)?);
-        r.fork_nanos = Some(num(s, "fork_nanos", &ctx)? as i64);
-        records.push(r);
-    }
-    for (i, g) in groups.iter().enumerate() {
-        let ctx = format!("groups[{i}]");
-        let mut r = RunRecord::new(RowKind::Group, seed, schema, label);
-        r.partial = partial;
-        r.group = Some(string(g, "label", &ctx)?);
-        r.scenarios = Some(num(g, "scenarios", &ctx)? as i64);
-        r.refs = Some(num(g, "refs", &ctx)? as i64);
-        r.fork_nanos = Some(num(g, "fork_nanos", &ctx)? as i64);
-        r.measured_nanos = Some(num(g, "measured_nanos", &ctx)? as i64);
-        r.blocks_per_sec = Some(num(g, "blocks_per_sec", &ctx)?);
+        let measured = num(s, "measured_nanos", &ctx)? as i64;
+        r.measured_nanos = Some(measured);
+        r.loop_nanos = Some(num(s, "warmup_nanos", &ctx)? as i64 + measured);
         records.push(r);
     }
     let mut r = RunRecord::new(RowKind::Totals, seed, schema, label);
     r.partial = partial;
     r.scenarios = Some(num(totals, "scenarios", "totals")? as i64);
-    r.groups = Some(num(totals, "groups", "totals")? as i64);
     r.refs = Some(num(totals, "refs", "totals")? as i64);
-    r.fork_nanos = Some(num(totals, "fork_nanos", "totals")? as i64);
     r.measured_nanos = Some(num(totals, "measured_nanos", "totals")? as i64);
     r.loop_nanos = Some(num(totals, "loop_nanos", "totals")? as i64);
     r.blocks_per_sec = Some(num(totals, "blocks_per_sec", "totals")?);
@@ -435,8 +417,8 @@ mod tests {
             .map(|s| {
                 format!(
                     r#"{{"workload": "{}", "design": "x", "letter": "{}", "cores": {},
-                        "group": "g", "refs": 1, "total_cpi": 1.0,
-                        "off_chip_rate": 0.1, "fork_nanos": 1}}"#,
+                        "refs": 1, "total_cpi": 1.0, "off_chip_rate": 0.1,
+                        "warmup_nanos": 1, "measured_nanos": 1}}"#,
                     s.workload.name,
                     s.design.letter(),
                     s.cores
@@ -444,12 +426,10 @@ mod tests {
             })
             .collect();
         let doc = format!(
-            r#"{{"schema_version": 5,
+            r#"{{"schema_version": 6,
                  "config": {{"warmup_refs": 600000, "measured_refs": 300000, "seed": 42}},
                  "scenarios": [{}],
-                 "groups": [],
-                 "totals": {{"scenarios": 45, "groups": 9, "refs": 45,
-                             "fork_nanos": 1, "measured_nanos": 1, "loop_nanos": 2,
+                 "totals": {{"scenarios": 45, "refs": 45, "measured_nanos": 1, "loop_nanos": 2,
                              "blocks_per_sec": 5.0, "jobs_per_sec": 1.0}}}}"#,
             labels.join(",")
         );
@@ -492,12 +472,19 @@ mod tests {
         assert!(err.contains("sweep"), "got: {err}");
         // Structural problems name the field and its position.
         let err = records_from_json(
-            r#"{"schema_version": 5, "config": {"warmup_refs": 1, "measured_refs": 1, "seed": 1},
-                "scenarios": [{"workload": 7}], "groups": [], "totals": {}}"#,
+            r#"{"schema_version": 6, "config": {"warmup_refs": 1, "measured_refs": 1, "seed": 1},
+                "scenarios": [{"workload": 7}], "totals": {}}"#,
         )
         .unwrap_err();
         assert!(err.contains("scenarios[0]"), "got: {err}");
         assert!(err.contains("workload"), "got: {err}");
+        // A report of another perf schema is refused by its version.
+        let err = records_from_json(
+            r#"{"schema_version": 5, "config": {"warmup_refs": 1, "measured_refs": 1, "seed": 1},
+                "scenarios": [], "groups": [], "totals": {}}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("perf schema 5"), "got: {err}");
     }
 
     #[test]

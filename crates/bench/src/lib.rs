@@ -14,8 +14,8 @@ pub use ingest::{evaluate_gate_query, records_from_json, IngestKind};
 pub use json::JsonValue;
 pub use perf::{
     default_perf_scenarios, evaluate_gate, filter_scenarios, run_perf, run_perf_scenarios,
-    run_perf_scenarios_in, GateOutcome, PerfBaseline, PerfGroup, PerfReport, PerfResult,
-    PerfScenario, PerfTotals,
+    run_perf_scenarios_in, GateOutcome, PerfBaseline, PerfReport, PerfResult, PerfScenario,
+    PerfTotals,
 };
 
 use rnuca_sim::report::{fmt3, fmt_pct};

@@ -1,31 +1,26 @@
 //! The throughput benchmark subsystem behind `figures perf` and the CI
 //! perf-regression gate.
 //!
-//! The ROADMAP's north star is a system that runs "as fast as the hardware
-//! allows" — which is unfalsifiable without a recorded performance
-//! trajectory. This module makes throughput a first-class, controlled
-//! artifact rather than an ad-hoc script: [`run_perf`] executes timed
-//! end-to-end simulations (the five LLC designs × representative workloads ×
-//! 16/32/64 cores) on the deterministic [`ExperimentEngine`], and
-//! [`PerfReport::to_json`] emits the `BENCH_perf.json` document the CI gate
-//! and the repo's performance history consume.
+//! [`run_perf`] executes timed end-to-end simulations (the five LLC designs
+//! × representative workloads × 16/32/64 cores) on the deterministic
+//! [`ExperimentEngine`], and [`PerfReport::to_json`] emits the
+//! `BENCH_perf.json` document the CI gate and the repo's performance
+//! history consume.
+//!
+//! Every scenario is one engine job that warms in place: it builds its
+//! simulator, runs the warm-up prefix of its [`TraceArena`] slab, then
+//! measures the rest. The two phases are timed separately
+//! (`warmup_nanos`, `measured_nanos`), and together they are the scenario's
+//! timed loop. The unique reference streams are materialized into the
+//! arena up front (`tracegen_nanos`, once per `(workload, cores, seed)`,
+//! nine for the default list), outside any loop.
 //!
 //! Two throughput figures matter:
 //!
-//! * **blocks/sec** — simulated L2 block references covered per second of
-//!   *loop time*. Since schema v5 execution is *fused* (see
-//!   [`rnuca_sim::fused`]): scenarios sharing a reference stream form one
-//!   group that forks every member's warmed checkpoint from a shared
-//!   [`SnapshotArena`] and then steps all members per shared 4096-reference
-//!   batch in a single pass over the stream — the 45-scenario default runs
-//!   9 passes instead of 45 (`passes_eliminated` in the totals). A
-//!   scenario's `refs` still counts warm-up plus measured references — the
-//!   simulation work the scenario *covers* — so the aggregate counts
-//!   references-consumed × designs-stepped, and blocks/sec measures how
-//!   fast the system delivers warmed per-design results, amortization
-//!   included. Loop time is summed across groups (measured passes) and
-//!   scenarios (forks), so the aggregate is largely independent of the
-//!   worker-pool size.
+//! * **blocks/sec** — simulated L2 block references stepped (warm-up plus
+//!   measured) per second of *loop time*, summed over scenarios. Loop time
+//!   sums the per-job timers, so the aggregate is largely independent of
+//!   the worker-pool size.
 //! * **jobs/sec** — scenarios completed per second of wall-clock time for
 //!   the whole run. This one *does* scale with workers, construction, and
 //!   generation cost; it is the end-to-end figure.
@@ -37,8 +32,7 @@
 
 use crate::json::{json_string, JsonValue};
 use rnuca_sim::{
-    group_indices, AsrPolicy, ExperimentConfig, ExperimentEngine, FusedDriver, FusedGroupKey,
-    LlcDesign, MeasuredRun, SnapshotArena, SnapshotKey,
+    AsrPolicy, CmpSimulator, ExperimentConfig, ExperimentEngine, LlcDesign, MeasuredRun,
 };
 use rnuca_types::config::ConfigPoint;
 use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
@@ -67,14 +61,6 @@ impl PerfScenario {
             self.design,
             self.cores
         )
-    }
-
-    /// The fused group this scenario joins under `seed`: scenarios sharing
-    /// a reference stream run as one pass. Derived from the workload spec —
-    /// never from the display label — so label casing cannot affect
-    /// grouping.
-    pub fn group_key(&self, seed: u64) -> FusedGroupKey {
-        FusedGroupKey::of(&self.workload, seed)
     }
 }
 
@@ -106,11 +92,6 @@ fn contains_ignore_ascii_case(haystack: &[u8], needle: &[u8]) -> bool {
 }
 
 /// The timing and deterministic results of one scenario.
-///
-/// Since schema v5 a scenario's measured window runs inside its fused
-/// group's shared pass, so per-scenario timing is the fork phase alone; the
-/// measured-loop timing lives on the group ([`PerfGroup`]), which a
-/// scenario references by `group` label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfResult {
     /// Workload name.
@@ -121,40 +102,17 @@ pub struct PerfResult {
     pub design: String,
     /// Core count the scenario ran with.
     pub cores: usize,
-    /// Label of the fused group whose shared pass measured this scenario.
-    pub group: String,
-    /// Block references the scenario covers (warm-up + measured).
+    /// Block references the scenario steps (warm-up + measured).
     pub refs: u64,
     /// Total CPI of the measured window — a deterministic digest of the
     /// simulation outcome, used to detect result drift across worker counts.
     pub total_cpi: f64,
     /// Off-chip rate of the measured window (deterministic).
     pub off_chip_rate: f64,
-    /// Wall-clock nanoseconds spent forking the warmed checkpoint: decoding
-    /// the snapshot into this scenario's fresh simulator instance.
-    pub fork_nanos: u64,
-}
-
-/// The timing of one fused group: the scenarios sharing one reference
-/// stream, measured in a single shared pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfGroup {
-    /// Group label (workload @ cores # seed), shared with
-    /// [`PerfResult::group`].
-    pub label: String,
-    /// Number of member scenarios stepped by the group's pass.
-    pub scenarios: usize,
-    /// Block references the group covers: references-consumed ×
-    /// designs-stepped (each member counts warm-up + measured).
-    pub refs: u64,
-    /// Summed checkpoint-fork time across the group's members.
-    pub fork_nanos: u64,
-    /// Wall-clock nanoseconds of the group's shared measured pass: seating
-    /// the shared replay cursor past the warm-up prefix, then stepping
-    /// every member per batch.
+    /// Wall-clock nanoseconds of the warm-up phase.
+    pub warmup_nanos: u64,
+    /// Wall-clock nanoseconds of the measured phase.
     pub measured_nanos: u64,
-    /// Group throughput: `refs / (fork_nanos + measured_nanos)`.
-    pub blocks_per_sec: f64,
 }
 
 /// Aggregates over all scenarios of a run.
@@ -162,33 +120,18 @@ pub struct PerfGroup {
 pub struct PerfTotals {
     /// Number of scenarios executed.
     pub scenarios: usize,
-    /// Number of fused groups — measured passes over unique streams.
-    pub groups: usize,
-    /// Stream passes fusion removed: `scenarios - groups`. Independent
-    /// execution walks each stream once per scenario; fused execution walks
-    /// it once per group.
-    pub passes_eliminated: usize,
-    /// Total block references covered (all scenarios, warm-up + measured —
-    /// references-consumed × designs-stepped).
+    /// Total block references stepped (all scenarios, warm-up + measured).
     pub refs: u64,
     /// Wall-clock nanoseconds spent materializing the unique reference
-    /// streams into the trace arena, before any scenario loop ran. Schema
-    /// v3 reports this separately from simulation time: generation happens
-    /// once per unique `(workload, cores, seed)` stream, not once per
-    /// scenario, and is excluded from `loop_nanos`.
+    /// streams into the trace arena, before any scenario ran. Generation
+    /// happens once per unique `(workload, cores, seed)` stream, not once
+    /// per scenario, and is excluded from `loop_nanos`.
     pub tracegen_nanos: u64,
-    /// Wall-clock nanoseconds spent warming the unique checkpoints into the
-    /// snapshot arena, before any scenario loop ran. Schema v4 reports this
-    /// separately from simulation time for the same reason as
-    /// `tracegen_nanos`: warm-up happens once per unique
-    /// `(workload, warm-up class, seed, warm-up length)` checkpoint, not
-    /// once per scenario, and is excluded from `loop_nanos`.
-    pub snapshot_nanos: u64,
-    /// Summed checkpoint-fork time across scenarios, in nanoseconds.
-    pub fork_nanos: u64,
-    /// Summed shared-pass time across groups, in nanoseconds.
+    /// Summed warm-up time across scenarios, in nanoseconds.
+    pub warmup_nanos: u64,
+    /// Summed measured-phase time across scenarios, in nanoseconds.
     pub measured_nanos: u64,
-    /// Total loop time: `fork_nanos + measured_nanos`.
+    /// Total loop time: `warmup_nanos + measured_nanos`.
     pub loop_nanos: u64,
     /// Wall-clock nanoseconds for the whole run (construction and trace
     /// generation included).
@@ -199,38 +142,27 @@ pub struct PerfTotals {
     pub jobs_per_sec: f64,
 }
 
-/// A complete perf run: configuration, per-scenario results, per-group
-/// timing, aggregates.
+/// A complete perf run: configuration, per-scenario results, aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Run lengths and seed shared by every scenario.
     pub cfg: ExperimentConfig,
     /// One result per scenario, in scenario-list order (deterministic).
     pub results: Vec<PerfResult>,
-    /// One entry per fused group, in first-seen scenario order.
-    pub groups: Vec<PerfGroup>,
     /// Aggregates over the whole run.
     pub totals: PerfTotals,
 }
 
 /// The version stamped into `BENCH_perf.json`; bump when the schema changes.
-/// Version 2 added the per-phase counters (`warmup_nanos`/`measured_nanos`
-/// per scenario and in the totals). Version 3 moved trace generation out of
-/// the timed loops and into the totals' own `tracegen_nanos` field: streams
-/// are materialized once per unique `(workload, cores, seed)` key in a
-/// shared trace arena and replayed by every scenario, so `loop_nanos` (and
-/// therefore `blocks_per_sec`) now measures simulation alone while the
-/// one-time generation cost stays attributable. Version 4 did the same to
-/// warm-up: scenarios fork warmed checkpoints out of a shared
-/// [`SnapshotArena`] instead of re-driving the warm-up prefix, the
-/// one-time warming cost moved into the totals' `snapshot_nanos`, and the
-/// per-scenario `warmup_nanos` became `fork_nanos` (checkpoint restore +
-/// replay-cursor seek). Version 5 fused execution: scenarios sharing a
-/// stream are measured in one shared pass, so scenario rows dropped
-/// `measured_nanos`/`loop_nanos`/`blocks_per_sec` in favour of a `group`
-/// label, a top-level `groups` array carries the per-pass timing, and the
-/// totals gained `groups` and `passes_eliminated`.
-pub const PERF_SCHEMA_VERSION: u64 = 5;
+/// Version 2 added per-phase counters, version 3 moved trace generation
+/// into the totals' `tracegen_nanos`, version 4 replaced warm-up with
+/// checkpoint forks (`fork_nanos`, `snapshot_nanos`), and version 5 added
+/// fused groups (`groups`, `passes_eliminated`). Version 6 warms in place:
+/// scenario rows carry `warmup_nanos` and `measured_nanos`, the loop is
+/// warm-up plus measurement, and the groups, forks and checkpoint fields
+/// are gone. Loop numbers before version 6 exclude warm-up and are not
+/// comparable with later ones.
+pub const PERF_SCHEMA_VERSION: u64 = 6;
 
 /// The representative workloads the perf suite times: a sharing-heavy server
 /// workload (OLTP DB2), a nearest-neighbour scientific code (em3d), and a
@@ -295,48 +227,34 @@ pub fn run_perf(cfg: &ExperimentConfig, engine: &ExperimentEngine) -> PerfReport
     run_perf_scenarios(&default_perf_scenarios(), cfg, engine)
 }
 
-/// Runs `scenarios` on `engine` with fresh arenas. See
+/// Runs `scenarios` on `engine` with a fresh trace arena. See
 /// [`run_perf_scenarios_in`].
 pub fn run_perf_scenarios(
     scenarios: &[PerfScenario],
     cfg: &ExperimentConfig,
     engine: &ExperimentEngine,
 ) -> PerfReport {
-    run_perf_scenarios_in(
-        scenarios,
-        cfg,
-        engine,
-        &TraceArena::new(),
-        &SnapshotArena::new(),
-    )
+    run_perf_scenarios_in(scenarios, cfg, engine, &TraceArena::new())
 }
 
-/// Runs `scenarios` on `engine`, timing each fused group's shared pass and
-/// each scenario's checkpoint fork. The arenas are explicit so callers can
-/// share streams and checkpoints across runs and inspect deduplication.
+/// Runs `scenarios` on `engine`, timing each scenario's warm-up and
+/// measured phases. The arena is explicit so callers can share streams
+/// across runs and inspect deduplication.
 ///
-/// Before any group runs, two shared pools are filled in parallel: the
-/// unique reference streams behind the list (one per `(workload, cores,
-/// seed)` — the 45-scenario default needs only 9) are materialized into the
-/// [`TraceArena`] (reported as `tracegen_nanos`), then the unique warmed
-/// checkpoints (one per `(workload, cores, warm-up class, seed)` — the
-/// default needs 45 because no two of the five designs share a warm-up
-/// class, but an ASR sweep would collapse onto one) are warmed into the
-/// [`SnapshotArena`] (reported as `snapshot_nanos`). The scenarios then
-/// execute as fused groups — one per unique stream: every member forks its
-/// checkpoint (timed per scenario) and the group steps all members per
-/// shared batch in a single measured pass (timed per group), so each unique
-/// stream is walked once instead of once per scenario.
+/// Before any scenario runs, the unique reference streams behind the list
+/// (one per `(workload, cores, seed)` — the 45-scenario default needs only
+/// 9) are materialized into the [`TraceArena`] in parallel (reported as
+/// `tracegen_nanos`). Each scenario is then one engine job that warms in
+/// place and measures over its stream's slab.
 ///
-/// The deterministic fields of the report (scenario identity, grouping,
-/// reference counts, CPI digests) are identical for every worker count;
-/// only the timing fields vary run to run.
+/// The deterministic fields of the report (scenario identity, reference
+/// counts, CPI digests) are identical for every worker count; only the
+/// timing fields vary run to run.
 pub fn run_perf_scenarios_in(
     scenarios: &[PerfScenario],
     cfg: &ExperimentConfig,
     engine: &ExperimentEngine,
     arena: &TraceArena,
-    snapshots: &SnapshotArena,
 ) -> PerfReport {
     let start = Instant::now();
     let mut seen = HashSet::new();
@@ -349,84 +267,33 @@ pub fn run_perf_scenarios_in(
         arena.populate(&s.workload, cfg.seed, cfg.total_refs())
     });
     let tracegen_nanos = saturating_nanos(t.elapsed().as_nanos());
-    let mut seen = HashSet::new();
-    let warm: Vec<&PerfScenario> = scenarios
-        .iter()
-        .filter(|s| {
-            seen.insert(SnapshotKey::new(
-                s.design,
-                &s.workload,
-                cfg.seed,
-                cfg.warmup_refs,
-            ))
-        })
-        .collect();
-    let t = Instant::now();
-    engine.run(&warm, |_, s| {
-        snapshots.populate(
-            arena,
-            s.design,
-            &s.workload,
-            cfg.seed,
-            cfg.warmup_refs,
-            cfg.total_refs(),
-        )
-    });
-    let snapshot_nanos = saturating_nanos(t.elapsed().as_nanos());
-    let grouped = group_indices(scenarios, |s| s.group_key(cfg.seed));
-    let group_outcomes = engine.run(&grouped, |_, (_, indices)| {
-        time_group(indices, scenarios, cfg, arena, snapshots)
-    });
+    let timed = engine.run(scenarios, |_, s| time_scenario(s, cfg, arena));
     let elapsed_nanos = saturating_nanos(start.elapsed().as_nanos());
 
-    let mut results: Vec<Option<PerfResult>> = scenarios.iter().map(|_| None).collect();
-    let mut groups = Vec::with_capacity(grouped.len());
-    for ((key, indices), (members, group_measured)) in grouped.iter().zip(group_outcomes) {
-        let label = key.label();
-        let mut group_refs = 0u64;
-        let mut group_fork = 0u64;
-        for (&i, (run, fork_nanos)) in indices.iter().zip(members) {
-            let s = &scenarios[i];
-            let refs = cfg.total_refs() as u64;
-            group_refs += refs;
-            group_fork += fork_nanos;
-            results[i] = Some(PerfResult {
-                workload: s.workload.name.clone(),
-                letter: s.design.letter(),
-                design: s.design.to_string(),
-                cores: s.cores,
-                group: label.clone(),
-                refs,
-                total_cpi: run.total_cpi(),
-                off_chip_rate: run.off_chip_rate,
-                fork_nanos,
-            });
-        }
-        groups.push(PerfGroup {
-            label,
-            scenarios: indices.len(),
-            refs: group_refs,
-            fork_nanos: group_fork,
-            measured_nanos: group_measured,
-            blocks_per_sec: per_sec(group_refs, group_fork + group_measured),
-        });
-    }
-    let results: Vec<PerfResult> = results
-        .into_iter()
-        .map(|r| r.expect("every scenario belongs to exactly one fused group"))
+    let results: Vec<PerfResult> = scenarios
+        .iter()
+        .zip(timed)
+        .map(|(s, (run, warmup_nanos, measured_nanos))| PerfResult {
+            workload: s.workload.name.clone(),
+            letter: s.design.letter(),
+            design: s.design.to_string(),
+            cores: s.cores,
+            refs: cfg.total_refs() as u64,
+            total_cpi: run.total_cpi(),
+            off_chip_rate: run.off_chip_rate,
+            warmup_nanos,
+            measured_nanos,
+        })
         .collect();
     let refs: u64 = results.iter().map(|r| r.refs).sum();
-    let fork_nanos: u64 = results.iter().map(|r| r.fork_nanos).sum();
-    let measured_nanos: u64 = groups.iter().map(|g| g.measured_nanos).sum();
-    let loop_nanos = fork_nanos + measured_nanos;
+    let warmup_nanos: u64 = results.iter().map(|r| r.warmup_nanos).sum();
+    let measured_nanos: u64 = results.iter().map(|r| r.measured_nanos).sum();
+    let loop_nanos = warmup_nanos + measured_nanos;
     let totals = PerfTotals {
         scenarios: results.len(),
-        groups: groups.len(),
-        passes_eliminated: results.len() - groups.len(),
         refs,
         tracegen_nanos,
-        snapshot_nanos,
-        fork_nanos,
+        warmup_nanos,
         measured_nanos,
         loop_nanos,
         elapsed_nanos,
@@ -436,49 +303,28 @@ pub fn run_perf_scenarios_in(
     PerfReport {
         cfg: *cfg,
         results,
-        groups,
         totals,
     }
 }
 
-/// Forks and measures one fused group over its pre-warmed checkpoints and
-/// pre-materialized arena stream (construction, trace generation and
-/// checkpoint warming excluded — the loop is the hot path the regression
-/// gate guards). Returns each member's measured run paired with its fork
-/// time, in `indices` order, plus the group's shared-pass time. The fork
-/// phase is dominated by snapshot decoding, the measured phase by the
-/// replay-cursor seek and steady-state stepping of every member; recording
-/// both makes phase-specific regressions visible instead of averaged away.
-fn time_group(
-    indices: &[usize],
-    scenarios: &[PerfScenario],
+/// Runs one scenario over its pre-materialized arena stream and times its
+/// two phases: the warm-up prefix and the measured window (construction
+/// and trace generation excluded). Recording both makes phase-specific
+/// regressions visible instead of averaged away.
+fn time_scenario(
+    s: &PerfScenario,
     cfg: &ExperimentConfig,
     arena: &TraceArena,
-    snapshots: &SnapshotArena,
-) -> (Vec<(MeasuredRun, u64)>, u64) {
-    let mut sims = Vec::with_capacity(indices.len());
-    let mut fork_times = Vec::with_capacity(indices.len());
-    for &i in indices {
-        let s = &scenarios[i];
-        let snap = snapshots.snapshot(
-            arena,
-            s.design,
-            &s.workload,
-            cfg.seed,
-            cfg.warmup_refs,
-            cfg.total_refs(),
-        );
-        let t = Instant::now();
-        sims.push(snap.fork(s.design, &s.workload));
-        fork_times.push(saturating_nanos(t.elapsed().as_nanos()));
-    }
-    let first = &scenarios[indices[0]];
+) -> (MeasuredRun, u64, u64) {
+    let mut slice = arena.slice(&s.workload, cfg.seed, cfg.total_refs());
+    let mut sim = CmpSimulator::with_seed(s.design, &s.workload, cfg.seed);
     let t = Instant::now();
-    let mut slice = arena.slice(&first.workload, cfg.seed, cfg.total_refs());
-    slice.skip(cfg.warmup_refs);
-    let runs = FusedDriver::new().run_measured(&mut sims, &mut slice, cfg.measured_refs);
+    sim.run_warmup(&mut slice, cfg.warmup_refs);
+    let warmup_nanos = saturating_nanos(t.elapsed().as_nanos());
+    let t = Instant::now();
+    let run = sim.run_measured(&mut slice, cfg.measured_refs);
     let measured_nanos = saturating_nanos(t.elapsed().as_nanos());
-    (runs.into_iter().zip(fork_times).collect(), measured_nanos)
+    (run, warmup_nanos, measured_nanos)
 }
 
 fn per_sec(count: u64, nanos: u64) -> f64 {
@@ -525,17 +371,17 @@ impl PerfReport {
         for (i, r) in self.results.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"workload\": {}, \"design\": {}, \"letter\": \"{}\", \
-                 \"cores\": {}, \"group\": {}, \"refs\": {}, \"total_cpi\": {}, \
-                 \"off_chip_rate\": {}, \"fork_nanos\": {}}}",
+                 \"cores\": {}, \"refs\": {}, \"total_cpi\": {}, \"off_chip_rate\": {}, \
+                 \"warmup_nanos\": {}, \"measured_nanos\": {}}}",
                 json_string(&r.workload),
                 json_string(&r.design),
                 r.letter,
                 r.cores,
-                json_string(&r.group),
                 r.refs,
                 r.total_cpi,
                 r.off_chip_rate,
-                tn(r.fork_nanos),
+                tn(r.warmup_nanos),
+                tn(r.measured_nanos),
             ));
             out.push_str(if i + 1 < self.results.len() {
                 ",\n"
@@ -544,38 +390,14 @@ impl PerfReport {
             });
         }
         out.push_str("  ],\n");
-        out.push_str("  \"groups\": [\n");
-        for (i, g) in self.groups.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": {}, \"scenarios\": {}, \"refs\": {}, \
-                 \"fork_nanos\": {}, \"measured_nanos\": {}, \"blocks_per_sec\": {}}}",
-                json_string(&g.label),
-                g.scenarios,
-                g.refs,
-                tn(g.fork_nanos),
-                tn(g.measured_nanos),
-                t(g.blocks_per_sec),
-            ));
-            out.push_str(if i + 1 < self.groups.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
         out.push_str(&format!(
-            "  \"totals\": {{\"scenarios\": {}, \"groups\": {}, \
-             \"passes_eliminated\": {}, \"refs\": {}, \
-             \"tracegen_nanos\": {}, \"snapshot_nanos\": {}, \
-             \"fork_nanos\": {}, \"measured_nanos\": {}, \"loop_nanos\": {}, \
+            "  \"totals\": {{\"scenarios\": {}, \"refs\": {}, \"tracegen_nanos\": {}, \
+             \"warmup_nanos\": {}, \"measured_nanos\": {}, \"loop_nanos\": {}, \
              \"elapsed_nanos\": {}, \"blocks_per_sec\": {}, \"jobs_per_sec\": {}}}",
             self.totals.scenarios,
-            self.totals.groups,
-            self.totals.passes_eliminated,
             self.totals.refs,
             tn(self.totals.tracegen_nanos),
-            tn(self.totals.snapshot_nanos),
-            tn(self.totals.fork_nanos),
+            tn(self.totals.warmup_nanos),
             tn(self.totals.measured_nanos),
             tn(self.totals.loop_nanos),
             tn(self.totals.elapsed_nanos),
@@ -737,63 +559,42 @@ mod tests {
             report.totals.tracegen_nanos > 0,
             "materializing the shared stream takes measurable time"
         );
-        assert!(
-            report.totals.snapshot_nanos > 0,
-            "warming the shared checkpoints takes measurable time"
-        );
-        // Both tiny scenarios share one stream, so they fuse into one group
-        // whose single pass eliminates one of the two walks.
-        assert_eq!(report.groups.len(), 1);
-        assert_eq!(report.totals.groups, 1);
-        assert_eq!(report.totals.passes_eliminated, 1);
-        let group = &report.groups[0];
-        assert_eq!(group.scenarios, 2);
-        assert_eq!(group.refs, report.totals.refs);
-        assert!(group.measured_nanos > 0, "the pass takes measurable time");
-        assert!(group.blocks_per_sec > 0.0);
+        for r in &report.results {
+            assert!(r.total_cpi > 0.0);
+            assert!(r.warmup_nanos > 0, "warming takes measurable time");
+            assert!(r.measured_nanos > 0, "measuring takes measurable time");
+        }
         assert_eq!(
-            report.totals.fork_nanos,
-            report.results.iter().map(|r| r.fork_nanos).sum::<u64>()
+            report.totals.warmup_nanos,
+            report.results.iter().map(|r| r.warmup_nanos).sum::<u64>()
         );
         assert_eq!(
             report.totals.measured_nanos,
-            report.groups.iter().map(|g| g.measured_nanos).sum::<u64>()
+            report.results.iter().map(|r| r.measured_nanos).sum::<u64>()
         );
         assert_eq!(
             report.totals.loop_nanos,
-            report.totals.fork_nanos + report.totals.measured_nanos
+            report.totals.warmup_nanos + report.totals.measured_nanos
         );
-        for r in &report.results {
-            assert!(r.total_cpi > 0.0);
-            assert_eq!(r.group, group.label, "both scenarios name their group");
-        }
         assert!(report.totals.blocks_per_sec > 0.0);
         assert!(report.totals.jobs_per_sec > 0.0);
     }
 
     #[test]
     fn default_perf_run_generates_exactly_nine_streams() {
-        // The fused default run still resolves onto 9 unique streams (3
-        // workloads x 3 core counts), each generated exactly once — and now
-        // each walked in exactly one fused pass: 45 scenarios, 9 groups.
+        // 45 scenarios resolve onto 9 unique streams (3 workloads x 3 core
+        // counts), each generated exactly once.
         let cfg = tiny_cfg();
         let arena = TraceArena::new();
-        let snapshots = SnapshotArena::new();
         let report = run_perf_scenarios_in(
             &default_perf_scenarios(),
             &cfg,
             &ExperimentEngine::with_workers(2),
             &arena,
-            &snapshots,
         );
         assert_eq!(report.totals.scenarios, 45);
         assert_eq!(arena.len(), 9, "one stream per (workload, cores)");
         assert_eq!(arena.generations(), 9, "each generated exactly once");
-        assert_eq!(report.groups.len(), 9, "one fused pass per stream");
-        assert_eq!(report.totals.passes_eliminated, 45 - 9);
-        for g in &report.groups {
-            assert_eq!(g.scenarios, 5, "all five designs fused per stream");
-        }
     }
 
     #[test]
@@ -818,9 +619,9 @@ mod tests {
         let doc = JsonValue::parse(&report.to_json()).expect("BENCH_perf.json must parse");
         assert_eq!(
             doc.keys(),
-            vec!["schema_version", "config", "scenarios", "groups", "totals"]
+            vec!["schema_version", "config", "scenarios", "totals"]
         );
-        assert_eq!(doc.get("schema_version").unwrap().as_f64(), Some(5.0));
+        assert_eq!(doc.get("schema_version").unwrap().as_f64(), Some(6.0));
         let scenarios = doc.get("scenarios").unwrap().as_array().unwrap();
         assert_eq!(scenarios.len(), 2);
         for s in scenarios {
@@ -831,46 +632,29 @@ mod tests {
                     "design",
                     "letter",
                     "cores",
-                    "group",
                     "refs",
                     "total_cpi",
                     "off_chip_rate",
-                    "fork_nanos"
-                ]
-            );
-        }
-        let groups = doc.get("groups").unwrap().as_array().unwrap();
-        assert_eq!(groups.len(), 1);
-        for g in groups {
-            assert_eq!(
-                g.keys(),
-                vec![
-                    "label",
-                    "scenarios",
-                    "refs",
-                    "fork_nanos",
-                    "measured_nanos",
-                    "blocks_per_sec"
+                    "warmup_nanos",
+                    "measured_nanos"
                 ]
             );
         }
         let totals = doc.get("totals").unwrap();
-        for key in [
-            "scenarios",
-            "groups",
-            "passes_eliminated",
-            "refs",
-            "tracegen_nanos",
-            "snapshot_nanos",
-            "fork_nanos",
-            "measured_nanos",
-            "loop_nanos",
-            "elapsed_nanos",
-            "blocks_per_sec",
-            "jobs_per_sec",
-        ] {
-            assert!(totals.get(key).is_some(), "totals must carry {key}");
-        }
+        assert_eq!(
+            totals.keys(),
+            vec![
+                "scenarios",
+                "refs",
+                "tracegen_nanos",
+                "warmup_nanos",
+                "measured_nanos",
+                "loop_nanos",
+                "elapsed_nanos",
+                "blocks_per_sec",
+                "jobs_per_sec",
+            ]
+        );
     }
 
     #[test]
@@ -910,18 +694,20 @@ mod tests {
         assert_eq!(labels("em3d"), labels("EM3D"));
         assert_eq!(labels("em3d"), labels("eM3d"));
         assert_eq!(labels("oltp db2"), labels("OLTP DB2"));
+        assert_eq!(labels("/r/"), labels("/R/"));
         assert!(!labels("EM3D").is_empty());
-        // ...and group keys derive from the spec, not from label strings,
-        // so the selected scenarios land in identical fused groups no
-        // matter how the filter (or any display label) is cased.
-        let group_keys = |filter: &str| -> Vec<FusedGroupKey> {
+        // ...and the trace keys that group scenarios onto shared arena
+        // streams derive from the spec, not from label strings, so the
+        // selected scenarios share streams identically no matter how the
+        // filter (or any display label) is cased.
+        let trace_keys = |filter: &str| -> Vec<TraceKey> {
             filter_scenarios(default_perf_scenarios(), filter)
                 .iter()
-                .map(|s| s.group_key(42))
+                .map(|s| TraceKey::new(&s.workload, 42))
                 .collect()
         };
-        assert_eq!(group_keys("em3d"), group_keys("EM3D"));
-        assert_eq!(group_keys("/r/"), group_keys("/R/"));
+        assert_eq!(trace_keys("em3d"), trace_keys("EM3D"));
+        assert_eq!(trace_keys("/r/"), trace_keys("/R/"));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use crate::stats::CacheStats;
 use rnuca_types::addr::BlockAddr;
 use rnuca_types::config::CacheGeometry;
-use rnuca_types::{Snap, SnapReader};
 
 /// Recency rank marking an unoccupied way. Valid ways always hold a rank
 /// below their set's associativity, so this value never collides.
@@ -439,42 +438,6 @@ impl<T> CacheArray<T> {
             *o = 0;
         }
         self.resident = 0;
-    }
-}
-
-impl<T: Snap> Snap for CacheArray<T> {
-    /// Verbatim slab capture: tags, LRU ranks, metadata, and occupancy masks
-    /// are encoded exactly as laid out, so a decoded array probes, promotes,
-    /// and evicts identically to the original — not just as a set of blocks.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.geometry.encode(out);
-        self.tags.encode(out);
-        self.ages.encode(out);
-        self.meta.encode(out);
-        self.occupied.encode(out);
-        self.resident.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let geometry = CacheGeometry::decode(r);
-        // The large slabs get the same huge-page first-touch hint
-        // `CacheArray::new` gives them, so a forked simulator probes at the
-        // same dTLB cost as a warmed one.
-        let tags = rnuca_types::snap::decode_vec_hinted(r);
-        let ages = rnuca_types::snap::decode_vec_hinted(r);
-        let meta = rnuca_types::snap::decode_vec_hinted(r);
-        CacheArray {
-            geometry,
-            num_sets: geometry.num_sets(),
-            ways: geometry.ways,
-            tags,
-            ages,
-            meta,
-            occupied: r.get(),
-            resident: r.get(),
-            stats: r.get(),
-        }
     }
 }
 

@@ -1,6 +1,5 @@
 //! Hit/miss/eviction counters shared by the cache structures.
 
-use rnuca_types::{Snap, SnapReader};
 use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by a [`crate::CacheArray`] (and reused by the victim cache).
@@ -49,26 +48,6 @@ impl CacheStats {
         self.fills += other.fills;
         self.evictions += other.evictions;
         self.invalidations += other.invalidations;
-    }
-}
-
-impl Snap for CacheStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.hits.encode(out);
-        self.misses.encode(out);
-        self.fills.encode(out);
-        self.evictions.encode(out);
-        self.invalidations.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        CacheStats {
-            hits: r.get(),
-            misses: r.get(),
-            fills: r.get(),
-            evictions: r.get(),
-            invalidations: r.get(),
-        }
     }
 }
 

@@ -13,7 +13,6 @@
 
 use crate::stats::CacheStats;
 use rnuca_types::addr::BlockAddr;
-use rnuca_types::{Snap, SnapReader};
 
 /// Sentinel link meaning "no slot".
 const NIL: u8 = u8::MAX;
@@ -210,36 +209,6 @@ impl<T> VictimCache<T> {
         self.occupied = 0;
         self.head = NIL;
         self.tail = NIL;
-    }
-}
-
-impl<T: Snap> Snap for VictimCache<T> {
-    /// Encodes the slot slabs and the intrusive FIFO links verbatim, so the
-    /// decoded buffer drops victims in exactly the order the original would.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.capacity.encode(out);
-        self.tags.encode(out);
-        self.metas.encode(out);
-        self.next.encode(out);
-        self.prev.encode(out);
-        self.head.encode(out);
-        self.tail.encode(out);
-        self.occupied.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        VictimCache {
-            capacity: r.get(),
-            tags: r.get(),
-            metas: r.get(),
-            next: r.get(),
-            prev: r.get(),
-            head: r.get(),
-            tail: r.get(),
-            occupied: r.get(),
-            stats: r.get(),
-        }
     }
 }
 

@@ -5,7 +5,6 @@ use crate::sharers::SharerSet;
 use crate::table::EntryTable;
 use rnuca_types::addr::BlockAddr;
 use rnuca_types::ids::TileId;
-use rnuca_types::{Snap, SnapReader};
 use serde::{Deserialize, Serialize};
 
 /// Blocks the directory pre-sizes for; past this it grows by doubling.
@@ -274,44 +273,6 @@ impl Directory {
                 tiles
             }
             None => Vec::new(),
-        }
-    }
-}
-
-impl Snap for DirectoryStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.reads.encode(out);
-        self.writes.encode(out);
-        self.memory_fetches.encode(out);
-        self.forwards.encode(out);
-        self.invalidations_sent.encode(out);
-        self.dirty_writebacks.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        DirectoryStats {
-            reads: r.get(),
-            writes: r.get(),
-            memory_fetches: r.get(),
-            forwards: r.get(),
-            invalidations_sent: r.get(),
-            dirty_writebacks: r.get(),
-        }
-    }
-}
-
-impl Snap for Directory {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.num_tiles.encode(out);
-        self.entries.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        Directory {
-            num_tiles: r.get(),
-            entries: r.get(),
-            stats: r.get(),
         }
     }
 }

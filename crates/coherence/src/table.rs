@@ -28,7 +28,6 @@
 
 use rnuca_types::ids::TileId;
 use rnuca_types::os_hint;
-use rnuca_types::{Snap, SnapReader};
 
 /// Sentinel key marking an empty slot. Real keys are block numbers, bounded
 /// well below this by the simulated physical address width.
@@ -233,30 +232,6 @@ impl EntryTable {
             grown.owner_dirty[slot] = self.owner_dirty[i];
         }
         *self = grown;
-    }
-}
-
-impl Snap for EntryTable {
-    /// Encodes the three parallel slot arrays position-for-position, probe
-    /// chains included, so the decoded table is the bit-identical layout —
-    /// probes, growth timing, and backward shifts all continue unchanged.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.keys.encode(out);
-        self.sharers.encode(out);
-        self.owner_dirty.encode(out);
-        self.len.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let keys = rnuca_types::snap::decode_vec_hinted(r);
-        let sharers = rnuca_types::snap::decode_vec_hinted(r);
-        let owner_dirty = rnuca_types::snap::decode_vec_hinted(r);
-        EntryTable {
-            keys,
-            sharers,
-            owner_dirty,
-            len: r.get(),
-        }
     }
 }
 

@@ -30,7 +30,6 @@ use rnuca_types::addr::PhysAddr;
 use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::{MemCtrlId, TileId};
 use rnuca_types::latency::Cycles;
-use rnuca_types::{Snap, SnapReader};
 use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by the memory system.
@@ -171,44 +170,6 @@ impl MemorySystem {
     pub fn reset_stats(&mut self) {
         self.stats = MemoryStats::default();
         self.per_controller_requests.iter_mut().for_each(|c| *c = 0);
-    }
-}
-
-impl Snap for MemoryStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.reads.encode(out);
-        self.writebacks.encode(out);
-        self.busy_cycles.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        MemoryStats {
-            reads: r.get(),
-            writebacks: r.get(),
-            busy_cycles: r.get(),
-        }
-    }
-}
-
-impl Snap for MemorySystem {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.page_shift.encode(out);
-        self.ctrl_mask.encode(out);
-        self.access_latency.encode(out);
-        self.controller_tiles.encode(out);
-        self.per_controller_requests.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        MemorySystem {
-            page_shift: r.get(),
-            ctrl_mask: r.get(),
-            access_latency: r.get(),
-            controller_tiles: r.get(),
-            per_controller_requests: r.get(),
-            stats: r.get(),
-        }
     }
 }
 

@@ -11,7 +11,6 @@ use crate::page_table::{PageClass, PageTable, PageUpdate};
 use crate::tlb::Tlb;
 use rnuca_types::addr::PageAddr;
 use rnuca_types::ids::CoreId;
-use rnuca_types::{Snap, SnapReader};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -231,56 +230,6 @@ impl OsClassifier {
         }
         self.tlbs[core.index()].fill(page, outcome.class);
         outcome
-    }
-}
-
-impl Snap for OsStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tlb_hits.encode(out);
-        self.tlb_misses.encode(out);
-        self.first_touches.encode(out);
-        self.reclassifications.encode(out);
-        self.owner_migrations.encode(out);
-        self.shootdowns.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        OsStats {
-            tlb_hits: r.get(),
-            tlb_misses: r.get(),
-            first_touches: r.get(),
-            reclassifications: r.get(),
-            owner_migrations: r.get(),
-            shootdowns: r.get(),
-        }
-    }
-}
-
-impl Snap for OsClassifier {
-    /// The migration set is encoded in sorted order so equal classifiers
-    /// produce byte-identical encodings regardless of `HashSet` iteration
-    /// order (membership is all the simulator ever queries, so restoring
-    /// into a freshly built set preserves behaviour exactly).
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.page_table.encode(out);
-        self.tlbs.encode(out);
-        let mut migrations: Vec<(CoreId, CoreId)> =
-            self.pending_migrations.iter().copied().collect();
-        migrations.sort_unstable();
-        migrations.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let page_table = r.get();
-        let tlbs = r.get();
-        let migrations: Vec<(CoreId, CoreId)> = r.get();
-        OsClassifier {
-            page_table,
-            tlbs,
-            pending_migrations: migrations.into_iter().collect(),
-            stats: r.get(),
-        }
     }
 }
 

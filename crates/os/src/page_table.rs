@@ -15,7 +15,6 @@
 use rnuca_types::addr::PageAddr;
 use rnuca_types::ids::CoreId;
 use rnuca_types::index_map::U64Map;
-use rnuca_types::{Snap, SnapReader};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -272,51 +271,6 @@ impl PageTable {
             }
         }
         (private, shared, instr)
-    }
-}
-
-impl Snap for PageClass {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            PageClass::Private => 0,
-            PageClass::Shared => 1,
-            PageClass::Instruction => 2,
-        });
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        match r.get::<u8>() {
-            0 => PageClass::Private,
-            1 => PageClass::Shared,
-            2 => PageClass::Instruction,
-            b => panic!("snapshot PageClass tag {b} is out of range"),
-        }
-    }
-}
-
-impl Snap for PageInfo {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.class.encode(out);
-        self.owner.encode(out);
-        self.poisoned.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        PageInfo {
-            class: r.get(),
-            owner: r.get(),
-            poisoned: r.get(),
-        }
-    }
-}
-
-impl Snap for PageTable {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.entries.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        PageTable { entries: r.get() }
     }
 }
 

@@ -16,7 +16,6 @@
 use crate::page_table::PageClass;
 use rnuca_types::addr::PageAddr;
 use rnuca_types::index_map::U64Map;
-use rnuca_types::{Snap, SnapReader};
 use serde::{Deserialize, Serialize};
 
 /// Statistics accumulated by a [`Tlb`].
@@ -201,68 +200,6 @@ impl Tlb {
         self.map
             .get(page.page_number())
             .map(|&idx| self.nodes[idx as usize].class)
-    }
-}
-
-impl Snap for TlbStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.hits.encode(out);
-        self.misses.encode(out);
-        self.shootdowns.encode(out);
-        self.evictions.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        TlbStats {
-            hits: r.get(),
-            misses: r.get(),
-            shootdowns: r.get(),
-            evictions: r.get(),
-        }
-    }
-}
-
-impl Snap for Node {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.page.encode(out);
-        self.class.encode(out);
-        self.prev.encode(out);
-        self.next.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        Node {
-            page: r.get(),
-            class: r.get(),
-            prev: r.get(),
-            next: r.get(),
-        }
-    }
-}
-
-impl Snap for Tlb {
-    /// Encodes the node slab, free list, and LRU links verbatim, so the
-    /// decoded TLB evicts in exactly the order the original would.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.capacity.encode(out);
-        self.map.encode(out);
-        self.nodes.encode(out);
-        self.free.encode(out);
-        self.head.encode(out);
-        self.tail.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        Tlb {
-            capacity: r.get(),
-            map: r.get(),
-            nodes: r.get(),
-            free: r.get(),
-            head: r.get(),
-            tail: r.get(),
-            stats: r.get(),
-        }
     }
 }
 

@@ -37,8 +37,8 @@
 //!   (`submit` echoes the submission id, `status` carries the report).
 //! * `err <message>` — the request failed; the connection stays usable.
 //! * `event <id> <detail>` — only while a `watch` is active: one frame per
-//!   observed state change (queue position, per-chunk group progress,
-//!   terminal state).
+//!   observed state change (queue position, per-chunk job progress as
+//!   `running <done_jobs>/<total_jobs>`, terminal state).
 //! * `done <id> <state>` — terminates a `watch` stream; after it the
 //!   connection returns to request/response.
 //!
@@ -118,7 +118,7 @@ pub enum Request {
     Watch(String),
     /// Stop (and discard) one submission.
     Cancel(String),
-    /// Graceful shutdown: finish in-flight groups, journal, exit.
+    /// Graceful shutdown: finish in-flight jobs, journal, exit.
     Drain,
 }
 

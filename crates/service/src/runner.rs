@@ -4,20 +4,18 @@
 //!
 //! # Execution shape
 //!
-//! A submission's pending jobs are grouped into fused groups (one group per
-//! trace stream) and executed in *chunks* of at most `workers` groups
-//! through [`ExperimentEngine::run_supervised_detached`] — the detached
-//! path so a per-attempt wall-clock deadline can abandon a wedged attempt.
+//! A submission's pending jobs execute in *chunks* of at most `workers`
+//! jobs through [`ExperimentEngine::run_supervised_detached`] — the
+//! detached path so a per-attempt wall-clock deadline can abandon a wedged
+//! attempt. Every job is the library's per-job path, [`ScenarioJob::run`],
+//! under the submission's full retry policy (seeded backoff, deadline).
 //! The closure handed to the engine is side-effect-free (it only measures);
 //! journaling happens in this thread after each chunk returns, and only for
 //! results the supervisor *accepted*. An abandoned deadline-overrun thread
 //! can therefore never race a journal append: its late result is simply
-//! dropped. The crash window is one chunk of re-computable work.
-//!
-//! Members of failed groups re-run solo under the submission's full retry
-//! policy (seeded backoff, deadline); jobs whose every attempt fails are
-//! journaled as typed failure entries, exactly like the library's
-//! `run_supervised_journaled`.
+//! dropped. The crash window is one chunk of re-computable work. Jobs whose
+//! every attempt fails are journaled as typed failure entries, exactly like
+//! the library's `run_supervised_journaled`.
 //!
 //! # The crash-resume and byte-identity invariant
 //!
@@ -33,13 +31,11 @@
 use crate::spool::Spool;
 use crate::state::{Claim, Registry, SubmissionState};
 use rnuca_sim::{
-    failed_record, group_indices, result_from, run_group_forked, sweep_record, ExperimentEngine,
-    JobFailure, JournalEntry, JournalFailure, JournalReplay, LlcDesign, ScenarioJob,
-    ScenarioResult, SnapshotArena, SweepJournal,
+    failed_record, result_from, sweep_record, ExperimentEngine, JobFailure, JournalEntry,
+    JournalFailure, JournalReplay, ScenarioJob, ScenarioResult, SweepJournal,
 };
-use rnuca_types::RetryPolicy;
 use rnuca_warehouse::{RunRecord, Warehouse};
-use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
+use rnuca_workloads::TraceArena;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -60,7 +56,7 @@ enum Outcome {
     Stopped,
 }
 
-/// The service's single worker: owns the engine and the arenas, drains the
+/// The service's single worker: owns the engine and the trace arena, drains the
 /// registry queue until a drain is requested.
 #[derive(Debug)]
 pub struct Runner {
@@ -88,17 +84,16 @@ impl Runner {
     pub fn run(&self) {
         let engine = ExperimentEngine::with_workers(self.workers);
         let arena = Arc::new(TraceArena::new());
-        let snapshots = Arc::new(SnapshotArena::new());
         while let Some(claim) = self.registry.claim() {
             self.registry.set_state(
                 &claim.id,
                 SubmissionState::Running {
-                    done_groups: 0,
-                    total_groups: 0,
+                    done_jobs: 0,
+                    total_jobs: 0,
                 },
             );
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.run_submission(&engine, &arena, &snapshots, &claim)
+                self.run_submission(&engine, &arena, &claim)
             }));
             match outcome {
                 Ok(Ok(Outcome::Completed { completed, failed })) => self
@@ -134,7 +129,6 @@ impl Runner {
         &self,
         engine: &ExperimentEngine,
         arena: &Arc<TraceArena>,
-        snapshots: &Arc<SnapshotArena>,
         claim: &Claim,
     ) -> Result<Outcome, String> {
         let matrix = claim.spec.to_matrix()?;
@@ -197,115 +191,38 @@ impl Runner {
             if claim.stop.load(Ordering::SeqCst) {
                 return Ok(Outcome::Stopped);
             }
-            matrix.prepare_arenas(engine, arena, snapshots, &jobs, &pending);
-            let groups = group_indices(&pending, |&i| TraceKey::new(&jobs[i].workload, cfg.seed));
-            let total_groups = groups.len();
-            let mut done_groups = 0;
+            let total_jobs = pending.len();
+            let mut done_jobs = 0;
             self.registry.set_state(
                 &claim.id,
                 SubmissionState::Running {
-                    done_groups,
-                    total_groups,
+                    done_jobs,
+                    total_jobs,
                 },
             );
 
-            // Group pass: one shot per group (no retries — a failed group's
-            // members get their retry budget solo), but under the spec's
-            // deadline so a wedged group is abandoned, not waited on.
-            let group_policy = match policy.deadline {
-                Some(d) => RetryPolicy::immediate(0).with_deadline(d),
-                None => RetryPolicy::immediate(0),
-            };
-            let member_sets: Vec<Vec<(usize, ScenarioJob)>> = groups
-                .iter()
-                .map(|(_, idxs)| {
-                    idxs.iter()
-                        .map(|&p| (pending[p], jobs[pending[p]].clone()))
-                        .collect()
-                })
-                .collect();
-            let mut solo: Vec<usize> = Vec::new();
-            for chunk in member_sets.chunks(self.workers) {
+            let items: Vec<(usize, ScenarioJob)> =
+                pending.iter().map(|&i| (i, jobs[i].clone())).collect();
+            for chunk in items.chunks(self.workers) {
                 if claim.stop.load(Ordering::SeqCst) {
                     return Ok(Outcome::Stopped);
                 }
-                let items: Arc<Vec<Vec<(usize, ScenarioJob)>>> = Arc::new(chunk.to_vec());
+                let chunk: Arc<Vec<(usize, ScenarioJob)>> = Arc::new(chunk.to_vec());
                 let run = {
                     let arena = Arc::clone(arena);
-                    let snapshots = Arc::clone(snapshots);
-                    Arc::new(move |_: usize, members: &Vec<(usize, ScenarioJob)>| {
-                        let pairs: Vec<(&WorkloadSpec, LlcDesign)> = members
-                            .iter()
-                            .map(|(_, job)| (&job.workload, job.design))
-                            .collect();
-                        run_group_forked(&pairs, &cfg, &arena, &snapshots)
-                    })
+                    Arc::new(move |_: usize, (_, job): &(usize, ScenarioJob)| job.run(&cfg, &arena))
                 };
                 let outcomes = engine.run_supervised_detached(
-                    Arc::clone(&items),
-                    cfg.seed,
-                    &group_policy,
-                    &claim.stop,
-                    run,
-                );
-                for (members, outcome) in items.iter().zip(outcomes) {
-                    match outcome {
-                        // Stop raised before the group was claimed.
-                        None => {}
-                        Some(Ok(runs)) => {
-                            for ((job_idx, job), run) in members.iter().zip(&runs) {
-                                journal
-                                    .append(*job_idx, run)
-                                    .map_err(|e| format!("journal append: {e}"))?;
-                                results[*job_idx] = Some(Ok(result_from(job, *run)));
-                            }
-                            done_groups += 1;
-                        }
-                        Some(Err(_)) => {
-                            solo.extend(members.iter().map(|(job_idx, _)| *job_idx));
-                            done_groups += 1;
-                        }
-                    }
-                }
-                self.registry.set_state(
-                    &claim.id,
-                    SubmissionState::Running {
-                        done_groups,
-                        total_groups,
-                    },
-                );
-            }
-
-            // Solo pass: members of failed groups, under the full policy
-            // (retries, seeded backoff, deadline).
-            let solo_items: Vec<(usize, ScenarioJob)> =
-                solo.iter().map(|&i| (i, jobs[i].clone())).collect();
-            for chunk in solo_items.chunks(self.workers) {
-                if claim.stop.load(Ordering::SeqCst) {
-                    return Ok(Outcome::Stopped);
-                }
-                let items: Arc<Vec<(usize, ScenarioJob)>> = Arc::new(chunk.to_vec());
-                let run = {
-                    let arena = Arc::clone(arena);
-                    let snapshots = Arc::clone(snapshots);
-                    Arc::new(move |_: usize, item: &(usize, ScenarioJob)| {
-                        let (_, job) = item;
-                        let members = [(&job.workload, job.design)];
-                        run_group_forked(&members, &cfg, &arena, &snapshots)
-                            .pop()
-                            .expect("a one-member group yields one run")
-                    })
-                };
-                let outcomes = engine.run_supervised_detached(
-                    Arc::clone(&items),
+                    Arc::clone(&chunk),
                     cfg.seed,
                     &policy,
                     &claim.stop,
                     run,
                 );
-                for ((job_idx, job), outcome) in items.iter().zip(outcomes) {
+                for ((job_idx, job), outcome) in chunk.iter().zip(outcomes) {
                     match outcome {
-                        None => {}
+                        // Stop raised before the job was claimed.
+                        None => continue,
                         Some(Ok(run)) => {
                             journal
                                 .append(*job_idx, &run)
@@ -329,11 +246,19 @@ impl Runner {
                             }));
                         }
                     }
+                    done_jobs += 1;
                 }
+                self.registry.set_state(
+                    &claim.id,
+                    SubmissionState::Running {
+                        done_jobs,
+                        total_jobs,
+                    },
+                );
             }
         }
 
-        // A stop between a chunk's launch and its last member leaves
+        // A stop between a chunk's launch and its last job leaves
         // unclaimed slots; only a fully-resolved sweep reaches the store.
         if results.iter().any(Option::is_none) {
             return Ok(Outcome::Stopped);

@@ -21,10 +21,11 @@ pub enum SubmissionState {
     Queued,
     /// The runner is executing it.
     Running {
-        /// Fused groups finished (completed or moved to solo re-run).
-        done_groups: usize,
-        /// Total fused groups this pass must finish.
-        total_groups: usize,
+        /// Jobs of this pass with an outcome (a result or a quarantined
+        /// failure).
+        done_jobs: usize,
+        /// Jobs this pass must run (those without a journal entry).
+        total_jobs: usize,
     },
     /// Every job has an outcome; rows are in the warehouse.
     Completed {
@@ -56,9 +57,9 @@ impl fmt::Display for SubmissionState {
         match self {
             SubmissionState::Queued => f.write_str("queued"),
             SubmissionState::Running {
-                done_groups,
-                total_groups,
-            } => write!(f, "running {done_groups}/{total_groups}"),
+                done_jobs,
+                total_jobs,
+            } => write!(f, "running {done_jobs}/{total_jobs}"),
             SubmissionState::Completed { completed, failed } => {
                 write!(f, "completed ok={completed} failed={failed}")
             }
@@ -290,8 +291,8 @@ mod tests {
         reg.set_state(
             "s1",
             SubmissionState::Running {
-                done_groups: 1,
-                total_groups: 2,
+                done_jobs: 1,
+                total_jobs: 2,
             },
         );
         assert_eq!(reg.status_report(), "s1 running 1/2");

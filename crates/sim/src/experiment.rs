@@ -7,40 +7,28 @@
 //!
 //! Both are thin wrappers over the [`ExperimentEngine`]: every
 //! `(workload, design, config-point)` combination becomes one job in a flat
-//! list executed on a bounded worker pool, so ASR's six versions of one
-//! workload run concurrently instead of serialising inside a per-workload
-//! thread, and the assembled results are identical for every worker count.
+//! list executed on a bounded worker pool, and the assembled results are
+//! identical for every worker count.
 //!
-//! Jobs resolve their reference streams through a shared
-//! [`TraceArena`]: the evaluation pre-populates the unique
-//! `(workload, geometry, seed)` streams in parallel, then every job — all
-//! five designs, and all six ASR variants of a workload — replays the one
-//! memoized slab instead of regenerating the stream. Replay is bit-identical
+//! Jobs resolve their reference streams through a shared [`TraceArena`]:
+//! the first job to need a `(workload, geometry, seed)` stream generates it
+//! and every other job replays the memoized slab. Replay is bit-identical
 //! to streaming generation (the golden-result tests pin this), so the arena
 //! changes wall-clock time only.
 //!
-//! Warm-up is deduplicated the same way through a
-//! [`SnapshotArena`]: each unique warmed state — one per
-//! `(workload, warm-up class, seed, warm-up length)` — is built once and
-//! serialized, and every job *forks* from the checkpoint instead of
-//! re-driving the warm-up prefix. Forks are bit-identical to streamed
-//! warm-up (the differential suite pins this), so snapshots, like the trace
-//! arena, change wall-clock time only. The big winner is ASR best-of-six:
-//! all six variants fork from one checkpoint, so the sweep warms once.
-//!
-//! Measurement itself is *fused* (see [`crate::fused`]): the designs
-//! comparing one workload form a single fused group that steps every design
-//! instance per shared 4096-reference batch, so a comparison consumes the
-//! stream in one pass instead of one pass per design. The engine's unit of
-//! work is therefore one fused group — per workload, not per design — and
-//! each group still emits the bit-identical per-design [`MeasuredRun`]s the
-//! independent jobs produced.
+//! Every job warms in place: it builds its simulator, runs the warm-up
+//! prefix of its slab, and measures the rest. Warmed state is reused in one
+//! place only, the ASR best-of-six selection, because that is the only
+//! warm-up with several consumers: all six ASR versions warm identically,
+//! so [`DesignComparison::run_asr_with_arena`] warms one simulator, clones
+//! it per version, switches each clone's policy with
+//! [`CmpSimulator::set_asr_policy`], and measures the clones. A clone
+//! measures the bit-identical run a fresh warm-up of its version would (the
+//! `warm_reuse_fidelity` suite pins this).
 
 use crate::design::{AsrPolicy, LlcDesign};
 use crate::engine::ExperimentEngine;
-use crate::fused::run_fused_forked;
 use crate::simulator::{CmpSimulator, MeasuredRun};
-use crate::snapshot::SnapshotArena;
 use rnuca_workloads::{TraceArena, TraceGenerator, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -242,38 +230,6 @@ impl DesignComparison {
         }
     }
 
-    /// [`Self::run_single_with_arena`] forking the warmed state from
-    /// `snapshots` instead of re-driving the warm-up prefix: the checkpoint
-    /// is built on first request (and shared by every design in its warm-up
-    /// class), the fork restores it bit-for-bit, and the measured phase
-    /// replays the arena stream from directly after the warm-up prefix. The
-    /// result is bit-identical to the warm-then-measure paths.
-    pub fn run_single_forked(
-        spec: &WorkloadSpec,
-        design: LlcDesign,
-        cfg: &ExperimentConfig,
-        traces: &TraceArena,
-        snapshots: &SnapshotArena,
-    ) -> RunResult {
-        let snap = snapshots.snapshot(
-            traces,
-            design,
-            spec,
-            cfg.seed,
-            cfg.warmup_refs,
-            cfg.total_refs(),
-        );
-        let mut sim = snap.fork(design, spec);
-        let mut slice = traces.slice(spec, cfg.seed, cfg.total_refs());
-        slice.skip(cfg.warmup_refs);
-        let run = sim.run_measured(&mut slice, cfg.measured_refs);
-        RunResult {
-            workload: spec.name.clone(),
-            design,
-            run,
-        }
-    }
-
     /// The ASR design variants one workload must run: the six versions when
     /// `asr_best_of` is set, the adaptive version alone otherwise.
     fn asr_variants(cfg: &ExperimentConfig) -> Vec<LlcDesign> {
@@ -317,57 +273,35 @@ impl DesignComparison {
         Self::run_asr_with_arena(spec, cfg, engine, &TraceArena::new())
     }
 
-    /// [`Self::run_asr_with`] resolving every variant through `arena`. All
-    /// six ASR versions of one `(workload, config-point)` replay the same
-    /// memoized slab and fork from one warmed checkpoint: the stream is
-    /// materialized once and the warm-up runs once, no matter how many
-    /// variants the sweep compares.
+    /// [`Self::run_asr_with`] resolving every variant through `arena`.
+    ///
+    /// All ASR versions warm identically, so the warm-up runs once: one
+    /// simulator warms over the workload's slab, and every version measures
+    /// a clone of it under its own policy, one engine job per version. The
+    /// result is bit-identical to warming each version separately.
     pub fn run_asr_with_arena(
         spec: &WorkloadSpec,
         cfg: &ExperimentConfig,
         engine: &ExperimentEngine,
         arena: &TraceArena,
     ) -> RunResult {
-        Self::run_asr_forked(spec, cfg, engine, arena, &SnapshotArena::new())
-    }
-
-    /// [`Self::run_asr_with_arena`] forking every variant from an explicit
-    /// `snapshots` arena (exposed so callers can share checkpoints across
-    /// experiments and inspect deduplication): the six ASR versions share
-    /// one warm-up class, so the checkpoint is warmed exactly once — and the
-    /// variants then run as one *fused group*, all six stepping each shared
-    /// trace batch in a single pass over the stream. The engine parameter is
-    /// kept for signature continuity; a fused best-of-six is one unit of
-    /// work, so there are no per-variant jobs left to spread over workers.
-    pub fn run_asr_forked(
-        spec: &WorkloadSpec,
-        cfg: &ExperimentConfig,
-        _engine: &ExperimentEngine,
-        traces: &TraceArena,
-        snapshots: &SnapshotArena,
-    ) -> RunResult {
-        traces.populate(spec, cfg.seed, cfg.total_refs());
         let variants = Self::asr_variants(cfg);
-        snapshots.populate(
-            traces,
-            variants[0],
-            spec,
-            cfg.seed,
-            cfg.warmup_refs,
-            cfg.total_refs(),
-        );
-        let runs = run_fused_forked(spec, &variants, cfg, traces, snapshots);
-        Self::best_asr(
-            variants
-                .iter()
-                .zip(runs)
-                .map(|(&design, run)| RunResult {
-                    workload: spec.name.clone(),
-                    design,
-                    run,
-                })
-                .collect(),
-        )
+        let mut slice = arena.slice(spec, cfg.seed, cfg.total_refs());
+        let mut warmed = CmpSimulator::with_seed(variants[0], spec, cfg.seed);
+        warmed.run_warmup(&mut slice, cfg.warmup_refs);
+        let candidates = engine.run(&variants, |_, &design| {
+            let LlcDesign::Asr { policy } = design else {
+                unreachable!("asr_variants yields ASR designs only")
+            };
+            let mut sim = warmed.clone();
+            sim.set_asr_policy(policy);
+            RunResult {
+                workload: spec.name.clone(),
+                design,
+                run: sim.run_measured(&mut slice.clone(), cfg.measured_refs),
+            }
+        });
+        Self::best_asr(candidates)
     }
 
     /// Runs one workload under the P/A/S/R/I design set, serially (the
@@ -420,96 +354,44 @@ impl DesignComparison {
     /// `arena` (exposed so callers can share streams across evaluations and
     /// inspect deduplication).
     ///
-    /// The unique streams — one per workload at one seed — are pre-populated
-    /// in parallel on the engine, then all design jobs (five designs plus
-    /// the ASR variants, i.e. up to ten jobs per workload) replay them.
+    /// Each workload contributes five jobs, all replaying its one stream:
+    /// P, S, R and I warm in place, and the ASR job warms once and measures
+    /// a clone per version (see [`Self::run_asr_with_arena`]).
     pub fn run_evaluation_with_arena(
         cfg: &ExperimentConfig,
         engine: &ExperimentEngine,
         arena: &TraceArena,
     ) -> DesignComparison {
-        Self::run_evaluation_forked(cfg, engine, arena, &SnapshotArena::new())
-    }
-
-    /// [`Self::run_evaluation_with_arena`] forking every design from an
-    /// explicit `snapshots` arena. The unique checkpoints — one per
-    /// `(workload, warm-up class)` at one seed, so five per workload with
-    /// the six ASR variants collapsed onto one — are pre-warmed in parallel
-    /// on the engine; each workload's designs then run as one fused group
-    /// (fork every member + a single shared measured pass), so the engine's
-    /// jobs are workloads and each workload's stream is walked once.
-    pub fn run_evaluation_forked(
-        cfg: &ExperimentConfig,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        snapshots: &SnapshotArena,
-    ) -> DesignComparison {
         let specs = WorkloadSpec::evaluation_suite();
-        engine.run(&specs, |_, spec| {
-            arena.populate(spec, cfg.seed, cfg.total_refs())
-        });
-        let warm_jobs: Vec<(usize, LlcDesign)> = specs
+        let asr = LlcDesign::Asr {
+            policy: AsrPolicy::Adaptive,
+        };
+        let designs = [
+            LlcDesign::Private,
+            asr,
+            LlcDesign::Shared,
+            LlcDesign::rnuca_default(),
+            LlcDesign::Ideal,
+        ];
+        let jobs: Vec<(&WorkloadSpec, LlcDesign)> = specs
             .iter()
-            .enumerate()
-            .flat_map(|(i, _)| {
-                [
-                    (i, LlcDesign::Private),
-                    (
-                        i,
-                        LlcDesign::Asr {
-                            policy: AsrPolicy::Adaptive,
-                        },
-                    ),
-                    (i, LlcDesign::Shared),
-                    (i, LlcDesign::rnuca_default()),
-                    (i, LlcDesign::Ideal),
-                ]
+            .flat_map(|spec| designs.map(|design| (spec, design)))
+            .collect();
+        let serial = ExperimentEngine::with_workers(1);
+        let mut results = engine
+            .run(&jobs, |_, &(spec, design)| {
+                if design == asr {
+                    Self::run_asr_with_arena(spec, cfg, &serial, arena)
+                } else {
+                    Self::run_single_with_arena(spec, design, cfg, arena)
+                }
             })
-            .collect();
-        engine.run(&warm_jobs, |_, &(i, design)| {
-            snapshots.populate(
-                arena,
-                design,
-                &specs[i],
-                cfg.seed,
-                cfg.warmup_refs,
-                cfg.total_refs(),
-            )
-        });
-        let asr_variants = Self::asr_variants(cfg);
-        // Per workload one *fused group*: P, the ASR variants, then S, R, I
-        // step every shared trace batch in a single pass over the stream.
-        // The group's member order matches the assembly below.
-        let group: Vec<LlcDesign> = std::iter::once(LlcDesign::Private)
-            .chain(asr_variants.iter().copied())
-            .chain([
-                LlcDesign::Shared,
-                LlcDesign::rnuca_default(),
-                LlcDesign::Ideal,
-            ])
-            .collect();
-        let fused = engine.run(&specs, |_, spec| {
-            run_fused_forked(spec, &group, cfg, arena, snapshots)
-        });
-
+            .into_iter();
         let workloads = specs
             .iter()
-            .zip(fused)
-            .map(|(spec, runs)| {
-                let mut results = group.iter().zip(runs).map(|(&design, run)| RunResult {
-                    workload: spec.name.clone(),
-                    design,
-                    run,
-                });
-                let private = results.next().expect("private member ran");
-                let asr = Self::best_asr(
-                    (0..asr_variants.len())
-                        .map(|_| results.next().expect("ASR member ran"))
-                        .collect(),
-                );
-                let shared = results.next().expect("shared member ran");
-                let rnuca = results.next().expect("R-NUCA member ran");
-                let ideal = results.next().expect("ideal member ran");
+            .map(|spec| {
+                let mut next = || results.next().expect("five results per workload");
+                let (private, asr, shared, rnuca, ideal) = (next(), next(), next(), next(), next());
                 Self::assemble_workload(spec, private, asr, shared, rnuca, ideal)
             })
             .collect();
@@ -526,13 +408,10 @@ impl DesignComparison {
     }
 
     /// [`Self::run_cluster_sweep`] on an explicit engine. Sizes exceeding a
-    /// workload's core count are skipped. Every size of one workload replays
-    /// the same arena slab — the cluster size never changes the reference
-    /// stream — so each workload's sizes form one fused group: the sizes
-    /// fork from their own checkpoints (cluster size changes where warm-up
-    /// places instruction blocks, so sizes warm separately; the checkpoints
-    /// are pre-warmed in parallel) and then step every shared batch in a
-    /// single pass over the workload's stream.
+    /// workload's core count are skipped. Every `(workload, size)` pair is
+    /// one job; the sizes of one workload replay the same arena slab (the
+    /// cluster size never changes the reference stream) but warm separately,
+    /// since cluster size changes where warm-up places instruction blocks.
     pub fn run_cluster_sweep_with(
         cfg: &ExperimentConfig,
         sizes: &[usize],
@@ -540,10 +419,6 @@ impl DesignComparison {
     ) -> Vec<(String, Vec<(usize, MeasuredRun)>)> {
         let specs = WorkloadSpec::evaluation_suite();
         let arena = TraceArena::new();
-        let snapshots = SnapshotArena::new();
-        engine.run(&specs, |_, spec| {
-            arena.populate(spec, cfg.seed, cfg.total_refs())
-        });
         let jobs: Vec<(usize, usize)> = specs
             .iter()
             .enumerate()
@@ -555,54 +430,19 @@ impl DesignComparison {
                     .map(move |s| (i, s))
             })
             .collect();
-        engine.run(&jobs, |_, &(i, size)| {
-            snapshots.populate(
-                &arena,
-                LlcDesign::RNuca {
-                    instr_cluster_size: size,
-                },
-                &specs[i],
-                cfg.seed,
-                cfg.warmup_refs,
-                cfg.total_refs(),
-            )
-        });
-        let groups: Vec<(usize, Vec<usize>)> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                (
-                    i,
-                    sizes
-                        .iter()
-                        .copied()
-                        .filter(|&s| s <= spec.num_cores())
-                        .collect(),
-                )
-            })
-            .filter(|(_, sizes): &(usize, Vec<usize>)| !sizes.is_empty())
-            .collect();
-        let results = engine.run(&groups, |_, (i, group_sizes)| {
-            let designs: Vec<LlcDesign> = group_sizes
-                .iter()
-                .map(|&size| LlcDesign::RNuca {
-                    instr_cluster_size: size,
-                })
-                .collect();
-            let runs = run_fused_forked(&specs[*i], &designs, cfg, &arena, &snapshots);
-            group_sizes
-                .iter()
-                .zip(runs)
-                .map(|(&size, run)| (size, run))
-                .collect::<Vec<_>>()
+        let runs = engine.run(&jobs, |_, &(i, size)| {
+            let design = LlcDesign::RNuca {
+                instr_cluster_size: size,
+            };
+            Self::run_single_with_arena(&specs[i], design, cfg, &arena).run
         });
 
         let mut rows: Vec<(String, Vec<(usize, MeasuredRun)>)> = specs
             .iter()
             .map(|spec| (spec.name.clone(), Vec::new()))
             .collect();
-        for ((i, _), group_rows) in groups.iter().zip(results) {
-            rows[*i].1.extend(group_rows);
+        for (&(i, size), run) in jobs.iter().zip(runs) {
+            rows[i].1.push((size, run));
         }
         rows
     }
@@ -706,15 +546,12 @@ mod tests {
     fn run_single_with_arena_matches_the_streaming_path() {
         let cfg = ExperimentConfig::quick();
         let arena = TraceArena::new();
-        for design in [
-            LlcDesign::Private,
-            LlcDesign::Shared,
-            LlcDesign::rnuca_default(),
-        ] {
+        for design in LlcDesign::speedup_set() {
             let spec = WorkloadSpec::oltp_db2();
             assert_eq!(
                 DesignComparison::run_single_with_arena(&spec, design, &cfg, &arena),
                 DesignComparison::run_single(&spec, design, &cfg),
+                "{design} must be replay-invariant"
             );
         }
         assert_eq!(arena.len(), 1, "one workload, one stream");
@@ -761,17 +598,28 @@ mod tests {
 
     #[test]
     fn forked_run_matches_the_streaming_path_for_every_design() {
-        // The snapshot subsystem's core contract at the experiment level:
-        // fork + measure equals warm + measure, bit for bit, per design.
+        // Forking warmed state is a `clone()` of the warmed simulator: for
+        // every design, measuring the clone equals warm + measure on the
+        // streaming path, bit for bit, and leaves the original untouched.
         let cfg = ExperimentConfig::quick();
         let traces = TraceArena::new();
-        let snapshots = SnapshotArena::new();
+        let spec = WorkloadSpec::oltp_db2();
         for design in LlcDesign::speedup_set() {
-            let spec = WorkloadSpec::oltp_db2();
+            let streamed = DesignComparison::run_single(&spec, design, &cfg).run;
+            let mut slice = traces.slice(&spec, cfg.seed, cfg.total_refs());
+            let mut warmed = CmpSimulator::with_seed(design, &spec, cfg.seed);
+            warmed.run_warmup(&mut slice, cfg.warmup_refs);
+            let forked = warmed
+                .clone()
+                .run_measured(&mut slice.clone(), cfg.measured_refs);
             assert_eq!(
-                DesignComparison::run_single_forked(&spec, design, &cfg, &traces, &snapshots),
-                DesignComparison::run_single(&spec, design, &cfg),
+                forked, streamed,
                 "{design} fork must match streamed warm-up"
+            );
+            assert_eq!(
+                warmed.run_measured(&mut slice, cfg.measured_refs),
+                streamed,
+                "{design} fork must not disturb the warmed original"
             );
         }
         assert_eq!(traces.len(), 1, "one workload, one stream");
@@ -779,45 +627,65 @@ mod tests {
 
     #[test]
     fn asr_best_of_six_forks_from_one_snapshot() {
-        // Satellite acceptance: the six ASR variants share one warm-up
-        // class, so the best-of-six sweep warms exactly once and every
-        // variant forks from the same checkpoint.
+        // The six ASR variants share one warm-up: the best-of-six sweep
+        // warms one simulator and every variant measures a clone of it.
+        // That must pick exactly the run warming every version separately
+        // picks.
         let spec = WorkloadSpec::oltp_db2();
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let traces = TraceArena::new();
-        let snapshots = SnapshotArena::new();
-        let best = DesignComparison::run_asr_forked(
+        let best = DesignComparison::run_asr_with_arena(
             &spec,
             &cfg,
             &ExperimentEngine::with_workers(4),
             &traces,
-            &snapshots,
+        );
+        let fresh = DesignComparison::best_asr(
+            AsrPolicy::all_versions()
+                .into_iter()
+                .map(|policy| DesignComparison::run_single(&spec, LlcDesign::Asr { policy }, &cfg))
+                .collect(),
         );
         assert_eq!(best.design.letter(), "A");
-        assert_eq!(snapshots.len(), 1, "six variants, one warm-up class");
-        assert_eq!(snapshots.generations(), 1, "the warm-up ran exactly once");
+        assert_eq!(best, fresh);
         assert_eq!(traces.generations(), 1, "the stream was generated once");
     }
 
     #[test]
     fn full_evaluation_warms_one_checkpoint_per_class() {
-        // After a full evaluation (ASR best-of-six included), the snapshot
-        // arena holds exactly one checkpoint per (workload, warm-up class):
-        // five per workload, the ~10 design jobs notwithstanding.
+        // A full evaluation (ASR best-of-six included) warms five classes
+        // per workload: P, S, R and I each warm in place, and the six ASR
+        // versions share one warm-up. Every reported result must equal a
+        // fresh warm-up of its own design.
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let traces = TraceArena::new();
-        let snapshots = SnapshotArena::new();
-        let comparison = DesignComparison::run_evaluation_forked(
+        let comparison = DesignComparison::run_evaluation_with_arena(
             &cfg,
             &ExperimentEngine::with_workers(4),
             &traces,
-            &snapshots,
         );
-        assert_eq!(comparison.workloads.len(), 8);
-        assert_eq!(snapshots.len(), 8 * 5, "five warm-up classes per workload");
-        assert_eq!(snapshots.generations(), snapshots.len());
+        let specs = WorkloadSpec::evaluation_suite();
+        assert_eq!(comparison.workloads.len(), specs.len());
+        for (spec, workload) in specs.iter().zip(&comparison.workloads) {
+            for result in &workload.results {
+                let fresh = match result.design {
+                    LlcDesign::Asr { .. } => DesignComparison::best_asr(
+                        AsrPolicy::all_versions()
+                            .into_iter()
+                            .map(|policy| {
+                                DesignComparison::run_single(spec, LlcDesign::Asr { policy }, &cfg)
+                            })
+                            .collect(),
+                    ),
+                    design => DesignComparison::run_single(spec, design, &cfg),
+                };
+                assert_eq!(result, &fresh, "{} / {}", spec.name, result.design);
+            }
+        }
+        assert_eq!(traces.len(), specs.len());
+        assert_eq!(traces.generations(), traces.len());
     }
 
     #[test]

@@ -44,19 +44,16 @@ pub mod cpi;
 pub mod design;
 pub mod engine;
 pub mod experiment;
-pub mod fused;
 pub mod journal;
 pub mod report;
 pub mod scenario;
 pub mod simulator;
-pub mod snapshot;
 pub mod tile;
 
 pub use cpi::{CpiBreakdown, CpiComponent, DetailedCpi};
 pub use design::{AsrPolicy, LlcDesign};
 pub use engine::{ExperimentEngine, FailureCause, JobFailure};
 pub use experiment::{DesignComparison, ExperimentConfig, RunResult, WorkloadResults};
-pub use fused::{group_indices, run_fused_forked, run_group_forked, FusedDriver, FusedGroupKey};
 pub use journal::{
     JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
 };
@@ -66,5 +63,4 @@ pub use scenario::{
     ScenarioMatrix, ScenarioResult, ScenarioSweep, SweepError, SWEEP_SCHEMA_VERSION,
 };
 pub use simulator::{CmpSimulator, MeasuredRun};
-pub use snapshot::{SimSnapshot, SnapshotArena, SnapshotKey, WarmupClass};
 pub use tile::{BlockMeta, Tile, TileAccess};

@@ -10,6 +10,14 @@
 //! in a deterministic order (and are identical for every worker-pool size),
 //! ready for tables or the JSON emitted by [`ScenarioSweep::to_json`].
 //!
+//! Every job is independent: [`ScenarioJob::run`] builds the job's
+//! simulator, warms it in place over the job's [`TraceArena`] slab, and
+//! measures the rest of the slab. A matrix shares reference streams (one per
+//! unique `(workload, core count, seed)`, materialized once each) but never
+//! warmed state, so the plain, journaled and supervised paths — and the
+//! experiment service — all execute the same per-job function, and a job's
+//! result does not depend on which other jobs ran beside it.
+//!
 //! # Example
 //!
 //! ```
@@ -27,20 +35,17 @@
 
 use crate::design::LlcDesign;
 use crate::engine::{ExperimentEngine, JobFailure};
-use crate::experiment::ExperimentConfig;
-use crate::fused::{group_indices, run_group_forked};
+use crate::experiment::{DesignComparison, ExperimentConfig};
 use crate::journal::{
     JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
 };
 use crate::simulator::MeasuredRun;
-use crate::snapshot::{SnapshotArena, SnapshotKey};
 use rnuca_types::config::ConfigPoint;
 use rnuca_types::retry::RetryPolicy;
 use rnuca_types::{ConfigError, Fnv64};
 use rnuca_warehouse::{AppendSummary, RowKind, RunRecord, Warehouse};
-use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
+use rnuca_workloads::{TraceArena, WorkloadSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
 
@@ -84,6 +89,28 @@ pub struct ScenarioJob {
     pub design: LlcDesign,
     /// The overrides that produced this job (for labelling results).
     pub point: ConfigPoint,
+}
+
+impl ScenarioJob {
+    /// Runs the job in place: builds the simulator, warms it over the job's
+    /// arena slab, and measures the rest of the slab.
+    ///
+    /// This is the one per-job path every matrix run and the experiment
+    /// service execute.
+    pub fn run(&self, cfg: &ExperimentConfig, traces: &TraceArena) -> MeasuredRun {
+        // Per-job injection site for the quarantine tests: the site name
+        // pins one scenario regardless of worker count or job order, so a
+        // chaos test can poison exactly one job.
+        if rnuca_types::failpoint::enabled() {
+            rnuca_types::failpoint::panic_point(&format!(
+                "sim::member::{}::{}::{}c",
+                self.workload.name,
+                self.design,
+                self.workload.num_cores()
+            ));
+        }
+        DesignComparison::run_single_with_arena(&self.workload, self.design, cfg, traces).run
+    }
 }
 
 /// The outcome of one scenario job.
@@ -296,11 +323,10 @@ impl ScenarioMatrix {
     /// Runs the matrix on an explicit engine. The result vector is ordered
     /// by job index and identical for every worker count.
     ///
-    /// Jobs are grouped by their reference stream: the matrix multiplies
-    /// designs and slice capacities on top of far fewer unique
-    /// `(workload, core count, seed)` streams, so those are materialized
-    /// once each — in parallel, into a [`TraceArena`] — and every job
-    /// replays its group's slab.
+    /// The matrix multiplies designs and slice capacities on top of far
+    /// fewer unique `(workload, core count, seed)` streams, so each stream
+    /// is generated once, into a [`TraceArena`], by the first job that needs
+    /// it, and every other job replays its slab.
     ///
     /// # Errors
     ///
@@ -321,37 +347,9 @@ impl ScenarioMatrix {
         engine: &ExperimentEngine,
         arena: &TraceArena,
     ) -> Result<ScenarioSweep, ConfigError> {
-        self.run_forked(engine, arena, &SnapshotArena::new())
-    }
-
-    /// [`Self::run_with_arena`] forking every job's warmed state from an
-    /// explicit `snapshots` arena (exposed so callers can share checkpoints
-    /// across matrices and inspect deduplication).
-    ///
-    /// Jobs group onto warmed checkpoints the way they group onto streams:
-    /// the matrix multiplies designs (and, for R-NUCA, cluster sizes) on
-    /// top of fewer unique `(workload, config-point, warm-up class)` keys,
-    /// so those checkpoints are warmed once each — in parallel.
-    ///
-    /// Measurement is fused (see [`crate::fused`]): jobs sharing a
-    /// reference stream form one fused group that steps every member per
-    /// shared trace batch, so the engine's unit of work is a group and each
-    /// unique stream is walked once per sweep, not once per job. Results
-    /// scatter back to flattened job order, identical for every worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_forked(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        snapshots: &SnapshotArena,
-    ) -> Result<ScenarioSweep, ConfigError> {
         let jobs = self.jobs()?;
         let completed = vec![None; jobs.len()];
-        let runs = self.run_forked_core(engine, arena, snapshots, &jobs, &completed, None);
+        let runs = self.run_core(engine, arena, &jobs, completed, None);
         Ok(ScenarioSweep {
             cfg: self.cfg,
             results: jobs
@@ -375,7 +373,7 @@ impl ScenarioMatrix {
         h.finish()
     }
 
-    /// [`Self::run_forked`], journaling every completed job to `path`.
+    /// [`Self::run_with_arena`], journaling every completed job to `path`.
     ///
     /// With `resume` false, `path` is created (truncating any previous
     /// journal). With `resume` true, `path` is loaded first: its header
@@ -394,7 +392,6 @@ impl ScenarioMatrix {
         &self,
         engine: &ExperimentEngine,
         arena: &TraceArena,
-        snapshots: &SnapshotArena,
         path: &Path,
         resume: bool,
     ) -> Result<(ScenarioSweep, ResumeSummary), SweepError> {
@@ -436,8 +433,7 @@ impl ScenarioMatrix {
             (journal, vec![None; jobs.len()])
         };
         let replayed = completed.iter().filter(|c| c.is_some()).count();
-        let runs =
-            self.run_forked_core(engine, arena, snapshots, &jobs, &completed, Some(&journal));
+        let runs = self.run_core(engine, arena, &jobs, completed, Some(&journal));
         let sweep = ScenarioSweep {
             cfg: self.cfg,
             results: jobs
@@ -466,12 +462,11 @@ impl ScenarioMatrix {
         &self,
         engine: &ExperimentEngine,
         arena: &TraceArena,
-        snapshots: &SnapshotArena,
         path: &Path,
         resume: bool,
         store: &Warehouse,
     ) -> Result<(ScenarioSweep, AppendSummary, ResumeSummary), SweepError> {
-        let (sweep, resumed) = self.run_forked_journaled(engine, arena, snapshots, path, resume)?;
+        let (sweep, resumed) = self.run_forked_journaled(engine, arena, path, resume)?;
         let jobs = self.jobs()?;
         let records: Vec<RunRecord> = jobs
             .iter()
@@ -494,12 +489,11 @@ impl ScenarioMatrix {
     /// failures (skipping them instead of re-crashing), and re-runs only
     /// jobs with no entry at all.
     ///
-    /// Fused groups are attempted first; members of failed groups re-run
-    /// solo under `policy` — its retry budget and seeded backoff (the pause
-    /// schedule derives from the matrix seed, so it is identical for every
-    /// worker count). The policy's `deadline` is not enforced on this
-    /// borrow-based path; the experiment service's runner enforces
-    /// deadlines at the group level via
+    /// Every pending job runs under `policy` — its retry budget and seeded
+    /// backoff (the pause schedule derives from the matrix seed, so it is
+    /// identical for every worker count). The policy's `deadline` is not
+    /// enforced on this borrow-based path; the experiment service's runner
+    /// enforces deadlines per job via
     /// [`ExperimentEngine::run_supervised_detached`].
     ///
     /// # Errors
@@ -511,7 +505,6 @@ impl ScenarioMatrix {
         &self,
         engine: &ExperimentEngine,
         arena: &TraceArena,
-        snapshots: &SnapshotArena,
         path: &Path,
         resume: bool,
         policy: &RetryPolicy,
@@ -563,48 +556,14 @@ impl ScenarioMatrix {
             }
         }
 
-        self.prepare_arenas(engine, arena, snapshots, &jobs, &pending);
-        let groups = group_indices(&pending, |&i| {
-            TraceKey::new(&jobs[i].workload, self.cfg.seed)
+        let outcomes = engine.run_supervised_policy(&pending, self.cfg.seed, policy, |_, &i| {
+            let run = jobs[i].run(&self.cfg, arena);
+            journal
+                .append(i, &run)
+                .unwrap_or_else(|e| panic!("journal append failed: {e}"));
+            run
         });
-        let group_outcomes = engine.run_supervised(&groups, 0, |_, (_, indices)| {
-            let members: Vec<(&WorkloadSpec, LlcDesign)> = indices
-                .iter()
-                .map(|&p| (&jobs[pending[p]].workload, jobs[pending[p]].design))
-                .collect();
-            let runs = run_group_forked(&members, &self.cfg, arena, snapshots);
-            for (&p, run) in indices.iter().zip(&runs) {
-                journal
-                    .append(pending[p], run)
-                    .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-            }
-            runs
-        });
-        let mut solo_jobs: Vec<usize> = Vec::new();
-        for ((_, indices), outcome) in groups.iter().zip(group_outcomes) {
-            match outcome {
-                Ok(runs) => {
-                    for (&p, run) in indices.iter().zip(runs) {
-                        results[pending[p]] = Some(Ok(result_from(&jobs[pending[p]], run)));
-                    }
-                }
-                // The panic poisoned the whole fused pass (and nothing was
-                // journaled for it); every member re-runs solo below.
-                Err(_) => solo_jobs.extend(indices.iter().map(|&p| pending[p])),
-            }
-        }
-        let solo_outcomes =
-            engine.run_supervised_policy(&solo_jobs, self.cfg.seed, policy, |_, &i| {
-                let members = [(&jobs[i].workload, jobs[i].design)];
-                let run = run_group_forked(&members, &self.cfg, arena, snapshots)
-                    .pop()
-                    .expect("a one-member group yields one run");
-                journal
-                    .append(i, &run)
-                    .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-                run
-            });
-        for (&i, outcome) in solo_jobs.iter().zip(solo_outcomes) {
+        for (&i, outcome) in pending.iter().zip(outcomes) {
             results[i] = Some(match outcome {
                 Ok(run) => Ok(result_from(&jobs[i], run)),
                 Err(failure) => {
@@ -628,7 +587,7 @@ impl ScenarioMatrix {
                 cfg: self.cfg,
                 results: results
                     .into_iter()
-                    .map(|r| r.expect("every job is replayed, scattered, or re-run solo"))
+                    .map(|r| r.expect("every job is replayed or run"))
                     .collect(),
             },
             ResumeSummary {
@@ -647,22 +606,17 @@ impl ScenarioMatrix {
     /// # Errors
     ///
     /// Same as [`Self::run_supervised_journaled`].
-    // One parameter per orthogonal concern (engine, two arenas, journal
-    // location + resume, policy, store); bundling them into a struct would
-    // only move the argument list behind a builder.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_supervised_into_journaled(
         &self,
         engine: &ExperimentEngine,
         arena: &TraceArena,
-        snapshots: &SnapshotArena,
         path: &Path,
         resume: bool,
         policy: &RetryPolicy,
         store: &Warehouse,
     ) -> Result<(QuarantinedSweep, AppendSummary, ResumeSummary), SweepError> {
         let (sweep, resumed) =
-            self.run_supervised_journaled(engine, arena, snapshots, path, resume, policy)?;
+            self.run_supervised_journaled(engine, arena, path, resume, policy)?;
         let jobs = self.jobs()?;
         let records: Vec<RunRecord> = jobs
             .iter()
@@ -676,15 +630,9 @@ impl ScenarioMatrix {
         Ok((sweep, summary, resumed))
     }
 
-    /// [`Self::run_forked`] with per-job panic quarantine: one poisoned
+    /// [`Self::run_with_arena`] with per-job panic quarantine: one poisoned
     /// scenario yields a [`JobFailure`] in its slot while every other job
-    /// completes.
-    ///
-    /// Fused groups are attempted first (a panic anywhere in a group kills
-    /// the whole group's pass); members of failed groups are then re-run
-    /// *solo* — fusion is architecturally invisible, so a solo re-run
-    /// produces the member's bit-identical result — with up to `retries`
-    /// extra attempts each, and only members that still panic are
+    /// completes. Each job gets up to `retries` extra attempts before it is
     /// quarantined.
     ///
     /// # Errors
@@ -694,160 +642,57 @@ impl ScenarioMatrix {
         &self,
         engine: &ExperimentEngine,
         arena: &TraceArena,
-        snapshots: &SnapshotArena,
         retries: u32,
     ) -> Result<QuarantinedSweep, ConfigError> {
         let jobs = self.jobs()?;
-        self.prepare_arenas(
-            engine,
-            arena,
-            snapshots,
-            &jobs,
-            &(0..jobs.len()).collect::<Vec<_>>(),
-        );
-        let groups = group_indices(&jobs, |job| TraceKey::new(&job.workload, self.cfg.seed));
-        let group_outcomes = engine.run_supervised(&groups, 0, |_, (_, indices)| {
-            let members: Vec<(&WorkloadSpec, LlcDesign)> = indices
-                .iter()
-                .map(|&i| (&jobs[i].workload, jobs[i].design))
-                .collect();
-            run_group_forked(&members, &self.cfg, arena, snapshots)
-        });
-        let mut results: Vec<Option<Result<ScenarioResult, JobFailure>>> =
-            jobs.iter().map(|_| None).collect();
-        let mut solo_jobs: Vec<usize> = Vec::new();
-        for ((_, indices), outcome) in groups.iter().zip(group_outcomes) {
-            match outcome {
-                Ok(runs) => {
-                    for (&i, run) in indices.iter().zip(runs) {
-                        results[i] = Some(Ok(result_from(&jobs[i], run)));
-                    }
-                }
-                // The panic poisoned the whole fused pass; every member is
-                // re-attempted solo below, so only the truly poisoned
-                // scenario ends up quarantined.
-                Err(_) => solo_jobs.extend(indices),
-            }
-        }
-        let solo_outcomes = engine.run_supervised(&solo_jobs, retries, |_, &i| {
-            let members = [(&jobs[i].workload, jobs[i].design)];
-            run_group_forked(&members, &self.cfg, arena, snapshots)
-                .pop()
-                .expect("a one-member group yields one run")
-        });
-        for (&i, outcome) in solo_jobs.iter().zip(solo_outcomes) {
-            results[i] = Some(match outcome {
-                Ok(run) => Ok(result_from(&jobs[i], run)),
-                Err(failure) => Err(JobFailure { job: i, ..failure }),
-            });
-        }
+        let outcomes = engine.run_supervised(&jobs, retries, |_, job| job.run(&self.cfg, arena));
         Ok(QuarantinedSweep {
             cfg: self.cfg,
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every job is scattered or re-run solo"))
+            results: jobs
+                .iter()
+                .zip(outcomes)
+                .map(|(job, outcome)| outcome.map(|run| result_from(job, run)))
                 .collect(),
         })
     }
 
-    /// Materializes the streams and warmed checkpoints the jobs in
-    /// `pending` need, each unique one exactly once, in parallel.
-    ///
-    /// Public so external drivers (the experiment service's runner) can
-    /// warm the arenas up front and then orchestrate group execution
-    /// themselves.
-    pub fn prepare_arenas(
+    /// The shared execution path: runs every job whose slot in `completed`
+    /// is `None`, journaling each finished job when a journal is given, and
+    /// returns the full run vector in job order (replayed results merged
+    /// with computed ones).
+    fn run_core(
         &self,
         engine: &ExperimentEngine,
         arena: &TraceArena,
-        snapshots: &SnapshotArena,
         jobs: &[ScenarioJob],
-        pending: &[usize],
-    ) {
-        let mut seen = HashSet::new();
-        let unique: Vec<&ScenarioJob> = pending
-            .iter()
-            .map(|&i| &jobs[i])
-            .filter(|job| seen.insert(TraceKey::new(&job.workload, self.cfg.seed)))
-            .collect();
-        engine.run(&unique, |_, job| {
-            arena.populate(&job.workload, self.cfg.seed, self.cfg.total_refs())
-        });
-        let mut seen_checkpoints = HashSet::new();
-        let unique_checkpoints: Vec<&ScenarioJob> = pending
-            .iter()
-            .map(|&i| &jobs[i])
-            .filter(|job| {
-                seen_checkpoints.insert(SnapshotKey::new(
-                    job.design,
-                    &job.workload,
-                    self.cfg.seed,
-                    self.cfg.warmup_refs,
-                ))
-            })
-            .collect();
-        engine.run(&unique_checkpoints, |_, job| {
-            snapshots.populate(
-                arena,
-                job.design,
-                &job.workload,
-                self.cfg.seed,
-                self.cfg.warmup_refs,
-                self.cfg.total_refs(),
-            )
-        });
-    }
-
-    /// The shared fused-measurement path: runs every job in `jobs` whose
-    /// slot in `completed` is `None`, journaling each finished job when a
-    /// journal is given, and returns the full run vector in job order
-    /// (replayed results merged with computed ones).
-    fn run_forked_core(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        snapshots: &SnapshotArena,
-        jobs: &[ScenarioJob],
-        completed: &[Option<MeasuredRun>],
+        completed: Vec<Option<MeasuredRun>>,
         journal: Option<&SweepJournal>,
     ) -> Vec<MeasuredRun> {
         let pending: Vec<usize> = (0..jobs.len())
             .filter(|&i| completed[i].is_none())
             .collect();
-        self.prepare_arenas(engine, arena, snapshots, jobs, &pending);
-        let groups = group_indices(&pending, |&i| {
-            TraceKey::new(&jobs[i].workload, self.cfg.seed)
-        });
-        let group_runs = engine.run(&groups, |_, (_, indices)| {
-            let members: Vec<(&WorkloadSpec, LlcDesign)> = indices
-                .iter()
-                .map(|&p| (&jobs[pending[p]].workload, jobs[pending[p]].design))
-                .collect();
-            let runs = run_group_forked(&members, &self.cfg, arena, snapshots);
+        let runs = engine.run(&pending, |_, &i| {
+            let run = jobs[i].run(&self.cfg, arena);
             if let Some(journal) = journal {
-                // Journal the whole group as soon as it completes: a crash
-                // between groups loses nothing, a crash mid-group loses at
-                // most this group (re-run deterministically on resume).
-                for (&p, run) in indices.iter().zip(&runs) {
-                    journal
-                        .append(pending[p], run)
-                        .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-                }
+                // Journal each job as soon as it completes: a crash loses
+                // at most the jobs in flight (re-run deterministically on
+                // resume).
+                journal
+                    .append(i, &run)
+                    .unwrap_or_else(|e| panic!("journal append failed: {e}"));
             }
-            runs
+            run
         });
-        let mut all: Vec<Option<MeasuredRun>> = completed.to_vec();
-        for ((_, indices), runs) in groups.iter().zip(group_runs) {
-            for (&p, run) in indices.iter().zip(runs) {
-                all[pending[p]] = Some(run);
-            }
+        let mut all = completed;
+        for (&i, run) in pending.iter().zip(runs) {
+            all[i] = Some(run);
         }
         all.into_iter()
-            .map(|r| r.expect("every job is replayed or belongs to exactly one fused group"))
+            .map(|r| r.expect("every job is replayed or run"))
             .collect()
     }
 
-    /// [`Self::run_forked`], additionally appending one `kind=sweep` row
+    /// [`Self::run_with_arena`], additionally appending one `kind=sweep` row
     /// per result into `store`.
     ///
     /// Rows are keyed by the full workload-spec fingerprint plus design,
@@ -862,10 +707,9 @@ impl ScenarioMatrix {
         &self,
         engine: &ExperimentEngine,
         arena: &TraceArena,
-        snapshots: &SnapshotArena,
         store: &Warehouse,
     ) -> Result<(ScenarioSweep, AppendSummary), ConfigError> {
-        let sweep = self.run_forked(engine, arena, snapshots)?;
+        let sweep = self.run_with_arena(engine, arena)?;
         // jobs() is deterministic and cheap next to the simulation, so
         // re-flattening recovers each result's full WorkloadSpec (the
         // sweep itself only keeps the name) for fingerprinting.
@@ -913,8 +757,8 @@ pub fn sweep_record(
         SWEEP_SCHEMA_VERSION as i64,
         cfg.label(),
     );
-    // Same idiom as the snapshot arena's spec fingerprint: FNV-1a over the
-    // full debug rendering, covering every field of the spec.
+    // FNV-1a over the full debug rendering, covering every field of the
+    // spec.
     let mut h = Fnv64::new();
     h.write(format!("{spec:?}").as_bytes());
     r.fingerprint = h.finish();
@@ -1192,11 +1036,13 @@ mod tests {
 
     #[test]
     fn sweep_jobs_group_onto_unique_checkpoints() {
-        // Three ASR variants x two capacities = 6 jobs, but the variants
-        // share a warm-up class: the snapshot arena must end up holding one
-        // checkpoint per capacity point, each warmed once. Capacities share
-        // a stream (capacity is cost-only), so the trace arena holds one.
+        // Three ASR variants x two capacities = 6 jobs. Each job warms in
+        // place, but the variants of one capacity point share a warm-up
+        // class: measuring clones of one warmed simulator per capacity
+        // point must reproduce every job's result. Capacities share a
+        // stream (capacity is cost-only), so the trace arena holds one.
         use crate::design::AsrPolicy;
+        use crate::simulator::CmpSimulator;
         let mut m = tiny_matrix();
         m.designs = vec![
             LlcDesign::Asr {
@@ -1211,14 +1057,44 @@ mod tests {
         ];
         m.slice_capacities_kb = vec![512, 1024];
         let traces = TraceArena::new();
-        let snapshots = SnapshotArena::new();
         let sweep = m
-            .run_forked(&ExperimentEngine::with_workers(4), &traces, &snapshots)
+            .run_with_arena(&ExperimentEngine::with_workers(4), &traces)
             .unwrap();
         assert_eq!(sweep.results.len(), 3 * 2);
         assert_eq!(traces.len(), 1, "capacity never changes the stream");
-        assert_eq!(snapshots.len(), 2, "one checkpoint per capacity point");
-        assert_eq!(snapshots.generations(), 2, "each warmed exactly once");
+        assert_eq!(traces.generations(), 1);
+
+        let cfg = m.cfg;
+        let mut checkpoints: Vec<(usize, CmpSimulator)> = Vec::new();
+        for (job, result) in m.jobs().unwrap().iter().zip(&sweep.results) {
+            let mut slice = traces.slice(&job.workload, cfg.seed, cfg.total_refs());
+            let at = match checkpoints
+                .iter()
+                .position(|(kb, _)| *kb == result.slice_kb)
+            {
+                Some(at) => at,
+                None => {
+                    let mut sim = CmpSimulator::with_seed(job.design, &job.workload, cfg.seed);
+                    sim.run_warmup(&mut slice.clone(), cfg.warmup_refs);
+                    checkpoints.push((result.slice_kb, sim));
+                    checkpoints.len() - 1
+                }
+            };
+            let LlcDesign::Asr { policy } = job.design else {
+                unreachable!("the matrix runs ASR designs only")
+            };
+            let mut fork = checkpoints[at].1.clone();
+            fork.set_asr_policy(policy);
+            slice.skip(cfg.warmup_refs);
+            assert_eq!(
+                fork.run_measured(&mut slice, cfg.measured_refs),
+                result.run,
+                "{} / {} KB",
+                job.design,
+                result.slice_kb
+            );
+        }
+        assert_eq!(checkpoints.len(), 2, "one checkpoint per capacity point");
     }
 
     #[test]
@@ -1263,7 +1139,7 @@ mod tests {
         let store = Warehouse::new();
 
         let (sweep, first) = m
-            .run_forked_into(&engine, &TraceArena::new(), &SnapshotArena::new(), &store)
+            .run_forked_into(&engine, &TraceArena::new(), &store)
             .unwrap();
         assert_eq!(first.added, sweep.results.len());
         assert_eq!(first.deduplicated, 0);
@@ -1272,7 +1148,7 @@ mod tests {
         // The same matrix again: fully deduplicated, store unchanged.
         let bytes = store.to_bytes();
         let (_, second) = m
-            .run_forked_into(&engine, &TraceArena::new(), &SnapshotArena::new(), &store)
+            .run_forked_into(&engine, &TraceArena::new(), &store)
             .unwrap();
         assert_eq!(second.added, 0);
         assert_eq!(second.deduplicated, sweep.results.len());
@@ -1281,7 +1157,7 @@ mod tests {
         // A new axis point is incremental: only the new rows append.
         m.core_counts = vec![16, 32, 64];
         let (bigger, third) = m
-            .run_forked_into(&engine, &TraceArena::new(), &SnapshotArena::new(), &store)
+            .run_forked_into(&engine, &TraceArena::new(), &store)
             .unwrap();
         assert_eq!(third.added, bigger.results.len() - sweep.results.len());
         assert_eq!(third.deduplicated, sweep.results.len());
@@ -1302,7 +1178,6 @@ mod tests {
             .run_forked_into(
                 &ExperimentEngine::with_workers(1),
                 &TraceArena::new(),
-                &SnapshotArena::new(),
                 &store,
             )
             .unwrap();

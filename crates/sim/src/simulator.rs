@@ -46,8 +46,9 @@ const ASR_INITIAL_STEP: f64 = 0.25;
 /// ASR versions warm with the same mid-point probability. Because
 /// `gen_bool` draws exactly one RNG value regardless of `p`, this makes the
 /// warm-up of every variant bit-identical (decisions *and* RNG trajectory),
-/// which is what lets one [`SimSnapshot`](crate::snapshot::SimSnapshot)
-/// seed the entire best-of-six sweep.
+/// which is what lets the best-of-six sweep warm one simulator, `clone` it
+/// per variant and [`set_asr_policy`](CmpSimulator::set_asr_policy) each
+/// clone.
 const ASR_WARMUP_PROBABILITY: f64 = 0.5;
 /// Simulator seed used by [`CmpSimulator::new`] when the caller does not
 /// thread an experiment seed through [`CmpSimulator::with_seed`].
@@ -63,11 +64,9 @@ const SIM_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// design-independent cost mirrors that while still letting stores update
 /// cache and coherence state.
 const STORE_COST: u64 = 14;
-/// References generated per batch by [`CmpSimulator::drive`] (and by the
-/// fused driver, which must mirror these batch boundaries exactly — see
-/// [`crate::fused`]): large enough to amortise the generator call overhead,
-/// small enough to stay cache-hot.
-pub(crate) const TRACE_BATCH: usize = 4_096;
+/// References generated per batch by [`CmpSimulator::drive`]: large enough
+/// to amortise the generator call overhead, small enough to stay cache-hot.
+const TRACE_BATCH: usize = 4_096;
 /// How many references ahead of the current one the batch drivers issue
 /// software prefetches for. The simulator is dominated by random probes
 /// into structures far larger than the host's caches (directory entry
@@ -145,22 +144,11 @@ struct L1DirtyEntry {
     stamp: u64,
 }
 
-impl Snap for L1DirtyEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.owner.encode(out);
-        self.stamp.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        L1DirtyEntry {
-            owner: r.get(),
-            stamp: r.get(),
-        }
-    }
-}
-
 /// The simulator for one `(design, workload)` pair.
-#[derive(Debug)]
+///
+/// `Clone` copies the complete simulator, warmed state included: the ASR
+/// best-of-six sweep warms one instance and measures a clone per variant.
+#[derive(Debug, Clone)]
 pub struct CmpSimulator {
     design: LlcDesign,
     config: SystemConfig,
@@ -235,12 +223,7 @@ impl CmpSimulator {
             _ => PlacementConfig::from_system(&config),
         };
         let (asr_probability, asr_adaptive) = match design {
-            LlcDesign::Asr {
-                policy: AsrPolicy::Static(p),
-            } => (p, false),
-            LlcDesign::Asr {
-                policy: AsrPolicy::Adaptive,
-            } => (0.5, true),
+            LlcDesign::Asr { policy } => asr_controller(policy),
             _ => (1.0, false),
         };
         let ideal_cache = match design {
@@ -322,6 +305,30 @@ impl CmpSimulator {
         self.design
     }
 
+    /// Switches an ASR simulator to another ASR variant, leaving every piece
+    /// of warmed state in place.
+    ///
+    /// All ASR variants warm identically (see `ASR_WARMUP_PROBABILITY`), so
+    /// a clone of one warmed ASR simulator with its policy switched here
+    /// measures exactly what a fresh simulator of that variant would after
+    /// streaming the same warm-up itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator is not simulating an ASR design, or if it
+    /// has already started a measured window (the adaptive controller's
+    /// learned probability is warm state a variant switch must not mix in).
+    pub fn set_asr_policy(&mut self, policy: AsrPolicy) {
+        assert!(
+            matches!(self.design, LlcDesign::Asr { .. }),
+            "set_asr_policy on a {} simulator",
+            self.design
+        );
+        assert!(!self.measuring, "set_asr_policy after measurement started");
+        self.design = LlcDesign::Asr { policy };
+        (self.asr_probability, self.asr_adaptive) = asr_controller(policy);
+    }
+
     /// The system configuration in use.
     pub fn config(&self) -> &SystemConfig {
         &self.config
@@ -370,20 +377,13 @@ impl CmpSimulator {
     }
 
     /// Steps one decoded batch of references through the design's
-    /// monomorphized batch driver — the per-batch stepping interface.
+    /// monomorphized batch driver.
     ///
     /// The `match` on the design happens once per batch, not once per
     /// access: each arm runs a monomorphized batch loop over the design's
     /// step function, so the per-reference path is branch-predictable and
     /// free of the dispatch [`Self::step`] performs.
-    ///
-    /// `Self::drive` calls this with batches it fills from its own trace
-    /// source; the [`FusedDriver`](crate::fused::FusedDriver) calls it with
-    /// one shared batch per design instance, so N designs consume a stream
-    /// in a single decode pass. The batch buffer is caller-owned and never
-    /// part of snapshot state, so which buffer the references arrive in is
-    /// architecturally invisible.
-    pub fn step_batch(&mut self, buf: &[MemoryAccess]) {
+    fn step_batch(&mut self, buf: &[MemoryAccess]) {
         match self.design {
             LlcDesign::Ideal => {
                 self.run_batch::<false>(buf, Self::step_ideal, Self::prefetch_ideal)
@@ -529,21 +529,6 @@ impl CmpSimulator {
     /// measured window would fire the adaptive controller early in the next
     /// one, coupling back-to-back windows that should be independent.
     pub fn run_measured(&mut self, src: &mut impl TraceSource, n: usize) -> MeasuredRun {
-        self.begin_measured();
-        self.drive(src, n);
-        self.finish_measured()
-    }
-
-    /// Switches the simulator into a fresh measured window: statistics
-    /// recording on, measurement accumulators zeroed, ASR window accounting
-    /// restarted (see [`Self::run_measured`] for why the *learned* controller
-    /// state carries over while the window bookkeeping does not).
-    ///
-    /// Callers driving the simulator through [`Self::step_batch`] directly —
-    /// the fused driver — bracket the pass with this and
-    /// [`Self::finish_measured`]; [`Self::run_measured`] is exactly that
-    /// bracket around `Self::drive`.
-    pub fn begin_measured(&mut self) {
         self.measuring = true;
         self.asr_window_cycles = 0;
         self.asr_window_accesses = 0;
@@ -556,11 +541,7 @@ impl CmpSimulator {
         self.misclassified = 0;
         self.classified = 0;
         self.reclassifications = 0;
-    }
-
-    /// Closes the measured window opened by [`Self::begin_measured`] and
-    /// returns the window's [`MeasuredRun`].
-    pub fn finish_measured(&self) -> MeasuredRun {
+        self.drive(src, n);
         self.results()
     }
 
@@ -1099,114 +1080,14 @@ impl CmpSimulator {
         self.asr_window_cycles = 0;
         self.asr_window_accesses = 0;
     }
-
-    // ----- snapshot support -------------------------------------------------
-
-    /// Serializes every piece of state that warm-up mutates — the tile
-    /// slices and victim buffers, the memory system, the OS page table and
-    /// TLBs, the coherence directory, the dirty-block map, the ideal
-    /// design's aggregate cache, the RNG, the ASR controller, and all
-    /// accounting counters — into a flat byte buffer.
-    ///
-    /// Constructor-owned configuration (the design, latency LUTs, placement
-    /// engine, cached geometry scalars) is deliberately *not* serialized: a
-    /// restore target rebuilds those from its own `(design, spec)` pair via
-    /// [`CmpSimulator::with_seed`]. Excluding the design — and with it the
-    /// ASR allocation probability — is what lets one warmed checkpoint seed
-    /// every ASR variant without clobbering the variant's own policy.
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.tiles.encode(&mut out);
-        self.mem.encode(&mut out);
-        self.os.encode(&mut out);
-        self.l2_directory.encode(&mut out);
-        self.l1_dirty.encode(&mut out);
-        self.ideal_cache.encode(&mut out);
-        self.rng.state().encode(&mut out);
-        self.asr_window_cycles.encode(&mut out);
-        self.asr_prev_window_cycles.encode(&mut out);
-        self.asr_window_accesses.encode(&mut out);
-        self.asr_direction.encode(&mut out);
-        self.clock.encode(&mut out);
-        self.sweep_countdown.encode(&mut out);
-        self.measuring.encode(&mut out);
-        self.acc.encode(&mut out);
-        self.measured_accesses.encode(&mut out);
-        self.off_chip_accesses.encode(&mut out);
-        self.l1_to_l1_transfers.encode(&mut out);
-        self.misclassified.encode(&mut out);
-        self.classified.encode(&mut out);
-        self.reclassifications.encode(&mut out);
-        out
-    }
-
-    /// Restores the state captured by [`CmpSimulator::save_state`],
-    /// field-for-field, leaving the receiver bit-identical (in simulation
-    /// behaviour) to the simulator the buffer was saved from.
-    ///
-    /// The receiver must have been built for a [`WorkloadSpec`] with the
-    /// same system configuration the snapshot was taken under — the buffer
-    /// carries the warmed *state*, not the geometry it was shaped by — and
-    /// the whole buffer must be consumed exactly.
-    pub fn load_state(&mut self, bytes: &[u8]) {
-        let mut r = SnapReader::new(bytes);
-        self.tiles = r.get();
-        self.mem = r.get();
-        self.os = r.get();
-        self.l2_directory = r.get();
-        self.l1_dirty = r.get();
-        self.ideal_cache = r.get();
-        self.rng = StdRng::seed_from_u64(r.get());
-        self.asr_window_cycles = r.get();
-        self.asr_prev_window_cycles = r.get();
-        self.asr_window_accesses = r.get();
-        self.asr_direction = r.get();
-        self.clock = r.get();
-        self.sweep_countdown = r.get();
-        self.measuring = r.get();
-        self.acc = r.get();
-        self.measured_accesses = r.get();
-        self.off_chip_accesses = r.get();
-        self.l1_to_l1_transfers = r.get();
-        self.misclassified = r.get();
-        self.classified = r.get();
-        self.reclassifications = r.get();
-        assert_eq!(
-            r.remaining(),
-            0,
-            "snapshot buffer has trailing bytes after restore"
-        );
-    }
 }
 
-impl PartialEq for CmpSimulator {
-    /// Snapshot-state equality: compares exactly the fields
-    /// [`CmpSimulator::save_state`] serializes (including the RNG state), so
-    /// `restore(save(sim)) == sim` is the codec's round-trip property.
-    /// Constructor-owned configuration is excluded on both sides of the
-    /// equation for the same reason it is excluded from the codec.
-    fn eq(&self, other: &Self) -> bool {
-        self.tiles == other.tiles
-            && self.mem == other.mem
-            && self.os == other.os
-            && self.l2_directory == other.l2_directory
-            && self.l1_dirty == other.l1_dirty
-            && self.ideal_cache == other.ideal_cache
-            && self.rng == other.rng
-            && self.asr_window_cycles == other.asr_window_cycles
-            && self.asr_prev_window_cycles == other.asr_prev_window_cycles
-            && self.asr_window_accesses == other.asr_window_accesses
-            && self.asr_direction == other.asr_direction
-            && self.clock == other.clock
-            && self.sweep_countdown == other.sweep_countdown
-            && self.measuring == other.measuring
-            && self.acc == other.acc
-            && self.measured_accesses == other.measured_accesses
-            && self.off_chip_accesses == other.off_chip_accesses
-            && self.l1_to_l1_transfers == other.l1_to_l1_transfers
-            && self.misclassified == other.misclassified
-            && self.classified == other.classified
-            && self.reclassifications == other.reclassifications
+/// The ASR controller settings `(allocation probability, adaptive)` a
+/// policy starts measurement with.
+fn asr_controller(policy: AsrPolicy) -> (f64, bool) {
+    match policy {
+        AsrPolicy::Static(p) => (p, false),
+        AsrPolicy::Adaptive => (0.5, true),
     }
 }
 

@@ -11,7 +11,6 @@ use rnuca_types::access::AccessClass;
 use rnuca_types::addr::{BlockAddr, PageAddr};
 use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::TileId;
-use rnuca_types::{Snap, SnapReader};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of a single-probe [`Tile::access`]: a located resident block, or
@@ -205,36 +204,6 @@ impl Tile {
             }
         }
         (instr, private, shared)
-    }
-}
-
-impl Snap for BlockMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.class.encode(out);
-        self.dirty.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        BlockMeta {
-            class: r.get(),
-            dirty: r.get(),
-        }
-    }
-}
-
-impl Snap for Tile {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.slice.encode(out);
-        self.victims.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        Tile {
-            id: r.get(),
-            slice: r.get(),
-            victims: r.get(),
-        }
     }
 }
 

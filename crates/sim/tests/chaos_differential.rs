@@ -9,8 +9,7 @@
 //! the library stay fault-free).
 
 use rnuca_sim::{
-    ExperimentConfig, ExperimentEngine, FailureCause, JournalError, ScenarioMatrix, SnapshotArena,
-    SweepError,
+    ExperimentConfig, ExperimentEngine, FailureCause, JournalError, ScenarioMatrix, SweepError,
 };
 use rnuca_types::failpoint::{self, FailAction, FailSpec};
 use rnuca_types::RetryPolicy;
@@ -25,8 +24,8 @@ use std::sync::Mutex;
 /// in the process-wide registry.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Four jobs in two fused groups: one workload at two core counts (two
-/// reference streams) under the shared design and R-NUCA.
+/// Four jobs: one workload at two core counts (two reference streams)
+/// under the shared design and R-NUCA.
 fn chaos_matrix() -> ScenarioMatrix {
     let mut cfg = ExperimentConfig::smoke();
     cfg.warmup_refs = 1_000;
@@ -51,21 +50,13 @@ fn interrupted_and_resumed_sweeps_are_bit_identical() {
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(1);
     let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
 
     // The ground truth: an uninterrupted journaled run and the exact bytes
     // of the warehouse it builds.
     let baseline_journal = journal_path("baseline");
     let baseline_store = Warehouse::new();
     let (baseline, summary, resumed) = m
-        .run_forked_into_journaled(
-            &engine,
-            &arena,
-            &snapshots,
-            &baseline_journal,
-            false,
-            &baseline_store,
-        )
+        .run_forked_into_journaled(&engine, &arena, &baseline_journal, false, &baseline_store)
         .expect("the chaos matrix is valid");
     let baseline_bytes = baseline_store.to_bytes();
     assert_eq!(summary.added, 4);
@@ -105,7 +96,7 @@ fn interrupted_and_resumed_sweeps_are_bit_identical() {
         {
             let _guard = failpoint::arm(std::slice::from_ref(&spec));
             let crashed = catch_unwind(AssertUnwindSafe(|| {
-                m.run_forked_journaled(&engine, &arena, &snapshots, &path, false)
+                m.run_forked_journaled(&engine, &arena, &path, false)
             }));
             assert!(
                 crashed.is_err(),
@@ -114,7 +105,7 @@ fn interrupted_and_resumed_sweeps_are_bit_identical() {
         }
         let store = Warehouse::new();
         let (sweep, summary, resumed) = m
-            .run_forked_into_journaled(&engine, &arena, &snapshots, &path, true, &store)
+            .run_forked_into_journaled(&engine, &arena, &path, true, &store)
             .unwrap_or_else(|e| panic!("{tag}: resume failed: {e}"));
         assert_eq!(sweep, baseline, "{tag}: resumed results differ");
         assert_eq!(
@@ -139,16 +130,15 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
     let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
     let path = journal_path("mismatch");
-    m.run_forked_journaled(&engine, &arena, &snapshots, &path, false)
+    m.run_forked_journaled(&engine, &arena, &path, false)
         .expect("the chaos matrix is valid");
 
     // Any change to the matrix — here the seed — must invalidate the journal.
     let mut other = chaos_matrix();
     other.cfg.seed += 1;
     let err = other
-        .run_forked_journaled(&engine, &arena, &snapshots, &path, true)
+        .run_forked_journaled(&engine, &arena, &path, true)
         .expect_err("a stale journal must be rejected, not silently mixed in");
     match err {
         SweepError::Journal(JournalError::FingerprintMismatch { found, expected }) => {
@@ -166,18 +156,17 @@ fn an_injected_panic_quarantines_exactly_that_job() {
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
     let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
     let baseline = m
-        .run_forked(&engine, &arena, &snapshots)
+        .run_with_arena(&engine, &arena)
         .expect("the chaos matrix is valid");
 
-    // Job 0 is (OLTP DB2, shared, 16 cores); its member-measurement site
-    // panics on every attempt, so group pass, solo re-run, and the retry
-    // all fail — while its fused-group partner (job 1) must still complete.
+    // Job 0 is (OLTP DB2, shared, 16 cores); its per-job site panics on
+    // every attempt, so the first attempt and the retry both fail — while
+    // job 1, which shares its reference stream, must still complete.
     let site = "sim::member::OLTP DB2::shared::16c";
     let _guard = failpoint::arm(&[FailSpec::always(site, FailAction::Panic)]);
     let sweep = m
-        .run_supervised_forked(&engine, &arena, &snapshots, 1)
+        .run_supervised_forked(&engine, &arena, 1)
         .expect("the chaos matrix is valid");
     assert_eq!(sweep.results.len(), 4);
     assert_eq!(sweep.completed(), 3);
@@ -201,7 +190,6 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
     let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
     let path = journal_path("supervised");
     let policy = RetryPolicy::immediate(1);
 
@@ -212,7 +200,7 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
     let (sweep, summary, resumed) = {
         let site = "sim::member::OLTP DB2::shared::16c";
         let _guard = failpoint::arm(&[FailSpec::always(site, FailAction::Panic)]);
-        m.run_supervised_into_journaled(&engine, &arena, &snapshots, &path, false, &policy, &store)
+        m.run_supervised_into_journaled(&engine, &arena, &path, false, &policy, &store)
             .expect("a quarantined member must not abort the sweep")
     };
     assert_eq!((resumed.replayed, resumed.ran), (0, 4));
@@ -245,15 +233,7 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
     // succeed), and the rebuilt warehouse is byte-identical.
     let resumed_store = Warehouse::new();
     let (resumed_sweep, resumed_summary, resumed2) = m
-        .run_supervised_into_journaled(
-            &engine,
-            &arena,
-            &snapshots,
-            &path,
-            true,
-            &policy,
-            &resumed_store,
-        )
+        .run_supervised_into_journaled(&engine, &arena, &path, true, &policy, &resumed_store)
         .expect("resume must succeed");
     assert_eq!(
         (resumed2.replayed, resumed2.ran),

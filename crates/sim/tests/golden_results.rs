@@ -8,14 +8,14 @@
 //! draw sequence, cost accounting) flips at least one digit and fails the
 //! test, while pure performance work (layout, batching, probe merging)
 //! leaves it untouched. The values were recorded before the flat-slab cache
-//! refactor and prove it preserved simulation behaviour exactly. Every test
-//! asserts the digest over three paths — streaming generation, trace-arena
-//! replay, and warmed-checkpoint forking — so the shared-slab machinery and
-//! the snapshot codec are pinned to the same bit-identical outputs. The
-//! `*_64c` tests repeat the matrix at a second geometry (64 cores), where
-//! the torus, directory, and page-classification state are all larger.
+//! refactor and prove it preserved simulation behaviour exactly. The 16-core
+//! tests assert the digest over two paths — streaming generation and
+//! trace-arena replay — so the shared-slab machinery is pinned to the same
+//! bit-identical outputs. The `*_64c` tests repeat the matrix at a second
+//! geometry (64 cores), where the torus, directory, and page-classification
+//! state are all larger.
 
-use rnuca_sim::{AsrPolicy, CmpSimulator, LlcDesign, SnapshotArena};
+use rnuca_sim::{AsrPolicy, CmpSimulator, LlcDesign};
 use rnuca_types::config::ConfigPoint;
 use rnuca_workloads::{TraceArena, TraceGenerator, WorkloadSpec};
 
@@ -41,20 +41,6 @@ fn run_replayed(design: LlcDesign, spec: &WorkloadSpec) -> String {
     format!("{:?}", sim.run_measured(&mut slice, MEASURED))
 }
 
-/// [`run`] going through the snapshot arena: warm a canonical checkpoint,
-/// fork it, skip the replay cursor past the warm-up prefix, and measure.
-/// Asserting this path against the same recorded digest proves the
-/// save/restore codec preserves simulation behaviour exactly.
-fn run_forked(design: LlcDesign, spec: &WorkloadSpec) -> String {
-    let traces = TraceArena::new();
-    let snapshots = SnapshotArena::new();
-    let snap = snapshots.snapshot(&traces, design, spec, SEED, WARMUP, WARMUP + MEASURED);
-    let mut sim = snap.fork(design, spec);
-    let mut slice = traces.slice(spec, SEED, WARMUP + MEASURED);
-    slice.skip(WARMUP);
-    format!("{:?}", sim.run_measured(&mut slice, MEASURED))
-}
-
 /// The preset re-pinned to 64 cores — the second golden geometry.
 fn at_64_cores(spec: &WorkloadSpec) -> WorkloadSpec {
     let point = ConfigPoint {
@@ -71,10 +57,6 @@ fn golden_private_oltp_db2() {
     assert_eq!(run(LlcDesign::Private, &WorkloadSpec::oltp_db2()), golden);
     assert_eq!(
         run_replayed(LlcDesign::Private, &WorkloadSpec::oltp_db2()),
-        golden
-    );
-    assert_eq!(
-        run_forked(LlcDesign::Private, &WorkloadSpec::oltp_db2()),
         golden
     );
 }
@@ -100,15 +82,6 @@ fn golden_asr_adaptive_oltp_db2() {
         ),
         golden
     );
-    assert_eq!(
-        run_forked(
-            LlcDesign::Asr {
-                policy: AsrPolicy::Adaptive
-            },
-            &WorkloadSpec::oltp_db2()
-        ),
-        golden
-    );
 }
 
 #[test]
@@ -119,7 +92,6 @@ fn golden_shared_em3d() {
         run_replayed(LlcDesign::Shared, &WorkloadSpec::em3d()),
         golden
     );
-    assert_eq!(run_forked(LlcDesign::Shared, &WorkloadSpec::em3d()), golden);
 }
 
 #[test]
@@ -133,10 +105,6 @@ fn golden_rnuca_oltp_db2() {
         run_replayed(LlcDesign::rnuca_default(), &WorkloadSpec::oltp_db2()),
         golden
     );
-    assert_eq!(
-        run_forked(LlcDesign::rnuca_default(), &WorkloadSpec::oltp_db2()),
-        golden
-    );
 }
 
 #[test]
@@ -145,10 +113,6 @@ fn golden_ideal_dss_qry6() {
     assert_eq!(run(LlcDesign::Ideal, &WorkloadSpec::dss_qry6()), golden);
     assert_eq!(
         run_replayed(LlcDesign::Ideal, &WorkloadSpec::dss_qry6()),
-        golden
-    );
-    assert_eq!(
-        run_forked(LlcDesign::Ideal, &WorkloadSpec::dss_qry6()),
         golden
     );
 }
@@ -160,7 +124,6 @@ fn golden_private_oltp_db2_64c() {
     let golden = "MeasuredRun { cpi: DetailedCpi { breakdown: CpiBreakdown { busy: 1.0, l1_to_l1: 0.0578802, l2: 1.2812394, off_chip: 2.0100822, other: 0.13377, reclassification: 0.0 }, l2_private_data: 0.0050274, l2_instructions: 1.2105282, l2_shared_load: 0.0003528, l2_shared_coherence: 0.065331, off_chip_instructions: 0.1751526 }, accesses: 20000, instructions: 476190.4761904762, off_chip_rate: 0.3067, l1_to_l1_rate: 0.03015, misclassification_rate: 0.0, reclassifications: 0 }";
     let spec = at_64_cores(&WorkloadSpec::oltp_db2());
     assert_eq!(run(LlcDesign::Private, &spec), golden);
-    assert_eq!(run_forked(LlcDesign::Private, &spec), golden);
 }
 
 #[test]
@@ -171,7 +134,6 @@ fn golden_asr_adaptive_oltp_db2_64c() {
         policy: AsrPolicy::Adaptive,
     };
     assert_eq!(run(design, &spec), golden);
-    assert_eq!(run_forked(design, &spec), golden);
 }
 
 #[test]
@@ -179,7 +141,6 @@ fn golden_shared_em3d_64c() {
     let golden = "MeasuredRun { cpi: DetailedCpi { breakdown: CpiBreakdown { busy: 0.7, l1_to_l1: 0.0006424, l2: 0.0173558, off_chip: 1.8811078, other: 0.1327788, reclassification: 0.0 }, l2_private_data: 0.00020240000000000001, l2_instructions: 0.0156816, l2_shared_load: 0.0014718, l2_shared_coherence: 0.0, off_chip_instructions: 0.011657800000000001 }, accesses: 20000, instructions: 909090.9090909091, off_chip_rate: 0.549, l1_to_l1_rate: 0.00085, misclassification_rate: 0.0, reclassifications: 0 }";
     let spec = at_64_cores(&WorkloadSpec::em3d());
     assert_eq!(run(LlcDesign::Shared, &spec), golden);
-    assert_eq!(run_forked(LlcDesign::Shared, &spec), golden);
 }
 
 #[test]
@@ -187,7 +148,6 @@ fn golden_rnuca_oltp_db2_64c() {
     let golden = "MeasuredRun { cpi: DetailedCpi { breakdown: CpiBreakdown { busy: 1.0, l1_to_l1: 0.0359226, l2: 0.1677648, off_chip: 3.3596052, other: 0.13377, reclassification: 0.054041399999999996 }, l2_private_data: 0.0050274, l2_instructions: 0.12957, l2_shared_load: 0.0331674, l2_shared_coherence: 0.0, off_chip_instructions: 1.6725029999999999 }, accesses: 20000, instructions: 476190.4761904762, off_chip_rate: 0.574, l1_to_l1_rate: 0.0286, misclassification_rate: 0.01185, reclassifications: 120 }";
     let spec = at_64_cores(&WorkloadSpec::oltp_db2());
     assert_eq!(run(LlcDesign::rnuca_default(), &spec), golden);
-    assert_eq!(run_forked(LlcDesign::rnuca_default(), &spec), golden);
 }
 
 #[test]
@@ -195,5 +155,4 @@ fn golden_ideal_dss_qry6_64c() {
     let golden = "MeasuredRun { cpi: DetailedCpi { breakdown: CpiBreakdown { busy: 0.8, l1_to_l1: 0.0, l2: 0.0580944, off_chip: 2.4848486, other: 0.03822, reclassification: 0.0 }, l2_private_data: 0.0, l2_instructions: 0.057220799999999995, l2_shared_load: 0.0008736, l2_shared_coherence: 0.0, off_chip_instructions: 0.0298818 }, accesses: 20000, instructions: 769230.7692307692, off_chip_rate: 0.7354, l1_to_l1_rate: 0.0, misclassification_rate: 0.0, reclassifications: 0 }";
     let spec = at_64_cores(&WorkloadSpec::dss_qry6());
     assert_eq!(run(LlcDesign::Ideal, &spec), golden);
-    assert_eq!(run_forked(LlcDesign::Ideal, &spec), golden);
 }

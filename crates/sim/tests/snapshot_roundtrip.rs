@@ -1,21 +1,22 @@
-//! Property test: the snapshot codec is a faithful round trip.
+//! Property test: the [`Snap`] codec the sweep journal stores results with
+//! is a faithful round trip.
 //!
 //! For random `(design, seed, warm-up length)` triples, serializing a
-//! warmed simulator and restoring the bytes into a freshly constructed one
-//! must reproduce the original field-for-field — [`CmpSimulator`]'s
-//! `PartialEq` compares exactly the mutable state the codec carries (cache
-//! slabs, directory, OS state, RNG, clock, counters), so equality here
-//! means the codec forgot nothing warm-up can touch. Re-serializing the
-//! restored simulator must also reproduce the original byte buffer, which
-//! pins the encoding itself as canonical (no nondeterministic iteration
-//! order leaks into the bytes).
+//! measured run and restoring the bytes must reproduce the original bit for
+//! bit — the `Debug` strings match too, and `f64`'s `Debug` output is the
+//! shortest round-trippable decimal form — and must consume exactly the
+//! bytes the encoding produced. Re-serializing the restored run must also
+//! reproduce the original byte buffer, which pins the encoding itself as
+//! canonical.
 
 use proptest::prelude::*;
-use rnuca_sim::{AsrPolicy, CmpSimulator, LlcDesign};
+use rnuca_sim::{AsrPolicy, CmpSimulator, LlcDesign, MeasuredRun};
+use rnuca_types::snap::{Snap, SnapReader};
 use rnuca_workloads::{TraceArena, WorkloadSpec};
 
-/// The six fork targets the arena serves: the five designs plus a static
-/// ASR variant (same warm-up class as adaptive, different parameters).
+const MEASURED: usize = 500;
+
+/// The five designs plus a static ASR variant.
 fn design_from(idx: usize) -> LlcDesign {
     match idx {
         0 => LlcDesign::Private,
@@ -41,19 +42,24 @@ proptest! {
         let design = design_from(design_idx);
         let spec = WorkloadSpec::em3d();
         let traces = TraceArena::new();
-        let mut slice = traces.slice(&spec, seed, warmup.max(1));
-        let mut warmed = CmpSimulator::with_seed(design, &spec, seed);
-        warmed.run_warmup(&mut slice, warmup);
+        let mut slice = traces.slice(&spec, seed, warmup + MEASURED);
+        let mut sim = CmpSimulator::with_seed(design, &spec, seed);
+        sim.run_warmup(&mut slice, warmup);
+        let run = sim.run_measured(&mut slice, MEASURED);
 
-        let bytes = warmed.save_state();
-        let mut restored = CmpSimulator::with_seed(design, &spec, seed);
-        restored.load_state(&bytes);
+        let mut bytes = Vec::new();
+        run.encode(&mut bytes);
+        let mut reader = SnapReader::new(&bytes);
+        let restored = MeasuredRun::decode(&mut reader);
+        prop_assert_eq!(reader.remaining(), 0, "decode must consume the whole encoding");
         prop_assert!(
-            restored == warmed,
-            "restore(serialize(s)) != s for {design}, seed {seed}, warmup {warmup}"
+            restored == run && format!("{restored:?}") == format!("{run:?}"),
+            "restore(serialize(r)) != r for {design}, seed {seed}, warmup {warmup}"
         );
+        let mut again = Vec::new();
+        restored.encode(&mut again);
         prop_assert!(
-            restored.save_state() == bytes,
+            again == bytes,
             "re-serialization is not canonical for {design}, seed {seed}, warmup {warmup}"
         );
     }

@@ -1,9 +1,8 @@
 //! The shared FNV-1a fingerprint hasher behind every memoization and
 //! dedup key in the workspace.
 //!
-//! Three subsystems key their stores by content fingerprints: the trace
-//! arena (workload profile → reference stream), the snapshot arena
-//! (full workload spec → warmed checkpoint), and the results warehouse
+//! Two subsystems key their stores by content fingerprints: the trace
+//! arena (workload profile → reference stream) and the results warehouse
 //! (scenario identity → stored row). Before this module each hand-rolled
 //! the same FNV-1a loop; [`Fnv64`] centralises the constants and the
 //! mixing discipline so a key is always built the same way — and so the
@@ -73,7 +72,7 @@ impl Fnv64 {
     }
 
     /// Mixes an `f64` by bit pattern (NaN payloads and signed zeros
-    /// distinguish, exactly like the snapshot codec's `f64` encoding).
+    /// distinguish, exactly like the journal codec's `f64` encoding).
     pub fn write_f64(&mut self, v: f64) -> &mut Self {
         self.write_u64(v.to_bits())
     }

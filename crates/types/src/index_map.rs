@@ -372,8 +372,7 @@ fn new_slot_vec<V>(slots: usize) -> Vec<Option<(u64, V)>> {
 
 /// Layout-exact equality: two maps compare equal only when their slot
 /// arrays match position-for-position (same probe chains, same tombstone
-/// history resolution), which is the property snapshot restoration
-/// guarantees. Maps holding equal key→value sets in different slot layouts
+/// history resolution), which is what a `clone` preserves. Maps holding equal key→value sets in different slot layouts
 /// compare *unequal* — this is deliberate.
 impl<V: PartialEq> PartialEq for U64Map<V> {
     fn eq(&self, other: &Self) -> bool {
@@ -382,22 +381,6 @@ impl<V: PartialEq> PartialEq for U64Map<V> {
 }
 
 impl<V: Eq> Eq for U64Map<V> {}
-
-/// Verbatim slot-array encoding: the probe-chain layout round-trips, so a
-/// decoded map is bit-identical to the encoded one, not merely equal as a
-/// mapping.
-impl<V: crate::snap::Snap> crate::snap::Snap for U64Map<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.slots.encode(out);
-        self.len.encode(out);
-    }
-
-    fn decode(r: &mut crate::snap::SnapReader<'_>) -> Self {
-        let slots: Vec<Option<(u64, V)>> = r.get();
-        let len: usize = r.get();
-        U64Map { slots, len }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,26 +1,19 @@
-//! The state-snapshot byte codec behind warmed-checkpoint forking.
+//! The flat byte codec behind the sweep journal's entries.
 //!
-//! Every simulator structure whose contents accumulate during warm-up
-//! implements [`Snap`]: a flat, versionless little-endian encoding into a
-//! shared byte buffer, plus the exact inverse. The codec is deliberately
-//! *verbatim*: open-addressed maps encode their slot arrays as laid out
-//! (probe chains included), LRU slabs encode their intrusive links, cache
-//! arrays encode their tag/age/meta slabs and occupancy masks unchanged —
-//! so a decoded structure is not merely equal to the original as a mapping,
-//! it is the bit-identical object, and a simulator restored from a snapshot
-//! continues exactly as the warmed original would have.
-//!
-//! The format has no headers, tags, or self-description: encoder and
-//! decoder are compiled from the same struct definitions, and snapshots
-//! never outlive the process (they live in an in-memory
-//! `SnapshotArena`), so there is nothing to version against.
+//! A type implementing [`Snap`] has a versionless little-endian encoding
+//! into a shared byte buffer, plus the exact inverse. The journal encodes
+//! every completed job's `MeasuredRun` this way: a fixed-size payload whose
+//! `f64` fields round-trip bit for bit, so a replayed result is the
+//! identical value the job produced. The journal wraps each payload in its
+//! own checksummed frame and file header, so the codec itself carries no
+//! headers, tags, or self-description.
 
-/// A reader over an encoded snapshot buffer.
+/// A reader over an encoded buffer.
 ///
 /// Tracks a cursor into the byte slice; every decode consumes exactly the
-/// bytes its encode produced. Running past the end panics — a snapshot is
-/// produced and consumed by the same build, so a short buffer is a bug,
-/// not an input error.
+/// bytes its encode produced. Running past the end panics — the journal
+/// checks a payload's length and checksum before decoding it, so a short
+/// buffer is a bug, not an input error.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     bytes: &'a [u8],
@@ -57,7 +50,7 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Byte-exact snapshot encoding for one type.
+/// Byte-exact encoding for one type.
 ///
 /// `decode(encode(x)) == x` field-for-field; for container types the
 /// internal layout (slot order, link order) round-trips too.
@@ -174,91 +167,9 @@ impl<T: Snap> Snap for Vec<T> {
     }
 }
 
-/// Decodes a `Vec<T>` whose backing allocation is hinted for huge pages
-/// *before* the elements are written (first touch), matching how the large
-/// simulator slabs allocate. Use for the multi-megabyte tag/age/metadata
-/// slabs a snapshot restores; plain [`Vec::decode`] is fine elsewhere.
-pub fn decode_vec_hinted<T: Snap>(r: &mut SnapReader<'_>) -> Vec<T> {
-    let len = usize::decode(r);
-    let mut v: Vec<T> = Vec::with_capacity(len);
-    crate::os_hint::advise_huge_pages(v.as_ptr(), len * std::mem::size_of::<T>());
-    for _ in 0..len {
-        v.push(T::decode(r));
-    }
-    v
-}
-
-impl Snap for crate::ids::CoreId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.index().encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        crate::ids::CoreId::new(usize::decode(r))
-    }
-}
-
-impl Snap for crate::ids::TileId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.index().encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        crate::ids::TileId::new(usize::decode(r))
-    }
-}
-
-impl Snap for crate::latency::Cycles {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        crate::latency::Cycles(u64::decode(r))
-    }
-}
-
-impl Snap for crate::access::AccessClass {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            crate::access::AccessClass::Instruction => 0,
-            crate::access::AccessClass::PrivateData => 1,
-            crate::access::AccessClass::SharedData => 2,
-        });
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        match u8::decode(r) {
-            0 => crate::access::AccessClass::Instruction,
-            1 => crate::access::AccessClass::PrivateData,
-            2 => crate::access::AccessClass::SharedData,
-            b => panic!("snapshot AccessClass tag {b} is out of range"),
-        }
-    }
-}
-
-impl Snap for crate::config::CacheGeometry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.capacity_bytes.encode(out);
-        self.ways.encode(out);
-        self.block_bytes.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let capacity_bytes = usize::decode(r);
-        let ways = usize::decode(r);
-        let block_bytes = usize::decode(r);
-        crate::config::CacheGeometry::new(capacity_bytes, ways, block_bytes)
-            .expect("snapshot geometry was valid when encoded")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessClass;
-    use crate::ids::{CoreId, TileId};
-    use crate::latency::Cycles;
 
     fn roundtrip<T: Snap + PartialEq + std::fmt::Debug>(value: T) {
         let mut buf = Vec::new();
@@ -298,17 +209,6 @@ mod tests {
         roundtrip(vec![1u64, 2, 3]);
         roundtrip(Vec::<u8>::new());
         roundtrip((7u32, Some(vec![false, true])));
-    }
-
-    #[test]
-    fn domain_types_roundtrip() {
-        roundtrip(CoreId::new(13));
-        roundtrip(TileId::new(63));
-        roundtrip(Cycles(9000));
-        roundtrip(AccessClass::Instruction);
-        roundtrip(AccessClass::PrivateData);
-        roundtrip(AccessClass::SharedData);
-        roundtrip(crate::config::CacheGeometry::new(512 * 1024, 16, 64).expect("valid geometry"));
     }
 
     #[test]

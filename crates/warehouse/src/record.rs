@@ -14,7 +14,8 @@ use rnuca_types::Fnv64;
 pub enum RowKind {
     /// One perf scenario: per-(workload, design, cores) simulation metrics.
     Scenario,
-    /// One fused perf group: wall-clock aggregate over a scenario group.
+    /// One fused perf group: wall-clock aggregate over a scenario group
+    /// (perf schema v5 and older).
     Group,
     /// Whole-report totals: throughput over every group in one perf run.
     Totals,
@@ -109,11 +110,13 @@ pub struct RunRecord {
     pub misclass_rate: Option<f64>,
     /// Count of page reclassification events.
     pub reclassifications: Option<i64>,
-    /// Wall-clock nanoseconds spent forking warmed snapshots (group rows).
+    /// Wall-clock nanoseconds spent forking warmed snapshots (group rows
+    /// of perf schema v5 and older).
     pub fork_nanos: Option<i64>,
-    /// Wall-clock nanoseconds spent in the measured phase (group rows).
+    /// Wall-clock nanoseconds spent in the measured phase.
     pub measured_nanos: Option<i64>,
-    /// Wall-clock nanoseconds for the whole measurement loop (totals rows).
+    /// Wall-clock nanoseconds for the timed loop: warm-up plus measurement
+    /// since perf schema v6.
     pub loop_nanos: Option<i64>,
     /// Measured throughput in cache-block accesses per second.
     pub blocks_per_sec: Option<f64>,

@@ -574,9 +574,10 @@ impl Store {
 
 /// A checked little-endian reader over untrusted file bytes.
 ///
-/// Unlike the snapshot codec's `SnapReader` (which panics on underrun,
-/// because snapshots never leave the process), warehouse files live on
-/// disk and cross builds, so every read returns a [`StoreError`].
+/// Unlike the journal codec's `SnapReader` (which panics on underrun,
+/// because the journal verifies each payload's checksum before decoding
+/// it), warehouse files cross builds, so every read returns a
+/// [`StoreError`].
 struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,

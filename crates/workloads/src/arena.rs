@@ -88,9 +88,7 @@ impl TraceKey {
     }
 
     /// The trace geometry (core count, block and page sizes) that shaped
-    /// this key's stream contents. Fused-execution groups are keyed by
-    /// shared trace, so this is what a group label reports alongside the
-    /// workload name and seed.
+    /// this key's stream contents.
     pub fn geometry(&self) -> TraceGeometry {
         self.geometry
     }
@@ -259,8 +257,9 @@ impl TraceSlice {
 
     /// Advances the cursor past `n` references without decoding them.
     ///
-    /// Snapshot forks use this to seat a measured-phase cursor directly
-    /// after the warmup prefix a restored checkpoint already consumed.
+    /// A clone of an already-warmed simulator uses this to seat its
+    /// measured-phase cursor directly after the warm-up prefix the
+    /// original consumed.
     ///
     /// # Panics
     ///
@@ -316,9 +315,10 @@ struct Cell {
 /// the *same* stream serialize on it and the second finds it filled, while
 /// workers asking for *different* streams proceed in parallel).
 ///
-/// Experiment layers pre-populate the unique keys of a job list in parallel
-/// (see [`TraceArena::populate`]) and then resolve every job through
-/// [`TraceArena::slice`], which is a lock-and-clone once the slab exists.
+/// Jobs resolve their stream through [`TraceArena::slice`]: the first
+/// request generates the slab, later ones are a lock-and-clone. The perf
+/// suite materializes its streams up front with [`TraceArena::populate`]
+/// to time generation apart from simulation.
 #[derive(Debug, Default)]
 pub struct TraceArena {
     cells: Mutex<HashMap<TraceKey, Arc<Cell>>>,
@@ -399,7 +399,7 @@ impl TraceArena {
     }
 
     /// Ensures the stream is materialized at `min_len` references, without
-    /// returning it — the parallel pre-population entry point.
+    /// returning it — the up-front materialization entry point.
     pub fn populate(&self, spec: &WorkloadSpec, seed: u64, min_len: usize) {
         self.slab(spec, seed, min_len);
     }
