@@ -90,7 +90,7 @@ use rnuca_service::{Request, ServiceClient, ServiceConfig};
 use rnuca_sim::report::{fmt3, fmt_pct};
 use rnuca_sim::{
     DesignComparison, ExperimentConfig, ExperimentEngine, JournalError, JournalReplay,
-    QuarantinedSweep, ScenarioMatrix, ScenarioSweep, SweepError, TextTable,
+    QuarantinedSweep, ScenarioMatrix, SweepError, SweepOptions, TextTable,
 };
 use rnuca_types::access::AccessClass;
 use rnuca_types::config::SystemConfig;
@@ -219,7 +219,7 @@ fn main() {
             )
     });
     let comparison = if needs_eval {
-        Some(DesignComparison::run_evaluation_with(&cfg, &engine))
+        Some(DesignComparison::run_evaluation(&cfg, &engine))
     } else {
         None
     };
@@ -239,20 +239,13 @@ fn main() {
             "fig11" => fig11(&cfg, &engine),
             "fig12" => fig12(comparison.as_ref().unwrap()),
             "accuracy" => accuracy(comparison.as_ref().unwrap()),
-            "sweep" if supervised => sweep_supervised(
-                cfg,
-                &engine,
-                store_path.as_deref(),
-                journal_arg.as_deref(),
-                resume,
-                retries,
-            ),
             "sweep" => sweep(
                 cfg,
                 &engine,
                 store_path.as_deref(),
                 journal_arg.as_deref(),
                 resume,
+                supervised.then_some(retries),
             ),
             "perf" if perf_list => perf_list_only(perf_filter.as_deref()),
             "perf" => perf(
@@ -287,191 +280,79 @@ fn main() {
 
 /// The scenario-matrix sweep: every workload at 16/32/64 cores, three slice
 /// capacities, under the shared design and R-NUCA at three cluster sizes.
-/// Prints the result matrix as JSON on stdout. With `--store=` every sweep
-/// point is also appended to the warehouse (the append summary goes to
-/// stderr, keeping stdout pipeable). With `--journal=` every completed job
-/// is logged as the sweep runs, and `--resume` continues an interrupted
-/// sweep from that journal.
+/// Prints the result matrix as JSON on stdout. The flags only choose the
+/// options of the one sweep path: with `--store=` every sweep point is also
+/// appended to the warehouse (the append summary goes to stderr, keeping
+/// stdout pipeable); with `--journal=` every finished job is logged as the
+/// sweep runs, and `--resume` continues an interrupted sweep from that
+/// journal; with `--supervised` a scenario whose every attempt panics gets
+/// `--retries` retries under seeded backoff and, if it still fails, a typed
+/// failure entry — in the JSON's `"failures"` array, in the journal (so
+/// `--resume` skips it instead of re-crashing), and as a `kind=failed`
+/// warehouse row.
 fn sweep(
     cfg: ExperimentConfig,
     engine: &ExperimentEngine,
     store_path: Option<&str>,
     journal: Option<&str>,
     resume: bool,
+    retries: Option<u32>,
 ) {
-    use rnuca_workloads::TraceArena;
-    let matrix = rnuca_bench::default_sweep_matrix(cfg);
-    let sweep = match journal {
-        Some(jpath) => run_journaled_sweep(&matrix, engine, jpath, resume, store_path),
-        None => match store_path {
-            Some(path) => {
-                let store = open_store(path);
-                let (sweep, summary) = matrix
-                    .run_forked_into(engine, &TraceArena::new(), &store)
-                    .expect("the default sweep axes are valid");
-                save_store(&store, path);
-                eprintln!(
-                    "warehouse: {} new rows ({} deduplicated) -> {path}",
-                    summary.added, summary.deduplicated
-                );
-                sweep
-            }
-            None => matrix
-                .run_with(engine)
-                .expect("the default sweep axes are valid"),
-        },
-    };
-    print!("{}", sweep.to_json());
-}
-
-/// The journaled (crash-safe) sweep path: refuses to clobber a leftover
-/// journal without `--resume`, replays journaled jobs on resume, and
-/// removes the journal once the sweep completes.
-fn run_journaled_sweep(
-    matrix: &ScenarioMatrix,
-    engine: &ExperimentEngine,
-    jpath: &str,
-    resume: bool,
-    store_path: Option<&str>,
-) -> ScenarioSweep {
-    use rnuca_workloads::TraceArena;
-    let path = Path::new(jpath);
-    if !resume && path.exists() {
-        exit_with(&format!(
-            "journal {jpath} already exists — an earlier sweep was interrupted; \
-             pass --resume to continue it, or delete the journal to start over"
-        ));
+    if let Some(jpath) = journal {
+        let exists = Path::new(jpath).exists();
+        if !resume && exists {
+            exit_with(&format!(
+                "journal {jpath} already exists — an earlier sweep was interrupted; \
+                 pass --resume to continue it, or delete the journal to start over"
+            ));
+        }
+        if resume && !exists {
+            exit_with(&format!(
+                "--resume: journal {jpath} does not exist (run once without --resume to create it)"
+            ));
+        }
     }
-    if resume && !path.exists() {
-        exit_with(&format!(
-            "--resume: journal {jpath} does not exist (run once without --resume to create it)"
-        ));
+    let store = store_path.map(open_store);
+    let opts = SweepOptions {
+        journal: journal.map(Path::new),
+        resume,
+        policy: retries
+            .map(|n| RetryPolicy::immediate(n).with_backoff(BackoffConfig::default_service())),
+        store: store.as_ref(),
+        ..SweepOptions::new(*engine)
+    };
+    let outcome = rnuca_bench::default_sweep_matrix(cfg)
+        .run(&opts)
+        .unwrap_or_else(|e| exit_sweep_error(journal.unwrap_or_default(), e));
+    if let (Some(store), Some(spath), Some(summary)) = (&store, store_path, outcome.stored) {
+        save_store(store, spath);
+        eprintln!(
+            "warehouse: {} new rows ({} deduplicated) -> {spath}",
+            summary.added, summary.deduplicated
+        );
     }
-    let arena = TraceArena::new();
-    let (sweep, resumed) = match store_path {
-        Some(spath) => {
-            let store = open_store(spath);
-            let (sweep, summary, resumed) = matrix
-                .run_forked_into_journaled(engine, &arena, path, resume, &store)
-                .unwrap_or_else(|e| exit_sweep_error(jpath, e));
-            save_store(&store, spath);
-            eprintln!(
-                "warehouse: {} new rows ({} deduplicated) -> {spath}",
-                summary.added, summary.deduplicated
-            );
-            (sweep, resumed)
-        }
-        None => matrix
-            .run_forked_journaled(engine, &arena, path, resume)
-            .unwrap_or_else(|e| exit_sweep_error(jpath, e)),
-    };
-    eprintln!(
-        "journal: replayed {} of {} jobs, ran {} -> {jpath}",
-        resumed.replayed,
-        resumed.replayed + resumed.ran,
-        resumed.ran
-    );
-    // A journal only matters while its sweep is incomplete; leaving it
-    // behind would make the next plain run error out for no reason.
-    std::fs::remove_file(path)
-        .unwrap_or_else(|e| exit_with(&format!("cannot remove completed journal {jpath}: {e}")));
-    eprintln!("journal: sweep complete, removed {jpath}");
-    sweep
-}
-
-/// `sweep --supervised`: the panic-quarantining sweep. One poisoned
-/// scenario gets `--retries` retries under seeded backoff and, if it
-/// still fails, a typed failure entry — in the JSON's `"failures"` array,
-/// in the journal (so `--resume` skips it instead of re-crashing), and as a
-/// `kind=failed` warehouse row with the failure text in the `failure`
-/// column.
-fn sweep_supervised(
-    cfg: ExperimentConfig,
-    engine: &ExperimentEngine,
-    store_path: Option<&str>,
-    journal: Option<&str>,
-    resume: bool,
-    retries: u32,
-) {
-    use rnuca_workloads::TraceArena;
-    let matrix = rnuca_bench::default_sweep_matrix(cfg);
-    let policy = RetryPolicy::immediate(retries).with_backoff(BackoffConfig::default_service());
-    let arena = TraceArena::new();
-    let sweep = match journal {
-        Some(jpath) => {
-            let path = Path::new(jpath);
-            if !resume && path.exists() {
-                exit_with(&format!(
-                    "journal {jpath} already exists — an earlier sweep was interrupted; \
-                     pass --resume to continue it, or delete the journal to start over"
-                ));
-            }
-            if resume && !path.exists() {
-                exit_with(&format!(
-                    "--resume: journal {jpath} does not exist (run once without --resume to \
-                     create it)"
-                ));
-            }
-            let (sweep, resumed) = match store_path {
-                Some(spath) => {
-                    let store = open_store(spath);
-                    let (sweep, summary, resumed) = matrix
-                        .run_supervised_into_journaled(
-                            engine, &arena, path, resume, &policy, &store,
-                        )
-                        .unwrap_or_else(|e| exit_sweep_error(jpath, e));
-                    save_store(&store, spath);
-                    eprintln!(
-                        "warehouse: {} new rows ({} deduplicated) -> {spath}",
-                        summary.added, summary.deduplicated
-                    );
-                    (sweep, resumed)
-                }
-                None => matrix
-                    .run_supervised_journaled(engine, &arena, path, resume, &policy)
-                    .unwrap_or_else(|e| exit_sweep_error(jpath, e)),
-            };
-            eprintln!(
-                "journal: replayed {} of {} jobs, ran {} -> {jpath}",
-                resumed.replayed,
-                resumed.replayed + resumed.ran,
-                resumed.ran
-            );
-            // Every job has an outcome (a run or a quarantined failure), so
-            // the journal's work is done, exactly like the fail-fast path.
-            std::fs::remove_file(path).unwrap_or_else(|e| {
-                exit_with(&format!("cannot remove completed journal {jpath}: {e}"))
-            });
-            eprintln!("journal: sweep complete, removed {jpath}");
-            sweep
-        }
-        None => {
-            let sweep = matrix
-                .run_supervised_forked(engine, &arena, retries)
-                .unwrap_or_else(|e| exit_with(&format!("sweep failed: {e}")));
-            if let Some(spath) = store_path {
-                let store = open_store(spath);
-                let jobs = matrix.jobs().expect("the default sweep axes are valid");
-                let records: Vec<_> = jobs
-                    .iter()
-                    .zip(&sweep.results)
-                    .map(|(job, result)| match result {
-                        Ok(r) => rnuca_sim::sweep_record(&matrix.cfg, &job.workload, r),
-                        Err(f) => rnuca_sim::failed_record(&matrix.cfg, job, f),
-                    })
-                    .collect();
-                let summary = store.append_all(&records);
-                save_store(&store, spath);
-                eprintln!(
-                    "warehouse: {} new rows ({} deduplicated) -> {spath}",
-                    summary.added, summary.deduplicated
-                );
-            }
-            sweep
-        }
-    };
-    report_quarantined(&sweep);
-    print!("{}", sweep.to_json());
+    if let Some(jpath) = journal {
+        let resumed = outcome.resumed;
+        eprintln!(
+            "journal: replayed {} of {} jobs, ran {} -> {jpath}",
+            resumed.replayed,
+            resumed.replayed + resumed.ran,
+            resumed.ran
+        );
+        // Every job has an outcome (a run or a quarantined failure), so a
+        // journal only matters while its sweep is incomplete; leaving it
+        // behind would make the next plain run error out for no reason.
+        std::fs::remove_file(jpath).unwrap_or_else(|e| {
+            exit_with(&format!("cannot remove completed journal {jpath}: {e}"))
+        });
+        eprintln!("journal: sweep complete, removed {jpath}");
+    }
+    if retries.is_some() {
+        report_quarantined(&outcome.sweep);
+        print!("{}", outcome.sweep.to_json());
+    } else {
+        print!("{}", outcome.sweep.into_sweep().to_json());
+    }
 }
 
 /// Makes quarantined jobs loud on stderr (stdout stays pipeable JSON).
@@ -1128,7 +1009,11 @@ fn per_class_l2_table(c: &DesignComparison, class: AccessClass) {
 
 fn fig11(cfg: &ExperimentConfig, engine: &ExperimentEngine) {
     heading("Figure 11: CPI vs R-NUCA instruction-cluster size, normalised to size-1 clusters");
-    let sweep = DesignComparison::run_cluster_sweep_with(cfg, &[1, 2, 4, 8, 16], engine);
+    let sweep = ScenarioMatrix::cluster_sweep(*cfg, &[1, 2, 4, 8, 16])
+        .run(&SweepOptions::new(*engine))
+        .expect("the Figure 11 sizes are valid")
+        .sweep
+        .into_sweep();
     let mut table = TextTable::new(vec![
         "workload",
         "size",
@@ -1136,12 +1021,14 @@ fn fig11(cfg: &ExperimentConfig, engine: &ExperimentEngine) {
         "L2 instr CPI",
         "off-chip CPI",
     ]);
-    for (name, rows) in &sweep {
-        let base = rows.first().map(|(_, r)| r.total_cpi()).unwrap_or(1.0);
-        for (size, run) in rows {
+    // Results come in job order: each workload's sizes, smallest first.
+    for rows in sweep.results.chunk_by(|a, b| a.workload == b.workload) {
+        let base = rows[0].run.total_cpi();
+        for r in rows {
+            let run = &r.run;
             table.add_row(vec![
-                name.clone(),
-                size.to_string(),
+                r.workload.clone(),
+                r.point.instr_cluster_size.unwrap_or_default().to_string(),
                 fmt3(run.total_cpi() / base),
                 fmt3(run.cpi.l2_instructions),
                 fmt3(run.cpi.breakdown.off_chip),

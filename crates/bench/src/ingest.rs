@@ -446,7 +446,13 @@ mod tests {
         let mut m = rnuca_sim::ScenarioMatrix::new(cfg);
         m.workloads = vec![WorkloadSpec::oltp_db2()];
         m.designs = vec![LlcDesign::Shared, LlcDesign::rnuca_default()];
-        let sweep = m.run_with(&ExperimentEngine::with_workers(1)).unwrap();
+        let sweep = m
+            .run(&rnuca_sim::SweepOptions::new(
+                ExperimentEngine::with_workers(1),
+            ))
+            .unwrap()
+            .sweep
+            .into_sweep();
 
         let (records, kind) = records_from_json(&sweep.to_json()).expect("parses");
         assert_eq!(kind, IngestKind::Sweep);

@@ -69,11 +69,6 @@ pub fn figure7_table(comparison: &DesignComparison) -> TextTable {
     table
 }
 
-/// Runs the full evaluation once with the given configuration.
-pub fn run_evaluation(cfg: &ExperimentConfig) -> DesignComparison {
-    DesignComparison::run_evaluation(cfg)
-}
-
 /// The scenario matrix behind the `figures sweep` subcommand: the full
 /// workload suite at 16/32/64 cores, 512 KB/1 MB/2 MB L2 slices, under the
 /// shared design and R-NUCA with size-2/4/8 instruction clusters.

@@ -147,3 +147,71 @@ fn killed_and_resumed_sweep_builds_a_byte_identical_warehouse() {
         std::fs::remove_file(p).ok();
     }
 }
+
+/// The `"results"` array of a sweep document, as text.
+fn results_section(json: &str) -> &str {
+    let start = json.find("\"results\": [").expect("a results array");
+    let len = json[start..].find("\n  ]").expect("a closed results array");
+    &json[start..start + len]
+}
+
+#[test]
+#[ignore = "runs two --smoke sweeps; CI's chaos-smoke step runs it in release"]
+fn supervised_sweep_quarantines_the_poisoned_job_and_otherwise_matches_the_plain_sweep() {
+    let store = temp("supervised.bin");
+    let journal = temp("supervised.journal");
+    for p in [&store, &journal] {
+        std::fs::remove_file(p).ok();
+    }
+    let store_arg = format!("--store={}", store.display());
+    let journal_arg = format!("--journal={}", journal.display());
+
+    // The site names one scenario at each of the three slice capacities;
+    // its first hit is job 0 (OLTP DB2, shared, 16 cores, 512 KB), and with
+    // no retries that job alone is quarantined.
+    let site = "sim::member::OLTP DB2::shared::16c";
+    let out = figures(
+        &[
+            "--smoke",
+            "--workers=2",
+            "sweep",
+            "--supervised",
+            "--retries=0",
+            &journal_arg,
+            &store_arg,
+        ],
+        Some(&format!("{site}=panic@1")),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "supervised sweep failed: {stderr}");
+    let json = String::from_utf8(out.stdout).expect("utf-8 JSON");
+    let failures = &json[json.find("\"failures\": [").expect("a failures array")..];
+    assert_eq!(failures.matches("\"job\": ").count(), 1, "{failures}");
+    assert!(failures.contains("\"job\": 0,"), "{failures}");
+    assert!(failures.contains(site), "{failures}");
+    assert!(!journal.exists(), "a completed sweep removes its journal");
+
+    let out = figures(
+        &[
+            "query",
+            &store_arg,
+            "kind=failed show workload, design, cores",
+        ],
+        None,
+    );
+    let table = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(out.status.success(), "query failed: {table}");
+    assert!(table.ends_with("1 rows\n"), "one kind=failed row: {table}");
+    assert!(table.contains("OLTP DB2  S       16"), "{table}");
+    std::fs::remove_file(&store).ok();
+
+    // Without the fail point, the supervised sweep's results are the plain
+    // sweep's.
+    let supervised = figures(&["--smoke", "--workers=2", "sweep", "--supervised"], None);
+    let plain = figures(&["--smoke", "--workers=2", "sweep"], None);
+    assert!(supervised.status.success() && plain.status.success());
+    let supervised = String::from_utf8(supervised.stdout).expect("utf-8 JSON");
+    let plain = String::from_utf8(plain.stdout).expect("utf-8 JSON");
+    assert_eq!(results_section(&supervised), results_section(&plain));
+    assert!(supervised.contains("\"failures\": [\n  ]"));
+}

@@ -18,7 +18,7 @@
 //! | [`spec`] | `SubmitSpec`: the submit payload → `ScenarioMatrix` + policy |
 //! | [`spool`] | on-disk submission state; the crash-resume ground truth |
 //! | [`state`] | in-memory registry: queue, lifecycle states, watch wakeups |
-//! | [`runner`] | the worker: chunked supervised execution + journaling |
+//! | [`runner`] | the worker: one supervised, journaled sweep per submission |
 //! | [`server`] | `serve()`: acceptor, handlers, drain choreography |
 //! | [`client`] | `ServiceClient`: what the CLI's thin verbs speak |
 //!

@@ -37,7 +37,7 @@
 //!   (`submit` echoes the submission id, `status` carries the report).
 //! * `err <message>` — the request failed; the connection stays usable.
 //! * `event <id> <detail>` — only while a `watch` is active: one frame per
-//!   observed state change (queue position, per-chunk job progress as
+//!   observed state change (queue position, per-job progress as
 //!   `running <done_jobs>/<total_jobs>`, terminal state).
 //! * `done <id> <state>` — terminates a `watch` stream; after it the
 //!   connection returns to request/response.

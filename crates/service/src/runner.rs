@@ -4,37 +4,35 @@
 //!
 //! # Execution shape
 //!
-//! A submission's pending jobs execute in *chunks* of at most `workers`
-//! jobs through [`ExperimentEngine::run_supervised_detached`] — the
-//! detached path so a per-attempt wall-clock deadline can abandon a wedged
-//! attempt. Every job is the library's per-job path, [`ScenarioJob::run`],
-//! under the submission's full retry policy (seeded backoff, deadline).
-//! The closure handed to the engine is side-effect-free (it only measures);
-//! journaling happens in this thread after each chunk returns, and only for
-//! results the supervisor *accepted*. An abandoned deadline-overrun thread
-//! can therefore never race a journal append: its late result is simply
-//! dropped. The crash window is one chunk of re-computable work. Jobs whose
-//! every attempt fails are journaled as typed failure entries, exactly like
-//! the library's `run_supervised_journaled`.
+//! A submission is one call of the library's sweep function,
+//! [`ScenarioMatrix::run`](rnuca_sim::ScenarioMatrix::run), with the
+//! submission's journal (resumed when a previous run or a crash left one
+//! behind), its full retry policy (seeded
+//! backoff, per-attempt deadline), the warehouse as the row sink, the
+//! claim's stop flag, and a progress callback feeding the registry. The
+//! sweep journals each job the moment its outcome is final, on the worker
+//! that claimed it — never on an abandoned deadline-overrun thread — so the
+//! crash window is the jobs in flight, and a drain or cancel stops claiming
+//! at the next job. Jobs whose every attempt fails are journaled as typed
+//! failure entries. What stays here is the service's own work: the atomic
+//! save, spool retirement, and state updates.
 //!
 //! # The crash-resume and byte-identity invariant
 //!
-//! The warehouse is written once, at completion: records are built in job
-//! order from the (replayed + freshly measured) results, appended in one
-//! batch, and saved through the warehouse's atomic temp-fsync-rename path;
-//! only after that save returns is the spool entry removed. A `kill -9` at
-//! any earlier point leaves the journal behind, the next start's scan
-//! re-enqueues the submission, replayed entries fill the same slots the
-//! crashed run had journaled, and the final batch is identical row for row
-//! — so the saved warehouse is byte-identical to an uninterrupted run's.
+//! The warehouse is written once, at completion: the sweep appends one
+//! batch of rows in job order built from the (replayed + freshly measured)
+//! results, and the runner saves it through the warehouse's atomic
+//! temp-fsync-rename path; only after that save returns is the spool entry
+//! removed. A `kill -9` at any earlier point leaves the journal behind, the
+//! next start's scan re-enqueues the submission, replayed entries fill the
+//! same slots the crashed run had journaled, and the final batch is
+//! identical row for row — so the saved warehouse is byte-identical to an
+//! uninterrupted run's.
 
 use crate::spool::Spool;
 use crate::state::{Claim, Registry, SubmissionState};
-use rnuca_sim::{
-    failed_record, result_from, sweep_record, ExperimentEngine, JobFailure, JournalEntry,
-    JournalFailure, JournalReplay, ScenarioJob, ScenarioResult, SweepJournal,
-};
-use rnuca_warehouse::{RunRecord, Warehouse};
+use rnuca_sim::{ExperimentEngine, SweepError, SweepOptions};
+use rnuca_warehouse::Warehouse;
 use rnuca_workloads::TraceArena;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -51,7 +49,7 @@ enum Outcome {
         /// Jobs quarantined with a failed row.
         failed: usize,
     },
-    /// The stop flag (drain or cancel) interrupted the run between chunks;
+    /// The stop flag (drain or cancel) interrupted the run between jobs;
     /// the journal holds everything finished so far.
     Stopped,
 }
@@ -93,7 +91,7 @@ impl Runner {
                 },
             );
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.run_submission(&engine, &arena, &claim)
+                self.run_submission(engine, &arena, &claim)
             }));
             match outcome {
                 Ok(Ok(Outcome::Completed { completed, failed })) => self
@@ -127,72 +125,17 @@ impl Runner {
 
     fn run_submission(
         &self,
-        engine: &ExperimentEngine,
+        engine: ExperimentEngine,
         arena: &Arc<TraceArena>,
         claim: &Claim,
     ) -> Result<Outcome, String> {
         let matrix = claim.spec.to_matrix()?;
-        let jobs = matrix.jobs().map_err(|e| e.to_string())?;
-        let cfg = matrix.cfg;
-        let fingerprint = matrix.fingerprint();
-        let policy = claim.spec.policy();
-
-        // Create the journal, or resume the one a previous run (or a crash)
-        // left behind. The spec line fully determines the matrix, and the id
-        // is the fingerprint, so a mismatch here means spool tampering — a
-        // hard error, never a silent re-run.
-        let journal_path = self.spool.journal_path(&claim.id);
-        let (journal, journaled) = if journal_path.exists() {
-            let replay = JournalReplay::load(&journal_path).map_err(|e| format!("journal: {e}"))?;
-            if replay.fingerprint != fingerprint {
-                return Err(format!(
-                    "journal fingerprint {:016x} does not match the spec's matrix {:016x}",
-                    replay.fingerprint, fingerprint
-                ));
-            }
-            if replay.jobs as usize != jobs.len() {
-                return Err(format!(
-                    "journal covers {} jobs, the spec's matrix has {}",
-                    replay.jobs,
-                    jobs.len()
-                ));
-            }
-            let journal = SweepJournal::resume(&journal_path, &replay)
-                .map_err(|e| format!("journal: {e}"))?;
-            (journal, replay.entries)
-        } else {
-            let journal = SweepJournal::create(&journal_path, fingerprint, jobs.len() as u64)
-                .map_err(|e| format!("journal: {e}"))?;
-            (journal, vec![None; jobs.len()])
-        };
-
-        // Scatter replayed entries: completed jobs become results, failure
-        // entries stay quarantined (resume never re-crashes on them), and
-        // only entry-less jobs run.
-        let mut results: Vec<Option<Result<ScenarioResult, JobFailure>>> =
-            jobs.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, entry) in journaled.into_iter().enumerate() {
-            match entry {
-                Some(JournalEntry::Run(run)) => results[i] = Some(Ok(result_from(&jobs[i], run))),
-                Some(JournalEntry::Failed(f)) => {
-                    results[i] = Some(Err(JobFailure {
-                        job: i,
-                        attempts: f.attempts,
-                        cause: f.cause,
-                        message: f.message,
-                    }));
-                }
-                None => pending.push(i),
-            }
-        }
-
-        if !pending.is_empty() {
-            if claim.stop.load(Ordering::SeqCst) {
-                return Ok(Outcome::Stopped);
-            }
-            let total_jobs = pending.len();
-            let mut done_jobs = 0;
+        let store = Warehouse::open(&self.store_path).map_err(|e| format!("warehouse: {e}"))?;
+        // The spec line fully determines the matrix and the id is its
+        // fingerprint, so a journal that does not match is spool tampering:
+        // a hard error, never a silent re-run.
+        let journal = self.spool.journal_path(&claim.id);
+        let progress = |done_jobs, total_jobs| {
             self.registry.set_state(
                 &claim.id,
                 SubmissionState::Running {
@@ -200,98 +143,37 @@ impl Runner {
                     total_jobs,
                 },
             );
+        };
+        let outcome = matrix.run(&SweepOptions {
+            arena: Arc::clone(arena),
+            journal: Some(&journal),
+            resume: journal.exists(),
+            policy: Some(claim.spec.policy()),
+            store: Some(&store),
+            stop: Some(&claim.stop),
+            progress: Some(&progress),
+            ..SweepOptions::new(engine)
+        });
+        let sweep = match outcome {
+            Ok(outcome) => outcome.sweep,
+            Err(SweepError::Stopped) => return Ok(Outcome::Stopped),
+            Err(e @ SweepError::Journal(_)) => return Err(format!("journal: {e}")),
+            Err(e) => return Err(e.to_string()),
+        };
 
-            let items: Vec<(usize, ScenarioJob)> =
-                pending.iter().map(|&i| (i, jobs[i].clone())).collect();
-            for chunk in items.chunks(self.workers) {
-                if claim.stop.load(Ordering::SeqCst) {
-                    return Ok(Outcome::Stopped);
-                }
-                let chunk: Arc<Vec<(usize, ScenarioJob)>> = Arc::new(chunk.to_vec());
-                let run = {
-                    let arena = Arc::clone(arena);
-                    Arc::new(move |_: usize, (_, job): &(usize, ScenarioJob)| job.run(&cfg, &arena))
-                };
-                let outcomes = engine.run_supervised_detached(
-                    Arc::clone(&chunk),
-                    cfg.seed,
-                    &policy,
-                    &claim.stop,
-                    run,
-                );
-                for ((job_idx, job), outcome) in chunk.iter().zip(outcomes) {
-                    match outcome {
-                        // Stop raised before the job was claimed.
-                        None => continue,
-                        Some(Ok(run)) => {
-                            journal
-                                .append(*job_idx, &run)
-                                .map_err(|e| format!("journal append: {e}"))?;
-                            results[*job_idx] = Some(Ok(result_from(job, run)));
-                        }
-                        Some(Err(failure)) => {
-                            journal
-                                .append_failure(
-                                    *job_idx,
-                                    &JournalFailure {
-                                        attempts: failure.attempts,
-                                        cause: failure.cause,
-                                        message: failure.message.clone(),
-                                    },
-                                )
-                                .map_err(|e| format!("journal append: {e}"))?;
-                            results[*job_idx] = Some(Err(JobFailure {
-                                job: *job_idx,
-                                ..failure
-                            }));
-                        }
-                    }
-                    done_jobs += 1;
-                }
-                self.registry.set_state(
-                    &claim.id,
-                    SubmissionState::Running {
-                        done_jobs,
-                        total_jobs,
-                    },
-                );
-            }
-        }
-
-        // A stop between a chunk's launch and its last job leaves
-        // unclaimed slots; only a fully-resolved sweep reaches the store.
-        if results.iter().any(Option::is_none) {
-            return Ok(Outcome::Stopped);
-        }
-
-        // Completion: one batch of rows in job order, one atomic save, and
-        // only then is the spool entry retired.
-        let mut completed = 0;
-        let mut failed = 0;
-        let records: Vec<RunRecord> = jobs
-            .iter()
-            .zip(&results)
-            .map(|(job, slot)| match slot.as_ref().expect("checked above") {
-                Ok(result) => {
-                    completed += 1;
-                    sweep_record(&cfg, &job.workload, result)
-                }
-                Err(failure) => {
-                    failed += 1;
-                    failed_record(&cfg, job, failure)
-                }
-            })
-            .collect();
-        let store = Warehouse::open(&self.store_path).map_err(|e| format!("warehouse: {e}"))?;
-        store.append_all(&records);
+        // Completion: one atomic save, and only then is the spool entry
+        // retired.
         store
             .save(&self.store_path)
             .map_err(|e| format!("warehouse save: {e}"))?;
-        drop(journal);
         self.spool
             .remove(&claim.id)
             .map_err(|e| format!("spool cleanup: {e}"))?;
-        Ok(Outcome::Completed { completed, failed })
+        let completed = sweep.completed();
+        Ok(Outcome::Completed {
+            completed,
+            failed: sweep.results.len() - completed,
+        })
     }
 }
 

@@ -9,8 +9,8 @@
 //! 2. Bind the socket (removing a stale one a crashed process left), start
 //!    the single [`Runner`] thread, and accept connections; each connection
 //!    gets its own handler thread speaking the framed protocol.
-//! 3. On `drain`: stop accepting, let the runner finish its in-flight
-//!    chunk and journal it, then return. Unfinished submissions keep their
+//! 3. On `drain`: stop accepting, let the runner finish its jobs in
+//!    flight and journal them, then return. Unfinished submissions keep their
 //!    spool entries for the next start. `kill -9` is the same story minus
 //!    the courtesy — the journal's torn-tail tolerance and the startup scan
 //!    make the two indistinguishable after restart.

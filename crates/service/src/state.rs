@@ -76,7 +76,7 @@ pub struct Claim {
     pub id: String,
     /// The submission's spec.
     pub spec: SubmitSpec,
-    /// Set when the runner must stop between chunks (drain or cancel).
+    /// Set when the runner must stop claiming jobs (drain or cancel).
     pub stop: Arc<AtomicBool>,
     /// Set only by `cancel` — distinguishes a cancelled stop from a drain.
     pub cancelled: Arc<AtomicBool>,
@@ -199,7 +199,7 @@ impl Registry {
 
     /// Requests cancellation. A queued submission is cancelled on the spot;
     /// a running one has its stop flag raised and the runner finishes the
-    /// in-flight chunk before marking it cancelled.
+    /// jobs in flight before marking it cancelled.
     ///
     /// # Errors
     ///
@@ -227,7 +227,7 @@ impl Registry {
     }
 
     /// Starts draining: no new submissions, the runner stops after its
-    /// in-flight chunk, everything unfinished stays journaled in the spool
+    /// jobs in flight, everything unfinished stays journaled in the spool
     /// for the next start.
     pub fn drain(&self) {
         let mut inner = self.inner.lock().expect("registry lock");

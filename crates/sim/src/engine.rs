@@ -17,10 +17,13 @@
 //!   the pool and the *original* panic payload is re-raised on the caller's
 //!   thread (not a secondary poisoned-lock error, and not the anonymous
 //!   "a scoped thread panicked" that `std::thread::scope` would raise).
-//! * [`ExperimentEngine::run_supervised`] — quarantine. Every job runs in
-//!   [`std::panic::catch_unwind`] with a bounded number of retries; each
-//!   slot yields `Result<T, JobFailure>`, so one poisoned scenario becomes
-//!   a failure record while every other job still completes.
+//! * [`ExperimentEngine::run_supervised`] — quarantine. Every attempt runs
+//!   on a watchdogged thread under a [`RetryPolicy`] (retries, seeded
+//!   backoff, per-attempt deadline); each slot yields
+//!   `Result<T, JobFailure>`, so one poisoned scenario becomes a failure
+//!   record while every other job still completes. An accept hook sees
+//!   each final outcome on the claiming worker, which is where callers
+//!   journal it.
 
 use std::any::Any;
 use std::fmt;
@@ -42,7 +45,7 @@ pub enum FailureCause {
     /// Every attempt panicked.
     Panic,
     /// The final attempt exceeded the policy's per-attempt wall-clock
-    /// deadline (only from [`ExperimentEngine::run_supervised_detached`]).
+    /// deadline.
     Deadline,
 }
 
@@ -99,13 +102,6 @@ impl fmt::Display for JobFailure {
     }
 }
 
-/// A raw per-slot failure, keeping the boxed panic payload so `run` can
-/// re-raise the original panic verbatim.
-struct RawFailure {
-    attempts: u32,
-    payload: Box<dyn Any + Send>,
-}
-
 /// The human-readable message inside a panic payload. Panics raised by
 /// `panic!("...")` carry `&'static str` or `String`; anything else (a rare
 /// `panic_any`) is summarised.
@@ -121,10 +117,10 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 
 /// Locks ignoring poison. A worker that panicked between locking and
 /// unlocking a result slot poisons it; the interesting error is the job's
-/// panic (kept as a [`RawFailure`] or re-raised by `run`), not the
+/// panic (kept as a [`JobFailure`] or re-raised by `run`), not the
 /// secondary poisoning, so recover the guard instead of masking the root
 /// cause with a poisoned-lock `expect`.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -169,169 +165,56 @@ impl ExperimentEngine {
         T: Send,
         F: Fn(usize, &J) -> T + Sync,
     {
-        let mut slots = self.execute(jobs, 0, &RetryPolicy::immediate(0), true, &run);
-        // Re-raise the first (lowest-index) failure with its original
-        // payload, as if the caller had run that job inline.
-        if let Some(pos) = slots.iter().position(|s| matches!(s, Some(Err(_)))) {
-            let failure = match slots.swap_remove(pos) {
-                Some(Err(f)) => f,
-                _ => unreachable!("position() found an Err slot"),
-            };
-            std::panic::resume_unwind(failure.payload);
+        let panicked = AtomicBool::new(false);
+        let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+            jobs.iter().map(|_| Mutex::new(None)).collect();
+        self.claim_each(
+            jobs.len(),
+            || panicked.load(Ordering::Acquire),
+            |i| {
+                let outcome = catch_unwind(AssertUnwindSafe(|| run(i, &jobs[i])));
+                if outcome.is_err() {
+                    panicked.store(true, Ordering::Release);
+                }
+                *lock(&slots[i]) = Some(outcome);
+            },
+        );
+        let mut results = Vec::with_capacity(jobs.len());
+        for slot in slots {
+            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                Some(Ok(result)) => results.push(result),
+                // The lowest-index failure, re-raised with its original
+                // payload as if the caller had run that job inline.
+                Some(Err(payload)) => std::panic::resume_unwind(payload),
+                None => unreachable!("claims stop only after a recorded panic"),
+            }
         }
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(Ok(result)) => result,
-                _ => unreachable!("fail-fast run claims every job or re-raises"),
-            })
-            .collect()
+        results
     }
 
-    /// Runs `run` over every job, quarantining panics instead of
-    /// propagating them.
+    /// Supervised execution with per-attempt wall-clock deadlines, seeded
+    /// backoff, a cooperative stop flag, and an accept hook.
     ///
-    /// Each job is attempted up to `1 + retries` times inside
-    /// [`catch_unwind`] with *immediate* retries (no backoff, no
-    /// deadline); a job whose every attempt panics yields
-    /// `Err(`[`JobFailure`]`)` in its slot while all other jobs still run
-    /// to completion. Results are in job order and, for deterministic
-    /// `run` closures, identical for every worker count. For a paced
-    /// retry schedule use [`ExperimentEngine::run_supervised_policy`].
-    pub fn run_supervised<J, T, F>(
-        &self,
-        jobs: &[J],
-        retries: u32,
-        run: F,
-    ) -> Vec<Result<T, JobFailure>>
-    where
-        J: Sync,
-        T: Send,
-        F: Fn(usize, &J) -> T + Sync,
-    {
-        self.run_supervised_policy(jobs, 0, &RetryPolicy::immediate(retries), run)
-    }
-
-    /// [`ExperimentEngine::run_supervised`] with a full [`RetryPolicy`]:
-    /// between attempts of job `i` the claiming worker sleeps the policy's
+    /// Each job is attempted up to `policy.attempts()` times; between
+    /// attempts of job `i` the claiming worker sleeps the policy's
     /// seeded-jitter backoff `delay(seed, i, attempt)` — a pure function of
     /// its arguments, so the pause schedule (like the results) is identical
-    /// for every worker count. The policy's `deadline` is **not** enforced
-    /// here: borrowed jobs cannot be abandoned mid-attempt; use
-    /// [`ExperimentEngine::run_supervised_detached`] when attempts must be
-    /// bounded in wall-clock time.
-    pub fn run_supervised_policy<J, T, F>(
-        &self,
-        jobs: &[J],
-        seed: u64,
-        policy: &RetryPolicy,
-        run: F,
-    ) -> Vec<Result<T, JobFailure>>
-    where
-        J: Sync,
-        T: Send,
-        F: Fn(usize, &J) -> T + Sync,
-    {
-        self.execute(jobs, seed, policy, false, &run)
-            .into_iter()
-            .enumerate()
-            .map(|(job, slot)| match slot {
-                Some(Ok(result)) => Ok(result),
-                Some(Err(failure)) => Err(JobFailure {
-                    job,
-                    attempts: failure.attempts,
-                    cause: FailureCause::Panic,
-                    message: payload_message(failure.payload.as_ref()),
-                }),
-                None => unreachable!("supervised run claims every job"),
-            })
-            .collect()
-    }
-
-    /// The shared pool: workers claim job indices from an atomic counter
-    /// and store each job's outcome in its slot, pausing the policy's
-    /// seeded backoff between attempts. With `stop_on_failure`, a failed
-    /// job stops further claims (slots after the stop stay `None`);
-    /// otherwise every job is claimed regardless of failures.
-    fn execute<J, T, F>(
-        &self,
-        jobs: &[J],
-        seed: u64,
-        policy: &RetryPolicy,
-        stop_on_failure: bool,
-        run: &F,
-    ) -> Vec<Option<Result<T, RawFailure>>>
-    where
-        J: Sync,
-        T: Send,
-        F: Fn(usize, &J) -> T + Sync,
-    {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let attempts = policy.attempts();
-        let workers = self.workers.min(jobs.len());
-        let next = AtomicUsize::new(0);
-        let stopped = AtomicBool::new(false);
-        let slots: Vec<Mutex<Option<Result<T, RawFailure>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if stop_on_failure && stopped.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let mut outcome = None;
-                    for attempt in 1..=attempts {
-                        if attempt > 1 {
-                            let pause = policy.backoff.delay(seed, i, attempt - 1);
-                            if !pause.is_zero() {
-                                std::thread::sleep(pause);
-                            }
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| run(i, &jobs[i]))) {
-                            Ok(result) => {
-                                outcome = Some(Ok(result));
-                                break;
-                            }
-                            Err(payload) => {
-                                outcome = Some(Err(RawFailure {
-                                    attempts: attempt,
-                                    payload,
-                                }));
-                            }
-                        }
-                    }
-                    let outcome = outcome.expect("at least one attempt ran");
-                    if outcome.is_err() && stop_on_failure {
-                        stopped.store(true, Ordering::Release);
-                    }
-                    *lock(&slots[i]) = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect()
-    }
-
-    /// Supervised execution with per-attempt wall-clock deadlines and a
-    /// cooperative stop flag — the experiment service's execution mode.
+    /// for every worker count. A job whose every attempt fails yields
+    /// `Err(`[`JobFailure`]`)` in its slot while all other jobs still run.
     ///
     /// Each attempt runs on a *detached* thread that reports its outcome
     /// over a channel; the claiming worker acts as the watchdog, waiting at
     /// most `policy.deadline` for the report. An attempt that overruns is
     /// abandoned (threads cannot be killed; the stray thread finishes into
     /// a disconnected channel and its result is dropped — `run` must
-    /// therefore be side-effect-free, with journaling done by the caller
-    /// on received results only) and counts as a failed attempt with
-    /// [`FailureCause::Deadline`]. Retries pause on the policy's seeded
-    /// backoff, exactly like [`ExperimentEngine::run_supervised_policy`].
+    /// therefore be side-effect-free) and counts as a failed attempt with
+    /// [`FailureCause::Deadline`].
+    ///
+    /// Once a job's outcome is final, the claiming worker calls
+    /// `accept(i, &outcome)` — outside [`catch_unwind`] and never on an
+    /// abandoned attempt thread, so side effects such as journal appends
+    /// belong there. An `Err` from the hook stops further claims and is
+    /// returned once in-flight jobs finish.
     ///
     /// `stop` is checked before each claim: once set, workers stop claiming
     /// and in-flight attempts run to completion — the `drain` half of the
@@ -341,74 +224,106 @@ impl ExperimentEngine {
     /// The `Arc`/`'static` bounds exist because abandoned attempt threads
     /// may outlive this call; they keep the jobs and closure alive instead
     /// of dangling.
-    pub fn run_supervised_detached<J, T, F>(
+    ///
+    /// # Errors
+    ///
+    /// The first error the accept hook returned.
+    pub fn run_supervised<J, T, F, A, E>(
         &self,
         jobs: Arc<Vec<J>>,
         seed: u64,
         policy: &RetryPolicy,
         stop: &AtomicBool,
         run: Arc<F>,
-    ) -> Vec<Option<Result<T, JobFailure>>>
+        accept: A,
+    ) -> Result<Vec<Option<Result<T, JobFailure>>>, E>
     where
         J: Send + Sync + 'static,
         T: Send + 'static,
         F: Fn(usize, &J) -> T + Send + Sync + 'static,
+        A: Fn(usize, &Result<T, JobFailure>) -> Result<(), E> + Sync,
+        E: Send,
     {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
         let attempts = policy.attempts();
-        let workers = self.workers.min(jobs.len());
-        let next = AtomicUsize::new(0);
+        let rejected: Mutex<Option<E>> = Mutex::new(None);
         let slots: Vec<Mutex<Option<Result<T, JobFailure>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
+        self.claim_each(
+            jobs.len(),
+            || stop.load(Ordering::Acquire) || lock(&rejected).is_some(),
+            |i| {
+                let mut outcome = None;
+                for attempt in 1..=attempts {
+                    if attempt > 1 {
+                        let pause = policy.backoff.delay(seed, i, attempt - 1);
+                        if !pause.is_zero() {
+                            std::thread::sleep(pause);
+                        }
+                    }
+                    match Self::attempt_detached(&jobs, i, policy, &run) {
+                        Ok(result) => {
+                            outcome = Some(Ok(result));
+                            break;
+                        }
+                        Err((cause, message)) => {
+                            outcome = Some(Err(JobFailure {
+                                job: i,
+                                attempts: attempt,
+                                cause,
+                                message,
+                            }));
+                        }
+                    }
+                }
+                let outcome = outcome.expect("at least one attempt ran");
+                match accept(i, &outcome) {
+                    Ok(()) => *lock(&slots[i]) = Some(outcome),
+                    Err(e) => {
+                        lock(&rejected).get_or_insert(e);
+                    }
+                }
+            },
+        );
+        if let Some(e) = rejected
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            return Err(e);
+        }
+        Ok(slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect())
+    }
+
+    /// The shared pool: each worker claims the next job index from an
+    /// atomic counter and hands it to `work`, until the list runs out or
+    /// `halted` reports true before a claim.
+    fn claim_each(
+        &self,
+        len: usize,
+        halted: impl Fn() -> bool + Sync,
+        work: impl Fn(usize) + Sync,
+    ) {
+        let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let mut outcome = None;
-                    for attempt in 1..=attempts {
-                        if attempt > 1 {
-                            let pause = policy.backoff.delay(seed, i, attempt - 1);
-                            if !pause.is_zero() {
-                                std::thread::sleep(pause);
-                            }
+            for _ in 0..self.workers.min(len) {
+                scope.spawn(|| {
+                    while !halted() {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            break;
                         }
-                        match self.attempt_detached(&jobs, i, policy, &run) {
-                            Ok(result) => {
-                                outcome = Some(Ok(result));
-                                break;
-                            }
-                            Err(cause_message) => {
-                                outcome = Some(Err(JobFailure {
-                                    job: i,
-                                    attempts: attempt,
-                                    cause: cause_message.0,
-                                    message: cause_message.1,
-                                }));
-                            }
-                        }
+                        work(i);
                     }
-                    *lock(&slots[i]) = Some(outcome.expect("at least one attempt ran"));
                 });
             }
         });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect()
     }
 
     /// One watchdogged attempt of job `i`: spawn the attempt detached,
     /// wait at most the policy deadline for its report.
     fn attempt_detached<J, T, F>(
-        &self,
         jobs: &Arc<Vec<J>>,
         i: usize,
         policy: &RetryPolicy,
@@ -458,6 +373,36 @@ pub fn default_workers() -> usize {
 mod tests {
     use super::*;
     use rnuca_types::failpoint::{self, FailAction, FailSpec};
+
+    /// [`ExperimentEngine::run_supervised`] with no stop request and an
+    /// accept hook that takes every outcome: every slot is claimed.
+    fn supervise<J, T, F>(
+        workers: usize,
+        jobs: Vec<J>,
+        seed: u64,
+        policy: &RetryPolicy,
+        run: F,
+    ) -> Vec<Result<T, JobFailure>>
+    where
+        J: Send + Sync + 'static,
+        T: Send + 'static,
+        F: Fn(usize, &J) -> T + Send + Sync + 'static,
+    {
+        let stop = AtomicBool::new(false);
+        ExperimentEngine::with_workers(workers)
+            .run_supervised(
+                Arc::new(jobs),
+                seed,
+                policy,
+                &stop,
+                Arc::new(run),
+                |_, _| Ok::<(), ()>(()),
+            )
+            .expect("the hook accepts every outcome")
+            .into_iter()
+            .map(|slot| slot.expect("every job is claimed"))
+            .collect()
+    }
 
     #[test]
     fn results_are_ordered_by_job_index() {
@@ -538,12 +483,18 @@ mod tests {
     fn supervised_run_quarantines_exactly_the_failing_job() {
         let jobs: Vec<usize> = (0..25).collect();
         for workers in [1, 3, 8] {
-            let out = ExperimentEngine::with_workers(workers).run_supervised(&jobs, 0, |_, &j| {
-                if j == 11 {
-                    panic!("poisoned scenario {j}");
-                }
-                j * 2
-            });
+            let out = supervise(
+                workers,
+                jobs.clone(),
+                0,
+                &RetryPolicy::immediate(0),
+                |_, &j| {
+                    if j == 11 {
+                        panic!("poisoned scenario {j}");
+                    }
+                    j * 2
+                },
+            );
             assert_eq!(out.len(), jobs.len());
             for (i, slot) in out.iter().enumerate() {
                 if i == 11 {
@@ -575,7 +526,7 @@ mod tests {
                 1,
                 2,
             )]);
-            let out = ExperimentEngine::with_workers(1).run_supervised(&jobs, 2, |_, &j| {
+            let out = supervise(1, jobs.clone(), 0, &RetryPolicy::immediate(2), |_, &j| {
                 failpoint::panic_point("engine::test::flaky");
                 j + 100
             });
@@ -590,7 +541,7 @@ mod tests {
                 1,
                 2,
             )]);
-            let out = ExperimentEngine::with_workers(1).run_supervised(&jobs, 0, |_, &j| {
+            let out = supervise(1, jobs.clone(), 0, &RetryPolicy::immediate(0), |_, &j| {
                 failpoint::panic_point("engine::test::flaky");
                 j + 100
             });
@@ -603,7 +554,7 @@ mod tests {
     #[test]
     fn supervised_failures_record_every_attempt() {
         let jobs = vec![0u32];
-        let out = ExperimentEngine::with_workers(1).run_supervised(&jobs, 3, |_, _| -> u32 {
+        let out = supervise(1, jobs, 0, &RetryPolicy::immediate(3), |_, _| -> u32 {
             panic!("always fails");
         });
         let failure = out[0].as_ref().expect_err("job must fail");
@@ -634,19 +585,14 @@ mod tests {
         let mut reference: Option<Vec<Result<usize, JobFailure>>> = None;
         for workers in [1, 4] {
             let attempts_seen: Vec<AtomicU64> = jobs.iter().map(|_| AtomicU64::new(0)).collect();
-            let out = ExperimentEngine::with_workers(workers).run_supervised_policy(
-                &jobs,
-                42,
-                &policy,
-                |i, &j| {
-                    // Odd jobs fail once, then succeed on the retry.
-                    let attempt = attempts_seen[i].fetch_add(1, Ordering::Relaxed) + 1;
-                    if j % 2 == 1 && attempt == 1 {
-                        panic!("transient failure in job {j}");
-                    }
-                    j * 10
-                },
-            );
+            let out = supervise(workers, jobs.clone(), 42, &policy, move |i, &j| {
+                // Odd jobs fail once, then succeed on the retry.
+                let attempt = attempts_seen[i].fetch_add(1, Ordering::Relaxed) + 1;
+                if j % 2 == 1 && attempt == 1 {
+                    panic!("transient failure in job {j}");
+                }
+                j * 10
+            });
             match &reference {
                 None => reference = Some(out),
                 Some(reference) => {
@@ -667,19 +613,22 @@ mod tests {
         let jobs: Vec<u64> = (0..6).collect();
         let policy = RetryPolicy::immediate(0).with_deadline(Duration::from_millis(50));
         let stop = AtomicBool::new(false);
-        let out = ExperimentEngine::with_workers(3).run_supervised_detached(
-            Arc::new(jobs),
-            42,
-            &policy,
-            &stop,
-            Arc::new(|_, &j: &u64| {
-                if j == 2 {
-                    // Far past the deadline; the attempt is abandoned.
-                    std::thread::sleep(Duration::from_secs(5));
-                }
-                j + 1
-            }),
-        );
+        let out = ExperimentEngine::with_workers(3)
+            .run_supervised(
+                Arc::new(jobs),
+                42,
+                &policy,
+                &stop,
+                Arc::new(|_, &j: &u64| {
+                    if j == 2 {
+                        // Far past the deadline; the attempt is abandoned.
+                        std::thread::sleep(Duration::from_secs(5));
+                    }
+                    j + 1
+                }),
+                |_, _| Ok::<(), ()>(()),
+            )
+            .expect("the hook accepts every outcome");
         assert_eq!(out.len(), 6);
         for (i, slot) in out.iter().enumerate() {
             let slot = slot.as_ref().expect("every job is claimed");
@@ -698,18 +647,21 @@ mod tests {
     fn detached_run_quarantines_panics_with_their_message() {
         let jobs: Vec<u64> = (0..4).collect();
         let stop = AtomicBool::new(false);
-        let out = ExperimentEngine::with_workers(2).run_supervised_detached(
-            Arc::new(jobs),
-            7,
-            &RetryPolicy::immediate(1),
-            &stop,
-            Arc::new(|_, &j: &u64| {
-                if j == 3 {
-                    panic!("member {j} exploded");
-                }
-                j
-            }),
-        );
+        let out = ExperimentEngine::with_workers(2)
+            .run_supervised(
+                Arc::new(jobs),
+                7,
+                &RetryPolicy::immediate(1),
+                &stop,
+                Arc::new(|_, &j: &u64| {
+                    if j == 3 {
+                        panic!("member {j} exploded");
+                    }
+                    j
+                }),
+                |_, _| Ok::<(), ()>(()),
+            )
+            .expect("the hook accepts every outcome");
         let failure = out[3]
             .as_ref()
             .expect("claimed")
@@ -728,16 +680,19 @@ mod tests {
         let jobs: Vec<u64> = (0..5).collect();
         let stop = Arc::new(AtomicBool::new(false));
         let stop_from_job = Arc::clone(&stop);
-        let out = ExperimentEngine::with_workers(1).run_supervised_detached(
-            Arc::new(jobs),
-            0,
-            &RetryPolicy::immediate(0),
-            &stop,
-            Arc::new(move |_, &j: &u64| {
-                stop_from_job.store(true, Ordering::Release);
-                j
-            }),
-        );
+        let out = ExperimentEngine::with_workers(1)
+            .run_supervised(
+                Arc::new(jobs),
+                0,
+                &RetryPolicy::immediate(0),
+                &stop,
+                Arc::new(move |_, &j: &u64| {
+                    stop_from_job.store(true, Ordering::Release);
+                    j
+                }),
+                |_, _| Ok::<(), ()>(()),
+            )
+            .expect("the hook accepts every outcome");
         assert_eq!(
             out[0].as_ref().expect("first job ran").as_ref().copied(),
             Ok(0)
@@ -745,5 +700,35 @@ mod tests {
         for slot in &out[1..] {
             assert!(slot.is_none(), "drained jobs must never be claimed");
         }
+    }
+
+    #[test]
+    fn an_accept_hook_error_stops_further_claims() {
+        // One worker, a hook that rejects job 2's outcome: the error comes
+        // back, and jobs after it are never claimed.
+        let ran = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&ran);
+        let stop = AtomicBool::new(false);
+        let err = ExperimentEngine::with_workers(1)
+            .run_supervised(
+                Arc::new((0..6).collect::<Vec<u64>>()),
+                0,
+                &RetryPolicy::immediate(0),
+                &stop,
+                Arc::new(move |_, &j: &u64| {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    j
+                }),
+                |i, _| {
+                    if i == 2 {
+                        Err(format!("cannot record job {i}"))
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
+            .expect_err("the hook's error ends the run");
+        assert_eq!(err, "cannot record job 2");
+        assert_eq!(ran.load(Ordering::Relaxed), 3, "jobs 3.. are never claimed");
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! [`DesignComparison::run_evaluation`] runs every workload of the evaluation
 //! suite under every design (P, A, S, R, I) with warmed caches, producing the
-//! data behind Figures 7-10 and 12. [`DesignComparison::run_cluster_sweep`]
-//! sweeps the R-NUCA instruction-cluster size for Figure 11.
+//! data behind Figures 7-10 and 12. Figure 11's cluster-size sweep is a
+//! [`ScenarioMatrix::cluster_sweep`](crate::ScenarioMatrix::cluster_sweep)
+//! preset run through the scenario path.
 //!
-//! Both are thin wrappers over the [`ExperimentEngine`]: every
-//! `(workload, design, config-point)` combination becomes one job in a flat
-//! list executed on a bounded worker pool, and the assembled results are
-//! identical for every worker count.
+//! The evaluation is a thin wrapper over the [`ExperimentEngine`]: every
+//! `(workload, design)` combination becomes one job in a flat list executed
+//! on a bounded worker pool, and the assembled results are identical for
+//! every worker count. The P, S, R and I jobs are plain [`ScenarioJob`]s.
 //!
 //! Jobs resolve their reference streams through a shared [`TraceArena`]:
 //! the first job to need a `(workload, geometry, seed)` stream generates it
@@ -20,15 +21,17 @@
 //! prefix of its slab, and measures the rest. Warmed state is reused in one
 //! place only, the ASR best-of-six selection, because that is the only
 //! warm-up with several consumers: all six ASR versions warm identically,
-//! so [`DesignComparison::run_asr_with_arena`] warms one simulator, clones
-//! it per version, switches each clone's policy with
+//! so [`DesignComparison::run_asr`] warms one simulator, clones it per
+//! version, switches each clone's policy with
 //! [`CmpSimulator::set_asr_policy`], and measures the clones. A clone
 //! measures the bit-identical run a fresh warm-up of its version would (the
 //! `warm_reuse_fidelity` suite pins this).
 
 use crate::design::{AsrPolicy, LlcDesign};
 use crate::engine::ExperimentEngine;
+use crate::scenario::ScenarioJob;
 use crate::simulator::{CmpSimulator, MeasuredRun};
+use rnuca_types::config::ConfigPoint;
 use rnuca_workloads::{TraceArena, TraceGenerator, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -209,27 +212,6 @@ impl DesignComparison {
         }
     }
 
-    /// [`Self::run_single`] replaying the workload's stream from `arena`
-    /// instead of regenerating it. The result is bit-identical to the
-    /// streaming path; the stream is generated at most once per unique
-    /// `(workload, geometry, seed)` key no matter how many designs run it.
-    pub fn run_single_with_arena(
-        spec: &WorkloadSpec,
-        design: LlcDesign,
-        cfg: &ExperimentConfig,
-        arena: &TraceArena,
-    ) -> RunResult {
-        let mut slice = arena.slice(spec, cfg.seed, cfg.total_refs());
-        let mut sim = CmpSimulator::with_seed(design, spec, cfg.seed);
-        sim.run_warmup(&mut slice, cfg.warmup_refs);
-        let run = sim.run_measured(&mut slice, cfg.measured_refs);
-        RunResult {
-            workload: spec.name.clone(),
-            design,
-            run,
-        }
-    }
-
     /// The ASR design variants one workload must run: the six versions when
     /// `asr_best_of` is set, the adaptive version alone otherwise.
     fn asr_variants(cfg: &ExperimentConfig) -> Vec<LlcDesign> {
@@ -256,51 +238,33 @@ impl DesignComparison {
     }
 
     /// Runs the ASR design, optionally taking the best of its six versions
-    /// (the paper reports the highest-performing version per workload).
-    pub fn run_asr(spec: &WorkloadSpec, cfg: &ExperimentConfig) -> RunResult {
-        Self::run_asr_with(spec, cfg, &ExperimentEngine::new())
-    }
-
-    /// [`Self::run_asr`] on an explicit engine: the six versions are
-    /// independent jobs, so best-of-six costs one version's wall-clock time.
-    /// The versions share one arena slab — the workload's stream is
-    /// generated once, not six times.
-    pub fn run_asr_with(
-        spec: &WorkloadSpec,
-        cfg: &ExperimentConfig,
-        engine: &ExperimentEngine,
-    ) -> RunResult {
-        Self::run_asr_with_arena(spec, cfg, engine, &TraceArena::new())
-    }
-
-    /// [`Self::run_asr_with`] resolving every variant through `arena`.
+    /// (the paper reports the highest-performing version per workload),
+    /// replaying the workload's stream from `arena`.
     ///
     /// All ASR versions warm identically, so the warm-up runs once: one
     /// simulator warms over the workload's slab, and every version measures
-    /// a clone of it under its own policy, one engine job per version. The
-    /// result is bit-identical to warming each version separately.
-    pub fn run_asr_with_arena(
-        spec: &WorkloadSpec,
-        cfg: &ExperimentConfig,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-    ) -> RunResult {
+    /// a clone of it under its own policy, one after another. The result is
+    /// bit-identical to warming each version separately.
+    pub fn run_asr(spec: &WorkloadSpec, cfg: &ExperimentConfig, arena: &TraceArena) -> RunResult {
         let variants = Self::asr_variants(cfg);
         let mut slice = arena.slice(spec, cfg.seed, cfg.total_refs());
         let mut warmed = CmpSimulator::with_seed(variants[0], spec, cfg.seed);
         warmed.run_warmup(&mut slice, cfg.warmup_refs);
-        let candidates = engine.run(&variants, |_, &design| {
-            let LlcDesign::Asr { policy } = design else {
-                unreachable!("asr_variants yields ASR designs only")
-            };
-            let mut sim = warmed.clone();
-            sim.set_asr_policy(policy);
-            RunResult {
-                workload: spec.name.clone(),
-                design,
-                run: sim.run_measured(&mut slice.clone(), cfg.measured_refs),
-            }
-        });
+        let candidates = variants
+            .into_iter()
+            .map(|design| {
+                let LlcDesign::Asr { policy } = design else {
+                    unreachable!("asr_variants yields ASR designs only")
+                };
+                let mut sim = warmed.clone();
+                sim.set_asr_policy(policy);
+                RunResult {
+                    workload: spec.name.clone(),
+                    design,
+                    run: sim.run_measured(&mut slice.clone(), cfg.measured_refs),
+                }
+            })
+            .collect();
         Self::best_asr(candidates)
     }
 
@@ -308,7 +272,7 @@ impl DesignComparison {
     /// reference path the flattened evaluation is tested against).
     pub fn run_workload(spec: &WorkloadSpec, cfg: &ExperimentConfig) -> WorkloadResults {
         let private = Self::run_single(spec, LlcDesign::Private, cfg);
-        let asr = Self::run_asr_with(spec, cfg, &ExperimentEngine::with_workers(1));
+        let asr = Self::run_asr(spec, cfg, &TraceArena::new());
         let shared = Self::run_single(spec, LlcDesign::Shared, cfg);
         let rnuca = Self::run_single(spec, LlcDesign::rnuca_default(), cfg);
         let ideal = Self::run_single(spec, LlcDesign::Ideal, cfg);
@@ -331,33 +295,22 @@ impl DesignComparison {
         }
     }
 
-    /// Runs the full evaluation suite on a default-sized engine.
-    pub fn run_evaluation(cfg: &ExperimentConfig) -> DesignComparison {
-        Self::run_evaluation_with(cfg, &ExperimentEngine::new())
-    }
-
-    /// [`Self::run_evaluation`] on an explicit engine.
+    /// Runs the full evaluation suite on `engine`.
     ///
-    /// Every `(workload, design variant)` pair — including each ASR version —
-    /// is one job, so the pool balances across the whole evaluation instead
-    /// of per workload. The assembled comparison is identical to running
-    /// [`Self::run_workload`] sequentially over the suite, for every worker
-    /// count.
-    pub fn run_evaluation_with(
-        cfg: &ExperimentConfig,
-        engine: &ExperimentEngine,
-    ) -> DesignComparison {
-        Self::run_evaluation_with_arena(cfg, engine, &TraceArena::new())
+    /// Every `(workload, design)` pair is one job, so the pool balances
+    /// across the whole evaluation instead of per workload. The assembled
+    /// comparison is identical to running [`Self::run_workload`]
+    /// sequentially over the suite, for every worker count.
+    pub fn run_evaluation(cfg: &ExperimentConfig, engine: &ExperimentEngine) -> DesignComparison {
+        Self::evaluate(cfg, engine, &TraceArena::new())
     }
 
-    /// [`Self::run_evaluation_with`] resolving jobs through an explicit
-    /// `arena` (exposed so callers can share streams across evaluations and
-    /// inspect deduplication).
+    /// [`Self::run_evaluation`] resolving jobs through `arena`.
     ///
     /// Each workload contributes five jobs, all replaying its one stream:
-    /// P, S, R and I warm in place, and the ASR job warms once and measures
-    /// a clone per version (see [`Self::run_asr_with_arena`]).
-    pub fn run_evaluation_with_arena(
+    /// P, S, R and I run as [`ScenarioJob`]s, and the ASR job warms once
+    /// and measures a clone per version (see [`Self::run_asr`]).
+    fn evaluate(
         cfg: &ExperimentConfig,
         engine: &ExperimentEngine,
         arena: &TraceArena,
@@ -373,17 +326,26 @@ impl DesignComparison {
             LlcDesign::rnuca_default(),
             LlcDesign::Ideal,
         ];
-        let jobs: Vec<(&WorkloadSpec, LlcDesign)> = specs
+        let jobs: Vec<ScenarioJob> = specs
             .iter()
-            .flat_map(|spec| designs.map(|design| (spec, design)))
+            .flat_map(|spec| {
+                designs.map(|design| ScenarioJob {
+                    workload: spec.clone(),
+                    design,
+                    point: ConfigPoint::baseline(),
+                })
+            })
             .collect();
-        let serial = ExperimentEngine::with_workers(1);
         let mut results = engine
-            .run(&jobs, |_, &(spec, design)| {
-                if design == asr {
-                    Self::run_asr_with_arena(spec, cfg, &serial, arena)
+            .run(&jobs, |_, job| {
+                if job.design == asr {
+                    Self::run_asr(&job.workload, cfg, arena)
                 } else {
-                    Self::run_single_with_arena(spec, design, cfg, arena)
+                    RunResult {
+                        workload: job.workload.name.clone(),
+                        design: job.design,
+                        run: job.run(cfg, arena),
+                    }
                 }
             })
             .into_iter();
@@ -396,55 +358,6 @@ impl DesignComparison {
             })
             .collect();
         DesignComparison { workloads }
-    }
-
-    /// Sweeps the R-NUCA instruction-cluster size over `sizes` for every
-    /// workload (Figure 11). Returns, per workload, one result per size.
-    pub fn run_cluster_sweep(
-        cfg: &ExperimentConfig,
-        sizes: &[usize],
-    ) -> Vec<(String, Vec<(usize, MeasuredRun)>)> {
-        Self::run_cluster_sweep_with(cfg, sizes, &ExperimentEngine::new())
-    }
-
-    /// [`Self::run_cluster_sweep`] on an explicit engine. Sizes exceeding a
-    /// workload's core count are skipped. Every `(workload, size)` pair is
-    /// one job; the sizes of one workload replay the same arena slab (the
-    /// cluster size never changes the reference stream) but warm separately,
-    /// since cluster size changes where warm-up places instruction blocks.
-    pub fn run_cluster_sweep_with(
-        cfg: &ExperimentConfig,
-        sizes: &[usize],
-        engine: &ExperimentEngine,
-    ) -> Vec<(String, Vec<(usize, MeasuredRun)>)> {
-        let specs = WorkloadSpec::evaluation_suite();
-        let arena = TraceArena::new();
-        let jobs: Vec<(usize, usize)> = specs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, spec)| {
-                sizes
-                    .iter()
-                    .copied()
-                    .filter(|&s| s <= spec.num_cores())
-                    .map(move |s| (i, s))
-            })
-            .collect();
-        let runs = engine.run(&jobs, |_, &(i, size)| {
-            let design = LlcDesign::RNuca {
-                instr_cluster_size: size,
-            };
-            Self::run_single_with_arena(&specs[i], design, cfg, &arena).run
-        });
-
-        let mut rows: Vec<(String, Vec<(usize, MeasuredRun)>)> = specs
-            .iter()
-            .map(|spec| (spec.name.clone(), Vec::new()))
-            .collect();
-        for (&(i, size), run) in jobs.iter().zip(runs) {
-            rows[i].1.push((size, run));
-        }
-        rows
     }
 
     /// The results for one workload by name.
@@ -490,6 +403,7 @@ impl DesignComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ScenarioMatrix, ScenarioSweep, SweepOptions};
 
     #[test]
     fn run_single_produces_named_result() {
@@ -530,7 +444,7 @@ mod tests {
         cfg.asr_best_of = true;
         cfg.warmup_refs = 10_000;
         cfg.measured_refs = 8_000;
-        let best = DesignComparison::run_asr(&spec, &cfg);
+        let best = DesignComparison::run_asr(&spec, &cfg, &TraceArena::new());
         // The best-of result can be no slower than the adaptive version alone.
         let adaptive = DesignComparison::run_single(
             &spec,
@@ -543,14 +457,19 @@ mod tests {
     }
 
     #[test]
-    fn run_single_with_arena_matches_the_streaming_path() {
+    fn scenario_job_run_matches_the_streaming_path() {
         let cfg = ExperimentConfig::quick();
         let arena = TraceArena::new();
         for design in LlcDesign::speedup_set() {
             let spec = WorkloadSpec::oltp_db2();
+            let job = ScenarioJob {
+                workload: spec.clone(),
+                design,
+                point: ConfigPoint::baseline(),
+            };
             assert_eq!(
-                DesignComparison::run_single_with_arena(&spec, design, &cfg, &arena),
-                DesignComparison::run_single(&spec, design, &cfg),
+                job.run(&cfg, &arena),
+                DesignComparison::run_single(&spec, design, &cfg).run,
                 "{design} must be replay-invariant"
             );
         }
@@ -566,12 +485,7 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let arena = TraceArena::new();
-        let best = DesignComparison::run_asr_with_arena(
-            &spec,
-            &cfg,
-            &ExperimentEngine::with_workers(4),
-            &arena,
-        );
+        let best = DesignComparison::run_asr(&spec, &cfg, &arena);
         assert_eq!(best.design.letter(), "A");
         assert_eq!(arena.len(), 1, "six variants, one unique key");
         assert_eq!(arena.generations(), 1, "the stream was generated once");
@@ -586,11 +500,8 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let arena = TraceArena::new();
-        let comparison = DesignComparison::run_evaluation_with_arena(
-            &cfg,
-            &ExperimentEngine::with_workers(4),
-            &arena,
-        );
+        let comparison =
+            DesignComparison::evaluate(&cfg, &ExperimentEngine::with_workers(4), &arena);
         assert_eq!(comparison.workloads.len(), 8);
         assert_eq!(arena.len(), WorkloadSpec::evaluation_suite().len());
         assert_eq!(arena.generations(), arena.len());
@@ -635,12 +546,7 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let traces = TraceArena::new();
-        let best = DesignComparison::run_asr_with_arena(
-            &spec,
-            &cfg,
-            &ExperimentEngine::with_workers(4),
-            &traces,
-        );
+        let best = DesignComparison::run_asr(&spec, &cfg, &traces);
         let fresh = DesignComparison::best_asr(
             AsrPolicy::all_versions()
                 .into_iter()
@@ -661,11 +567,8 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let traces = TraceArena::new();
-        let comparison = DesignComparison::run_evaluation_with_arena(
-            &cfg,
-            &ExperimentEngine::with_workers(4),
-            &traces,
-        );
+        let comparison =
+            DesignComparison::evaluate(&cfg, &ExperimentEngine::with_workers(4), &traces);
         let specs = WorkloadSpec::evaluation_suite();
         assert_eq!(comparison.workloads.len(), specs.len());
         for (spec, workload) in specs.iter().zip(&comparison.workloads) {
@@ -694,7 +597,7 @@ mod tests {
         // exactly the comparison the per-workload path produces on quick().
         let cfg = ExperimentConfig::quick();
         let engine = ExperimentEngine::with_workers(4);
-        let flattened = DesignComparison::run_evaluation_with(&cfg, &engine);
+        let flattened = DesignComparison::run_evaluation(&cfg, &engine);
         let per_workload: Vec<WorkloadResults> = WorkloadSpec::evaluation_suite()
             .iter()
             .map(|spec| DesignComparison::run_workload(spec, &cfg))
@@ -708,11 +611,18 @@ mod tests {
         cfg.warmup_refs = 5_000;
         cfg.measured_refs = 4_000;
         cfg.asr_best_of = true; // exercise the flattened best-of-six jobs
-        let serial =
-            DesignComparison::run_evaluation_with(&cfg, &ExperimentEngine::with_workers(1));
-        let pooled =
-            DesignComparison::run_evaluation_with(&cfg, &ExperimentEngine::with_workers(8));
+        let serial = DesignComparison::run_evaluation(&cfg, &ExperimentEngine::with_workers(1));
+        let pooled = DesignComparison::run_evaluation(&cfg, &ExperimentEngine::with_workers(8));
         assert_eq!(serial, pooled);
+    }
+
+    /// Figure 11's cluster sweep on `workers` workers.
+    fn cluster_sweep(cfg: &ExperimentConfig, sizes: &[usize], workers: usize) -> ScenarioSweep {
+        ScenarioMatrix::cluster_sweep(*cfg, sizes)
+            .run(&SweepOptions::new(ExperimentEngine::with_workers(workers)))
+            .expect("the cluster sweep's axes are valid")
+            .sweep
+            .into_sweep()
     }
 
     #[test]
@@ -720,16 +630,8 @@ mod tests {
         let mut cfg = ExperimentConfig::quick();
         cfg.warmup_refs = 3_000;
         cfg.measured_refs = 2_000;
-        let serial = DesignComparison::run_cluster_sweep_with(
-            &cfg,
-            &[1, 4],
-            &ExperimentEngine::with_workers(1),
-        );
-        let pooled = DesignComparison::run_cluster_sweep_with(
-            &cfg,
-            &[1, 4],
-            &ExperimentEngine::with_workers(6),
-        );
+        let serial = cluster_sweep(&cfg, &[1, 4], 1);
+        let pooled = cluster_sweep(&cfg, &[1, 4], 6);
         assert_eq!(serial, pooled);
     }
 
@@ -738,13 +640,14 @@ mod tests {
         let mut cfg = ExperimentConfig::quick();
         cfg.warmup_refs = 5_000;
         cfg.measured_refs = 5_000;
-        let sweep = DesignComparison::run_cluster_sweep(&cfg, &[1, 4]);
-        assert_eq!(sweep.len(), WorkloadSpec::evaluation_suite().len());
-        for (name, rows) in &sweep {
-            assert!(!name.is_empty());
+        let sweep = cluster_sweep(&cfg, &[1, 4], 2);
+        let suite = WorkloadSpec::evaluation_suite();
+        assert_eq!(sweep.results.len(), 2 * suite.len());
+        for spec in &suite {
+            let rows = sweep.workload(&spec.name);
             assert_eq!(rows.len(), 2, "both sizes apply to every workload");
-            assert_eq!(rows[0].0, 1);
-            assert_eq!(rows[1].0, 4);
+            assert_eq!(rows[0].point.instr_cluster_size, Some(1));
+            assert_eq!(rows[1].point.instr_cluster_size, Some(4));
         }
     }
 }

@@ -59,8 +59,8 @@ pub use journal::{
 };
 pub use report::TextTable;
 pub use scenario::{
-    failed_record, result_from, sweep_record, QuarantinedSweep, ResumeSummary, ScenarioJob,
-    ScenarioMatrix, ScenarioResult, ScenarioSweep, SweepError, SWEEP_SCHEMA_VERSION,
+    QuarantinedSweep, ResumeSummary, ScenarioJob, ScenarioMatrix, ScenarioResult, ScenarioSweep,
+    SweepError, SweepOptions, SweepOutcome, SWEEP_SCHEMA_VERSION,
 };
 pub use simulator::{CmpSimulator, MeasuredRun};
 pub use tile::{BlockMeta, Tile, TileAccess};

@@ -1,5 +1,5 @@
 //! Declarative scenario matrices: one struct, every `(workload, design,
-//! config-point)` combination.
+//! config-point)` combination, and the one function that runs them.
 //!
 //! The paper's figures each hand-rolled their own loop (per-workload designs
 //! for Figures 7-10/12, cluster sizes for Figure 11). A [`ScenarioMatrix`]
@@ -10,18 +10,25 @@
 //! in a deterministic order (and are identical for every worker-pool size),
 //! ready for tables or the JSON emitted by [`ScenarioSweep::to_json`].
 //!
+//! [`ScenarioMatrix::run`] is the only way to execute a matrix. Its
+//! [`SweepOptions`] choose everything else: the engine and trace arena, an
+//! optional journal (created, or replayed with `resume`), an optional
+//! [`RetryPolicy`] (absent: fail fast; present: per-job quarantine with
+//! backoff and deadlines), an optional warehouse sink, and the experiment
+//! service's stop flag and progress callback. `figures`, the service and
+//! the tests all call it.
+//!
 //! Every job is independent: [`ScenarioJob::run`] builds the job's
 //! simulator, warms it in place over the job's [`TraceArena`] slab, and
 //! measures the rest of the slab. A matrix shares reference streams (one per
 //! unique `(workload, core count, seed)`, materialized once each) but never
-//! warmed state, so the plain, journaled and supervised paths — and the
-//! experiment service — all execute the same per-job function, and a job's
-//! result does not depend on which other jobs ran beside it.
+//! warmed state, so a job's result does not depend on which options ran it
+//! or on which other jobs ran beside it.
 //!
 //! # Example
 //!
 //! ```
-//! use rnuca_sim::{ExperimentConfig, LlcDesign, ScenarioMatrix};
+//! use rnuca_sim::{ExperimentConfig, ExperimentEngine, LlcDesign, ScenarioMatrix, SweepOptions};
 //! use rnuca_workloads::WorkloadSpec;
 //!
 //! let mut matrix = ScenarioMatrix::new(ExperimentConfig::smoke());
@@ -31,15 +38,17 @@
 //! matrix.cluster_sizes = vec![2, 4];
 //! // 1 workload x 2 core counts x (shared + R-NUCA at 2 cluster sizes).
 //! assert_eq!(matrix.jobs().unwrap().len(), 2 * 3);
+//! let outcome = matrix.run(&SweepOptions::new(ExperimentEngine::with_workers(2))).unwrap();
+//! assert_eq!(outcome.sweep.completed(), 6);
 //! ```
 
-use crate::design::LlcDesign;
-use crate::engine::{ExperimentEngine, JobFailure};
-use crate::experiment::{DesignComparison, ExperimentConfig};
+use crate::design::{AsrPolicy, LlcDesign};
+use crate::engine::{lock, ExperimentEngine, JobFailure};
+use crate::experiment::ExperimentConfig;
 use crate::journal::{
     JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
 };
-use crate::simulator::MeasuredRun;
+use crate::simulator::{CmpSimulator, MeasuredRun};
 use rnuca_types::config::ConfigPoint;
 use rnuca_types::retry::RetryPolicy;
 use rnuca_types::{ConfigError, Fnv64};
@@ -48,11 +57,12 @@ use rnuca_workloads::{TraceArena, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Schema version of the sweep rows [`ScenarioMatrix::run_forked_into`]
-/// appends to the warehouse (bumped when their column content changes
-/// meaning, so old and new rows stay distinguishable by the `schema`
-/// column).
+/// Schema version of the sweep rows [`ScenarioMatrix::run`] appends to the
+/// warehouse (bumped when their column content changes meaning, so old and
+/// new rows stay distinguishable by the `schema` column).
 pub const SWEEP_SCHEMA_VERSION: u64 = 1;
 
 /// A declarative sweep over workloads, designs, and configuration axes.
@@ -60,10 +70,9 @@ pub const SWEEP_SCHEMA_VERSION: u64 = 1;
 /// Empty axis vectors mean "use each workload's baseline value", so the
 /// default matrix reduces to a plain design comparison. `cluster_sizes`
 /// applies only to R-NUCA designs (other designs have no cluster parameter).
-/// Sizes exceeding a point's core count are skipped for that point
-/// (mirroring [`crate::DesignComparison::run_cluster_sweep`]); sizes that are not
-/// powers of two are skipped too, rather than panicking inside a worker the
-/// way the rotational map's constructor would.
+/// Sizes exceeding a point's core count are skipped for that point; sizes
+/// that are not powers of two are skipped too, rather than panicking inside
+/// a worker the way the rotational map's constructor would.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioMatrix {
     /// Workload profiles to evaluate.
@@ -95,8 +104,11 @@ impl ScenarioJob {
     /// Runs the job in place: builds the simulator, warms it over the job's
     /// arena slab, and measures the rest of the slab.
     ///
-    /// This is the one per-job path every matrix run and the experiment
-    /// service execute.
+    /// Replaying the arena slab is bit-identical to streaming the workload's
+    /// generator, and the slab is generated at most once per unique
+    /// `(workload, geometry, seed)` key no matter how many jobs replay it.
+    /// This is the one per-job path every matrix run, the design comparison
+    /// and the experiment service execute.
     pub fn run(&self, cfg: &ExperimentConfig, traces: &TraceArena) -> MeasuredRun {
         // Per-job injection site for the quarantine tests: the site name
         // pins one scenario regardless of worker count or job order, so a
@@ -109,7 +121,10 @@ impl ScenarioJob {
                 self.workload.num_cores()
             ));
         }
-        DesignComparison::run_single_with_arena(&self.workload, self.design, cfg, traces).run
+        let mut slice = traces.slice(&self.workload, cfg.seed, cfg.total_refs());
+        let mut sim = CmpSimulator::with_seed(self.design, &self.workload, cfg.seed);
+        sim.run_warmup(&mut slice, cfg.warmup_refs);
+        sim.run_measured(&mut slice, cfg.measured_refs)
     }
 }
 
@@ -139,13 +154,17 @@ pub struct ScenarioSweep {
     pub results: Vec<ScenarioResult>,
 }
 
-/// Why a journaled sweep could not run.
+/// Why a sweep could not run to completion.
 #[derive(Debug)]
 pub enum SweepError {
     /// The matrix itself is invalid (same errors as [`ScenarioMatrix::jobs`]).
     Config(ConfigError),
-    /// The journal could not be created, loaded, or matched to the matrix.
+    /// The journal could not be created, loaded, appended to, or matched to
+    /// the matrix.
     Journal(JournalError),
+    /// The stop flag was raised before every job had an outcome. The
+    /// journal holds every job finished so far; nothing reached the store.
+    Stopped,
 }
 
 impl fmt::Display for SweepError {
@@ -153,6 +172,7 @@ impl fmt::Display for SweepError {
         match self {
             SweepError::Config(e) => write!(f, "{e}"),
             SweepError::Journal(e) => write!(f, "{e}"),
+            SweepError::Stopped => f.write_str("the sweep was stopped before every job ran"),
         }
     }
 }
@@ -162,6 +182,7 @@ impl std::error::Error for SweepError {
         match self {
             SweepError::Config(e) => Some(e),
             SweepError::Journal(e) => Some(e),
+            SweepError::Stopped => None,
         }
     }
 }
@@ -187,8 +208,8 @@ pub struct ResumeSummary {
     pub ran: usize,
 }
 
-/// A supervised matrix run: per-job `Result`s instead of an all-or-nothing
-/// sweep. See [`ScenarioMatrix::run_supervised_forked`].
+/// A matrix run's per-job `Result`s: a supervised sweep quarantines failed
+/// jobs instead of aborting. A fail-fast sweep's results are all `Ok`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedSweep {
     /// The run lengths and seed the sweep used.
@@ -221,6 +242,92 @@ impl QuarantinedSweep {
     }
 }
 
+/// How [`ScenarioMatrix::run`] executes: every knob of a sweep in one value.
+///
+/// Start from [`SweepOptions::new`] and set the fields a run needs with
+/// struct-update syntax:
+///
+/// ```
+/// use rnuca_sim::{ExperimentEngine, SweepOptions};
+/// use rnuca_types::RetryPolicy;
+///
+/// let opts = SweepOptions {
+///     policy: Some(RetryPolicy::immediate(1)),
+///     ..SweepOptions::new(ExperimentEngine::with_workers(2))
+/// };
+/// assert!(opts.journal.is_none());
+/// ```
+pub struct SweepOptions<'a> {
+    /// The worker pool jobs run on.
+    pub engine: ExperimentEngine,
+    /// Where jobs resolve their reference streams (shared so callers can
+    /// reuse streams across sweeps and inspect deduplication).
+    pub arena: Arc<TraceArena>,
+    /// Journal every job's final outcome to this file as soon as it exists.
+    pub journal: Option<&'a Path>,
+    /// Load `journal` and replay its entries instead of creating it. The
+    /// journal's header must match this matrix (fingerprint and job count).
+    pub resume: bool,
+    /// `None`: fail fast — the first panicking job aborts the sweep with
+    /// its original panic. `Some`: every job runs under the policy's
+    /// retries, seeded backoff and per-attempt deadline, and a job whose
+    /// every attempt fails is quarantined (journaled as a typed failure
+    /// entry that resume replays instead of re-running).
+    pub policy: Option<RetryPolicy>,
+    /// Append one row per job here once every job has an outcome: a
+    /// `kind=sweep` row per result, a `kind=failed` row per quarantined job.
+    pub store: Option<&'a Warehouse>,
+    /// Stop claiming jobs once this flag is raised (jobs in flight finish
+    /// and are journaled); the run then ends with [`SweepError::Stopped`].
+    pub stop: Option<&'a AtomicBool>,
+    /// Called with `(done, total)` before the first job and after each job's
+    /// outcome is journaled, where `total` counts the jobs this run must
+    /// execute (those the journal did not replay).
+    pub progress: Option<&'a (dyn Fn(usize, usize) + Sync)>,
+}
+
+impl SweepOptions<'_> {
+    /// Fail-fast execution on `engine` with a fresh trace arena: no
+    /// journal, no store, no stop flag, no progress reports.
+    pub fn new(engine: ExperimentEngine) -> Self {
+        SweepOptions {
+            engine,
+            arena: Arc::new(TraceArena::new()),
+            journal: None,
+            resume: false,
+            policy: None,
+            store: None,
+            stop: None,
+            progress: None,
+        }
+    }
+}
+
+impl fmt::Debug for SweepOptions<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SweepOptions")
+            .field("engine", &self.engine)
+            .field("journal", &self.journal)
+            .field("resume", &self.resume)
+            .field("policy", &self.policy)
+            .field("store", &self.store.is_some())
+            .field("stop", &self.stop)
+            .field("progress", &self.progress.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+/// What [`ScenarioMatrix::run`] produced.
+#[derive(Debug)]
+pub struct SweepOutcome {
+    /// Every job's result or quarantined failure, in job order.
+    pub sweep: QuarantinedSweep,
+    /// How many jobs the journal replayed and how many ran.
+    pub resumed: ResumeSummary,
+    /// The warehouse append, when [`SweepOptions::store`] was set.
+    pub stored: Option<AppendSummary>,
+}
+
 impl ScenarioMatrix {
     /// An empty matrix (no workloads, no designs) with the given run config.
     pub fn new(cfg: ExperimentConfig) -> Self {
@@ -241,6 +348,21 @@ impl ScenarioMatrix {
         ScenarioMatrix {
             workloads: WorkloadSpec::evaluation_suite(),
             designs: vec![LlcDesign::Shared, LlcDesign::rnuca_default()],
+            ..Self::new(cfg)
+        }
+    }
+
+    /// Figure 11's instruction-cluster sweep: the full workload suite under
+    /// R-NUCA at each of `sizes`, in order, per workload. Sizes above a
+    /// workload's core count are skipped. Every size of one workload
+    /// replays the same stream (the cluster size never changes it) but
+    /// warms separately, since it changes where warm-up places instruction
+    /// blocks.
+    pub fn cluster_sweep(cfg: ExperimentConfig, sizes: &[usize]) -> Self {
+        ScenarioMatrix {
+            workloads: WorkloadSpec::evaluation_suite(),
+            designs: vec![LlcDesign::rnuca_default()],
+            cluster_sizes: sizes.to_vec(),
             ..Self::new(cfg)
         }
     }
@@ -311,425 +433,260 @@ impl ScenarioMatrix {
         Ok(jobs)
     }
 
-    /// Runs the matrix on a default-sized engine.
+    /// Runs the matrix as `opts` describe. The result vector is ordered by
+    /// job index and identical for every worker count, with or without a
+    /// journal, a policy or a store.
+    ///
+    /// With a journal, every job's final outcome is appended the moment it
+    /// exists, so a crash loses at most the jobs in flight. On resume,
+    /// journaled runs are replayed instead of re-run (and, under a policy,
+    /// so are journaled failures); because every job's result is a pure
+    /// function of the matrix and the seed, the resumed sweep — and any
+    /// warehouse built from it — is bit-identical to an uninterrupted run.
+    /// Store rows key on the workload fingerprint plus design, geometry,
+    /// seed, and schema, so re-running a matrix into the same store adds
+    /// zero rows and only genuinely new points grow it.
     ///
     /// # Errors
     ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run(&self) -> Result<ScenarioSweep, ConfigError> {
-        self.run_with(&ExperimentEngine::new())
-    }
-
-    /// Runs the matrix on an explicit engine. The result vector is ordered
-    /// by job index and identical for every worker count.
+    /// [`SweepError::Config`] for invalid matrices; [`SweepError::Journal`]
+    /// when the journal cannot be created, loaded, or appended to, or does
+    /// not belong to this matrix; [`SweepError::Stopped`] when the stop flag
+    /// ended the run early.
     ///
-    /// The matrix multiplies designs and slice capacities on top of far
-    /// fewer unique `(workload, core count, seed)` streams, so each stream
-    /// is generated once, into a [`TraceArena`], by the first job that needs
-    /// it, and every other job replays its slab.
+    /// # Panics
     ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_with(&self, engine: &ExperimentEngine) -> Result<ScenarioSweep, ConfigError> {
-        self.run_with_arena(engine, &TraceArena::new())
-    }
-
-    /// [`Self::run_with`] resolving jobs through an explicit `arena`
-    /// (exposed so callers can share streams across matrices and inspect
-    /// deduplication).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_with_arena(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-    ) -> Result<ScenarioSweep, ConfigError> {
+    /// Without a policy, re-raises the original panic of the lowest-indexed
+    /// panicking job.
+    pub fn run(&self, opts: &SweepOptions<'_>) -> Result<SweepOutcome, SweepError> {
         let jobs = self.jobs()?;
-        let completed = vec![None; jobs.len()];
-        let runs = self.run_core(engine, arena, &jobs, completed, None);
-        Ok(ScenarioSweep {
-            cfg: self.cfg,
-            results: jobs
+        let (journal, mut slots) = match opts.journal {
+            Some(path) => {
+                let (journal, entries) = self.open_journal(path, opts.resume, jobs.len())?;
+                let slots = entries
+                    .into_iter()
+                    .enumerate()
+                    .map(|(job, entry)| match entry {
+                        Some(JournalEntry::Run(run)) => Some(Ok(run)),
+                        // A fail-fast sweep has no quarantine to replay a
+                        // failure into: the job re-runs (and, being
+                        // deterministic, re-raises its panic).
+                        Some(JournalEntry::Failed(f)) if opts.policy.is_some() => {
+                            Some(Err(JobFailure {
+                                job,
+                                attempts: f.attempts,
+                                cause: f.cause,
+                                message: f.message,
+                            }))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                (Some(journal), slots)
+            }
+            None => (None, vec![None; jobs.len()]),
+        };
+        let pending: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
+
+        // The one place a job's final outcome is recorded: appended to the
+        // journal, then reported. `k` indexes `pending`.
+        let done = AtomicUsize::new(0);
+        let report = |n: usize| {
+            if let Some(progress) = opts.progress {
+                progress(n, pending.len());
+            }
+        };
+        let accept = |k: usize, outcome: &Result<MeasuredRun, JobFailure>| {
+            if let Some(journal) = &journal {
+                let job = pending[k];
+                match outcome {
+                    Ok(run) => journal.append(job, run),
+                    Err(f) => journal.append_failure(
+                        job,
+                        &JournalFailure {
+                            attempts: f.attempts,
+                            cause: f.cause,
+                            message: f.message.clone(),
+                        },
+                    ),
+                }
+                .map_err(JournalError::Io)?;
+            }
+            report(done.fetch_add(1, Ordering::Relaxed) + 1);
+            Ok::<(), JournalError>(())
+        };
+        report(0);
+        let never = AtomicBool::new(false);
+        let stop = opts.stop.unwrap_or(&never);
+        let outcomes: Vec<Option<Result<MeasuredRun, JobFailure>>> = match &opts.policy {
+            None => {
+                let rejected = Mutex::new(None);
+                let runs = opts.engine.run(&pending, |k, &i| {
+                    if stop.load(Ordering::Acquire) || lock(&rejected).is_some() {
+                        return None;
+                    }
+                    let outcome = Ok(jobs[i].run(&self.cfg, &opts.arena));
+                    match accept(k, &outcome) {
+                        Ok(()) => Some(outcome),
+                        Err(e) => {
+                            lock(&rejected).get_or_insert(e);
+                            None
+                        }
+                    }
+                });
+                if let Some(e) = rejected
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                {
+                    return Err(e.into());
+                }
+                runs
+            }
+            Some(policy) => {
+                let cfg = self.cfg;
+                let arena = Arc::clone(&opts.arena);
+                opts.engine
+                    .run_supervised(
+                        Arc::new(pending.iter().map(|&i| jobs[i].clone()).collect()),
+                        cfg.seed,
+                        policy,
+                        stop,
+                        Arc::new(move |_, job: &ScenarioJob| job.run(&cfg, &arena)),
+                        accept,
+                    )?
+                    .into_iter()
+                    .zip(&pending)
+                    .map(|(slot, &job)| slot.map(|r| r.map_err(|f| JobFailure { job, ..f })))
+                    .collect()
+            }
+        };
+        for (&i, outcome) in pending.iter().zip(outcomes) {
+            slots[i] = outcome;
+        }
+        let results: Vec<Result<ScenarioResult, JobFailure>> = jobs
+            .iter()
+            .zip(slots)
+            .map(|(job, slot)| Some(slot?.map(|run| result_from(job, run))))
+            .collect::<Option<_>>()
+            .ok_or(SweepError::Stopped)?;
+        let stored = opts.store.map(|store| {
+            let records: Vec<RunRecord> = jobs
                 .iter()
-                .zip(runs)
-                .map(|(job, run)| result_from(job, run))
-                .collect(),
+                .zip(&results)
+                .map(|(job, result)| record(&self.cfg, job, result))
+                .collect();
+            store.append_all(&records)
+        });
+        Ok(SweepOutcome {
+            sweep: QuarantinedSweep {
+                cfg: self.cfg,
+                results,
+            },
+            resumed: ResumeSummary {
+                replayed: jobs.len() - pending.len(),
+                ran: pending.len(),
+            },
+            stored,
         })
     }
 
-    /// A fingerprint over every field of the matrix (and the journal
-    /// format version), identifying "the same sweep" for journal resume.
-    /// Any change — a workload profile, an axis value, a run length, the
-    /// seed — changes the fingerprint, so a stale journal is rejected
-    /// rather than silently mixed into a different sweep.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write(format!("{self:?}").as_bytes());
-        h.write(&JOURNAL_VERSION.to_le_bytes());
-        h.write(&SWEEP_SCHEMA_VERSION.to_le_bytes());
-        h.finish()
-    }
-
-    /// [`Self::run_with_arena`], journaling every completed job to `path`.
-    ///
-    /// With `resume` false, `path` is created (truncating any previous
-    /// journal). With `resume` true, `path` is loaded first: its header
-    /// must match this matrix (fingerprint and job count), journaled jobs
-    /// are replayed instead of re-run, and only the remainder executes.
-    /// Because every job's result is a pure function of the matrix and the
-    /// seed, the resumed sweep — and any warehouse built from it — is
-    /// bit-identical to an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::Config`] for invalid matrices; [`SweepError::Journal`]
-    /// when the journal cannot be created or loaded, or does not belong to
-    /// this matrix.
-    pub fn run_forked_journaled(
+    /// Creates the journal at `path`, or (with `resume`) loads it, checks
+    /// that it records this matrix, and reopens it for appending. Returns
+    /// the journal and its replayed entries, one slot per job.
+    fn open_journal(
         &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
         path: &Path,
         resume: bool,
-    ) -> Result<(ScenarioSweep, ResumeSummary), SweepError> {
-        let jobs = self.jobs()?;
+        jobs: usize,
+    ) -> Result<(SweepJournal, Vec<Option<JournalEntry>>), JournalError> {
         let fingerprint = self.fingerprint();
-        let (journal, completed) = if resume {
-            let replay = JournalReplay::load(path)?;
-            if replay.fingerprint != fingerprint {
-                return Err(JournalError::FingerprintMismatch {
-                    found: replay.fingerprint,
-                    expected: fingerprint,
-                }
-                .into());
-            }
-            if replay.jobs as usize != jobs.len() {
-                return Err(JournalError::JobCountMismatch {
-                    found: replay.jobs,
-                    expected: jobs.len() as u64,
-                }
-                .into());
-            }
-            let journal = SweepJournal::resume(path, &replay).map_err(JournalError::Io)?;
-            // This is the fail-fast path: a journaled *failure* entry does
-            // not satisfy the job (there is no run to replay), so the job
-            // re-runs — and, being deterministic, re-raises its panic. Use
-            // [`Self::run_supervised_journaled`] to skip quarantined jobs.
-            let runs = replay
-                .entries
-                .into_iter()
-                .map(|entry| match entry {
-                    Some(JournalEntry::Run(run)) => Some(run),
-                    _ => None,
-                })
-                .collect();
-            (journal, runs)
-        } else {
-            let journal = SweepJournal::create(path, fingerprint, jobs.len() as u64)
-                .map_err(JournalError::Io)?;
-            (journal, vec![None; jobs.len()])
-        };
-        let replayed = completed.iter().filter(|c| c.is_some()).count();
-        let runs = self.run_core(engine, arena, &jobs, completed, Some(&journal));
-        let sweep = ScenarioSweep {
-            cfg: self.cfg,
-            results: jobs
-                .iter()
-                .zip(runs)
-                .map(|(job, run)| result_from(job, run))
-                .collect(),
-        };
-        Ok((
-            sweep,
-            ResumeSummary {
-                replayed,
-                ran: jobs.len() - replayed,
-            },
-        ))
-    }
-
-    /// [`Self::run_forked_journaled`], additionally appending one
-    /// `kind=sweep` row per result into `store` (the journaled analogue of
-    /// [`Self::run_forked_into`], with the same dedup-by-key semantics).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run_forked_journaled`].
-    pub fn run_forked_into_journaled(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        path: &Path,
-        resume: bool,
-        store: &Warehouse,
-    ) -> Result<(ScenarioSweep, AppendSummary, ResumeSummary), SweepError> {
-        let (sweep, resumed) = self.run_forked_journaled(engine, arena, path, resume)?;
-        let jobs = self.jobs()?;
-        let records: Vec<RunRecord> = jobs
-            .iter()
-            .zip(&sweep.results)
-            .map(|(job, result)| sweep_record(&self.cfg, &job.workload, result))
-            .collect();
-        let summary = store.append_all(&records);
-        Ok((sweep, summary, resumed))
-    }
-
-    /// [`Self::run_supervised_forked`] composed with the journal — the
-    /// crash-safe *and* panic-safe sweep.
-    ///
-    /// Before this composition existed, journaled sweeps were fail-fast: a
-    /// single poisoned member killed the whole sweep, and `--resume` would
-    /// deterministically re-crash on the same job forever. Here every
-    /// completed job journals a run entry as before, while a job whose
-    /// every attempt fails journals a *typed failure entry* — so resume
-    /// replays completed jobs as results, replays quarantined jobs as
-    /// failures (skipping them instead of re-crashing), and re-runs only
-    /// jobs with no entry at all.
-    ///
-    /// Every pending job runs under `policy` — its retry budget and seeded
-    /// backoff (the pause schedule derives from the matrix seed, so it is
-    /// identical for every worker count). The policy's `deadline` is not
-    /// enforced on this borrow-based path; the experiment service's runner
-    /// enforces deadlines per job via
-    /// [`ExperimentEngine::run_supervised_detached`].
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::Config`] for invalid matrices; [`SweepError::Journal`]
-    /// when the journal cannot be created, loaded, appended, or does not
-    /// belong to this matrix.
-    pub fn run_supervised_journaled(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        path: &Path,
-        resume: bool,
-        policy: &RetryPolicy,
-    ) -> Result<(QuarantinedSweep, ResumeSummary), SweepError> {
-        let jobs = self.jobs()?;
-        let fingerprint = self.fingerprint();
-        let (journal, journaled) = if resume {
-            let replay = JournalReplay::load(path)?;
-            if replay.fingerprint != fingerprint {
-                return Err(JournalError::FingerprintMismatch {
-                    found: replay.fingerprint,
-                    expected: fingerprint,
-                }
-                .into());
-            }
-            if replay.jobs as usize != jobs.len() {
-                return Err(JournalError::JobCountMismatch {
-                    found: replay.jobs,
-                    expected: jobs.len() as u64,
-                }
-                .into());
-            }
-            let journal = SweepJournal::resume(path, &replay).map_err(JournalError::Io)?;
-            (journal, replay.entries)
-        } else {
-            let journal = SweepJournal::create(path, fingerprint, jobs.len() as u64)
-                .map_err(JournalError::Io)?;
-            (journal, vec![None; jobs.len()])
-        };
-        let replayed = journaled.iter().filter(|e| e.is_some()).count();
-
-        let mut results: Vec<Option<Result<ScenarioResult, JobFailure>>> =
-            jobs.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, entry) in journaled.into_iter().enumerate() {
-            match entry {
-                Some(JournalEntry::Run(run)) => {
-                    results[i] = Some(Ok(result_from(&jobs[i], run)));
-                }
-                Some(JournalEntry::Failed(f)) => {
-                    results[i] = Some(Err(JobFailure {
-                        job: i,
-                        attempts: f.attempts,
-                        cause: f.cause,
-                        message: f.message,
-                    }));
-                }
-                None => pending.push(i),
-            }
+        if !resume {
+            let journal = SweepJournal::create(path, fingerprint, jobs as u64)?;
+            return Ok((journal, vec![None; jobs]));
         }
-
-        let outcomes = engine.run_supervised_policy(&pending, self.cfg.seed, policy, |_, &i| {
-            let run = jobs[i].run(&self.cfg, arena);
-            journal
-                .append(i, &run)
-                .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-            run
-        });
-        for (&i, outcome) in pending.iter().zip(outcomes) {
-            results[i] = Some(match outcome {
-                Ok(run) => Ok(result_from(&jobs[i], run)),
-                Err(failure) => {
-                    let failure = JobFailure { job: i, ..failure };
-                    journal
-                        .append_failure(
-                            i,
-                            &JournalFailure {
-                                attempts: failure.attempts,
-                                cause: failure.cause,
-                                message: failure.message.clone(),
-                            },
-                        )
-                        .map_err(JournalError::Io)?;
-                    Err(failure)
-                }
+        let replay = JournalReplay::load(path)?;
+        if replay.fingerprint != fingerprint {
+            return Err(JournalError::FingerprintMismatch {
+                found: replay.fingerprint,
+                expected: fingerprint,
             });
         }
-        Ok((
-            QuarantinedSweep {
-                cfg: self.cfg,
-                results: results
-                    .into_iter()
-                    .map(|r| r.expect("every job is replayed or run"))
-                    .collect(),
-            },
-            ResumeSummary {
-                replayed,
-                ran: jobs.len() - replayed,
-            },
-        ))
-    }
-
-    /// [`Self::run_supervised_journaled`], additionally appending one row
-    /// per job into `store`: a `kind=sweep` row for each completed job and
-    /// a `kind=failed` row (failure message in the `failure` column) for
-    /// each quarantined one, so `figures query kind=failed` lists exactly
-    /// what a sweep lost instead of failures silently vanishing.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run_supervised_journaled`].
-    pub fn run_supervised_into_journaled(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        path: &Path,
-        resume: bool,
-        policy: &RetryPolicy,
-        store: &Warehouse,
-    ) -> Result<(QuarantinedSweep, AppendSummary, ResumeSummary), SweepError> {
-        let (sweep, resumed) =
-            self.run_supervised_journaled(engine, arena, path, resume, policy)?;
-        let jobs = self.jobs()?;
-        let records: Vec<RunRecord> = jobs
-            .iter()
-            .zip(&sweep.results)
-            .map(|(job, result)| match result {
-                Ok(result) => sweep_record(&self.cfg, &job.workload, result),
-                Err(failure) => failed_record(&self.cfg, job, failure),
-            })
-            .collect();
-        let summary = store.append_all(&records);
-        Ok((sweep, summary, resumed))
-    }
-
-    /// [`Self::run_with_arena`] with per-job panic quarantine: one poisoned
-    /// scenario yields a [`JobFailure`] in its slot while every other job
-    /// completes. Each job gets up to `retries` extra attempts before it is
-    /// quarantined.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_supervised_forked(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        retries: u32,
-    ) -> Result<QuarantinedSweep, ConfigError> {
-        let jobs = self.jobs()?;
-        let outcomes = engine.run_supervised(&jobs, retries, |_, job| job.run(&self.cfg, arena));
-        Ok(QuarantinedSweep {
-            cfg: self.cfg,
-            results: jobs
-                .iter()
-                .zip(outcomes)
-                .map(|(job, outcome)| outcome.map(|run| result_from(job, run)))
-                .collect(),
-        })
-    }
-
-    /// The shared execution path: runs every job whose slot in `completed`
-    /// is `None`, journaling each finished job when a journal is given, and
-    /// returns the full run vector in job order (replayed results merged
-    /// with computed ones).
-    fn run_core(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        jobs: &[ScenarioJob],
-        completed: Vec<Option<MeasuredRun>>,
-        journal: Option<&SweepJournal>,
-    ) -> Vec<MeasuredRun> {
-        let pending: Vec<usize> = (0..jobs.len())
-            .filter(|&i| completed[i].is_none())
-            .collect();
-        let runs = engine.run(&pending, |_, &i| {
-            let run = jobs[i].run(&self.cfg, arena);
-            if let Some(journal) = journal {
-                // Journal each job as soon as it completes: a crash loses
-                // at most the jobs in flight (re-run deterministically on
-                // resume).
-                journal
-                    .append(i, &run)
-                    .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-            }
-            run
-        });
-        let mut all = completed;
-        for (&i, run) in pending.iter().zip(runs) {
-            all[i] = Some(run);
+        if replay.jobs as usize != jobs {
+            return Err(JournalError::JobCountMismatch {
+                found: replay.jobs,
+                expected: jobs as u64,
+            });
         }
-        all.into_iter()
-            .map(|r| r.expect("every job is replayed or run"))
-            .collect()
+        let journal = SweepJournal::resume(path, &replay)?;
+        Ok((journal, replay.entries))
     }
 
-    /// [`Self::run_with_arena`], additionally appending one `kind=sweep` row
-    /// per result into `store`.
+    /// A fingerprint over every field of the matrix (and the journal and
+    /// row format versions), identifying "the same sweep" for journal
+    /// resume and service submission ids. Any change — a workload profile,
+    /// an axis value, a run length, the seed — changes the fingerprint, so
+    /// a stale journal is rejected rather than silently mixed into a
+    /// different sweep.
     ///
-    /// Rows are keyed by the full workload-spec fingerprint plus design,
-    /// geometry, seed, and schema, so re-running the same matrix into the
-    /// same store adds zero rows — repeated sweeps accumulate
-    /// incrementally, and only genuinely new points grow the store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_forked_into(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        store: &Warehouse,
-    ) -> Result<(ScenarioSweep, AppendSummary), ConfigError> {
-        let sweep = self.run_with_arena(engine, arena)?;
-        // jobs() is deterministic and cheap next to the simulation, so
-        // re-flattening recovers each result's full WorkloadSpec (the
-        // sweep itself only keeps the name) for fingerprinting.
-        let jobs = self.jobs()?;
-        let records: Vec<RunRecord> = jobs
-            .iter()
-            .zip(&sweep.results)
-            .map(|(job, result)| sweep_record(&self.cfg, &job.workload, result))
-            .collect();
-        let summary = store.append_all(&records);
-        Ok((sweep, summary))
+    /// Fields are mixed one by one in an explicit encoding (workloads via
+    /// [`WorkloadSpec::fingerprint`]), never through `Debug` output, so the
+    /// value is stable across compiler versions; exhaustive destructuring
+    /// makes a new field a compile error here.
+    pub fn fingerprint(&self) -> u64 {
+        let ScenarioMatrix {
+            workloads,
+            designs,
+            core_counts,
+            slice_capacities_kb,
+            cluster_sizes,
+            cfg,
+        } = self;
+        let ExperimentConfig {
+            warmup_refs,
+            measured_refs,
+            seed,
+            asr_best_of,
+        } = cfg;
+        let mut h = Fnv64::new();
+        h.write_u64(u64::from(JOURNAL_VERSION))
+            .write_u64(SWEEP_SCHEMA_VERSION)
+            .write_u64(workloads.len() as u64);
+        for workload in workloads {
+            h.write_u64(workload.fingerprint());
+        }
+        h.write_u64(designs.len() as u64);
+        for design in designs {
+            match design {
+                LlcDesign::Private => h.write_u64(0),
+                LlcDesign::Asr {
+                    policy: AsrPolicy::Static(p),
+                } => h.write_u64(1).write_f64(*p),
+                LlcDesign::Asr {
+                    policy: AsrPolicy::Adaptive,
+                } => h.write_u64(2),
+                LlcDesign::Shared => h.write_u64(3),
+                LlcDesign::RNuca { instr_cluster_size } => {
+                    h.write_u64(4).write_u64(*instr_cluster_size as u64)
+                }
+                LlcDesign::Ideal => h.write_u64(5),
+            };
+        }
+        for axis in [core_counts, slice_capacities_kb, cluster_sizes] {
+            h.write_u64(axis.len() as u64);
+            for &v in axis {
+                h.write_u64(v as u64);
+            }
+        }
+        h.write_u64(*warmup_refs as u64)
+            .write_u64(*measured_refs as u64)
+            .write_u64(*seed)
+            .write_bool(*asr_best_of);
+        h.finish()
     }
 }
 
 /// Labels one job's measured run with its resolved configuration.
-///
-/// Public so external drivers (the experiment service's runner) can turn
-/// journal-replayed and freshly-measured runs into the same results a
-/// library sweep produces.
-pub fn result_from(job: &ScenarioJob, run: MeasuredRun) -> ScenarioResult {
+fn result_from(job: &ScenarioJob, run: MeasuredRun) -> ScenarioResult {
     let system = job.workload.system_config();
     ScenarioResult {
         workload: job.workload.name.clone(),
@@ -741,71 +698,33 @@ pub fn result_from(job: &ScenarioJob, run: MeasuredRun) -> ScenarioResult {
     }
 }
 
-/// One sweep result as a warehouse row.
+/// One job's outcome as a warehouse row: `kind=sweep` with the metric
+/// columns for a result, `kind=failed` with the failure summary in the
+/// `failure` column for a quarantined job.
 ///
-/// Public so external drivers (the experiment service's runner) can build
-/// the exact rows the `run_*_into` methods would, then batch them into a
-/// single [`Warehouse::append_all`] call of their own.
-pub fn sweep_record(
+/// Both kinds carry the same identity columns (workload, design, geometry,
+/// seed, schema, and the workload's [`WorkloadSpec::fingerprint`]), so a
+/// failure is attributable to a precise scenario. Failed rows key on
+/// identity *and* the failure text: re-ingesting the same failure
+/// deduplicates, while the same scenario failing differently later adds a
+/// new row.
+fn record(
     cfg: &ExperimentConfig,
-    spec: &WorkloadSpec,
-    result: &ScenarioResult,
+    job: &ScenarioJob,
+    outcome: &Result<ScenarioResult, JobFailure>,
 ) -> RunRecord {
-    let mut r = RunRecord::new(
-        RowKind::Sweep,
-        cfg.seed as i64,
-        SWEEP_SCHEMA_VERSION as i64,
-        cfg.label(),
-    );
-    // FNV-1a over the full debug rendering, covering every field of the
-    // spec.
-    let mut h = Fnv64::new();
-    h.write(format!("{spec:?}").as_bytes());
-    r.fingerprint = h.finish();
-    r.workload = Some(result.workload.clone());
-    r.design = Some(result.design.letter().to_string());
-    r.letter = Some(result.design.letter().to_string());
-    r.cores = Some(result.cores as i64);
-    r.slice_kb = Some(result.slice_kb as i64);
-    r.cluster = match result.design {
-        LlcDesign::RNuca { instr_cluster_size } => Some(instr_cluster_size as i64),
-        _ => None,
+    let kind = match outcome {
+        Ok(_) => RowKind::Sweep,
+        Err(_) => RowKind::Failed,
     };
-    r.refs = Some(cfg.total_refs() as i64);
-    let b = &result.run.cpi.breakdown;
-    r.total_cpi = Some(result.run.total_cpi());
-    r.cpi_busy = Some(b.busy);
-    r.cpi_l1_to_l1 = Some(b.l1_to_l1);
-    r.cpi_l2 = Some(b.l2);
-    r.cpi_off_chip = Some(b.off_chip);
-    r.cpi_other = Some(b.other);
-    r.cpi_reclass = Some(b.reclassification);
-    r.off_chip_rate = Some(result.run.off_chip_rate);
-    r.l1_to_l1_rate = Some(result.run.l1_to_l1_rate);
-    r.misclass_rate = Some(result.run.misclassification_rate);
-    r.reclassifications = Some(result.run.reclassifications as i64);
-    r
-}
-
-/// One quarantined job as a `kind=failed` warehouse row.
-///
-/// Carries the same identity columns a sweep row would (workload, design,
-/// geometry, seed, schema, fingerprint) so the failure is attributable to a
-/// precise scenario, plus the failure summary in the `failure` column. No
-/// metric columns are set — there is no run to report. Rows key on identity
-/// *and* the failure text: re-ingesting the same failure deduplicates,
-/// while the same scenario failing differently later adds a new row.
-pub fn failed_record(cfg: &ExperimentConfig, job: &ScenarioJob, failure: &JobFailure) -> RunRecord {
     let mut r = RunRecord::new(
-        RowKind::Failed,
+        kind,
         cfg.seed as i64,
         SWEEP_SCHEMA_VERSION as i64,
         cfg.label(),
     );
-    let mut h = Fnv64::new();
-    h.write(format!("{:?}", job.workload).as_bytes());
-    r.fingerprint = h.finish();
     let system = job.workload.system_config();
+    r.fingerprint = job.workload.fingerprint();
     r.workload = Some(job.workload.name.clone());
     r.design = Some(job.design.letter().to_string());
     r.letter = Some(job.design.letter().to_string());
@@ -816,13 +735,32 @@ pub fn failed_record(cfg: &ExperimentConfig, job: &ScenarioJob, failure: &JobFai
         _ => None,
     };
     r.refs = Some(cfg.total_refs() as i64);
-    r.failure = Some(format!(
-        "{} after {} attempt{}: {}",
-        failure.cause,
-        failure.attempts,
-        if failure.attempts == 1 { "" } else { "s" },
-        failure.message
-    ));
+    match outcome {
+        Ok(result) => {
+            let run = &result.run;
+            let b = &run.cpi.breakdown;
+            r.total_cpi = Some(run.total_cpi());
+            r.cpi_busy = Some(b.busy);
+            r.cpi_l1_to_l1 = Some(b.l1_to_l1);
+            r.cpi_l2 = Some(b.l2);
+            r.cpi_off_chip = Some(b.off_chip);
+            r.cpi_other = Some(b.other);
+            r.cpi_reclass = Some(b.reclassification);
+            r.off_chip_rate = Some(run.off_chip_rate);
+            r.l1_to_l1_rate = Some(run.l1_to_l1_rate);
+            r.misclass_rate = Some(run.misclassification_rate);
+            r.reclassifications = Some(run.reclassifications as i64);
+        }
+        Err(failure) => {
+            r.failure = Some(format!(
+                "{} after {} attempt{}: {}",
+                failure.cause,
+                failure.attempts,
+                if failure.attempts == 1 { "" } else { "s" },
+                failure.message
+            ));
+        }
+    }
     r
 }
 
@@ -834,13 +772,7 @@ impl ScenarioSweep {
     /// formatting, so equal sweeps produce byte-identical documents — the
     /// property the worker-count determinism test pins down.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.results.len() * 256);
-        out.push_str("{\n  \"config\": {");
-        out.push_str(&format!(
-            "\"warmup_refs\": {}, \"measured_refs\": {}, \"seed\": {}, \"asr_best_of\": {}",
-            self.cfg.warmup_refs, self.cfg.measured_refs, self.cfg.seed, self.cfg.asr_best_of
-        ));
-        out.push_str("},\n  \"results\": [\n");
+        let mut out = json_head(&self.cfg, self.results.len());
         for (i, r) in self.results.iter().enumerate() {
             out.push_str("    ");
             out.push_str(&result_json(r));
@@ -858,6 +790,18 @@ impl ScenarioSweep {
     pub fn workload(&self, name: &str) -> Vec<&ScenarioResult> {
         self.results.iter().filter(|r| r.workload == name).collect()
     }
+}
+
+/// The opening of a sweep document: the config object and the start of the
+/// `results` array (shared by both sweep documents).
+fn json_head(cfg: &ExperimentConfig, results: usize) -> String {
+    let mut out = String::with_capacity(256 + results * 256);
+    out.push_str(&format!(
+        "{{\n  \"config\": {{\"warmup_refs\": {}, \"measured_refs\": {}, \"seed\": {}, \
+         \"asr_best_of\": {}}},\n  \"results\": [\n",
+        cfg.warmup_refs, cfg.measured_refs, cfg.seed, cfg.asr_best_of
+    ));
+    out
 }
 
 /// One scenario result as a JSON object (shared by both sweep documents).
@@ -900,13 +844,7 @@ impl QuarantinedSweep {
     /// with its index, attempt count, cause, and panic message — failures
     /// appear in the output instead of silently vanishing.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.results.len() * 256);
-        out.push_str("{\n  \"config\": {");
-        out.push_str(&format!(
-            "\"warmup_refs\": {}, \"measured_refs\": {}, \"seed\": {}, \"asr_best_of\": {}",
-            self.cfg.warmup_refs, self.cfg.measured_refs, self.cfg.seed, self.cfg.asr_best_of
-        ));
-        out.push_str("},\n  \"results\": [\n");
+        let mut out = json_head(&self.cfg, self.results.len());
         for (i, r) in self.results.iter().enumerate() {
             out.push_str("    ");
             match r {
@@ -966,6 +904,45 @@ mod tests {
         m
     }
 
+    /// The matrix's fail-fast sweep on `engine`, resolving streams through
+    /// `arena`.
+    fn sweep_on(
+        m: &ScenarioMatrix,
+        engine: ExperimentEngine,
+        arena: &Arc<TraceArena>,
+    ) -> ScenarioSweep {
+        let opts = SweepOptions {
+            arena: Arc::clone(arena),
+            ..SweepOptions::new(engine)
+        };
+        m.run(&opts)
+            .expect("the matrix is valid")
+            .sweep
+            .into_sweep()
+    }
+
+    /// The matrix's fail-fast sweep on a default-sized engine.
+    fn sweep_of(m: &ScenarioMatrix) -> ScenarioSweep {
+        sweep_on(m, ExperimentEngine::new(), &Arc::new(TraceArena::new()))
+    }
+
+    /// The matrix's sweep, appending its rows into `store`.
+    fn sweep_into(
+        m: &ScenarioMatrix,
+        engine: ExperimentEngine,
+        store: &Warehouse,
+    ) -> (ScenarioSweep, AppendSummary) {
+        let opts = SweepOptions {
+            store: Some(store),
+            ..SweepOptions::new(engine)
+        };
+        let outcome = m.run(&opts).expect("the matrix is valid");
+        (
+            outcome.sweep.into_sweep(),
+            outcome.stored.expect("a store was given"),
+        )
+    }
+
     #[test]
     fn empty_axes_reduce_to_the_baseline_comparison() {
         let m = tiny_matrix();
@@ -1000,7 +977,7 @@ mod tests {
         let mut m = tiny_matrix();
         m.core_counts = vec![24];
         assert!(m.jobs().is_err());
-        assert!(m.run().is_err());
+        assert!(m.run(&SweepOptions::new(ExperimentEngine::new())).is_err());
     }
 
     #[test]
@@ -1010,8 +987,9 @@ mod tests {
         let mut m = tiny_matrix();
         m.core_counts = vec![16, 32];
         m.cluster_sizes = vec![2, 4];
-        let serial = m.run_with(&ExperimentEngine::with_workers(1)).unwrap();
-        let pooled = m.run_with(&ExperimentEngine::with_workers(5)).unwrap();
+        let arena = Arc::new(TraceArena::new());
+        let serial = sweep_on(&m, ExperimentEngine::with_workers(1), &arena);
+        let pooled = sweep_on(&m, ExperimentEngine::with_workers(5), &arena);
         assert_eq!(serial, pooled);
         assert_eq!(serial.to_json(), pooled.to_json());
         assert_eq!(serial.results.len(), 2 * 3);
@@ -1025,10 +1003,8 @@ mod tests {
         let mut m = tiny_matrix();
         m.core_counts = vec![16, 32];
         m.slice_capacities_kb = vec![512, 1024];
-        let arena = TraceArena::new();
-        let sweep = m
-            .run_with_arena(&ExperimentEngine::with_workers(4), &arena)
-            .unwrap();
+        let arena = Arc::new(TraceArena::new());
+        let sweep = sweep_on(&m, ExperimentEngine::with_workers(4), &arena);
         assert_eq!(sweep.results.len(), 2 * 2 * 2);
         assert_eq!(arena.len(), 2, "one stream per core count");
         assert_eq!(arena.generations(), 2);
@@ -1056,10 +1032,8 @@ mod tests {
             },
         ];
         m.slice_capacities_kb = vec![512, 1024];
-        let traces = TraceArena::new();
-        let sweep = m
-            .run_with_arena(&ExperimentEngine::with_workers(4), &traces)
-            .unwrap();
+        let traces = Arc::new(TraceArena::new());
+        let sweep = sweep_on(&m, ExperimentEngine::with_workers(4), &traces);
         assert_eq!(sweep.results.len(), 3 * 2);
         assert_eq!(traces.len(), 1, "capacity never changes the stream");
         assert_eq!(traces.generations(), 1);
@@ -1102,7 +1076,7 @@ mod tests {
         let mut m = tiny_matrix();
         m.core_counts = vec![32];
         m.slice_capacities_kb = vec![512];
-        let sweep = m.run().unwrap();
+        let sweep = sweep_of(&m);
         assert!(!sweep.results.is_empty());
         for r in &sweep.results {
             assert_eq!(r.cores, 32);
@@ -1117,7 +1091,7 @@ mod tests {
     fn json_has_the_documented_shape() {
         let mut m = tiny_matrix();
         m.designs = vec![LlcDesign::rnuca_default()];
-        let sweep = m.run().unwrap();
+        let sweep = sweep_of(&m);
         let json = sweep.to_json();
         assert!(json.starts_with("{\n  \"config\""));
         assert!(json.contains("\"workload\": \"OLTP DB2\""));
@@ -1128,7 +1102,7 @@ mod tests {
         // Shared designs carry a null cluster.
         let mut m2 = tiny_matrix();
         m2.designs = vec![LlcDesign::Shared];
-        assert!(m2.run().unwrap().to_json().contains("\"cluster\": null"));
+        assert!(sweep_of(&m2).to_json().contains("\"cluster\": null"));
     }
 
     #[test]
@@ -1138,27 +1112,21 @@ mod tests {
         let engine = ExperimentEngine::with_workers(2);
         let store = Warehouse::new();
 
-        let (sweep, first) = m
-            .run_forked_into(&engine, &TraceArena::new(), &store)
-            .unwrap();
+        let (sweep, first) = sweep_into(&m, engine, &store);
         assert_eq!(first.added, sweep.results.len());
         assert_eq!(first.deduplicated, 0);
         assert_eq!(store.len(), sweep.results.len());
 
         // The same matrix again: fully deduplicated, store unchanged.
         let bytes = store.to_bytes();
-        let (_, second) = m
-            .run_forked_into(&engine, &TraceArena::new(), &store)
-            .unwrap();
+        let (_, second) = sweep_into(&m, engine, &store);
         assert_eq!(second.added, 0);
         assert_eq!(second.deduplicated, sweep.results.len());
         assert_eq!(store.to_bytes(), bytes, "re-ingest must be byte-identical");
 
         // A new axis point is incremental: only the new rows append.
         m.core_counts = vec![16, 32, 64];
-        let (bigger, third) = m
-            .run_forked_into(&engine, &TraceArena::new(), &store)
-            .unwrap();
+        let (bigger, third) = sweep_into(&m, engine, &store);
         assert_eq!(third.added, bigger.results.len() - sweep.results.len());
         assert_eq!(third.deduplicated, sweep.results.len());
         assert_eq!(store.len(), bigger.results.len());
@@ -1174,13 +1142,7 @@ mod tests {
     fn sweep_records_mirror_the_json_fields() {
         let m = tiny_matrix();
         let store = Warehouse::new();
-        let (sweep, _) = m
-            .run_forked_into(
-                &ExperimentEngine::with_workers(1),
-                &TraceArena::new(),
-                &store,
-            )
-            .unwrap();
+        let (sweep, _) = sweep_into(&m, ExperimentEngine::with_workers(1), &store);
         let out = store
             .query("kind=sweep sort design show design, cluster, total_cpi, off_chip_rate, config, schema, partial")
             .expect("clean query");
@@ -1206,5 +1168,98 @@ mod tests {
         assert_eq!(json_string("plain"), "\"plain\"");
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_string("x\ny"), "\"x\\u000ay\"");
+    }
+
+    #[test]
+    fn the_paper_evaluation_fingerprint_is_pinned() {
+        // Journals and service submission ids key on this value: a change
+        // here orphans every journal and spool entry written before it, so
+        // it must only move on purpose (a format or schema version bump).
+        assert_eq!(
+            ScenarioMatrix::paper_evaluation(ExperimentConfig::smoke()).fingerprint(),
+            0x470d_bd1c_e9cb_00f0
+        );
+    }
+
+    #[test]
+    fn changing_any_single_field_changes_the_fingerprint() {
+        use rnuca_types::config::SystemConfig;
+        use rnuca_workloads::SharingPattern;
+        type Mutation = fn(&mut ScenarioMatrix);
+        let mutations: Vec<(&str, Mutation)> = vec![
+            ("workloads", |m| m.workloads.push(WorkloadSpec::mix())),
+            ("designs", |m| m.designs.push(LlcDesign::Ideal)),
+            ("design parameter", |m| {
+                m.designs[1] = LlcDesign::RNuca {
+                    instr_cluster_size: 8,
+                }
+            }),
+            ("core_counts", |m| m.core_counts.push(32)),
+            ("slice_capacities_kb", |m| m.slice_capacities_kb.push(512)),
+            ("cluster_sizes", |m| m.cluster_sizes.push(2)),
+            ("warmup_refs", |m| m.cfg.warmup_refs += 1),
+            ("measured_refs", |m| m.cfg.measured_refs += 1),
+            ("seed", |m| m.cfg.seed += 1),
+            ("asr_best_of", |m| m.cfg.asr_best_of = !m.cfg.asr_best_of),
+            ("name", |m| m.workloads[0].name.push('!')),
+            ("preset", |m| {
+                m.workloads[0].preset = rnuca_workloads::CmpPreset::Desktop8
+            }),
+            ("busy_cpi", |m| m.workloads[0].busy_cpi += 0.5),
+            ("l2_refs_per_kilo_instr", |m| {
+                m.workloads[0].l2_refs_per_kilo_instr += 0.5
+            }),
+            ("instr_fraction", |m| m.workloads[0].instr_fraction += 0.01),
+            ("private_fraction", |m| {
+                m.workloads[0].private_fraction += 0.01
+            }),
+            ("shared_fraction", |m| {
+                m.workloads[0].shared_fraction += 0.01
+            }),
+            ("instr_footprint_kb", |m| {
+                m.workloads[0].instr_footprint_kb += 1
+            }),
+            ("private_footprint_kb_per_core", |m| {
+                m.workloads[0].private_footprint_kb_per_core += 1
+            }),
+            ("shared_footprint_kb", |m| {
+                m.workloads[0].shared_footprint_kb += 1
+            }),
+            ("shared_write_fraction", |m| {
+                m.workloads[0].shared_write_fraction += 0.01
+            }),
+            ("private_write_fraction", |m| {
+                m.workloads[0].private_write_fraction += 0.01
+            }),
+            ("sharing", |m| {
+                m.workloads[0].sharing = SharingPattern::NearestNeighbor { degree: 3 }
+            }),
+            ("hot_access_fraction", |m| {
+                m.workloads[0].hot_access_fraction += 0.01
+            }),
+            ("hot_footprint_fraction", |m| {
+                m.workloads[0].hot_footprint_fraction += 0.01
+            }),
+            ("config_override", |m| {
+                let cfg = m.workloads[0].system_config();
+                m.workloads[0].config_override = Some(cfg);
+            }),
+            ("config_override field", |m| {
+                let mut cfg: SystemConfig = m.workloads[0].system_config();
+                cfg.l2_slice.mshrs += 1;
+                m.workloads[0].config_override = Some(cfg);
+            }),
+        ];
+        let base = ScenarioMatrix::paper_evaluation(ExperimentConfig::smoke());
+        let mut seen = vec![("unchanged", base.fingerprint())];
+        for (field, mutate) in mutations {
+            let mut m = base.clone();
+            mutate(&mut m);
+            let fingerprint = m.fingerprint();
+            if let Some((other, _)) = seen.iter().find(|(_, f)| *f == fingerprint) {
+                panic!("changing {field} gives the same fingerprint as {other}");
+            }
+            seen.push((field, fingerprint));
+        }
     }
 }

@@ -3,21 +3,25 @@
 //! result, warehouse byte for warehouse byte — from a sweep that never
 //! crashed. And a panic injected into one scenario must quarantine exactly
 //! that scenario while every other job completes with its usual result.
+//! Every combination of journal, retry policy and warehouse sink must run
+//! the same sweep: the options choose how a sweep executes, never what it
+//! computes.
 //!
 //! Fail points are compiled in because this test depends on `rnuca-types`
 //! with the `failpoints` feature (dev-dependencies only; release builds of
 //! the library stay fault-free).
 
 use rnuca_sim::{
-    ExperimentConfig, ExperimentEngine, FailureCause, JournalError, ScenarioMatrix, SweepError,
+    ExperimentConfig, ExperimentEngine, FailureCause, JournalError, JournalReplay, ScenarioMatrix,
+    SweepError, SweepJournal, SweepOptions, SweepOutcome,
 };
 use rnuca_types::failpoint::{self, FailAction, FailSpec};
 use rnuca_types::RetryPolicy;
 use rnuca_warehouse::Warehouse;
 use rnuca_workloads::{TraceArena, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// Serializes the tests in this binary: a test's un-armed phases (baseline
 /// runs, resumes) must not execute while another test has fail points armed
@@ -44,20 +48,51 @@ fn journal_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rnuca-chaos-{}-{tag}.journal", std::process::id()))
 }
 
+/// Runs `m` with the given journal (path plus resume flag), retry policy
+/// and warehouse sink.
+fn run_sweep(
+    m: &ScenarioMatrix,
+    engine: ExperimentEngine,
+    arena: &Arc<TraceArena>,
+    journal: Option<(&Path, bool)>,
+    policy: Option<RetryPolicy>,
+    store: Option<&Warehouse>,
+) -> Result<SweepOutcome, SweepError> {
+    m.run(&SweepOptions {
+        arena: Arc::clone(arena),
+        journal: journal.map(|(path, _)| path),
+        resume: journal.is_some_and(|(_, resume)| resume),
+        policy,
+        store,
+        ..SweepOptions::new(engine)
+    })
+}
+
 #[test]
 fn interrupted_and_resumed_sweeps_are_bit_identical() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(1);
-    let arena = TraceArena::new();
+    let arena = Arc::new(TraceArena::new());
 
     // The ground truth: an uninterrupted journaled run and the exact bytes
     // of the warehouse it builds.
     let baseline_journal = journal_path("baseline");
     let baseline_store = Warehouse::new();
-    let (baseline, summary, resumed) = m
-        .run_forked_into_journaled(&engine, &arena, &baseline_journal, false, &baseline_store)
-        .expect("the chaos matrix is valid");
+    let outcome = run_sweep(
+        &m,
+        engine,
+        &arena,
+        Some((&baseline_journal, false)),
+        None,
+        Some(&baseline_store),
+    )
+    .expect("the chaos matrix is valid");
+    let (baseline, summary, resumed) = (
+        outcome.sweep.into_sweep(),
+        outcome.stored.expect("a store was given"),
+        outcome.resumed,
+    );
     let baseline_bytes = baseline_store.to_bytes();
     assert_eq!(summary.added, 4);
     assert_eq!((resumed.replayed, resumed.ran), (0, 4));
@@ -95,18 +130,26 @@ fn interrupted_and_resumed_sweeps_are_bit_identical() {
         let path = journal_path(&tag);
         {
             let _guard = failpoint::arm(std::slice::from_ref(&spec));
+            // An injected panic unwinds out of the sweep; an injected i/o
+            // error ends it with a journal error. Either aborts it.
             let crashed = catch_unwind(AssertUnwindSafe(|| {
-                m.run_forked_journaled(&engine, &arena, &path, false)
-            }));
+                run_sweep(&m, engine, &arena, Some((&path, false)), None, None)
+            }))
+            .map_err(drop)
+            .and_then(|outcome| outcome.map(drop).map_err(drop));
             assert!(
                 crashed.is_err(),
                 "{tag}: the injected fault must abort the sweep"
             );
         }
         let store = Warehouse::new();
-        let (sweep, summary, resumed) = m
-            .run_forked_into_journaled(&engine, &arena, &path, true, &store)
+        let outcome = run_sweep(&m, engine, &arena, Some((&path, true)), None, Some(&store))
             .unwrap_or_else(|e| panic!("{tag}: resume failed: {e}"));
+        let (sweep, summary, resumed) = (
+            outcome.sweep.into_sweep(),
+            outcome.stored.expect("a store was given"),
+            outcome.resumed,
+        );
         assert_eq!(sweep, baseline, "{tag}: resumed results differ");
         assert_eq!(
             store.to_bytes(),
@@ -129,16 +172,15 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
-    let arena = TraceArena::new();
+    let arena = Arc::new(TraceArena::new());
     let path = journal_path("mismatch");
-    m.run_forked_journaled(&engine, &arena, &path, false)
+    run_sweep(&m, engine, &arena, Some((&path, false)), None, None)
         .expect("the chaos matrix is valid");
 
     // Any change to the matrix — here the seed — must invalidate the journal.
     let mut other = chaos_matrix();
     other.cfg.seed += 1;
-    let err = other
-        .run_forked_journaled(&engine, &arena, &path, true)
+    let err = run_sweep(&other, engine, &arena, Some((&path, true)), None, None)
         .expect_err("a stale journal must be rejected, not silently mixed in");
     match err {
         SweepError::Journal(JournalError::FingerprintMismatch { found, expected }) => {
@@ -155,19 +197,27 @@ fn an_injected_panic_quarantines_exactly_that_job() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
-    let arena = TraceArena::new();
-    let baseline = m
-        .run_with_arena(&engine, &arena)
-        .expect("the chaos matrix is valid");
+    let arena = Arc::new(TraceArena::new());
+    let baseline = run_sweep(&m, engine, &arena, None, None, None)
+        .expect("the chaos matrix is valid")
+        .sweep
+        .into_sweep();
 
     // Job 0 is (OLTP DB2, shared, 16 cores); its per-job site panics on
     // every attempt, so the first attempt and the retry both fail — while
     // job 1, which shares its reference stream, must still complete.
     let site = "sim::member::OLTP DB2::shared::16c";
     let _guard = failpoint::arm(&[FailSpec::always(site, FailAction::Panic)]);
-    let sweep = m
-        .run_supervised_forked(&engine, &arena, 1)
-        .expect("the chaos matrix is valid");
+    let sweep = run_sweep(
+        &m,
+        engine,
+        &arena,
+        None,
+        Some(RetryPolicy::immediate(1)),
+        None,
+    )
+    .expect("the chaos matrix is valid")
+    .sweep;
     assert_eq!(sweep.results.len(), 4);
     assert_eq!(sweep.completed(), 3);
     let failures = sweep.failures();
@@ -189,7 +239,7 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
-    let arena = TraceArena::new();
+    let arena = Arc::new(TraceArena::new());
     let path = journal_path("supervised");
     let policy = RetryPolicy::immediate(1);
 
@@ -200,8 +250,20 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
     let (sweep, summary, resumed) = {
         let site = "sim::member::OLTP DB2::shared::16c";
         let _guard = failpoint::arm(&[FailSpec::always(site, FailAction::Panic)]);
-        m.run_supervised_into_journaled(&engine, &arena, &path, false, &policy, &store)
-            .expect("a quarantined member must not abort the sweep")
+        let outcome = run_sweep(
+            &m,
+            engine,
+            &arena,
+            Some((&path, false)),
+            Some(policy),
+            Some(&store),
+        )
+        .expect("a quarantined member must not abort the sweep");
+        (
+            outcome.sweep,
+            outcome.stored.expect("a store was given"),
+            outcome.resumed,
+        )
     };
     assert_eq!((resumed.replayed, resumed.ran), (0, 4));
     assert_eq!(sweep.completed(), 3);
@@ -232,9 +294,20 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
     // (replayed as a failure, not re-run — even though it would now
     // succeed), and the rebuilt warehouse is byte-identical.
     let resumed_store = Warehouse::new();
-    let (resumed_sweep, resumed_summary, resumed2) = m
-        .run_supervised_into_journaled(&engine, &arena, &path, true, &policy, &resumed_store)
-        .expect("resume must succeed");
+    let outcome = run_sweep(
+        &m,
+        engine,
+        &arena,
+        Some((&path, true)),
+        Some(policy),
+        Some(&resumed_store),
+    )
+    .expect("resume must succeed");
+    let (resumed_sweep, resumed_summary, resumed2) = (
+        outcome.sweep,
+        outcome.stored.expect("a store was given"),
+        outcome.resumed,
+    );
     assert_eq!(
         (resumed2.replayed, resumed2.ran),
         (4, 0),
@@ -248,4 +321,121 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
         "resumed warehouse is not byte-identical"
     );
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_journal_write_error_ends_a_supervised_sweep_without_quarantining_the_job() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let m = chaos_matrix();
+    let engine = ExperimentEngine::with_workers(1);
+    let arena = Arc::new(TraceArena::new());
+    let path = journal_path("append-error");
+    let policy = RetryPolicy::immediate(0);
+    let baseline = run_sweep(&m, engine, &arena, None, None, None)
+        .expect("the chaos matrix is valid")
+        .sweep;
+
+    // The first journal append fails. The job itself was healthy, so the
+    // error must end the sweep as a journal error — not be quarantined as
+    // the job's own failure and journaled as one.
+    {
+        let _guard = failpoint::arm(&[FailSpec::nth("sweep::journal::append", FailAction::Io, 1)]);
+        match run_sweep(&m, engine, &arena, Some((&path, false)), Some(policy), None) {
+            Err(SweepError::Journal(JournalError::Io(e))) => {
+                assert!(e.to_string().contains("injected"), "{e}");
+            }
+            other => panic!("expected a journal i/o error, got {other:?}"),
+        }
+    }
+    let replay = JournalReplay::load(&path).expect("the journal is intact");
+    assert_eq!(replay.failed(), 0, "no job may be journaled as failed");
+
+    // Resume runs the job whose append failed, and the result equals the
+    // uninterrupted run's.
+    let outcome = run_sweep(&m, engine, &arena, Some((&path, true)), Some(policy), None)
+        .expect("resume must succeed");
+    assert_eq!(outcome.resumed.replayed + outcome.resumed.ran, 4);
+    assert!(
+        outcome.resumed.ran > 0,
+        "the job whose append failed re-runs"
+    );
+    assert!(outcome.sweep.failures().is_empty());
+    assert_eq!(outcome.sweep, baseline);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn every_option_combination_runs_the_same_sweep() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let m = chaos_matrix();
+    let engine = ExperimentEngine::with_workers(2);
+    let baseline = run_sweep(&m, engine, &Arc::new(TraceArena::new()), None, None, None)
+        .expect("the chaos matrix is valid")
+        .sweep
+        .into_sweep();
+
+    #[derive(Debug, Clone, Copy)]
+    enum Journal {
+        Off,
+        On,
+        ResumeHalfWritten,
+    }
+    let mut stored_bytes: Option<Vec<u8>> = None;
+    for journal in [Journal::Off, Journal::On, Journal::ResumeHalfWritten] {
+        for policy in [None, Some(RetryPolicy::immediate(1))] {
+            for with_store in [false, true] {
+                let tag = format!("{journal:?}-{}-{with_store}", policy.is_some());
+                let path = journal_path(&format!("combo-{tag}"));
+                std::fs::remove_file(&path).ok();
+                if let Journal::ResumeHalfWritten = journal {
+                    // Half the jobs already journaled, as an interrupted
+                    // run leaves them.
+                    let written =
+                        SweepJournal::create(&path, m.fingerprint(), 4).expect("journal create");
+                    for i in [0, 3] {
+                        written
+                            .append(i, &baseline.results[i].run)
+                            .expect("journal append");
+                    }
+                }
+                let store = Warehouse::new();
+                let outcome = run_sweep(
+                    &m,
+                    engine,
+                    &Arc::new(TraceArena::new()),
+                    match journal {
+                        Journal::Off => None,
+                        Journal::On => Some((&path, false)),
+                        Journal::ResumeHalfWritten => Some((&path, true)),
+                    },
+                    policy,
+                    with_store.then_some(&store),
+                )
+                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                let replayed = match journal {
+                    Journal::ResumeHalfWritten => 2,
+                    _ => 0,
+                };
+                assert_eq!(outcome.resumed.replayed, replayed, "{tag}");
+                assert_eq!(outcome.resumed.ran, 4 - replayed, "{tag}");
+                assert!(outcome.sweep.failures().is_empty(), "{tag}");
+                assert_eq!(
+                    outcome.sweep.into_sweep(),
+                    baseline,
+                    "{tag}: results differ"
+                );
+                assert_eq!(outcome.stored.is_some(), with_store, "{tag}");
+                if with_store {
+                    let bytes = store.to_bytes();
+                    match &stored_bytes {
+                        None => stored_bytes = Some(bytes),
+                        Some(first) => {
+                            assert_eq!(&bytes, first, "{tag}: warehouse bytes differ")
+                        }
+                    }
+                }
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
 }

@@ -5,6 +5,7 @@
 //! 8-core CMP used for the multi-programmed MIX workload).
 
 use crate::error::ConfigError;
+use crate::fingerprint::Fnv64;
 use crate::latency::Cycles;
 use serde::{Deserialize, Serialize};
 
@@ -346,6 +347,75 @@ pub struct TraceGeometry {
 }
 
 impl SystemConfig {
+    /// Mixes every field into `h`, one by one in declaration order.
+    ///
+    /// Exhaustive destructuring makes a new field a compile error here, so
+    /// fingerprints built on this never silently ignore part of the
+    /// configuration.
+    pub fn write_fingerprint(&self, h: &mut Fnv64) {
+        let SystemConfig {
+            num_cores,
+            clock_hz,
+            l1,
+            l2_slice,
+            torus,
+            memory,
+        } = self;
+        let L1Config {
+            geometry: l1_geometry,
+            hit_latency: l1_hit,
+            mshrs: l1_mshrs,
+            victim_entries: l1_victims,
+        } = l1;
+        let L2SliceConfig {
+            geometry: l2_geometry,
+            hit_latency: l2_hit,
+            mshrs: l2_mshrs,
+            victim_entries: l2_victims,
+        } = l2_slice;
+        let NocConfig {
+            width,
+            height,
+            link_latency,
+            router_latency,
+            link_bytes,
+        } = torus;
+        let MemoryConfig {
+            capacity_bytes,
+            page_bytes,
+            access_latency,
+            cores_per_controller,
+        } = memory;
+        h.write_u64(*num_cores as u64).write_u64(*clock_hz);
+        for (geometry, hit, mshrs, victims) in [
+            (l1_geometry, l1_hit, l1_mshrs, l1_victims),
+            (l2_geometry, l2_hit, l2_mshrs, l2_victims),
+        ] {
+            let CacheGeometry {
+                capacity_bytes,
+                ways,
+                block_bytes,
+            } = geometry;
+            for v in [*capacity_bytes, *ways, *block_bytes, *mshrs, *victims] {
+                h.write_u64(v as u64);
+            }
+            h.write_u64(hit.0);
+        }
+        for v in [
+            *width,
+            *height,
+            *link_bytes,
+            *page_bytes,
+            *cores_per_controller,
+        ] {
+            h.write_u64(v as u64);
+        }
+        for latency in [link_latency, router_latency, access_latency] {
+            h.write_u64(latency.0);
+        }
+        h.write_u64(*capacity_bytes);
+    }
+
     /// The trace-determining subset of this configuration (see [`TraceGeometry`]).
     pub fn trace_geometry(&self) -> TraceGeometry {
         TraceGeometry {

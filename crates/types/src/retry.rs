@@ -15,7 +15,7 @@
 //!
 //! [`RetryPolicy`] bundles the retry budget, the backoff, and an optional
 //! per-attempt wall-clock deadline. The deadline is enforced by the
-//! engine's watchdog (see `ExperimentEngine::run_supervised_detached` in
+//! engine's watchdog (see `ExperimentEngine::run_supervised` in
 //! `rnuca-sim`): an attempt that exceeds it is abandoned and counted as a
 //! failed attempt, exactly like a panic.
 
@@ -94,8 +94,7 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// `retries` immediate attempts: no backoff, no deadline — the exact
-    /// behaviour of the pre-policy `run_supervised` signature.
+    /// `retries` immediate retries: no backoff, no deadline.
     pub fn immediate(retries: u32) -> Self {
         RetryPolicy {
             retries,

@@ -5,7 +5,7 @@
 //! cargo run --release --example design_shootout [--quick]
 //! ```
 
-use rnuca_sim::{DesignComparison, ExperimentConfig, TextTable};
+use rnuca_sim::{DesignComparison, ExperimentConfig, ExperimentEngine, TextTable};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -23,7 +23,7 @@ fn main() {
         "Running {} workloads x 5 designs (parallel)...",
         rnuca_workloads::WorkloadSpec::evaluation_suite().len()
     );
-    let comparison = DesignComparison::run_evaluation(&cfg);
+    let comparison = DesignComparison::run_evaluation(&cfg, &ExperimentEngine::new());
 
     let mut table = TextTable::new(vec!["workload", "bucket", "A", "S", "R", "I"]);
     for w in &comparison.workloads {

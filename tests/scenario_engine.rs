@@ -3,6 +3,7 @@
 
 use rnuca_sim::{
     AsrPolicy, DesignComparison, ExperimentConfig, ExperimentEngine, LlcDesign, ScenarioMatrix,
+    SweepOptions,
 };
 use rnuca_workloads::WorkloadSpec;
 
@@ -30,8 +31,10 @@ fn scenario_sweep_json_is_byte_identical_across_worker_pools() {
         .iter()
         .map(|&w| {
             matrix
-                .run_with(&ExperimentEngine::with_workers(w))
+                .run(&SweepOptions::new(ExperimentEngine::with_workers(w)))
                 .expect("matrix axes are valid")
+                .sweep
+                .into_sweep()
                 .to_json()
         })
         .collect();
