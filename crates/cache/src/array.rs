@@ -377,30 +377,44 @@ impl<T> CacheArray<T> {
             .expect("occupied way has metadata")
     }
 
-    /// Removes every resident block for which the predicate returns `true`,
-    /// returning the removed blocks. Used for page shoot-downs during R-NUCA
-    /// re-classification.
-    pub fn invalidate_matching<F>(&mut self, mut pred: F) -> Vec<Eviction<T>>
-    where
-        F: FnMut(BlockAddr, &T) -> bool,
-    {
-        let mut removed = Vec::new();
-        for set in 0..self.num_sets {
+    /// Removes every resident block whose number lies in
+    /// `first..first + count` (an R-NUCA page shoot-down), returning how
+    /// many were removed.
+    ///
+    /// The range maps onto `min(count, num_sets)` consecutive sets, so the
+    /// shoot-down is one linear sweep over that stretch of the tag slab
+    /// instead of `count` independent probes. Each set is first tested with
+    /// an OR-reduced range compare over its tags — any tag of the set inside
+    /// the range is a block of the range, since a tag only sits in its own
+    /// set — and the ways are located only when that test hits. When the
+    /// array has fewer sets than `count`, a set holds several blocks of the
+    /// range and the same compare finds all of them in one visit.
+    pub fn invalidate_range(&mut self, first: BlockAddr, count: usize) -> usize {
+        let start = self.set_index(first);
+        let first = first.block_number();
+        let span = count as u64;
+        let mut removed = 0;
+        for i in 0..count.min(self.num_sets) {
+            let set = (start + i) & (self.num_sets - 1);
             let base = set * self.ways;
-            let mut mask = self.occupied[set];
-            while mask != 0 {
-                let w = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let block = BlockAddr::from_block_number(self.tags[base + w]);
-                let keep = {
-                    let meta = self.meta[base + w].as_ref().expect("occupied way");
-                    !pred(block, meta)
-                };
-                if !keep {
-                    self.stats.invalidations += 1;
-                    let meta = self.remove_way(set, w);
-                    removed.push(Eviction { block, meta });
-                }
+            let tags = &self.tags[base..base + self.ways];
+            let any = tags
+                .iter()
+                .fold(false, |any, &t| any | (t.wrapping_sub(first) < span));
+            if !any {
+                continue;
+            }
+            let mut hit_mask = 0u64;
+            for (w, &t) in tags.iter().enumerate() {
+                hit_mask |= u64::from(t.wrapping_sub(first) < span) << w;
+            }
+            hit_mask &= self.occupied[set];
+            while hit_mask != 0 {
+                let w = hit_mask.trailing_zeros() as usize;
+                hit_mask &= hit_mask - 1;
+                self.stats.invalidations += 1;
+                self.remove_way(set, w);
+                removed += 1;
             }
         }
         removed
@@ -525,15 +539,37 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_matching_removes_page_blocks() {
+    fn invalidate_range_removes_exactly_the_range() {
         let mut c: CacheArray<u64> = CacheArray::new(tiny());
         for n in 0..8 {
             c.insert(b(n), n);
         }
-        // Remove all even block numbers (e.g. "blocks of a page being reclassified").
-        let removed = c.invalidate_matching(|blk, _| blk.block_number() % 2 == 0);
-        assert_eq!(removed.len(), 4);
-        assert!(c.iter().all(|(blk, _)| blk.block_number() % 2 == 1));
+        // Blocks 2..6 span all four sets; the rest stay resident.
+        assert_eq!(c.invalidate_range(b(2), 4), 4);
+        let mut left: Vec<u64> = c.iter().map(|(blk, _)| blk.block_number()).collect();
+        left.sort_unstable();
+        assert_eq!(left, [0, 1, 6, 7]);
+        assert_eq!(c.stats().invalidations, 4);
+        // A second sweep finds nothing, stale tags notwithstanding.
+        assert_eq!(c.invalidate_range(b(2), 4), 0);
+        assert_eq!(c.stats().invalidations, 4);
+    }
+
+    #[test]
+    fn invalidate_range_wider_than_the_array_visits_repeating_sets() {
+        // 4 sets x 2 ways, a 16-block range: every set holds two blocks of
+        // the range, and both must go in the set's single visit.
+        let mut c: CacheArray<u64> = CacheArray::new(tiny());
+        for n in 8..16 {
+            c.insert(b(n), n);
+        }
+        assert_eq!(c.invalidate_range(b(4), 16), 8);
+        assert!(c.is_empty());
+        // LRU ranks stay a permutation after removals: refill a set and the
+        // first-filled block is the victim.
+        c.insert(b(0), 0);
+        c.insert(b(4), 4);
+        assert_eq!(c.insert(b(8), 8).map(|e| e.block), Some(b(0)));
     }
 
     #[test]

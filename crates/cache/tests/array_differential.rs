@@ -4,8 +4,8 @@
 //! The reference keeps each set as a `Vec` in strict recency order (most
 //! recent last) — the obviously-correct encoding of true LRU — and the test
 //! drives both implementations through a long random mix of probes, fills,
-//! entry-handle fill sequences, invalidations, predicate shoot-downs, and
-//! clears, comparing every return value, every eviction, the statistics
+//! entry-handle fill sequences, invalidations, block-range shoot-downs,
+//! and clears, comparing every return value, every eviction, the statistics
 //! counters, and (periodically) the full resident contents. Any divergence
 //! in the packed-age LRU bookkeeping, the occupancy masks, or backward
 //! compatibility of the classic `insert` path fails loudly.
@@ -80,11 +80,12 @@ impl RefModel {
         Some(set.remove(pos).1)
     }
 
-    fn invalidate_matching(&mut self, pred: impl Fn(u64, u64) -> bool) -> Vec<(u64, u64)> {
+    /// Removes every block numbered `first..first + count`, returning them.
+    fn invalidate_range(&mut self, first: u64, count: u64) -> Vec<(u64, u64)> {
         let mut removed = Vec::new();
         for set in &mut self.sets {
             set.retain(|&(b, m)| {
-                if pred(b, m) {
+                if (first..first + count).contains(&b) {
                     removed.push((b, m));
                     false
                 } else {
@@ -161,19 +162,39 @@ fn drive(geometry: CacheGeometry, seed: u64, steps: u32, key_space: u64) {
             85..=94 => {
                 assert_eq!(ours.invalidate(b(block)), reference.invalidate(block));
             }
-            // Page-style predicate shoot-down over a small block range.
+            // Page shoot-down over a block range, page-aligned or not. The
+            // widths span ranges narrower and wider than the set count, so
+            // in the latter sets repeat within one sweep.
             95..=98 => {
-                let base = block & !7;
-                let mut removed: Vec<(u64, u64)> = ours
-                    .invalidate_matching(|blk, _| (base..base + 8).contains(&blk.block_number()))
-                    .into_iter()
-                    .map(|e| (e.block.block_number(), e.meta))
+                let count = [8u64, 128][rng.gen_range(0..2)];
+                let first = if rng.gen_bool(0.5) {
+                    block & !(count - 1)
+                } else {
+                    block
+                };
+                let invalidations = ours.stats().invalidations;
+                let removed = ours.invalidate_range(b(first), count as usize);
+                let ref_removed = reference.invalidate_range(first, count);
+                assert_eq!(
+                    removed,
+                    ref_removed.len(),
+                    "shoot-down diverged at step {step}"
+                );
+                assert_eq!(
+                    ours.stats().invalidations - invalidations,
+                    removed as u64,
+                    "each removed block counts one invalidation"
+                );
+                let mut contents: Vec<(u64, u64)> = ours
+                    .iter()
+                    .map(|(blk, &m)| (blk.block_number(), m))
                     .collect();
-                let mut ref_removed =
-                    reference.invalidate_matching(|blk, _| (base..base + 8).contains(&blk));
-                removed.sort_unstable();
-                ref_removed.sort_unstable();
-                assert_eq!(removed, ref_removed, "shoot-down diverged at step {step}");
+                contents.sort_unstable();
+                assert_eq!(
+                    contents,
+                    reference.contents(),
+                    "contents diverged at step {step}"
+                );
             }
             // Occasional full clear.
             _ => {

@@ -127,26 +127,15 @@ impl OsClassifier {
         self.page_table.get(page).map(|i| i.class)
     }
 
-    /// Hints the CPU to pull the state an [`OsClassifier::access`] for
-    /// `page` will touch — the page-table entry — into cache. Performance
-    /// hint only; the simulator's batch drivers call it for upcoming
-    /// references.
+    /// Hints the CPU to pull the state an [`OsClassifier::access`] by `core`
+    /// to `page` will touch — the core's TLB-map slot and the page-table
+    /// slot — into cache. Performance hint only: it reads no classifier
+    /// state, so it never stalls on the misses it exists to hide. The
+    /// simulator's batch drivers call it for upcoming references.
     #[inline]
-    pub fn prefetch(&self, page: PageAddr) {
+    pub fn prefetch(&self, page: PageAddr, core: CoreId) {
+        self.tlbs[core.index()].prefetch(page);
         self.page_table.prefetch(page);
-    }
-
-    /// Read-only peek at the class an [`OsClassifier::access`] by `core`
-    /// would see: the core's TLB first (small and hot), the page table on a
-    /// TLB miss. No state transition, fill, or statistic is touched, so the
-    /// answer can be stale with respect to the access that eventually runs —
-    /// callers use it speculatively (prefetch hints computing a likely home
-    /// slice). The page-table probe a TLB miss performs here touches the
-    /// same entry the later trap would, absorbing its cache miss early.
-    pub fn peek_class(&self, page: PageAddr, core: CoreId) -> Option<PageClass> {
-        self.tlbs[core.index()]
-            .peek(page)
-            .or_else(|| self.page_table.get(page).map(|i| i.class))
     }
 
     /// Classifies an access by `core` to `page`.

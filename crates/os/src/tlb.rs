@@ -195,6 +195,13 @@ impl Tlb {
         }
     }
 
+    /// Hints the CPU to pull the map slot a lookup of `page` probes into
+    /// cache (see [`U64Map::prefetch`]). Performance hint only.
+    #[inline]
+    pub fn prefetch(&self, page: PageAddr) {
+        self.map.prefetch(page.page_number());
+    }
+
     /// Checks residency without updating LRU or statistics.
     pub fn peek(&self, page: PageAddr) -> Option<PageClass> {
         self.map

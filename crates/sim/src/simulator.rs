@@ -70,7 +70,8 @@ const TRACE_BATCH: usize = 4_096;
 /// How many references ahead of the current one the batch drivers issue
 /// software prefetches for. The simulator is dominated by random probes
 /// into structures far larger than the host's caches (directory entry
-/// table, per-tile tag slabs, dirty-block map); consecutive references are
+/// table, per-tile tag slabs, dirty-block map, the OS's TLB maps and page
+/// table); consecutive references are
 /// independent, so prefetching this far ahead overlaps their miss latencies
 /// instead of serializing them. Eight is far enough to cover a memory
 /// round-trip at the loop's work-per-reference, close enough that the
@@ -78,13 +79,15 @@ const TRACE_BATCH: usize = 4_096;
 const PREFETCH_AHEAD: usize = 8;
 /// Whether the batch drivers compute prefetch hints at all. On targets
 /// where `prefetch_read` is a no-op (everything but x86-64) the hint
-/// computation — hashing upcoming keys, peeking classifications and
-/// victims — would be pure overhead in the hot loop, so it is compiled out
-/// rather than executed for nothing.
+/// computation — hashing upcoming keys, computing candidate home slices,
+/// peeking victim buffers — would be pure overhead in the hot loop, so it
+/// is compiled out rather than executed for nothing.
 const PREFETCH_ENABLED: bool = cfg!(target_arch = "x86_64");
 /// Entries the dirty-block tracker pre-sizes for; past this it grows by
 /// doubling (the periodic sweep bounds it to two residency windows).
 const L1_DIRTY_INITIAL_CAPACITY: usize = 16_384;
+/// Bits in the dirty-page filter (see [`DirtyPageFilter`]): 8 KiB.
+const DIRTY_FILTER_BITS: usize = 1 << 16;
 
 /// The per-run results returned by [`CmpSimulator::run_measured`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -144,6 +147,50 @@ struct L1DirtyEntry {
     stamp: u64,
 }
 
+/// A fixed bit set over hashed page numbers that over-approximates "pages
+/// with an entry in the dirty-block map".
+///
+/// An R-NUCA shoot-down clears the dirty entries of every block of the
+/// page, and almost every page it shoots down has none. A clear bit proves
+/// the page has none, so the shoot-down skips its per-block walk; a set
+/// bit — a dirty page, or another page hashing to the same bit — only costs
+/// the walk. Writes set their page's bit, and the periodic expiry sweep
+/// rebuilds the set from the surviving entries, so stale bits last at most
+/// one residency window.
+#[derive(Debug, Clone)]
+struct DirtyPageFilter {
+    words: Box<[u64]>,
+}
+
+impl DirtyPageFilter {
+    fn new() -> Self {
+        DirtyPageFilter {
+            words: vec![0; DIRTY_FILTER_BITS / 64].into_boxed_slice(),
+        }
+    }
+
+    /// The page's bit: the top `log2(DIRTY_FILTER_BITS)` bits of its
+    /// Fibonacci hash.
+    fn bit(page: u64) -> usize {
+        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DIRTY_FILTER_BITS.trailing_zeros()))
+            as usize
+    }
+
+    fn insert(&mut self, page: u64) {
+        let bit = Self::bit(page);
+        self.words[bit / 64] |= 1 << (bit % 64);
+    }
+
+    fn may_contain(&self, page: u64) -> bool {
+        let bit = Self::bit(page);
+        self.words[bit / 64] & (1 << (bit % 64)) != 0
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+}
+
 /// The simulator for one `(design, workload)` pair.
 ///
 /// `Clone` copies the complete simulator, warmed state included: the ASR
@@ -165,6 +212,9 @@ pub struct CmpSimulator {
     dram_latency: u64,
     block_bytes: usize,
     page_bytes: usize,
+    /// `log2(blocks per page)`: a block number shifted right by this is its
+    /// page number.
+    page_block_shift: u32,
     num_tiles: usize,
     tiles: Vec<Tile>,
     mem: MemorySystem,
@@ -174,6 +224,8 @@ pub struct CmpSimulator {
     /// Dirty-in-some-L1 tracking, keyed by block number (open-addressed —
     /// this map is probed on every single reference).
     l1_dirty: U64Map<L1DirtyEntry>,
+    /// Over-approximates the pages holding an `l1_dirty` entry.
+    dirty_pages: DirtyPageFilter,
     ideal_cache: Option<CacheArray<BlockMeta>>,
     /// Reusable batch buffer for trace generation (see [`Self::drive`]).
     trace_buf: Vec<MemoryAccess>,
@@ -268,6 +320,7 @@ impl CmpSimulator {
             dram_latency: config.memory.access_latency.value(),
             block_bytes,
             page_bytes: config.memory.page_bytes,
+            page_block_shift: (config.memory.page_bytes / block_bytes).trailing_zeros(),
             num_tiles,
             tiles: (0..config.num_tiles())
                 .map(|i| Tile::new(TileId::new(i), &config))
@@ -277,6 +330,7 @@ impl CmpSimulator {
             placement: PlacementEngine::new(placement_config),
             l2_directory: Directory::new(config.num_tiles()),
             l1_dirty: U64Map::with_capacity(L1_DIRTY_INITIAL_CAPACITY),
+            dirty_pages: DirtyPageFilter::new(),
             ideal_cache,
             trace_buf: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ SIM_SEED_SALT),
@@ -426,8 +480,10 @@ impl CmpSimulator {
     /// reference: before stepping reference `i`, the driver prefetches the
     /// structures reference `i + PREFETCH_AHEAD` will probe, so the random
     /// misses of consecutive independent references overlap instead of
-    /// serializing. Prefetching is architecturally invisible — results are
-    /// bit-identical with it disabled.
+    /// serializing. A hint only reads, never writes, simulator state, so
+    /// prefetching is architecturally invisible: results are bit-identical
+    /// to stepping the same references one by one through [`Self::step`],
+    /// which issues no hints.
     fn run_batch<const ADAPT: bool>(
         &mut self,
         buf: &[MemoryAccess],
@@ -493,20 +549,26 @@ impl CmpSimulator {
         self.tiles[home.index()].prefetch(block);
     }
 
-    /// R-NUCA consults the OS page table before the home is known. The hint
-    /// reads the page's *current* classification (a plain lookup — the very
-    /// miss it absorbs early) and warms the slice that classification homes
-    /// the block to; pages re-classify rarely, so the speculative home is
-    /// almost always the one the step will probe. The dirty-block map and
-    /// the page-table entry are hinted as well.
+    /// R-NUCA's home depends on the page's classification, which the OS
+    /// decides only when the reference runs, so the hint reads no state to
+    /// guess it: it prefetches the dirty-map slot, the requesting core's
+    /// TLB-map slot and the page-table slot, and every slice the reference
+    /// can be homed at. An instruction fetch has one candidate, its
+    /// rotational home; a data reference has two, its private and its
+    /// shared home.
     fn prefetch_rnuca(&self, access: &MemoryAccess) {
         let block = access.addr.block(self.block_bytes);
         self.l1_dirty.prefetch(block.block_number());
-        let page = access.addr.page(self.page_bytes);
-        self.os.prefetch(page);
-        if let Some(class) = self.os.peek_class(page, access.core) {
-            let home = self.placement.place(class, block, access.core);
+        self.os
+            .prefetch(access.addr.page(self.page_bytes), access.core);
+        if access.kind.is_instr_fetch() {
+            let home = self.placement.instruction_home(block, access.core);
             self.tiles[home.index()].prefetch(block);
+        } else {
+            let private = self.placement.private_home(block, access.core);
+            self.tiles[private.index()].prefetch(block);
+            let shared = self.placement.shared_home(block);
+            self.tiles[shared.index()].prefetch(block);
         }
     }
 
@@ -549,8 +611,9 @@ impl CmpSimulator {
     ///
     /// The internal batch driver behind [`Self::run_warmup`] and
     /// [`Self::run_measured`] does not go through this method — it
-    /// dispatches on the design once per batch instead of once per access —
-    /// but the per-reference behaviour here is identical.
+    /// dispatches on the design once per batch instead of once per access,
+    /// and prefetches ahead — but the per-reference behaviour here is
+    /// identical, down to every cache and OS statistic.
     pub fn step(&mut self, access: &MemoryAccess) {
         self.pre_step();
         match self.design {
@@ -652,6 +715,8 @@ impl CmpSimulator {
     }
 
     fn note_write(&mut self, block: BlockAddr, writer: CoreId) {
+        self.dirty_pages
+            .insert(block.block_number() >> self.page_block_shift);
         self.l1_dirty.insert(
             block.block_number(),
             L1DirtyEntry {
@@ -672,20 +737,39 @@ impl CmpSimulator {
     /// workloads (each block written once, never re-probed) the map would
     /// otherwise grow without bound. [`Self::step`] calls this once per
     /// residency window, bounding the map to the blocks written within the
-    /// last two windows without changing any simulation outcome.
+    /// last two windows without changing any simulation outcome. The
+    /// dirty-page filter is rebuilt from the surviving entries in the same
+    /// pass.
     fn sweep_expired_l1_dirty(&mut self) {
         let clock = self.clock;
-        self.l1_dirty
-            .retain(|_, e| clock.saturating_sub(e.stamp) < L1_RESIDENCY_WINDOW);
+        let shift = self.page_block_shift;
+        let filter = &mut self.dirty_pages;
+        filter.clear();
+        self.l1_dirty.retain(|block, e| {
+            let keep = clock.saturating_sub(e.stamp) < L1_RESIDENCY_WINDOW;
+            if keep {
+                filter.insert(block >> shift);
+            }
+            keep
+        });
     }
 
     /// Drops the dirty-tracking entries of every block in `page` (an R-NUCA
     /// shoot-down). A page holds a fixed, small number of blocks, so this is
     /// a handful of O(1) removals instead of the full-map `retain` scan the
-    /// `HashMap`-backed version performed per re-classification.
+    /// `HashMap`-backed version performed per re-classification — and none
+    /// at all when the dirty-page filter proves the page has no entry.
     fn clear_dirty_page(&mut self, page: rnuca_types::addr::PageAddr) {
         let block_bytes = self.block_bytes;
         let page_bytes = self.page_bytes;
+        if !self.dirty_pages.may_contain(page.page_number()) {
+            debug_assert!(
+                page.blocks(block_bytes, page_bytes)
+                    .all(|block| self.l1_dirty.get(block.block_number()).is_none()),
+                "the dirty-page filter skipped {page}, which has a dirty entry"
+            );
+            return;
+        }
         for block in page.blocks(block_bytes, page_bytes) {
             self.l1_dirty.remove(block.block_number());
         }
@@ -1334,6 +1418,142 @@ mod tests {
         let second_fresh = fresh.run_measured(&mut gen_fresh, 8_000);
 
         assert_eq!(second, second_fresh, "measured windows must be independent");
+    }
+
+    #[test]
+    fn prefetch_hints_are_invisible() {
+        // The batch driver issues prefetch hints ahead of every reference;
+        // per-access `step` issues none. Both must run the same machine.
+        use rnuca_types::config::ConfigPoint;
+
+        const WARMUP: usize = 2_000;
+        // Longer than the adaptive ASR controller's window (10 000), so its
+        // per-access epilogue takes effect.
+        const MEASURED: usize = 12_000;
+        let designs = [
+            LlcDesign::Private,
+            LlcDesign::Asr {
+                policy: AsrPolicy::Adaptive,
+            },
+            LlcDesign::Asr {
+                policy: AsrPolicy::Static(0.5),
+            },
+            LlcDesign::Shared,
+            LlcDesign::RNuca {
+                instr_cluster_size: 1,
+            },
+            LlcDesign::RNuca {
+                instr_cluster_size: 4,
+            },
+            LlcDesign::RNuca {
+                instr_cluster_size: 16,
+            },
+            LlcDesign::Ideal,
+        ];
+        let arena = TraceArena::new();
+        for cores in [16, 64] {
+            let point = ConfigPoint {
+                num_cores: Some(cores),
+                ..ConfigPoint::default()
+            };
+            let spec = WorkloadSpec::oltp_db2().at_config_point(&point).unwrap();
+            for seed in [3, 0x5EED] {
+                for design in designs {
+                    let slice = arena.slice(&spec, seed, WARMUP + MEASURED);
+
+                    let mut batched = CmpSimulator::with_seed(design, &spec, seed);
+                    let mut src = slice.clone();
+                    batched.run_warmup(&mut src, WARMUP);
+                    let batched_run = batched.run_measured(&mut src, MEASURED);
+
+                    let mut stepped = CmpSimulator::with_seed(design, &spec, seed);
+                    let mut src = slice.clone();
+                    let mut buf = Vec::new();
+                    src.fill_into(WARMUP, &mut buf);
+                    buf.iter().for_each(|a| stepped.step(a));
+                    // A zero-length measured window only starts measurement.
+                    stepped.run_measured(&mut src, 0);
+                    src.fill_into(MEASURED, &mut buf);
+                    buf.iter().for_each(|a| stepped.step(a));
+                    let stepped_run = stepped.results();
+
+                    let what = format!("{design} / {cores} cores / seed {seed}");
+                    assert_eq!(batched_run, stepped_run, "{what}");
+                    assert_eq!(batched.os().stats(), stepped.os().stats(), "{what}");
+                    for (b, s) in batched.tiles().iter().zip(stepped.tiles()) {
+                        assert_eq!(b.slice_stats(), s.slice_stats(), "{what}");
+                    }
+                    if matches!(design, LlcDesign::RNuca { .. }) {
+                        assert!(batched_run.reclassifications > 0, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_dirty_page_filter_never_skips_a_dirty_page() {
+        use rnuca_types::access::AccessKind;
+        use rnuca_types::addr::PhysAddr;
+
+        let spec = WorkloadSpec::oltp_db2();
+        let mut sim = CmpSimulator::new(LlcDesign::rnuca_default(), &spec);
+        let blocks_per_page = (sim.page_bytes / sim.block_bytes) as u64;
+        let block_bytes = sim.block_bytes as u64;
+        let access = |core: usize, page: u64, block: u64, kind: AccessKind| {
+            MemoryAccess::new(
+                CoreId::new(core),
+                PhysAddr::new((page * blocks_per_page + block) * block_bytes),
+                kind,
+                AccessClass::PrivateData,
+            )
+        };
+        let dirty_blocks = |sim: &CmpSimulator, page: u64| {
+            (0..blocks_per_page)
+                .filter(|b| sim.l1_dirty.get(page * blocks_per_page + b).is_some())
+                .count()
+        };
+        // Core 0 writes four blocks of `page`; core 1's read re-classifies it.
+        let write_page = |sim: &mut CmpSimulator, page: u64| {
+            for b in 0..4 {
+                sim.step(&access(0, page, b * 7, AccessKind::Write));
+            }
+        };
+        let reclassify = |sim: &mut CmpSimulator, page: u64| {
+            let before = sim.os().stats().reclassifications;
+            sim.step(&access(1, page, 0, AccessKind::Read));
+            assert_eq!(sim.os().stats().reclassifications, before + 1);
+        };
+        // Core 2 re-reads one block of its own page to advance the clock.
+        let idle_until = |sim: &mut CmpSimulator, clock: u64| {
+            while sim.clock < clock {
+                sim.step(&access(2, 1_000, 0, AccessKind::Read));
+            }
+        };
+
+        // Dirty before any sweep: the writes themselves set the bit.
+        write_page(&mut sim, 1);
+        assert_eq!(dirty_blocks(&sim, 1), 4);
+        reclassify(&mut sim, 1);
+        assert_eq!(dirty_blocks(&sim, 1), 0);
+
+        // Page 2's entries expire by the second sweep; page 3's are written
+        // just before it and survive, so its bit comes from the rebuild.
+        write_page(&mut sim, 2);
+        idle_until(&mut sim, 2 * L1_RESIDENCY_WINDOW - 10);
+        write_page(&mut sim, 3);
+        idle_until(&mut sim, 2 * L1_RESIDENCY_WINDOW + 10);
+        assert!(!sim.dirty_pages.may_contain(2), "expired page kept its bit");
+        assert!(sim.dirty_pages.may_contain(3));
+        assert_eq!(dirty_blocks(&sim, 3), 4);
+        reclassify(&mut sim, 3);
+        assert_eq!(dirty_blocks(&sim, 3), 0);
+
+        // A page never written takes the skip path (whose debug assertion
+        // re-checks that no entry exists).
+        sim.step(&access(0, 4, 0, AccessKind::Read));
+        assert!(!sim.dirty_pages.may_contain(4));
+        reclassify(&mut sim, 4);
     }
 
     #[test]

@@ -168,17 +168,16 @@ impl Tile {
     /// Invalidates every block belonging to `page` (an R-NUCA shoot-down),
     /// returning how many blocks were dropped from the slice.
     ///
-    /// The shoot-down walks the page's block addresses — a page holds a
-    /// fixed, small number of blocks — instead of scanning every set of the
-    /// slice for matching metadata, keeping re-classification cost
-    /// proportional to the page size rather than the slice size. The victim
-    /// buffer is deliberately left alone, mirroring the metadata-scan
-    /// behaviour this replaces.
+    /// A page's blocks are a contiguous block-number range, so the
+    /// shoot-down is one [`CacheArray::invalidate_range`] sweep over the
+    /// sets the page maps to, keeping re-classification cost proportional
+    /// to the page size rather than the slice size. The victim buffer is
+    /// deliberately left alone, mirroring the metadata-scan behaviour the
+    /// page walk originally replaced.
     pub fn invalidate_page(&mut self, page: PageAddr, page_bytes: usize) -> usize {
-        let block_bytes = self.slice.geometry().block_bytes;
-        page.blocks(block_bytes, page_bytes)
-            .filter(|&block| self.slice.invalidate(block).is_some())
-            .count()
+        let blocks_per_page = page_bytes / self.slice.geometry().block_bytes;
+        let first = BlockAddr::from_block_number(page.page_number() * blocks_per_page as u64);
+        self.slice.invalidate_range(first, blocks_per_page)
     }
 
     /// Number of blocks resident in the slice (excluding the victim buffer).
@@ -282,6 +281,31 @@ mod tests {
             t.invalidate_page(PageAddr::from_page_number(7), page_bytes),
             0
         );
+    }
+
+    #[test]
+    fn a_shoot_down_straddling_the_last_set_drops_exactly_that_page() {
+        // The server slice has 1024 sets and an 8 KB page holds 128 blocks:
+        // page 15 spans blocks 1920..2048, i.e. sets 896..1024, and page 16
+        // wraps back to set 0. Fill the page's first and last blocks, the
+        // neighbours on both sides, and another page aliasing the same sets.
+        let mut t = tile();
+        let page_bytes = 8192;
+        let page = PageAddr::from_page_number(15);
+        let (first, last) = (15 * 128, 16 * 128 - 1);
+        let keep = [first - 1, last + 1, first + 1024, last + 1024];
+        for n in [first, first + 64, last].into_iter().chain(keep) {
+            t.fill(b(n), meta(AccessClass::PrivateData));
+        }
+        assert_eq!(t.invalidate_page(page, page_bytes), 3);
+        for n in [first, first + 64, last] {
+            assert!(!t.contains(b(n)), "block {n} of the page survived");
+        }
+        for n in keep {
+            assert!(t.contains(b(n)), "block {n} outside the page was dropped");
+        }
+        assert_eq!(t.resident_blocks(), keep.len());
+        assert_eq!(t.slice_stats().invalidations, 3);
     }
 
     #[test]
