@@ -18,21 +18,14 @@
 //! `sweep` is intentionally not part of `all`, which emits text tables.
 //!
 //! `perf` runs the timed throughput suite (five designs × three workloads ×
-//! 16/32/64 cores) and writes `BENCH_perf.json` (`--out=PATH` overrides the
-//! path). With `--baseline=bench/baseline.json` it also evaluates the
-//! perf-regression gate and exits non-zero when aggregate blocks/sec drops
-//! below the baseline's tolerance — the CI perf gate. The gate is evaluated
-//! as a warehouse query (see below): the run's rows are appended to a
-//! results store (`--store=PATH` persists it; otherwise in-memory) and the
-//! verdict is a query over the latest totals row. Like `sweep`, `perf` is
-//! not part of `all`. `--filter=SUBSTRING` keeps only the scenarios whose
+//! 16/32/64 cores) and writes the perf report to `BENCH_perf.json`
+//! (`--out=PATH` overrides the path); with `--store=PATH` it also appends
+//! the report's rows to that warehouse. Like `sweep`, `perf` is not part of
+//! `all`. `--filter=SUBSTRING` keeps only the scenarios whose
 //! `workload/letter/design/Ncores` label contains the substring
 //! (case-insensitive, e.g. `--filter=em3d` or `--filter=/R/`) for fast local
-//! iteration; a filtered run skips the gate, appends its rows with
-//! `partial=true` (gate queries exclude them), and writes a report file only
-//! when `--out=` is explicit (a partial report must not clobber the
-//! checked-in `BENCH_perf.json`). `perf --list` prints the scenario labels,
-//! one per line, without simulating anything; it honours `--filter`.
+//! iteration. `perf --list` prints the scenario labels, one per line,
+//! without simulating anything; it honours `--filter`.
 //!
 //! The results-warehouse subcommands operate on the store named by
 //! `--store=PATH` (default `bench/warehouse.bin`):
@@ -44,9 +37,6 @@
 //!   off_chip_rate`) and prints an aligned table, or JSON with `--json`.
 //!   Malformed queries print compiler-style spanned diagnostics on stderr
 //!   and exit 2.
-//! * `gate --baseline=bench/baseline.json` evaluates the perf-regression
-//!   gate as a query over the store's latest non-partial totals row for the
-//!   active config (`full`, or `--quick`/`--smoke`), exiting 1 on failure.
 //!
 //! `sweep --store=PATH` additionally appends one row per sweep point to the
 //! store (the JSON on stdout is unchanged; the append summary goes to
@@ -76,14 +66,15 @@
 //! and `--retries=`/`--deadline-ms=` supervision knobs. See the
 //! `rnuca-service` crate docs for the protocol and crash-resume semantics.
 //!
-//! Exit codes: 0 success, 1 generic failure, 2 malformed query (spanned
-//! diagnostics on stderr), 3 corrupt on-disk artifact — a damaged
-//! warehouse or journal renders a compiler-style diagnostic naming the
-//! file and byte offset, and is never silently recreated or repaired.
+//! Exit codes: 0 success, 1 generic failure, 2 usage error (an unknown flag
+//! or target, or a malformed query with spanned diagnostics on stderr),
+//! 3 corrupt on-disk artifact — a damaged warehouse or journal renders a
+//! compiler-style diagnostic naming the file and byte offset, and is never
+//! silently recreated or repaired.
 
 use rnuca_bench::{
-    characterize_workload, default_perf_scenarios, evaluate_gate_query, filter_scenarios,
-    records_from_json, run_perf_scenarios, PerfBaseline, PerfScenario,
+    characterize_workload, default_perf_scenarios, filter_scenarios, records_from_json, run_perf,
+    PerfScenario,
 };
 use rnuca_os::rid_assignment;
 use rnuca_service::{Request, ServiceClient, ServiceConfig};
@@ -97,34 +88,69 @@ use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::TileId;
 use rnuca_types::{BackoffConfig, RetryPolicy};
 use rnuca_warehouse::{render_errors, Warehouse};
-use rnuca_workloads::WorkloadSpec;
+use rnuca_workloads::{TraceArena, WorkloadSpec};
 use std::path::Path;
 
 const CHARACTERIZATION_REFS: usize = 400_000;
 const CHARACTERIZATION_REFS_QUICK: usize = 60_000;
 const CHARACTERIZATION_REFS_SMOKE: usize = 10_000;
 
+/// Every switch `figures` accepts.
+const SWITCHES: &[&str] = &[
+    "--quick",
+    "--smoke",
+    "--list",
+    "--resume",
+    "--json",
+    "--supervised",
+];
+
+/// Every `--name=value` option `figures` accepts, with its `=`.
+const OPTIONS: &[&str] = &[
+    "--workers=",
+    "--out=",
+    "--filter=",
+    "--store=",
+    "--journal=",
+    "--retries=",
+    "--spool=",
+    "--workloads=",
+    "--designs=",
+    "--cores=",
+    "--slices=",
+    "--clusters=",
+    "--seed=",
+    "--deadline-ms=",
+];
+
+/// The targets that print figures or run experiments; the warehouse and
+/// service subcommands are dispatched before these are checked.
+const TARGETS: &[&str] = &[
+    "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "accuracy", "all", "sweep", "perf",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args.iter().find(|a| {
+        a.starts_with("--")
+            && !SWITCHES.contains(&a.as_str())
+            && !OPTIONS.iter().any(|o| a.starts_with(o))
+    }) {
+        exit_usage(&format!("unknown flag: {flag}"));
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let smoke = args.iter().any(|a| a == "--smoke");
     let engine = match args.iter().find_map(|a| a.strip_prefix("--workers=")) {
         Some(n) => match n.parse::<usize>() {
             Ok(n) if n > 0 => ExperimentEngine::with_workers(n),
-            _ => {
-                eprintln!("--workers must be a positive integer, got {n}");
-                std::process::exit(2);
-            }
+            _ => exit_usage(&format!("--workers must be a positive integer, got {n}")),
         },
         None => ExperimentEngine::new(),
     };
     let perf_out = args
         .iter()
         .find_map(|a| a.strip_prefix("--out="))
-        .map(String::from);
-    let baseline_path = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--baseline="))
         .map(String::from);
     let perf_filter = args
         .iter()
@@ -185,13 +211,12 @@ fn main() {
     match targets[0].as_str() {
         "ingest" => return ingest_cmd(store_path.as_deref(), &targets[1..]),
         "query" => return query_cmd(store_path.as_deref(), json_output, &targets[1..]),
-        "gate" => return gate_cmd(store_path.as_deref(), baseline_path.as_deref(), cfg_label),
         "journal" => return journal_cmd(&targets[1..]),
         "serve" => {
             return serve_cmd(
                 &spool_dir,
                 store_path.as_deref().unwrap_or(DEFAULT_STORE),
-                &args,
+                engine.workers(),
             )
         }
         "submit" => return submit_cmd(&spool_dir, &args, cfg_label, retries, &targets[1..]),
@@ -205,6 +230,9 @@ fn main() {
         }
         "drain" => return simple_client_cmd(&spool_dir, Request::Drain),
         _ => {}
+    }
+    if let Some(target) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
+        exit_usage(&format!("unknown target: {target}"));
     }
     if resume && journal_arg.is_none() {
         exit_with("--resume needs --journal=PATH (the journal the interrupted sweep wrote)");
@@ -250,10 +278,8 @@ fn main() {
             "perf" if perf_list => perf_list_only(perf_filter.as_deref()),
             "perf" => perf(
                 &cfg,
-                cfg_label,
                 &engine,
                 perf_out.as_deref(),
-                baseline_path.as_deref(),
                 perf_filter.as_deref(),
                 store_path.as_deref(),
             ),
@@ -273,7 +299,7 @@ fn main() {
                 fig11(&cfg, &engine);
                 fig12(c);
             }
-            other => eprintln!("unknown target: {other}"),
+            other => unreachable!("target {other} was checked against TARGETS"),
         }
     }
 }
@@ -371,18 +397,9 @@ fn report_quarantined(sweep: &QuarantinedSweep) {
     }
 }
 
-/// `figures serve`: run the resident experiment service until drained.
-fn serve_cmd(spool: &str, store: &str, args: &[String]) {
-    let workers = match args.iter().find_map(|a| a.strip_prefix("--workers=")) {
-        Some(n) => n
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                exit_with(&format!("--workers must be a positive integer, got {n}"))
-            }),
-        None => std::thread::available_parallelism().map_or(4, |n| n.get()),
-    };
+/// `figures serve`: run the resident experiment service until drained, with
+/// the engine's worker count (`--workers=`, or one per available core).
+fn serve_cmd(spool: &str, store: &str, workers: usize) {
     rnuca_service::serve(&ServiceConfig {
         spool: spool.into(),
         store: store.into(),
@@ -614,128 +631,45 @@ fn query_cmd(store_path: Option<&str>, json: bool, query_parts: &[String]) {
     }
 }
 
-/// `figures gate --baseline=PATH [--config via --quick/--smoke]`: the CI
-/// perf-regression gate as a warehouse query, judging the store's latest
-/// non-partial totals row for the active config. Exits 1 on failure.
-fn gate_cmd(store_path: Option<&str>, baseline: Option<&str>, cfg_label: &str) {
-    let baseline_path =
-        baseline.unwrap_or_else(|| exit_with("gate needs --baseline=bench/baseline.json"));
-    let path = store_path.unwrap_or(DEFAULT_STORE);
-    let store = open_store(path);
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| exit_with(&format!("cannot read baseline {baseline_path}: {e}")));
-    let parsed = PerfBaseline::from_json(&text, cfg_label)
-        .unwrap_or_else(|e| exit_with(&format!("cannot parse baseline {baseline_path}: {e}")));
-    let gate = evaluate_gate_query(&store, &parsed, cfg_label)
-        .unwrap_or_else(|e| exit_with(&format!("gate query failed: {e}")));
-    report_gate(&gate, cfg_label);
-}
-
-/// Prints a gate verdict in the format CI greps for, exiting 1 on failure.
-fn report_gate(g: &rnuca_bench::GateOutcome, cfg_label: &str) {
-    println!(
-        "baseline ({cfg_label}): {:+.1}% vs pre-optimization, {:.2}x gate (tolerance {:.0}%)",
-        (g.speedup_vs_pre_optimization - 1.0) * 100.0,
-        g.ratio_vs_gate,
-        g.baseline.tolerance * 100.0,
-    );
-    if !g.pass {
-        exit_with(&format!(
-            "PERF GATE FAILED: throughput is more than {:.0}% below the baseline {:.0}",
-            g.baseline.tolerance * 100.0,
-            g.baseline.gate_blocks_per_sec,
-        ));
-    }
-    println!("perf gate: PASS");
-}
-
-/// The timed throughput suite: writes `BENCH_perf.json` to `out` and, when a
-/// baseline is given, evaluates the regression gate (exiting non-zero on
-/// failure, which is how CI turns a perf regression into a red build). The
-/// run's rows are appended to the results warehouse — persisted when
-/// `--store=` names a path, in-memory otherwise — and the gate verdict is a
-/// query over that store's latest totals row (see
-/// [`rnuca_bench::evaluate_gate_query`]). A `--filter` substring restricts
-/// the scenario list for local iteration — and skips the gate, since the
-/// baseline numbers describe the full list; filtered rows are appended with
-/// `partial=true` so gate queries exclude them. A filtered run also refuses
-/// the default output path: its partial report would silently clobber the
-/// checked-in full-configuration record, so the report is written only when
-/// `--out=` names a destination explicitly.
+/// The timed throughput suite: writes the perf report to `out` (default
+/// `BENCH_perf.json`) and, with `--store=`, appends the report's rows to
+/// that warehouse. A `--filter` substring restricts the scenario list for
+/// local iteration.
 fn perf(
     cfg: &ExperimentConfig,
-    cfg_label: &str,
     engine: &ExperimentEngine,
     out: Option<&str>,
-    baseline: Option<&str>,
     filter: Option<&str>,
     store_path: Option<&str>,
 ) {
     heading("perf: timed end-to-end throughput");
     let scenarios = selected_scenarios(filter);
-    let report = run_perf_scenarios(&scenarios, cfg, engine);
-    // Every run lands in the warehouse; a filtered run's rows are marked
-    // partial so they can never satisfy (or poison) a gate query.
-    let store = match store_path {
-        Some(path) => open_store(path),
-        None => Warehouse::new(),
-    };
-    let summary = store.append_all(&report.to_records(filter.is_some()));
+    let report = run_perf(&scenarios, cfg, engine, &TraceArena::new());
     if let Some(path) = store_path {
+        let store = open_store(path);
+        let summary = store.append_all(&report.to_records());
         save_store(&store, path);
         println!(
             "warehouse: {} new rows ({} deduplicated) -> {path}",
             summary.added, summary.deduplicated
         );
     }
-    if filter.is_some() && baseline.is_some() {
-        println!("note: --filter active, skipping the regression gate (baseline covers the full scenario list)");
-    }
-    let gate = baseline.filter(|_| filter.is_none()).map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| exit_with(&format!("cannot read baseline {path}: {e}")));
-        let parsed = PerfBaseline::from_json(&text, cfg_label)
-            .unwrap_or_else(|e| exit_with(&format!("cannot parse baseline {path}: {e}")));
-        evaluate_gate_query(&store, &parsed, cfg_label)
-            .unwrap_or_else(|e| exit_with(&format!("gate query failed: {e}")))
-    });
-    let json = match &gate {
-        Some(g) => report.to_json_with_gate(g),
-        None => report.to_json(),
-    };
-    // A filtered (partial) report must never land on the default path,
-    // where it would overwrite the checked-in full-configuration record.
-    let destination = match (out, filter) {
-        (Some(path), _) => Some(path),
-        (None, None) => Some("BENCH_perf.json"),
-        (None, Some(_)) => None,
-    };
-    let written = match destination {
-        Some(path) => {
-            std::fs::write(path, &json)
-                .unwrap_or_else(|e| exit_with(&format!("cannot write {path}: {e}")));
-            path
-        }
-        None => {
-            println!("note: --filter active and no --out= given, not writing a report file");
-            "(not written)"
-        }
-    };
+    let out = out.unwrap_or("BENCH_perf.json");
+    std::fs::write(out, report.to_json())
+        .unwrap_or_else(|e| exit_with(&format!("cannot write {out}: {e}")));
+    let t = &report.totals;
     println!(
-        "{} scenarios, {} refs, {:.0} blocks/sec (warm-up + measured loop), \
-         {:.2} jobs/sec, {:.2}s trace generation (once per unique stream), \
-         {:.2}s warm-up + {:.2}s measured -> {written}",
-        report.totals.scenarios,
-        report.totals.refs,
-        report.totals.blocks_per_sec,
-        report.totals.jobs_per_sec,
-        report.totals.tracegen_nanos as f64 / 1e9,
-        report.totals.warmup_nanos as f64 / 1e9,
-        report.totals.measured_nanos as f64 / 1e9,
+        "{} scenarios, {} refs in {:.2}s: {:.0} refs/sec end to end \
+         ({:.2}s trace generation, {:.2}s warm-up + {:.2}s measured summed over scenarios) \
+         -> {out}",
+        t.scenarios,
+        t.refs,
+        t.elapsed_nanos as f64 / 1e9,
+        t.refs_per_sec,
+        t.tracegen_nanos as f64 / 1e9,
+        t.warmup_nanos as f64 / 1e9,
+        t.measured_nanos as f64 / 1e9,
     );
-    if let Some(g) = gate {
-        report_gate(&g, cfg_label);
-    }
 }
 
 /// Resolves `--filter` against the default perf scenario list, exiting when
@@ -771,6 +705,13 @@ fn perf_list_only(filter: Option<&str>) {
 fn exit_with(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(1);
+}
+
+/// Exits 2 on a command line `figures` does not understand, so a typo'd or
+/// retired flag fails instead of running something else.
+fn exit_usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 fn heading(title: &str) {

@@ -1,24 +1,22 @@
 //! A minimal JSON reader for the benchmark artifacts.
 //!
-//! The workspace vendors no JSON library, yet the perf subsystem must *read*
-//! JSON back: the CI regression gate loads the checked-in
-//! `bench/baseline.json`, the warehouse ingester loads `BENCH_perf.json` and
-//! sweep documents, and the schema tests parse the emitted artifacts to
-//! prove they are well-formed. This module is a small recursive-descent
-//! parser covering exactly the JSON the workspace writes (objects, arrays,
-//! strings with the escapes [`crate`]'s emitters produce, numbers, booleans,
-//! null), plus [`json_string`], the one string escaper the crate's
-//! hand-rolled emitters share. Emission otherwise stays hand-rolled at the
-//! call sites so field order remains deterministic.
+//! The workspace vendors no JSON library, yet the bench crate must *read*
+//! JSON back: the warehouse ingester loads perf reports and sweep
+//! documents, and the schema tests parse the emitted artifacts to prove
+//! they are well-formed. This module is a small recursive-descent parser
+//! covering exactly the JSON the workspace writes (objects, arrays, strings
+//! with the escapes [`rnuca_types::json::json_string`] produces, numbers,
+//! booleans, null). Emission stays hand-rolled at the call sites so field
+//! order remains deterministic.
 //!
 //! Because ingested files can be stale, hand-edited, or truncated by a
 //! broken CI upload, the parser is strict and every failure is a
 //! [`JsonError`] carrying the line, column, and byte offset of the problem:
 //! duplicate object keys are rejected (silently keeping one of two
-//! conflicting `blocks_per_sec` fields could flip a gate verdict), nesting
-//! is capped so garbage like a megabyte of `[` cannot overflow the stack,
-//! and numbers that overflow `f64` (`1e999`) are errors rather than
-//! infinities leaking into rate math.
+//! conflicting `refs_per_sec` fields would ingest a number the run never
+//! reported), nesting is capped so garbage like a megabyte of `[` cannot
+//! overflow the stack, and numbers that overflow `f64` (`1e999`) are errors
+//! rather than infinities leaking into rate math.
 
 use std::fmt;
 
@@ -26,24 +24,6 @@ use std::fmt;
 /// levels; the cap exists so malformed input fails cleanly instead of
 /// overflowing the parser's recursion.
 pub const MAX_JSON_DEPTH: usize = 128;
-
-/// Quotes and escapes a string for embedding in an emitted JSON document
-/// (quotes, backslashes, control characters — the same convention the
-/// scenario sweep emitter uses).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// A JSON syntax error, positioned in the source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -371,7 +351,7 @@ impl Parser<'_> {
             let key = self.string()?;
             if fields.iter().any(|(k, _)| *k == key) {
                 // Keeping either copy would silently drop data (or worse,
-                // let a second `blocks_per_sec` shadow the first), so a
+                // let a second `refs_per_sec` shadow the first), so a
                 // duplicate key is an error at the repeated key.
                 return Err(self.err_at(key_offset, format!("duplicate object key \"{key}\"")));
             }
@@ -397,6 +377,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rnuca_types::json::json_string;
 
     #[test]
     fn parses_scalars() {
@@ -527,11 +508,10 @@ mod tests {
 
     #[test]
     fn json_string_escapes_and_roundtrips_through_the_parser() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\u000ay\"");
-        let original = "mixed \"quotes\" \\ and\ncontrol\tchars";
-        let parsed = JsonValue::parse(&json_string(original)).unwrap();
-        assert_eq!(parsed.as_str(), Some(original));
+        // Whatever the workspace's one escaper writes parses back verbatim.
+        for original in ["plain", "mixed \"quotes\" \\ and\ncontrol\tchars", "\u{1}€"] {
+            let parsed = JsonValue::parse(&json_string(original)).unwrap();
+            assert_eq!(parsed.as_str(), Some(original));
+        }
     }
 }

@@ -10,11 +10,10 @@ pub mod ingest;
 pub mod json;
 pub mod perf;
 
-pub use ingest::{evaluate_gate_query, records_from_json, IngestKind};
+pub use ingest::{records_from_json, IngestKind};
 pub use json::JsonValue;
 pub use perf::{
-    default_perf_scenarios, evaluate_gate, filter_scenarios, run_perf, run_perf_scenarios,
-    run_perf_scenarios_in, GateOutcome, PerfBaseline, PerfReport, PerfResult, PerfScenario,
+    default_perf_scenarios, filter_scenarios, run_perf, PerfReport, PerfResult, PerfScenario,
     PerfTotals,
 };
 

@@ -1,40 +1,34 @@
-//! The throughput benchmark subsystem behind `figures perf` and the CI
-//! perf-regression gate.
+//! The throughput benchmark behind `figures perf`.
 //!
 //! [`run_perf`] executes timed end-to-end simulations (the five LLC designs
 //! × representative workloads × 16/32/64 cores) on the deterministic
-//! [`ExperimentEngine`], and [`PerfReport::to_json`] emits the
-//! `BENCH_perf.json` document the CI gate and the repo's performance
-//! history consume.
+//! [`ExperimentEngine`], and [`PerfReport::to_json`] emits the perf report
+//! (`BENCH_perf.json` by default).
 //!
 //! Every scenario is one engine job that warms in place: it builds its
 //! simulator, runs the warm-up prefix of its [`TraceArena`] slab, then
 //! measures the rest. The two phases are timed separately
-//! (`warmup_nanos`, `measured_nanos`), and together they are the scenario's
-//! timed loop. The unique reference streams are materialized into the
-//! arena up front (`tracegen_nanos`, once per `(workload, cores, seed)`,
-//! nine for the default list), outside any loop.
+//! (`warmup_nanos`, `measured_nanos`). The unique reference streams are
+//! materialized into the arena up front (`tracegen_nanos`, once per
+//! `(workload, cores, seed)`, nine for the default list).
 //!
-//! Two throughput figures matter:
-//!
-//! * **blocks/sec** — simulated L2 block references stepped (warm-up plus
-//!   measured) per second of *loop time*, summed over scenarios. Loop time
-//!   sums the per-job timers, so the aggregate is largely independent of
-//!   the worker-pool size.
-//! * **jobs/sec** — scenarios completed per second of wall-clock time for
-//!   the whole run. This one *does* scale with workers, construction, and
-//!   generation cost; it is the end-to-end figure.
+//! The one headline is **refs/sec**: block references stepped (warm-up plus
+//! measured, every scenario) per second of the run's *elapsed* wall-clock
+//! time, trace generation and simulator construction included. It is the
+//! rate `perfbench` reports as `refs_per_s` for the same run, and CI gates
+//! on it by comparing a change against its merge-base on one host
+//! (`bench/ab.py`), never against a number recorded on another machine.
 //!
 //! Everything except the timing fields is a pure function of the scenario
 //! list and the [`ExperimentConfig`]: [`PerfReport::to_canonical_json`]
 //! (timing zeroed) is byte-identical for every `--workers` value, which is
 //! the schema-stability property the tests pin down.
 
-use crate::json::{json_string, JsonValue};
 use rnuca_sim::{
     AsrPolicy, CmpSimulator, ExperimentConfig, ExperimentEngine, LlcDesign, MeasuredRun,
 };
 use rnuca_types::config::ConfigPoint;
+use rnuca_types::json::json_string;
 use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -125,21 +119,17 @@ pub struct PerfTotals {
     /// Wall-clock nanoseconds spent materializing the unique reference
     /// streams into the trace arena, before any scenario ran. Generation
     /// happens once per unique `(workload, cores, seed)` stream, not once
-    /// per scenario, and is excluded from `loop_nanos`.
+    /// per scenario.
     pub tracegen_nanos: u64,
     /// Summed warm-up time across scenarios, in nanoseconds.
     pub warmup_nanos: u64,
     /// Summed measured-phase time across scenarios, in nanoseconds.
     pub measured_nanos: u64,
-    /// Total loop time: `warmup_nanos + measured_nanos`.
-    pub loop_nanos: u64,
-    /// Wall-clock nanoseconds for the whole run (construction and trace
-    /// generation included).
+    /// Wall-clock nanoseconds for the whole run (trace generation,
+    /// construction, warm-up and measurement).
     pub elapsed_nanos: u64,
-    /// Aggregate hot-path throughput: `refs / loop_nanos`.
-    pub blocks_per_sec: f64,
-    /// End-to-end scenario throughput: `scenarios / elapsed_nanos`.
-    pub jobs_per_sec: f64,
+    /// The headline: `refs / elapsed_nanos`, in references per second.
+    pub refs_per_sec: f64,
 }
 
 /// A complete perf run: configuration, per-scenario results, aggregates.
@@ -153,16 +143,10 @@ pub struct PerfReport {
     pub totals: PerfTotals,
 }
 
-/// The version stamped into `BENCH_perf.json`; bump when the schema changes.
-/// Version 2 added per-phase counters, version 3 moved trace generation
-/// into the totals' `tracegen_nanos`, version 4 replaced warm-up with
-/// checkpoint forks (`fork_nanos`, `snapshot_nanos`), and version 5 added
-/// fused groups (`groups`, `passes_eliminated`). Version 6 warms in place:
-/// scenario rows carry `warmup_nanos` and `measured_nanos`, the loop is
-/// warm-up plus measurement, and the groups, forks and checkpoint fields
-/// are gone. Loop numbers before version 6 exclude warm-up and are not
-/// comparable with later ones.
-pub const PERF_SCHEMA_VERSION: u64 = 6;
+/// The version stamped into the perf report; bump when the schema changes.
+/// The ingester refuses every other version, so a report's rows always
+/// carry the columns this version defines.
+pub const PERF_SCHEMA_VERSION: u64 = 7;
 
 /// The representative workloads the perf suite times: a sharing-heavy server
 /// workload (OLTP DB2), a nearest-neighbour scientific code (em3d), and a
@@ -222,21 +206,6 @@ pub fn default_perf_scenarios() -> Vec<PerfScenario> {
     scenarios
 }
 
-/// Runs the default scenario list. See [`run_perf_scenarios`].
-pub fn run_perf(cfg: &ExperimentConfig, engine: &ExperimentEngine) -> PerfReport {
-    run_perf_scenarios(&default_perf_scenarios(), cfg, engine)
-}
-
-/// Runs `scenarios` on `engine` with a fresh trace arena. See
-/// [`run_perf_scenarios_in`].
-pub fn run_perf_scenarios(
-    scenarios: &[PerfScenario],
-    cfg: &ExperimentConfig,
-    engine: &ExperimentEngine,
-) -> PerfReport {
-    run_perf_scenarios_in(scenarios, cfg, engine, &TraceArena::new())
-}
-
 /// Runs `scenarios` on `engine`, timing each scenario's warm-up and
 /// measured phases. The arena is explicit so callers can share streams
 /// across runs and inspect deduplication.
@@ -250,7 +219,7 @@ pub fn run_perf_scenarios(
 /// The deterministic fields of the report (scenario identity, reference
 /// counts, CPI digests) are identical for every worker count; only the
 /// timing fields vary run to run.
-pub fn run_perf_scenarios_in(
+pub fn run_perf(
     scenarios: &[PerfScenario],
     cfg: &ExperimentConfig,
     engine: &ExperimentEngine,
@@ -288,17 +257,14 @@ pub fn run_perf_scenarios_in(
     let refs: u64 = results.iter().map(|r| r.refs).sum();
     let warmup_nanos: u64 = results.iter().map(|r| r.warmup_nanos).sum();
     let measured_nanos: u64 = results.iter().map(|r| r.measured_nanos).sum();
-    let loop_nanos = warmup_nanos + measured_nanos;
     let totals = PerfTotals {
         scenarios: results.len(),
         refs,
         tracegen_nanos,
         warmup_nanos,
         measured_nanos,
-        loop_nanos,
         elapsed_nanos,
-        blocks_per_sec: per_sec(refs, loop_nanos),
-        jobs_per_sec: per_sec(results.len() as u64, elapsed_nanos),
+        refs_per_sec: per_sec(refs, elapsed_nanos),
     };
     PerfReport {
         cfg: *cfg,
@@ -339,25 +305,20 @@ fn saturating_nanos(n: u128) -> u64 {
 }
 
 impl PerfReport {
-    /// The full document, timing included, without a baseline block.
+    /// The full document, timing included.
     pub fn to_json(&self) -> String {
-        self.render(true, None)
+        self.render(true)
     }
 
-    /// The full document with the regression-gate verdict attached.
-    pub fn to_json_with_gate(&self, gate: &GateOutcome) -> String {
-        self.render(true, Some(gate))
-    }
-
-    /// The canonical document: every timing field zeroed, no baseline block.
+    /// The canonical document: every timing field zeroed.
     ///
     /// This is a pure function of the scenario list and the configuration —
     /// byte-identical for every `--workers` value and across runs.
     pub fn to_canonical_json(&self) -> String {
-        self.render(false, None)
+        self.render(false)
     }
 
-    fn render(&self, timing: bool, gate: Option<&GateOutcome>) -> String {
+    fn render(&self, timing: bool) -> String {
         let t = |v: f64| if timing { v } else { 0.0 };
         let tn = |v: u64| if timing { v } else { 0 };
         let mut out = String::with_capacity(512 + self.results.len() * 256);
@@ -392,130 +353,40 @@ impl PerfReport {
         out.push_str("  ],\n");
         out.push_str(&format!(
             "  \"totals\": {{\"scenarios\": {}, \"refs\": {}, \"tracegen_nanos\": {}, \
-             \"warmup_nanos\": {}, \"measured_nanos\": {}, \"loop_nanos\": {}, \
-             \"elapsed_nanos\": {}, \"blocks_per_sec\": {}, \"jobs_per_sec\": {}}}",
+             \"warmup_nanos\": {}, \"measured_nanos\": {}, \"elapsed_nanos\": {}, \
+             \"refs_per_sec\": {}}}\n}}\n",
             self.totals.scenarios,
             self.totals.refs,
             tn(self.totals.tracegen_nanos),
             tn(self.totals.warmup_nanos),
             tn(self.totals.measured_nanos),
-            tn(self.totals.loop_nanos),
             tn(self.totals.elapsed_nanos),
-            t(self.totals.blocks_per_sec),
-            t(self.totals.jobs_per_sec),
+            t(self.totals.refs_per_sec),
         ));
-        if let Some(g) = gate {
-            out.push_str(",\n");
-            out.push_str(&format!(
-                "  \"baseline\": {{\"pre_optimization_blocks_per_sec\": {}, \
-                 \"gate_blocks_per_sec\": {}, \"tolerance\": {}, \
-                 \"speedup_vs_pre_optimization\": {}, \"ratio_vs_gate\": {}, \
-                 \"gate_pass\": {}}}",
-                g.baseline.pre_optimization_blocks_per_sec,
-                g.baseline.gate_blocks_per_sec,
-                g.baseline.tolerance,
-                g.speedup_vs_pre_optimization,
-                g.ratio_vs_gate,
-                g.pass,
-            ));
-        }
-        out.push_str("\n}\n");
         out
-    }
-}
-
-// ----- the regression gate ---------------------------------------------------
-
-/// The checked-in reference numbers the CI gate compares against
-/// (`bench/baseline.json`).
-///
-/// The baseline document keeps one section per run configuration (`smoke`,
-/// `quick`, `full`) because their throughput profiles differ by multiples:
-/// smoke runs are construction-dominated while the longer configurations
-/// expose the steady-state hot path. Each section carries two reference
-/// points: `pre_optimization` is the hot-path throughput measured *before*
-/// the open-addressed-map optimization landed (the "before" of the
-/// before/after record), and `gate` is the post-optimization number new
-/// runs must not regress below. Both are machine-dependent; see the README
-/// for how to re-record them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfBaseline {
-    /// Aggregate blocks/sec before the hot-path optimization.
-    pub pre_optimization_blocks_per_sec: f64,
-    /// Aggregate blocks/sec the gate compares against.
-    pub gate_blocks_per_sec: f64,
-    /// Allowed fractional drop below the gate number (0.25 = 25%).
-    pub tolerance: f64,
-}
-
-impl PerfBaseline {
-    /// Parses the section for `config` ("smoke", "quick", or "full") out of
-    /// a `bench/baseline.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json(text: &str, config: &str) -> Result<Self, String> {
-        let doc = JsonValue::parse(text).map_err(|e| e.to_string())?;
-        let section = doc
-            .get("configs")
-            .and_then(|c| c.get(config))
-            .ok_or_else(|| format!("baseline has no section for config '{config}'"))?;
-        let field = |path: &[&str]| -> Result<f64, String> {
-            let mut v = section;
-            for key in path {
-                v = v.get(key).ok_or_else(|| {
-                    format!("baseline section '{config}' is missing {}", path.join("."))
-                })?;
-            }
-            v.as_f64().ok_or_else(|| {
-                format!("baseline field {config}.{} is not a number", path.join("."))
-            })
-        };
-        Ok(PerfBaseline {
-            pre_optimization_blocks_per_sec: field(&["pre_optimization", "blocks_per_sec"])?,
-            gate_blocks_per_sec: field(&["gate", "blocks_per_sec"])?,
-            tolerance: field(&["gate", "tolerance"])?,
-        })
-    }
-}
-
-/// The verdict of comparing a run against the checked-in baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateOutcome {
-    /// The baseline compared against.
-    pub baseline: PerfBaseline,
-    /// `run blocks/sec ÷ pre-optimization blocks/sec` — the before/after
-    /// speedup this run demonstrates.
-    pub speedup_vs_pre_optimization: f64,
-    /// `run blocks/sec ÷ gate blocks/sec`.
-    pub ratio_vs_gate: f64,
-    /// `true` when the run is within tolerance of the gate number.
-    pub pass: bool,
-}
-
-/// Compares a run's aggregate blocks/sec against the baseline: the gate
-/// fails when throughput drops more than `tolerance` below the gate number.
-pub fn evaluate_gate(report: &PerfReport, baseline: &PerfBaseline) -> GateOutcome {
-    let got = report.totals.blocks_per_sec;
-    let ratio = |b: f64| if b > 0.0 { got / b } else { 0.0 };
-    GateOutcome {
-        baseline: *baseline,
-        speedup_vs_pre_optimization: ratio(baseline.pre_optimization_blocks_per_sec),
-        ratio_vs_gate: ratio(baseline.gate_blocks_per_sec),
-        pass: got >= baseline.gate_blocks_per_sec * (1.0 - baseline.tolerance),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
 
     fn tiny_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::smoke();
         cfg.warmup_refs = 600;
         cfg.measured_refs = 400;
         cfg
+    }
+
+    /// Runs `scenarios` over a fresh arena.
+    fn run(scenarios: &[PerfScenario], cfg: &ExperimentConfig, workers: usize) -> PerfReport {
+        run_perf(
+            scenarios,
+            cfg,
+            &ExperimentEngine::with_workers(workers),
+            &TraceArena::new(),
+        )
     }
 
     fn tiny_scenarios() -> Vec<PerfScenario> {
@@ -551,8 +422,7 @@ mod tests {
     #[test]
     fn report_totals_are_consistent_with_scenarios() {
         let cfg = tiny_cfg();
-        let report =
-            run_perf_scenarios(&tiny_scenarios(), &cfg, &ExperimentEngine::with_workers(1));
+        let report = run(&tiny_scenarios(), &cfg, 1);
         assert_eq!(report.totals.scenarios, 2);
         assert_eq!(report.totals.refs, 2 * 1000);
         assert!(
@@ -572,12 +442,17 @@ mod tests {
             report.totals.measured_nanos,
             report.results.iter().map(|r| r.measured_nanos).sum::<u64>()
         );
-        assert_eq!(
-            report.totals.loop_nanos,
-            report.totals.warmup_nanos + report.totals.measured_nanos
+        assert!(
+            report.totals.elapsed_nanos
+                >= report.totals.tracegen_nanos
+                    + report.totals.warmup_nanos
+                    + report.totals.measured_nanos,
+            "one worker: the phases run one after another inside the elapsed time"
         );
-        assert!(report.totals.blocks_per_sec > 0.0);
-        assert!(report.totals.jobs_per_sec > 0.0);
+        assert_eq!(
+            report.totals.refs_per_sec,
+            report.totals.refs as f64 * 1e9 / report.totals.elapsed_nanos as f64
+        );
     }
 
     #[test]
@@ -586,7 +461,7 @@ mod tests {
         // counts), each generated exactly once.
         let cfg = tiny_cfg();
         let arena = TraceArena::new();
-        let report = run_perf_scenarios_in(
+        let report = run_perf(
             &default_perf_scenarios(),
             &cfg,
             &ExperimentEngine::with_workers(2),
@@ -601,8 +476,8 @@ mod tests {
     fn canonical_json_is_identical_across_worker_counts() {
         let cfg = tiny_cfg();
         let scenarios = tiny_scenarios();
-        let serial = run_perf_scenarios(&scenarios, &cfg, &ExperimentEngine::with_workers(1));
-        let pooled = run_perf_scenarios(&scenarios, &cfg, &ExperimentEngine::with_workers(4));
+        let serial = run(&scenarios, &cfg, 1);
+        let pooled = run(&scenarios, &cfg, 4);
         assert_eq!(serial.to_canonical_json(), pooled.to_canonical_json());
         // The deterministic fields agree even in the timed documents.
         for (a, b) in serial.results.iter().zip(&pooled.results) {
@@ -614,14 +489,13 @@ mod tests {
     #[test]
     fn emitted_json_parses_and_has_the_documented_schema() {
         let cfg = tiny_cfg();
-        let report =
-            run_perf_scenarios(&tiny_scenarios(), &cfg, &ExperimentEngine::with_workers(2));
-        let doc = JsonValue::parse(&report.to_json()).expect("BENCH_perf.json must parse");
+        let report = run(&tiny_scenarios(), &cfg, 2);
+        let doc = JsonValue::parse(&report.to_json()).expect("the perf report must parse");
         assert_eq!(
             doc.keys(),
             vec!["schema_version", "config", "scenarios", "totals"]
         );
-        assert_eq!(doc.get("schema_version").unwrap().as_f64(), Some(6.0));
+        assert_eq!(doc.get("schema_version").unwrap().as_f64(), Some(7.0));
         let scenarios = doc.get("scenarios").unwrap().as_array().unwrap();
         assert_eq!(scenarios.len(), 2);
         for s in scenarios {
@@ -649,10 +523,8 @@ mod tests {
                 "tracegen_nanos",
                 "warmup_nanos",
                 "measured_nanos",
-                "loop_nanos",
                 "elapsed_nanos",
-                "blocks_per_sec",
-                "jobs_per_sec",
+                "refs_per_sec",
             ]
         );
     }
@@ -734,83 +606,11 @@ mod tests {
         // Two designs over one workload share an arena slab; their
         // deterministic digests must come out as if each streamed privately.
         let cfg = tiny_cfg();
-        let report =
-            run_perf_scenarios(&tiny_scenarios(), &cfg, &ExperimentEngine::with_workers(2));
+        let report = run(&tiny_scenarios(), &cfg, 2);
         for (s, r) in tiny_scenarios().iter().zip(&report.results) {
             let single = rnuca_sim::DesignComparison::run_single(&s.workload, s.design, &cfg);
             assert_eq!(r.total_cpi, single.run.total_cpi());
             assert_eq!(r.off_chip_rate, single.run.off_chip_rate);
         }
-    }
-
-    #[test]
-    fn baseline_roundtrip_and_gate_verdicts() {
-        let baseline_json = r#"{
-            "schema_version": 1,
-            "configs": {
-                "smoke": {
-                    "pre_optimization": {"blocks_per_sec": 1000000.0},
-                    "gate": {"blocks_per_sec": 2000000.0, "tolerance": 0.25}
-                }
-            }
-        }"#;
-        let baseline = PerfBaseline::from_json(baseline_json, "smoke").unwrap();
-        assert_eq!(baseline.pre_optimization_blocks_per_sec, 1e6);
-        assert_eq!(baseline.gate_blocks_per_sec, 2e6);
-        assert_eq!(baseline.tolerance, 0.25);
-
-        let cfg = tiny_cfg();
-        let mut report =
-            run_perf_scenarios(&tiny_scenarios(), &cfg, &ExperimentEngine::with_workers(1));
-        // Pin the aggregate so the verdict is deterministic.
-        report.totals.blocks_per_sec = 1.6e6;
-        let gate = evaluate_gate(&report, &baseline);
-        assert!(gate.pass, "1.6M >= 2M * 0.75");
-        assert!((gate.speedup_vs_pre_optimization - 1.6).abs() < 1e-12);
-        assert!((gate.ratio_vs_gate - 0.8).abs() < 1e-12);
-
-        report.totals.blocks_per_sec = 1.4e6;
-        assert!(!evaluate_gate(&report, &baseline).pass, "1.4M < 2M * 0.75");
-
-        // The gate verdict lands in the emitted document and still parses.
-        let doc = JsonValue::parse(&report.to_json_with_gate(&gate)).unwrap();
-        let b = doc
-            .get("baseline")
-            .expect("gated document has a baseline block");
-        assert_eq!(b.get("gate_pass").unwrap().as_bool(), Some(true));
-        assert_eq!(
-            b.get("pre_optimization_blocks_per_sec").unwrap().as_f64(),
-            Some(1e6)
-        );
-    }
-
-    #[test]
-    fn malformed_baselines_are_rejected_with_field_names() {
-        let err = PerfBaseline::from_json("{}", "smoke").unwrap_err();
-        assert!(
-            err.contains("no section"),
-            "error names the gap, got: {err}"
-        );
-        let err = PerfBaseline::from_json(
-            r#"{"configs": {"smoke": {"pre_optimization": {}}}}"#,
-            "smoke",
-        )
-        .unwrap_err();
-        assert!(
-            err.contains("pre_optimization"),
-            "error names the field, got: {err}"
-        );
-        let err = PerfBaseline::from_json(
-            r#"{"configs": {"smoke": {
-                "pre_optimization": {"blocks_per_sec": "fast"},
-                "gate": {"blocks_per_sec": 1, "tolerance": 0.1}}}}"#,
-            "smoke",
-        )
-        .unwrap_err();
-        assert!(err.contains("not a number"), "got: {err}");
-        assert!(PerfBaseline::from_json("not json", "smoke").is_err());
-        // A recorded file may still lack the requested config's section.
-        let err = PerfBaseline::from_json(r#"{"configs": {"smoke": {}}}"#, "full").unwrap_err();
-        assert!(err.contains("'full'"), "got: {err}");
     }
 }

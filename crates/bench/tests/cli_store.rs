@@ -2,7 +2,8 @@
 //! truncated warehouse must fail `ingest` and `query` with exit code 3 and
 //! a diagnostic naming the file and byte offset — distinct from exit 2
 //! (malformed query) and exit 1 (generic errors) — and the `journal`
-//! subcommand must report journal health the same way.
+//! subcommand must report journal health the same way. A command line the
+//! binary does not understand (an unknown flag or target) exits 2 as well.
 
 use rnuca_sim::SweepJournal;
 use rnuca_warehouse::{RowKind, RunRecord, Warehouse};
@@ -160,4 +161,24 @@ fn resume_without_a_journal_is_refused_up_front() {
         "{}",
         stderr_of(&out)
     );
+}
+
+#[test]
+fn unknown_flags_and_targets_exit_2_naming_them() {
+    // A retired flag, a typo'd flag and an unknown target each fail before
+    // any work starts, with a message naming what was not understood.
+    for (args, named) in [
+        (&["--baseline=x", "perf", "--list"][..], "--baseline=x"),
+        (&["--worker=2", "table1"][..], "--worker=2"),
+        (&["fig99"][..], "fig99"),
+    ] {
+        let out = figures(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+        assert!(
+            stderr_of(&out).contains(named),
+            "{args:?} names {named}: {}",
+            stderr_of(&out)
+        );
+        assert!(stdout_of(&out).is_empty(), "{args:?} ran something");
+    }
 }

@@ -92,10 +92,10 @@ impl ExperimentConfig {
     /// The preset this configuration's reference counts match: `"full"`,
     /// `"quick"`, `"smoke"`, or `"custom"` for anything else.
     ///
-    /// The label keys results in the warehouse (the perf gate queries
-    /// `config=full` rows only) and is inferred the same way when a
-    /// report JSON — which records the reference counts but not the
-    /// preset — is ingested back.
+    /// The label keys results in the warehouse (`config=full` selects
+    /// full-length runs) and is inferred the same way when a report JSON —
+    /// which records the reference counts but not the preset — is ingested
+    /// back.
     pub fn label(&self) -> &'static str {
         let shape = (self.warmup_refs, self.measured_refs);
         if shape == (Self::full().warmup_refs, Self::full().measured_refs) {

@@ -50,6 +50,7 @@ use crate::journal::{
 };
 use crate::simulator::{CmpSimulator, MeasuredRun};
 use rnuca_types::config::ConfigPoint;
+use rnuca_types::json::json_string;
 use rnuca_types::retry::RetryPolicy;
 use rnuca_types::{ConfigError, Fnv64};
 use rnuca_warehouse::{AppendSummary, RowKind, RunRecord, Warehouse};
@@ -874,22 +875,6 @@ impl QuarantinedSweep {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1144,7 +1129,7 @@ mod tests {
         let store = Warehouse::new();
         let (sweep, _) = sweep_into(&m, ExperimentEngine::with_workers(1), &store);
         let out = store
-            .query("kind=sweep sort design show design, cluster, total_cpi, off_chip_rate, config, schema, partial")
+            .query("kind=sweep sort design show design, cluster, total_cpi, off_chip_rate, config, schema, kind")
             .expect("clean query");
         assert_eq!(out.rows.len(), sweep.results.len());
         for (row, want) in out.rows.iter().zip(
@@ -1156,18 +1141,11 @@ mod tests {
             assert_eq!(row[3].to_string(), want.run.off_chip_rate.to_string());
             assert_eq!(row[4].to_string(), "custom", "1500/1000 refs is no preset");
             assert_eq!(row[5].to_string(), SWEEP_SCHEMA_VERSION.to_string());
-            assert_eq!(row[6].to_string(), "false");
+            assert_eq!(row[6].to_string(), "sweep");
         }
         // The R-NUCA row records its cluster size; shared rows are null.
         let clusters: Vec<String> = out.rows.iter().map(|r| r[1].to_string()).collect();
         assert_eq!(clusters, ["4", "-"]);
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\u000ay\"");
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod failpoint;
 pub mod fingerprint;
 pub mod ids;
 pub mod index_map;
+pub mod json;
 pub mod latency;
 pub mod os_hint;
 pub mod retry;

@@ -7,6 +7,7 @@
 //! column names and operator/type compatibility against this table.
 
 use rnuca_types::Fnv64;
+use ColumnType::{Float, Int, Str};
 
 /// The type of one warehouse column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,8 +16,6 @@ pub enum ColumnType {
     Int,
     /// 64-bit IEEE float (stored by bit pattern, round-trips exactly).
     Float,
-    /// Boolean.
-    Bool,
     /// Interned UTF-8 string.
     Str,
 }
@@ -27,7 +26,6 @@ impl ColumnType {
         match self {
             ColumnType::Int => "int",
             ColumnType::Float => "float",
-            ColumnType::Bool => "bool",
             ColumnType::Str => "str",
         }
     }
@@ -36,7 +34,7 @@ impl ColumnType {
 /// One column of the catalog: its query-visible name and its type.
 ///
 /// Columns not listed as required may be null on any given row (a totals
-/// row has no `workload`; a scenario row has no `blocks_per_sec`).
+/// row has no `workload`; a scenario row has no `refs_per_sec`).
 #[derive(Debug, Clone, Copy)]
 pub struct Column {
     /// The name used in queries and JSON output.
@@ -51,139 +49,39 @@ pub struct Column {
 /// [`Warehouse::append_all`](crate::Warehouse::append_all) call); every
 /// other column comes from the [`RunRecord`](crate::RunRecord).
 pub const CATALOG: &[Column] = &[
-    Column {
-        name: "batch",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "kind",
-        ty: ColumnType::Str,
-    },
-    Column {
-        name: "workload",
-        ty: ColumnType::Str,
-    },
-    Column {
-        name: "design",
-        ty: ColumnType::Str,
-    },
-    Column {
-        name: "letter",
-        ty: ColumnType::Str,
-    },
-    Column {
-        name: "cores",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "slice_kb",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "cluster",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "seed",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "schema",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "config",
-        ty: ColumnType::Str,
-    },
-    Column {
-        name: "partial",
-        ty: ColumnType::Bool,
-    },
-    Column {
-        name: "group",
-        ty: ColumnType::Str,
-    },
-    Column {
-        name: "refs",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "scenarios",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "groups",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "total_cpi",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "cpi_busy",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "cpi_l1_to_l1",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "cpi_l2",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "cpi_off_chip",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "cpi_other",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "cpi_reclass",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "off_chip_rate",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "l1_to_l1_rate",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "misclass_rate",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "reclassifications",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "fork_nanos",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "measured_nanos",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "loop_nanos",
-        ty: ColumnType::Int,
-    },
-    Column {
-        name: "blocks_per_sec",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "jobs_per_sec",
-        ty: ColumnType::Float,
-    },
-    Column {
-        name: "failure",
-        ty: ColumnType::Str,
-    },
+    col("batch", Int),
+    col("kind", Str),
+    col("workload", Str),
+    col("design", Str),
+    col("letter", Str),
+    col("cores", Int),
+    col("slice_kb", Int),
+    col("cluster", Int),
+    col("seed", Int),
+    col("schema", Int),
+    col("config", Str),
+    col("refs", Int),
+    col("scenarios", Int),
+    col("total_cpi", Float),
+    col("cpi_busy", Float),
+    col("cpi_l1_to_l1", Float),
+    col("cpi_l2", Float),
+    col("cpi_off_chip", Float),
+    col("cpi_other", Float),
+    col("cpi_reclass", Float),
+    col("off_chip_rate", Float),
+    col("l1_to_l1_rate", Float),
+    col("misclass_rate", Float),
+    col("reclassifications", Int),
+    col("warmup_nanos", Int),
+    col("measured_nanos", Int),
+    col("refs_per_sec", Float),
+    col("failure", Str),
 ];
+
+const fn col(name: &'static str, ty: ColumnType) -> Column {
+    Column { name, ty }
+}
 
 /// The position of `name` in [`CATALOG`], if it is a known column.
 pub fn column_index(name: &str) -> Option<usize> {
@@ -226,5 +124,15 @@ mod tests {
     fn hash_is_stable_across_calls() {
         assert_eq!(catalog_hash(), catalog_hash());
         assert_ne!(catalog_hash(), 0);
+    }
+
+    #[test]
+    fn the_catalog_hash_is_pinned() {
+        // Every store file is headed by this value: a change here makes
+        // every store written before it fail to open with
+        // `StoreError::CatalogMismatch`, so it must only move on purpose
+        // (a column added, dropped, renamed, retyped or reordered).
+        assert_eq!(CATALOG.len(), 28);
+        assert_eq!(catalog_hash(), 0xa4cf_a832_ccb0_231f);
     }
 }

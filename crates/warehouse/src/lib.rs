@@ -1,7 +1,7 @@
 //! Append-only columnar results warehouse with a typed query language.
 //!
-//! Every measured run the simulator produces — perf-gate scenarios, fused
-//! group aggregates, report totals, and sweep points — lands in one
+//! Every measured run the simulator produces — perf scenarios, perf report
+//! totals, sweep points, and quarantined sweep failures — lands in one
 //! [`Warehouse`]: a versioned, structure-of-arrays columnar store keyed by
 //! `(workload fingerprint, design, geometry, seed, schema version)`. The
 //! key makes appends idempotent: re-ingesting the same report or re-running
@@ -20,10 +20,6 @@
 //! executor supporting conjunctive filters, comparisons, sorting,
 //! projection, and row limits. Errors carry byte spans into the query text
 //! and render in compiler style.
-//!
-//! The CI perf gate is itself a query over this store: the gate verdict is
-//! "does at least one totals row from the latest batch clear the baseline
-//! threshold", evaluated by the same engine that serves `figures query`.
 #![warn(missing_docs)]
 
 pub mod catalog;

@@ -78,11 +78,6 @@ fn matches(store: &Store, row: usize, filter: &Filter) -> bool {
             CmpOp::Ne => have != want,
             _ => unreachable!("resolution restricts str to =/!="),
         },
-        (Operand::Bool(want), Value::Bool(have)) => match filter.op {
-            CmpOp::Eq => have == want,
-            CmpOp::Ne => have != want,
-            _ => unreachable!("resolution restricts bool to =/!="),
-        },
         // Exact integer comparison when both sides are integers.
         (Operand::Int(want), Value::Int(have)) => apply(filter.op, have.cmp(want)),
         (Operand::Int(want), Value::Float(have)) => {
@@ -125,7 +120,6 @@ fn cmp_cells(a: &Value, b: &Value) -> Ordering {
         (Value::Float(x), Value::Float(y)) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
         (Value::Int(x), Value::Float(y)) => (*x as f64).partial_cmp(y).unwrap_or(Ordering::Equal),
         (Value::Float(x), Value::Int(y)) => x.partial_cmp(&(*y as f64)).unwrap_or(Ordering::Equal),
-        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
         (Value::Str(x), Value::Str(y)) => x.cmp(y),
         _ => Ordering::Equal,
     }
@@ -156,7 +150,7 @@ mod tests {
         }
         // One totals row: null workload/design/cores.
         let mut t = RunRecord::new(RowKind::Totals, 42, 5, "full");
-        t.blocks_per_sec = Some(5.5e6);
+        t.refs_per_sec = Some(5.5e6);
         records.push(t);
         w.append_all(&records);
         w
@@ -227,10 +221,10 @@ mod tests {
     }
 
     #[test]
-    fn bool_and_string_equality() {
+    fn string_equality_and_inequality() {
         let w = sample();
-        assert_eq!(w.query("partial=false").expect("ok").rows.len(), 6);
-        assert_eq!(w.query("partial=true").expect("ok").rows.len(), 0);
+        assert_eq!(w.query("config=full").expect("ok").rows.len(), 6);
+        assert_eq!(w.query("config!=full").expect("ok").rows.len(), 0);
         assert_eq!(
             w.query("workload!=apache & kind=scenario")
                 .expect("ok")

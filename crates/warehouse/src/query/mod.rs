@@ -6,8 +6,7 @@
 //! query  := [filter ('&' filter)*] [sort] [show] [top]
 //! filter := column op literal
 //! op     := '=' | '!=' | '<' | '<=' | '>' | '>='
-//! literal:= integer | float | 'string' | "string" | bare-word
-//!         | true | false | null
+//! literal:= integer | float | 'string' | "string" | bare-word | null
 //! sort   := 'sort' column ['asc' | 'desc']
 //! show   := 'show' column (',' column)*
 //! top    := 'top' integer

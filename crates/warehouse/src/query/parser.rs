@@ -15,7 +15,6 @@ pub(super) enum Lit {
     Int(i64),
     Float(f64),
     Str(String),
-    Bool(bool),
     Null,
 }
 
@@ -26,7 +25,6 @@ impl Lit {
             Lit::Int(_) => "an integer",
             Lit::Float(_) => "a float",
             Lit::Str(_) => "a string",
-            Lit::Bool(_) => "a boolean",
             Lit::Null => "null",
         }
     }
@@ -265,8 +263,6 @@ fn parse_filter(p: &mut Parser<'_>, errors: &mut Vec<QueryError>) -> Option<Filt
         TokenKind::Int(v) => Lit::Int(*v),
         TokenKind::Float(v) => Lit::Float(*v),
         TokenKind::Str(v) => Lit::Str(v.clone()),
-        TokenKind::Ident(w) if w == "true" => Lit::Bool(true),
-        TokenKind::Ident(w) if w == "false" => Lit::Bool(false),
         TokenKind::Ident(w) if w == "null" => Lit::Null,
         // A bare word is a string literal: design=R.
         TokenKind::Ident(w) => Lit::Str(w.clone()),
@@ -458,10 +454,11 @@ mod tests {
     }
 
     #[test]
-    fn null_true_false_literals() {
-        let (ast, errors) = parse_src("workload=null & partial=true");
+    fn null_and_bare_word_literals() {
+        let (ast, errors) = parse_src("workload=null & config=full & design='true'");
         assert!(errors.is_empty());
         assert_eq!(ast.filters[0].value, Lit::Null);
-        assert_eq!(ast.filters[1].value, Lit::Bool(true));
+        assert_eq!(ast.filters[1].value, Lit::Str("full".to_string()));
+        assert_eq!(ast.filters[2].value, Lit::Str("true".to_string()));
     }
 }

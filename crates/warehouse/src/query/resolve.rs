@@ -20,7 +20,6 @@ pub(super) enum Operand {
     Number(f64),
     /// Compare exact integer (avoids f64 rounding for i64-range values).
     Int(i64),
-    Bool(bool),
     Str(String),
     /// `= null` / `!= null` presence test.
     Null,
@@ -94,7 +93,6 @@ pub(super) fn resolve(ast: &Ast, errors: &mut Vec<QueryError>) -> Plan {
             (Lit::Int(v), ColumnType::Int) => Some(Operand::Int(*v)),
             (Lit::Int(v), ColumnType::Float) => Some(Operand::Number(*v as f64)),
             (Lit::Float(v), ColumnType::Int | ColumnType::Float) => Some(Operand::Number(*v)),
-            (Lit::Bool(v), ColumnType::Bool) => Some(Operand::Bool(*v)),
             (Lit::Str(v), ColumnType::Str) => Some(Operand::Str(v.clone())),
             (lit, _) => {
                 errors.push(
@@ -143,7 +141,6 @@ fn literal_hint(ty: ColumnType) -> String {
     match ty {
         ColumnType::Int => "write an integer, e.g. `cores>=32`".to_string(),
         ColumnType::Float => "write a number, e.g. `off_chip_rate<0.2`".to_string(),
-        ColumnType::Bool => "write `true` or `false`".to_string(),
         ColumnType::Str => "write a bare word or quoted string, e.g. `design=R`".to_string(),
     }
 }

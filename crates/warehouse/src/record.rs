@@ -14,10 +14,7 @@ use rnuca_types::Fnv64;
 pub enum RowKind {
     /// One perf scenario: per-(workload, design, cores) simulation metrics.
     Scenario,
-    /// One fused perf group: wall-clock aggregate over a scenario group
-    /// (perf schema v5 and older).
-    Group,
-    /// Whole-report totals: throughput over every group in one perf run.
+    /// Whole-report totals: throughput over every scenario in one perf run.
     Totals,
     /// One sweep point from a [`ScenarioMatrix`] evaluation run.
     ///
@@ -35,7 +32,6 @@ impl RowKind {
     pub fn as_str(self) -> &'static str {
         match self {
             RowKind::Scenario => "scenario",
-            RowKind::Group => "group",
             RowKind::Totals => "totals",
             RowKind::Sweep => "sweep",
             RowKind::Failed => "failed",
@@ -72,22 +68,14 @@ pub struct RunRecord {
     /// RNG seed the run used.
     pub seed: i64,
     /// Schema version of the producing pipeline (perf schema for
-    /// scenario/group/totals rows, sweep schema for sweep rows).
+    /// scenario/totals rows, sweep schema for sweep rows).
     pub schema: i64,
     /// Experiment config label: `full`, `quick`, `smoke`, or `custom`.
     pub config: String,
-    /// True when the producing run was filtered (`figures perf --filter`)
-    /// and therefore does not cover the full scenario set. Gate queries
-    /// exclude partial rows explicitly (`partial=false`).
-    pub partial: bool,
-    /// Scenario group key (`workload/letter/Ncores`), on group rows.
-    pub group: Option<String>,
     /// References simulated (warm-up plus measured), where known.
     pub refs: Option<i64>,
     /// Scenario count (totals rows).
     pub scenarios: Option<i64>,
-    /// Group count (totals rows).
-    pub groups: Option<i64>,
     /// Total cycles-per-instruction.
     pub total_cpi: Option<f64>,
     /// CPI component: busy (compute) cycles.
@@ -110,18 +98,16 @@ pub struct RunRecord {
     pub misclass_rate: Option<f64>,
     /// Count of page reclassification events.
     pub reclassifications: Option<i64>,
-    /// Wall-clock nanoseconds spent forking warmed snapshots (group rows
-    /// of perf schema v5 and older).
-    pub fork_nanos: Option<i64>,
-    /// Wall-clock nanoseconds spent in the measured phase.
+    /// Wall-clock nanoseconds spent in the warm-up phase (summed over
+    /// scenarios on totals rows).
+    pub warmup_nanos: Option<i64>,
+    /// Wall-clock nanoseconds spent in the measured phase (summed over
+    /// scenarios on totals rows).
     pub measured_nanos: Option<i64>,
-    /// Wall-clock nanoseconds for the timed loop: warm-up plus measurement
-    /// since perf schema v6.
-    pub loop_nanos: Option<i64>,
-    /// Measured throughput in cache-block accesses per second.
-    pub blocks_per_sec: Option<f64>,
-    /// Measured throughput in scenario jobs per second.
-    pub jobs_per_sec: Option<f64>,
+    /// End-to-end throughput of a perf run: references stepped (warm-up
+    /// plus measured, every scenario) per second of the run's elapsed
+    /// wall-clock time (totals rows).
+    pub refs_per_sec: Option<f64>,
     /// Failure description (`cause after N attempts: message`), on failed
     /// rows.
     pub failure: Option<String>,
@@ -142,11 +128,8 @@ impl RunRecord {
             seed,
             schema,
             config: config.to_string(),
-            partial: false,
-            group: None,
             refs: None,
             scenarios: None,
-            groups: None,
             total_cpi: None,
             cpi_busy: None,
             cpi_l1_to_l1: None,
@@ -158,11 +141,9 @@ impl RunRecord {
             l1_to_l1_rate: None,
             misclass_rate: None,
             reclassifications: None,
-            fork_nanos: None,
+            warmup_nanos: None,
             measured_nanos: None,
-            loop_nanos: None,
-            blocks_per_sec: None,
-            jobs_per_sec: None,
+            refs_per_sec: None,
             failure: None,
         }
     }
@@ -170,12 +151,12 @@ impl RunRecord {
     /// The dedup key for this record.
     ///
     /// Deterministic rows (scenario, sweep) are keyed by *identity* — what
-    /// was run: workload fingerprint, design, geometry, seed, schema,
-    /// config, and the partial flag. Their metrics are a pure function of
+    /// was run: workload fingerprint, design, geometry, seed, schema, and
+    /// config. Their metrics are a pure function of
     /// that identity, so re-running the same point maps to the same key
     /// and the first row wins — repeated sweeps are incremental.
     ///
-    /// Timing rows (group, totals) measure wall-clock, which is *not* a
+    /// Totals rows measure wall-clock, which is *not* a
     /// function of identity, so they are keyed by full content: the same
     /// report re-ingested dedups to zero new rows, while a genuinely new
     /// run of the same configuration appends fresh rows.
@@ -189,7 +170,7 @@ impl RunRecord {
         self.hash_identity(&mut h);
         match self.kind {
             RowKind::Scenario | RowKind::Sweep => {}
-            RowKind::Group | RowKind::Totals => self.hash_metrics(&mut h),
+            RowKind::Totals => self.hash_metrics(&mut h),
             RowKind::Failed => hash_opt_str(&mut h, self.failure.as_deref()),
         }
         h.finish()
@@ -207,14 +188,11 @@ impl RunRecord {
         h.write_i64(self.seed);
         h.write_i64(self.schema);
         h.write_str(&self.config);
-        h.write_bool(self.partial);
-        hash_opt_str(h, self.group.as_deref());
     }
 
     fn hash_metrics(&self, h: &mut Fnv64) {
         hash_opt_i64(h, self.refs);
         hash_opt_i64(h, self.scenarios);
-        hash_opt_i64(h, self.groups);
         hash_opt_f64(h, self.total_cpi);
         hash_opt_f64(h, self.cpi_busy);
         hash_opt_f64(h, self.cpi_l1_to_l1);
@@ -226,11 +204,9 @@ impl RunRecord {
         hash_opt_f64(h, self.l1_to_l1_rate);
         hash_opt_f64(h, self.misclass_rate);
         hash_opt_i64(h, self.reclassifications);
-        hash_opt_i64(h, self.fork_nanos);
+        hash_opt_i64(h, self.warmup_nanos);
         hash_opt_i64(h, self.measured_nanos);
-        hash_opt_i64(h, self.loop_nanos);
-        hash_opt_f64(h, self.blocks_per_sec);
-        hash_opt_f64(h, self.jobs_per_sec);
+        hash_opt_f64(h, self.refs_per_sec);
     }
 
     /// The cell this record stores under catalog column `name`, with the
@@ -248,11 +224,8 @@ impl RunRecord {
             "seed" => Value::Int(self.seed),
             "schema" => Value::Int(self.schema),
             "config" => Value::Str(self.config.clone()),
-            "partial" => Value::Bool(self.partial),
-            "group" => opt_str(self.group.as_deref()),
             "refs" => opt_int(self.refs),
             "scenarios" => opt_int(self.scenarios),
-            "groups" => opt_int(self.groups),
             "total_cpi" => opt_float(self.total_cpi),
             "cpi_busy" => opt_float(self.cpi_busy),
             "cpi_l1_to_l1" => opt_float(self.cpi_l1_to_l1),
@@ -264,11 +237,9 @@ impl RunRecord {
             "l1_to_l1_rate" => opt_float(self.l1_to_l1_rate),
             "misclass_rate" => opt_float(self.misclass_rate),
             "reclassifications" => opt_int(self.reclassifications),
-            "fork_nanos" => opt_int(self.fork_nanos),
+            "warmup_nanos" => opt_int(self.warmup_nanos),
             "measured_nanos" => opt_int(self.measured_nanos),
-            "loop_nanos" => opt_int(self.loop_nanos),
-            "blocks_per_sec" => opt_float(self.blocks_per_sec),
-            "jobs_per_sec" => opt_float(self.jobs_per_sec),
+            "refs_per_sec" => opt_float(self.refs_per_sec),
             "failure" => opt_str(self.failure.as_deref()),
             other => unreachable!("column {other} is not in the catalog"),
         }
@@ -338,19 +309,26 @@ mod tests {
     #[test]
     fn timing_rows_key_by_content() {
         let mut a = RunRecord::new(RowKind::Totals, 42, 5, "full");
-        a.blocks_per_sec = Some(5.5e6);
+        a.refs_per_sec = Some(5.5e6);
         let mut b = a.clone();
         assert_eq!(a.key(), b.key());
-        b.blocks_per_sec = Some(5.6e6);
+        b.refs_per_sec = Some(5.6e6);
         assert_ne!(a.key(), b.key(), "totals metrics are part of the key");
     }
 
     #[test]
-    fn partial_flag_and_kind_separate_keys() {
+    fn identity_fields_and_kind_separate_keys() {
         let a = scenario();
         let mut b = scenario();
-        b.partial = true;
-        assert_ne!(a.key(), b.key());
+        b.config = "quick".into();
+        assert_ne!(a.key(), b.key(), "the config label is part of the identity");
+        let mut b = scenario();
+        b.schema = 6;
+        assert_ne!(
+            a.key(),
+            b.key(),
+            "the schema version is part of the identity"
+        );
 
         let mut c = scenario();
         c.kind = RowKind::Sweep;

@@ -25,6 +25,7 @@ use crate::catalog::{catalog_hash, ColumnType, CATALOG};
 use crate::query::{self, QueryError, QueryOutput};
 use crate::record::RunRecord;
 use rnuca_types::failpoint;
+use rnuca_types::json::json_string;
 use rnuca_types::Fnv64;
 
 /// Eight magic bytes opening every warehouse file.
@@ -43,8 +44,6 @@ pub enum Value {
     Int(i64),
     /// A float cell.
     Float(f64),
-    /// A boolean cell.
-    Bool(bool),
     /// A string cell.
     Str(String),
 }
@@ -56,14 +55,13 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "-"),
             Value::Int(v) => write!(f, "{v}"),
             Value::Float(v) => write!(f, "{v}"),
-            Value::Bool(v) => write!(f, "{v}"),
             Value::Str(v) => write!(f, "{v}"),
         }
     }
 }
 
 impl Value {
-    /// JSON rendering of this cell (`null`, number, boolean, or string).
+    /// JSON rendering of this cell (`null`, number, or string).
     pub fn to_json(&self) -> String {
         match self {
             Value::Null => "null".to_string(),
@@ -75,29 +73,9 @@ impl Value {
                     "null".to_string()
                 }
             }
-            Value::Bool(v) => v.to_string(),
             Value::Str(v) => json_string(v),
         }
     }
-}
-
-/// Escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Why a store failed to open or save.
@@ -264,7 +242,6 @@ impl StringPool {
 enum ColumnData {
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Bool(Vec<u8>),
     Str(Vec<u32>),
 }
 
@@ -273,7 +250,6 @@ impl ColumnData {
         match ty {
             ColumnType::Int => ColumnData::Int(Vec::new()),
             ColumnType::Float => ColumnData::Float(Vec::new()),
-            ColumnType::Bool => ColumnData::Bool(Vec::new()),
             ColumnType::Str => ColumnData::Str(Vec::new()),
         }
     }
@@ -304,8 +280,6 @@ impl ColumnSlab {
             (ColumnData::Int(v), Value::Null) => v.push(0),
             (ColumnData::Float(v), Value::Float(x)) => v.push(x),
             (ColumnData::Float(v), Value::Null) => v.push(0.0),
-            (ColumnData::Bool(v), Value::Bool(x)) => v.push(u8::from(x)),
-            (ColumnData::Bool(v), Value::Null) => v.push(0),
             (ColumnData::Str(v), Value::Str(x)) => v.push(pool.intern(&x)),
             (ColumnData::Str(v), Value::Null) => v.push(0),
             (_, v) => unreachable!("cell {v:?} does not match the column type"),
@@ -319,7 +293,6 @@ impl ColumnSlab {
         match &self.data {
             ColumnData::Int(v) => Value::Int(v[row]),
             ColumnData::Float(v) => Value::Float(v[row]),
-            ColumnData::Bool(v) => Value::Bool(v[row] != 0),
             ColumnData::Str(v) => Value::Str(pool.get(v[row]).to_string()),
         }
     }
@@ -401,7 +374,6 @@ impl Store {
                         out.extend_from_slice(&x.to_bits().to_le_bytes());
                     }
                 }
-                ColumnData::Bool(v) => out.extend_from_slice(v),
                 ColumnData::Str(v) => {
                     for x in v {
                         out.extend_from_slice(&x.to_le_bytes());
@@ -531,7 +503,6 @@ impl Store {
                     }
                     ColumnData::Float(v)
                 }
-                ColumnType::Bool => ColumnData::Bool(r.take(row_count, "bool slab")?.to_vec()),
                 ColumnType::Str => {
                     let mut v = Vec::with_capacity(row_count);
                     for _ in 0..row_count {

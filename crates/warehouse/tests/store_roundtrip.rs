@@ -15,14 +15,16 @@ use rnuca_warehouse::{RowKind, RunRecord, Value, Warehouse};
 fn record_from(id: u64, kind_idx: u64, a: u64, b: u64, c: u64) -> RunRecord {
     let kind = match kind_idx % 4 {
         0 => RowKind::Scenario,
-        1 => RowKind::Group,
+        1 => RowKind::Failed,
         2 => RowKind::Totals,
         _ => RowKind::Sweep,
     };
     let config = ["full", "quick", "smoke", "custom"][(a % 4) as usize];
     let mut r = RunRecord::new(kind, (id % 1000) as i64, 5, config);
     r.fingerprint = a;
-    r.partial = a & 1 == 0;
+    if a & 1 == 0 {
+        r.warmup_nanos = Some((c % 1_000_000_007) as i64);
+    }
     if a & 2 == 0 {
         r.workload = Some(format!("wl{}", id % 7));
     }
@@ -47,10 +49,10 @@ fn record_from(id: u64, kind_idx: u64, a: u64, b: u64, c: u64) -> RunRecord {
         r.refs = Some(b as i64);
     }
     if a & 256 == 0 {
-        r.group = Some(format!("wl{}/x/{}cores", id % 7, b % 128));
+        r.failure = Some(format!("panic after {} attempts: wl{}", b % 4, id % 7));
     }
     if a & 512 == 0 {
-        r.blocks_per_sec = Some((b % 10_000_000) as f64 + 0.5);
+        r.refs_per_sec = Some((b % 10_000_000) as f64 + 0.5);
     }
     r
 }
