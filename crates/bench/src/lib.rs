@@ -1,8 +1,9 @@
-//! Shared helpers for the benchmark harnesses and the `figures` binary.
+//! Helpers behind the `figures` binary: the perf suite, JSON ingest into
+//! the warehouse, and the figure tables.
 //!
 //! Everything heavy lives in `rnuca-sim`; this crate only provides small
-//! formatting and orchestration helpers so the Criterion benches and the
-//! figure-regeneration binary do not duplicate code.
+//! formatting and orchestration helpers for the figure-regeneration
+//! binary and its tests.
 
 #![warn(missing_docs)]
 

@@ -11,6 +11,7 @@
 //! points (dev-dependency feature unification), release-profile
 //! `cargo build` does not.
 
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -56,11 +57,13 @@ fn spawn_service(spool: &Path, store: &Path, failpoints: Option<&str>) -> Servic
         cmd.env("RNUCA_FAILPOINTS", plan);
     }
     let child = cmd.spawn().expect("the service spawns");
-    // The socket appears once the spool is scanned and the listener bound;
-    // from then on client verbs connect.
+    // The listener is bound once the spool is scanned; from then on client
+    // verbs connect. Wait for a connection, not for the socket file: a
+    // killed service leaves its socket file behind, and until the restarted
+    // one replaces it a client gets "connection refused".
     let socket = spool.join("service.sock");
     let deadline = Instant::now() + Duration::from_secs(30);
-    while !socket.exists() {
+    while UnixStream::connect(&socket).is_err() {
         assert!(Instant::now() < deadline, "service never bound its socket");
         std::thread::sleep(Duration::from_millis(25));
     }

@@ -1,4 +1,4 @@
-//! Cache building blocks: set-associative arrays, MSHRs, and victim caches.
+//! Cache building blocks: set-associative arrays and victim caches.
 //!
 //! Every cache in the modelled system — the split L1 I/D caches and the L2
 //! NUCA slices (Table 1 of the paper) — is built from the same
@@ -26,11 +26,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod array;
-pub mod mshr;
 pub mod stats;
 pub mod victim;
 
 pub use array::{CacheArray, EntryRef, Eviction, ProbeEntry, SetRef};
-pub use mshr::MshrFile;
 pub use stats::CacheStats;
 pub use victim::VictimCache;

@@ -8,7 +8,6 @@
 //! involved. [`DetailedCpi`] carries all of those at once.
 
 use rnuca_types::access::AccessClass;
-use rnuca_types::{Snap, SnapReader};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -192,50 +191,6 @@ impl DetailedCpi {
             l2_shared_load: self.l2_shared_load / denominator,
             l2_shared_coherence: self.l2_shared_coherence / denominator,
             off_chip_instructions: self.off_chip_instructions / denominator,
-        }
-    }
-}
-
-impl Snap for CpiBreakdown {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.busy.encode(out);
-        self.l1_to_l1.encode(out);
-        self.l2.encode(out);
-        self.off_chip.encode(out);
-        self.other.encode(out);
-        self.reclassification.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        CpiBreakdown {
-            busy: r.get(),
-            l1_to_l1: r.get(),
-            l2: r.get(),
-            off_chip: r.get(),
-            other: r.get(),
-            reclassification: r.get(),
-        }
-    }
-}
-
-impl Snap for DetailedCpi {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.breakdown.encode(out);
-        self.l2_private_data.encode(out);
-        self.l2_instructions.encode(out);
-        self.l2_shared_load.encode(out);
-        self.l2_shared_coherence.encode(out);
-        self.off_chip_instructions.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        DetailedCpi {
-            breakdown: r.get(),
-            l2_private_data: r.get(),
-            l2_instructions: r.get(),
-            l2_shared_load: r.get(),
-            l2_shared_coherence: r.get(),
-            off_chip_instructions: r.get(),
         }
     }
 }

@@ -4,7 +4,7 @@
 //! A frontier-scale matrix is a long-lived job; a crash (or an injected
 //! fail point) must not vaporise hours of finished scenarios. As a
 //! journaled sweep progresses, every completed job appends one fixed-size
-//! entry — job index, [`Snap`]-encoded [`MeasuredRun`], FNV-64 checksum —
+//! entry — job index, fixed-size [`MeasuredRun`] record, FNV-64 checksum —
 //! to the journal file. Resume replays the journal, verifies that its
 //! header matches the matrix being run (fingerprint and job count), skips
 //! every journaled job, and re-runs only the rest. Because job results are
@@ -20,11 +20,23 @@
 //!          | fnv64(job|kind|len|payload)
 //! ```
 //!
-//! All integers little-endian. `kind` is 0 for a completed run — `payload`
-//! is the fixed-size [`Snap`] encoding of one [`MeasuredRun`] — or 1 for a
-//! *quarantined failure*: a typed record (attempt count, failure cause,
-//! panic message) written when supervision gives up on a job, so a resumed
-//! sweep skips the poisoned job instead of re-crashing on it. A crash
+//! All integers little-endian. `kind` is 0 for a completed run or 1 for a
+//! *quarantined failure*. A run's `payload` is [`MeasuredRun::to_bytes`],
+//! 136 bytes of seventeen 8-byte fields (`f64`s as their bit patterns):
+//!
+//! ```text
+//! run:     busy | l1_to_l1 | l2 | off_chip | other | reclassification
+//!          | l2_private_data | l2_instructions | l2_shared_load
+//!          | l2_shared_coherence | off_chip_instructions
+//!          | accesses u64 | instructions | off_chip_rate | l1_to_l1_rate
+//!          | misclassification_rate | reclassifications u64
+//! failure: attempts u32 | cause u8 | msg_len u32 | msg (msg_len bytes)
+//! ```
+//!
+//! A failure is a typed record written when supervision gives up on a
+//! job, so a resumed sweep skips the poisoned job instead of re-crashing
+//! on it. Every field is read through the checked [`ByteReader`], so a
+//! damaged file is a typed error, never a panic. A crash
 //! mid-append leaves a torn final entry; replay detects it by length or
 //! checksum, drops it, and resume truncates the file back to the last
 //! intact entry before appending. Entries appear in completion order
@@ -35,12 +47,11 @@
 //! at: the matrix fingerprint mixes `JOURNAL_VERSION` in, so a stale
 //! journal fails the version check with a clear message.
 
-use crate::cpi::DetailedCpi;
 use crate::engine::FailureCause;
 use crate::simulator::MeasuredRun;
 use rnuca_types::failpoint;
-use rnuca_types::snap::{Snap, SnapReader};
-use rnuca_types::Fnv64;
+use rnuca_types::{ByteReader, DecodeError, Fnv64};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -71,22 +82,6 @@ const ENTRY_PRELUDE: usize = 8 + 1 + 4;
 /// would allocate unbounded memory from a corrupt byte.
 const MAX_FAILURE_PAYLOAD: usize = 64 * 1024;
 
-/// The fixed [`Snap`]-encoded size of one [`MeasuredRun`] payload.
-fn run_payload_len() -> usize {
-    let zero = MeasuredRun {
-        cpi: DetailedCpi::default(),
-        accesses: 0,
-        instructions: 0.0,
-        off_chip_rate: 0.0,
-        l1_to_l1_rate: 0.0,
-        misclassification_rate: 0.0,
-        reclassifications: 0,
-    };
-    let mut buf = Vec::new();
-    zero.encode(&mut buf);
-    buf.len()
-}
-
 /// A typed quarantined-failure record: what the journal remembers about a
 /// job whose supervision gave up.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,43 +96,48 @@ pub struct JournalFailure {
 
 impl JournalFailure {
     /// Payload encoding: attempts u32 | cause u8 | msg_len u32 | msg bytes.
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        self.attempts.encode(out);
-        match self.cause {
-            FailureCause::Panic => 0u8,
-            FailureCause::Deadline => 1u8,
-        }
-        .encode(out);
+    fn encode_payload(&self) -> Vec<u8> {
         let msg = self.message.as_bytes();
-        (msg.len() as u32).encode(out);
+        let cause: u8 = match self.cause {
+            FailureCause::Panic => 0,
+            FailureCause::Deadline => 1,
+        };
+        let mut out = Vec::with_capacity(9 + msg.len());
+        out.extend_from_slice(&self.attempts.to_le_bytes());
+        out.push(cause);
+        out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
         out.extend_from_slice(msg);
+        out
     }
 
     /// Decodes a payload previously written by [`Self::encode_payload`].
     /// Panic-free: the payload passed its entry checksum, so any internal
-    /// inconsistency is writer/reader disagreement reported as `Err`.
-    fn decode_payload(payload: &[u8]) -> Result<Self, String> {
-        if payload.len() < 9 {
-            return Err(format!(
-                "failure payload is {} bytes, shorter than its fixed fields",
-                payload.len()
-            ));
-        }
-        let mut r = SnapReader::new(payload);
-        let attempts: u32 = r.get();
-        let cause = match r.get::<u8>() {
+    /// inconsistency is writer/reader disagreement reported as `Err`, with
+    /// offsets relative to the payload.
+    fn decode_payload(payload: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = ByteReader::new(payload);
+        let attempts = r.u32("failure attempt count")?;
+        let cause = match r.u8("failure cause")? {
             0 => FailureCause::Panic,
             1 => FailureCause::Deadline,
-            b => return Err(format!("unknown failure cause byte {b}")),
+            b => {
+                return Err(DecodeError {
+                    offset: r.pos() - 1,
+                    message: format!("unknown failure cause byte {b}"),
+                })
+            }
         };
-        let msg_len: u32 = r.get();
-        if msg_len as usize != payload.len() - 9 {
-            return Err(format!(
-                "failure message length {msg_len} disagrees with the payload ({} bytes left)",
-                payload.len() - 9
-            ));
+        let msg_len = r.u32("failure message length")? as usize;
+        if msg_len != r.remaining() {
+            return Err(DecodeError {
+                offset: r.pos() - 4,
+                message: format!(
+                    "failure message length {msg_len} disagrees with the payload ({} bytes left)",
+                    r.remaining()
+                ),
+            });
         }
-        let message = String::from_utf8_lossy(r.take(msg_len as usize)).into_owned();
+        let message = String::from_utf8_lossy(r.take(msg_len, "failure message")?).into_owned();
         Ok(JournalFailure {
             attempts,
             cause,
@@ -224,6 +224,15 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
+impl From<DecodeError> for JournalError {
+    fn from(e: DecodeError) -> Self {
+        JournalError::Corrupt {
+            offset: e.offset as u64,
+            message: e.message,
+        }
+    }
+}
+
 /// Locks ignoring poison: an injected panic inside [`SweepJournal::append`]
 /// must not wedge the remaining workers on a poisoned file lock — the
 /// interesting failure is the panic itself.
@@ -251,9 +260,9 @@ impl SweepJournal {
     pub fn create(path: &Path, fingerprint: u64, jobs: u64) -> std::io::Result<Self> {
         let mut header = Vec::with_capacity(HEADER_LEN as usize);
         header.extend_from_slice(JOURNAL_MAGIC);
-        JOURNAL_VERSION.encode(&mut header);
-        fingerprint.encode(&mut header);
-        jobs.encode(&mut header);
+        header.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
+        header.extend_from_slice(&fingerprint.to_le_bytes());
+        header.extend_from_slice(&jobs.to_le_bytes());
         let mut file = File::create(path)?;
         file.write_all(&header)?;
         file.flush()?;
@@ -291,9 +300,7 @@ impl SweepJournal {
     /// the entry lands), or when `sweep::journal::torn` fires (simulating a
     /// crash mid-write: half the entry is written, then the panic).
     pub fn append(&self, job: usize, run: &MeasuredRun) -> std::io::Result<()> {
-        let mut payload = Vec::with_capacity(run_payload_len());
-        run.encode(&mut payload);
-        self.append_entry(job, ENTRY_RUN, &payload)
+        self.append_entry(job, ENTRY_RUN, &run.to_bytes())
     }
 
     /// Appends one quarantined job's typed failure entry and flushes it —
@@ -309,21 +316,19 @@ impl SweepJournal {
     ///
     /// Same injected fail points as [`SweepJournal::append`].
     pub fn append_failure(&self, job: usize, failure: &JournalFailure) -> std::io::Result<()> {
-        let mut payload = Vec::new();
-        failure.encode_payload(&mut payload);
-        self.append_entry(job, ENTRY_FAILED, &payload)
+        self.append_entry(job, ENTRY_FAILED, &failure.encode_payload())
     }
 
     /// The shared append path: frame, checksum, fail points, write, flush.
     fn append_entry(&self, job: usize, kind: u8, payload: &[u8]) -> std::io::Result<()> {
         let mut entry = Vec::with_capacity(ENTRY_PRELUDE + payload.len() + 8);
-        (job as u64).encode(&mut entry);
-        kind.encode(&mut entry);
-        (payload.len() as u32).encode(&mut entry);
+        entry.extend_from_slice(&(job as u64).to_le_bytes());
+        entry.push(kind);
+        entry.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         entry.extend_from_slice(payload);
         let mut h = Fnv64::new();
         h.write(&entry);
-        h.finish().encode(&mut entry);
+        entry.extend_from_slice(&h.finish().to_le_bytes());
 
         let mut file = lock(&self.file);
         failpoint::io_point("sweep::journal::append")?;
@@ -343,12 +348,15 @@ impl SweepJournal {
 pub struct JournalReplay {
     /// Matrix fingerprint recorded in the header.
     pub fingerprint: u64,
-    /// Flattened job count recorded in the header.
+    /// Flattened job count recorded in the header. The header carries no
+    /// checksum, so this is only a claim until a caller matches it
+    /// against its own matrix.
     pub jobs: u64,
-    /// Per-job journaled state, indexed by job: `Some(entry)` for journaled
-    /// jobs (completed or quarantined), `None` for jobs the interrupted
-    /// sweep never finished.
-    pub entries: Vec<Option<JournalEntry>>,
+    /// Every intact entry, keyed by job (completed or quarantined; a later
+    /// entry for a job replaces an earlier one). Jobs the interrupted
+    /// sweep never finished have no key. Only entries actually in the
+    /// file are held, so a damaged job count allocates nothing.
+    pub entries: BTreeMap<u64, JournalEntry>,
     /// Whether a torn final entry was detected (and will be truncated away
     /// by [`SweepJournal::resume`]).
     pub torn_tail: bool,
@@ -371,6 +379,11 @@ impl JournalReplay {
     pub fn load(path: &Path) -> Result<Self, JournalError> {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
+        Self::decode(&bytes)
+    }
+
+    /// [`Self::load`] after the read: decodes a whole journal file.
+    fn decode(bytes: &[u8]) -> Result<Self, JournalError> {
         if bytes.len() < HEADER_LEN as usize {
             return Err(JournalError::Corrupt {
                 offset: bytes.len() as u64,
@@ -380,14 +393,14 @@ impl JournalReplay {
                 ),
             });
         }
-        if &bytes[..8] != JOURNAL_MAGIC {
+        let mut r = ByteReader::new(bytes);
+        if r.take(JOURNAL_MAGIC.len(), "journal magic")? != JOURNAL_MAGIC {
             return Err(JournalError::Corrupt {
                 offset: 0,
                 message: "not a sweep journal (bad magic)".to_string(),
             });
         }
-        let mut r = SnapReader::new(&bytes[8..HEADER_LEN as usize]);
-        let version: u32 = r.get();
+        let version = r.u32("journal version")?;
         if version != JOURNAL_VERSION {
             return Err(JournalError::Corrupt {
                 offset: 8,
@@ -396,40 +409,39 @@ impl JournalReplay {
                 ),
             });
         }
-        let fingerprint: u64 = r.get();
-        let jobs: u64 = r.get();
+        let fingerprint = r.u64("matrix fingerprint")?;
+        let jobs = r.u64("job count")?;
 
-        let payload_len = run_payload_len();
-        let mut entries: Vec<Option<JournalEntry>> = vec![None; jobs as usize];
-        let mut pos = HEADER_LEN as usize;
+        let mut entries = BTreeMap::new();
+        let mut valid_len = r.pos();
         let mut torn_tail = false;
-        while pos < bytes.len() {
-            let rest = &bytes[pos..];
-            if rest.len() < ENTRY_PRELUDE {
+        while r.remaining() > 0 {
+            let pos = r.pos();
+            if r.remaining() < ENTRY_PRELUDE {
                 torn_tail = true;
                 break;
             }
-            let mut r = SnapReader::new(rest);
-            let job: u64 = r.get();
-            let kind: u8 = r.get();
-            let len: u32 = r.get();
+            let job = r.u64("entry job")?;
+            let kind = r.u8("entry kind")?;
+            let len = r.u32("entry payload length")? as usize;
             // Sanity-check the length *before* trusting it: a run payload
             // has exactly one size, and a failure payload is bounded. A
             // wrong length with all its bytes present cannot be a torn
             // tail — it means the writer and reader disagree on the shape.
             // (Truncation alone can never manufacture a bad length: the
             // prelude bytes are intact prefix bytes.)
-            let expected = match kind {
-                ENTRY_RUN if len as usize == payload_len => payload_len,
+            match kind {
+                ENTRY_RUN if len == MeasuredRun::ENCODED_LEN => {}
                 ENTRY_RUN => {
                     return Err(JournalError::Corrupt {
                         offset: (pos + 9) as u64,
                         message: format!(
-                            "run entry payload length {len} is not the expected {payload_len}"
+                            "run entry payload length {len} is not the expected {}",
+                            MeasuredRun::ENCODED_LEN
                         ),
                     });
                 }
-                ENTRY_FAILED if (len as usize) <= MAX_FAILURE_PAYLOAD => len as usize,
+                ENTRY_FAILED if len <= MAX_FAILURE_PAYLOAD => {}
                 ENTRY_FAILED => {
                     return Err(JournalError::Corrupt {
                         offset: (pos + 9) as u64,
@@ -445,16 +457,15 @@ impl JournalReplay {
                         message: format!("unknown entry kind {other}"),
                     });
                 }
-            };
-            let entry_len = ENTRY_PRELUDE + expected + 8;
-            if rest.len() < entry_len {
+            }
+            if r.remaining() < len + 8 {
                 torn_tail = true;
                 break;
             }
+            let payload = r.take(len, "entry payload")?;
+            let stored = r.u64("entry checksum")?;
             let mut h = Fnv64::new();
-            h.write(&rest[..entry_len - 8]);
-            let payload = r.take(expected);
-            let stored: u64 = r.get();
+            h.write(&bytes[pos..pos + ENTRY_PRELUDE + len]);
             if stored != h.finish() {
                 // Checksum damage: tolerated as a torn tail (a crash
                 // mid-append is the expected cause). Everything after is
@@ -469,45 +480,48 @@ impl JournalReplay {
                     message: format!("entry names job {job} of a {jobs}-job sweep"),
                 });
             }
-            let entry = match kind {
-                ENTRY_RUN => JournalEntry::Run(MeasuredRun::decode(&mut SnapReader::new(payload))),
-                _ => JournalEntry::Failed(JournalFailure::decode_payload(payload).map_err(
-                    |message| JournalError::Corrupt {
-                        offset: (pos + ENTRY_PRELUDE) as u64,
-                        message,
-                    },
-                )?),
+            let in_payload = |e: DecodeError| JournalError::Corrupt {
+                offset: (pos + ENTRY_PRELUDE + e.offset) as u64,
+                message: e.message,
             };
-            entries[job as usize] = Some(entry);
-            pos += entry_len;
+            let entry = match kind {
+                ENTRY_RUN => {
+                    JournalEntry::Run(MeasuredRun::from_bytes(payload).map_err(in_payload)?)
+                }
+                _ => JournalEntry::Failed(
+                    JournalFailure::decode_payload(payload).map_err(in_payload)?,
+                ),
+            };
+            entries.insert(job, entry);
+            valid_len = r.pos();
         }
         Ok(JournalReplay {
             fingerprint,
             jobs,
             entries,
             torn_tail,
-            valid_len: pos as u64,
+            valid_len: valid_len as u64,
         })
     }
 
     /// Journaled (intact) entries, completed and quarantined alike.
     pub fn completed(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.entries.len()
     }
 
     /// Journaled quarantined failures.
     pub fn failed(&self) -> usize {
         self.entries
-            .iter()
-            .filter(|e| matches!(e, Some(JournalEntry::Failed(_))))
+            .values()
+            .filter(|e| matches!(e, JournalEntry::Failed(_)))
             .count()
     }
 
     /// The journaled run for `job`, if it completed successfully.
     pub fn run(&self, job: usize) -> Option<&MeasuredRun> {
-        match self.entries.get(job)? {
-            Some(JournalEntry::Run(run)) => Some(run),
-            _ => None,
+        match self.entries.get(&(job as u64))? {
+            JournalEntry::Run(run) => Some(run),
+            JournalEntry::Failed(_) => None,
         }
     }
 }
@@ -515,6 +529,8 @@ impl JournalReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpi::DetailedCpi;
+    use proptest::prelude::*;
 
     fn sample_run(x: f64) -> MeasuredRun {
         MeasuredRun {
@@ -535,14 +551,67 @@ mod tests {
         std::env::temp_dir().join(format!("rnuca-journal-{}-{name}", std::process::id()))
     }
 
+    /// The bytes of a 6-job journal holding jobs 0 (run), 1 (quarantined)
+    /// and 2 (run), and those three entries in job order.
+    fn three_entry_journal(name: &str) -> (Vec<u8>, [JournalEntry; 3]) {
+        let failure = JournalFailure {
+            attempts: 2,
+            cause: FailureCause::Panic,
+            message: "poisoned".to_string(),
+        };
+        let path = temp_path(name);
+        let journal = SweepJournal::create(&path, 0xBEEF, 6).unwrap();
+        journal.append(0, &sample_run(0.0)).unwrap();
+        journal.append_failure(1, &failure).unwrap();
+        journal.append(2, &sample_run(2.0)).unwrap();
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let entries = [
+            JournalEntry::Run(sample_run(0.0)),
+            JournalEntry::Failed(failure),
+            JournalEntry::Run(sample_run(2.0)),
+        ];
+        (bytes, entries)
+    }
+
+    /// Writes `bytes` to `path` and loads it, failing the test (rather
+    /// than unwinding through it) if the load panics.
+    fn load_without_panic(
+        path: &Path,
+        bytes: &[u8],
+        case: &str,
+    ) -> Result<JournalReplay, JournalError> {
+        std::fs::write(path, bytes).unwrap();
+        std::panic::catch_unwind(|| JournalReplay::load(path))
+            .unwrap_or_else(|_| panic!("replay panicked on {case}"))
+    }
+
     #[test]
     fn measured_run_snap_roundtrips() {
         let run = sample_run(1.5);
-        let mut buf = Vec::new();
-        run.encode(&mut buf);
-        assert_eq!(buf.len(), run_payload_len());
-        let decoded = MeasuredRun::decode(&mut SnapReader::new(&buf));
-        assert_eq!(decoded, run);
+        let bytes = run.to_bytes();
+        assert_eq!(MeasuredRun::from_bytes(&bytes).unwrap(), run);
+        for cut in 0..bytes.len() {
+            let err = MeasuredRun::from_bytes(&bytes[..cut]).unwrap_err();
+            assert_eq!(err.offset, cut / 8 * 8, "prefix of {cut} bytes");
+        }
+        let mut long = bytes.to_vec();
+        long.push(0);
+        assert_eq!(
+            MeasuredRun::from_bytes(&long).unwrap_err().offset,
+            MeasuredRun::ENCODED_LEN
+        );
+    }
+
+    #[test]
+    fn measured_run_payload_bytes_are_pinned() {
+        // The FNV-64 of the payload as the previous (trait-based) codec
+        // wrote it: journals written before the codec was replaced must
+        // replay unchanged.
+        let mut h = Fnv64::new();
+        h.write(&sample_run(1.5).to_bytes());
+        assert_eq!(h.finish(), 0x6480_5695_e757_c951);
     }
 
     #[test]
@@ -561,7 +630,7 @@ mod tests {
         assert_eq!(replay.completed(), 3);
         assert!(!replay.torn_tail);
         assert_eq!(replay.run(0), Some(&sample_run(0.0)));
-        assert_eq!(replay.entries[1], None);
+        assert_eq!(replay.entries.get(&1), None);
         assert_eq!(replay.run(3), Some(&sample_run(3.0)));
         assert_eq!(replay.run(4), Some(&sample_run(4.0)));
         std::fs::remove_file(&path).unwrap();
@@ -600,7 +669,7 @@ mod tests {
         assert_eq!(replay.failed(), 2);
         assert_eq!(replay.run(0), Some(&sample_run(0.0)));
         assert_eq!(replay.run(1), None, "a failed job has no run");
-        match &replay.entries[1] {
+        match replay.entries.get(&1) {
             Some(JournalEntry::Failed(f)) => {
                 assert_eq!(f.attempts, 3);
                 assert_eq!(f.cause, FailureCause::Panic);
@@ -608,14 +677,14 @@ mod tests {
             }
             other => panic!("want Failed, got {other:?}"),
         }
-        match &replay.entries[2] {
+        match replay.entries.get(&2) {
             Some(JournalEntry::Failed(f)) => {
                 assert_eq!(f.cause, FailureCause::Deadline);
                 assert_eq!(f.message, "");
             }
             other => panic!("want Failed, got {other:?}"),
         }
-        assert_eq!(replay.entries[3], None);
+        assert_eq!(replay.entries.get(&3), None);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -625,41 +694,10 @@ mod tests {
         // the file at, resume must either replay an intact prefix of the
         // journaled entries or reject with a typed error — never panic,
         // never fabricate an entry that was not fully written.
-        let path = temp_path("every-offset");
-        let journal = SweepJournal::create(&path, 0xBEEF, 6).unwrap();
-        journal.append(0, &sample_run(0.0)).unwrap();
-        journal
-            .append_failure(
-                1,
-                &JournalFailure {
-                    attempts: 2,
-                    cause: FailureCause::Panic,
-                    message: "poisoned".to_string(),
-                },
-            )
-            .unwrap();
-        journal.append(2, &sample_run(2.0)).unwrap();
-        drop(journal);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-
-        // The entries the full journal holds, as ground truth.
-        let expected = [
-            JournalEntry::Run(sample_run(0.0)),
-            JournalEntry::Failed(JournalFailure {
-                attempts: 2,
-                cause: FailureCause::Panic,
-                message: "poisoned".to_string(),
-            }),
-            JournalEntry::Run(sample_run(2.0)),
-        ];
-
+        let (full, expected) = three_entry_journal("every-offset");
         let trunc_path = temp_path("every-offset-trunc");
         for cut in 0..=full.len() {
-            std::fs::write(&trunc_path, &full[..cut]).unwrap();
-            let outcome = std::panic::catch_unwind(|| JournalReplay::load(&trunc_path));
-            let result = outcome
-                .unwrap_or_else(|_| panic!("replay panicked on a journal cut at byte {cut}"));
+            let result = load_without_panic(&trunc_path, &full[..cut], &format!("cut at {cut}"));
             match result {
                 Ok(replay) => {
                     assert!(
@@ -669,16 +707,13 @@ mod tests {
                     // Every surviving entry must be one the full journal
                     // wrote, and they must form a prefix in file order:
                     // entry k survives only if its whole frame fits.
-                    for (job, entry) in replay.entries.iter().enumerate() {
-                        match entry {
-                            None => {}
-                            Some(e) if job < expected.len() => assert_eq!(
-                                e, &expected[job],
+                    for (&job, e) in &replay.entries {
+                        match expected.get(job as usize) {
+                            Some(want) => assert_eq!(
+                                e, want,
                                 "cut at byte {cut} fabricated a different entry for job {job}"
                             ),
-                            Some(e) => {
-                                panic!("cut at byte {cut} fabricated job {job}: {e:?}")
-                            }
+                            None => panic!("cut at byte {cut} fabricated job {job}: {e:?}"),
                         }
                     }
                     let survived = replay.completed();
@@ -696,7 +731,7 @@ mod tests {
                     // earlier one under pure truncation.
                     for job in 0..survived {
                         assert!(
-                            replay.entries[job].is_some(),
+                            replay.entries.contains_key(&(job as u64)),
                             "cut at byte {cut}: entry {job} missing from a {survived}-entry prefix"
                         );
                     }
@@ -724,8 +759,7 @@ mod tests {
         let intact_len = std::fs::metadata(&path).unwrap().len();
 
         // Simulate a crash mid-append: half of job 2's entry.
-        let mut entry = Vec::new();
-        2u64.encode(&mut entry);
+        let entry = 2u64.to_le_bytes();
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(&entry).unwrap();
         drop(file);
@@ -784,9 +818,8 @@ mod tests {
 
         let mut header = Vec::new();
         header.extend_from_slice(JOURNAL_MAGIC);
-        99u32.encode(&mut header);
-        0u64.encode(&mut header);
-        0u64.encode(&mut header);
+        header.extend_from_slice(&99u32.to_le_bytes());
+        header.extend_from_slice(&[0; 16]);
         std::fs::write(&path, &header).unwrap();
         match JournalReplay::load(&path).unwrap_err() {
             JournalError::Corrupt { offset, message } => {
@@ -812,6 +845,84 @@ mod tests {
             other => panic!("want Corrupt, got {other}"),
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_header_claiming_u64_max_jobs_loads_without_allocating() {
+        let path = temp_path("max-jobs");
+        let mut header = Vec::new();
+        header.extend_from_slice(JOURNAL_MAGIC);
+        header.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
+        header.extend_from_slice(&0u64.to_le_bytes());
+        header.extend_from_slice(&u64::MAX.to_le_bytes());
+        let replay = load_without_panic(&path, &header, "a u64::MAX job count").unwrap();
+        assert_eq!(replay.jobs, u64::MAX);
+        assert_eq!(replay.completed(), 0);
+        assert_eq!(replay.valid_len, HEADER_LEN);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_after_the_header_load_or_reject_cleanly(
+            tail in proptest::collection::vec(any::<u8>(), 0..512),
+        ) {
+            // Fingerprint, job count and entries are all arbitrary: only
+            // the magic and version are fixed, so every later field is
+            // decoded from untrusted bytes.
+            let path = temp_path("arbitrary-tail");
+            let mut bytes = JOURNAL_MAGIC.to_vec();
+            bytes.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&tail);
+            match load_without_panic(&path, &bytes, &format!("tail {tail:?}")) {
+                Ok(replay) => {
+                    prop_assert!(replay.valid_len as usize <= bytes.len());
+                    prop_assert!(replay.entries.keys().all(|&job| job < replay.jobs));
+                }
+                Err(JournalError::Corrupt { offset, .. }) => {
+                    prop_assert!(offset as usize <= bytes.len());
+                }
+                Err(other) => panic!("untyped failure {other} for tail {tail:?}"),
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_single_byte_overwrite_loads_or_rejects_cleanly() {
+        // The header carries no checksum, so a flipped job count or
+        // version byte reaches the decoder unfiltered; entry damage must
+        // be caught by the entry checksum. Either way: a typed error or a
+        // replay holding only entries the journal really wrote.
+        let (full, expected) = three_entry_journal("overwrite");
+        for at in 0..full.len() {
+            for value in 0..=u8::MAX {
+                if value == full[at] {
+                    continue;
+                }
+                let mut bytes = full.clone();
+                bytes[at] = value;
+                let case = || format!("byte {at} set to {value:#04x}");
+                // In memory: the file round trip is what the other tests
+                // cover, and ~100k of them would dominate the suite.
+                let result = std::panic::catch_unwind(|| JournalReplay::decode(&bytes))
+                    .unwrap_or_else(|_| panic!("replay panicked on {}", case()));
+                match result {
+                    Ok(replay) => {
+                        for (&job, e) in &replay.entries {
+                            assert_eq!(
+                                expected.get(job as usize),
+                                Some(e),
+                                "{} fabricated an entry for job {job}",
+                                case()
+                            );
+                        }
+                    }
+                    Err(JournalError::Corrupt { .. }) => {}
+                    Err(other) => panic!("{}: unexpected error {other}", case()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -619,7 +619,12 @@ impl ScenarioMatrix {
             });
         }
         let journal = SweepJournal::resume(path, &replay)?;
-        Ok((journal, replay.entries))
+        let mut slots = vec![None; jobs];
+        for (job, entry) in replay.entries {
+            // `load` bounds every job by the header's count, now checked.
+            slots[job as usize] = Some(entry);
+        }
+        Ok((journal, slots))
     }
 
     /// A fingerprint over every field of the matrix (and the journal and

@@ -9,7 +9,7 @@
 //! coherence state but their latency lands in the *other* CPI component,
 //! mirroring the paper's accounting (Section 5.3).
 
-use crate::cpi::{CpiComponent, DetailedCpi};
+use crate::cpi::{CpiBreakdown, CpiComponent, DetailedCpi};
 use crate::design::{AsrPolicy, LlcDesign};
 use crate::tile::{BlockMeta, Tile, TileAccess};
 use rand::rngs::StdRng;
@@ -25,7 +25,7 @@ use rnuca_types::addr::BlockAddr;
 use rnuca_types::config::{CacheGeometry, SystemConfig};
 use rnuca_types::ids::{CoreId, TileId};
 use rnuca_types::index_map::U64Map;
-use rnuca_types::{Snap, SnapReader};
+use rnuca_types::{ByteReader, DecodeError};
 use rnuca_workloads::{TraceSource, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -110,33 +110,93 @@ pub struct MeasuredRun {
 }
 
 impl MeasuredRun {
+    /// Size of [`Self::to_bytes`]'s encoding: eleven CPI `f64`s, then
+    /// `accesses`, `instructions`, the three rates and
+    /// `reclassifications`, eight bytes each.
+    pub const ENCODED_LEN: usize = 17 * 8;
+
+    /// The run as a fixed-size little-endian record, in field order:
+    /// the six [`CpiBreakdown`] components (busy, L1-to-L1, L2, off-chip,
+    /// other, re-classification), the five [`DetailedCpi`] details
+    /// (private data, instructions, shared load, shared coherence,
+    /// off-chip instructions), `accesses`, `instructions`,
+    /// `off_chip_rate`, `l1_to_l1_rate`, `misclassification_rate`,
+    /// `reclassifications`. Each `f64` is written as its bit pattern, so
+    /// [`Self::from_bytes`] restores it bit for bit, NaN payloads and
+    /// signed zeros included.
+    pub fn to_bytes(&self) -> [u8; Self::ENCODED_LEN] {
+        let b = &self.cpi.breakdown;
+        let words = [
+            b.busy.to_bits(),
+            b.l1_to_l1.to_bits(),
+            b.l2.to_bits(),
+            b.off_chip.to_bits(),
+            b.other.to_bits(),
+            b.reclassification.to_bits(),
+            self.cpi.l2_private_data.to_bits(),
+            self.cpi.l2_instructions.to_bits(),
+            self.cpi.l2_shared_load.to_bits(),
+            self.cpi.l2_shared_coherence.to_bits(),
+            self.cpi.off_chip_instructions.to_bits(),
+            self.accesses,
+            self.instructions.to_bits(),
+            self.off_chip_rate.to_bits(),
+            self.l1_to_l1_rate.to_bits(),
+            self.misclassification_rate.to_bits(),
+            self.reclassifications,
+        ];
+        let mut out = [0u8; Self::ENCODED_LEN];
+        for (chunk, word) in out.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+
+    /// Decodes a record written by [`Self::to_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`] naming the field and offset when `bytes` is
+    /// shorter than [`Self::ENCODED_LEN`], or the offset of the first
+    /// surplus byte when it is longer.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = ByteReader::new(bytes);
+        // Struct fields evaluate in source order, which is the encoding's.
+        let run = MeasuredRun {
+            cpi: DetailedCpi {
+                breakdown: CpiBreakdown {
+                    busy: r.f64("busy CPI")?,
+                    l1_to_l1: r.f64("L1-to-L1 CPI")?,
+                    l2: r.f64("L2 CPI")?,
+                    off_chip: r.f64("off-chip CPI")?,
+                    other: r.f64("other CPI")?,
+                    reclassification: r.f64("re-classification CPI")?,
+                },
+                l2_private_data: r.f64("L2 private-data CPI")?,
+                l2_instructions: r.f64("L2 instruction CPI")?,
+                l2_shared_load: r.f64("L2 shared-load CPI")?,
+                l2_shared_coherence: r.f64("L2 shared-coherence CPI")?,
+                off_chip_instructions: r.f64("off-chip instruction CPI")?,
+            },
+            accesses: r.u64("accesses")?,
+            instructions: r.f64("instructions")?,
+            off_chip_rate: r.f64("off-chip rate")?,
+            l1_to_l1_rate: r.f64("L1-to-L1 rate")?,
+            misclassification_rate: r.f64("misclassification rate")?,
+            reclassifications: r.u64("reclassifications")?,
+        };
+        if r.remaining() != 0 {
+            return Err(DecodeError {
+                offset: r.pos(),
+                message: format!("{} bytes after a measured run", r.remaining()),
+            });
+        }
+        Ok(run)
+    }
+
     /// Total CPI of the run.
     pub fn total_cpi(&self) -> f64 {
         self.cpi.total()
-    }
-}
-
-impl Snap for MeasuredRun {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cpi.encode(out);
-        self.accesses.encode(out);
-        self.instructions.encode(out);
-        self.off_chip_rate.encode(out);
-        self.l1_to_l1_rate.encode(out);
-        self.misclassification_rate.encode(out);
-        self.reclassifications.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        MeasuredRun {
-            cpi: r.get(),
-            accesses: r.get(),
-            instructions: r.get(),
-            off_chip_rate: r.get(),
-            l1_to_l1_rate: r.get(),
-            misclassification_rate: r.get(),
-            reclassifications: r.get(),
-        }
     }
 }
 
@@ -1185,6 +1245,18 @@ mod tests {
         let mut sim = CmpSimulator::new(design, spec);
         sim.run_warmup(&mut gen, n);
         sim.run_measured(&mut gen, n)
+    }
+
+    #[test]
+    fn measured_run_bytes_keep_nan_payloads_bit_for_bit() {
+        let nan = f64::from_bits(0x7FF8_0000_0000_1234);
+        let mut run = quick_run(LlcDesign::Shared, &WorkloadSpec::em3d(), 500);
+        run.cpi.l2_shared_coherence = nan;
+        run.misclassification_rate = -0.0;
+        let back = MeasuredRun::from_bytes(&run.to_bytes()).unwrap();
+        assert_eq!(back.cpi.l2_shared_coherence.to_bits(), nan.to_bits());
+        assert_eq!(back.misclassification_rate.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back.to_bytes(), run.to_bytes());
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Property test: the [`Snap`] codec the sweep journal stores results with
-//! is a faithful round trip.
+//! Property test: the byte record the sweep journal stores results with
+//! ([`MeasuredRun::to_bytes`]) is a faithful round trip.
 //!
 //! For random `(design, seed, warm-up length)` triples, serializing a
 //! measured run and restoring the bytes must reproduce the original bit for
 //! bit — the `Debug` strings match too, and `f64`'s `Debug` output is the
-//! shortest round-trippable decimal form — and must consume exactly the
-//! bytes the encoding produced. Re-serializing the restored run must also
-//! reproduce the original byte buffer, which pins the encoding itself as
-//! canonical.
+//! shortest round-trippable decimal form. Re-serializing the restored run
+//! must also reproduce the original byte buffer, which pins the encoding
+//! itself as canonical, and every strict prefix of the encoding must be
+//! rejected with a typed error rather than decoded or panicked on.
 
 use proptest::prelude::*;
 use rnuca_sim::{AsrPolicy, CmpSimulator, LlcDesign, MeasuredRun};
-use rnuca_types::snap::{Snap, SnapReader};
 use rnuca_workloads::{TraceArena, WorkloadSpec};
 
 const MEASURED: usize = 500;
@@ -47,20 +46,21 @@ proptest! {
         sim.run_warmup(&mut slice, warmup);
         let run = sim.run_measured(&mut slice, MEASURED);
 
-        let mut bytes = Vec::new();
-        run.encode(&mut bytes);
-        let mut reader = SnapReader::new(&bytes);
-        let restored = MeasuredRun::decode(&mut reader);
-        prop_assert_eq!(reader.remaining(), 0, "decode must consume the whole encoding");
+        let bytes = run.to_bytes();
+        let restored = MeasuredRun::from_bytes(&bytes).expect("a full encoding decodes");
         prop_assert!(
             restored == run && format!("{restored:?}") == format!("{run:?}"),
             "restore(serialize(r)) != r for {design}, seed {seed}, warmup {warmup}"
         );
-        let mut again = Vec::new();
-        restored.encode(&mut again);
         prop_assert!(
-            again == bytes,
+            restored.to_bytes() == bytes,
             "re-serialization is not canonical for {design}, seed {seed}, warmup {warmup}"
         );
+        for cut in 0..bytes.len() {
+            prop_assert!(
+                MeasuredRun::from_bytes(&bytes[..cut]).is_err(),
+                "a {cut}-byte prefix decoded for {design}, seed {seed}, warmup {warmup}"
+            );
+        }
     }
 }

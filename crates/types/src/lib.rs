@@ -27,6 +27,7 @@
 
 pub mod access;
 pub mod addr;
+pub mod byte_reader;
 pub mod config;
 pub mod error;
 pub mod failpoint;
@@ -37,10 +38,10 @@ pub mod json;
 pub mod latency;
 pub mod os_hint;
 pub mod retry;
-pub mod snap;
 
 pub use access::{AccessClass, AccessKind, MemoryAccess};
 pub use addr::{BlockAddr, PageAddr, PhysAddr};
+pub use byte_reader::{ByteReader, DecodeError};
 pub use config::{
     CacheGeometry, ConfigPoint, L2SliceConfig, NocConfig, SystemConfig, TraceGeometry,
 };
@@ -50,4 +51,3 @@ pub use ids::{CoreId, MemCtrlId, RotationalId, TileId};
 pub use index_map::U64Map;
 pub use latency::Cycles;
 pub use retry::{BackoffConfig, RetryPolicy};
-pub use snap::{Snap, SnapReader};

@@ -26,7 +26,7 @@ use crate::query::{self, QueryError, QueryOutput};
 use crate::record::RunRecord;
 use rnuca_types::failpoint;
 use rnuca_types::json::json_string;
-use rnuca_types::Fnv64;
+use rnuca_types::{ByteReader, DecodeError, Fnv64};
 
 /// Eight magic bytes opening every warehouse file.
 const MAGIC: &[u8; 8] = b"RNUCAWH\0";
@@ -135,6 +135,15 @@ impl std::error::Error for StoreError {
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
+        StoreError::Corrupt {
+            offset: e.offset,
+            message: e.message,
+        }
     }
 }
 
@@ -423,7 +432,7 @@ impl Store {
                 })
             }
         };
-        let stored = u64::from_le_bytes(bytes[body_len..].try_into().expect("8 bytes"));
+        let stored = ByteReader::at(bytes, body_len).u64("checksum trailer")?;
         let mut h = Fnv64::new();
         h.write(&bytes[..body_len]);
         let computed = h.finish();
@@ -438,7 +447,7 @@ impl Store {
         }
         // From here on read only checksummed body bytes (offsets in
         // errors stay absolute file offsets).
-        let mut r = ByteReader::resume(&bytes[..body_len], r.pos());
+        let mut r = ByteReader::at(&bytes[..body_len], r.pos());
         let row_count_at = r.pos();
         let row_count = usize::try_from(r.u64("row count")?).map_err(|_| StoreError::Corrupt {
             offset: row_count_at,
@@ -499,7 +508,7 @@ impl Store {
                 ColumnType::Float => {
                     let mut v = Vec::with_capacity(row_count);
                     for _ in 0..row_count {
-                        v.push(f64::from_bits(r.u64("float cell")?));
+                        v.push(r.f64("float cell")?);
                     }
                     ColumnData::Float(v)
                 }
@@ -540,71 +549,6 @@ impl Store {
             pool,
             columns,
         })
-    }
-}
-
-/// A checked little-endian reader over untrusted file bytes.
-///
-/// Unlike the journal codec's `SnapReader` (which panics on underrun,
-/// because the journal verifies each payload's checksum before decoding
-/// it), warehouse files cross builds, so every read returns a
-/// [`StoreError`].
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        ByteReader { bytes, pos: 0 }
-    }
-
-    /// A reader over `bytes` with its cursor already at `pos` (used to
-    /// re-bound the reader to the checksummed body while keeping error
-    /// offsets absolute).
-    fn resume(bytes: &'a [u8], pos: usize) -> Self {
-        ByteReader { bytes, pos }
-    }
-
-    fn pos(&self) -> usize {
-        self.pos
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
-        if self.remaining() < n {
-            return Err(StoreError::Corrupt {
-                offset: self.pos,
-                message: format!(
-                    "truncated while reading {what}: need {n} bytes, have {}",
-                    self.remaining()
-                ),
-            });
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("sized take"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("sized take"),
-        ))
-    }
-
-    fn i64(&mut self, what: &str) -> Result<i64, StoreError> {
-        Ok(i64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("sized take"),
-        ))
     }
 }
 
