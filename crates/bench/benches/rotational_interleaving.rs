@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rnuca::placement::{PlacementConfig, PlacementEngine};
-use rnuca_noc::{Network, Topology};
+use rnuca_noc::Network;
 use rnuca_types::addr::BlockAddr;
 use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::CoreId;
@@ -43,7 +43,7 @@ fn bench_lookup(c: &mut Criterion) {
 
     // Ablation: average hop distance of instruction requests, rotational
     // (size-4 cluster) vs standard chip-wide interleaving.
-    let net = Network::new(Topology::FoldedTorus, cfg.torus);
+    let net = Network::new(cfg.torus);
     let mut rotational_hops = 0u64;
     let mut standard_hops = 0u64;
     // Average over every (core, block) pair: tying the requesting core to the

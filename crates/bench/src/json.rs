@@ -115,14 +115,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, if it is an array.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {

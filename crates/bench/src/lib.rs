@@ -18,8 +18,8 @@ pub use perf::{
     PerfTotals,
 };
 
-use rnuca_sim::report::{fmt3, fmt_pct};
-use rnuca_sim::{DesignComparison, ExperimentConfig, ScenarioMatrix, TextTable};
+use rnuca_sim::report::fmt_pct;
+use rnuca_sim::{ExperimentConfig, ScenarioMatrix, TextTable};
 use rnuca_workloads::{TraceCharacterization, TraceGenerator, WorkloadSpec};
 
 /// Generates a trace of `n` references for a workload and characterizes it.
@@ -47,24 +47,6 @@ pub fn figure3_table(n: usize, seed: u64) -> TextTable {
             fmt_pct(c.breakdown.shared_read_write),
             fmt_pct(c.breakdown.shared_read_only),
         ]);
-    }
-    table
-}
-
-/// Renders Figure 7 (total CPI normalised to the private design) as a text table.
-pub fn figure7_table(comparison: &DesignComparison) -> TextTable {
-    let mut table = TextTable::new(vec!["workload", "P", "A", "S", "R"]);
-    for w in &comparison.workloads {
-        let base = w.private_baseline().total_cpi();
-        let mut row = vec![w.workload.clone()];
-        for letter in ["P", "A", "S", "R"] {
-            let cpi = w
-                .by_letter(letter)
-                .map(|r| r.total_cpi() / base)
-                .unwrap_or(f64::NAN);
-            row.push(fmt3(cpi));
-        }
-        table.add_row(row);
     }
     table
 }

@@ -119,11 +119,6 @@ impl PlacementEngine {
         &self.config
     }
 
-    /// The rotational map used for instruction placement.
-    pub fn instruction_map(&self) -> &RotationalMap {
-        &self.instr_map
-    }
-
     /// The slice holding private data of `core` for the given block.
     ///
     /// With the default size-1 private cluster this is always the local slice;

@@ -163,11 +163,6 @@ impl RotationalMap {
         }
     }
 
-    /// The cluster size this map was built for.
-    pub fn cluster_size(&self) -> usize {
-        self.n
-    }
-
     /// The label (generalised RID) of a tile.
     pub fn label(&self, tile: TileId) -> usize {
         self.labels[tile.index()]

@@ -4,21 +4,20 @@
 //! 32-byte links, 1-cycle link latency, 2-cycle routers; Section 5.1 argues
 //! tori avoid the hot spots and edge effects of meshes). This crate provides:
 //!
-//! * [`Topology`] — torus or mesh over a `width x height` grid of tiles,
-//! * shortest-path hop distances and deterministic dimension-order routes,
-//! * a latency model (`hops * (link + router)` plus payload serialization),
-//! * [`TrafficStats`] — per-link utilisation counters used by the
-//!   topology-ablation benchmark.
+//! * [`Topology`] — torus or mesh over a `width x height` grid of tiles, with
+//!   closed-form hop distances, diameters and average distances,
+//! * [`Network`] — the simulator's latency oracle on the torus:
+//!   `hops * (link + router)` plus payload serialization.
 //!
 //! # Example
 //!
 //! ```
-//! use rnuca_noc::{Network, Topology};
+//! use rnuca_noc::Network;
 //! use rnuca_types::config::SystemConfig;
 //! use rnuca_types::ids::TileId;
 //!
 //! let cfg = SystemConfig::server_16();
-//! let net = Network::new(Topology::FoldedTorus, cfg.torus);
+//! let net = Network::new(cfg.torus);
 //! // On a 4x4 torus the antipode of tile 0 is tile 10 at (2,2): 2 hops per axis.
 //! assert_eq!(net.hops(TileId::new(0), TileId::new(10)), 4);
 //! // Wraparound makes the geometric corner tile 15 only 2 hops away.
@@ -28,12 +27,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod message;
 pub mod network;
-pub mod stats;
 pub mod topology;
 
-pub use message::{Message, MessageKind};
 pub use network::Network;
-pub use stats::TrafficStats;
 pub use topology::Topology;

@@ -1,57 +1,31 @@
-//! The network façade: latency queries and optional traffic recording.
+//! The network façade: one-way latency queries on the paper's folded torus.
 
-use crate::message::{Message, MessageKind};
-use crate::stats::TrafficStats;
 use crate::topology::Topology;
 use rnuca_types::config::NocConfig;
 use rnuca_types::ids::TileId;
 use rnuca_types::latency::Cycles;
 
-/// An on-chip network instance: a topology plus the Table 1 link/router parameters.
+/// An on-chip network instance: the paper's 2-D folded torus with the Table 1
+/// link/router parameters.
 ///
 /// The network is a *latency oracle* for the trace-driven simulator: it
-/// answers "how many cycles does a message of this kind take from tile A to
-/// tile B", and optionally records the traffic on each link for the topology
-/// ablation study.
+/// answers "how many cycles does a message of this size take from tile A to
+/// tile B". It models no contention, so the simulator reads these answers
+/// once into per-tile-pair lookup tables.
 #[derive(Debug, Clone)]
 pub struct Network {
-    topology: Topology,
     config: NocConfig,
-    stats: TrafficStats,
-    record_traffic: bool,
 }
 
 impl Network {
-    /// Creates a network with the given topology and parameters.
-    pub fn new(topology: Topology, config: NocConfig) -> Self {
-        Network {
-            topology,
-            config,
-            stats: TrafficStats::new(topology, config.width, config.height),
-            record_traffic: false,
-        }
-    }
-
-    /// Enables per-link traffic recording (adds a route computation per message).
-    pub fn with_traffic_recording(mut self) -> Self {
-        self.record_traffic = true;
-        self
-    }
-
-    /// The topology of this network.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// The configuration of this network.
-    pub fn config(&self) -> &NocConfig {
-        &self.config
+    /// Creates a folded-torus network with the given parameters.
+    pub fn new(config: NocConfig) -> Self {
+        Network { config }
     }
 
     /// Hop count between two tiles.
     pub fn hops(&self, from: TileId, to: TileId) -> u32 {
-        self.topology
-            .hops(from, to, self.config.width, self.config.height)
+        Topology::FoldedTorus.hops(from, to, self.config.width, self.config.height)
     }
 
     /// One-way latency of a control message (head flit only) between two tiles.
@@ -78,70 +52,15 @@ impl Network {
         let flits = payload_bytes.div_ceil(self.config.link_bytes).max(1) as u64;
         head + Cycles(flits - 1)
     }
-
-    /// Round-trip latency of a request/response pair: a control request one way
-    /// and a data response carrying a block on the way back.
-    pub fn request_response_latency(&self, from: TileId, to: TileId, block_bytes: usize) -> Cycles {
-        self.control_latency(from, to) + self.data_latency(to, from, block_bytes)
-    }
-
-    /// Records a message in the traffic statistics (if recording is enabled)
-    /// and returns its one-way latency.
-    pub fn send(&mut self, message: Message, block_bytes: usize) -> Cycles {
-        let payload = message.kind.payload_bytes(block_bytes);
-        if self.record_traffic {
-            let route = self.topology.route(
-                message.src,
-                message.dst,
-                self.config.width,
-                self.config.height,
-            );
-            let flits = payload.div_ceil(self.config.link_bytes).max(1) as u64;
-            self.stats.record_route(&route, flits);
-        }
-        self.one_way_latency(message.src, message.dst, payload)
-    }
-
-    /// Convenience wrapper for [`Network::send`] that builds the message in place.
-    pub fn send_kind(
-        &mut self,
-        src: TileId,
-        dst: TileId,
-        kind: MessageKind,
-        block: rnuca_types::addr::BlockAddr,
-        block_bytes: usize,
-    ) -> Cycles {
-        self.send(Message::new(src, dst, kind, block), block_bytes)
-    }
-
-    /// The accumulated traffic statistics.
-    pub fn stats(&self) -> &TrafficStats {
-        &self.stats
-    }
-
-    /// Resets the accumulated traffic statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::new(self.topology, self.config.width, self.config.height);
-    }
-
-    /// Average network distance from `from` to every tile in `tiles`.
-    pub fn average_hops_to(&self, from: TileId, tiles: &[TileId]) -> f64 {
-        if tiles.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = tiles.iter().map(|&t| u64::from(self.hops(from, t))).sum();
-        total as f64 / tiles.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnuca_types::addr::BlockAddr;
     use rnuca_types::config::SystemConfig;
 
     fn server_net() -> Network {
-        Network::new(Topology::FoldedTorus, SystemConfig::server_16().torus)
+        Network::new(SystemConfig::server_16().torus)
     }
 
     #[test]
@@ -166,6 +85,17 @@ mod tests {
             net.control_latency(TileId::new(0), TileId::new(10)),
             Cycles(12)
         );
+        // On the 64-core 8x8 torus the antipode of tile 0 is tile 36 at (4,4):
+        // 8 hops = 24 cycles.
+        let cfg64 = SystemConfig::server_16()
+            .with_core_count(64)
+            .expect("64 cores is a valid shape");
+        let net64 = Network::new(cfg64.torus);
+        assert_eq!(net64.hops(TileId::new(0), TileId::new(36)), 8);
+        assert_eq!(
+            net64.control_latency(TileId::new(0), TileId::new(36)),
+            Cycles(24)
+        );
     }
 
     #[test]
@@ -181,54 +111,18 @@ mod tests {
     #[test]
     fn request_response_roundtrip() {
         let net = server_net();
-        let rt = net.request_response_latency(TileId::new(0), TileId::new(2), 64);
+        let rt = net.control_latency(TileId::new(0), TileId::new(2))
+            + net.data_latency(TileId::new(2), TileId::new(0), 64);
         // 2 hops each way: request 6, response 6 + 2 serialization = 8; total 14.
         assert_eq!(rt, Cycles(14));
     }
 
     #[test]
-    fn send_records_traffic_when_enabled() {
-        let mut net = server_net().with_traffic_recording();
-        let lat = net.send(
-            Message::new(
-                TileId::new(0),
-                TileId::new(2),
-                MessageKind::DataResponse,
-                BlockAddr::from_block_number(1),
-            ),
-            64,
-        );
-        assert_eq!(lat, Cycles(8));
-        assert_eq!(net.stats().messages(), 1);
-        assert_eq!(net.stats().hops(), 2);
-        net.reset_stats();
-        assert_eq!(net.stats().messages(), 0);
-    }
-
-    #[test]
-    fn send_without_recording_keeps_stats_empty() {
-        let mut net = server_net();
-        net.send_kind(
-            TileId::new(0),
-            TileId::new(5),
-            MessageKind::ReadRequest,
-            BlockAddr::from_block_number(9),
-            64,
-        );
-        assert_eq!(net.stats().messages(), 0);
-    }
-
-    #[test]
     fn average_hops_to_a_cluster() {
         let net = server_net();
-        let neighbours = [
-            TileId::new(1),
-            TileId::new(4),
-            TileId::new(3),
-            TileId::new(12),
-        ];
-        // All four listed tiles are one hop from tile 0 on the torus.
-        assert!((net.average_hops_to(TileId::new(0), &neighbours) - 1.0).abs() < 1e-12);
-        assert_eq!(net.average_hops_to(TileId::new(0), &[]), 0.0);
+        // Tile 0's four torus neighbours, two of them over wraparound links.
+        for neighbour in [1, 4, 3, 12] {
+            assert_eq!(net.hops(TileId::new(0), TileId::new(neighbour)), 1);
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Grid topologies: 2-D folded torus (the paper's choice) and 2-D mesh (ablation).
+//! Grid topologies: 2-D folded torus (the paper's choice) and 2-D mesh (the
+//! baseline Section 5.1 argues against).
 
 use rnuca_types::ids::TileId;
 use serde::{Deserialize, Serialize};
@@ -11,8 +12,8 @@ pub enum Topology {
     /// along an axis of length `n` is at most `n / 2`. This is the topology
     /// evaluated in the paper.
     FoldedTorus,
-    /// 2-D mesh without wraparound links. Kept for the topology ablation
-    /// (meshes penalize edge tiles and create a hot centre).
+    /// 2-D mesh without wraparound links. Kept as the comparison point of
+    /// Section 5.1 (meshes penalize edge tiles and create a hot centre).
     Mesh,
 }
 
@@ -28,95 +29,12 @@ impl Topology {
 
     /// Minimal hop count between two tiles on a `width x height` grid.
     ///
-    /// Uses dimension-order (X then Y) routing; for both topologies the
-    /// dimension-ordered path is also a shortest path.
+    /// The sum of the per-axis distances: on both topologies a
+    /// dimension-order (X then Y) walk is a shortest path.
     pub fn hops(self, from: TileId, to: TileId, width: usize, height: usize) -> u32 {
         let (fx, fy) = from.coords(width);
         let (tx, ty) = to.coords(width);
         (self.axis_distance(fx, tx, width) + self.axis_distance(fy, ty, height)) as u32
-    }
-
-    /// The sequence of tiles visited by a dimension-order route from `from` to
-    /// `to` (inclusive of both endpoints).
-    ///
-    /// Used by the traffic-statistics model to attribute link utilisation.
-    pub fn route(self, from: TileId, to: TileId, width: usize, height: usize) -> Vec<TileId> {
-        let (mut x, mut y) = from.coords(width);
-        let (tx, ty) = to.coords(width);
-        let mut path = vec![from];
-        while x != tx {
-            x = self.step_towards(x, tx, width);
-            path.push(TileId::from_coords(x, y, width));
-        }
-        while y != ty {
-            y = self.step_towards(y, ty, height);
-            path.push(TileId::from_coords(x, y, width));
-        }
-        path
-    }
-
-    /// Moves one step from `cur` towards `target` along an axis of length `len`,
-    /// honouring wraparound for the torus.
-    fn step_towards(self, cur: usize, target: usize, len: usize) -> usize {
-        if cur == target {
-            return cur;
-        }
-        let forward = (target + len - cur) % len; // steps going "up" with wraparound
-        let backward = (cur + len - target) % len; // steps going "down" with wraparound
-        let go_forward = match self {
-            Topology::Mesh => target > cur,
-            Topology::FoldedTorus => forward <= backward,
-        };
-        if go_forward {
-            (cur + 1) % len
-        } else {
-            (cur + len - 1) % len
-        }
-    }
-
-    /// Number of dense link indices on a `width x height` grid: four
-    /// outgoing directions (+x, -x, +y, -y) per tile. Mesh edges simply
-    /// leave their wraparound slots unused.
-    pub fn num_links(width: usize, height: usize) -> usize {
-        width * height * 4
-    }
-
-    /// Dense index of the directed link from `from` to the adjacent tile
-    /// `to`: `from * 4 + direction`. Both topologies use the same scheme, so
-    /// per-link counters can live in a flat array instead of a hash map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is not one hop from `from` on this topology.
-    pub fn link_index(self, from: TileId, to: TileId, width: usize, height: usize) -> usize {
-        let (fx, fy) = from.coords(width);
-        let (tx, ty) = to.coords(width);
-        let dir = if ty == fy && tx == (fx + 1) % width {
-            0 // +x (east, possibly wrapping)
-        } else if ty == fy && tx == (fx + width - 1) % width {
-            1 // -x
-        } else if tx == fx && ty == (fy + 1) % height {
-            2 // +y
-        } else if tx == fx && ty == (fy + height - 1) % height {
-            3 // -y
-        } else {
-            panic!("{from} -> {to} is not a single hop on a {width}x{height} grid");
-        };
-        from.index() * 4 + dir
-    }
-
-    /// Inverse of [`Topology::link_index`]: the `(from, to)` tile pair of a
-    /// dense link index.
-    pub fn link_from_index(self, index: usize, width: usize, height: usize) -> (TileId, TileId) {
-        let from = TileId::new(index / 4);
-        let (fx, fy) = from.coords(width);
-        let (tx, ty) = match index % 4 {
-            0 => ((fx + 1) % width, fy),
-            1 => ((fx + width - 1) % width, fy),
-            2 => (fx, (fy + 1) % height),
-            _ => (fx, (fy + height - 1) % height),
-        };
-        (from, TileId::from_coords(tx, ty, width))
     }
 
     /// Maximum shortest-path distance between any pair of tiles (the network diameter).
@@ -160,6 +78,8 @@ impl fmt::Display for Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rnuca_types::config::SystemConfig;
 
     const W: usize = 4;
     const H: usize = 4;
@@ -205,78 +125,103 @@ mod tests {
         assert!((torus - 32.0 / 15.0).abs() < 1e-9);
     }
 
+    /// Every torus shape `SystemConfig::with_core_count` yields for 1 to 64
+    /// cores, from 1x1 up to the 8x4 and 8x8 grids the sweeps run.
+    fn swept_shapes() -> Vec<(usize, usize)> {
+        (0..=6)
+            .map(|log2_cores| {
+                let torus = SystemConfig::server_16()
+                    .with_core_count(1 << log2_cores)
+                    .expect("power-of-two core counts are valid")
+                    .torus;
+                (torus.width, torus.height)
+            })
+            .collect()
+    }
+
+    /// The tiles a dimension-order (X then Y) walk visits from `from` to `to`,
+    /// both endpoints included: a step-by-step oracle for the closed-form
+    /// [`Topology::hops`].
+    fn route(topo: Topology, from: TileId, to: TileId, width: usize, height: usize) -> Vec<TileId> {
+        let (mut x, mut y) = from.coords(width);
+        let (tx, ty) = to.coords(width);
+        let mut path = vec![from];
+        while x != tx {
+            x = step_towards(topo, x, tx, width);
+            path.push(TileId::from_coords(x, y, width));
+        }
+        while y != ty {
+            y = step_towards(topo, y, ty, height);
+            path.push(TileId::from_coords(x, y, width));
+        }
+        path
+    }
+
+    /// Moves one step from `cur` towards `target` along an axis of length
+    /// `len`, honouring wraparound for the torus.
+    fn step_towards(topo: Topology, cur: usize, target: usize, len: usize) -> usize {
+        let forward = (target + len - cur) % len; // steps going "up" with wraparound
+        let backward = (cur + len - target) % len; // steps going "down" with wraparound
+        let go_forward = match topo {
+            Topology::Mesh => target > cur,
+            Topology::FoldedTorus => forward <= backward,
+        };
+        if go_forward {
+            (cur + 1) % len
+        } else {
+            (cur + len - 1) % len
+        }
+    }
+
     #[test]
     fn routes_have_hop_count_edges_and_correct_endpoints() {
-        for &topo in &[Topology::FoldedTorus, Topology::Mesh] {
-            for a in 0..16 {
-                for b in 0..16 {
-                    let from = TileId::new(a);
-                    let to = TileId::new(b);
-                    let route = topo.route(from, to, W, H);
-                    assert_eq!(route.first().copied(), Some(from));
-                    assert_eq!(route.last().copied(), Some(to));
-                    assert_eq!(
-                        route.len() as u32 - 1,
-                        topo.hops(from, to, W, H),
-                        "{topo} {a}->{b}"
-                    );
-                    // Each step moves exactly one hop.
-                    for pair in route.windows(2) {
-                        assert_eq!(topo.hops(pair[0], pair[1], W, H), 1);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn link_indices_are_dense_and_roundtrip() {
-        for &topo in &[Topology::FoldedTorus, Topology::Mesh] {
-            // Every hop of every route maps to a unique in-range index that
-            // round-trips back to the same (from, to) pair.
-            for a in 0..16 {
-                for b in 0..16 {
-                    let route = topo.route(TileId::new(a), TileId::new(b), W, H);
-                    for pair in route.windows(2) {
-                        let idx = topo.link_index(pair[0], pair[1], W, H);
-                        assert!(idx < Topology::num_links(W, H));
+        for (w, h) in swept_shapes() {
+            for topo in [Topology::FoldedTorus, Topology::Mesh] {
+                for a in 0..w * h {
+                    for b in 0..w * h {
+                        let from = TileId::new(a);
+                        let to = TileId::new(b);
+                        let route = route(topo, from, to, w, h);
+                        assert_eq!(route.first().copied(), Some(from));
+                        assert_eq!(route.last().copied(), Some(to));
                         assert_eq!(
-                            topo.link_from_index(idx, W, H),
-                            (pair[0], pair[1]),
-                            "{topo} link {} -> {}",
-                            pair[0],
-                            pair[1]
+                            route.len() as u32 - 1,
+                            topo.hops(from, to, w, h),
+                            "{topo} {w}x{h} {a}->{b}"
                         );
+                        // Each step moves exactly one hop.
+                        for pair in route.windows(2) {
+                            assert_eq!(topo.hops(pair[0], pair[1], w, h), 1);
+                        }
                     }
                 }
             }
         }
     }
 
-    #[test]
-    fn distinct_adjacent_pairs_get_distinct_link_indices() {
-        let topo = Topology::FoldedTorus;
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..16 {
-            let from = TileId::new(i);
-            for j in 0..16 {
-                let to = TileId::new(j);
-                if i != j && topo.hops(from, to, W, H) == 1 {
-                    assert!(
-                        seen.insert(topo.link_index(from, to, W, H)),
-                        "link {from} -> {to} collides"
-                    );
-                }
+    proptest! {
+        /// Routes always have exactly `hops` edges, on both topologies and
+        /// every grid shape the sweeps use.
+        #[test]
+        fn route_length_equals_hop_count(
+            from in 0usize..64,
+            to in 0usize..64,
+            torus in any::<bool>(),
+            shape in 0usize..7,
+        ) {
+            let (w, h) = swept_shapes()[shape];
+            let from = TileId::new(from % (w * h));
+            let to = TileId::new(to % (w * h));
+            let topo = if torus { Topology::FoldedTorus } else { Topology::Mesh };
+            let route = route(topo, from, to, w, h);
+            prop_assert_eq!(route.len() as u32 - 1, topo.hops(from, to, w, h));
+            prop_assert_eq!(route[0], from);
+            prop_assert_eq!(*route.last().unwrap(), to);
+            // Every step in the route is between adjacent tiles.
+            for pair in route.windows(2) {
+                prop_assert_eq!(topo.hops(pair[0], pair[1], w, h), 1);
             }
         }
-        // A 4x4 torus has 4 outgoing links per tile, all distinct.
-        assert_eq!(seen.len(), Topology::num_links(W, H));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a single hop")]
-    fn non_adjacent_link_index_panics() {
-        Topology::Mesh.link_index(TileId::new(0), TileId::new(5), W, H);
     }
 
     #[test]

@@ -6,29 +6,6 @@ use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::TileId;
 
 proptest! {
-    /// Routes always have exactly `hops` edges, on both topologies and both
-    /// grid shapes used in the paper (4x4 and 4x2).
-    #[test]
-    fn route_length_equals_hop_count(
-        from in 0usize..16,
-        to in 0usize..16,
-        torus in any::<bool>(),
-        desktop in any::<bool>(),
-    ) {
-        let (w, h) = if desktop { (4usize, 2usize) } else { (4, 4) };
-        let from = TileId::new(from % (w * h));
-        let to = TileId::new(to % (w * h));
-        let topo = if torus { Topology::FoldedTorus } else { Topology::Mesh };
-        let route = topo.route(from, to, w, h);
-        prop_assert_eq!(route.len() as u32 - 1, topo.hops(from, to, w, h));
-        prop_assert_eq!(route[0], from);
-        prop_assert_eq!(*route.last().unwrap(), to);
-        // Every step in the route is between adjacent tiles.
-        for pair in route.windows(2) {
-            prop_assert_eq!(topo.hops(pair[0], pair[1], w, h), 1);
-        }
-    }
-
     /// Torus distances never exceed mesh distances, and both respect the
     /// triangle inequality.
     #[test]
@@ -49,7 +26,7 @@ proptest! {
     /// for the zero-hop case.
     #[test]
     fn latency_monotonic_in_payload(from in 0usize..16, to in 0usize..16, payload in 1usize..512) {
-        let net = Network::new(Topology::FoldedTorus, SystemConfig::server_16().torus);
+        let net = Network::new(SystemConfig::server_16().torus);
         let (from, to) = (TileId::new(from), TileId::new(to));
         let small = net.one_way_latency(from, to, payload);
         let large = net.one_way_latency(from, to, payload + 32);

@@ -306,6 +306,15 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_slice_capacity_is_an_error_not_a_1_kib_job() {
+        let matrix = SubmitSpec::parse("v1|config=smoke|slices=18014398509481985")
+            .unwrap()
+            .to_matrix()
+            .unwrap();
+        assert!(matrix.jobs().is_err());
+    }
+
+    #[test]
     fn identical_specs_share_a_submission_id() {
         let a = SubmitSpec::default();
         let b = SubmitSpec::parse(&a.encode()).unwrap();

@@ -365,23 +365,6 @@ impl DesignComparison {
         self.workloads.iter().find(|w| w.workload == name)
     }
 
-    /// Geometric-mean speedup of a design over the private baseline across all workloads.
-    pub fn mean_speedup_over_private(&self, letter: &str) -> f64 {
-        let speedups: Vec<f64> = self
-            .workloads
-            .iter()
-            .filter_map(|w| {
-                let baseline = w.private_baseline();
-                w.by_letter(letter).map(|r| r.speedup_over(baseline))
-            })
-            .collect();
-        if speedups.is_empty() {
-            return 1.0;
-        }
-        let log_sum: f64 = speedups.iter().map(|s| s.ln()).sum();
-        (log_sum / speedups.len() as f64).exp()
-    }
-
     /// Geometric-mean speedup of one design over another across all workloads.
     pub fn mean_speedup(&self, design_letter: &str, baseline_letter: &str) -> f64 {
         let speedups: Vec<f64> = self

@@ -18,7 +18,7 @@ use rnuca::placement::{PlacementConfig, PlacementEngine};
 use rnuca_cache::{CacheArray, ProbeEntry, SetRef};
 use rnuca_coherence::{Directory, ReadSource};
 use rnuca_mem::MemorySystem;
-use rnuca_noc::{Network, Topology};
+use rnuca_noc::Network;
 use rnuca_os::{ClassificationEvent, OsClassifier, PageClass};
 use rnuca_types::access::{AccessClass, MemoryAccess};
 use rnuca_types::addr::BlockAddr;
@@ -351,7 +351,7 @@ impl CmpSimulator {
             }
             _ => None,
         };
-        let network = Network::new(Topology::FoldedTorus, config.torus);
+        let network = Network::new(config.torus);
         let num_tiles = config.num_tiles();
         let block_bytes = config.l2_slice.geometry.block_bytes;
         let mut control_lut = vec![0u32; num_tiles * num_tiles];

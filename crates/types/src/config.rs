@@ -461,14 +461,20 @@ impl ConfigPoint {
     /// # Errors
     ///
     /// Returns an error if an override produces an invalid configuration
-    /// (non-power-of-two core count, unrealizable slice geometry).
+    /// (non-power-of-two core count, a slice capacity whose byte count
+    /// overflows `usize`, unrealizable slice geometry).
     pub fn apply(&self, base: &SystemConfig) -> Result<SystemConfig, ConfigError> {
         let mut cfg = *base;
         if let Some(n) = self.num_cores {
             cfg = cfg.with_core_count(n)?;
         }
         if let Some(kb) = self.slice_capacity_kb {
-            cfg = cfg.with_slice_capacity(kb * 1024)?;
+            let bytes = kb.checked_mul(1024).ok_or_else(|| {
+                ConfigError::new(format!(
+                    "L2 slice capacity of {kb} KB overflows a byte count"
+                ))
+            })?;
+            cfg = cfg.with_slice_capacity(bytes)?;
         }
         cfg.validate()?;
         Ok(cfg)
@@ -625,5 +631,19 @@ mod tests {
             ..ConfigPoint::default()
         };
         assert!(bad.apply(&base).is_err());
+    }
+
+    #[test]
+    fn config_point_rejects_a_slice_capacity_whose_byte_count_overflows() {
+        // 2^54 + 1 KB wraps to exactly 1,024 bytes when multiplied unchecked.
+        let kb = (1usize << 54) + 1;
+        let point = ConfigPoint {
+            slice_capacity_kb: Some(kb),
+            ..ConfigPoint::default()
+        };
+        let err = point
+            .apply(&SystemConfig::server_16())
+            .expect_err("an overflowing capacity must not yield a config");
+        assert!(err.to_string().contains(&kb.to_string()), "{err}");
     }
 }
