@@ -63,25 +63,28 @@
 //! `submit`/`status`/`watch`/`cancel`/`drain` are thin clients for it. A
 //! `submit` takes the active `--quick`/`--smoke` config plus
 //! `--workloads=`/`--designs=`/`--cores=`/`--slices=`/`--clusters=` axes
-//! and `--retries=`/`--deadline-ms=` supervision knobs. See the
-//! `rnuca-service` crate docs for the protocol and crash-resume semantics.
+//! and `--retries=`/`--deadline-ms=` supervision knobs, with `--seed=`
+//! overriding the preset's seed. Those axis flags, `--seed=` and
+//! `--deadline-ms=` are read by `submit` only, so every other target
+//! rejects them. See the `rnuca-service` crate docs for the protocol and
+//! crash-resume semantics.
 //!
 //! Exit codes: 0 success, 1 generic failure, 2 usage error (an unknown flag
-//! or target, or a malformed query with spanned diagnostics on stderr),
+//! or target, a submit-only option given to another target, or a malformed
+//! query with spanned diagnostics on stderr),
 //! 3 corrupt on-disk artifact — a damaged warehouse or journal renders a
 //! compiler-style diagnostic naming the file and byte offset, and is never
 //! silently recreated or repaired.
 
 use rnuca_bench::{
-    characterize_workload, default_perf_scenarios, filter_scenarios, records_from_json, run_perf,
-    PerfScenario,
+    characterize_workload, filter_scenarios, perf_matrix, records_from_json, run_perf,
 };
 use rnuca_os::rid_assignment;
 use rnuca_service::{Request, ServiceClient, ServiceConfig};
 use rnuca_sim::report::{fmt3, fmt_pct};
 use rnuca_sim::{
-    DesignComparison, ExperimentConfig, ExperimentEngine, JournalError, JournalReplay,
-    QuarantinedSweep, ScenarioMatrix, SweepError, SweepOptions, TextTable,
+    ExperimentConfig, ExperimentEngine, JournalError, JournalReplay, QuarantinedSweep, ScenarioJob,
+    ScenarioMatrix, ScenarioResult, ScenarioSweep, SweepError, SweepOptions, TextTable,
 };
 use rnuca_types::access::AccessClass;
 use rnuca_types::config::SystemConfig;
@@ -114,6 +117,11 @@ const OPTIONS: &[&str] = &[
     "--journal=",
     "--retries=",
     "--spool=",
+];
+
+/// The `--name=value` options only `figures submit` reads; every other
+/// target rejects them rather than silently running its preset.
+const SUBMIT_OPTIONS: &[&str] = &[
     "--workloads=",
     "--designs=",
     "--cores=",
@@ -132,10 +140,12 @@ const TARGETS: &[&str] = &[
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let is_option = |a: &str, options: &[&str]| options.iter().any(|o| a.starts_with(o));
     if let Some(flag) = args.iter().find(|a| {
         a.starts_with("--")
             && !SWITCHES.contains(&a.as_str())
-            && !OPTIONS.iter().any(|o| a.starts_with(o))
+            && !is_option(a, OPTIONS)
+            && !is_option(a, SUBMIT_OPTIONS)
     }) {
         exit_usage(&format!("unknown flag: {flag}"));
     }
@@ -205,6 +215,12 @@ fn main() {
         CHARACTERIZATION_REFS
     };
 
+    if targets[0] != "submit" {
+        if let Some(flag) = args.iter().find(|a| is_option(a, SUBMIT_OPTIONS)) {
+            exit_usage(&format!("{flag} applies only to `figures submit`"));
+        }
+    }
+
     // The warehouse and service subcommands consume the remaining
     // positionals (files, query text, submission ids) themselves — they are
     // whole invocations, not targets.
@@ -238,7 +254,8 @@ fn main() {
         exit_with("--resume needs --journal=PATH (the journal the interrupted sweep wrote)");
     }
 
-    // The evaluation (Figures 7-12) shares one run of every workload x design.
+    // Figures 7-10, 12 and the accuracy table share one run of the paper's
+    // evaluation.
     let needs_eval = targets.iter().any(|t| {
         t == "all"
             || matches!(
@@ -246,11 +263,7 @@ fn main() {
                 "fig7" | "fig8" | "fig9" | "fig10" | "fig12" | "accuracy"
             )
     });
-    let comparison = if needs_eval {
-        Some(DesignComparison::run_evaluation(&cfg, &engine))
-    } else {
-        None
-    };
+    let evaluation = needs_eval.then(|| Evaluation::run(cfg, engine));
 
     for target in &targets {
         match target.as_str() {
@@ -260,13 +273,13 @@ fn main() {
             "fig4" => fig4(char_refs),
             "fig5" => fig5(char_refs),
             "fig6" => fig6(),
-            "fig7" => fig7(comparison.as_ref().unwrap()),
-            "fig8" => fig8(comparison.as_ref().unwrap()),
-            "fig9" => fig9(comparison.as_ref().unwrap()),
-            "fig10" => fig10(comparison.as_ref().unwrap()),
+            "fig7" => fig7(evaluation.as_ref().unwrap()),
+            "fig8" => fig8(evaluation.as_ref().unwrap()),
+            "fig9" => fig9(evaluation.as_ref().unwrap()),
+            "fig10" => fig10(evaluation.as_ref().unwrap()),
             "fig11" => fig11(&cfg, &engine),
-            "fig12" => fig12(comparison.as_ref().unwrap()),
-            "accuracy" => accuracy(comparison.as_ref().unwrap()),
+            "fig12" => fig12(evaluation.as_ref().unwrap()),
+            "accuracy" => accuracy(evaluation.as_ref().unwrap()),
             "sweep" => sweep(
                 cfg,
                 &engine,
@@ -275,7 +288,7 @@ fn main() {
                 resume,
                 supervised.then_some(retries),
             ),
-            "perf" if perf_list => perf_list_only(perf_filter.as_deref()),
+            "perf" if perf_list => perf_list_only(&cfg, perf_filter.as_deref()),
             "perf" => perf(
                 &cfg,
                 &engine,
@@ -290,7 +303,7 @@ fn main() {
                 fig4(char_refs);
                 fig5(char_refs);
                 fig6();
-                let c = comparison.as_ref().unwrap();
+                let c = evaluation.as_ref().unwrap();
                 accuracy(c);
                 fig7(c);
                 fig8(c);
@@ -643,7 +656,7 @@ fn perf(
     store_path: Option<&str>,
 ) {
     heading("perf: timed end-to-end throughput");
-    let scenarios = selected_scenarios(filter);
+    let scenarios = selected_scenarios(cfg, filter);
     let report = run_perf(&scenarios, cfg, engine, &TraceArena::new());
     if let Some(path) = store_path {
         let store = open_store(path);
@@ -672,30 +685,30 @@ fn perf(
     );
 }
 
-/// Resolves `--filter` against the default perf scenario list, exiting when
-/// nothing matches (a typo'd filter should fail loudly, not run zero work).
-fn selected_scenarios(filter: Option<&str>) -> Vec<PerfScenario> {
+/// Resolves `--filter` against the perf matrix's jobs, exiting when nothing
+/// matches (a typo'd filter should fail loudly, not run zero work).
+fn selected_scenarios(cfg: &ExperimentConfig, filter: Option<&str>) -> Vec<ScenarioJob> {
+    let all = perf_matrix(*cfg)
+        .jobs()
+        .expect("the perf matrix's core counts are valid for every preset");
     match filter {
         Some(f) => {
-            let kept = filter_scenarios(default_perf_scenarios(), f);
+            let total = all.len();
+            let kept = filter_scenarios(all, f);
             if kept.is_empty() {
                 exit_with(&format!("--filter={f} matches no perf scenario"));
             }
-            println!(
-                "filter '{f}': {} of {} scenarios",
-                kept.len(),
-                default_perf_scenarios().len()
-            );
+            println!("filter '{f}': {} of {total} scenarios", kept.len());
             kept
         }
-        None => default_perf_scenarios(),
+        None => all,
     }
 }
 
 /// `perf --list`: prints the scenario labels, one per line, without
 /// generating traces or simulating.
-fn perf_list_only(filter: Option<&str>) {
-    let scenarios = selected_scenarios(filter);
+fn perf_list_only(cfg: &ExperimentConfig, filter: Option<&str>) {
+    let scenarios = selected_scenarios(cfg, filter);
     println!("{} scenarios:", scenarios.len());
     for s in &scenarios {
         println!("  {}", s.label());
@@ -841,17 +854,84 @@ fn fig6() {
     );
 }
 
-fn accuracy(c: &DesignComparison) {
+/// The paper's evaluation behind Figures 7-10, 12 and the accuracy table:
+/// the [`ScenarioMatrix::paper_evaluation`] sweep, whose results come in
+/// job order — each workload's P/A/S/R/I runs in turn.
+struct Evaluation(ScenarioSweep);
+
+impl Evaluation {
+    fn run(cfg: ExperimentConfig, engine: ExperimentEngine) -> Self {
+        let sweep = ScenarioMatrix::paper_evaluation(cfg)
+            .run(&SweepOptions::new(engine))
+            .expect("the paper evaluation's axes are valid")
+            .sweep
+            .into_sweep();
+        Evaluation(sweep)
+    }
+
+    /// One workload's results at a time, in the suite's order.
+    fn workloads(&self) -> impl Iterator<Item = Workload<'_>> {
+        self.0
+            .results
+            .chunk_by(|a, b| a.workload == b.workload)
+            .map(Workload)
+    }
+
+    /// Geometric-mean speedup of one design over another across all
+    /// workloads.
+    fn mean_speedup(&self, letter: &str, baseline: &str) -> f64 {
+        let logs: Vec<f64> = self
+            .workloads()
+            .filter_map(|w| Some(speedup(w.by_letter(letter)?, w.by_letter(baseline)?).ln()))
+            .collect();
+        (logs.iter().sum::<f64>() / logs.len() as f64).exp()
+    }
+}
+
+/// One workload's P/A/S/R/I results.
+struct Workload<'a>(&'a [ScenarioResult]);
+
+impl Workload<'_> {
+    fn name(&self) -> String {
+        self.0[0].workload.clone()
+    }
+
+    fn by_letter(&self, letter: &str) -> Option<&ScenarioResult> {
+        self.0.iter().find(|r| r.design.letter() == letter)
+    }
+
+    /// The private design's run, the baseline every figure normalises to.
+    fn private(&self) -> &ScenarioResult {
+        self.by_letter("P")
+            .expect("the paper evaluation includes the private design")
+    }
+
+    /// Whether the paper buckets this workload as private-averse (the
+    /// private design is no faster than the shared one) or shared-averse.
+    fn private_averse(&self) -> bool {
+        let shared = self
+            .by_letter("S")
+            .expect("the paper evaluation includes the shared design");
+        self.private().run.total_cpi() >= shared.run.total_cpi()
+    }
+}
+
+/// Speedup of `r` over `baseline` (CPI ratio; >1 means faster).
+fn speedup(r: &ScenarioResult, baseline: &ScenarioResult) -> f64 {
+    baseline.run.total_cpi() / r.run.total_cpi()
+}
+
+fn accuracy(c: &Evaluation) {
     heading("Section 5.2: page-classification accuracy under R-NUCA");
     let mut table = TextTable::new(vec![
         "workload",
         "misclassified accesses",
         "re-classifications",
     ]);
-    for w in &c.workloads {
+    for w in c.workloads() {
         if let Some(r) = w.by_letter("R") {
             table.add_row(vec![
-                w.workload.clone(),
+                w.name(),
                 fmt_pct(r.run.misclassification_rate),
                 r.run.reclassifications.to_string(),
             ]);
@@ -860,18 +940,18 @@ fn accuracy(c: &DesignComparison) {
     println!("{table}");
 }
 
-fn fig7(c: &DesignComparison) {
+fn fig7(c: &Evaluation) {
     heading("Figure 7: total CPI breakdown, normalised to the private design");
     let mut table = TextTable::new(vec![
         "workload", "design", "busy", "L1-to-L1", "L2", "off-chip", "other", "re-class", "total",
     ]);
-    for w in &c.workloads {
-        let base = w.private_baseline().total_cpi();
+    for w in c.workloads() {
+        let base = w.private().run.total_cpi();
         for letter in ["P", "A", "S", "R"] {
             if let Some(r) = w.by_letter(letter) {
                 let b = r.run.cpi.breakdown.scaled(base);
                 table.add_row(vec![
-                    w.workload.clone(),
+                    w.name(),
                     letter.to_string(),
                     fmt3(b.busy),
                     fmt3(b.l1_to_l1),
@@ -879,7 +959,7 @@ fn fig7(c: &DesignComparison) {
                     fmt3(b.off_chip),
                     fmt3(b.other),
                     fmt3(b.reclassification),
-                    fmt3(r.total_cpi() / base),
+                    fmt3(r.run.total_cpi() / base),
                 ]);
             }
         }
@@ -887,7 +967,7 @@ fn fig7(c: &DesignComparison) {
     println!("{table}");
 }
 
-fn fig8(c: &DesignComparison) {
+fn fig8(c: &Evaluation) {
     heading("Figure 8: CPI of L1-to-L1 and shared-data L2 loads, normalised to the private design's total CPI");
     let mut table = TextTable::new(vec![
         "workload",
@@ -896,12 +976,12 @@ fn fig8(c: &DesignComparison) {
         "L2 shared coherence",
         "L2 shared load",
     ]);
-    for w in &c.workloads {
-        let base = w.private_baseline().total_cpi();
+    for w in c.workloads() {
+        let base = w.private().run.total_cpi();
         for letter in ["P", "A", "S", "R"] {
             if let Some(r) = w.by_letter(letter) {
                 table.add_row(vec![
-                    w.workload.clone(),
+                    w.name(),
                     letter.to_string(),
                     fmt3(r.run.cpi.breakdown.l1_to_l1 / base),
                     fmt3(r.run.cpi.l2_shared_coherence / base),
@@ -913,23 +993,23 @@ fn fig8(c: &DesignComparison) {
     println!("{table}");
 }
 
-fn fig9(c: &DesignComparison) {
+fn fig9(c: &Evaluation) {
     heading("Figure 9: CPI of L2 accesses to private data, normalised to the private design's total CPI");
     per_class_l2_table(c, AccessClass::PrivateData);
 }
 
-fn fig10(c: &DesignComparison) {
+fn fig10(c: &Evaluation) {
     heading(
         "Figure 10: CPI of L2 instruction accesses, normalised to the private design's total CPI",
     );
     per_class_l2_table(c, AccessClass::Instruction);
 }
 
-fn per_class_l2_table(c: &DesignComparison, class: AccessClass) {
+fn per_class_l2_table(c: &Evaluation, class: AccessClass) {
     let mut table = TextTable::new(vec!["workload", "P", "A", "S", "R"]);
-    for w in &c.workloads {
-        let base = w.private_baseline().total_cpi();
-        let mut row = vec![w.workload.clone()];
+    for w in c.workloads() {
+        let base = w.private().run.total_cpi();
+        let mut row = vec![w.name()];
         for letter in ["P", "A", "S", "R"] {
             let v = w
                 .by_letter(letter)
@@ -979,23 +1059,23 @@ fn fig11(cfg: &ExperimentConfig, engine: &ExperimentEngine) {
     println!("{table}");
 }
 
-fn fig12(c: &DesignComparison) {
+fn fig12(c: &Evaluation) {
     heading("Figure 12: speedup over the private design");
     let mut table = TextTable::new(vec!["workload", "bucket", "P", "A", "S", "R", "I"]);
-    for w in &c.workloads {
+    for w in c.workloads() {
         let mut row = vec![
-            w.workload.clone(),
-            if w.private_averse {
+            w.name(),
+            if w.private_averse() {
                 "private-averse".into()
             } else {
                 "shared-averse".into()
             },
         ];
-        let baseline = w.private_baseline();
+        let baseline = w.private();
         for letter in ["P", "A", "S", "R", "I"] {
             let s = w
                 .by_letter(letter)
-                .map(|r| r.speedup_over(baseline))
+                .map(|r| speedup(r, baseline))
                 .unwrap_or(f64::NAN);
             row.push(format!("{:+.1}%", (s - 1.0) * 100.0));
         }

@@ -230,7 +230,7 @@ fn array<'a>(v: &'a JsonValue, key: &str, ctx: &str) -> Result<&'a [JsonValue], 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::{default_perf_scenarios, run_perf, PerfScenario};
+    use crate::perf::{perf_matrix, run_perf};
     use rnuca_sim::{ExperimentEngine, LlcDesign};
     use rnuca_warehouse::Warehouse;
     use rnuca_workloads::{TraceArena, WorkloadSpec};
@@ -239,19 +239,10 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.warmup_refs = 600;
         cfg.measured_refs = 400;
-        let spec = WorkloadSpec::oltp_db2();
-        let scenarios = vec![
-            PerfScenario {
-                workload: spec.clone(),
-                design: LlcDesign::Shared,
-                cores: 16,
-            },
-            PerfScenario {
-                workload: spec,
-                design: LlcDesign::rnuca_default(),
-                cores: 16,
-            },
-        ];
+        let mut m = rnuca_sim::ScenarioMatrix::new(cfg);
+        m.workloads = vec![WorkloadSpec::oltp_db2()];
+        m.designs = vec![LlcDesign::Shared, LlcDesign::rnuca_default()];
+        let scenarios = m.jobs().expect("baseline jobs are valid");
         run_perf(
             &scenarios,
             &cfg,
@@ -285,7 +276,9 @@ mod tests {
         // A report's run lengths decide its config label, so a full-config
         // report's rows are queryable as `config=full`. Fabricate one from
         // the default list without simulating (the metrics don't matter).
-        let labels: Vec<String> = default_perf_scenarios()
+        let labels: Vec<String> = perf_matrix(ExperimentConfig::full())
+            .jobs()
+            .expect("standard core counts are valid for every preset")
             .iter()
             .map(|s| {
                 format!(
@@ -294,7 +287,7 @@ mod tests {
                         "warmup_nanos": 1, "measured_nanos": 1}}"#,
                     s.workload.name,
                     s.design.letter(),
-                    s.cores
+                    s.workload.num_cores()
                 )
             })
             .collect();

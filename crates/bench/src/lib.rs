@@ -13,13 +13,10 @@ pub mod perf;
 
 pub use ingest::{records_from_json, IngestKind};
 pub use json::JsonValue;
-pub use perf::{
-    default_perf_scenarios, filter_scenarios, run_perf, PerfReport, PerfResult, PerfScenario,
-    PerfTotals,
-};
+pub use perf::{filter_scenarios, perf_matrix, run_perf, PerfReport, PerfResult, PerfTotals};
 
 use rnuca_sim::report::fmt_pct;
-use rnuca_sim::{ExperimentConfig, ScenarioMatrix, TextTable};
+use rnuca_sim::{ExperimentConfig, LlcDesign, ScenarioMatrix, TextTable};
 use rnuca_workloads::{TraceCharacterization, TraceGenerator, WorkloadSpec};
 
 /// Generates a trace of `n` references for a workload and characterizes it.
@@ -55,11 +52,13 @@ pub fn figure3_table(n: usize, seed: u64) -> TextTable {
 /// workload suite at 16/32/64 cores, 512 KB/1 MB/2 MB L2 slices, under the
 /// shared design and R-NUCA with size-2/4/8 instruction clusters.
 pub fn default_sweep_matrix(cfg: ExperimentConfig) -> ScenarioMatrix {
-    let mut matrix = ScenarioMatrix::paper_evaluation(cfg);
-    matrix.core_counts = vec![16, 32, 64];
-    matrix.slice_capacities_kb = vec![512, 1024, 2048];
-    matrix.cluster_sizes = vec![2, 4, 8];
-    matrix
+    ScenarioMatrix {
+        designs: vec![LlcDesign::Shared, LlcDesign::rnuca_default()],
+        core_counts: vec![16, 32, 64],
+        slice_capacities_kb: vec![512, 1024, 2048],
+        cluster_sizes: vec![2, 4, 8],
+        ..ScenarioMatrix::paper_evaluation(cfg)
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! The throughput benchmark behind `figures perf`.
 //!
-//! [`run_perf`] executes timed end-to-end simulations (the five LLC designs
-//! × representative workloads × 16/32/64 cores) on the deterministic
+//! [`run_perf`] executes timed end-to-end simulations on the deterministic
 //! [`ExperimentEngine`], and [`PerfReport::to_json`] emits the perf report
-//! (`BENCH_perf.json` by default).
+//! (`BENCH_perf.json` by default). The scenarios are the jobs of one
+//! scenario matrix, [`perf_matrix`]: the five LLC designs × representative
+//! workloads × 16/32/64 cores.
 //!
 //! Every scenario is one engine job that warms in place: it builds its
 //! simulator, runs the warm-up prefix of its [`TraceArena`] slab, then
@@ -25,45 +26,39 @@
 //! the schema-stability property the tests pin down.
 
 use rnuca_sim::{
-    AsrPolicy, CmpSimulator, ExperimentConfig, ExperimentEngine, LlcDesign, MeasuredRun,
+    CmpSimulator, ExperimentConfig, ExperimentEngine, LlcDesign, MeasuredRun, ScenarioJob,
+    ScenarioMatrix,
 };
-use rnuca_types::config::ConfigPoint;
 use rnuca_types::json::json_string;
 use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// One timed simulation: a workload pinned to a core count, under one design.
-#[derive(Debug, Clone)]
-pub struct PerfScenario {
-    /// The workload, already pinned to the scenario's core count.
-    pub workload: WorkloadSpec,
-    /// The design to simulate.
-    pub design: LlcDesign,
-    /// The resolved core count (recorded for labelling).
-    pub cores: usize,
-}
-
-impl PerfScenario {
-    /// The scenario's rendered label: `workload/letter/design/Ncores` — the
-    /// string `figures perf --filter=<substring>` matches against.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}/{}/{}c",
-            self.workload.name,
-            self.design.letter(),
-            self.design,
-            self.cores
-        )
+/// The perf suite as a matrix: a sharing-heavy server workload (OLTP DB2),
+/// a nearest-neighbour scientific code (em3d), and a streaming scan with
+/// capacity pressure (DSS Qry6) — together they exercise every step path:
+/// L1-to-L1 forwarding, re-classification, and off-chip — at 16/32/64
+/// cores under the five P/A/S/R/I designs. Its [`ScenarioMatrix::jobs`]
+/// are the suite's 45 scenarios, ordered workload, then cores, then design.
+pub fn perf_matrix(cfg: ExperimentConfig) -> ScenarioMatrix {
+    ScenarioMatrix {
+        workloads: vec![
+            WorkloadSpec::oltp_db2(),
+            WorkloadSpec::em3d(),
+            WorkloadSpec::dss_qry6(),
+        ],
+        designs: LlcDesign::speedup_set(),
+        core_counts: vec![16, 32, 64],
+        ..ScenarioMatrix::new(cfg)
     }
 }
 
-/// Keeps the scenarios whose [`PerfScenario::label`] contains `filter`
+/// Keeps the scenarios whose [`ScenarioJob::label`] contains `filter`
 /// (case-insensitive) — the engine behind `figures perf --filter=`, for
 /// fast local perf iteration on a scenario subset. The comparison is
 /// ASCII-case-insensitive and allocation-free: labels are matched in place
 /// instead of lowercasing every label (and the needle) per call.
-pub fn filter_scenarios(scenarios: Vec<PerfScenario>, filter: &str) -> Vec<PerfScenario> {
+pub fn filter_scenarios(scenarios: Vec<ScenarioJob>, filter: &str) -> Vec<ScenarioJob> {
     scenarios
         .into_iter()
         .filter(|s| contains_ignore_ascii_case(s.label().as_bytes(), filter.as_bytes()))
@@ -148,64 +143,6 @@ pub struct PerfReport {
 /// carry the columns this version defines.
 pub const PERF_SCHEMA_VERSION: u64 = 7;
 
-/// The representative workloads the perf suite times: a sharing-heavy server
-/// workload (OLTP DB2), a nearest-neighbour scientific code (em3d), and a
-/// streaming scan with capacity pressure (DSS Qry6). Together they exercise
-/// every step path: L1-to-L1 forwarding, re-classification, and off-chip.
-pub fn perf_workloads() -> Vec<WorkloadSpec> {
-    vec![
-        WorkloadSpec::oltp_db2(),
-        WorkloadSpec::em3d(),
-        WorkloadSpec::dss_qry6(),
-    ]
-}
-
-/// The five designs of the paper's evaluation, in P/A/S/R/I order.
-pub fn perf_designs() -> Vec<LlcDesign> {
-    vec![
-        LlcDesign::Private,
-        LlcDesign::Asr {
-            policy: AsrPolicy::Adaptive,
-        },
-        LlcDesign::Shared,
-        LlcDesign::rnuca_default(),
-        LlcDesign::Ideal,
-    ]
-}
-
-/// Core counts swept by the perf suite.
-pub const PERF_CORE_COUNTS: [usize; 3] = [16, 32, 64];
-
-/// The default scenario list: every perf workload × 16/32/64 cores × the
-/// five designs — 45 scenarios, in a deterministic order.
-///
-/// # Panics
-///
-/// Panics if a preset workload rejects one of the standard core counts,
-/// which would be a bug in the presets.
-pub fn default_perf_scenarios() -> Vec<PerfScenario> {
-    let mut scenarios = Vec::new();
-    for spec in perf_workloads() {
-        for &cores in &PERF_CORE_COUNTS {
-            let point = ConfigPoint {
-                num_cores: Some(cores),
-                ..ConfigPoint::default()
-            };
-            let workload = spec
-                .at_config_point(&point)
-                .expect("standard core counts are valid for every preset");
-            for design in perf_designs() {
-                scenarios.push(PerfScenario {
-                    workload: workload.clone(),
-                    design,
-                    cores,
-                });
-            }
-        }
-    }
-    scenarios
-}
-
 /// Runs `scenarios` on `engine`, timing each scenario's warm-up and
 /// measured phases. The arena is explicit so callers can share streams
 /// across runs and inspect deduplication.
@@ -220,14 +157,14 @@ pub fn default_perf_scenarios() -> Vec<PerfScenario> {
 /// counts, CPI digests) are identical for every worker count; only the
 /// timing fields vary run to run.
 pub fn run_perf(
-    scenarios: &[PerfScenario],
+    scenarios: &[ScenarioJob],
     cfg: &ExperimentConfig,
     engine: &ExperimentEngine,
     arena: &TraceArena,
 ) -> PerfReport {
     let start = Instant::now();
     let mut seen = HashSet::new();
-    let unique: Vec<&PerfScenario> = scenarios
+    let unique: Vec<&ScenarioJob> = scenarios
         .iter()
         .filter(|s| seen.insert(TraceKey::new(&s.workload, cfg.seed)))
         .collect();
@@ -246,7 +183,7 @@ pub fn run_perf(
             workload: s.workload.name.clone(),
             letter: s.design.letter(),
             design: s.design.to_string(),
-            cores: s.cores,
+            cores: s.workload.num_cores(),
             refs: cfg.total_refs() as u64,
             total_cpi: run.total_cpi(),
             off_chip_rate: run.off_chip_rate,
@@ -277,8 +214,12 @@ pub fn run_perf(
 /// two phases: the warm-up prefix and the measured window (construction
 /// and trace generation excluded). Recording both makes phase-specific
 /// regressions visible instead of averaged away.
+///
+/// The timers need the phases apart, so this does not call
+/// [`ScenarioJob::run`]: every scenario is one warm-up and one measured
+/// window under its own design, and ASR never runs best-of-six here.
 fn time_scenario(
-    s: &PerfScenario,
+    s: &ScenarioJob,
     cfg: &ExperimentConfig,
     arena: &TraceArena,
 ) -> (MeasuredRun, u64, u64) {
@@ -380,7 +321,7 @@ mod tests {
     }
 
     /// Runs `scenarios` over a fresh arena.
-    fn run(scenarios: &[PerfScenario], cfg: &ExperimentConfig, workers: usize) -> PerfReport {
+    fn run(scenarios: &[ScenarioJob], cfg: &ExperimentConfig, workers: usize) -> PerfReport {
         run_perf(
             scenarios,
             cfg,
@@ -389,34 +330,32 @@ mod tests {
         )
     }
 
-    fn tiny_scenarios() -> Vec<PerfScenario> {
-        let spec = WorkloadSpec::oltp_db2();
-        vec![
-            PerfScenario {
-                workload: spec.clone(),
-                design: LlcDesign::Shared,
-                cores: 16,
-            },
-            PerfScenario {
-                workload: spec,
-                design: LlcDesign::rnuca_default(),
-                cores: 16,
-            },
-        ]
+    fn tiny_scenarios() -> Vec<ScenarioJob> {
+        let mut m = ScenarioMatrix::new(tiny_cfg());
+        m.workloads = vec![WorkloadSpec::oltp_db2()];
+        m.designs = vec![LlcDesign::Shared, LlcDesign::rnuca_default()];
+        m.jobs().expect("baseline jobs are valid")
+    }
+
+    /// The default 45-scenario list.
+    fn default_scenarios() -> Vec<ScenarioJob> {
+        perf_matrix(tiny_cfg())
+            .jobs()
+            .expect("standard core counts are valid for every preset")
     }
 
     #[test]
     fn default_scenarios_cover_designs_workloads_and_core_counts() {
-        let scenarios = default_perf_scenarios();
+        let scenarios = default_scenarios();
         assert_eq!(scenarios.len(), 3 * 3 * 5);
-        assert!(scenarios.iter().any(|s| s.cores == 64));
+        assert!(scenarios.iter().any(|s| s.workload.num_cores() == 64));
         let letters: std::collections::HashSet<&str> =
             scenarios.iter().map(|s| s.design.letter()).collect();
         assert_eq!(letters.len(), 5, "all five designs present");
-        // Workloads really are pinned to the scenario core count.
-        for s in &scenarios {
-            assert_eq!(s.workload.num_cores(), s.cores);
-        }
+        // Workload, then cores, then design.
+        let cores: Vec<usize> = scenarios.iter().map(|s| s.workload.num_cores()).collect();
+        assert_eq!(cores[..15], [[16; 5], [32; 5], [64; 5]].concat());
+        assert_eq!(scenarios[15].workload.name, "em3d");
     }
 
     #[test]
@@ -462,7 +401,7 @@ mod tests {
         let cfg = tiny_cfg();
         let arena = TraceArena::new();
         let report = run_perf(
-            &default_perf_scenarios(),
+            &default_scenarios(),
             &cfg,
             &ExperimentEngine::with_workers(2),
             &arena,
@@ -531,25 +470,25 @@ mod tests {
 
     #[test]
     fn scenario_labels_render_and_filter() {
-        let scenarios = default_perf_scenarios();
+        let scenarios = default_scenarios();
         let label = scenarios[0].label();
         assert_eq!(label, "OLTP DB2/P/private/16c");
 
         // Filtering by workload keeps that workload's 15 scenarios.
-        let em3d = filter_scenarios(default_perf_scenarios(), "em3d");
+        let em3d = filter_scenarios(default_scenarios(), "em3d");
         assert_eq!(em3d.len(), 15);
         assert!(em3d.iter().all(|s| s.workload.name == "em3d"));
 
         // By design letter (the "/R/" segment), across workloads and cores.
-        let rnuca = filter_scenarios(default_perf_scenarios(), "/R/");
+        let rnuca = filter_scenarios(default_scenarios(), "/R/");
         assert_eq!(rnuca.len(), 9);
         assert!(rnuca.iter().all(|s| s.design.letter() == "R"));
 
         // By core count, case-insensitively; unmatched filters yield nothing.
-        let big = filter_scenarios(default_perf_scenarios(), "/64C");
+        let big = filter_scenarios(default_scenarios(), "/64C");
         assert_eq!(big.len(), 15);
-        assert!(big.iter().all(|s| s.cores == 64));
-        assert!(filter_scenarios(default_perf_scenarios(), "nope").is_empty());
+        assert!(big.iter().all(|s| s.workload.num_cores() == 64));
+        assert!(filter_scenarios(default_scenarios(), "nope").is_empty());
     }
 
     #[test]
@@ -558,9 +497,9 @@ mod tests {
         // lowercase-both-sides comparison: every casing of a filter selects
         // the same scenarios...
         let labels = |filter: &str| -> Vec<String> {
-            filter_scenarios(default_perf_scenarios(), filter)
+            filter_scenarios(default_scenarios(), filter)
                 .iter()
-                .map(PerfScenario::label)
+                .map(ScenarioJob::label)
                 .collect()
         };
         assert_eq!(labels("em3d"), labels("EM3D"));
@@ -573,7 +512,7 @@ mod tests {
         // selected scenarios share streams identically no matter how the
         // filter (or any display label) is cased.
         let trace_keys = |filter: &str| -> Vec<TraceKey> {
-            filter_scenarios(default_perf_scenarios(), filter)
+            filter_scenarios(default_scenarios(), filter)
                 .iter()
                 .map(|s| TraceKey::new(&s.workload, 42))
                 .collect()
@@ -608,9 +547,9 @@ mod tests {
         let cfg = tiny_cfg();
         let report = run(&tiny_scenarios(), &cfg, 2);
         for (s, r) in tiny_scenarios().iter().zip(&report.results) {
-            let single = rnuca_sim::DesignComparison::run_single(&s.workload, s.design, &cfg);
-            assert_eq!(r.total_cpi, single.run.total_cpi());
-            assert_eq!(r.off_chip_rate, single.run.off_chip_rate);
+            let single = rnuca_sim::run_single(&s.workload, s.design, &cfg);
+            assert_eq!(r.total_cpi, single.total_cpi());
+            assert_eq!(r.off_chip_rate, single.off_chip_rate);
         }
     }
 }

@@ -3,7 +3,8 @@
 //! a diagnostic naming the file and byte offset — distinct from exit 2
 //! (malformed query) and exit 1 (generic errors) — and the `journal`
 //! subcommand must report journal health the same way. A command line the
-//! binary does not understand (an unknown flag or target) exits 2 as well.
+//! binary does not understand (an unknown flag or target, or a submit-only
+//! option given to another target) exits 2 as well.
 
 use rnuca_sim::SweepJournal;
 use rnuca_warehouse::{RowKind, RunRecord, Warehouse};
@@ -163,6 +164,18 @@ fn resume_without_a_journal_is_refused_up_front() {
     );
 }
 
+/// `figures args` exits 2 before running anything, naming `named`.
+fn assert_usage_error(args: &[&str], named: &str) {
+    let out = figures(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains(named),
+        "{args:?} names {named}: {}",
+        stderr_of(&out)
+    );
+    assert!(stdout_of(&out).is_empty(), "{args:?} ran something");
+}
+
 #[test]
 fn unknown_flags_and_targets_exit_2_naming_them() {
     // A retired flag, a typo'd flag and an unknown target each fail before
@@ -172,13 +185,30 @@ fn unknown_flags_and_targets_exit_2_naming_them() {
         (&["--worker=2", "table1"][..], "--worker=2"),
         (&["fig99"][..], "fig99"),
     ] {
-        let out = figures(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
-        assert!(
-            stderr_of(&out).contains(named),
-            "{args:?} names {named}: {}",
-            stderr_of(&out)
-        );
-        assert!(stdout_of(&out).is_empty(), "{args:?} ran something");
+        assert_usage_error(args, named);
+    }
+}
+
+#[test]
+fn submit_only_flags_exit_2_on_every_other_target() {
+    // Only `figures submit` reads these options; any other target would run
+    // its preset (seed 42, preset cores, every design) as if the flag had
+    // not been given, so it refuses the command line instead.
+    for (args, named) in [
+        (&["--smoke", "--seed=7", "fig7"][..], "--seed=7"),
+        (&["--smoke", "--cores=64", "fig7"][..], "--cores=64"),
+        (&["--smoke", "--designs=S", "fig7"][..], "--designs=S"),
+        (
+            &["--smoke", "--workloads=mix", "sweep"][..],
+            "--workloads=mix",
+        ),
+        (&["--slices=512", "table1"][..], "--slices=512"),
+        (&["--clusters=2", "fig6"][..], "--clusters=2"),
+        (
+            &["--deadline-ms=5", "perf", "--list"][..],
+            "--deadline-ms=5",
+        ),
+    ] {
+        assert_usage_error(args, named);
     }
 }

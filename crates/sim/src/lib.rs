@@ -53,7 +53,7 @@ pub mod tile;
 pub use cpi::{CpiBreakdown, CpiComponent, DetailedCpi};
 pub use design::{AsrPolicy, LlcDesign};
 pub use engine::{ExperimentEngine, FailureCause, JobFailure};
-pub use experiment::{DesignComparison, ExperimentConfig, RunResult, WorkloadResults};
+pub use experiment::{run_single, ExperimentConfig};
 pub use journal::{
     JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
 };

@@ -1,12 +1,14 @@
 //! Declarative scenario matrices: one struct, every `(workload, design,
 //! config-point)` combination, and the one function that runs them.
 //!
-//! The paper's figures each hand-rolled their own loop (per-workload designs
-//! for Figures 7-10/12, cluster sizes for Figure 11). A [`ScenarioMatrix`]
-//! replaces those loops: declare the workloads, the designs, and the sweep
-//! axes — core counts, L2 slice capacities, R-NUCA instruction-cluster sizes
-//! — and the matrix flattens itself into jobs for the
-//! [`ExperimentEngine`]. Results come back
+//! Every figure that simulates runs a [`ScenarioMatrix`]: the paper's
+//! evaluation behind Figures 7-10 and 12 is
+//! [`ScenarioMatrix::paper_evaluation`], Figure 11 is
+//! [`ScenarioMatrix::cluster_sweep`], and `figures sweep`, the experiment
+//! service and the perf suite's job list declare their own. A matrix names
+//! the workloads, the designs, and the sweep axes — core counts, L2 slice
+//! capacities, R-NUCA instruction-cluster sizes — and flattens itself into
+//! jobs for the [`ExperimentEngine`]. Results come back
 //! in a deterministic order (and are identical for every worker-pool size),
 //! ready for tables or the JSON emitted by [`ScenarioSweep::to_json`].
 //!
@@ -20,10 +22,13 @@
 //!
 //! Every job is independent: [`ScenarioJob::run`] builds the job's
 //! simulator, warms it in place over the job's [`TraceArena`] slab, and
-//! measures the rest of the slab. A matrix shares reference streams (one per
-//! unique `(workload, core count, seed)`, materialized once each) but never
-//! warmed state, so a job's result does not depend on which options ran it
-//! or on which other jobs ran beside it.
+//! measures the rest of the slab. Under
+//! [`ExperimentConfig::asr_best_of`] an ASR job measures all six ASR
+//! versions from that one warm-up and reports the fastest. A matrix shares
+//! reference streams (one per unique `(workload, core count, seed)`,
+//! materialized once each) but never warmed state across jobs, so a job's
+//! result does not depend on which options ran it or on which other jobs
+//! ran beside it.
 //!
 //! # Example
 //!
@@ -63,8 +68,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Schema version of the sweep rows [`ScenarioMatrix::run`] appends to the
 /// warehouse (bumped when their column content changes meaning, so old and
-/// new rows stay distinguishable by the `schema` column).
-pub const SWEEP_SCHEMA_VERSION: u64 = 1;
+/// new rows stay distinguishable by the `schema` column). Version 2: an
+/// ASR row under `asr_best_of` is the best of the six ASR versions.
+pub const SWEEP_SCHEMA_VERSION: u64 = 2;
 
 /// A declarative sweep over workloads, designs, and configuration axes.
 ///
@@ -105,11 +111,20 @@ impl ScenarioJob {
     /// Runs the job in place: builds the simulator, warms it over the job's
     /// arena slab, and measures the rest of the slab.
     ///
+    /// When `cfg.asr_best_of` is set and the design is ASR, the job reports
+    /// the paper's ASR result instead: every version of
+    /// [`AsrPolicy::all_versions`] measures a clone of the one warmed
+    /// simulator under its own policy, and the run with the lowest total
+    /// CPI wins (the first version wins ties). All ASR versions warm
+    /// identically, so each clone measures the bit-identical run a fresh
+    /// warm-up of its version would (the `warm_reuse_fidelity` suite pins
+    /// this).
+    ///
     /// Replaying the arena slab is bit-identical to streaming the workload's
     /// generator, and the slab is generated at most once per unique
     /// `(workload, geometry, seed)` key no matter how many jobs replay it.
-    /// This is the one per-job path every matrix run, the design comparison
-    /// and the experiment service execute.
+    /// This is the one per-job path every matrix run and the experiment
+    /// service execute.
     pub fn run(&self, cfg: &ExperimentConfig, traces: &TraceArena) -> MeasuredRun {
         // Per-job injection site for the quarantine tests: the site name
         // pins one scenario regardless of worker count or job order, so a
@@ -125,7 +140,30 @@ impl ScenarioJob {
         let mut slice = traces.slice(&self.workload, cfg.seed, cfg.total_refs());
         let mut sim = CmpSimulator::with_seed(self.design, &self.workload, cfg.seed);
         sim.run_warmup(&mut slice, cfg.warmup_refs);
-        sim.run_measured(&mut slice, cfg.measured_refs)
+        if !(cfg.asr_best_of && matches!(self.design, LlcDesign::Asr { .. })) {
+            return sim.run_measured(&mut slice, cfg.measured_refs);
+        }
+        AsrPolicy::all_versions()
+            .into_iter()
+            .map(|policy| {
+                let mut version = sim.clone();
+                version.set_asr_policy(policy);
+                version.run_measured(&mut slice.clone(), cfg.measured_refs)
+            })
+            .min_by(|a, b| a.total_cpi().total_cmp(&b.total_cpi()))
+            .expect("ASR has six versions")
+    }
+
+    /// The job's label, `workload/letter/design/Ncores` — the string
+    /// `figures perf --filter=<substring>` matches against.
+    pub fn label(&self) -> String {
+        format!(
+            "{}/{}/{}/{}c",
+            self.workload.name,
+            self.design.letter(),
+            self.design,
+            self.workload.num_cores()
+        )
     }
 }
 
@@ -342,13 +380,14 @@ impl ScenarioMatrix {
         }
     }
 
-    /// The paper's evaluation as a matrix: the full workload suite under the
-    /// shared and R-NUCA designs at their baseline configurations. Callers
-    /// add sweep axes on top.
+    /// The paper's evaluation (Figures 7-10 and 12) as a matrix: the full
+    /// workload suite under the P/A/S/R/I designs of
+    /// [`LlcDesign::speedup_set`] at their baseline configurations, in that
+    /// order per workload. Callers add sweep axes on top.
     pub fn paper_evaluation(cfg: ExperimentConfig) -> Self {
         ScenarioMatrix {
             workloads: WorkloadSpec::evaluation_suite(),
-            designs: vec![LlcDesign::Shared, LlcDesign::rnuca_default()],
+            designs: LlcDesign::speedup_set(),
             ..Self::new(cfg)
         }
     }
@@ -1160,7 +1199,7 @@ mod tests {
         // it must only move on purpose (a format or schema version bump).
         assert_eq!(
             ScenarioMatrix::paper_evaluation(ExperimentConfig::smoke()).fingerprint(),
-            0x470d_bd1c_e9cb_00f0
+            0xcbf2_61c7_f794_0641
         );
     }
 
@@ -1173,7 +1212,7 @@ mod tests {
             ("workloads", |m| m.workloads.push(WorkloadSpec::mix())),
             ("designs", |m| m.designs.push(LlcDesign::Ideal)),
             ("design parameter", |m| {
-                m.designs[1] = LlcDesign::RNuca {
+                m.designs[3] = LlcDesign::RNuca {
                     instr_cluster_size: 8,
                 }
             }),

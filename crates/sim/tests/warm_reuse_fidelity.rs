@@ -11,12 +11,14 @@
 //! the shortest round-trippable decimal form, so string equality is
 //! bit-identity on every CPI component and rate. Every variant measures a
 //! clone of the same warmed original, so the suite also proves measuring a
-//! clone leaves the original untouched.
+//! clone leaves the original untouched. Per `(geometry, seed)`, the suite
+//! also checks that an ASR [`ScenarioJob`] under `asr_best_of` reports
+//! exactly the lowest-CPI run of the six fresh ones.
 //!
 //! Run it in release mode (`cargo test --release -p rnuca-sim --test
 //! warm_reuse_fidelity`): it drives 63 warm-up windows, up to 64 cores.
 
-use rnuca_sim::{AsrPolicy, CmpSimulator, LlcDesign, MeasuredRun};
+use rnuca_sim::{AsrPolicy, CmpSimulator, ExperimentConfig, LlcDesign, MeasuredRun, ScenarioJob};
 use rnuca_types::config::ConfigPoint;
 use rnuca_workloads::{TraceArena, WorkloadSpec};
 
@@ -65,6 +67,7 @@ fn cloned_asr_variants_are_byte_identical_to_fresh_runs() {
             };
             let mut warmed = CmpSimulator::with_seed(warm_design, &spec, seed);
             warmed.run_warmup(&mut slice, WARMUP);
+            let mut fresh_runs = Vec::new();
             for &policy in &variants {
                 let mut sim = warmed.clone();
                 sim.set_asr_policy(policy);
@@ -81,7 +84,33 @@ fn cloned_asr_variants_are_byte_identical_to_fresh_runs() {
                     format!("{fresh:?}"),
                     "Debug digests diverged: {design} / {cores} cores / seed {seed}"
                 );
+                fresh_runs.push(fresh);
             }
+            let best_of_six = ScenarioJob {
+                workload: spec.clone(),
+                design: warm_design,
+                point: ConfigPoint {
+                    num_cores: Some(cores),
+                    ..ConfigPoint::default()
+                },
+            }
+            .run(
+                &ExperimentConfig {
+                    warmup_refs: WARMUP,
+                    measured_refs: MEASURED,
+                    seed,
+                    asr_best_of: true,
+                },
+                &traces,
+            );
+            let fastest = fresh_runs
+                .into_iter()
+                .min_by(|a, b| a.total_cpi().total_cmp(&b.total_cpi()))
+                .expect("six fresh runs");
+            assert_eq!(
+                best_of_six, fastest,
+                "best of six diverged from the fastest fresh run: {cores} cores / seed {seed}"
+            );
         }
     }
 }

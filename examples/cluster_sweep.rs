@@ -10,7 +10,7 @@
 //! ```
 
 use rnuca_sim::report::fmt3;
-use rnuca_sim::{DesignComparison, ExperimentConfig, LlcDesign, TextTable};
+use rnuca_sim::{ExperimentConfig, ExperimentEngine, ScenarioMatrix, SweepOptions, TextTable};
 use rnuca_workloads::WorkloadSpec;
 
 fn main() {
@@ -41,24 +41,22 @@ fn main() {
         "instr L2 CPI",
         "off-chip CPI",
     ]);
-    let mut base = None;
-    for size in [1usize, 2, 4, 8, 16] {
-        if size > spec.num_cores() {
-            continue;
-        }
-        let r = DesignComparison::run_single(
-            &spec,
-            LlcDesign::RNuca {
-                instr_cluster_size: size,
-            },
-            &cfg,
-        );
-        let total = r.total_cpi();
-        let base_val = *base.get_or_insert(total);
+    // Figure 11's preset restricted to one workload; sizes above the core
+    // count are skipped.
+    let mut matrix = ScenarioMatrix::cluster_sweep(cfg, &[1, 2, 4, 8, 16]);
+    matrix.workloads = vec![spec];
+    let sweep = matrix
+        .run(&SweepOptions::new(ExperimentEngine::new()))
+        .expect("the cluster sizes are valid")
+        .sweep
+        .into_sweep();
+    let base = sweep.results[0].run.total_cpi();
+    for r in &sweep.results {
+        let total = r.run.total_cpi();
         table.add_row(vec![
-            format!("size-{size}"),
+            format!("size-{}", r.point.instr_cluster_size.unwrap_or_default()),
             fmt3(total),
-            fmt3(total / base_val),
+            fmt3(total / base),
             fmt3(r.run.cpi.l2_instructions),
             fmt3(r.run.cpi.breakdown.off_chip),
         ]);

@@ -6,7 +6,7 @@
 //! ```
 
 use rnuca_sim::report::{fmt3, fmt_pct};
-use rnuca_sim::{DesignComparison, ExperimentConfig, TextTable};
+use rnuca_sim::{ExperimentConfig, ExperimentEngine, ScenarioMatrix, SweepOptions, TextTable};
 use rnuca_workloads::{TraceCharacterization, TraceGenerator, WorkloadSpec};
 
 fn main() {
@@ -44,8 +44,24 @@ fn main() {
     cfg.measured_refs = 150_000;
     cfg.asr_best_of = false;
     println!("\nRunning the P/A/S/R/I design comparison (this takes a few seconds)...");
-    let results = DesignComparison::run_workload(&spec, &cfg);
-    let base = results.private_baseline().total_cpi();
+    // The paper's evaluation restricted to this workload.
+    let mut matrix = ScenarioMatrix::paper_evaluation(cfg);
+    matrix.workloads = vec![spec];
+    let results = matrix
+        .run(&SweepOptions::new(ExperimentEngine::new()))
+        .expect("the paper evaluation's axes are valid")
+        .sweep
+        .into_sweep()
+        .results;
+    let cpi = |letter: &str| {
+        results
+            .iter()
+            .find(|r| r.design.letter() == letter)
+            .expect("the paper evaluation runs P/A/S/R/I")
+            .run
+            .total_cpi()
+    };
+    let base = cpi("P");
 
     let mut table = TextTable::new(vec![
         "design",
@@ -54,22 +70,20 @@ fn main() {
         "speedup",
         "off-chip rate",
     ]);
-    for r in &results.results {
+    for r in &results {
+        let total = r.run.total_cpi();
         table.add_row(vec![
             r.design.to_string(),
-            fmt3(r.total_cpi()),
-            fmt3(r.total_cpi() / base),
-            format!(
-                "{:+.1}%",
-                (r.speedup_over(results.private_baseline()) - 1.0) * 100.0
-            ),
+            fmt3(total),
+            fmt3(total / base),
+            format!("{:+.1}%", (base / total - 1.0) * 100.0),
             fmt_pct(r.run.off_chip_rate),
         ]);
     }
     println!("{table}");
     println!(
         "Workload bucket: {}",
-        if results.private_averse {
+        if base >= cpi("S") {
             "private-averse"
         } else {
             "shared-averse"

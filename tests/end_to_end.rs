@@ -1,7 +1,7 @@
 //! End-to-end integration tests: full workload simulations across crates,
 //! checking the paper's headline qualitative claims on small runs.
 
-use rnuca_sim::{CmpSimulator, DesignComparison, ExperimentConfig, LlcDesign};
+use rnuca_sim::{run_single, CmpSimulator, ExperimentConfig, LlcDesign};
 use rnuca_workloads::{TraceGenerator, WorkloadSpec};
 
 fn cfg() -> ExperimentConfig {
@@ -17,9 +17,9 @@ fn cfg() -> ExperimentConfig {
 fn rnuca_matches_or_beats_both_baselines_on_oltp() {
     let spec = WorkloadSpec::oltp_db2();
     let c = cfg();
-    let private = DesignComparison::run_single(&spec, LlcDesign::Private, &c).total_cpi();
-    let shared = DesignComparison::run_single(&spec, LlcDesign::Shared, &c).total_cpi();
-    let rnuca = DesignComparison::run_single(&spec, LlcDesign::rnuca_default(), &c).total_cpi();
+    let private = run_single(&spec, LlcDesign::Private, &c).total_cpi();
+    let shared = run_single(&spec, LlcDesign::Shared, &c).total_cpi();
+    let rnuca = run_single(&spec, LlcDesign::rnuca_default(), &c).total_cpi();
     let best = private.min(shared);
     assert!(
         rnuca <= best * 1.05,
@@ -33,9 +33,9 @@ fn rnuca_matches_or_beats_both_baselines_on_oltp() {
 fn mix_is_shared_averse() {
     let spec = WorkloadSpec::mix();
     let c = cfg();
-    let private = DesignComparison::run_single(&spec, LlcDesign::Private, &c).total_cpi();
-    let shared = DesignComparison::run_single(&spec, LlcDesign::Shared, &c).total_cpi();
-    let rnuca = DesignComparison::run_single(&spec, LlcDesign::rnuca_default(), &c).total_cpi();
+    let private = run_single(&spec, LlcDesign::Private, &c).total_cpi();
+    let shared = run_single(&spec, LlcDesign::Shared, &c).total_cpi();
+    let rnuca = run_single(&spec, LlcDesign::rnuca_default(), &c).total_cpi();
     assert!(
         private < shared,
         "MIX: private ({private:.3}) should beat shared ({shared:.3})"
@@ -52,8 +52,8 @@ fn mix_is_shared_averse() {
 fn apache_is_private_averse() {
     let spec = WorkloadSpec::apache();
     let c = cfg();
-    let private = DesignComparison::run_single(&spec, LlcDesign::Private, &c).total_cpi();
-    let rnuca = DesignComparison::run_single(&spec, LlcDesign::rnuca_default(), &c).total_cpi();
+    let private = run_single(&spec, LlcDesign::Private, &c).total_cpi();
+    let rnuca = run_single(&spec, LlcDesign::rnuca_default(), &c).total_cpi();
     assert!(
         rnuca < private,
         "Apache: R-NUCA ({rnuca:.3}) should beat the private design ({private:.3})"
@@ -65,15 +65,17 @@ fn apache_is_private_averse() {
 fn ideal_design_is_a_lower_bound() {
     let c = cfg();
     for spec in [WorkloadSpec::oltp_oracle(), WorkloadSpec::em3d()] {
-        let results = DesignComparison::run_workload(&spec, &c);
-        let ideal = results.by_letter("I").unwrap().total_cpi();
-        for r in &results.results {
+        let cpis: Vec<(LlcDesign, f64)> = LlcDesign::speedup_set()
+            .into_iter()
+            .map(|design| (design, run_single(&spec, design, &c).total_cpi()))
+            .collect();
+        // `speedup_set` ends with the Ideal bound itself.
+        let (_, ideal) = cpis[cpis.len() - 1];
+        for (design, cpi) in cpis {
             assert!(
-                ideal <= r.total_cpi() + 1e-9,
-                "{}: ideal ({ideal:.3}) must not exceed {} ({:.3})",
+                ideal <= cpi + 1e-9,
+                "{}: ideal ({ideal:.3}) must not exceed {design} ({cpi:.3})",
                 spec.name,
-                r.design,
-                r.total_cpi()
             );
         }
     }
@@ -88,14 +90,13 @@ fn instruction_cluster_size_tradeoff() {
     let spec = WorkloadSpec::apache();
     let c = cfg();
     let run = |n: usize| {
-        DesignComparison::run_single(
+        run_single(
             &spec,
             LlcDesign::RNuca {
                 instr_cluster_size: n,
             },
             &c,
         )
-        .run
     };
     let size1 = run(1);
     let size4 = run(4);
@@ -132,7 +133,7 @@ fn classification_accuracy_is_high_at_steady_state() {
 fn full_pipeline_is_deterministic() {
     let spec = WorkloadSpec::dss_qry13();
     let c = ExperimentConfig::quick();
-    let a = DesignComparison::run_single(&spec, LlcDesign::rnuca_default(), &c);
-    let b = DesignComparison::run_single(&spec, LlcDesign::rnuca_default(), &c);
+    let a = run_single(&spec, LlcDesign::rnuca_default(), &c);
+    let b = run_single(&spec, LlcDesign::rnuca_default(), &c);
     assert_eq!(a, b);
 }

@@ -2,7 +2,7 @@
 //! as seen from outside the workspace crates.
 
 use rnuca_sim::{
-    AsrPolicy, DesignComparison, ExperimentConfig, ExperimentEngine, LlcDesign, ScenarioMatrix,
+    run_single, AsrPolicy, ExperimentConfig, ExperimentEngine, LlcDesign, ScenarioMatrix,
     SweepOptions,
 };
 use rnuca_workloads::WorkloadSpec;
@@ -57,12 +57,12 @@ fn experiment_seed_reaches_the_simulator() {
     let mut b = small_cfg();
     a.seed = 1;
     b.seed = 2;
-    let ra = DesignComparison::run_single(&spec, design, &a);
-    let rb = DesignComparison::run_single(&spec, design, &b);
-    assert_ne!(ra.run, rb.run);
+    let ra = run_single(&spec, design, &a);
+    let rb = run_single(&spec, design, &b);
+    assert_ne!(ra, rb);
     // Same seed stays fully deterministic.
-    let ra2 = DesignComparison::run_single(&spec, design, &a);
-    assert_eq!(ra.run, ra2.run);
+    let ra2 = run_single(&spec, design, &a);
+    assert_eq!(ra, ra2);
 }
 
 #[test]
@@ -78,7 +78,7 @@ fn scaled_core_counts_run_end_to_end() {
         .expect("64-core point is valid");
     assert_eq!(spec.num_cores(), 64);
     for design in [LlcDesign::Shared, LlcDesign::rnuca_default()] {
-        let r = DesignComparison::run_single(&spec, design, &small_cfg());
+        let r = run_single(&spec, design, &small_cfg());
         assert!(r.total_cpi() > 0.0, "{design} must produce CPI at 64 cores");
     }
 }
