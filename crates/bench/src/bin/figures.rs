@@ -836,7 +836,7 @@ fn fig5(refs: usize) {
 
 fn fig6() {
     heading("Figure 6: rotational-ID assignment and size-4 cluster example (4x4 torus)");
-    let rids = rid_assignment(4, 4, 4, 0);
+    let rids = rid_assignment(4, 4, 4);
     for y in 0..4 {
         let row: Vec<String> = (0..4)
             .map(|x| format!("{:02b}", rids[y * 4 + x].value()))

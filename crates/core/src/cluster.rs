@@ -49,7 +49,7 @@ impl Cluster {
     ///
     /// Panics if `n` is not a power of two or exceeds the tile count.
     pub fn fixed_center(center: TileId, n: usize, width: usize, height: usize) -> Self {
-        let map = RotationalMap::new(n, width, height, 0);
+        let map = RotationalMap::new(n, width, height);
         Cluster {
             kind: ClusterKind::FixedCenter,
             anchor: center,

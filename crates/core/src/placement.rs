@@ -34,13 +34,6 @@ pub struct PlacementConfig {
     pub sets_per_slice: usize,
     /// Size of the fixed-center cluster used for instructions (4 in the paper).
     pub instr_cluster_size: usize,
-    /// Size of the fixed-center cluster used for private data (1 in the
-    /// paper's configuration; larger sizes implement the Section 4.4
-    /// "spilling" extension for heterogeneous workloads whose per-thread
-    /// private working sets do not fit the local slice).
-    pub private_cluster_size: usize,
-    /// Starting RID offset chosen by the OS.
-    pub rid_start: usize,
 }
 
 impl PlacementConfig {
@@ -52,20 +45,12 @@ impl PlacementConfig {
             height: cfg.torus.height,
             sets_per_slice: cfg.l2_slice.geometry.num_sets(),
             instr_cluster_size: 4.min(cfg.num_tiles()),
-            private_cluster_size: 1,
-            rid_start: 0,
         }
     }
 
     /// Overrides the instruction-cluster size (the Figure 11 sweep).
     pub fn with_instr_cluster_size(mut self, n: usize) -> Self {
         self.instr_cluster_size = n;
-        self
-    }
-
-    /// Overrides the private-data cluster size (the Section 4.4 spilling extension).
-    pub fn with_private_cluster_size(mut self, n: usize) -> Self {
-        self.private_cluster_size = n;
         self
     }
 
@@ -85,7 +70,6 @@ impl PlacementConfig {
 pub struct PlacementEngine {
     config: PlacementConfig,
     instr_map: RotationalMap,
-    private_map: RotationalMap,
 }
 
 impl PlacementEngine {
@@ -93,25 +77,11 @@ impl PlacementEngine {
     ///
     /// # Panics
     ///
-    /// Panics if either cluster size is not a power of two or exceeds the tile count.
+    /// Panics if the instruction-cluster size is not a power of two or
+    /// exceeds the tile count.
     pub fn new(config: PlacementConfig) -> Self {
-        let instr_map = RotationalMap::new(
-            config.instr_cluster_size,
-            config.width,
-            config.height,
-            config.rid_start,
-        );
-        let private_map = RotationalMap::new(
-            config.private_cluster_size,
-            config.width,
-            config.height,
-            config.rid_start,
-        );
-        PlacementEngine {
-            config,
-            instr_map,
-            private_map,
-        }
+        let instr_map = RotationalMap::new(config.instr_cluster_size, config.width, config.height);
+        PlacementEngine { config, instr_map }
     }
 
     /// The configuration this engine was built with.
@@ -119,18 +89,10 @@ impl PlacementEngine {
         &self.config
     }
 
-    /// The slice holding private data of `core` for the given block.
-    ///
-    /// With the default size-1 private cluster this is always the local slice;
-    /// with a larger private cluster (the spilling extension of Section 4.4)
-    /// the core's private blocks are interleaved over its fixed-center cluster.
-    pub fn private_home(&self, block: BlockAddr, core: CoreId) -> TileId {
-        if self.config.private_cluster_size == 1 {
-            core.tile()
-        } else {
-            self.private_map
-                .home_for(core.tile(), block, self.config.sets_per_slice)
-        }
+    /// The slice holding private data of `core`: the size-1 cluster, i.e.
+    /// the core's own slice, whatever the block.
+    pub fn private_home(&self, core: CoreId) -> TileId {
+        core.tile()
     }
 
     /// The chip-wide home slice of a shared-data block (standard address
@@ -156,7 +118,7 @@ impl PlacementEngine {
     /// Dispatches on the page classification (the single lookup the L1 miss path performs).
     pub fn place(&self, class: PageClass, block: BlockAddr, core: CoreId) -> TileId {
         match class {
-            PageClass::Private => self.private_home(block, core),
+            PageClass::Private => self.private_home(core),
             PageClass::Shared => self.shared_home(block),
             PageClass::Instruction => self.instruction_home(block, core),
         }
@@ -273,34 +235,6 @@ mod tests {
                 .map(|c| e.instruction_home(block, CoreId::new(c)))
                 .collect();
             assert_eq!(homes.len(), 1);
-        }
-    }
-
-    #[test]
-    fn private_spill_cluster_spreads_private_data_over_neighbours() {
-        // Section 4.4: heterogeneous workloads may use a fixed-center cluster
-        // for private data, spilling blocks to neighbouring slices.
-        let cfg =
-            PlacementConfig::from_system(&SystemConfig::server_16()).with_private_cluster_size(4);
-        let e = PlacementEngine::new(cfg);
-        let core = CoreId::new(5);
-        let mut homes = std::collections::HashSet::new();
-        for n in 0..256u64 {
-            homes.insert(e.private_home(b(n << 10), core));
-        }
-        assert_eq!(
-            homes.len(),
-            4,
-            "private data should spill over the size-4 cluster"
-        );
-        assert!(
-            homes.contains(&core.tile()),
-            "the local slice stays in the cluster"
-        );
-        // The default configuration keeps private data strictly local.
-        let default_engine = engine();
-        for n in 0..64u64 {
-            assert_eq!(default_engine.private_home(b(n << 10), core), core.tile());
         }
     }
 

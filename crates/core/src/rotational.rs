@@ -97,7 +97,6 @@ pub struct RotationalMap {
     n: usize,
     width: usize,
     height: usize,
-    rid_start: usize,
     /// Label ("generalised RID") of every tile, row-major.
     labels: Vec<usize>,
     /// `home[tile * n + residue]` = servicing tile for address residue `residue`
@@ -118,7 +117,7 @@ impl RotationalMap {
     ///
     /// Panics if `n` is not a power of two, exceeds the tile count, or the
     /// grid is degenerate.
-    pub fn new(n: usize, width: usize, height: usize, rid_start: usize) -> Self {
+    pub fn new(n: usize, width: usize, height: usize) -> Self {
         assert!(
             n.is_power_of_two(),
             "cluster size must be a power of two, got {n}"
@@ -128,7 +127,7 @@ impl RotationalMap {
         assert!(n <= tiles, "cluster size {n} exceeds tile count {tiles}");
 
         let labels: Vec<usize> = (0..tiles)
-            .map(|i| Self::label_of(TileId::new(i), n, width, rid_start))
+            .map(|i| Self::label_of(TileId::new(i), n, width))
             .collect();
 
         // Precompute, for every (tile, residue), the servicing slice. Size-4
@@ -157,7 +156,6 @@ impl RotationalMap {
             n,
             width,
             height,
-            rid_start,
             labels,
             home,
         }
@@ -217,13 +215,13 @@ impl RotationalMap {
         }
     }
 
-    fn label_of(tile: TileId, n: usize, width: usize, rid_start: usize) -> usize {
+    fn label_of(tile: TileId, n: usize, width: usize) -> usize {
         if n == 1 {
             return 0;
         }
         if n <= width {
             // The paper's RID assignment: consecutive along rows, +log2(n) along columns.
-            rid_for_tile(tile, n, width, rid_start).value()
+            rid_for_tile(tile, n, width).value()
         } else {
             // Generalised balanced labelling over an (width x n/width) block of rows.
             let rows = n / width;
@@ -251,11 +249,6 @@ impl RotationalMap {
             .map(TileId::new)
             .min_by_key(|&t| (torus_dist(from, t), t.index()))
             .expect("balanced labelling guarantees every label exists")
-    }
-
-    /// The starting RID offset the map was built with.
-    pub fn rid_start(&self) -> usize {
-        self.rid_start
     }
 
     /// Grid width.
@@ -307,7 +300,7 @@ mod tests {
     fn size4_map_matches_explicit_formula_plus_directions() {
         // The generic nearest-with-label lookup must agree with the paper's
         // "formula + neighbour direction" procedure for size-4 clusters.
-        let map = RotationalMap::new(4, 4, 4, 0);
+        let map = RotationalMap::new(4, 4, 4);
         for t in 0..16 {
             let tile = TileId::new(t);
             let rid = map.rid(tile);
@@ -328,7 +321,7 @@ mod tests {
 
     #[test]
     fn size4_homes_are_at_most_one_hop_away() {
-        let map = RotationalMap::new(4, 4, 4, 0);
+        let map = RotationalMap::new(4, 4, 4);
         for t in 0..16 {
             let tile = TileId::new(t);
             let members = map.cluster_members(tile);
@@ -349,7 +342,7 @@ mod tests {
         // For every cluster size, a slice is only ever asked for a single
         // address residue, no matter which tile is requesting.
         for &n in &[1usize, 2, 4, 8, 16] {
-            let map = RotationalMap::new(n, 4, 4, 0);
+            let map = RotationalMap::new(n, 4, 4);
             for t in 0..16 {
                 let tile = TileId::new(t);
                 for residue in 0..n {
@@ -366,17 +359,17 @@ mod tests {
 
     #[test]
     fn residue_extraction_uses_bits_above_set_index() {
-        let map = RotationalMap::new(4, 4, 4, 0);
+        let map = RotationalMap::new(4, 4, 4);
         // Block number = residue << log2(sets) | set bits.
         let block = b((3 << SETS.trailing_zeros()) | 17);
         assert_eq!(map.residue(block, SETS), 3);
-        let map1 = RotationalMap::new(1, 4, 4, 0);
+        let map1 = RotationalMap::new(1, 4, 4);
         assert_eq!(map1.residue(block, SETS), 0);
     }
 
     #[test]
     fn size16_degenerates_to_full_chip_interleaving() {
-        let map = RotationalMap::new(16, 4, 4, 0);
+        let map = RotationalMap::new(16, 4, 4);
         for t in 0..16 {
             let tile = TileId::new(t);
             let members = map.cluster_members(tile);
@@ -397,7 +390,7 @@ mod tests {
 
     #[test]
     fn size1_always_stays_local() {
-        let map = RotationalMap::new(1, 4, 4, 0);
+        let map = RotationalMap::new(1, 4, 4);
         for t in 0..16 {
             let tile = TileId::new(t);
             assert_eq!(map.home_for(tile, b(0xABC), SETS), tile);
@@ -407,7 +400,7 @@ mod tests {
 
     #[test]
     fn size8_clusters_are_balanced_and_nearby() {
-        let map = RotationalMap::new(8, 4, 4, 0);
+        let map = RotationalMap::new(8, 4, 4);
         // Labels are balanced: each of the 8 labels appears exactly twice.
         let mut counts = [0usize; 8];
         for t in 0..16 {
@@ -421,21 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn rid_start_rotates_labels_but_preserves_invariants() {
-        let map = RotationalMap::new(4, 4, 4, 2);
-        assert_eq!(map.rid_start(), 2);
-        for t in 0..16 {
-            let tile = TileId::new(t);
-            for r in 0..4 {
-                let home = map.home_for_residue(tile, r);
-                assert_eq!(map.stored_residue(home), r);
-            }
-        }
-    }
-
-    #[test]
     fn desktop_4x2_grid_supports_size4() {
-        let map = RotationalMap::new(4, 4, 2, 0);
+        let map = RotationalMap::new(4, 4, 2);
         for t in 0..8 {
             let members = map.cluster_members(TileId::new(t));
             assert_eq!(members.len(), 4);
@@ -445,6 +425,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds tile count")]
     fn oversized_cluster_panics() {
-        RotationalMap::new(32, 4, 4, 0);
+        RotationalMap::new(32, 4, 4);
     }
 }

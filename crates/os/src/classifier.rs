@@ -2,17 +2,19 @@
 //!
 //! Every data access consults the requesting core's TLB. On a miss the OS is
 //! invoked: a first touch marks the page private to the accessor; a later
-//! touch by a different core either follows a migrated thread (the page stays
-//! private, ownership moves) or re-classifies the page as shared, poisoning
-//! the page while the previous owner's TLB entry and cached blocks are shot
-//! down. Instruction fetches are classified immediately as instructions.
+//! touch by a different core re-classifies the page as shared, shooting down
+//! the previous owner's TLB entry and cached blocks. Instruction fetches are
+//! classified immediately as instructions.
+//!
+//! The paper's OS may instead let a private page follow a thread the
+//! scheduler migrated. The trace-driven workloads never migrate a thread, so
+//! that path is not modelled: every owner mismatch is genuine sharing.
 
 use crate::page_table::{PageClass, PageTable, PageUpdate};
 use crate::tlb::Tlb;
 use rnuca_types::addr::PageAddr;
 use rnuca_types::ids::CoreId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// What happened on an access, from the OS's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,15 +29,8 @@ pub enum ClassificationEvent {
     PageTableHit,
     /// The page was private to another core and is now re-classified as
     /// shared. The previous owner's TLB entry and cached blocks must be shot
-    /// down (the page is poisoned for the duration).
+    /// down.
     Reclassified {
-        /// The core that previously owned the page.
-        previous_owner: CoreId,
-    },
-    /// The page was private to another core, but the OS determined the owning
-    /// thread migrated; the page stays private and ownership moves. The
-    /// previous core's cached blocks must still be invalidated.
-    OwnerMigrated {
         /// The core that previously owned the page.
         previous_owner: CoreId,
     },
@@ -57,14 +52,8 @@ pub struct OsStats {
     pub tlb_hits: u64,
     /// Accesses that trapped to the OS.
     pub tlb_misses: u64,
-    /// Pages touched for the first time.
-    pub first_touches: u64,
     /// Private-to-shared re-classifications performed.
     pub reclassifications: u64,
-    /// Private-page ownership migrations performed.
-    pub owner_migrations: u64,
-    /// TLB shoot-downs issued to previous owners.
-    pub shootdowns: u64,
 }
 
 /// The OS classification machinery: a page table plus one TLB per core.
@@ -72,10 +61,6 @@ pub struct OsStats {
 pub struct OsClassifier {
     page_table: PageTable,
     tlbs: Vec<Tlb>,
-    /// Thread migrations the scheduler has told us about: `(from, to)` pairs.
-    /// A private-page owner mismatch matching one of these is treated as a
-    /// migration rather than as sharing.
-    pending_migrations: HashSet<(CoreId, CoreId)>,
     stats: OsStats,
 }
 
@@ -90,7 +75,6 @@ impl OsClassifier {
         OsClassifier {
             page_table: PageTable::new(),
             tlbs: (0..num_cores).map(|_| Tlb::new(tlb_entries)).collect(),
-            pending_migrations: HashSet::new(),
             stats: OsStats::default(),
         }
     }
@@ -105,26 +89,9 @@ impl OsClassifier {
         &self.page_table
     }
 
-    /// Read access to a core's TLB.
-    pub fn tlb(&self, core: CoreId) -> &Tlb {
-        &self.tlbs[core.index()]
-    }
-
     /// Accumulated OS counters.
     pub fn stats(&self) -> &OsStats {
         &self.stats
-    }
-
-    /// Tells the classifier that the scheduler moved a thread from one core to
-    /// another. Subsequent private-page owner mismatches matching this pair
-    /// are treated as migrations (the page stays private).
-    pub fn note_thread_migration(&mut self, from: CoreId, to: CoreId) {
-        self.pending_migrations.insert((from, to));
-    }
-
-    /// Current classification of a page, if it has ever been touched.
-    pub fn classification_of(&self, page: PageAddr) -> Option<PageClass> {
-        self.page_table.get(page).map(|i| i.class)
     }
 
     /// Hints the CPU to pull the state an [`OsClassifier::access`] by `core`
@@ -162,61 +129,29 @@ impl OsClassifier {
         self.stats.tlb_misses += 1;
 
         // 2. Trap to the OS: one page-table probe performs the whole
-        // touch/classify/update transition (the poison window of Section 4.3
-        // opens and closes inside it — the trace-driven model completes the
-        // shoot-down atomically within the access).
-        let migrations = &self.pending_migrations;
-        let update = self
+        // touch/classify/update transition (the trace-driven model completes
+        // a re-classification's shoot-down atomically within the access).
+        let outcome = match self
             .page_table
-            .classify_and_update(page, core, is_instruction, |prev| {
-                migrations.contains(&(prev, core))
-            });
-        let (outcome, shootdown_target) = match update {
-            PageUpdate::FirstTouch(info) => {
-                self.stats.first_touches += 1;
-                let outcome = ClassificationOutcome {
-                    class: info.class,
-                    event: ClassificationEvent::FirstTouch,
-                };
-                (outcome, None)
-            }
-            PageUpdate::Consistent(info) => {
-                let outcome = ClassificationOutcome {
-                    class: info.class,
-                    event: ClassificationEvent::PageTableHit,
-                };
-                (outcome, None)
-            }
-            PageUpdate::OwnerMigrated {
-                previous_owner,
-                info,
-            } => {
-                // Thread migration: the page stays private, ownership moves.
-                self.stats.owner_migrations += 1;
-                let outcome = ClassificationOutcome {
-                    class: info.class,
-                    event: ClassificationEvent::OwnerMigrated { previous_owner },
-                };
-                (outcome, Some(previous_owner))
-            }
-            PageUpdate::Reclassified {
-                previous_owner,
-                info,
-            } => {
-                // Genuine sharing: re-classified as shared.
+            .classify_and_update(page, core, is_instruction)
+        {
+            PageUpdate::FirstTouch(class) => ClassificationOutcome {
+                class,
+                event: ClassificationEvent::FirstTouch,
+            },
+            PageUpdate::Consistent(class) => ClassificationOutcome {
+                class,
+                event: ClassificationEvent::PageTableHit,
+            },
+            PageUpdate::Reclassified { previous_owner } => {
                 self.stats.reclassifications += 1;
-                let outcome = ClassificationOutcome {
-                    class: info.class,
+                self.tlbs[previous_owner.index()].shootdown(page);
+                ClassificationOutcome {
+                    class: PageClass::Shared,
                     event: ClassificationEvent::Reclassified { previous_owner },
-                };
-                (outcome, Some(previous_owner))
+                }
             }
         };
-        if let Some(previous_owner) = shootdown_target {
-            if self.tlbs[previous_owner.index()].shootdown(page) {
-                self.stats.shootdowns += 1;
-            }
-        }
         self.tlbs[core.index()].fill(page, outcome.class);
         outcome
     }
@@ -240,7 +175,7 @@ mod tests {
         let out = os.access(p(1), c(0), false);
         assert_eq!(out.class, PageClass::Private);
         assert_eq!(out.event, ClassificationEvent::FirstTouch);
-        assert_eq!(os.stats().first_touches, 1);
+        assert_eq!(os.stats().tlb_misses, 1);
     }
 
     #[test]
@@ -266,9 +201,11 @@ mod tests {
             }
         );
         assert_eq!(os.stats().reclassifications, 1);
-        assert_eq!(os.stats().shootdowns, 1);
         // Page table now says shared for everyone, including the original owner.
-        assert_eq!(os.classification_of(p(1)), Some(PageClass::Shared));
+        assert_eq!(
+            os.page_table().get(p(1)).map(|info| info.class),
+            Some(PageClass::Shared)
+        );
         // The previous owner's next access misses its TLB (it was shot down)
         // but the page table says shared.
         let again = os.access(p(1), c(0), false);
@@ -296,37 +233,6 @@ mod tests {
         let out2 = os.access(p(9), c(2), true);
         assert_eq!(out2.class, PageClass::Instruction);
         assert_eq!(out2.event, ClassificationEvent::PageTableHit);
-    }
-
-    #[test]
-    fn thread_migration_keeps_page_private() {
-        let mut os = OsClassifier::new(4, 16);
-        os.access(p(5), c(0), false);
-        os.note_thread_migration(c(0), c(3));
-        let out = os.access(p(5), c(3), false);
-        assert_eq!(out.class, PageClass::Private);
-        assert_eq!(
-            out.event,
-            ClassificationEvent::OwnerMigrated {
-                previous_owner: c(0)
-            }
-        );
-        assert_eq!(os.stats().owner_migrations, 1);
-        assert_eq!(os.stats().reclassifications, 0);
-        // The new owner now hits in its TLB.
-        assert_eq!(
-            os.access(p(5), c(3), false).event,
-            ClassificationEvent::TlbHit
-        );
-    }
-
-    #[test]
-    fn migration_of_unrelated_core_still_reclassifies() {
-        let mut os = OsClassifier::new(4, 16);
-        os.access(p(5), c(0), false);
-        os.note_thread_migration(c(1), c(2));
-        let out = os.access(p(5), c(2), false);
-        assert_eq!(out.class, PageClass::Shared);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! R-NUCA relies on the OS rather than on hardware heuristics (Section 4.3 of
 //! the paper): memory accesses are classified **at page granularity at
-//! TLB-miss time**. The OS page table carries, per page, a Private bit, the
-//! core ID (CID) of the last accessor, and a Poisoned bit used while a page is
-//! being re-classified from private to shared. The OS also assigns each tile a
+//! TLB-miss time**. The OS page table carries, per page, a Private bit and
+//! the core ID (CID) of the last accessor. The OS also assigns each tile a
 //! rotational ID (RID) used by rotational interleaving (Section 4.1).
 //!
 //! This crate provides that machinery:
@@ -12,8 +11,8 @@
 //! * [`PageTable`] / [`PageInfo`] — per-page classification state,
 //! * [`Tlb`] — a per-core TLB caching classifications,
 //! * [`OsClassifier`] — the TLB-miss state machine that decides when a page
-//!   stays private, is re-classified as shared, or merely follows a migrated
-//!   thread, and reports which tile must be shot down,
+//!   stays private or is re-classified as shared, and reports which tile
+//!   must be shot down,
 //! * [`rid_assignment`] — the rotational-ID assignment of Section 4.1.
 //!
 //! # Example

@@ -3,7 +3,9 @@
 //! RIDs are assigned by the operating system. In a size-`n` cluster RIDs
 //! range over `0..n`: the OS gives some starting tile RID 0, consecutive tiles
 //! in a row receive consecutive RIDs, and consecutive tiles in a column
-//! receive RIDs that differ by `log2(n)`, all modulo `n`.
+//! receive RIDs that differ by `log2(n)`, all modulo `n`. The paper lets the
+//! OS pick any starting tile; the placement properties do not depend on the
+//! choice, so this model always starts at tile 0.
 //!
 //! The resulting pattern guarantees the key rotational-interleaving invariant
 //! (verified by the `rnuca` crate's property tests): every tile stores exactly
@@ -15,13 +17,10 @@ use rnuca_types::ids::{RotationalId, TileId};
 
 /// Computes the RID of a single tile for size-`n` clusters on a `width`-tile-wide grid.
 ///
-/// `start` rotates the whole assignment (the OS "assigns RID 0 to a random
-/// tile"); the placement properties are independent of it.
-///
 /// # Panics
 ///
 /// Panics if `n` is not a power of two or `width` is zero.
-pub fn rid_for_tile(tile: TileId, n: usize, width: usize, start: usize) -> RotationalId {
+pub fn rid_for_tile(tile: TileId, n: usize, width: usize) -> RotationalId {
     assert!(
         n.is_power_of_two(),
         "cluster size must be a power of two, got {n}"
@@ -32,7 +31,7 @@ pub fn rid_for_tile(tile: TileId, n: usize, width: usize, start: usize) -> Rotat
     }
     let (x, y) = tile.coords(width);
     let step_per_row = n.trailing_zeros() as usize; // log2(n)
-    let rid = (start + x + step_per_row * y) % n;
+    let rid = (x + step_per_row * y) % n;
     RotationalId::new(rid)
 }
 
@@ -41,10 +40,10 @@ pub fn rid_for_tile(tile: TileId, n: usize, width: usize, start: usize) -> Rotat
 /// # Panics
 ///
 /// Panics if `n` is not a power of two or either dimension is zero.
-pub fn rid_assignment(n: usize, width: usize, height: usize, start: usize) -> Vec<RotationalId> {
+pub fn rid_assignment(n: usize, width: usize, height: usize) -> Vec<RotationalId> {
     assert!(height > 0, "grid height must be non-zero");
     (0..width * height)
-        .map(|i| rid_for_tile(TileId::new(i), n, width, start))
+        .map(|i| rid_for_tile(TileId::new(i), n, width))
         .collect()
 }
 
@@ -54,8 +53,8 @@ mod tests {
 
     #[test]
     fn size_four_assignment_on_4x4() {
-        // rid(x, y) = (x + 2y) mod 4 with start 0.
-        let rids = rid_assignment(4, 4, 4, 0);
+        // rid(x, y) = (x + 2y) mod 4.
+        let rids = rid_assignment(4, 4, 4);
         let values: Vec<usize> = rids.iter().map(|r| r.value()).collect();
         assert_eq!(
             values,
@@ -74,15 +73,15 @@ mod tests {
         let width = 4;
         for y in 0..4usize {
             for x in 0..3usize {
-                let a = rid_for_tile(TileId::from_coords(x, y, width), n, width, 0).value();
-                let b = rid_for_tile(TileId::from_coords(x + 1, y, width), n, width, 0).value();
+                let a = rid_for_tile(TileId::from_coords(x, y, width), n, width).value();
+                let b = rid_for_tile(TileId::from_coords(x + 1, y, width), n, width).value();
                 assert_eq!((a + 1) % n, b, "row neighbours must have consecutive RIDs");
             }
         }
         for x in 0..4usize {
             for y in 0..3usize {
-                let a = rid_for_tile(TileId::from_coords(x, y, width), n, width, 0).value();
-                let b = rid_for_tile(TileId::from_coords(x, y + 1, width), n, width, 0).value();
+                let a = rid_for_tile(TileId::from_coords(x, y, width), n, width).value();
+                let b = rid_for_tile(TileId::from_coords(x, y + 1, width), n, width).value();
                 assert_eq!((a + 2) % n, b, "column neighbours must differ by log2(n)");
             }
         }
@@ -90,7 +89,7 @@ mod tests {
 
     #[test]
     fn each_rid_appears_equally_often_on_4x4_for_size_4() {
-        let rids = rid_assignment(4, 4, 4, 0);
+        let rids = rid_assignment(4, 4, 4);
         let mut counts = [0usize; 4];
         for r in rids {
             counts[r.value()] += 1;
@@ -99,22 +98,13 @@ mod tests {
     }
 
     #[test]
-    fn start_offset_rotates_the_assignment() {
-        let base = rid_assignment(4, 4, 4, 0);
-        let shifted = rid_assignment(4, 4, 4, 1);
-        for (b, s) in base.iter().zip(&shifted) {
-            assert_eq!((b.value() + 1) % 4, s.value());
-        }
-    }
-
-    #[test]
     fn size_one_clusters_have_rid_zero_everywhere() {
-        assert!(rid_assignment(1, 4, 4, 3).iter().all(|r| r.value() == 0));
+        assert!(rid_assignment(1, 4, 4).iter().all(|r| r.value() == 0));
     }
 
     #[test]
     fn size_two_assignment_is_a_checkerboard() {
-        let rids = rid_assignment(2, 4, 4, 0);
+        let rids = rid_assignment(2, 4, 4);
         for (i, rid) in rids.iter().enumerate() {
             let (x, y) = TileId::new(i).coords(4);
             assert_eq!(rid.value(), (x + y) % 2);
@@ -123,7 +113,7 @@ mod tests {
 
     #[test]
     fn size_sixteen_covers_all_rids_on_4x4() {
-        let rids = rid_assignment(16, 4, 4, 0);
+        let rids = rid_assignment(16, 4, 4);
         // rid(x, y) = (x + 4y) mod 16 == tile index: a bijection.
         let mut seen = [false; 16];
         for r in rids {
@@ -135,6 +125,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_cluster_size_panics() {
-        rid_for_tile(TileId::new(0), 3, 4, 0);
+        rid_for_tile(TileId::new(0), 3, 4);
     }
 }

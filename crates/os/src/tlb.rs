@@ -16,20 +16,6 @@
 use crate::page_table::PageClass;
 use rnuca_types::addr::PageAddr;
 use rnuca_types::index_map::U64Map;
-use serde::{Deserialize, Serialize};
-
-/// Statistics accumulated by a [`Tlb`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TlbStats {
-    /// Lookups that found a valid entry.
-    pub hits: u64,
-    /// Lookups that missed and trapped to the OS.
-    pub misses: u64,
-    /// Entries removed by shoot-downs.
-    pub shootdowns: u64,
-    /// Entries displaced by capacity.
-    pub evictions: u64,
-}
 
 /// Sentinel slot index marking "no node" in the LRU list.
 const NIL: u32 = u32::MAX;
@@ -57,7 +43,6 @@ pub struct Tlb {
     head: u32,
     /// Least-recently-used node, or [`NIL`].
     tail: u32,
-    stats: TlbStats,
 }
 
 impl Tlb {
@@ -75,13 +60,7 @@ impl Tlb {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            stats: TlbStats::default(),
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of valid entries.
@@ -92,11 +71,6 @@ impl Tlb {
     /// Returns `true` if the TLB holds no entries.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &TlbStats {
-        &self.stats
     }
 
     /// Unlinks a node from the LRU list (it remains in the slab).
@@ -129,20 +103,12 @@ impl Tlb {
 
     /// Looks up a page, returning its cached classification on a hit.
     pub fn lookup(&mut self, page: PageAddr) -> Option<PageClass> {
-        match self.map.get(page.page_number()).copied() {
-            Some(idx) => {
-                self.stats.hits += 1;
-                if self.head != idx {
-                    self.unlink(idx);
-                    self.link_front(idx);
-                }
-                Some(self.nodes[idx as usize].class)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let idx = *self.map.get(page.page_number())?;
+        if self.head != idx {
+            self.unlink(idx);
+            self.link_front(idx);
         }
+        Some(self.nodes[idx as usize].class)
     }
 
     /// Fills the TLB with a classification after an OS trap, evicting the
@@ -163,7 +129,6 @@ impl Tlb {
             let victim = self.tail;
             self.unlink(victim);
             self.map.remove(self.nodes[victim as usize].page);
-            self.stats.evictions += 1;
             victim
         } else if let Some(freed) = self.free.pop() {
             freed
@@ -188,7 +153,6 @@ impl Tlb {
             Some(idx) => {
                 self.unlink(idx);
                 self.free.push(idx);
-                self.stats.shootdowns += 1;
                 true
             }
             None => false,
@@ -200,13 +164,6 @@ impl Tlb {
     #[inline]
     pub fn prefetch(&self, page: PageAddr) {
         self.map.prefetch(page.page_number());
-    }
-
-    /// Checks residency without updating LRU or statistics.
-    pub fn peek(&self, page: PageAddr) -> Option<PageClass> {
-        self.map
-            .get(page.page_number())
-            .map(|&idx| self.nodes[idx as usize].class)
     }
 }
 
@@ -224,8 +181,8 @@ mod tests {
         assert_eq!(tlb.lookup(p(1)), None);
         tlb.fill(p(1), PageClass::Private);
         assert_eq!(tlb.lookup(p(1)), Some(PageClass::Private));
-        assert_eq!(tlb.stats().hits, 1);
-        assert_eq!(tlb.stats().misses, 1);
+        assert_eq!(tlb.lookup(p(2)), None);
+        assert_eq!(tlb.len(), 1);
     }
 
     #[test]
@@ -236,10 +193,10 @@ mod tests {
         // Touch page 1 so page 2 is LRU.
         tlb.lookup(p(1));
         tlb.fill(p(3), PageClass::Private);
-        assert_eq!(tlb.peek(p(2)), None, "LRU entry should be evicted");
-        assert_eq!(tlb.peek(p(1)), Some(PageClass::Private));
-        assert_eq!(tlb.stats().evictions, 1);
         assert_eq!(tlb.len(), 2);
+        assert_eq!(tlb.lookup(p(2)), None, "LRU entry should be evicted");
+        assert_eq!(tlb.lookup(p(1)), Some(PageClass::Private));
+        assert_eq!(tlb.lookup(p(3)), Some(PageClass::Private));
     }
 
     #[test]
@@ -247,8 +204,8 @@ mod tests {
         let mut tlb = Tlb::new(1);
         tlb.fill(p(1), PageClass::Private);
         tlb.fill(p(1), PageClass::Shared);
-        assert_eq!(tlb.peek(p(1)), Some(PageClass::Shared));
-        assert_eq!(tlb.stats().evictions, 0);
+        assert_eq!(tlb.len(), 1);
+        assert_eq!(tlb.lookup(p(1)), Some(PageClass::Shared));
     }
 
     #[test]
@@ -257,8 +214,8 @@ mod tests {
         tlb.fill(p(7), PageClass::Private);
         assert!(tlb.shootdown(p(7)));
         assert!(!tlb.shootdown(p(7)));
-        assert_eq!(tlb.stats().shootdowns, 1);
         assert!(tlb.is_empty());
+        assert_eq!(tlb.lookup(p(7)), None);
     }
 
     #[test]
@@ -273,10 +230,11 @@ mod tests {
         assert_eq!(tlb.len(), 3);
         // LRU order is now 1 < 3 < 4; filling a fifth page evicts page 1.
         tlb.fill(p(5), PageClass::Shared);
-        assert_eq!(tlb.peek(p(1)), None);
-        assert_eq!(tlb.peek(p(3)), Some(PageClass::Private));
-        assert_eq!(tlb.peek(p(4)), Some(PageClass::Instruction));
-        assert_eq!(tlb.peek(p(5)), Some(PageClass::Shared));
+        assert_eq!(tlb.lookup(p(1)), None);
+        assert_eq!(tlb.lookup(p(2)), None);
+        assert_eq!(tlb.lookup(p(3)), Some(PageClass::Private));
+        assert_eq!(tlb.lookup(p(4)), Some(PageClass::Instruction));
+        assert_eq!(tlb.lookup(p(5)), Some(PageClass::Shared));
     }
 
     #[test]
@@ -286,15 +244,14 @@ mod tests {
             tlb.fill(p(n), PageClass::Private);
         }
         assert_eq!(tlb.len(), 8);
-        assert_eq!(tlb.stats().evictions, 92);
         for n in 92..100 {
             assert_eq!(
-                tlb.peek(p(n)),
+                tlb.lookup(p(n)),
                 Some(PageClass::Private),
                 "page {n} must survive"
             );
         }
-        assert_eq!(tlb.peek(p(91)), None);
+        assert_eq!(tlb.lookup(p(91)), None);
     }
 
     #[test]

@@ -88,11 +88,19 @@ pub fn write_frame<W: Write>(w: &mut W, line: &str) -> io::Result<()> {
 /// error.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
     let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    // Only an EOF before the first length byte is a clean close; one after
+    // it is a torn frame, which `read_exact` reports as `UnexpectedEof`.
+    let first = loop {
+        match r.read(&mut len_bytes[..1]) {
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    if first == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut len_bytes[1..])?;
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -194,6 +202,29 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let mut r = io::Cursor::new(buf);
         assert!(read_frame(&mut r).is_err());
+
+        // Every prefix of a two-frame stream: a cut on a frame boundary
+        // reads the complete frames and then a clean end of stream; a cut
+        // anywhere else, including inside a length prefix, reads the
+        // complete frames and then an error.
+        let mut stream = Vec::new();
+        write_frame(&mut stream, "status").unwrap();
+        let first_end = stream.len();
+        write_frame(&mut stream, "watch s1").unwrap();
+        let ends = [first_end, stream.len()];
+        for cut in 0..=stream.len() {
+            let mut r = io::Cursor::new(&stream[..cut]);
+            let complete = ends.iter().filter(|&&end| end <= cut).count();
+            for expected in ["status", "watch s1"].into_iter().take(complete) {
+                assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(expected));
+            }
+            let tail = read_frame(&mut r);
+            if cut == 0 || ends.contains(&cut) {
+                assert!(matches!(tail, Ok(None)), "cut {cut}: {tail:?}");
+            } else {
+                assert!(tail.is_err(), "cut {cut} must be an error: {tail:?}");
+            }
+        }
 
         // A hostile length is rejected before allocating.
         let mut r = io::Cursor::new((u32::MAX).to_le_bytes().to_vec());

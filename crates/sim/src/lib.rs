@@ -63,4 +63,4 @@ pub use scenario::{
     SweepError, SweepOptions, SweepOutcome, SWEEP_SCHEMA_VERSION,
 };
 pub use simulator::{CmpSimulator, MeasuredRun};
-pub use tile::{BlockMeta, Tile, TileAccess};
+pub use tile::{Tile, TileAccess};

@@ -11,7 +11,7 @@
 
 use crate::cpi::{CpiBreakdown, CpiComponent, DetailedCpi};
 use crate::design::{AsrPolicy, LlcDesign};
-use crate::tile::{BlockMeta, Tile, TileAccess};
+use crate::tile::{Tile, TileAccess};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rnuca::placement::{PlacementConfig, PlacementEngine};
@@ -277,6 +277,7 @@ pub struct CmpSimulator {
     page_block_shift: u32,
     num_tiles: usize,
     tiles: Vec<Tile>,
+    /// Where each page's off-chip requests leave the network.
     mem: MemorySystem,
     os: OsClassifier,
     placement: PlacementEngine,
@@ -286,7 +287,7 @@ pub struct CmpSimulator {
     l1_dirty: U64Map<L1DirtyEntry>,
     /// Over-approximates the pages holding an `l1_dirty` entry.
     dirty_pages: DirtyPageFilter,
-    ideal_cache: Option<CacheArray<BlockMeta>>,
+    ideal_cache: Option<CacheArray<()>>,
     /// Reusable batch buffer for trace generation (see [`Self::drive`]).
     trace_buf: Vec<MemoryAccess>,
     rng: StdRng,
@@ -625,7 +626,7 @@ impl CmpSimulator {
             let home = self.placement.instruction_home(block, access.core);
             self.tiles[home.index()].prefetch(block);
         } else {
-            let private = self.placement.private_home(block, access.core);
+            let private = self.placement.private_home(access.core);
             self.tiles[private.index()].prefetch(block);
             let shared = self.placement.shared_home(block);
             self.tiles[shared.index()].prefetch(block);
@@ -844,10 +845,6 @@ impl CmpSimulator {
 
     fn step_ideal(&mut self, access: &MemoryAccess) {
         let block = access.addr.block(self.block_bytes());
-        let meta = BlockMeta {
-            class: access.class,
-            dirty: access.kind.is_write(),
-        };
         let cache = self
             .ideal_cache
             .as_mut()
@@ -855,7 +852,7 @@ impl CmpSimulator {
         let hit = match cache.probe_entry(block) {
             ProbeEntry::Hit(_) => true,
             ProbeEntry::Miss(slot) => {
-                cache.fill_at(slot, block, meta);
+                cache.fill_at(slot, block, ());
                 false
             }
         };
@@ -866,7 +863,7 @@ impl CmpSimulator {
         } else {
             // Even the ideal design pays the trip to the memory controller and DRAM.
             let tile = access.core.tile();
-            let exit = self.mem.read_via(access.addr);
+            let exit = self.mem.exit_tile_for(access.addr);
             let cost = self.slice_latency()
                 + self.control(tile, exit)
                 + self.dram_latency()
@@ -903,22 +900,14 @@ impl CmpSimulator {
                 self.charge(cost, CpiComponent::L1ToL1);
                 // The downgrade leaves a clean copy at the home slice.
                 self.clear_dirty(block);
-                self.fill_home(
-                    home,
-                    block,
-                    BlockMeta {
-                        class: access.class,
-                        dirty: true,
-                    },
-                );
+                self.tiles[home.index()].fill(block);
             }
             return;
         }
 
         match self.tiles[home.index()].access(block) {
-            TileAccess::Hit(entry) => {
+            TileAccess::Hit => {
                 if access.kind.is_write() {
-                    self.tiles[home.index()].meta_mut(entry).dirty = true;
                     self.note_write(block, core);
                     self.charge(STORE_COST, CpiComponent::Other);
                 } else {
@@ -929,46 +918,20 @@ impl CmpSimulator {
             }
             TileAccess::Miss(slot) => {
                 // Off-chip: requester -> home -> memory controller -> home -> requester.
-                let exit = self.mem.read_via(access.addr);
+                let exit = self.mem.exit_tile_for(access.addr);
                 let cost = self.control(tile, home)
                     + self.slice_latency()
                     + self.control(home, exit)
                     + self.dram_latency()
                     + self.data(exit, home)
                     + self.data(home, tile);
-                self.fill_home_at(
-                    home,
-                    slot,
-                    block,
-                    BlockMeta {
-                        class: access.class,
-                        dirty: access.kind.is_write(),
-                    },
-                );
+                self.tiles[home.index()].fill_at(slot, block);
                 if access.kind.is_write() {
                     self.note_write(block, core);
                     self.charge(STORE_COST, CpiComponent::Other);
                 } else {
                     self.charge_off_chip(cost, access.class);
                 }
-            }
-        }
-    }
-
-    fn fill_home(&mut self, home: TileId, block: BlockAddr, meta: BlockMeta) {
-        if let Some((evicted, evicted_meta)) = self.tiles[home.index()].fill(block, meta) {
-            if evicted_meta.dirty {
-                self.mem.writeback(evicted.base_addr(self.block_bytes()));
-            }
-        }
-    }
-
-    /// [`Self::fill_home`] for a set already located by a probe miss: fills
-    /// through the handle instead of re-searching the slice.
-    fn fill_home_at(&mut self, home: TileId, slot: SetRef, block: BlockAddr, meta: BlockMeta) {
-        if let Some((evicted, evicted_meta)) = self.tiles[home.index()].fill_at(slot, block, meta) {
-            if evicted_meta.dirty {
-                self.mem.writeback(evicted.base_addr(self.block_bytes()));
             }
         }
     }
@@ -996,23 +959,19 @@ impl CmpSimulator {
             }
         }
 
-        // Re-classification / migration: shoot down the previous owner's slice.
-        match outcome.event {
-            ClassificationEvent::Reclassified { previous_owner }
-            | ClassificationEvent::OwnerMigrated { previous_owner } => {
-                let page_bytes = self.page_bytes;
-                let invalidated =
-                    self.tiles[previous_owner.index()].invalidate_page(page, page_bytes) as u64;
-                self.clear_dirty_page(page);
-                if self.measuring {
-                    self.reclassifications += 1;
-                }
-                let cost = RECLASSIFICATION_BASE_COST
-                    + RECLASSIFICATION_PER_BLOCK_COST * invalidated
-                    + self.control(core.tile(), previous_owner.tile());
-                self.charge(cost, CpiComponent::Reclassification);
+        // Re-classification: shoot down the previous owner's slice.
+        if let ClassificationEvent::Reclassified { previous_owner } = outcome.event {
+            let page_bytes = self.page_bytes;
+            let invalidated =
+                self.tiles[previous_owner.index()].invalidate_page(page, page_bytes) as u64;
+            self.clear_dirty_page(page);
+            if self.measuring {
+                self.reclassifications += 1;
             }
-            _ => {}
+            let cost = RECLASSIFICATION_BASE_COST
+                + RECLASSIFICATION_PER_BLOCK_COST * invalidated
+                + self.control(core.tile(), previous_owner.tile());
+            self.charge(cost, CpiComponent::Reclassification);
         }
 
         let home = self.placement.place(outcome.class, block, core);
@@ -1026,10 +985,6 @@ impl CmpSimulator {
         let tile = core.tile();
         let block = access.addr.block(self.block_bytes());
         let dir_home = self.placement.shared_home(block);
-        let meta = BlockMeta {
-            class: access.class,
-            dirty: false,
-        };
 
         // Remote-L1 dirty data: local slice probe, directory lookup, forward,
         // remote slice + L1 probe, data response (Section 5.3's description of
@@ -1047,7 +1002,7 @@ impl CmpSimulator {
             if access.kind.is_write() {
                 self.charge(STORE_COST, CpiComponent::Other);
                 self.note_write(block, core);
-                self.write_state_update(block, tile, meta, access);
+                self.write_state_update(block, tile);
             } else {
                 self.charge(cost, CpiComponent::L1ToL1);
                 self.clear_dirty(block);
@@ -1058,17 +1013,17 @@ impl CmpSimulator {
         if access.kind.is_write() {
             // Stores: flat latency in "other"; state updates still performed.
             // The single probe here doubles as the locator for the state
-            // update's metadata write or fill.
+            // update's fill.
             let outcome = self.tiles[tile.index()].access(block);
             self.charge(STORE_COST, CpiComponent::Other);
-            self.write_state_update_at(block, tile, outcome, meta, access);
+            self.write_state_update_at(block, tile, outcome);
             self.note_write(block, core);
             return;
         }
 
         // Loads and instruction fetches.
         let slot = match self.tiles[tile.index()].access(block) {
-            TileAccess::Hit(_) => {
+            TileAccess::Hit => {
                 self.charge_l2(self.slice_latency(), access.class, false);
                 return;
             }
@@ -1079,7 +1034,7 @@ impl CmpSimulator {
         let read = self.l2_directory.handle_read(block, tile);
         match read.source {
             ReadSource::Memory => {
-                let exit = self.mem.read_via(access.addr);
+                let exit = self.mem.exit_tile_for(access.addr);
                 let cost = self.slice_latency()
                     + self.control(tile, dir_home)
                     + self.slice_latency()
@@ -1087,7 +1042,7 @@ impl CmpSimulator {
                     + self.dram_latency()
                     + self.data(exit, tile);
                 self.charge_off_chip(cost, access.class);
-                self.fill_private_at(tile, slot, block, meta);
+                self.fill_private_at(tile, slot, block);
             }
             ReadSource::Cache(owner) => {
                 let cost = self.slice_latency()
@@ -1098,7 +1053,7 @@ impl CmpSimulator {
                     + self.data(owner, tile);
                 self.charge_l2(cost, access.class, true);
                 if self.asr_allows_allocation(access.class) {
-                    self.fill_private_at(tile, slot, block, meta);
+                    self.fill_private_at(tile, slot, block);
                 } else {
                     // ASR dropped the block instead of allocating it locally;
                     // tell the directory this tile holds no L2 copy.
@@ -1115,72 +1070,37 @@ impl CmpSimulator {
 
     /// Applies the coherence state changes of a store under the private
     /// designs when no probe of the writer's slice preceded the call.
-    fn write_state_update(
-        &mut self,
-        block: BlockAddr,
-        tile: TileId,
-        meta: BlockMeta,
-        access: &MemoryAccess,
-    ) {
-        let write = self.l2_directory.handle_write(block, tile);
-        for victim_tile in write.invalidations.iter() {
-            self.tiles[victim_tile.index()].invalidate(block);
+    fn write_state_update(&mut self, block: BlockAddr, tile: TileId) {
+        self.invalidate_other_copies(block, tile);
+        if let Some(evicted) = self.tiles[tile.index()].fill(block) {
+            self.l2_directory.handle_eviction(evicted, tile);
         }
-        if write.source == ReadSource::Memory {
-            self.mem.read(access.addr);
-        }
-        let mut dirty_meta = meta;
-        dirty_meta.dirty = true;
-        self.fill_private(tile, block, dirty_meta, true);
     }
 
     /// [`Self::write_state_update`] when the store path already probed the
-    /// writer's slice: the probe outcome locates the metadata write (hit) or
-    /// the fill set (miss), so the slice is searched exactly once per store.
-    fn write_state_update_at(
-        &mut self,
-        block: BlockAddr,
-        tile: TileId,
-        outcome: TileAccess,
-        meta: BlockMeta,
-        access: &MemoryAccess,
-    ) {
+    /// writer's slice: a miss's handle locates the fill set, so the slice is
+    /// searched exactly once per store.
+    fn write_state_update_at(&mut self, block: BlockAddr, tile: TileId, outcome: TileAccess) {
+        self.invalidate_other_copies(block, tile);
+        if let TileAccess::Miss(slot) = outcome {
+            self.fill_private_at(tile, slot, block);
+        }
+    }
+
+    /// Makes `tile` the directory's sole holder of `block`, invalidating
+    /// every other slice's copy.
+    fn invalidate_other_copies(&mut self, block: BlockAddr, tile: TileId) {
         let write = self.l2_directory.handle_write(block, tile);
         for victim_tile in write.invalidations.iter() {
             self.tiles[victim_tile.index()].invalidate(block);
         }
-        if write.source == ReadSource::Memory {
-            self.mem.read(access.addr);
-        }
-        let mut dirty_meta = meta;
-        dirty_meta.dirty = true;
-        match outcome {
-            TileAccess::Hit(entry) => *self.tiles[tile.index()].meta_mut(entry) = dirty_meta,
-            TileAccess::Miss(slot) => self.fill_private_at(tile, slot, block, dirty_meta),
-        }
     }
 
-    /// Fills a block into a private slice (if the policy allocates it) and
+    /// Fills a block into a private slice set located by a probe miss and
     /// keeps the directory consistent with any eviction this causes.
-    fn fill_private(&mut self, tile: TileId, block: BlockAddr, meta: BlockMeta, allocate: bool) {
-        if !allocate {
-            return;
-        }
-        if let Some((evicted, evicted_meta)) = self.tiles[tile.index()].fill(block, meta) {
-            let writeback = self.l2_directory.handle_eviction(evicted, tile);
-            if writeback || evicted_meta.dirty {
-                self.mem.writeback(evicted.base_addr(self.block_bytes()));
-            }
-        }
-    }
-
-    /// [`Self::fill_private`] for a set already located by a probe miss.
-    fn fill_private_at(&mut self, tile: TileId, slot: SetRef, block: BlockAddr, meta: BlockMeta) {
-        if let Some((evicted, evicted_meta)) = self.tiles[tile.index()].fill_at(slot, block, meta) {
-            let writeback = self.l2_directory.handle_eviction(evicted, tile);
-            if writeback || evicted_meta.dirty {
-                self.mem.writeback(evicted.base_addr(self.block_bytes()));
-            }
+    fn fill_private_at(&mut self, tile: TileId, slot: SetRef, block: BlockAddr) {
+        if let Some(evicted) = self.tiles[tile.index()].fill_at(slot, block) {
+            self.l2_directory.handle_eviction(evicted, tile);
         }
     }
 

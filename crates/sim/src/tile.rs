@@ -1,25 +1,24 @@
 //! The per-tile cache state managed by the simulator.
 //!
 //! A tile couples a core with its L2 slice (plus a small victim buffer). The
-//! simulator stores per-block metadata in the slice — the block's access
-//! class and a dirty bit — and the tile exposes the small set of operations
-//! the design policies need, including the single-probe
-//! [`Tile::access`]/[`Tile::fill_at`] pair the hot loop uses.
+//! slice records only which blocks are resident: no result reads a block's
+//! class, and the model charges nothing for writebacks, so blocks carry no
+//! metadata. The tile exposes the small set of operations the design
+//! policies need, including the single-probe [`Tile::access`]/
+//! [`Tile::fill_at`] pair the hot loop uses.
 
-use rnuca_cache::{CacheArray, CacheStats, EntryRef, ProbeEntry, SetRef, VictimCache};
-use rnuca_types::access::AccessClass;
+use rnuca_cache::{CacheArray, CacheStats, ProbeEntry, SetRef, VictimCache};
 use rnuca_types::addr::{BlockAddr, PageAddr};
 use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::TileId;
-use serde::{Deserialize, Serialize};
 
-/// Outcome of a single-probe [`Tile::access`]: a located resident block, or
-/// the slice set a subsequent [`Tile::fill_at`] should fill.
+/// Outcome of a single-probe [`Tile::access`]: a resident block, or the
+/// slice set a subsequent [`Tile::fill_at`] should fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileAccess {
     /// The block is resident (in the slice, or re-promoted from the victim
-    /// buffer); the handle addresses its metadata.
-    Hit(EntryRef),
+    /// buffer).
+    Hit,
     /// The block is absent from the tile; the handle locates the fill set.
     Miss(SetRef),
 }
@@ -27,30 +26,16 @@ pub enum TileAccess {
 impl TileAccess {
     /// Returns `true` for a hit.
     pub fn is_hit(&self) -> bool {
-        matches!(self, TileAccess::Hit(_))
+        matches!(self, TileAccess::Hit)
     }
-}
-
-/// Metadata stored with every block resident in an L2 slice.
-///
-/// Deliberately two bytes: the metadata slab is touched on every hit and
-/// fill, so its footprint is hot-loop state. (R-NUCA page shoot-downs walk
-/// the page's block addresses, so blocks do not need to remember their
-/// page.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockMeta {
-    /// Ground-truth access class of the block (used only for statistics).
-    pub class: AccessClass,
-    /// Whether the resident copy is dirty with respect to memory.
-    pub dirty: bool,
 }
 
 /// One tile: an L2 slice plus its victim buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tile {
     id: TileId,
-    slice: CacheArray<BlockMeta>,
-    victims: VictimCache<BlockMeta>,
+    slice: CacheArray<()>,
+    victims: VictimCache<()>,
 }
 
 impl Tile {
@@ -90,61 +75,41 @@ impl Tile {
         self.access(block).is_hit()
     }
 
-    /// Single-probe lookup: like [`Tile::probe`], but the returned handle
-    /// lets the caller update a hit's metadata or fill the missed set via
-    /// [`Tile::fill_at`] without a second tag search. A victim-buffer hit is
-    /// re-promoted into the slice (anything displaced goes back to the
-    /// buffer) and reported as a hit.
+    /// Single-probe lookup: like [`Tile::probe`], but a miss returns the
+    /// handle [`Tile::fill_at`] fills without a second tag search. A
+    /// victim-buffer hit is re-promoted into the slice (anything displaced
+    /// goes back to the buffer) and reported as a hit.
     pub fn access(&mut self, block: BlockAddr) -> TileAccess {
         match self.slice.probe_entry(block) {
-            ProbeEntry::Hit(entry) => TileAccess::Hit(entry),
+            ProbeEntry::Hit(_) => TileAccess::Hit,
             ProbeEntry::Miss(slot) => match self.victims.recall(block) {
-                Some(meta) => {
-                    let (entry, evicted) = self.slice.fill_at(slot, block, meta);
+                Some(()) => {
+                    let (_, evicted) = self.slice.fill_at(slot, block, ());
                     if let Some(ev) = evicted {
-                        self.victims.insert(ev.block, ev.meta);
+                        self.victims.insert(ev.block, ());
                     }
-                    TileAccess::Hit(entry)
+                    TileAccess::Hit
                 }
                 None => TileAccess::Miss(slot),
             },
         }
     }
 
-    /// The metadata of a resident block located by [`Tile::access`].
-    pub fn meta_mut(&mut self, entry: EntryRef) -> &mut BlockMeta {
-        self.slice.entry_meta_mut(entry)
-    }
-
     /// Fills a block into the slice set a preceding [`Tile::access`] miss
     /// searched, skipping the re-scan [`Tile::fill`] would perform. Returns
     /// the block that left the tile entirely (fell out of both the slice and
     /// the victim buffer), which is what the directory needs to know about.
-    pub fn fill_at(
-        &mut self,
-        slot: SetRef,
-        block: BlockAddr,
-        meta: BlockMeta,
-    ) -> Option<(BlockAddr, BlockMeta)> {
-        let (_, evicted) = self.slice.fill_at(slot, block, meta);
+    pub fn fill_at(&mut self, slot: SetRef, block: BlockAddr) -> Option<BlockAddr> {
+        let (_, evicted) = self.slice.fill_at(slot, block, ());
         let evicted = evicted?;
-        self.victims.insert(evicted.block, evicted.meta)
+        self.victims
+            .insert(evicted.block, ())
+            .map(|(block, ())| block)
     }
 
     /// Checks residency without disturbing replacement state.
     pub fn contains(&self, block: BlockAddr) -> bool {
         self.slice.contains(block) || self.victims.contains(block)
-    }
-
-    /// Marks a resident block dirty; returns `true` if the block was resident.
-    pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
-        match self.slice.probe_mut(block) {
-            Some(meta) => {
-                meta.dirty = true;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Fills a block into the slice, returning the displaced block (if any)
@@ -153,16 +118,18 @@ impl Tile {
     /// The returned eviction is the block that left the tile entirely (fell
     /// out of both the slice and the victim buffer), which is what the
     /// directory needs to know about.
-    pub fn fill(&mut self, block: BlockAddr, meta: BlockMeta) -> Option<(BlockAddr, BlockMeta)> {
-        let evicted = self.slice.insert(block, meta)?;
-        self.victims.insert(evicted.block, evicted.meta)
+    pub fn fill(&mut self, block: BlockAddr) -> Option<BlockAddr> {
+        let evicted = self.slice.insert(block, ())?;
+        self.victims
+            .insert(evicted.block, ())
+            .map(|(block, ())| block)
     }
 
-    /// Invalidates a block everywhere in the tile, returning its metadata if it was resident.
-    pub fn invalidate(&mut self, block: BlockAddr) -> Option<BlockMeta> {
-        let from_slice = self.slice.invalidate(block);
-        let from_victims = self.victims.invalidate(block);
-        from_slice.or(from_victims)
+    /// Invalidates a block everywhere in the tile, returning whether it was resident.
+    pub fn invalidate(&mut self, block: BlockAddr) -> bool {
+        let from_slice = self.slice.invalidate(block).is_some();
+        let from_victims = self.victims.invalidate(block).is_some();
+        from_slice || from_victims
     }
 
     /// Invalidates every block belonging to `page` (an R-NUCA shoot-down),
@@ -189,33 +156,11 @@ impl Tile {
     pub fn slice_stats(&self) -> &CacheStats {
         self.slice.stats()
     }
-
-    /// Number of resident blocks of each class `(instructions, private, shared)`.
-    pub fn class_occupancy(&self) -> (usize, usize, usize) {
-        let mut instr = 0;
-        let mut private = 0;
-        let mut shared = 0;
-        for (_, meta) in self.slice.iter() {
-            match meta.class {
-                AccessClass::Instruction => instr += 1,
-                AccessClass::PrivateData => private += 1,
-                AccessClass::SharedData => shared += 1,
-            }
-        }
-        (instr, private, shared)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn meta(class: AccessClass) -> BlockMeta {
-        BlockMeta {
-            class,
-            dirty: false,
-        }
-    }
 
     fn tile() -> Tile {
         Tile::new(TileId::new(0), &SystemConfig::server_16())
@@ -229,7 +174,7 @@ mod tests {
     fn probe_miss_then_fill_then_hit() {
         let mut t = tile();
         assert!(!t.probe(b(1)));
-        assert!(t.fill(b(1), meta(AccessClass::PrivateData)).is_none());
+        assert!(t.fill(b(1)).is_none());
         assert!(t.probe(b(1)));
         assert!(t.contains(b(1)));
         assert_eq!(t.resident_blocks(), 1);
@@ -241,7 +186,7 @@ mod tests {
         // The server L2 slice has 1024 sets x 16 ways; blocks that share set 0
         // are multiples of 1024. Fill 17 of them to force one eviction.
         for i in 0..17u64 {
-            t.fill(b(i * 1024), meta(AccessClass::PrivateData));
+            t.fill(b(i * 1024));
         }
         // The LRU block (block 0) fell out of the slice but sits in the victim buffer.
         assert_eq!(t.resident_blocks(), 16);
@@ -253,23 +198,15 @@ mod tests {
     }
 
     #[test]
-    fn mark_dirty_only_affects_resident_blocks() {
-        let mut t = tile();
-        assert!(!t.mark_dirty(b(9)));
-        t.fill(b(9), meta(AccessClass::SharedData));
-        assert!(t.mark_dirty(b(9)));
-    }
-
-    #[test]
     fn invalidate_page_drops_only_that_page() {
         let mut t = tile();
         // 8 KB pages of 64 B blocks: page 7 spans blocks 896..1024.
         let page_bytes = 8192;
         let first = 7 * (page_bytes as u64 / 64);
-        t.fill(b(first), meta(AccessClass::PrivateData));
-        t.fill(b(first + 1), meta(AccessClass::PrivateData));
+        t.fill(b(first));
+        t.fill(b(first + 1));
         let other = 8 * (page_bytes as u64 / 64);
-        t.fill(b(other), meta(AccessClass::PrivateData));
+        t.fill(b(other));
         assert_eq!(
             t.invalidate_page(PageAddr::from_page_number(7), page_bytes),
             2
@@ -295,7 +232,7 @@ mod tests {
         let (first, last) = (15 * 128, 16 * 128 - 1);
         let keep = [first - 1, last + 1, first + 1024, last + 1024];
         for n in [first, first + 64, last].into_iter().chain(keep) {
-            t.fill(b(n), meta(AccessClass::PrivateData));
+            t.fill(b(n));
         }
         assert_eq!(t.invalidate_page(page, page_bytes), 3);
         for n in [first, first + 64, last] {
@@ -311,18 +248,8 @@ mod tests {
     #[test]
     fn invalidate_single_block() {
         let mut t = tile();
-        t.fill(b(5), meta(AccessClass::Instruction));
-        assert!(t.invalidate(b(5)).is_some());
-        assert!(t.invalidate(b(5)).is_none());
-    }
-
-    #[test]
-    fn class_occupancy_counts() {
-        let mut t = tile();
-        t.fill(b(1), meta(AccessClass::Instruction));
-        t.fill(b(2), meta(AccessClass::PrivateData));
-        t.fill(b(3), meta(AccessClass::PrivateData));
-        t.fill(b(4), meta(AccessClass::SharedData));
-        assert_eq!(t.class_occupancy(), (1, 2, 1));
+        t.fill(b(5));
+        assert!(t.invalidate(b(5)));
+        assert!(!t.invalidate(b(5)));
     }
 }

@@ -180,7 +180,7 @@ pub struct AccessCost {
     pub slice: Cycles,
     /// Cycles spent in off-chip DRAM access (zero for on-chip hits).
     pub off_chip: Cycles,
-    /// Cycles of classification / re-classification overhead (R-NUCA poisoned-page stalls).
+    /// Cycles of classification / re-classification overhead (R-NUCA page shoot-downs).
     pub reclassification: Cycles,
 }
 

@@ -70,7 +70,7 @@ proptest! {
         size_idx in 0usize..5,
     ) {
         let n = [1usize, 2, 4, 8, 16][size_idx];
-        let map = RotationalMap::new(n, 4, 4, 0);
+        let map = RotationalMap::new(n, 4, 4);
         let residue = residue % n;
         let home = map.home_for_residue(TileId::new(core), residue);
         // The slice chosen for this residue must be a slice that stores exactly
