@@ -27,20 +27,17 @@
 //! iteration. `perf --list` prints the scenario labels, one per line,
 //! without simulating anything; it honours `--filter`.
 //!
-//! The results-warehouse subcommands operate on the store named by
-//! `--store=PATH` (default `bench/warehouse.bin`):
+//! `query "QUERY"` runs a typed query (`design=R & cores>=32 sort
+//! off_chip_rate`) against the results warehouse named by `--store=PATH`
+//! (default `bench/warehouse.bin`) and prints an aligned table, or JSON with
+//! `--json`. Malformed queries print compiler-style spanned diagnostics on
+//! stderr and exit 2.
 //!
-//! * `ingest FILE...` loads benchmark artifacts (`BENCH_perf.json` or sweep
-//!   documents) into the store. Appends are idempotent: re-ingesting a file
-//!   the store has seen reports `0 new rows`.
-//! * `query "QUERY"` runs a typed query (`design=R & cores>=32 sort
-//!   off_chip_rate`) and prints an aligned table, or JSON with `--json`.
-//!   Malformed queries print compiler-style spanned diagnostics on stderr
-//!   and exit 2.
-//!
-//! `sweep --store=PATH` additionally appends one row per sweep point to the
-//! store (the JSON on stdout is unchanged; the append summary goes to
-//! stderr).
+//! Rows reach the warehouse only from the run that measured them:
+//! `perf --store=` above, and `sweep --store=PATH`, which appends one row
+//! per sweep point (the JSON on stdout is unchanged; the append summary
+//! goes to stderr). Appends are idempotent: re-running a sweep the store
+//! has seen reports `0 new rows`.
 //!
 //! Crash safety: `sweep --journal=PATH` journals every completed job to
 //! `PATH` as the sweep runs, so an interrupted sweep can be continued with
@@ -76,9 +73,7 @@
 //! compiler-style diagnostic naming the file and byte offset, and is never
 //! silently recreated or repaired.
 
-use rnuca_bench::{
-    characterize_workload, filter_scenarios, perf_matrix, records_from_json, run_perf,
-};
+use rnuca_bench::{characterize_workload, filter_scenarios, perf_matrix, run_perf};
 use rnuca_os::rid_assignment;
 use rnuca_service::{Request, ServiceClient, ServiceConfig};
 use rnuca_sim::report::{fmt3, fmt_pct};
@@ -225,7 +220,6 @@ fn main() {
     // positionals (files, query text, submission ids) themselves — they are
     // whole invocations, not targets.
     match targets[0].as_str() {
-        "ingest" => return ingest_cmd(store_path.as_deref(), &targets[1..]),
         "query" => return query_cmd(store_path.as_deref(), json_output, &targets[1..]),
         "journal" => return journal_cmd(&targets[1..]),
         "serve" => {
@@ -595,30 +589,6 @@ fn save_store(store: &Warehouse, path: &str) {
     store
         .save(Path::new(path))
         .unwrap_or_else(|e| exit_with(&format!("cannot write store {path}: {e}")));
-}
-
-/// `figures ingest FILE...`: loads benchmark artifacts into the warehouse.
-fn ingest_cmd(store_path: Option<&str>, files: &[String]) {
-    if files.is_empty() {
-        exit_with("ingest needs at least one file: figures ingest [--store=PATH] FILE...");
-    }
-    let path = store_path.unwrap_or(DEFAULT_STORE);
-    let store = open_store(path);
-    for file in files {
-        let text = std::fs::read_to_string(file)
-            .unwrap_or_else(|e| exit_with(&format!("cannot read {file}: {e}")));
-        let (records, kind) = records_from_json(&text)
-            .unwrap_or_else(|e| exit_with(&format!("cannot ingest {file}: {e}")));
-        let summary = store.append_all(&records);
-        println!(
-            "{file}: {} new rows ({} deduplicated, {})",
-            summary.added,
-            summary.deduplicated,
-            kind.as_str()
-        );
-    }
-    save_store(&store, path);
-    println!("store: {} rows -> {path}", store.len());
 }
 
 /// `figures query "QUERY"`: runs a typed query against the warehouse and

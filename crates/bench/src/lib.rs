@@ -1,5 +1,5 @@
-//! Helpers behind the `figures` binary: the perf suite, JSON ingest into
-//! the warehouse, and the figure tables.
+//! Helpers behind the `figures` binary: the perf suite (whose rows go to
+//! the warehouse) and the figure tables.
 //!
 //! Everything heavy lives in `rnuca-sim`; this crate only provides small
 //! formatting and orchestration helpers for the figure-regeneration
@@ -7,12 +7,8 @@
 
 #![warn(missing_docs)]
 
-pub mod ingest;
-pub mod json;
 pub mod perf;
 
-pub use ingest::{records_from_json, IngestKind};
-pub use json::JsonValue;
 pub use perf::{filter_scenarios, perf_matrix, run_perf, PerfReport, PerfResult, PerfTotals};
 
 use rnuca_sim::report::fmt_pct;

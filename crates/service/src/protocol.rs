@@ -174,6 +174,7 @@ impl Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frames_roundtrip_through_a_buffer() {
@@ -251,5 +252,41 @@ mod tests {
         assert!(Request::parse("submit").is_err());
         assert!(Request::parse("watch ").is_err());
         assert!(Request::parse("reboot").is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_read_as_frames_then_end_or_error(
+            segments in proptest::collection::vec(
+                (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..24)),
+                0..6,
+            ),
+        ) {
+            // Each segment is either raw bytes or those bytes framed with a
+            // correct length prefix (UTF-8 or not), so streams mix whole
+            // frames, torn prefixes, hostile lengths and bad payloads.
+            let mut stream = Vec::new();
+            for (framed, bytes) in &segments {
+                if *framed {
+                    stream.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                }
+                stream.extend_from_slice(bytes);
+            }
+            let mut r = io::Cursor::new(&stream);
+            let mut frames = 0;
+            let end = loop {
+                match read_frame(&mut r) {
+                    // Every frame consumes at least its 4-byte prefix.
+                    Ok(Some(_)) => {
+                        frames += 1;
+                        prop_assert!(frames * 4 <= stream.len());
+                    }
+                    end => break end,
+                }
+            };
+            if end.is_ok() {
+                prop_assert_eq!(r.position() as usize, stream.len(), "clean end at the end");
+            }
+        }
     }
 }

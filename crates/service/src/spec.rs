@@ -257,6 +257,7 @@ impl SubmitSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn encode_parse_roundtrips_and_is_canonical() {
@@ -336,6 +337,79 @@ mod tests {
             let resolved =
                 workload_by_slug(&slug).unwrap_or_else(|| panic!("slug {slug} does not resolve"));
             assert_eq!(resolved.name, w.name);
+        }
+    }
+
+    /// Field keys and values a generated spec line is assembled from:
+    /// every real key and a bogus one, valid and invalid presets, slugs,
+    /// letters and numbers (one past `u64::MAX`), separators and a
+    /// multi-byte character.
+    const KEYS: &[&str] = &[
+        "config",
+        "seed",
+        "workloads",
+        "designs",
+        "cores",
+        "slices",
+        "clusters",
+        "retries",
+        "deadline_ms",
+        "bogus",
+        "",
+    ];
+    const VALUES: &[&str] = &[
+        "smoke",
+        "quick",
+        "full",
+        "nope",
+        "-",
+        "0",
+        "1",
+        "3",
+        "16",
+        "64",
+        "512",
+        "4096",
+        "18446744073709551616",
+        "oltp-db2,mix",
+        "em3d",
+        "S,R",
+        "A,P,I",
+        "X",
+        ",",
+        "",
+        " 4 , 8 ",
+        "é",
+        "=",
+    ];
+
+    proptest! {
+        #[test]
+        fn arbitrary_spec_soup_parses_builds_and_flattens_without_panicking(
+            version in 0usize..3,
+            fields in proptest::collection::vec(
+                (0..KEYS.len(), 0usize..3, 0..VALUES.len()),
+                0..12,
+            ),
+        ) {
+            let mut line = ["v1", "v2", ""][version].to_string();
+            for &(k, sep, v) in &fields {
+                line.push('|');
+                line.push_str(KEYS[k]);
+                line.push_str(["=", "", "=="][sep]);
+                line.push_str(VALUES[v]);
+            }
+            for verb in ["submit", "status", "watch", "reboot", ""] {
+                let _ = crate::Request::parse(&format!("{verb} {line}"));
+            }
+            if let Ok(spec) = SubmitSpec::parse(&line) {
+                // What parses re-encodes to a line that parses back to it.
+                prop_assert_eq!(SubmitSpec::parse(&spec.encode()), Ok(spec.clone()));
+                if let Ok(matrix) = spec.to_matrix() {
+                    let _ = matrix.jobs();
+                    prop_assert!(spec.submission_id().is_ok());
+                }
+            }
         }
     }
 }

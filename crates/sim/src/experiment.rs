@@ -51,7 +51,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// A much smaller configuration for unit tests and Criterion benches.
+    /// A much smaller configuration for unit tests and `--quick` runs.
     pub fn quick() -> Self {
         ExperimentConfig {
             warmup_refs: 30_000,
@@ -76,9 +76,8 @@ impl ExperimentConfig {
     /// `"quick"`, `"smoke"`, or `"custom"` for anything else.
     ///
     /// The label keys results in the warehouse (`config=full` selects
-    /// full-length runs) and is inferred the same way when a report JSON —
-    /// which records the reference counts but not the preset — is ingested
-    /// back.
+    /// full-length runs). It follows the run lengths, not the constructor:
+    /// a preset with its lengths changed is `custom`.
     pub fn label(&self) -> &'static str {
         let shape = (self.warmup_refs, self.measured_refs);
         if shape == (Self::full().warmup_refs, Self::full().measured_refs) {
@@ -182,6 +181,16 @@ mod tests {
         // The best-of result can be no slower than the adaptive version alone.
         let adaptive = run_single(&spec, asr_job(&spec).design, &cfg);
         assert!(best.total_cpi() <= adaptive.total_cpi() + 1e-9);
+        // Run lengths, not `asr_best_of` or the constructor, pick the
+        // warehouse label: this shortened quick run is `custom`.
+        for (preset, label) in [
+            (ExperimentConfig::full(), "full"),
+            (ExperimentConfig::quick(), "quick"),
+            (ExperimentConfig::smoke(), "smoke"),
+            (cfg, "custom"),
+        ] {
+            assert_eq!(preset.label(), label);
+        }
     }
 
     #[test]

@@ -750,7 +750,7 @@ fn result_from(job: &ScenarioJob, run: MeasuredRun) -> ScenarioResult {
 /// Both kinds carry the same identity columns (workload, design, geometry,
 /// seed, schema, and the workload's [`WorkloadSpec::fingerprint`]), so a
 /// failure is attributable to a precise scenario. Failed rows key on
-/// identity *and* the failure text: re-ingesting the same failure
+/// identity *and* the failure text: storing the same failure again
 /// deduplicates, while the same scenario failing differently later adds a
 /// new row.
 fn record(
@@ -1151,7 +1151,11 @@ mod tests {
         let (_, second) = sweep_into(&m, engine, &store);
         assert_eq!(second.added, 0);
         assert_eq!(second.deduplicated, sweep.results.len());
-        assert_eq!(store.to_bytes(), bytes, "re-ingest must be byte-identical");
+        assert_eq!(
+            store.to_bytes(),
+            bytes,
+            "a repeated sweep must be byte-identical"
+        );
 
         // A new axis point is incremental: only the new rows append.
         m.core_counts = vec![16, 32, 64];

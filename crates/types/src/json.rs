@@ -3,8 +3,7 @@
 //! The workspace vendors no JSON library: the sweep document, the perf
 //! report and the warehouse's `--json` query output are written by hand so
 //! their field order stays deterministic. They all quote strings through
-//! [`json_string`], so every artifact escapes the same way and the bench
-//! crate's reader parses each of them back.
+//! [`json_string`], so every artifact escapes the same way.
 
 /// Quotes `s` as a JSON string literal, escaping quotes, backslashes and
 /// control characters (as `\u00XX`); every other character passes through.

@@ -4,7 +4,7 @@
 //! field-for-field (minus `batch`, which the store assigns at append
 //! time). Its [`key`](RunRecord::key) is what makes the store idempotent:
 //! appending a record whose key is already present is a no-op, so
-//! re-ingesting a report or re-running a sweep adds zero rows.
+//! re-running a sweep adds zero rows.
 
 use crate::store::Value;
 use rnuca_types::Fnv64;
@@ -41,10 +41,10 @@ impl RowKind {
 
 /// One run, ready to append into a [`Warehouse`](crate::Warehouse).
 ///
-/// Fields are public by design: producers (the perf harness, the sweep
-/// driver, the JSON ingester) construct a skeleton with [`RunRecord::new`]
-/// and fill in whichever metric columns the row kind carries. `None`
-/// stores as a null cell.
+/// Fields are public by design: the producers that measured the run (the
+/// perf harness, the sweep driver) construct a skeleton with
+/// [`RunRecord::new`] and fill in whichever metric columns the row kind
+/// carries. `None` stores as a null cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// Row kind; stored in the `kind` column.
@@ -61,9 +61,8 @@ pub struct RunRecord {
     pub slice_kb: Option<i64>,
     /// R-NUCA fixed-center cluster size.
     pub cluster: Option<i64>,
-    /// Workload fingerprint: FNV-1a of the full workload spec on native
-    /// appends, of the workload name on JSON ingests (the JSON report does
-    /// not carry the spec). Not a column; folded into the dedup key.
+    /// Workload fingerprint: FNV-1a of the full workload spec. Not a
+    /// column; folded into the dedup key.
     pub fingerprint: u64,
     /// RNG seed the run used.
     pub seed: i64,
@@ -158,7 +157,7 @@ impl RunRecord {
     ///
     /// Totals rows measure wall-clock, which is *not* a
     /// function of identity, so they are keyed by full content: the same
-    /// report re-ingested dedups to zero new rows, while a genuinely new
+    /// report stored twice dedups to zero new rows, while a genuinely new
     /// run of the same configuration appends fresh rows.
     ///
     /// Failed rows are keyed by identity *plus* the failure text: resuming

@@ -116,7 +116,7 @@ impl fmt::Display for StoreError {
             StoreError::CatalogMismatch { found, expected } => write!(
                 f,
                 "warehouse catalog mismatch: file has {found:#018x}, this build expects \
-                 {expected:#018x}; re-ingest into a fresh store"
+                 {expected:#018x}; re-run the sweep or perf run with --store= into a fresh store"
             ),
             StoreError::Io(e) => write!(f, "warehouse i/o error: {e}"),
         }
@@ -157,7 +157,7 @@ impl StoreError {
     ///   --> bench/warehouse.bin (byte 212 of 220)
     ///    | 000000d0  4f 4c 54 50 [..] 44 42 32
     ///    |                       ^^
-    ///    = help: restore the file from a backup, or delete it and re-ingest
+    ///    = help: restore the file from a backup, or delete it and re-run the sweep or perf run with --store=
     /// ```
     pub fn render(&self, path: &Path, bytes: &[u8]) -> String {
         match self {
@@ -169,13 +169,14 @@ impl StoreError {
                 );
                 out.push_str(&hex_context(bytes, *offset));
                 out.push_str(
-                    "   = help: restore the file from a backup, or delete it and re-ingest",
+                    "   = help: restore the file from a backup, or delete it and re-run the sweep \
+                     or perf run with --store=",
                 );
                 out
             }
             StoreError::Version(_) => format!(
-                "error: {self}\n  --> {}\n   = help: re-run the sweep (or re-ingest) with this \
-                 build to write the current format",
+                "error: {self}\n  --> {}\n   = help: re-run the sweep or perf run with --store= \
+                 into a fresh store to write the current format",
                 path.display()
             ),
             StoreError::CatalogMismatch { .. } => {
@@ -585,7 +586,7 @@ impl Warehouse {
     }
 
     /// Opens the warehouse at `path`; a missing file yields an empty store
-    /// (first ingest creates it on [`save`](Warehouse::save)).
+    /// (the first producer run creates it on [`save`](Warehouse::save)).
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         match std::fs::read(path) {
             Ok(bytes) => Warehouse::from_bytes(&bytes),
@@ -631,9 +632,9 @@ impl Warehouse {
     ///
     /// All added rows share a batch number, so "the latest run" is
     /// queryable as `sort batch desc top 1`. A call where *every* row
-    /// dedups does not advance the batch counter, which keeps a re-ingest
-    /// of the same file byte-identical end to end (zero new rows *and* an
-    /// unchanged store file).
+    /// dedups does not advance the batch counter, which keeps a repeated
+    /// sweep byte-identical end to end (zero new rows *and* an unchanged
+    /// store file).
     pub fn append_all(&self, records: &[RunRecord]) -> AppendSummary {
         let mut store = self.inner.lock().expect("warehouse lock");
         let batch = store.next_batch;

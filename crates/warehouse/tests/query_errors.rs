@@ -3,6 +3,7 @@
 //! guessable) suggests it — and a broken clause never hides the errors
 //! after it.
 
+use proptest::prelude::*;
 use rnuca_warehouse::{render_errors, RowKind, RunRecord, Span, Warehouse};
 
 fn store_with_one_row() -> Warehouse {
@@ -125,4 +126,71 @@ fn end_of_query_errors_use_a_point_span() {
         .expect("caret line")
         .to_string();
     assert!(caret_line.ends_with('^'), "{caret_line}");
+}
+
+/// Query fragments an arbitrary query is assembled from: keywords, column
+/// names, every operator, quotes, number shapes, whitespace and multi-byte
+/// characters, so generated soup reaches every lexer and parser state.
+const FRAGMENTS: &[&str] = &[
+    "design",
+    "cores",
+    "workload",
+    "total_cpi",
+    "sort",
+    "desc",
+    "show",
+    "top",
+    "coress",
+    "R",
+    "apache",
+    "=",
+    "==",
+    "!=",
+    "!",
+    "<",
+    "<=",
+    ">",
+    ">=",
+    "&",
+    ",",
+    "'",
+    "\"",
+    "32",
+    "-",
+    "1.5",
+    "1e",
+    "e+",
+    ".",
+    "_",
+    " ",
+    "\t",
+    "\n",
+    "é",
+    "∑",
+    "🦀",
+    "\u{0}",
+];
+
+proptest! {
+    #[test]
+    fn arbitrary_queries_execute_or_render_their_errors(
+        picks in proptest::collection::vec((0..FRAGMENTS.len() + 1, any::<u32>()), 0..24),
+    ) {
+        // One pick past the fragments is an arbitrary Unicode scalar.
+        let src: String = picks
+            .iter()
+            .map(|&(i, c)| match FRAGMENTS.get(i) {
+                Some(f) => f.to_string(),
+                None => char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}').to_string(),
+            })
+            .collect();
+        match store_with_one_row().query(&src) {
+            Ok(out) => prop_assert!(out.rows.len() <= 1, "{src:?}"),
+            Err(errors) => {
+                prop_assert!(!errors.is_empty(), "an Err carries a message: {src:?}");
+                let rendered = render_errors(&errors, &src);
+                prop_assert!(rendered.contains("error"), "{src:?}: {rendered}");
+            }
+        }
+    }
 }

@@ -64,7 +64,7 @@ fn apache_is_private_averse() {
 #[test]
 fn ideal_design_is_a_lower_bound() {
     let c = cfg();
-    for spec in [WorkloadSpec::oltp_oracle(), WorkloadSpec::em3d()] {
+    for spec in WorkloadSpec::evaluation_suite() {
         let cpis: Vec<(LlcDesign, f64)> = LlcDesign::speedup_set()
             .into_iter()
             .map(|design| (design, run_single(&spec, design, &c).total_cpi()))

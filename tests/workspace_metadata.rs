@@ -1,8 +1,8 @@
 //! Smoke tests keeping the workspace manifests honest: every crate directory
-//! must be a workspace member with a manifest, every bench file must be
-//! registered, and every crate root must carry crate-level docs. These guard
-//! the bootstrap invariants that `cargo build` alone does not check (an
-//! unregistered bench or an unlisted crate simply never compiles).
+//! must be a workspace member with a manifest, and every crate root must
+//! carry crate-level docs. These guard the bootstrap invariants that
+//! `cargo build` alone does not check (an unlisted crate simply never
+//! compiles).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -81,46 +81,6 @@ fn every_workspace_crate_is_a_workspace_dependency() {
             dir.display()
         );
     }
-}
-
-#[test]
-fn every_bench_file_is_registered_and_vice_versa() {
-    let root = repo_root();
-    let bench_manifest = read(&root.join("crates/bench/Cargo.toml"));
-    let registered: Vec<&str> = bench_manifest
-        .lines()
-        .filter_map(|l| l.trim().strip_prefix("name = \""))
-        .filter_map(|l| l.strip_suffix('"'))
-        .filter(|&n| n != "rnuca-bench" && n != "rnuca_bench")
-        .collect();
-
-    let mut on_disk: Vec<String> = fs::read_dir(root.join("crates/bench/benches"))
-        .expect("benches dir exists")
-        .map(|entry| entry.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-        .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
-        .collect();
-    on_disk.sort();
-
-    for name in &on_disk {
-        assert!(
-            registered.contains(&name.as_str()),
-            "benches/{name}.rs exists but has no [[bench]] entry (it would never compile)"
-        );
-    }
-    for name in &registered {
-        assert!(
-            on_disk.iter().any(|d| d == name),
-            "[[bench]] entry `{name}` has no benches/{name}.rs file"
-        );
-    }
-    // Criterion benches provide their own main; the libtest harness must be off.
-    let harness_off = bench_manifest.matches("harness = false").count();
-    assert_eq!(
-        harness_off,
-        registered.len(),
-        "every [[bench]] must set harness = false"
-    );
 }
 
 #[test]
