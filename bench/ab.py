@@ -7,8 +7,9 @@ Checks BASE_REV out into a git worktree under target/, then runs
 `perfbench/run.py --workload perf-suite --seconds 1 --trace 0` from each tree
 in alternating pairs, each side building into its own CARGO_TARGET_DIR under
 target/. Exits 1 when a HEAD run reports `correct: false` or failed jobs, or
-when HEAD's median refs_per_s trails the base's by more than the refs_per_s
-bound in BENCHMARK.json.
+when HEAD's median of a gated metric (refs_per_s, peak_rss_mb) is worse than
+the base's by more than that metric's bound in BENCHMARK.json, in the
+direction BENCHMARK.json says is better.
 """
 
 import json
@@ -20,22 +21,33 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 3
 PERFBENCH_ARGS = ["--workload", "perf-suite", "--seconds", "1", "--trace", "0"]
+GATED = ("refs_per_s", "peak_rss_mb")
 
 
-def refs_per_s(run):
-    return run["metrics"]["refs_per_s"]["value"]
+def value(run, name):
+    return run["metrics"][name]["value"]
 
 
-def verdict(base, head, bound):
+def gates(benchmark):
+    """The gated end-to-end metrics of a parsed BENCHMARK.json, in GATED order."""
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
+    return [metrics[name] for name in GATED]
+
+
+def verdict(base, head, gated):
     """The reasons HEAD fails against the base (an empty list passes)."""
     problems = [
         f"HEAD run {i} reported correct={r['correct']}, failed={r['failed']}"
         for i, r in enumerate(head)
         if not r["correct"] or r["failed"] > 0
     ]
-    b, h = (statistics.median(map(refs_per_s, runs)) for runs in (base, head))
-    if h < b * (1 - bound):
-        problems.append(f"HEAD median {h:.4g} refs/s trails the base's {b:.4g} by more than {bound:.0%}")
+    for m in gated:
+        name, bound, unit = m["name"], m["bound"], m["unit"]
+        b, h = (statistics.median(value(r, name) for r in runs) for runs in (base, head))
+        if m["better"] == "higher" and h < b * (1 - bound):
+            problems.append(f"HEAD median {h:.4g} {unit} trails the base's {b:.4g} by more than {bound:.0%}")
+        if m["better"] == "lower" and h > b * (1 + bound):
+            problems.append(f"HEAD median {h:.4g} {unit} exceeds the base's {b:.4g} by more than {bound:.0%}")
     return problems
 
 
@@ -50,7 +62,7 @@ def perfbench(tree, side):
 
 def main(base_rev):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        bound = next(m["bound"] for m in json.load(f)["end_to_end"] if m["name"] == "refs_per_s")
+        gated = gates(json.load(f))
     tree = os.path.join(ROOT, "target", "ab-tree")
     subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, capture_output=True)
     subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=True)
@@ -61,12 +73,14 @@ def main(base_rev):
             order = [("base", tree, base), ("head", ROOT, head)]
             for side, where, runs in order if i % 2 == 0 else order[::-1]:
                 runs.append(perfbench(where, side))
-            print(f"pair {i}: base {refs_per_s(base[-1]):.4g} refs/s, head {refs_per_s(head[-1]):.4g} refs/s "
-                  f"(head correct={head[-1]['correct']}, failed={head[-1]['failed']})", flush=True)
+            sides = ", ".join(f"{m['name']} base {value(base[-1], m['name']):.4g} head {value(head[-1], m['name']):.4g}"
+                              for m in gated)
+            print(f"pair {i}: {sides} (head correct={head[-1]['correct']}, failed={head[-1]['failed']})", flush=True)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, check=True)
-    problems = verdict(base, head, bound)
-    print("\n".join(f"ab gate: FAIL: {p}" for p in problems) or f"ab gate: PASS (bound {bound:.0%})")
+    problems = verdict(base, head, gated)
+    bounds = ", ".join(f"{m['name']} {m['bound']:.0%}" for m in gated)
+    print("\n".join(f"ab gate: FAIL: {p}" for p in problems) or f"ab gate: PASS (bounds: {bounds})")
     return 1 if problems else 0
 
 

@@ -11,6 +11,9 @@
 //! `perf`. `--quick` shrinks warm-up and measurement windows for a fast run;
 //! `--smoke` shrinks them further for CI smoke tests. `--workers=N` bounds
 //! the experiment engine's worker pool (results are identical for every N).
+//! `--seed=N` replaces the preset's seed (42) for every simulating target
+//! and the characterization seed (1) of `fig2`..`fig5`; without it, every
+//! target prints what it always has.
 //!
 //! `sweep` runs the scenario matrix — core counts 16/32/64, L2 slice
 //! capacities 512 KB/1 MB/2 MB, R-NUCA instruction clusters 2/4/8 — and
@@ -61,14 +64,14 @@
 //! `submit` takes the active `--quick`/`--smoke` config plus
 //! `--workloads=`/`--designs=`/`--cores=`/`--slices=`/`--clusters=` axes
 //! and `--retries=`/`--deadline-ms=` supervision knobs, with `--seed=`
-//! overriding the preset's seed. Those axis flags, `--seed=` and
-//! `--deadline-ms=` are read by `submit` only, so every other target
-//! rejects them. See the `rnuca-service` crate docs for the protocol and
-//! crash-resume semantics.
+//! overriding the preset's seed. Those axis flags and `--deadline-ms=` are
+//! read by `submit` only, so every other target rejects them. See the
+//! `rnuca-service` crate docs for the protocol and crash-resume semantics.
 //!
 //! Exit codes: 0 success, 1 generic failure, 2 usage error (an unknown flag
-//! or target, a submit-only option given to another target, or a malformed
-//! query with spanned diagnostics on stderr),
+//! or target, a malformed `--workers=` or `--seed=`, a submit-only option
+//! given to another target, or a malformed query with spanned diagnostics
+//! on stderr),
 //! 3 corrupt on-disk artifact — a damaged warehouse or journal renders a
 //! compiler-style diagnostic naming the file and byte offset, and is never
 //! silently recreated or repaired.
@@ -92,6 +95,9 @@ use std::path::Path;
 const CHARACTERIZATION_REFS: usize = 400_000;
 const CHARACTERIZATION_REFS_QUICK: usize = 60_000;
 const CHARACTERIZATION_REFS_SMOKE: usize = 10_000;
+/// The seed `fig2`..`fig5` characterize the workloads under unless
+/// `--seed=` replaces it.
+const CHARACTERIZATION_SEED: u64 = 1;
 
 /// Every switch `figures` accepts.
 const SWITCHES: &[&str] = &[
@@ -112,6 +118,7 @@ const OPTIONS: &[&str] = &[
     "--journal=",
     "--retries=",
     "--spool=",
+    "--seed=",
 ];
 
 /// The `--name=value` options only `figures submit` reads; every other
@@ -122,7 +129,6 @@ const SUBMIT_OPTIONS: &[&str] = &[
     "--cores=",
     "--slices=",
     "--clusters=",
-    "--seed=",
     "--deadline-ms=",
 ];
 
@@ -153,6 +159,14 @@ fn main() {
         },
         None => ExperimentEngine::new(),
     };
+    let seed = args
+        .iter()
+        .find_map(|a| a.strip_prefix("--seed="))
+        .map(|n| {
+            n.parse::<u64>().unwrap_or_else(|_| {
+                exit_usage(&format!("--seed must be a non-negative integer, got {n}"))
+            })
+        });
     let perf_out = args
         .iter()
         .find_map(|a| a.strip_prefix("--out="))
@@ -195,7 +209,7 @@ fn main() {
         targets
     };
 
-    let (cfg, cfg_label) = if smoke {
+    let (mut cfg, cfg_label) = if smoke {
         (ExperimentConfig::smoke(), "smoke")
     } else if quick {
         (ExperimentConfig::quick(), "quick")
@@ -209,6 +223,10 @@ fn main() {
     } else {
         CHARACTERIZATION_REFS
     };
+    let char_seed = seed.unwrap_or(CHARACTERIZATION_SEED);
+    if let Some(seed) = seed {
+        cfg.seed = seed;
+    }
 
     if targets[0] != "submit" {
         if let Some(flag) = args.iter().find(|a| is_option(a, SUBMIT_OPTIONS)) {
@@ -262,10 +280,10 @@ fn main() {
     for target in &targets {
         match target.as_str() {
             "table1" => table1(),
-            "fig2" => fig2(char_refs),
-            "fig3" => fig3(char_refs),
-            "fig4" => fig4(char_refs),
-            "fig5" => fig5(char_refs),
+            "fig2" => fig2(char_refs, char_seed),
+            "fig3" => fig3(char_refs, char_seed),
+            "fig4" => fig4(char_refs, char_seed),
+            "fig5" => fig5(char_refs, char_seed),
             "fig6" => fig6(),
             "fig7" => fig7(evaluation.as_ref().unwrap()),
             "fig8" => fig8(evaluation.as_ref().unwrap()),
@@ -292,10 +310,10 @@ fn main() {
             ),
             "all" => {
                 table1();
-                fig2(char_refs);
-                fig3(char_refs);
-                fig4(char_refs);
-                fig5(char_refs);
+                fig2(char_refs, char_seed);
+                fig3(char_refs, char_seed);
+                fig4(char_refs, char_seed);
+                fig5(char_refs, char_seed);
                 fig6();
                 let c = evaluation.as_ref().unwrap();
                 accuracy(c);
@@ -721,7 +739,7 @@ fn table1() {
     }
 }
 
-fn fig2(refs: usize) {
+fn fig2(refs: usize, seed: u64) {
     heading("Figure 2: L2 reference clustering (sharers vs read-write blocks)");
     let mut table = TextTable::new(vec![
         "workload",
@@ -731,7 +749,7 @@ fn fig2(refs: usize) {
         "%RW blocks",
     ]);
     for spec in WorkloadSpec::evaluation_suite() {
-        let c = characterize_workload(&spec, refs, 1);
+        let c = characterize_workload(&spec, refs, seed);
         for b in &c.sharers.bubbles {
             if b.access_fraction < 0.005 {
                 continue;
@@ -748,12 +766,12 @@ fn fig2(refs: usize) {
     println!("{table}");
 }
 
-fn fig3(refs: usize) {
+fn fig3(refs: usize, seed: u64) {
     heading("Figure 3: L2 reference breakdown by access class");
-    println!("{}", rnuca_bench::figure3_table(refs, 1));
+    println!("{}", rnuca_bench::figure3_table(refs, seed));
 }
 
-fn fig4(refs: usize) {
+fn fig4(refs: usize, seed: u64) {
     heading(
         "Figure 4: working-set CDFs (footprint KB capturing 50% / 90% of each class's references)",
     );
@@ -767,7 +785,7 @@ fn fig4(refs: usize) {
         "shared KB@90%",
     ]);
     for spec in WorkloadSpec::evaluation_suite() {
-        let c = characterize_workload(&spec, refs, 1);
+        let c = characterize_workload(&spec, refs, seed);
         table.add_row(vec![
             spec.name.clone(),
             fmt3(c.instr_cdf.kb_at_fraction(0.5)),
@@ -781,13 +799,13 @@ fn fig4(refs: usize) {
     println!("{table}");
 }
 
-fn fig5(refs: usize) {
+fn fig5(refs: usize, seed: u64) {
     heading("Figure 5: instruction and shared-data reuse by the same core");
     let mut table = TextTable::new(vec![
         "workload", "class", "1st", "2nd", "3rd-4th", "5th-8th", "9+",
     ]);
     for spec in WorkloadSpec::evaluation_suite() {
-        let c = characterize_workload(&spec, refs, 1);
+        let c = characterize_workload(&spec, refs, seed);
         for (label, hist) in [("Instr", c.instr_reuse), ("Shared", c.shared_reuse)] {
             let f = hist.fractions();
             table.add_row(vec![

@@ -159,7 +159,10 @@ pub const PERF_SCHEMA_VERSION: u64 = 8;
 /// (one per `(workload, cores, seed)` — the 45-scenario default needs only
 /// 9) are materialized into the [`TraceArena`] in parallel (reported as
 /// `tracegen_nanos`). Each scenario is then one engine job that warms in
-/// place and measures over its stream's slab.
+/// place and measures over its stream's slab. The streams stay in `arena`
+/// after the run: this is the one caller that materializes every stream up
+/// front, unlike `ScenarioMatrix::run`, which retires each stream after its
+/// last job.
 ///
 /// The deterministic fields of the report (scenario identity, reference
 /// counts, CPI digests) are identical for every worker count; only the

@@ -192,7 +192,6 @@ fn submit_only_flags_exit_2_on_every_other_target() {
     // its preset (seed 42, preset cores, every design) as if the flag had
     // not been given, so it refuses the command line instead.
     for (args, named) in [
-        (&["--smoke", "--seed=7", "fig7"][..], "--seed=7"),
         (&["--smoke", "--cores=64", "fig7"][..], "--cores=64"),
         (&["--smoke", "--designs=S", "fig7"][..], "--designs=S"),
         (

@@ -33,7 +33,6 @@ use crate::spool::Spool;
 use crate::state::{Claim, Registry, SubmissionState};
 use rnuca_sim::{ExperimentEngine, SweepError, SweepOptions};
 use rnuca_warehouse::Warehouse;
-use rnuca_workloads::TraceArena;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -54,8 +53,14 @@ enum Outcome {
     Stopped,
 }
 
-/// The service's single worker: owns the engine and the trace arena, drains the
-/// registry queue until a drain is requested.
+/// The service's single worker: owns the engine and drains the registry
+/// queue until a drain is requested.
+///
+/// Each submission's sweep resolves its reference streams through a trace
+/// arena of its own, and the sweep retires every stream after the last job
+/// that replays it. The service therefore retains no streams across
+/// submissions: its trace memory is bounded by the jobs in flight, and a
+/// repeat submission regenerates its streams (about 40 ns per reference).
 #[derive(Debug)]
 pub struct Runner {
     registry: Arc<Registry>,
@@ -81,7 +86,6 @@ impl Runner {
     /// poisoning) marks that submission failed and the loop continues.
     pub fn run(&self) {
         let engine = ExperimentEngine::with_workers(self.workers);
-        let arena = Arc::new(TraceArena::new());
         while let Some(claim) = self.registry.claim() {
             self.registry.set_state(
                 &claim.id,
@@ -90,9 +94,7 @@ impl Runner {
                     total_jobs: 0,
                 },
             );
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.run_submission(engine, &arena, &claim)
-            }));
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.run_submission(engine, &claim)));
             match outcome {
                 Ok(Ok(Outcome::Completed { completed, failed })) => self
                     .registry
@@ -123,12 +125,7 @@ impl Runner {
         }
     }
 
-    fn run_submission(
-        &self,
-        engine: ExperimentEngine,
-        arena: &Arc<TraceArena>,
-        claim: &Claim,
-    ) -> Result<Outcome, String> {
+    fn run_submission(&self, engine: ExperimentEngine, claim: &Claim) -> Result<Outcome, String> {
         let matrix = claim.spec.to_matrix()?;
         let store = Warehouse::open(&self.store_path).map_err(|e| format!("warehouse: {e}"))?;
         // The spec line fully determines the matrix and the id is its
@@ -145,7 +142,6 @@ impl Runner {
             );
         };
         let outcome = matrix.run(&SweepOptions {
-            arena: Arc::clone(arena),
             journal: Some(&journal),
             resume: journal.exists(),
             policy: Some(claim.spec.policy()),

@@ -26,9 +26,10 @@
 //! [`ExperimentConfig::asr_best_of`] an ASR job measures all six ASR
 //! versions from that one warm-up and reports the fastest. A matrix shares
 //! reference streams (one per unique `(workload, core count, seed)`,
-//! materialized once each) but never warmed state across jobs, so a job's
-//! result does not depend on which options ran it or on which other jobs
-//! ran beside it.
+//! materialized once each and retired from the arena after the last job
+//! that replays it) but never warmed state across jobs, so a job's result
+//! does not depend on which options ran it or on which other jobs ran
+//! beside it.
 //!
 //! # Example
 //!
@@ -59,8 +60,9 @@ use rnuca_types::json::json_string;
 use rnuca_types::retry::RetryPolicy;
 use rnuca_types::{ConfigError, Fnv64};
 use rnuca_warehouse::{AppendSummary, RowKind, RunRecord, Warehouse};
-use rnuca_workloads::{TraceArena, WorkloadSpec};
+use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -113,10 +115,11 @@ impl ScenarioJob {
     ///
     /// When `cfg.asr_best_of` is set and the design is ASR, the job reports
     /// the paper's ASR result instead: every version of
-    /// [`AsrPolicy::all_versions`] measures a clone of the one warmed
-    /// simulator under its own policy, and the run with the lowest total
-    /// CPI wins (the first version wins ties). All ASR versions warm
-    /// identically, so each clone measures the bit-identical run a fresh
+    /// [`AsrPolicy::all_versions`] measures the one warmed simulator under
+    /// its own policy — each version but the last on a clone, the last on
+    /// the warmed original itself — and the run with the lowest total CPI
+    /// wins (the first version in that order wins ties). All ASR versions
+    /// warm identically, so each measures the bit-identical run a fresh
     /// warm-up of its version would (the `warm_reuse_fidelity` suite pins
     /// this).
     ///
@@ -143,13 +146,19 @@ impl ScenarioJob {
         if !(cfg.asr_best_of && matches!(self.design, LlcDesign::Asr { .. })) {
             return sim.run_measured(&mut slice, cfg.measured_refs);
         }
-        AsrPolicy::all_versions()
-            .into_iter()
-            .map(|policy| {
+        let versions = AsrPolicy::all_versions();
+        let (&last, earlier) = versions.split_last().expect("ASR has six versions");
+        let mut runs: Vec<MeasuredRun> = earlier
+            .iter()
+            .map(|&policy| {
                 let mut version = sim.clone();
                 version.set_asr_policy(policy);
                 version.run_measured(&mut slice.clone(), cfg.measured_refs)
             })
+            .collect();
+        sim.set_asr_policy(last);
+        runs.push(sim.run_measured(&mut slice, cfg.measured_refs));
+        runs.into_iter()
             .min_by(|a, b| a.total_cpi().total_cmp(&b.total_cpi()))
             .expect("ASR has six versions")
     }
@@ -299,8 +308,11 @@ impl QuarantinedSweep {
 pub struct SweepOptions<'a> {
     /// The worker pool jobs run on.
     pub engine: ExperimentEngine,
-    /// Where jobs resolve their reference streams (shared so callers can
-    /// reuse streams across sweeps and inspect deduplication).
+    /// Where jobs resolve their reference streams. A stream lives here from
+    /// its first job's start to its last job's final outcome, so the arena
+    /// is empty again when the run returns, on every exit path; callers
+    /// pass their own to inspect deduplication through
+    /// [`TraceArena::generations`].
     pub arena: Arc<TraceArena>,
     /// Journal every job's final outcome to this file as soon as it exists.
     pub journal: Option<&'a Path>,
@@ -487,6 +499,12 @@ impl ScenarioMatrix {
     /// seed, and schema, so re-running a matrix into the same store adds
     /// zero rows and only genuinely new points grow it.
     ///
+    /// Each unique stream the pending jobs replay is generated once, and
+    /// the arena's handle on it is retired as soon as the last of those
+    /// jobs has its final outcome (a retried attempt still finds it). Live
+    /// trace memory is therefore bounded by the jobs in flight, and the
+    /// run leaves none of its streams in the arena, however it ends.
+    ///
     /// # Errors
     ///
     /// [`SweepError::Config`] for invalid matrices; [`SweepError::Journal`]
@@ -527,9 +545,11 @@ impl ScenarioMatrix {
             None => (None, vec![None; jobs.len()]),
         };
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
+        let streams = StreamCountdown::new(&opts.arena, &jobs, &pending, self.cfg.seed);
 
-        // The one place a job's final outcome is recorded: appended to the
-        // journal, then reported. `k` indexes `pending`.
+        // The one place a job's final outcome is recorded: its stream's
+        // countdown, the journal, then the progress report. `k` indexes
+        // `pending`.
         let done = AtomicUsize::new(0);
         let report = |n: usize| {
             if let Some(progress) = opts.progress {
@@ -537,6 +557,7 @@ impl ScenarioMatrix {
             }
         };
         let accept = |k: usize, outcome: &Result<MeasuredRun, JobFailure>| {
+            streams.finished(k);
             if let Some(journal) = &journal {
                 let job = pending[k];
                 match outcome {
@@ -727,6 +748,53 @@ impl ScenarioMatrix {
             .write_u64(*seed)
             .write_bool(*asr_best_of);
         h.finish()
+    }
+}
+
+/// The trace keys a run's pending jobs replay, each counting down the jobs
+/// that have no final outcome yet. The last job of a key retires it from
+/// the arena; dropping the countdown retires every key still held, so a
+/// run that stops, fails or panics leaves no stream behind either.
+struct StreamCountdown<'a> {
+    arena: &'a TraceArena,
+    /// Each pending job's stream, indexed like `pending`.
+    key_of: Vec<TraceKey>,
+    left: HashMap<TraceKey, AtomicUsize>,
+}
+
+impl<'a> StreamCountdown<'a> {
+    fn new(arena: &'a TraceArena, jobs: &[ScenarioJob], pending: &[usize], seed: u64) -> Self {
+        let key_of: Vec<TraceKey> = pending
+            .iter()
+            .map(|&i| TraceKey::new(&jobs[i].workload, seed))
+            .collect();
+        let mut left: HashMap<TraceKey, AtomicUsize> = HashMap::new();
+        for key in &key_of {
+            *left.entry(key.clone()).or_default().get_mut() += 1;
+        }
+        StreamCountdown {
+            arena,
+            key_of,
+            left,
+        }
+    }
+
+    /// Pending job `k` has its final outcome.
+    fn finished(&self, k: usize) {
+        let key = &self.key_of[k];
+        if self.left[key].fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.arena.retire(key);
+        }
+    }
+}
+
+impl Drop for StreamCountdown<'_> {
+    fn drop(&mut self) {
+        for (key, left) in &self.left {
+            if left.load(Ordering::Acquire) > 0 {
+                self.arena.retire(key);
+            }
+        }
     }
 }
 
@@ -1027,16 +1095,142 @@ mod tests {
     #[test]
     fn sweep_jobs_group_onto_unique_streams() {
         // 1 workload x 2 core counts x 2 capacities x 2 designs = 8 jobs,
-        // but only the core count changes the reference stream: the arena
-        // must end up holding exactly 2 slabs, each generated once.
+        // but only the core count changes the reference stream: the run
+        // must generate exactly 2 slabs, once each, and hold neither after
+        // it returns.
         let mut m = tiny_matrix();
         m.core_counts = vec![16, 32];
         m.slice_capacities_kb = vec![512, 1024];
         let arena = Arc::new(TraceArena::new());
         let sweep = sweep_on(&m, ExperimentEngine::with_workers(4), &arena);
         assert_eq!(sweep.results.len(), 2 * 2 * 2);
-        assert_eq!(arena.len(), 2, "one stream per core count");
-        assert_eq!(arena.generations(), 2);
+        assert_eq!(arena.generations(), 2, "one stream per core count");
+        assert_eq!(arena.len(), 0, "every stream is retired");
+    }
+
+    /// Three workloads x (shared, R-NUCA): six jobs over three streams,
+    /// each workload's two jobs adjacent in job order.
+    fn three_stream_matrix() -> ScenarioMatrix {
+        let mut m = tiny_matrix();
+        m.workloads = vec![
+            WorkloadSpec::oltp_db2(),
+            WorkloadSpec::apache(),
+            WorkloadSpec::em3d(),
+        ];
+        m
+    }
+
+    #[test]
+    fn a_stream_is_retired_after_its_last_job() {
+        // One worker runs the jobs in order, so at most one stream is live
+        // at any time: each workload's stream is generated by its first job
+        // and retired by its second.
+        let m = three_stream_matrix();
+        let arena = Arc::new(TraceArena::new());
+        let live = Mutex::new(Vec::new());
+        let progress = |_, _| live.lock().unwrap().push(arena.len());
+        let opts = SweepOptions {
+            arena: Arc::clone(&arena),
+            progress: Some(&progress),
+            ..SweepOptions::new(ExperimentEngine::with_workers(1))
+        };
+        let outcome = m.run(&opts).expect("the matrix is valid");
+        assert_eq!(outcome.sweep.completed(), 6);
+        let live = live.into_inner().unwrap();
+        assert!(live.iter().all(|&n| n <= 1), "{live:?}");
+        assert_eq!(
+            live,
+            [0, 1, 0, 1, 0, 1, 0],
+            "before the first job, then after each"
+        );
+        assert_eq!(arena.len(), 0);
+        assert_eq!(arena.generations(), 3, "each stream generated once");
+    }
+
+    #[test]
+    fn a_stopped_run_and_its_resume_each_leave_the_arena_empty() {
+        let m = three_stream_matrix();
+        let path = std::env::temp_dir().join(format!(
+            "rnuca-scenario-{}-retire.journal",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+
+        // The stop flag goes up once three of the six jobs are journaled;
+        // the one worker claims nothing after that. Job 2 was Apache's
+        // first, so its stream was still held when the run stopped.
+        let stop = AtomicBool::new(false);
+        let raise = |done, _| {
+            if done == 3 {
+                stop.store(true, Ordering::Release);
+            }
+        };
+        let arena = Arc::new(TraceArena::new());
+        let stopped = m.run(&SweepOptions {
+            arena: Arc::clone(&arena),
+            journal: Some(&path),
+            stop: Some(&stop),
+            progress: Some(&raise),
+            ..SweepOptions::new(ExperimentEngine::with_workers(1))
+        });
+        assert!(matches!(stopped, Err(SweepError::Stopped)), "{stopped:?}");
+        assert_eq!(arena.len(), 0, "a stopped run holds none of its streams");
+        assert_eq!(arena.generations(), 2, "jobs 0-2 replay DB2 and Apache");
+
+        // The resume runs jobs 3-5 only: Apache's second job and em3d's two.
+        let arena = Arc::new(TraceArena::new());
+        let resumed = m
+            .run(&SweepOptions {
+                arena: Arc::clone(&arena),
+                journal: Some(&path),
+                resume: true,
+                ..SweepOptions::new(ExperimentEngine::with_workers(2))
+            })
+            .expect("the journal matches the matrix");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            resumed.resumed,
+            ResumeSummary {
+                replayed: 3,
+                ran: 3
+            }
+        );
+        assert_eq!(arena.len(), 0);
+        assert_eq!(arena.generations(), 2, "replayed jobs need no stream");
+        assert_eq!(resumed.sweep.into_sweep(), sweep_of(&m));
+    }
+
+    #[test]
+    fn a_retried_job_still_finds_its_stream() {
+        // DB2's first job panics before replaying anything: once (it
+        // recovers on its retry), then on every attempt (it is quarantined).
+        // Only a final outcome counts down its stream, so DB2's second job
+        // still finds the stream and no stream is generated twice. The
+        // renamed workload gives the fail point a site no test running
+        // alongside this one reaches.
+        use rnuca_types::failpoint::{self, FailAction, FailSpec};
+        let mut m = three_stream_matrix();
+        m.workloads[0].name = "retried DB2".to_string();
+        for (failing, quarantined) in [(1, 0), (u64::MAX, 1)] {
+            let _armed = failpoint::arm(&[FailSpec::window(
+                "sim::member::retried DB2::shared::16c",
+                FailAction::Panic,
+                1,
+                failing,
+            )]);
+            let arena = Arc::new(TraceArena::new());
+            let outcome = m
+                .run(&SweepOptions {
+                    arena: Arc::clone(&arena),
+                    policy: Some(RetryPolicy::immediate(2)),
+                    ..SweepOptions::new(ExperimentEngine::with_workers(1))
+                })
+                .expect("the matrix is valid");
+            assert_eq!(outcome.sweep.failures().len(), quarantined);
+            assert_eq!(outcome.sweep.completed(), 6 - quarantined);
+            assert_eq!(arena.len(), 0);
+            assert_eq!(arena.generations(), 3, "each stream generated once");
+        }
     }
 
     #[test]
@@ -1045,7 +1239,8 @@ mod tests {
         // place, but the variants of one capacity point share a warm-up
         // class: measuring clones of one warmed simulator per capacity
         // point must reproduce every job's result. Capacities share a
-        // stream (capacity is cost-only), so the trace arena holds one.
+        // stream (capacity is cost-only), so the run generates one and
+        // retires it.
         use crate::design::AsrPolicy;
         use crate::simulator::CmpSimulator;
         let mut m = tiny_matrix();
@@ -1064,8 +1259,8 @@ mod tests {
         let traces = Arc::new(TraceArena::new());
         let sweep = sweep_on(&m, ExperimentEngine::with_workers(4), &traces);
         assert_eq!(sweep.results.len(), 3 * 2);
-        assert_eq!(traces.len(), 1, "capacity never changes the stream");
-        assert_eq!(traces.generations(), 1);
+        assert_eq!(traces.generations(), 1, "capacity never changes the stream");
+        assert_eq!(traces.len(), 0, "the stream is retired");
 
         let cfg = m.cfg;
         let mut checkpoints: Vec<(usize, CmpSimulator)> = Vec::new();

@@ -18,6 +18,14 @@
 //! differential tests below and the golden-result tests in `rnuca-sim` pin
 //! this down.
 //!
+//! Lifetime: the arena holds a stream until its holder retires the key
+//! ([`TraceArena::retire`]). `ScenarioMatrix::run` in `rnuca-sim` retires
+//! each key once the last of its jobs has a final outcome, so a stream
+//! lives from its first job's start to its last job's end, and live trace
+//! memory is bounded by the jobs in flight rather than by the matrix. A
+//! retired key requested again is regenerated (about 40 ns per reference).
+//! Only the perf suite materializes its streams up front.
+//!
 //! Memory footprint: a slab stores 11 bytes per reference (8-byte physical
 //! address, 2-byte core index, 1-byte class+kind tag) — about 9.5 MiB for
 //! the full configuration's 900 000 references, versus ~24 bytes per
@@ -316,9 +324,12 @@ struct Cell {
 /// workers asking for *different* streams proceed in parallel).
 ///
 /// Jobs resolve their stream through [`TraceArena::slice`]: the first
-/// request generates the slab, later ones are a lock-and-clone. The perf
-/// suite materializes its streams up front with [`TraceArena::populate`]
-/// to time generation apart from simulation.
+/// request generates the slab, later ones are a lock-and-clone. The arena
+/// keeps a stream until [`TraceArena::retire`] drops its handle; replay
+/// cursors already holding the slab keep it alive until they finish, and a
+/// later request for a retired key generates it afresh. The perf suite
+/// materializes its streams up front with [`TraceArena::populate`] to time
+/// generation apart from simulation.
 #[derive(Debug, Default)]
 pub struct TraceArena {
     cells: Mutex<HashMap<TraceKey, Arc<Cell>>>,
@@ -342,8 +353,9 @@ impl TraceArena {
     }
 
     /// How many times a stream was actually generated (diagnostics: equals
-    /// [`TraceArena::len`] when every request was deduplicated, i.e. no
-    /// stream was regenerated at a longer length).
+    /// the number of distinct keys requested when every request was
+    /// deduplicated, i.e. no stream was regenerated at a longer length or
+    /// after its key was retired).
     pub fn generations(&self) -> usize {
         self.generations.load(Ordering::Relaxed)
     }
@@ -402,6 +414,17 @@ impl TraceArena {
     /// returning it — the up-front materialization entry point.
     pub fn populate(&self, spec: &WorkloadSpec, seed: u64, min_len: usize) {
         self.slab(spec, seed, min_len);
+    }
+
+    /// Drops the arena's handle on `key`'s stream, returning whether it held
+    /// one. The slab's memory is freed once every cursor replaying it is
+    /// gone; a later request for the key generates it again.
+    pub fn retire(&self, key: &TraceKey) -> bool {
+        self.cells
+            .lock()
+            .expect("arena key map poisoned")
+            .remove(key)
+            .is_some()
     }
 }
 
@@ -484,6 +507,30 @@ mod tests {
         arena.populate(&spec, 8, 2_000);
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.generations(), 2);
+    }
+
+    #[test]
+    fn retiring_a_key_frees_its_slot_and_a_later_request_regenerates() {
+        let arena = TraceArena::new();
+        let spec = WorkloadSpec::em3d();
+        let key = TraceKey::new(&spec, 7);
+        let mut cursor = arena.slice(&spec, 7, 1_000);
+        arena.populate(&spec, 8, 1_000);
+        assert!(arena.retire(&key));
+        assert!(!arena.retire(&key), "a key is retired once");
+        assert_eq!(arena.len(), 1, "the other seed's stream stays");
+        assert_eq!(arena.packed_bytes(), 11 * 1_000);
+
+        // A cursor taken before retirement still replays the whole stream.
+        let mut buf = Vec::new();
+        cursor.fill_into(1_000, &mut buf);
+        let streamed: Vec<MemoryAccess> = TraceGenerator::new(&spec, 7).take(1_000).collect();
+        assert_eq!(buf, streamed);
+
+        // Requesting the retired key generates it again.
+        arena.populate(&spec, 7, 1_000);
+        assert_eq!(arena.len(), 2);
+        assert_eq!(arena.generations(), 3);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! materializes each unique `(workload, geometry, seed)` stream exactly once
 //! into a packed [`TraceSlab`] and replays it through [`TraceSlice`] cursors,
 //! so experiments that run many designs over one stream generate it once.
+//! The arena holds a stream until its key is retired; a scenario-matrix run
+//! retires each stream after the last job that replays it.
 //!
 //! The [`characterize`] module recomputes the paper's characterization figures
 //! from generated traces, closing the loop: the traces we feed the simulator
