@@ -3,13 +3,15 @@
 
     python3 bench/ab.py BASE_REV
 
-Checks BASE_REV out into a git worktree under target/, then runs
-`perfbench/run.py --workload perf-suite --seconds 1 --trace 0` from each tree
-in alternating pairs, each side building into its own CARGO_TARGET_DIR under
-target/. Exits 1 when a HEAD run reports `correct: false` or failed jobs, or
-when HEAD's median of a gated metric (refs_per_s, peak_rss_mb) is worse than
-the base's by more than that metric's bound in BENCHMARK.json, in the
-direction BENCHMARK.json says is better.
+Checks BASE_REV out into a git worktree under target/, then, for each gated
+workload (perf-suite, the kernel-bound one, and sweep-journaled, the
+orchestration-bound one), runs `perfbench/run.py --workload W --seconds 1
+--trace 0` from each tree in alternating pairs, each side building into its
+own CARGO_TARGET_DIR under target/. Exits 1 when a HEAD run reports
+`correct: false` or failed jobs, or when, on any workload, HEAD's median of a
+gated metric (refs_per_s, peak_rss_mb) is worse than the base's by more than
+that metric's bound in BENCHMARK.json, in the direction BENCHMARK.json says
+is better.
 """
 
 import json
@@ -20,7 +22,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 3
-PERFBENCH_ARGS = ["--workload", "perf-suite", "--seconds", "1", "--trace", "0"]
+WORKLOADS = ("perf-suite", "sweep-journaled")
+PERFBENCH_ARGS = ["--seconds", "1", "--trace", "0"]
 GATED = ("refs_per_s", "peak_rss_mb")
 
 
@@ -51,9 +54,15 @@ def verdict(base, head, gated):
     return problems
 
 
-def perfbench(tree, side):
+def verdicts(runs, gated):
+    """The reasons HEAD fails on any workload of `runs`, a dict of
+    workload -> (base runs, head runs); each reason names its workload."""
+    return [f"{w}: {p}" for w, (base, head) in runs.items() for p in verdict(base, head, gated)]
+
+
+def perfbench(tree, side, workload):
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(ROOT, "target", f"ab-{side}"))
-    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py")] + PERFBENCH_ARGS
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload] + PERFBENCH_ARGS
     out = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
     if out.returncode != 0:
         sys.exit(f"ab: perfbench on {side} exited {out.returncode}")
@@ -67,18 +76,21 @@ def main(base_rev):
     subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, capture_output=True)
     subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=True)
     subprocess.run(["git", "worktree", "add", "--detach", tree, base_rev], cwd=ROOT, check=True)
+    runs = {}
     try:
-        base, head = [], []
-        for i in range(PAIRS):
-            order = [("base", tree, base), ("head", ROOT, head)]
-            for side, where, runs in order if i % 2 == 0 else order[::-1]:
-                runs.append(perfbench(where, side))
-            sides = ", ".join(f"{m['name']} base {value(base[-1], m['name']):.4g} head {value(head[-1], m['name']):.4g}"
-                              for m in gated)
-            print(f"pair {i}: {sides} (head correct={head[-1]['correct']}, failed={head[-1]['failed']})", flush=True)
+        for workload in WORKLOADS:
+            base, head = runs[workload] = ([], [])
+            for i in range(PAIRS):
+                order = [("base", tree, base), ("head", ROOT, head)]
+                for side, where, side_runs in order if i % 2 == 0 else order[::-1]:
+                    side_runs.append(perfbench(where, side, workload))
+                sides = ", ".join(f"{m['name']} base {value(base[-1], m['name']):.4g} head {value(head[-1], m['name']):.4g}"
+                                  for m in gated)
+                print(f"{workload} pair {i}: {sides} (head correct={head[-1]['correct']}, failed={head[-1]['failed']})",
+                      flush=True)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, check=True)
-    problems = verdict(base, head, gated)
+    problems = verdicts(runs, gated)
     bounds = ", ".join(f"{m['name']} {m['bound']:.0%}" for m in gated)
     print("\n".join(f"ab gate: FAIL: {p}" for p in problems) or f"ab gate: PASS (bounds: {bounds})")
     return 1 if problems else 0

@@ -56,5 +56,22 @@ class Verdict(unittest.TestCase):
         self.assertIn("MiB", problems[0])
 
 
+class EveryWorkload(unittest.TestCase):
+    BASE = [run(4.0e6), run(4.4e6), run(4.2e6)]
+
+    def test_both_the_kernel_and_the_orchestration_workload_are_gated(self):
+        self.assertEqual(ab.WORKLOADS, ("perf-suite", "sweep-journaled"))
+
+    def test_each_workload_is_gated_with_the_same_bounds(self):
+        ok, slow = [run(4.2e6)] * 3, [run(3.0e6)] * 3
+        runs = {"perf-suite": (self.BASE, ok), "sweep-journaled": (self.BASE, ok)}
+        self.assertEqual(ab.verdicts(runs, GATED), [])
+        runs["sweep-journaled"] = (self.BASE, slow)
+        problems = ab.verdicts(runs, GATED)
+        self.assertEqual(len(problems), 1)
+        self.assertTrue(problems[0].startswith("sweep-journaled: "), problems[0])
+        self.assertIn("trails", problems[0])
+
+
 if __name__ == "__main__":
     unittest.main()

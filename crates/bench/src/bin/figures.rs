@@ -20,6 +20,12 @@
 //! prints JSON to stdout (nothing else, so it can be piped into a file).
 //! `sweep` is intentionally not part of `all`, which emits text tables.
 //!
+//! Every simulating target runs its matrix supervised: a job that panics is
+//! quarantined instead of unwinding through `figures`. The figures need
+//! every job, so a quarantined job makes them print each failure on stderr
+//! (`job N failed after 1 attempt (panic): ...`) and exit 1 before any
+//! table is printed.
+//!
 //! `perf` runs the timed throughput suite (five designs × three workloads ×
 //! 16/32/64 cores) and writes the perf report to `BENCH_perf.json`
 //! (`--out=PATH` overrides the path); with `--store=PATH` it also appends
@@ -51,12 +57,13 @@
 //! its journal. `journal PATH` prints a journal's header and completion
 //! count without running anything.
 //!
-//! Panic quarantine: `sweep --supervised` composes the journal with per-job
-//! supervision — a scenario whose every attempt panics is quarantined (with
-//! `--retries=N` retries under seeded backoff) instead of killing the
-//! sweep, journaled as a typed failure entry (`--resume` skips it rather
-//! than re-crashing), recorded as a queryable `kind=failed` warehouse row,
-//! and listed in a `"failures"` array in the JSON.
+//! Panic quarantine: `sweep` retries a scenario whose attempt panics
+//! (`--retries=N`, default 1, under seeded backoff). One whose every
+//! attempt panics is quarantined instead of killing the sweep: it is
+//! journaled as a typed failure entry (`--resume` skips it rather than
+//! re-crashing), recorded as a queryable `kind=failed` warehouse row, and
+//! listed in the JSON's `"failures"` array (empty when every job
+//! completed), with `null` in its `"results"` slot.
 //!
 //! The experiment service (`figures serve`) runs sweeps as a resident job
 //! server over a Unix socket in `--spool=DIR` (default `bench/spool`);
@@ -64,14 +71,19 @@
 //! `submit` takes the active `--quick`/`--smoke` config plus
 //! `--workloads=`/`--designs=`/`--cores=`/`--slices=`/`--clusters=` axes
 //! and `--retries=`/`--deadline-ms=` supervision knobs, with `--seed=`
-//! overriding the preset's seed. Those axis flags and `--deadline-ms=` are
-//! read by `submit` only, so every other target rejects them. See the
-//! `rnuca-service` crate docs for the protocol and crash-resume semantics.
+//! overriding the preset's seed. See the `rnuca-service` crate docs for the
+//! protocol and crash-resume semantics.
 //!
-//! Exit codes: 0 success, 1 generic failure, 2 usage error (an unknown flag
-//! or target, a malformed `--workers=` or `--seed=`, a submit-only option
-//! given to another target, or a malformed query with spanned diagnostics
-//! on stderr),
+//! Some flags are read by some targets only: `--journal=` and `--resume` by
+//! `sweep`; `--retries=` by `sweep` and `submit`; `--out=`, `--filter=` and
+//! `--list` by `perf`; `--json` by `query`; the axis flags and
+//! `--deadline-ms=` by `submit`. A flag that none of the requested targets
+//! reads is a usage error rather than silently ignored.
+//!
+//! Exit codes: 0 success, 1 generic failure (including a figure whose
+//! matrix had a quarantined job), 2 usage error (an unknown flag or target,
+//! a flag no requested target reads, a malformed `--workers=`, `--seed=` or
+//! `--retries=`, or a malformed query with spanned diagnostics on stderr),
 //! 3 corrupt on-disk artifact — a damaged warehouse or journal renders a
 //! compiler-style diagnostic naming the file and byte offset, and is never
 //! silently recreated or repaired.
@@ -99,37 +111,37 @@ const CHARACTERIZATION_REFS_SMOKE: usize = 10_000;
 /// `--seed=` replaces it.
 const CHARACTERIZATION_SEED: u64 = 1;
 
-/// Every switch `figures` accepts.
-const SWITCHES: &[&str] = &[
-    "--quick",
-    "--smoke",
-    "--list",
-    "--resume",
-    "--json",
-    "--supervised",
+/// Every flag `figures` accepts, with the targets that read it (an empty
+/// list: every target). A `--name=value` option is listed with its `=`. A
+/// command line whose requested targets include no reader of one of its
+/// flags exits 2 instead of running as if the flag had not been given.
+const FLAGS: &[(&str, &[&str])] = &[
+    ("--quick", &[]),
+    ("--smoke", &[]),
+    ("--workers=", &[]),
+    ("--seed=", &[]),
+    ("--store=", &[]),
+    ("--spool=", &[]),
+    ("--journal=", &["sweep"]),
+    ("--resume", &["sweep"]),
+    ("--retries=", &["sweep", "submit"]),
+    ("--out=", &["perf"]),
+    ("--filter=", &["perf"]),
+    ("--list", &["perf"]),
+    ("--json", &["query"]),
+    ("--workloads=", &["submit"]),
+    ("--designs=", &["submit"]),
+    ("--cores=", &["submit"]),
+    ("--slices=", &["submit"]),
+    ("--clusters=", &["submit"]),
+    ("--deadline-ms=", &["submit"]),
 ];
 
-/// Every `--name=value` option `figures` accepts, with its `=`.
-const OPTIONS: &[&str] = &[
-    "--workers=",
-    "--out=",
-    "--filter=",
-    "--store=",
-    "--journal=",
-    "--retries=",
-    "--spool=",
-    "--seed=",
-];
-
-/// The `--name=value` options only `figures submit` reads; every other
-/// target rejects them rather than silently running its preset.
-const SUBMIT_OPTIONS: &[&str] = &[
-    "--workloads=",
-    "--designs=",
-    "--cores=",
-    "--slices=",
-    "--clusters=",
-    "--deadline-ms=",
+/// The warehouse and service subcommands: each takes the positionals after
+/// it as its own operands (files, query text, submission ids), not as
+/// targets.
+const SUBCOMMANDS: &[&str] = &[
+    "query", "journal", "serve", "submit", "status", "watch", "cancel", "drain",
 ];
 
 /// The targets that print figures or run experiments; the warehouse and
@@ -141,14 +153,36 @@ const TARGETS: &[&str] = &[
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let is_option = |a: &str, options: &[&str]| options.iter().any(|o| a.starts_with(o));
-    if let Some(flag) = args.iter().find(|a| {
-        a.starts_with("--")
-            && !SWITCHES.contains(&a.as_str())
-            && !is_option(a, OPTIONS)
-            && !is_option(a, SUBMIT_OPTIONS)
-    }) {
-        exit_usage(&format!("unknown flag: {flag}"));
+    let targets: Vec<String> = args
+        .iter()
+        .filter(|a| !a.starts_with("--"))
+        .cloned()
+        .collect();
+    let targets = if targets.is_empty() {
+        vec!["all".to_string()]
+    } else {
+        targets
+    };
+    let requested = if SUBCOMMANDS.contains(&targets[0].as_str()) {
+        &targets[..1]
+    } else {
+        &targets[..]
+    };
+    for flag in args.iter().filter(|a| a.starts_with("--")) {
+        let matches = |name: &str| {
+            if name.ends_with('=') {
+                flag.starts_with(name)
+            } else {
+                flag == name
+            }
+        };
+        let Some((_, readers)) = FLAGS.iter().find(|(name, _)| matches(name)) else {
+            exit_usage(&format!("unknown flag: {flag}"));
+        };
+        if !readers.is_empty() && !requested.iter().any(|t| readers.contains(&t.as_str())) {
+            let readers: Vec<String> = readers.iter().map(|t| format!("`figures {t}`")).collect();
+            exit_usage(&format!("{flag} applies only to {}", readers.join(" or ")));
+        }
     }
     let quick = args.iter().any(|a| a == "--quick");
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -186,11 +220,12 @@ fn main() {
         .map(String::from);
     let resume = args.iter().any(|a| a == "--resume");
     let json_output = args.iter().any(|a| a == "--json");
-    let supervised = args.iter().any(|a| a == "--supervised");
     let retries = match args.iter().find_map(|a| a.strip_prefix("--retries=")) {
-        Some(n) => n
-            .parse::<u32>()
-            .unwrap_or_else(|_| exit_with(&format!("--retries must be a number, got {n}"))),
+        Some(n) => n.parse::<u32>().unwrap_or_else(|_| {
+            exit_usage(&format!(
+                "--retries must be a non-negative integer, got {n}"
+            ))
+        }),
         None => 1,
     };
     let spool_dir = args
@@ -198,16 +233,6 @@ fn main() {
         .find_map(|a| a.strip_prefix("--spool="))
         .unwrap_or("bench/spool")
         .to_string();
-    let targets: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .collect();
-    let targets = if targets.is_empty() {
-        vec!["all".to_string()]
-    } else {
-        targets
-    };
 
     let (mut cfg, cfg_label) = if smoke {
         (ExperimentConfig::smoke(), "smoke")
@@ -226,12 +251,6 @@ fn main() {
     let char_seed = seed.unwrap_or(CHARACTERIZATION_SEED);
     if let Some(seed) = seed {
         cfg.seed = seed;
-    }
-
-    if targets[0] != "submit" {
-        if let Some(flag) = args.iter().find(|a| is_option(a, SUBMIT_OPTIONS)) {
-            exit_usage(&format!("{flag} applies only to `figures submit`"));
-        }
     }
 
     // The warehouse and service subcommands consume the remaining
@@ -298,7 +317,7 @@ fn main() {
                 store_path.as_deref(),
                 journal_arg.as_deref(),
                 resume,
-                supervised.then_some(retries),
+                retries,
             ),
             "perf" if perf_list => perf_list_only(&cfg, perf_filter.as_deref()),
             "perf" => perf(
@@ -336,18 +355,17 @@ fn main() {
 /// appended to the warehouse (the append summary goes to stderr, keeping
 /// stdout pipeable); with `--journal=` every finished job is logged as the
 /// sweep runs, and `--resume` continues an interrupted sweep from that
-/// journal; with `--supervised` a scenario whose every attempt panics gets
-/// `--retries` retries under seeded backoff and, if it still fails, a typed
-/// failure entry — in the JSON's `"failures"` array, in the journal (so
-/// `--resume` skips it instead of re-crashing), and as a `kind=failed`
-/// warehouse row.
+/// journal. A scenario whose attempt panics gets `--retries` retries
+/// (default 1) under seeded backoff and, if it still fails, a typed failure
+/// entry — in the JSON's `"failures"` array, in the journal (so `--resume`
+/// skips it instead of re-crashing), and as a `kind=failed` warehouse row.
 fn sweep(
     cfg: ExperimentConfig,
     engine: &ExperimentEngine,
     store_path: Option<&str>,
     journal: Option<&str>,
     resume: bool,
-    retries: Option<u32>,
+    retries: u32,
 ) {
     if let Some(jpath) = journal {
         let exists = Path::new(jpath).exists();
@@ -367,8 +385,7 @@ fn sweep(
     let opts = SweepOptions {
         journal: journal.map(Path::new),
         resume,
-        policy: retries
-            .map(|n| RetryPolicy::immediate(n).with_backoff(BackoffConfig::default_service())),
+        policy: RetryPolicy::immediate(retries).with_backoff(BackoffConfig::default_service()),
         store: store.as_ref(),
         ..SweepOptions::new(*engine)
     };
@@ -398,12 +415,8 @@ fn sweep(
         });
         eprintln!("journal: sweep complete, removed {jpath}");
     }
-    if retries.is_some() {
-        report_quarantined(&outcome.sweep);
-        print!("{}", outcome.sweep.to_json());
-    } else {
-        print!("{}", outcome.sweep.into_sweep().to_json());
-    }
+    report_quarantined(&outcome.sweep);
+    print!("{}", outcome.sweep.to_json());
 }
 
 /// Makes quarantined jobs loud on stderr (stdout stays pipeable JSON).
@@ -413,13 +426,25 @@ fn report_quarantined(sweep: &QuarantinedSweep) {
         return;
     }
     eprintln!(
-        "supervised sweep: {} of {} jobs quarantined:",
+        "sweep: {} of {} jobs quarantined:",
         failures.len(),
         sweep.results.len()
     );
     for f in failures {
         eprintln!("  {f}");
     }
+}
+
+/// The sweep's results when every job completed. Otherwise each quarantined
+/// job is printed on stderr and `figures` exits 1: a figure drawn from part
+/// of its matrix would be silently wrong.
+fn complete(sweep: QuarantinedSweep) -> ScenarioSweep {
+    sweep.into_sweep().unwrap_or_else(|failures| {
+        for failure in &failures {
+            eprintln!("{failure}");
+        }
+        std::process::exit(1);
+    })
 }
 
 /// `figures serve`: run the resident experiment service until drained, with
@@ -849,12 +874,10 @@ struct Evaluation(ScenarioSweep);
 
 impl Evaluation {
     fn run(cfg: ExperimentConfig, engine: ExperimentEngine) -> Self {
-        let sweep = ScenarioMatrix::paper_evaluation(cfg)
+        let outcome = ScenarioMatrix::paper_evaluation(cfg)
             .run(&SweepOptions::new(engine))
-            .expect("the paper evaluation's axes are valid")
-            .sweep
-            .into_sweep();
-        Evaluation(sweep)
+            .expect("the paper evaluation's axes are valid");
+        Evaluation(complete(outcome.sweep))
     }
 
     /// One workload's results at a time, in the suite's order.
@@ -1018,11 +1041,10 @@ fn per_class_l2_table(c: &Evaluation, class: AccessClass) {
 
 fn fig11(cfg: &ExperimentConfig, engine: &ExperimentEngine) {
     heading("Figure 11: CPI vs R-NUCA instruction-cluster size, normalised to size-1 clusters");
-    let sweep = ScenarioMatrix::cluster_sweep(*cfg, &[1, 2, 4, 8, 16])
+    let outcome = ScenarioMatrix::cluster_sweep(*cfg, &[1, 2, 4, 8, 16])
         .run(&SweepOptions::new(*engine))
-        .expect("the Figure 11 sizes are valid")
-        .sweep
-        .into_sweep();
+        .expect("the Figure 11 sizes are valid");
+    let sweep = complete(outcome.sweep);
     let mut table = TextTable::new(vec![
         "workload",
         "size",

@@ -1,7 +1,8 @@
 //! End-to-end chaos smoke: kill the real `figures` binary at a fail-point-
 //! chosen job boundary mid-sweep, resume it from its journal, and prove the
 //! resumed warehouse is byte-identical to one built by a run that was never
-//! interrupted.
+//! interrupted. And poison one job: a sweep quarantines it, while a figure
+//! that needs every job fails loudly.
 //!
 //! Ignored by default — each leg runs a full `--smoke` sweep, so CI runs
 //! this in release mode (`cargo test --release -p rnuca-bench --test
@@ -148,18 +149,11 @@ fn killed_and_resumed_sweep_builds_a_byte_identical_warehouse() {
     }
 }
 
-/// The `"results"` array of a sweep document, as text.
-fn results_section(json: &str) -> &str {
-    let start = json.find("\"results\": [").expect("a results array");
-    let len = json[start..].find("\n  ]").expect("a closed results array");
-    &json[start..start + len]
-}
-
 #[test]
-#[ignore = "runs two --smoke sweeps; CI's chaos-smoke step runs it in release"]
-fn supervised_sweep_quarantines_the_poisoned_job_and_otherwise_matches_the_plain_sweep() {
-    let store = temp("supervised.bin");
-    let journal = temp("supervised.journal");
+#[ignore = "runs a --smoke sweep; CI's chaos-smoke step runs it in release"]
+fn a_poisoned_sweep_job_is_quarantined_journaled_and_stored_as_failed() {
+    let store = temp("quarantine.bin");
+    let journal = temp("quarantine.journal");
     for p in [&store, &journal] {
         std::fs::remove_file(p).ok();
     }
@@ -175,7 +169,6 @@ fn supervised_sweep_quarantines_the_poisoned_job_and_otherwise_matches_the_plain
             "--smoke",
             "--workers=2",
             "sweep",
-            "--supervised",
             "--retries=0",
             &journal_arg,
             &store_arg,
@@ -183,8 +176,16 @@ fn supervised_sweep_quarantines_the_poisoned_job_and_otherwise_matches_the_plain
         Some(&format!("{site}=panic@1")),
     );
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(out.status.success(), "supervised sweep failed: {stderr}");
+    assert!(out.status.success(), "the sweep failed: {stderr}");
+    assert!(
+        stderr.contains("sweep: 1 of 288 jobs quarantined"),
+        "{stderr}"
+    );
     let json = String::from_utf8(out.stdout).expect("utf-8 JSON");
+    assert!(
+        json.contains("\"results\": [\n    null,\n"),
+        "job 0's slot is null"
+    );
     let failures = &json[json.find("\"failures\": [").expect("a failures array")..];
     assert_eq!(failures.matches("\"job\": ").count(), 1, "{failures}");
     assert!(failures.contains("\"job\": 0,"), "{failures}");
@@ -204,14 +205,30 @@ fn supervised_sweep_quarantines_the_poisoned_job_and_otherwise_matches_the_plain
     assert!(table.ends_with("1 rows\n"), "one kind=failed row: {table}");
     assert!(table.contains("OLTP DB2  S       16"), "{table}");
     std::fs::remove_file(&store).ok();
+}
 
-    // Without the fail point, the supervised sweep's results are the plain
-    // sweep's.
-    let supervised = figures(&["--smoke", "--workers=2", "sweep", "--supervised"], None);
-    let plain = figures(&["--smoke", "--workers=2", "sweep"], None);
-    assert!(supervised.status.success() && plain.status.success());
-    let supervised = String::from_utf8(supervised.stdout).expect("utf-8 JSON");
-    let plain = String::from_utf8(plain.stdout).expect("utf-8 JSON");
-    assert_eq!(results_section(&supervised), results_section(&plain));
-    assert!(supervised.contains("\"failures\": [\n  ]"));
+#[test]
+#[ignore = "runs a --smoke evaluation; CI's chaos-smoke step runs it in release"]
+fn a_poisoned_job_fails_the_figures_loudly() {
+    // Figure 7 needs every job of the paper evaluation. One poisoned job
+    // must end the run with its failure on stderr and exit 1 — not a raw
+    // panic, and not a table drawn from the jobs that survived.
+    let site = "sim::member::OLTP DB2::shared::16c";
+    let out = figures(
+        &["--smoke", "--workers=2", "fig7"],
+        Some(&format!("{site}=panic@1")),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    // Job 2 of the evaluation is OLTP DB2's shared design (P, A, S, ...).
+    assert!(
+        stderr.contains("job 2 failed after 1 attempt (panic)"),
+        "{stderr}"
+    );
+    assert!(stderr.contains(site), "{stderr}");
+    assert!(
+        !stdout.contains("Figure 7"),
+        "no table is printed: {stdout}"
+    );
 }

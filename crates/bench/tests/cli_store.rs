@@ -190,8 +190,36 @@ fn unknown_flags_and_targets_exit_2_naming_them() {
 fn submit_only_flags_exit_2_on_every_other_target() {
     // Only `figures submit` reads these options; any other target would run
     // its preset (seed 42, preset cores, every design) as if the flag had
-    // not been given, so it refuses the command line instead.
+    // not been given, so it refuses the command line instead. The same
+    // holds for every flag only some targets read: `--journal=`,
+    // `--resume` and `--retries=` (sweep), `--out=`, `--filter=` and
+    // `--list` (perf), `--json` (query). `--supervised` is no flag at all:
+    // every sweep is supervised.
     for (args, named) in [
+        (&["--smoke", "fig6", "--journal=x"][..], "--journal=x"),
+        (&["--smoke", "fig6", "--resume"][..], "--resume"),
+        (&["--smoke", "fig6", "--retries=3"][..], "--retries=3"),
+        (&["--smoke", "fig6", "--out=y"][..], "--out=y"),
+        (&["--smoke", "fig6", "--filter=z"][..], "--filter=z"),
+        (&["--smoke", "fig6", "--list"][..], "--list"),
+        (&["--smoke", "fig6", "--json"][..], "--json"),
+        (&["--smoke", "fig6", "--supervised"][..], "--supervised"),
+        (&["--smoke", "perf", "--journal=x"][..], "--journal=x"),
+        (&["--smoke", "sweep", "--out=y"][..], "--out=y"),
+        (&["--smoke", "sweep", "--retries=x"][..], "--retries"),
+        (&["journal", "--json", "x.journal"][..], "--json"),
+        (
+            &[
+                "--smoke",
+                "fig6",
+                "--journal=x",
+                "--retries=3",
+                "--out=y",
+                "--filter=z",
+                "--json",
+            ][..],
+            "--journal=x",
+        ),
         (&["--smoke", "--cores=64", "fig7"][..], "--cores=64"),
         (&["--smoke", "--designs=S", "fig7"][..], "--designs=S"),
         (

@@ -1,21 +1,23 @@
-//! The runner thread: claims submissions, executes them as supervised,
-//! journaled, deadline-bounded sweeps, and lands their rows in the
-//! warehouse.
+//! The runner thread: claims submissions, executes them as journaled,
+//! deadline-bounded sweeps, and lands their rows in the warehouse.
 //!
 //! # Execution shape
 //!
 //! A submission is one call of the library's sweep function,
-//! [`ScenarioMatrix::run`](rnuca_sim::ScenarioMatrix::run), with the
-//! submission's journal (resumed when a previous run or a crash left one
-//! behind), its full retry policy (seeded
-//! backoff, per-attempt deadline), the warehouse as the row sink, the
-//! claim's stop flag, and a progress callback feeding the registry. The
-//! sweep journals each job the moment its outcome is final, on the worker
-//! that claimed it — never on an abandoned deadline-overrun thread — so the
+//! [`ScenarioMatrix::run`](rnuca_sim::ScenarioMatrix::run) — the same
+//! supervised path `figures sweep` takes — with the submission's journal
+//! (resumed when a previous run or a crash left one behind), its retry
+//! policy (seeded backoff, per-attempt deadline), the warehouse as the row
+//! sink, the claim's stop flag, and a progress callback feeding the
+//! registry. Every attempt runs on the worker that claimed its job, and the
+//! sweep journals each job there the moment its outcome is final, so the
 //! crash window is the jobs in flight, and a drain or cancel stops claiming
 //! at the next job. Jobs whose every attempt fails are journaled as typed
-//! failure entries. What stays here is the service's own work: the atomic
-//! save, spool retirement, and state updates.
+//! failure entries. The deadline is cooperative: a job checks it before
+//! each batch of references it replays, so an overrun ends at the next
+//! batch, but stream generation and simulator construction are not
+//! interrupted. What stays here is the service's own work: the atomic save,
+//! spool retirement, and state updates.
 //!
 //! # The crash-resume and byte-identity invariant
 //!
@@ -144,7 +146,7 @@ impl Runner {
         let outcome = matrix.run(&SweepOptions {
             journal: Some(&journal),
             resume: journal.exists(),
-            policy: Some(claim.spec.policy()),
+            policy: claim.spec.policy(),
             store: Some(&store),
             stop: Some(&claim.stop),
             progress: Some(&progress),

@@ -13,25 +13,30 @@
 //!
 //! Two execution modes share that machinery:
 //!
-//! * [`ExperimentEngine::run`] — fail fast. The first panicking job stops
-//!   the pool and the *original* panic payload is re-raised on the caller's
-//!   thread (not a secondary poisoned-lock error, and not the anonymous
-//!   "a scoped thread panicked" that `std::thread::scope` would raise).
-//! * [`ExperimentEngine::run_supervised`] — quarantine. Every attempt runs
-//!   on a watchdogged thread under a [`RetryPolicy`] (retries, seeded
-//!   backoff, per-attempt deadline); each slot yields
-//!   `Result<T, JobFailure>`, so one poisoned scenario becomes a failure
-//!   record while every other job still completes. An accept hook sees
+//! * [`ExperimentEngine::run_supervised`] — the job path every matrix run
+//!   takes. Each attempt runs inline on the worker that claimed the job,
+//!   under [`catch_unwind`] and a [`RetryPolicy`] (retries, seeded backoff,
+//!   per-attempt deadline); each slot yields `Result<T, JobFailure>`, so one
+//!   poisoned scenario becomes a failure record while every other job still
+//!   completes. Deadlines are cooperative: the job receives the instant its
+//!   attempt must finish by and unwinds with a
+//!   [`DeadlineExceeded`] payload once it passes it. An accept hook sees
 //!   each final outcome on the claiming worker, which is where callers
 //!   journal it.
+//! * [`ExperimentEngine::run`] — fail fast, for the perf suite's timing
+//!   loop. The first panicking job stops the pool and the *original* panic
+//!   payload is re-raised on the caller's thread (not a secondary
+//!   poisoned-lock error, and not the anonymous "a scoped thread panicked"
+//!   that `std::thread::scope` would raise).
 
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
-use rnuca_types::retry::RetryPolicy;
+use rnuca_types::retry::{DeadlineExceeded, RetryPolicy};
 
 /// A bounded worker pool executing job lists with deterministic assembly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,24 +200,23 @@ impl ExperimentEngine {
     /// Supervised execution with per-attempt wall-clock deadlines, seeded
     /// backoff, a cooperative stop flag, and an accept hook.
     ///
-    /// Each job is attempted up to `policy.attempts()` times; between
-    /// attempts of job `i` the claiming worker sleeps the policy's
+    /// Each job is attempted up to `policy.attempts()` times, every attempt
+    /// inline on the worker that claimed the job, under [`catch_unwind`].
+    /// Between attempts of job `i` the worker sleeps the policy's
     /// seeded-jitter backoff `delay(seed, i, attempt)` — a pure function of
     /// its arguments, so the pause schedule (like the results) is identical
     /// for every worker count. A job whose every attempt fails yields
     /// `Err(`[`JobFailure`]`)` in its slot while all other jobs still run.
     ///
-    /// Each attempt runs on a *detached* thread that reports its outcome
-    /// over a channel; the claiming worker acts as the watchdog, waiting at
-    /// most `policy.deadline` for the report. An attempt that overruns is
-    /// abandoned (threads cannot be killed; the stray thread finishes into
-    /// a disconnected channel and its result is dropped — `run` must
-    /// therefore be side-effect-free) and counts as a failed attempt with
-    /// [`FailureCause::Deadline`].
+    /// `run` receives the job index, the job, and the instant the attempt
+    /// must finish by (`None` without a policy deadline). The deadline is
+    /// cooperative: a job checks it between units of work with
+    /// [`DeadlineExceeded::check`], and an attempt that unwinds with that
+    /// payload fails with [`FailureCause::Deadline`]. Nothing interrupts a
+    /// job that does not check, and no attempt outlives this call.
     ///
-    /// Once a job's outcome is final, the claiming worker calls
-    /// `accept(i, &outcome)` — outside [`catch_unwind`] and never on an
-    /// abandoned attempt thread, so side effects such as journal appends
+    /// Once a job's outcome is final, the worker calls `accept(i, &outcome)`
+    /// outside [`catch_unwind`], so side effects such as journal appends
     /// belong there. An `Err` from the hook stops further claims and is
     /// returned once in-flight jobs finish.
     ///
@@ -221,30 +225,25 @@ impl ExperimentEngine {
     /// service protocol. Unclaimed slots come back as `None` (never
     /// attempted), claimed ones as `Some(result)`.
     ///
-    /// The `Arc`/`'static` bounds exist because abandoned attempt threads
-    /// may outlive this call; they keep the jobs and closure alive instead
-    /// of dangling.
-    ///
     /// # Errors
     ///
     /// The first error the accept hook returned.
     pub fn run_supervised<J, T, F, A, E>(
         &self,
-        jobs: Arc<Vec<J>>,
+        jobs: &[J],
         seed: u64,
         policy: &RetryPolicy,
         stop: &AtomicBool,
-        run: Arc<F>,
+        run: F,
         accept: A,
     ) -> Result<Vec<Option<Result<T, JobFailure>>>, E>
     where
-        J: Send + Sync + 'static,
-        T: Send + 'static,
-        F: Fn(usize, &J) -> T + Send + Sync + 'static,
+        J: Sync,
+        T: Send,
+        F: Fn(usize, &J, Option<Instant>) -> T + Sync,
         A: Fn(usize, &Result<T, JobFailure>) -> Result<(), E> + Sync,
         E: Send,
     {
-        let attempts = policy.attempts();
         let rejected: Mutex<Option<E>> = Mutex::new(None);
         let slots: Vec<Mutex<Option<Result<T, JobFailure>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
@@ -252,30 +251,37 @@ impl ExperimentEngine {
             jobs.len(),
             || stop.load(Ordering::Acquire) || lock(&rejected).is_some(),
             |i| {
-                let mut outcome = None;
-                for attempt in 1..=attempts {
-                    if attempt > 1 {
-                        let pause = policy.backoff.delay(seed, i, attempt - 1);
-                        if !pause.is_zero() {
-                            std::thread::sleep(pause);
-                        }
+                let mut attempt = 1;
+                let outcome = loop {
+                    // A deadline too far out to represent never passes.
+                    let deadline = policy.deadline.and_then(|d| Instant::now().checked_add(d));
+                    let failed = match catch_unwind(AssertUnwindSafe(|| run(i, &jobs[i], deadline)))
+                    {
+                        Ok(result) => break Ok(result),
+                        Err(payload) if payload.is::<DeadlineExceeded>() => (
+                            FailureCause::Deadline,
+                            format!(
+                                "attempt exceeded the {:?} deadline",
+                                policy.deadline.unwrap_or_default()
+                            ),
+                        ),
+                        Err(payload) => (FailureCause::Panic, payload_message(payload.as_ref())),
+                    };
+                    if attempt == policy.attempts() {
+                        let (cause, message) = failed;
+                        break Err(JobFailure {
+                            job: i,
+                            attempts: attempt,
+                            cause,
+                            message,
+                        });
                     }
-                    match Self::attempt_detached(&jobs, i, policy, &run) {
-                        Ok(result) => {
-                            outcome = Some(Ok(result));
-                            break;
-                        }
-                        Err((cause, message)) => {
-                            outcome = Some(Err(JobFailure {
-                                job: i,
-                                attempts: attempt,
-                                cause,
-                                message,
-                            }));
-                        }
+                    let pause = policy.backoff.delay(seed, i, attempt);
+                    if !pause.is_zero() {
+                        std::thread::sleep(pause);
                     }
-                }
-                let outcome = outcome.expect("at least one attempt ran");
+                    attempt += 1;
+                };
                 match accept(i, &outcome) {
                     Ok(()) => *lock(&slots[i]) = Some(outcome),
                     Err(e) => {
@@ -320,40 +326,6 @@ impl ExperimentEngine {
             }
         });
     }
-
-    /// One watchdogged attempt of job `i`: spawn the attempt detached,
-    /// wait at most the policy deadline for its report.
-    fn attempt_detached<J, T, F>(
-        jobs: &Arc<Vec<J>>,
-        i: usize,
-        policy: &RetryPolicy,
-        run: &Arc<F>,
-    ) -> Result<T, (FailureCause, String)>
-    where
-        J: Send + Sync + 'static,
-        T: Send + 'static,
-        F: Fn(usize, &J) -> T + Send + Sync + 'static,
-    {
-        let (tx, rx) = mpsc::channel();
-        let jobs = Arc::clone(jobs);
-        let run = Arc::clone(run);
-        std::thread::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| run(i, &jobs[i])));
-            // The watchdog may have given up and dropped the receiver; a
-            // failed send just discards the late result.
-            let _ = tx.send(result);
-        });
-        let report = match policy.deadline {
-            Some(deadline) => rx.recv_timeout(deadline).map_err(|_| {
-                (
-                    FailureCause::Deadline,
-                    format!("attempt exceeded the {deadline:?} deadline (abandoned)"),
-                )
-            })?,
-            None => rx.recv().expect("attempt thread always reports"),
-        };
-        report.map_err(|payload| (FailureCause::Panic, payload_message(payload.as_ref())))
-    }
 }
 
 impl Default for ExperimentEngine {
@@ -384,18 +356,18 @@ mod tests {
         run: F,
     ) -> Vec<Result<T, JobFailure>>
     where
-        J: Send + Sync + 'static,
-        T: Send + 'static,
-        F: Fn(usize, &J) -> T + Send + Sync + 'static,
+        J: Sync,
+        T: Send,
+        F: Fn(usize, &J) -> T + Sync,
     {
         let stop = AtomicBool::new(false);
         ExperimentEngine::with_workers(workers)
             .run_supervised(
-                Arc::new(jobs),
+                &jobs,
                 seed,
                 policy,
                 &stop,
-                Arc::new(run),
+                |i, j, _| run(i, j),
                 |_, _| Ok::<(), ()>(()),
             )
             .expect("the hook accepts every outcome")
@@ -607,89 +579,96 @@ mod tests {
     }
 
     #[test]
-    fn detached_run_enforces_the_deadline_and_keeps_other_jobs() {
+    fn supervised_run_enforces_the_deadline_cooperatively_and_keeps_other_jobs() {
         use std::time::Duration;
 
-        let jobs: Vec<u64> = (0..6).collect();
-        let policy = RetryPolicy::immediate(0).with_deadline(Duration::from_millis(50));
+        // Job 2 polls its deadline the way a scenario job does between
+        // trace batches, and would poll for 5 s: the first check past the
+        // 50 ms deadline unwinds it. Every retry overruns the same way.
+        let policy = RetryPolicy::immediate(1).with_deadline(Duration::from_millis(50));
+        let started = Instant::now();
         let stop = AtomicBool::new(false);
         let out = ExperimentEngine::with_workers(3)
             .run_supervised(
-                Arc::new(jobs),
+                &(0..6).collect::<Vec<u64>>(),
                 42,
                 &policy,
                 &stop,
-                Arc::new(|_, &j: &u64| {
+                |_, &j, deadline| {
                     if j == 2 {
-                        // Far past the deadline; the attempt is abandoned.
-                        std::thread::sleep(Duration::from_secs(5));
+                        assert!(deadline.is_some(), "the policy's deadline reaches the job");
+                        while started.elapsed() < Duration::from_secs(5) {
+                            DeadlineExceeded::check(deadline);
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
                     }
                     j + 1
-                }),
+                },
                 |_, _| Ok::<(), ()>(()),
             )
             .expect("the hook accepts every outcome");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the overrunning attempts unwound at their deadline"
+        );
         assert_eq!(out.len(), 6);
         for (i, slot) in out.iter().enumerate() {
             let slot = slot.as_ref().expect("every job is claimed");
             if i == 2 {
                 let failure = slot.as_ref().expect_err("job 2 must hit the deadline");
                 assert_eq!(failure.cause, FailureCause::Deadline);
-                assert_eq!(failure.attempts, 1);
-                assert!(failure.message.contains("deadline"), "{}", failure.message);
+                assert_eq!(failure.attempts, 2);
+                assert_eq!(failure.message, "attempt exceeded the 50ms deadline");
             } else {
                 assert_eq!(slot.as_ref().copied(), Ok(i as u64 + 1));
             }
         }
+
+        // A deadline too far out to represent (`--deadline-ms` is outside
+        // input) runs the job unbounded instead of overflowing the clock.
+        let unbounded = RetryPolicy::immediate(0).with_deadline(Duration::MAX);
+        assert_eq!(
+            supervise(1, vec![7u64], 0, &unbounded, |_, &j| j),
+            vec![Ok(7)]
+        );
     }
 
     #[test]
-    fn detached_run_quarantines_panics_with_their_message() {
-        let jobs: Vec<u64> = (0..4).collect();
-        let stop = AtomicBool::new(false);
-        let out = ExperimentEngine::with_workers(2)
-            .run_supervised(
-                Arc::new(jobs),
-                7,
-                &RetryPolicy::immediate(1),
-                &stop,
-                Arc::new(|_, &j: &u64| {
-                    if j == 3 {
-                        panic!("member {j} exploded");
-                    }
-                    j
-                }),
-                |_, _| Ok::<(), ()>(()),
-            )
-            .expect("the hook accepts every outcome");
-        let failure = out[3]
-            .as_ref()
-            .expect("claimed")
-            .as_ref()
-            .expect_err("job 3 must fail");
+    fn supervised_run_quarantines_panics_with_their_message() {
+        let out = supervise(
+            2,
+            (0..4).collect::<Vec<u64>>(),
+            7,
+            &RetryPolicy::immediate(1),
+            |_, &j| {
+                if j == 3 {
+                    panic!("member {j} exploded");
+                }
+                j
+            },
+        );
+        let failure = out[3].as_ref().expect_err("job 3 must fail");
         assert_eq!(failure.cause, FailureCause::Panic);
         assert_eq!(failure.attempts, 2, "one retry was spent");
         assert_eq!(failure.message, "member 3 exploded");
     }
 
     #[test]
-    fn detached_run_stops_claiming_once_the_stop_flag_is_set() {
+    fn supervised_run_stops_claiming_once_the_stop_flag_is_set() {
         // One worker, stop flag raised by the first job: the remaining
         // jobs must never be claimed (their slots stay None) — the `drain`
         // behaviour of the experiment service.
-        let jobs: Vec<u64> = (0..5).collect();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_from_job = Arc::clone(&stop);
+        let stop = AtomicBool::new(false);
         let out = ExperimentEngine::with_workers(1)
             .run_supervised(
-                Arc::new(jobs),
+                &(0..5).collect::<Vec<u64>>(),
                 0,
                 &RetryPolicy::immediate(0),
                 &stop,
-                Arc::new(move |_, &j: &u64| {
-                    stop_from_job.store(true, Ordering::Release);
+                |_, &j, _| {
+                    stop.store(true, Ordering::Release);
                     j
-                }),
+                },
                 |_, _| Ok::<(), ()>(()),
             )
             .expect("the hook accepts every outcome");
@@ -706,19 +685,18 @@ mod tests {
     fn an_accept_hook_error_stops_further_claims() {
         // One worker, a hook that rejects job 2's outcome: the error comes
         // back, and jobs after it are never claimed.
-        let ran = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&ran);
+        let ran = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let err = ExperimentEngine::with_workers(1)
             .run_supervised(
-                Arc::new((0..6).collect::<Vec<u64>>()),
+                &(0..6).collect::<Vec<u64>>(),
                 0,
                 &RetryPolicy::immediate(0),
                 &stop,
-                Arc::new(move |_, &j: &u64| {
-                    counter.fetch_add(1, Ordering::Relaxed);
+                |_, &j, _| {
+                    ran.fetch_add(1, Ordering::Relaxed);
                     j
-                }),
+                },
                 |i, _| {
                     if i == 2 {
                         Err(format!("cannot record job {i}"))

@@ -168,6 +168,7 @@ mod tests {
             .expect("the paper evaluation's axes are valid")
             .sweep
             .into_sweep()
+            .expect("every job completes")
     }
 
     #[test]
@@ -177,7 +178,7 @@ mod tests {
         cfg.asr_best_of = true;
         cfg.warmup_refs = 10_000;
         cfg.measured_refs = 8_000;
-        let best = asr_job(&spec).run(&cfg, &TraceArena::new());
+        let best = asr_job(&spec).run(&cfg, &TraceArena::new(), None);
         // The best-of result can be no slower than the adaptive version alone.
         let adaptive = run_single(&spec, asr_job(&spec).design, &cfg);
         assert!(best.total_cpi() <= adaptive.total_cpi() + 1e-9);
@@ -215,7 +216,8 @@ mod tests {
             .run(&SweepOptions::new(ExperimentEngine::with_workers(1)))
             .expect("the matrix is valid")
             .sweep
-            .into_sweep();
+            .into_sweep()
+            .expect("every job completes");
         assert_eq!(sweep.results.len(), 1);
         assert_eq!(sweep.results[0].run, best);
     }
@@ -232,7 +234,7 @@ mod tests {
                 point: ConfigPoint::baseline(),
             };
             assert_eq!(
-                job.run(&cfg, &arena),
+                job.run(&cfg, &arena, None),
                 run_single(&spec, design, &cfg),
                 "{design} must be replay-invariant"
             );
@@ -248,7 +250,7 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let arena = TraceArena::new();
-        asr_job(&spec).run(&cfg, &arena);
+        asr_job(&spec).run(&cfg, &arena, None);
         assert_eq!(arena.len(), 1, "six versions, one unique key");
         assert_eq!(arena.generations(), 1, "the stream was generated once");
     }
@@ -307,7 +309,7 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let traces = TraceArena::new();
-        let best = asr_job(&spec).run(&cfg, &traces);
+        let best = asr_job(&spec).run(&cfg, &traces, None);
         assert_eq!(best, best_of_six_streamed(&spec, &cfg));
         assert_eq!(traces.generations(), 1, "the stream was generated once");
     }
@@ -376,6 +378,7 @@ mod tests {
             .expect("the cluster sweep's axes are valid")
             .sweep
             .into_sweep()
+            .expect("every job completes")
     }
     #[test]
     fn cluster_sweep_is_identical_across_worker_counts() {

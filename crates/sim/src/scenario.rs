@@ -10,15 +10,16 @@
 //! capacities, R-NUCA instruction-cluster sizes — and flattens itself into
 //! jobs for the [`ExperimentEngine`]. Results come back
 //! in a deterministic order (and are identical for every worker-pool size),
-//! ready for tables or the JSON emitted by [`ScenarioSweep::to_json`].
+//! ready for tables or the JSON emitted by [`QuarantinedSweep::to_json`].
 //!
-//! [`ScenarioMatrix::run`] is the only way to execute a matrix. Its
-//! [`SweepOptions`] choose everything else: the engine and trace arena, an
-//! optional journal (created, or replayed with `resume`), an optional
-//! [`RetryPolicy`] (absent: fail fast; present: per-job quarantine with
-//! backoff and deadlines), an optional warehouse sink, and the experiment
-//! service's stop flag and progress callback. `figures`, the service and
-//! the tests all call it.
+//! [`ScenarioMatrix::run`] is the only way to execute a matrix, and every
+//! run is supervised: a job whose every attempt fails is quarantined as a
+//! [`JobFailure`] while the others complete. Its [`SweepOptions`] choose
+//! everything else: the engine and trace arena, an optional journal
+//! (created, or replayed with `resume`), the [`RetryPolicy`] (one attempt
+//! by default; retries, backoff and a per-attempt deadline when set), an
+//! optional warehouse sink, and the experiment service's stop flag and
+//! progress callback. `figures`, the service and the tests all call it.
 //!
 //! Every job is independent: [`ScenarioJob::run`] builds the job's
 //! simulator, warms it in place over the job's [`TraceArena`] slab, and
@@ -49,7 +50,7 @@
 //! ```
 
 use crate::design::{AsrPolicy, LlcDesign};
-use crate::engine::{lock, ExperimentEngine, JobFailure};
+use crate::engine::{ExperimentEngine, JobFailure};
 use crate::experiment::ExperimentConfig;
 use crate::journal::{
     JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
@@ -57,16 +58,18 @@ use crate::journal::{
 use crate::simulator::{CmpSimulator, MeasuredRun};
 use rnuca_types::config::ConfigPoint;
 use rnuca_types::json::json_string;
-use rnuca_types::retry::RetryPolicy;
+use rnuca_types::retry::{DeadlineExceeded, RetryPolicy};
+use rnuca_types::MemoryAccess;
 use rnuca_types::{ConfigError, Fnv64};
 use rnuca_warehouse::{AppendSummary, RowKind, RunRecord, Warehouse};
-use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
+use rnuca_workloads::{TraceArena, TraceKey, TraceSlice, TraceSource, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Schema version of the sweep rows [`ScenarioMatrix::run`] appends to the
 /// warehouse (bumped when their column content changes meaning, so old and
@@ -128,7 +131,17 @@ impl ScenarioJob {
     /// `(workload, geometry, seed)` key no matter how many jobs replay it.
     /// This is the one per-job path every matrix run and the experiment
     /// service execute.
-    pub fn run(&self, cfg: &ExperimentConfig, traces: &TraceArena) -> MeasuredRun {
+    ///
+    /// With a `deadline`, the job checks the clock before each batch of
+    /// references it replays and unwinds with a [`DeadlineExceeded`]
+    /// payload once the deadline has passed. Stream generation and
+    /// simulator construction run unchecked.
+    pub fn run(
+        &self,
+        cfg: &ExperimentConfig,
+        traces: &TraceArena,
+        deadline: Option<Instant>,
+    ) -> MeasuredRun {
         // Per-job injection site for the quarantine tests: the site name
         // pins one scenario regardless of worker count or job order, so a
         // chaos test can poison exactly one job.
@@ -140,7 +153,10 @@ impl ScenarioJob {
                 self.workload.num_cores()
             ));
         }
-        let mut slice = traces.slice(&self.workload, cfg.seed, cfg.total_refs());
+        let mut slice = Deadlined {
+            slice: traces.slice(&self.workload, cfg.seed, cfg.total_refs()),
+            deadline,
+        };
         let mut sim = CmpSimulator::with_seed(self.design, &self.workload, cfg.seed);
         sim.run_warmup(&mut slice, cfg.warmup_refs);
         if !(cfg.asr_best_of && matches!(self.design, LlcDesign::Asr { .. })) {
@@ -173,6 +189,21 @@ impl ScenarioJob {
             self.design,
             self.workload.num_cores()
         )
+    }
+}
+
+/// A job's trace slice that checks the attempt's deadline before each batch
+/// the simulator pulls from it.
+#[derive(Clone)]
+struct Deadlined {
+    slice: TraceSlice,
+    deadline: Option<Instant>,
+}
+
+impl TraceSource for Deadlined {
+    fn fill_into(&mut self, n: usize, buf: &mut Vec<MemoryAccess>) {
+        DeadlineExceeded::check(self.deadline);
+        self.slice.fill_into(n, buf);
     }
 }
 
@@ -256,8 +287,8 @@ pub struct ResumeSummary {
     pub ran: usize,
 }
 
-/// A matrix run's per-job `Result`s: a supervised sweep quarantines failed
-/// jobs instead of aborting. A fail-fast sweep's results are all `Ok`.
+/// A matrix run's per-job `Result`s: a job whose every attempt failed is
+/// quarantined instead of aborting the sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedSweep {
     /// The run lengths and seed the sweep used.
@@ -281,12 +312,21 @@ impl QuarantinedSweep {
         self.results.iter().filter(|r| r.is_ok()).count()
     }
 
-    /// The sweep with every failure discarded (results stay in job order).
-    pub fn into_sweep(self) -> ScenarioSweep {
-        ScenarioSweep {
+    /// The sweep's results in job order, or every quarantined failure when
+    /// any job failed — for callers that need the whole matrix.
+    ///
+    /// # Errors
+    ///
+    /// The failures, in job order, when at least one job was quarantined.
+    pub fn into_sweep(self) -> Result<ScenarioSweep, Vec<JobFailure>> {
+        let failures: Vec<JobFailure> = self.failures().into_iter().cloned().collect();
+        if !failures.is_empty() {
+            return Err(failures);
+        }
+        Ok(ScenarioSweep {
             cfg: self.cfg,
             results: self.results.into_iter().filter_map(Result::ok).collect(),
-        }
+        })
     }
 }
 
@@ -300,7 +340,7 @@ impl QuarantinedSweep {
 /// use rnuca_types::RetryPolicy;
 ///
 /// let opts = SweepOptions {
-///     policy: Some(RetryPolicy::immediate(1)),
+///     policy: RetryPolicy::immediate(1),
 ///     ..SweepOptions::new(ExperimentEngine::with_workers(2))
 /// };
 /// assert!(opts.journal.is_none());
@@ -319,12 +359,11 @@ pub struct SweepOptions<'a> {
     /// Load `journal` and replay its entries instead of creating it. The
     /// journal's header must match this matrix (fingerprint and job count).
     pub resume: bool,
-    /// `None`: fail fast — the first panicking job aborts the sweep with
-    /// its original panic. `Some`: every job runs under the policy's
-    /// retries, seeded backoff and per-attempt deadline, and a job whose
-    /// every attempt fails is quarantined (journaled as a typed failure
-    /// entry that resume replays instead of re-running).
-    pub policy: Option<RetryPolicy>,
+    /// Every job runs under the policy's retries, seeded backoff and
+    /// per-attempt deadline, and a job whose every attempt fails is
+    /// quarantined (journaled as a typed failure entry that resume replays
+    /// instead of re-running). Defaults to one attempt, no deadline.
+    pub policy: RetryPolicy,
     /// Append one row per job here once every job has an outcome: a
     /// `kind=sweep` row per result, a `kind=failed` row per quarantined job.
     pub store: Option<&'a Warehouse>,
@@ -338,7 +377,7 @@ pub struct SweepOptions<'a> {
 }
 
 impl SweepOptions<'_> {
-    /// Fail-fast execution on `engine` with a fresh trace arena: no
+    /// One attempt per job on `engine` with a fresh trace arena: no
     /// journal, no store, no stop flag, no progress reports.
     pub fn new(engine: ExperimentEngine) -> Self {
         SweepOptions {
@@ -346,7 +385,7 @@ impl SweepOptions<'_> {
             arena: Arc::new(TraceArena::new()),
             journal: None,
             resume: false,
-            policy: None,
+            policy: RetryPolicy::default(),
             store: None,
             stop: None,
             progress: None,
@@ -487,14 +526,14 @@ impl ScenarioMatrix {
 
     /// Runs the matrix as `opts` describe. The result vector is ordered by
     /// job index and identical for every worker count, with or without a
-    /// journal, a policy or a store.
+    /// journal, retries or a store.
     ///
     /// With a journal, every job's final outcome is appended the moment it
     /// exists, so a crash loses at most the jobs in flight. On resume,
-    /// journaled runs are replayed instead of re-run (and, under a policy,
-    /// so are journaled failures); because every job's result is a pure
-    /// function of the matrix and the seed, the resumed sweep — and any
-    /// warehouse built from it — is bit-identical to an uninterrupted run.
+    /// journaled runs and failures are replayed instead of re-run; because
+    /// every job's result is a pure function of the matrix and the seed,
+    /// the resumed sweep — and any warehouse built from it — is
+    /// bit-identical to an uninterrupted run.
     /// Store rows key on the workload fingerprint plus design, geometry,
     /// seed, and schema, so re-running a matrix into the same store adds
     /// zero rows and only genuinely new points grow it.
@@ -503,19 +542,16 @@ impl ScenarioMatrix {
     /// the arena's handle on it is retired as soon as the last of those
     /// jobs has its final outcome (a retried attempt still finds it). Live
     /// trace memory is therefore bounded by the jobs in flight, and the
-    /// run leaves none of its streams in the arena, however it ends.
+    /// run leaves none of its streams in the arena, however it ends: every
+    /// attempt runs on the worker that claimed it, so none outlives the run.
     ///
     /// # Errors
     ///
     /// [`SweepError::Config`] for invalid matrices; [`SweepError::Journal`]
     /// when the journal cannot be created, loaded, or appended to, or does
     /// not belong to this matrix; [`SweepError::Stopped`] when the stop flag
-    /// ended the run early.
-    ///
-    /// # Panics
-    ///
-    /// Without a policy, re-raises the original panic of the lowest-indexed
-    /// panicking job.
+    /// ended the run early. A job's panic never unwinds out of the run; it
+    /// is quarantined.
     pub fn run(&self, opts: &SweepOptions<'_>) -> Result<SweepOutcome, SweepError> {
         let jobs = self.jobs()?;
         let (journal, mut slots) = match opts.journal {
@@ -524,20 +560,14 @@ impl ScenarioMatrix {
                 let slots = entries
                     .into_iter()
                     .enumerate()
-                    .map(|(job, entry)| match entry {
-                        Some(JournalEntry::Run(run)) => Some(Ok(run)),
-                        // A fail-fast sweep has no quarantine to replay a
-                        // failure into: the job re-runs (and, being
-                        // deterministic, re-raises its panic).
-                        Some(JournalEntry::Failed(f)) if opts.policy.is_some() => {
-                            Some(Err(JobFailure {
-                                job,
-                                attempts: f.attempts,
-                                cause: f.cause,
-                                message: f.message,
-                            }))
-                        }
-                        _ => None,
+                    .map(|(job, entry)| match entry? {
+                        JournalEntry::Run(run) => Some(Ok(run)),
+                        JournalEntry::Failed(f) => Some(Err(JobFailure {
+                            job,
+                            attempts: f.attempts,
+                            cause: f.cause,
+                            message: f.message,
+                        })),
                     })
                     .collect();
                 (Some(journal), slots)
@@ -579,50 +609,16 @@ impl ScenarioMatrix {
         report(0);
         let never = AtomicBool::new(false);
         let stop = opts.stop.unwrap_or(&never);
-        let outcomes: Vec<Option<Result<MeasuredRun, JobFailure>>> = match &opts.policy {
-            None => {
-                let rejected = Mutex::new(None);
-                let runs = opts.engine.run(&pending, |k, &i| {
-                    if stop.load(Ordering::Acquire) || lock(&rejected).is_some() {
-                        return None;
-                    }
-                    let outcome = Ok(jobs[i].run(&self.cfg, &opts.arena));
-                    match accept(k, &outcome) {
-                        Ok(()) => Some(outcome),
-                        Err(e) => {
-                            lock(&rejected).get_or_insert(e);
-                            None
-                        }
-                    }
-                });
-                if let Some(e) = rejected
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                {
-                    return Err(e.into());
-                }
-                runs
-            }
-            Some(policy) => {
-                let cfg = self.cfg;
-                let arena = Arc::clone(&opts.arena);
-                opts.engine
-                    .run_supervised(
-                        Arc::new(pending.iter().map(|&i| jobs[i].clone()).collect()),
-                        cfg.seed,
-                        policy,
-                        stop,
-                        Arc::new(move |_, job: &ScenarioJob| job.run(&cfg, &arena)),
-                        accept,
-                    )?
-                    .into_iter()
-                    .zip(&pending)
-                    .map(|(slot, &job)| slot.map(|r| r.map_err(|f| JobFailure { job, ..f })))
-                    .collect()
-            }
-        };
+        let outcomes = opts.engine.run_supervised(
+            &pending,
+            self.cfg.seed,
+            &opts.policy,
+            stop,
+            |_, &i, deadline| jobs[i].run(&self.cfg, &opts.arena, deadline),
+            accept,
+        )?;
         for (&i, outcome) in pending.iter().zip(outcomes) {
-            slots[i] = outcome;
+            slots[i] = outcome.map(|r| r.map_err(|f| JobFailure { job: i, ..f }));
         }
         let results: Vec<Result<ScenarioResult, JobFailure>> = jobs
             .iter()
@@ -878,46 +874,13 @@ fn record(
 }
 
 impl ScenarioSweep {
-    /// Serialises the sweep as a JSON document.
-    ///
-    /// Emitted by hand (the workspace vendors no JSON library) with a
-    /// deterministic field order and Rust's shortest-roundtrip float
-    /// formatting, so equal sweeps produce byte-identical documents — the
-    /// property the worker-count determinism test pins down.
-    pub fn to_json(&self) -> String {
-        let mut out = json_head(&self.cfg, self.results.len());
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&result_json(r));
-            out.push_str(if i + 1 < self.results.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
     /// The results for one workload, in job order.
     pub fn workload(&self, name: &str) -> Vec<&ScenarioResult> {
         self.results.iter().filter(|r| r.workload == name).collect()
     }
 }
 
-/// The opening of a sweep document: the config object and the start of the
-/// `results` array (shared by both sweep documents).
-fn json_head(cfg: &ExperimentConfig, results: usize) -> String {
-    let mut out = String::with_capacity(256 + results * 256);
-    out.push_str(&format!(
-        "{{\n  \"config\": {{\"warmup_refs\": {}, \"measured_refs\": {}, \"seed\": {}, \
-         \"asr_best_of\": {}}},\n  \"results\": [\n",
-        cfg.warmup_refs, cfg.measured_refs, cfg.seed, cfg.asr_best_of
-    ));
-    out
-}
-
-/// One scenario result as a JSON object (shared by both sweep documents).
+/// One scenario result as a JSON object.
 fn result_json(r: &ScenarioResult) -> String {
     let cluster = match r.design {
         LlcDesign::RNuca { instr_cluster_size } => instr_cluster_size.to_string(),
@@ -949,15 +912,25 @@ fn result_json(r: &ScenarioResult) -> String {
 }
 
 impl QuarantinedSweep {
-    /// Serialises the supervised sweep as a JSON document.
+    /// Serialises the sweep as a JSON document: the config object, a
+    /// `results` array with one slot per job — a result object, or `null`
+    /// for a quarantined job — and a `failures` array listing every
+    /// quarantined job with its index, attempt count, cause, and panic
+    /// message, so failures appear in the output instead of silently
+    /// vanishing.
     ///
-    /// Same deterministic shape as [`ScenarioSweep::to_json`], except each
-    /// slot in `results` is either a result object or `null` (the job was
-    /// quarantined), and a `failures` array lists every quarantined job
-    /// with its index, attempt count, cause, and panic message — failures
-    /// appear in the output instead of silently vanishing.
+    /// Emitted by hand (the workspace vendors no JSON library) with a
+    /// deterministic field order and Rust's shortest-roundtrip float
+    /// formatting, so equal sweeps produce byte-identical documents — the
+    /// property the worker-count determinism test pins down.
     pub fn to_json(&self) -> String {
-        let mut out = json_head(&self.cfg, self.results.len());
+        let cfg = &self.cfg;
+        let mut out = String::with_capacity(256 + self.results.len() * 256);
+        out.push_str(&format!(
+            "{{\n  \"config\": {{\"warmup_refs\": {}, \"measured_refs\": {}, \"seed\": {}, \
+             \"asr_best_of\": {}}},\n  \"results\": [\n",
+            cfg.warmup_refs, cfg.measured_refs, cfg.seed, cfg.asr_best_of
+        ));
         for (i, r) in self.results.iter().enumerate() {
             out.push_str("    ");
             match r {
@@ -990,6 +963,7 @@ impl QuarantinedSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     fn tiny_matrix() -> ScenarioMatrix {
         let mut cfg = ExperimentConfig::smoke();
@@ -1001,24 +975,32 @@ mod tests {
         m
     }
 
-    /// The matrix's fail-fast sweep on `engine`, resolving streams through
-    /// `arena`.
+    /// The matrix's per-job outcomes on `engine`, resolving streams
+    /// through `arena`.
+    fn outcomes_on(
+        m: &ScenarioMatrix,
+        engine: ExperimentEngine,
+        arena: &Arc<TraceArena>,
+    ) -> QuarantinedSweep {
+        let opts = SweepOptions {
+            arena: Arc::clone(arena),
+            ..SweepOptions::new(engine)
+        };
+        m.run(&opts).expect("the matrix is valid").sweep
+    }
+
+    /// The matrix's sweep on `engine`, every job completed.
     fn sweep_on(
         m: &ScenarioMatrix,
         engine: ExperimentEngine,
         arena: &Arc<TraceArena>,
     ) -> ScenarioSweep {
-        let opts = SweepOptions {
-            arena: Arc::clone(arena),
-            ..SweepOptions::new(engine)
-        };
-        m.run(&opts)
-            .expect("the matrix is valid")
-            .sweep
+        outcomes_on(m, engine, arena)
             .into_sweep()
+            .expect("every job completes")
     }
 
-    /// The matrix's fail-fast sweep on a default-sized engine.
+    /// The matrix's sweep on a default-sized engine.
     fn sweep_of(m: &ScenarioMatrix) -> ScenarioSweep {
         sweep_on(m, ExperimentEngine::new(), &Arc::new(TraceArena::new()))
     }
@@ -1035,7 +1017,7 @@ mod tests {
         };
         let outcome = m.run(&opts).expect("the matrix is valid");
         (
-            outcome.sweep.into_sweep(),
+            outcome.sweep.into_sweep().expect("every job completes"),
             outcome.stored.expect("a store was given"),
         )
     }
@@ -1085,11 +1067,11 @@ mod tests {
         m.core_counts = vec![16, 32];
         m.cluster_sizes = vec![2, 4];
         let arena = Arc::new(TraceArena::new());
-        let serial = sweep_on(&m, ExperimentEngine::with_workers(1), &arena);
-        let pooled = sweep_on(&m, ExperimentEngine::with_workers(5), &arena);
+        let serial = outcomes_on(&m, ExperimentEngine::with_workers(1), &arena);
+        let pooled = outcomes_on(&m, ExperimentEngine::with_workers(5), &arena);
         assert_eq!(serial, pooled);
         assert_eq!(serial.to_json(), pooled.to_json());
-        assert_eq!(serial.results.len(), 2 * 3);
+        assert_eq!(serial.completed(), 2 * 3);
     }
 
     #[test]
@@ -1197,7 +1179,7 @@ mod tests {
         );
         assert_eq!(arena.len(), 0);
         assert_eq!(arena.generations(), 2, "replayed jobs need no stream");
-        assert_eq!(resumed.sweep.into_sweep(), sweep_of(&m));
+        assert_eq!(resumed.sweep.into_sweep().unwrap(), sweep_of(&m));
     }
 
     #[test]
@@ -1222,7 +1204,7 @@ mod tests {
             let outcome = m
                 .run(&SweepOptions {
                     arena: Arc::clone(&arena),
-                    policy: Some(RetryPolicy::immediate(2)),
+                    policy: RetryPolicy::immediate(2),
                     ..SweepOptions::new(ExperimentEngine::with_workers(1))
                 })
                 .expect("the matrix is valid");
@@ -1231,6 +1213,38 @@ mod tests {
             assert_eq!(arena.len(), 0);
             assert_eq!(arena.generations(), 3, "each stream generated once");
         }
+    }
+
+    #[test]
+    fn a_deadline_overrun_is_quarantined_and_leaves_nothing_running() {
+        // A zero deadline has passed by the first trace batch, so every
+        // attempt unwinds there: each job fails twice with cause
+        // `deadline`. Each stream is still generated once, and retired
+        // once its last job's final outcome is in.
+        use std::time::Duration;
+        let m = three_stream_matrix();
+        let arena = Arc::new(TraceArena::new());
+        let outcome = m
+            .run(&SweepOptions {
+                arena: Arc::clone(&arena),
+                policy: RetryPolicy::immediate(1).with_deadline(Duration::ZERO),
+                ..SweepOptions::new(ExperimentEngine::with_workers(2))
+            })
+            .expect("the matrix is valid");
+        let failures = outcome.sweep.failures();
+        assert_eq!(failures.len(), 6, "every job overruns");
+        for (job, failure) in failures.iter().enumerate() {
+            assert_eq!(failure.job, job);
+            assert_eq!(failure.cause.as_str(), "deadline");
+            assert_eq!(failure.attempts, 2);
+        }
+        assert_eq!(arena.generations(), 3, "one generation per unique key");
+        assert_eq!(arena.len(), 0);
+
+        // No attempt outlived the run: nothing regenerates a stream later.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(arena.len(), 0);
+        assert_eq!(arena.generations(), 3);
     }
 
     #[test]
@@ -1313,20 +1327,22 @@ mod tests {
 
     #[test]
     fn json_has_the_documented_shape() {
+        let json_of = |m: &ScenarioMatrix| {
+            outcomes_on(m, ExperimentEngine::new(), &Arc::new(TraceArena::new())).to_json()
+        };
         let mut m = tiny_matrix();
         m.designs = vec![LlcDesign::rnuca_default()];
-        let sweep = sweep_of(&m);
-        let json = sweep.to_json();
+        let json = json_of(&m);
         assert!(json.starts_with("{\n  \"config\""));
         assert!(json.contains("\"workload\": \"OLTP DB2\""));
         assert!(json.contains("\"letter\": \"R\""));
         assert!(json.contains("\"cluster\": 4"));
         assert!(json.contains("\"total_cpi\": "));
-        assert!(json.trim_end().ends_with('}'));
+        assert!(json.ends_with("  ],\n  \"failures\": [\n  ]\n}\n"));
         // Shared designs carry a null cluster.
         let mut m2 = tiny_matrix();
         m2.designs = vec![LlcDesign::Shared];
-        assert!(sweep_of(&m2).to_json().contains("\"cluster\": null"));
+        assert!(json_of(&m2).contains("\"cluster\": null"));
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn run_sweep(
     engine: ExperimentEngine,
     arena: &Arc<TraceArena>,
     journal: Option<(&Path, bool)>,
-    policy: Option<RetryPolicy>,
+    policy: RetryPolicy,
     store: Option<&Warehouse>,
 ) -> Result<SweepOutcome, SweepError> {
     m.run(&SweepOptions {
@@ -84,12 +84,12 @@ fn interrupted_and_resumed_sweeps_are_bit_identical() {
         engine,
         &arena,
         Some((&baseline_journal, false)),
-        None,
+        RetryPolicy::default(),
         Some(&baseline_store),
     )
     .expect("the chaos matrix is valid");
     let (baseline, summary, resumed) = (
-        outcome.sweep.into_sweep(),
+        outcome.sweep.into_sweep().expect("every job completes"),
         outcome.stored.expect("a store was given"),
         outcome.resumed,
     );
@@ -133,7 +133,14 @@ fn interrupted_and_resumed_sweeps_are_bit_identical() {
             // An injected panic unwinds out of the sweep; an injected i/o
             // error ends it with a journal error. Either aborts it.
             let crashed = catch_unwind(AssertUnwindSafe(|| {
-                run_sweep(&m, engine, &arena, Some((&path, false)), None, None)
+                run_sweep(
+                    &m,
+                    engine,
+                    &arena,
+                    Some((&path, false)),
+                    RetryPolicy::default(),
+                    None,
+                )
             }))
             .map_err(drop)
             .and_then(|outcome| outcome.map(drop).map_err(drop));
@@ -143,10 +150,17 @@ fn interrupted_and_resumed_sweeps_are_bit_identical() {
             );
         }
         let store = Warehouse::new();
-        let outcome = run_sweep(&m, engine, &arena, Some((&path, true)), None, Some(&store))
-            .unwrap_or_else(|e| panic!("{tag}: resume failed: {e}"));
+        let outcome = run_sweep(
+            &m,
+            engine,
+            &arena,
+            Some((&path, true)),
+            RetryPolicy::default(),
+            Some(&store),
+        )
+        .unwrap_or_else(|e| panic!("{tag}: resume failed: {e}"));
         let (sweep, summary, resumed) = (
-            outcome.sweep.into_sweep(),
+            outcome.sweep.into_sweep().expect("every job completes"),
             outcome.stored.expect("a store was given"),
             outcome.resumed,
         );
@@ -174,14 +188,28 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
     let engine = ExperimentEngine::with_workers(2);
     let arena = Arc::new(TraceArena::new());
     let path = journal_path("mismatch");
-    run_sweep(&m, engine, &arena, Some((&path, false)), None, None)
-        .expect("the chaos matrix is valid");
+    run_sweep(
+        &m,
+        engine,
+        &arena,
+        Some((&path, false)),
+        RetryPolicy::default(),
+        None,
+    )
+    .expect("the chaos matrix is valid");
 
     // Any change to the matrix — here the seed — must invalidate the journal.
     let mut other = chaos_matrix();
     other.cfg.seed += 1;
-    let err = run_sweep(&other, engine, &arena, Some((&path, true)), None, None)
-        .expect_err("a stale journal must be rejected, not silently mixed in");
+    let err = run_sweep(
+        &other,
+        engine,
+        &arena,
+        Some((&path, true)),
+        RetryPolicy::default(),
+        None,
+    )
+    .expect_err("a stale journal must be rejected, not silently mixed in");
     match err {
         SweepError::Journal(JournalError::FingerprintMismatch { found, expected }) => {
             assert_eq!(found, m.fingerprint());
@@ -198,26 +226,20 @@ fn an_injected_panic_quarantines_exactly_that_job() {
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
     let arena = Arc::new(TraceArena::new());
-    let baseline = run_sweep(&m, engine, &arena, None, None, None)
+    let baseline = run_sweep(&m, engine, &arena, None, RetryPolicy::default(), None)
         .expect("the chaos matrix is valid")
         .sweep
-        .into_sweep();
+        .into_sweep()
+        .expect("every job completes");
 
     // Job 0 is (OLTP DB2, shared, 16 cores); its per-job site panics on
     // every attempt, so the first attempt and the retry both fail — while
     // job 1, which shares its reference stream, must still complete.
     let site = "sim::member::OLTP DB2::shared::16c";
     let _guard = failpoint::arm(&[FailSpec::always(site, FailAction::Panic)]);
-    let sweep = run_sweep(
-        &m,
-        engine,
-        &arena,
-        None,
-        Some(RetryPolicy::immediate(1)),
-        None,
-    )
-    .expect("the chaos matrix is valid")
-    .sweep;
+    let sweep = run_sweep(&m, engine, &arena, None, RetryPolicy::immediate(1), None)
+        .expect("the chaos matrix is valid")
+        .sweep;
     assert_eq!(sweep.results.len(), 4);
     assert_eq!(sweep.completed(), 3);
     let failures = sweep.failures();
@@ -255,7 +277,7 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
             engine,
             &arena,
             Some((&path, false)),
-            Some(policy),
+            policy,
             Some(&store),
         )
         .expect("a quarantined member must not abort the sweep");
@@ -299,7 +321,7 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
         engine,
         &arena,
         Some((&path, true)),
-        Some(policy),
+        policy,
         Some(&resumed_store),
     )
     .expect("resume must succeed");
@@ -331,7 +353,7 @@ fn a_journal_write_error_ends_a_supervised_sweep_without_quarantining_the_job() 
     let arena = Arc::new(TraceArena::new());
     let path = journal_path("append-error");
     let policy = RetryPolicy::immediate(0);
-    let baseline = run_sweep(&m, engine, &arena, None, None, None)
+    let baseline = run_sweep(&m, engine, &arena, None, RetryPolicy::default(), None)
         .expect("the chaos matrix is valid")
         .sweep;
 
@@ -340,7 +362,7 @@ fn a_journal_write_error_ends_a_supervised_sweep_without_quarantining_the_job() 
     // the job's own failure and journaled as one.
     {
         let _guard = failpoint::arm(&[FailSpec::nth("sweep::journal::append", FailAction::Io, 1)]);
-        match run_sweep(&m, engine, &arena, Some((&path, false)), Some(policy), None) {
+        match run_sweep(&m, engine, &arena, Some((&path, false)), policy, None) {
             Err(SweepError::Journal(JournalError::Io(e))) => {
                 assert!(e.to_string().contains("injected"), "{e}");
             }
@@ -352,7 +374,7 @@ fn a_journal_write_error_ends_a_supervised_sweep_without_quarantining_the_job() 
 
     // Resume runs the job whose append failed, and the result equals the
     // uninterrupted run's.
-    let outcome = run_sweep(&m, engine, &arena, Some((&path, true)), Some(policy), None)
+    let outcome = run_sweep(&m, engine, &arena, Some((&path, true)), policy, None)
         .expect("resume must succeed");
     assert_eq!(outcome.resumed.replayed + outcome.resumed.ran, 4);
     assert!(
@@ -369,10 +391,18 @@ fn every_option_combination_runs_the_same_sweep() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
-    let baseline = run_sweep(&m, engine, &Arc::new(TraceArena::new()), None, None, None)
-        .expect("the chaos matrix is valid")
-        .sweep
-        .into_sweep();
+    let baseline = run_sweep(
+        &m,
+        engine,
+        &Arc::new(TraceArena::new()),
+        None,
+        RetryPolicy::default(),
+        None,
+    )
+    .expect("the chaos matrix is valid")
+    .sweep
+    .into_sweep()
+    .expect("every job completes");
 
     #[derive(Debug, Clone, Copy)]
     enum Journal {
@@ -382,9 +412,9 @@ fn every_option_combination_runs_the_same_sweep() {
     }
     let mut stored_bytes: Option<Vec<u8>> = None;
     for journal in [Journal::Off, Journal::On, Journal::ResumeHalfWritten] {
-        for policy in [None, Some(RetryPolicy::immediate(1))] {
+        for policy in [RetryPolicy::immediate(0), RetryPolicy::immediate(1)] {
             for with_store in [false, true] {
-                let tag = format!("{journal:?}-{}-{with_store}", policy.is_some());
+                let tag = format!("{journal:?}-{}-{with_store}", policy.retries);
                 let path = journal_path(&format!("combo-{tag}"));
                 std::fs::remove_file(&path).ok();
                 if let Journal::ResumeHalfWritten = journal {
@@ -420,7 +450,7 @@ fn every_option_combination_runs_the_same_sweep() {
                 assert_eq!(outcome.resumed.ran, 4 - replayed, "{tag}");
                 assert!(outcome.sweep.failures().is_empty(), "{tag}");
                 assert_eq!(
-                    outcome.sweep.into_sweep(),
+                    outcome.sweep.into_sweep().expect("every job completes"),
                     baseline,
                     "{tag}: results differ"
                 );

@@ -102,6 +102,7 @@ fn cloned_asr_variants_are_byte_identical_to_fresh_runs() {
                     asr_best_of: true,
                 },
                 &traces,
+                None,
             );
             let fastest = fresh_runs
                 .into_iter()

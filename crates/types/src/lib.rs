@@ -50,4 +50,4 @@ pub use fingerprint::Fnv64;
 pub use ids::{CoreId, MemCtrlId, RotationalId, TileId};
 pub use index_map::U64Map;
 pub use latency::Cycles;
-pub use retry::{BackoffConfig, RetryPolicy};
+pub use retry::{BackoffConfig, DeadlineExceeded, RetryPolicy};

@@ -1,25 +1,27 @@
 //! Retry policies for supervised experiment execution: deterministic
 //! seeded-jitter exponential backoff and per-attempt wall-clock deadlines.
 //!
-//! The experiment engine's supervised runs retry quarantined jobs; naive
-//! immediate retries hammer a transiently-failing resource (a full disk, a
-//! contended spool directory) and make failure timelines impossible to
-//! reason about. [`BackoffConfig`] computes the pause before each retry as
+//! The experiment engine retries a job whose attempt panicked or ran past
+//! its deadline. [`BackoffConfig`] computes the pause before each retry as
 //! capped exponential growth with *seeded* jitter: the jitter is a pure
 //! function of `(seed, job, attempt)`, so a given experiment seed always
 //! produces the same delay schedule for a given job — independent of
 //! worker count, thread interleaving, or wall-clock time. That keeps the
 //! engine's determinism story intact: retries change *when* a job runs,
 //! never *what* it computes, and the delays themselves are reproducible in
-//! tests down to the microsecond.
+//! tests down to the microsecond. Attempts touch no disk (journal appends
+//! happen once a job's outcome is final), so the pause spaces out retries
+//! of one job; it does not wait for a shared resource to recover.
 //!
 //! [`RetryPolicy`] bundles the retry budget, the backoff, and an optional
-//! per-attempt wall-clock deadline. The deadline is enforced by the
-//! engine's watchdog (see `ExperimentEngine::run_supervised` in
-//! `rnuca-sim`): an attempt that exceeds it is abandoned and counted as a
-//! failed attempt, exactly like a panic.
+//! per-attempt wall-clock deadline. The deadline is cooperative: the engine
+//! hands each attempt the instant it must finish by, the job checks it
+//! with [`DeadlineExceeded::check`] between batches of work, and an attempt
+//! past it unwinds with a [`DeadlineExceeded`] payload that the engine
+//! counts as a failed attempt, exactly like a panic. Work outside those
+//! checks is not interrupted.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Seeded-jitter exponential backoff between supervised retry attempts.
 ///
@@ -89,7 +91,7 @@ pub struct RetryPolicy {
     pub retries: u32,
     /// Pause schedule between attempts.
     pub backoff: BackoffConfig,
-    /// Wall-clock budget for one attempt. `None` disables the watchdog.
+    /// Wall-clock budget for one attempt. `None`: attempts run unbounded.
     pub deadline: Option<Duration>,
 }
 
@@ -124,6 +126,25 @@ impl RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy::immediate(0)
+    }
+}
+
+/// The panic payload of an attempt that ran past its deadline.
+///
+/// A job raises it through [`DeadlineExceeded::check`]; the engine tells it
+/// apart from a panic by downcasting the unwound payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeadlineExceeded;
+
+impl DeadlineExceeded {
+    /// Unwinds with a `DeadlineExceeded` payload once `deadline` has
+    /// passed. `None` never unwinds and reads no clock. The unwind skips
+    /// the panic hook: an overrun is an expected outcome, not a crash to
+    /// print.
+    pub fn check(deadline: Option<Instant>) {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            std::panic::resume_unwind(Box::new(DeadlineExceeded));
+        }
     }
 }
 
@@ -198,6 +219,15 @@ mod tests {
         assert_eq!(RetryPolicy::immediate(3).backoff, BackoffConfig::none());
         assert_eq!(RetryPolicy::immediate(3).attempts(), 4);
         assert_eq!(RetryPolicy::default().attempts(), 1);
+    }
+
+    #[test]
+    fn a_passed_deadline_unwinds_with_its_payload() {
+        DeadlineExceeded::check(None);
+        DeadlineExceeded::check(Some(Instant::now() + Duration::from_secs(60)));
+        let payload = std::panic::catch_unwind(|| DeadlineExceeded::check(Some(Instant::now())))
+            .expect_err("a deadline of now has passed");
+        assert!(payload.downcast_ref::<DeadlineExceeded>().is_some());
     }
 
     #[test]

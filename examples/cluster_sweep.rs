@@ -49,7 +49,8 @@ fn main() {
         .run(&SweepOptions::new(ExperimentEngine::new()))
         .expect("the cluster sizes are valid")
         .sweep
-        .into_sweep();
+        .into_sweep()
+        .expect("every job completes");
     let base = sweep.results[0].run.total_cpi();
     for r in &sweep.results {
         let total = r.run.total_cpi();

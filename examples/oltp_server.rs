@@ -52,6 +52,7 @@ fn main() {
         .expect("the paper evaluation's axes are valid")
         .sweep
         .into_sweep()
+        .expect("every job completes")
         .results;
     let cpi = |letter: &str| {
         results

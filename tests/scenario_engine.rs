@@ -34,7 +34,6 @@ fn scenario_sweep_json_is_byte_identical_across_worker_pools() {
                 .run(&SweepOptions::new(ExperimentEngine::with_workers(w)))
                 .expect("matrix axes are valid")
                 .sweep
-                .into_sweep()
                 .to_json()
         })
         .collect();
