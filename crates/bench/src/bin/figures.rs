@@ -93,8 +93,9 @@ use rnuca_os::rid_assignment;
 use rnuca_service::{Request, ServiceClient, ServiceConfig};
 use rnuca_sim::report::{fmt3, fmt_pct};
 use rnuca_sim::{
-    ExperimentConfig, ExperimentEngine, JournalError, JournalReplay, QuarantinedSweep, ScenarioJob,
-    ScenarioMatrix, ScenarioResult, ScenarioSweep, SweepError, SweepOptions, TextTable,
+    ExperimentConfig, ExperimentEngine, JobFailure, JournalError, JournalReplay, QuarantinedSweep,
+    ScenarioJob, ScenarioMatrix, ScenarioResult, ScenarioSweep, SweepError, SweepOptions,
+    TextTable,
 };
 use rnuca_types::access::AccessClass;
 use rnuca_types::config::SystemConfig;
@@ -103,6 +104,7 @@ use rnuca_types::{BackoffConfig, RetryPolicy};
 use rnuca_warehouse::{render_errors, Warehouse};
 use rnuca_workloads::{TraceArena, WorkloadSpec};
 use std::path::Path;
+use std::sync::Arc;
 
 const CHARACTERIZATION_REFS: usize = 400_000;
 const CHARACTERIZATION_REFS_QUICK: usize = 60_000;
@@ -439,12 +441,17 @@ fn report_quarantined(sweep: &QuarantinedSweep) {
 /// job is printed on stderr and `figures` exits 1: a figure drawn from part
 /// of its matrix would be silently wrong.
 fn complete(sweep: QuarantinedSweep) -> ScenarioSweep {
-    sweep.into_sweep().unwrap_or_else(|failures| {
-        for failure in &failures {
-            eprintln!("{failure}");
-        }
-        std::process::exit(1);
-    })
+    sweep
+        .into_sweep()
+        .unwrap_or_else(|failures| exit_failed(&failures))
+}
+
+/// Prints each quarantined job's failure on stderr and exits 1.
+fn exit_failed(failures: &[JobFailure]) -> ! {
+    for failure in failures {
+        eprintln!("{failure}");
+    }
+    std::process::exit(1);
 }
 
 /// `figures serve`: run the resident experiment service until drained, with
@@ -660,7 +667,8 @@ fn query_cmd(store_path: Option<&str>, json: bool, query_parts: &[String]) {
 /// The timed throughput suite: writes the perf report to `out` (default
 /// `BENCH_perf.json`) and, with `--store=`, appends the report's rows to
 /// that warehouse. A `--filter` substring restricts the scenario list for
-/// local iteration.
+/// local iteration. A quarantined scenario prints its failure and exits 1:
+/// the report needs every scenario.
 fn perf(
     cfg: &ExperimentConfig,
     engine: &ExperimentEngine,
@@ -670,7 +678,13 @@ fn perf(
 ) {
     heading("perf: timed end-to-end throughput");
     let scenarios = selected_scenarios(cfg, filter);
-    let report = run_perf(&scenarios, cfg, engine, &TraceArena::new());
+    let report = run_perf(
+        &perf_matrix(*cfg),
+        &scenarios,
+        engine,
+        &Arc::new(TraceArena::new()),
+    )
+    .unwrap_or_else(|failures| exit_failed(&failures));
     if let Some(path) = store_path {
         let store = open_store(path);
         let summary = store.append_all(&report.to_records());
@@ -686,8 +700,8 @@ fn perf(
     let t = &report.totals;
     println!(
         "{} scenarios, {} refs in {:.2}s: {:.0} refs/sec end to end \
-         ({:.2}s trace generation, {:.2}s warm-up + {:.2}s measured summed over scenarios) \
-         -> {out}",
+         ({:.2}s trace generation, {:.2}s warm-up, {:.2}s measured, {:.2}s other, \
+         summed over workers) -> {out}",
         t.scenarios,
         t.refs,
         t.elapsed_nanos as f64 / 1e9,
@@ -695,6 +709,7 @@ fn perf(
         t.tracegen_nanos as f64 / 1e9,
         t.warmup_nanos as f64 / 1e9,
         t.measured_nanos as f64 / 1e9,
+        t.other_nanos as f64 / 1e9,
     );
 }
 

@@ -1,17 +1,22 @@
 //! The throughput benchmark behind `figures perf`.
 //!
-//! [`run_perf`] executes timed end-to-end simulations on the deterministic
-//! [`ExperimentEngine`], and [`PerfReport::to_json`] emits the perf report
-//! (`BENCH_perf.json` by default). The scenarios are the jobs of one
-//! scenario matrix, [`perf_matrix`]: the five LLC designs × representative
-//! workloads × 16/32/64 cores.
+//! The perf suite is one scenario matrix, [`perf_matrix`]: the five LLC
+//! designs × representative workloads × 16/32/64 cores. [`run_perf`] runs
+//! its jobs (or a `--filter`ed subset) once through
+//! [`ScenarioMatrix::run_jobs`], the executor behind every
+//! [`ScenarioMatrix::run`], and [`PerfReport::to_json`] emits the perf
+//! report (`BENCH_perf.json` by default) as a view over that run.
 //!
-//! Every scenario is one engine job that warms in place: it builds its
-//! simulator, runs the warm-up prefix of its [`TraceArena`] slab, then
-//! measures the rest. The two phases are timed separately
-//! (`warmup_nanos`, `measured_nanos`). The unique reference streams are
-//! materialized into the arena up front (`tracegen_nanos`, once per
-//! `(workload, cores, seed)`, nine for the default list).
+//! Every scenario is one job that warms in place: it builds its simulator,
+//! runs the warm-up prefix of its [`TraceArena`] slab, then measures the
+//! rest, and reports how long each phase took ([`JobPhases`]). Each unique
+//! stream (one per `(workload, cores, seed)`, nine for the default list) is
+//! generated by the first job that needs it and retired after its last, so
+//! live trace memory is bounded by the jobs in flight. The report's phases
+//! are sums over jobs: `tracegen_nanos` (inside the arena: generating a
+//! stream, or waiting on the worker that generates it), `warmup_nanos` and
+//! `measured_nanos`. `other_nanos` is the rest of the pool's time (elapsed
+//! time × busy workers), so the four add up to it.
 //!
 //! The one headline is **refs/sec**: block references stepped (warm-up plus
 //! measured, every scenario) per second of the run's *elapsed* wall-clock
@@ -29,14 +34,14 @@
 //! results warehouse as [`PerfReport::to_records`] rows.
 
 use rnuca_sim::{
-    CmpSimulator, ExperimentConfig, ExperimentEngine, LlcDesign, MeasuredRun, ScenarioJob,
-    ScenarioMatrix,
+    ExperimentConfig, ExperimentEngine, JobFailure, JobPhases, LlcDesign, ScenarioJob,
+    ScenarioMatrix, SweepOptions,
 };
 use rnuca_types::json::json_string;
 use rnuca_warehouse::{RowKind, RunRecord};
-use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
-use std::collections::HashSet;
-use std::time::Instant;
+use rnuca_workloads::{TraceArena, WorkloadSpec};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The perf suite as a matrix: a sharing-heavy server workload (OLTP DB2),
 /// a nearest-neighbour scientific code (em3d), and a streaming scan with
@@ -44,6 +49,10 @@ use std::time::Instant;
 /// L1-to-L1 forwarding, re-classification, and off-chip — at 16/32/64
 /// cores under the five P/A/S/R/I designs. Its [`ScenarioMatrix::jobs`]
 /// are the suite's 45 scenarios, ordered workload, then cores, then design.
+///
+/// The matrix clears [`ExperimentConfig::asr_best_of`]: every "A" scenario
+/// times adaptive ASR alone, one warm-up and one measured window like every
+/// other design, at every preset.
 pub fn perf_matrix(cfg: ExperimentConfig) -> ScenarioMatrix {
     ScenarioMatrix {
         workloads: vec![
@@ -53,7 +62,10 @@ pub fn perf_matrix(cfg: ExperimentConfig) -> ScenarioMatrix {
         ],
         designs: LlcDesign::speedup_set(),
         core_counts: vec![16, 32, 64],
-        ..ScenarioMatrix::new(cfg)
+        ..ScenarioMatrix::new(ExperimentConfig {
+            asr_best_of: false,
+            ..cfg
+        })
     }
 }
 
@@ -96,21 +108,27 @@ pub struct PerfResult {
 }
 
 /// Aggregates over all scenarios of a run.
+///
+/// The four phases partition the pool's time, `elapsed_nanos ×
+/// min(workers, scenarios)`: `tracegen_nanos + warmup_nanos +
+/// measured_nanos + other_nanos` equals it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfTotals {
     /// Number of scenarios executed.
     pub scenarios: usize,
     /// Total block references stepped (all scenarios, warm-up + measured).
     pub refs: u64,
-    /// Wall-clock nanoseconds spent materializing the unique reference
-    /// streams into the trace arena, before any scenario ran. Generation
-    /// happens once per unique `(workload, cores, seed)` stream, not once
-    /// per scenario.
+    /// Summed time scenarios spent obtaining their reference streams from
+    /// the trace arena: generating a stream (once per unique `(workload,
+    /// cores, seed)`), or waiting on the worker generating it.
     pub tracegen_nanos: u64,
     /// Summed warm-up time across scenarios, in nanoseconds.
     pub warmup_nanos: u64,
     /// Summed measured-phase time across scenarios, in nanoseconds.
     pub measured_nanos: u64,
+    /// The pool's time in no scenario phase: simulator construction, result
+    /// assembly, and workers idle at the tail of the run.
+    pub other_nanos: u64,
     /// Wall-clock nanoseconds for the whole run (trace generation,
     /// construction, warm-up and measurement).
     pub elapsed_nanos: u64,
@@ -130,104 +148,90 @@ pub struct PerfReport {
 }
 
 /// The version stamped into the perf report and the `schema` column of its
-/// warehouse rows; bump when either changes. Version 8 keys `scenario` rows
-/// on the full workload spec's fingerprint; earlier rows keyed on the
-/// workload name.
-pub const PERF_SCHEMA_VERSION: u64 = 8;
+/// warehouse rows; bump when either changes. Version 9 adds
+/// `totals.other_nanos`, and `tracegen_nanos` became the summed per-job
+/// stream time; version 8 keyed `scenario` rows on the full workload spec's
+/// fingerprint.
+pub const PERF_SCHEMA_VERSION: u64 = 9;
 
-/// Runs `scenarios` on `engine`, timing each scenario's warm-up and
-/// measured phases. The arena is explicit so callers can share streams
-/// across runs and inspect deduplication.
-///
-/// Before any scenario runs, the unique reference streams behind the list
-/// (one per `(workload, cores, seed)` — the 45-scenario default needs only
-/// 9) are materialized into the [`TraceArena`] in parallel (reported as
-/// `tracegen_nanos`). Each scenario is then one engine job that warms in
-/// place and measures over its stream's slab. The streams stay in `arena`
-/// after the run: this is the one caller that materializes every stream up
-/// front, unlike `ScenarioMatrix::run`, which retires each stream after its
-/// last job.
+/// Runs `scenarios` (`matrix`'s jobs, or a subset of them) through one
+/// [`ScenarioMatrix::run_jobs`] call on `engine`, and builds the report
+/// from the outcome: each job's result and [`JobPhases`], and the call's
+/// elapsed time. Streams resolve through `arena`, which is empty again when
+/// the run returns; its [`TraceArena::generations`] counts the streams the
+/// run generated.
 ///
 /// The deterministic fields of the report (scenario identity, reference
 /// counts, CPI digests) are identical for every worker count; only the
 /// timing fields vary run to run.
+///
+/// # Errors
+///
+/// The quarantined failures, in job order, when any scenario's attempt
+/// panicked: the report needs every scenario.
 pub fn run_perf(
+    matrix: &ScenarioMatrix,
     scenarios: &[ScenarioJob],
-    cfg: &ExperimentConfig,
     engine: &ExperimentEngine,
-    arena: &TraceArena,
-) -> PerfReport {
+    arena: &Arc<TraceArena>,
+) -> Result<PerfReport, Vec<JobFailure>> {
+    let opts = SweepOptions {
+        arena: Arc::clone(arena),
+        ..SweepOptions::new(*engine)
+    };
     let start = Instant::now();
-    let mut seen = HashSet::new();
-    let unique: Vec<&ScenarioJob> = scenarios
-        .iter()
-        .filter(|s| seen.insert(TraceKey::new(&s.workload, cfg.seed)))
+    let outcome = matrix
+        .run_jobs(scenarios, &opts)
+        .expect("a run with no journal and no stop flag gives every job an outcome");
+    let elapsed = start.elapsed();
+    let sweep = outcome.sweep.into_sweep()?;
+    let phases: Vec<JobPhases> = outcome
+        .phases
+        .into_iter()
+        .map(|p| p.expect("every job ran and completed"))
         .collect();
-    let t = Instant::now();
-    engine.run(&unique, |_, s| {
-        arena.populate(&s.workload, cfg.seed, cfg.total_refs())
-    });
-    let tracegen_nanos = saturating_nanos(t.elapsed().as_nanos());
-    let timed = engine.run(scenarios, |_, s| time_scenario(s, cfg, arena));
-    let elapsed_nanos = saturating_nanos(start.elapsed().as_nanos());
 
+    let cfg = matrix.cfg;
     let results: Vec<PerfResult> = scenarios
         .iter()
-        .zip(timed)
-        .map(|(s, (run, warmup_nanos, measured_nanos))| PerfResult {
+        .zip(&sweep.results)
+        .zip(&phases)
+        .map(|((s, r), p)| PerfResult {
             workload: s.workload.name.clone(),
             fingerprint: s.workload.fingerprint(),
             letter: s.design.letter(),
             design: s.design.to_string(),
-            cores: s.workload.num_cores(),
+            cores: r.cores,
             refs: cfg.total_refs() as u64,
-            total_cpi: run.total_cpi(),
-            off_chip_rate: run.off_chip_rate,
-            warmup_nanos,
-            measured_nanos,
+            total_cpi: r.run.total_cpi(),
+            off_chip_rate: r.run.off_chip_rate,
+            warmup_nanos: nanos(p.warm),
+            measured_nanos: nanos(p.measure),
         })
         .collect();
+    let sum = |phase: fn(&JobPhases) -> Duration| nanos(phases.iter().map(phase).sum());
+    let (tracegen_nanos, warmup_nanos, measured_nanos) =
+        (sum(|p| p.stream), sum(|p| p.warm), sum(|p| p.measure));
+    let elapsed_nanos = nanos(elapsed);
+    let pool_nanos = elapsed_nanos.saturating_mul(engine.workers().min(scenarios.len()) as u64);
     let refs: u64 = results.iter().map(|r| r.refs).sum();
-    let warmup_nanos: u64 = results.iter().map(|r| r.warmup_nanos).sum();
-    let measured_nanos: u64 = results.iter().map(|r| r.measured_nanos).sum();
     let totals = PerfTotals {
         scenarios: results.len(),
         refs,
         tracegen_nanos,
         warmup_nanos,
         measured_nanos,
+        // Every phase lies inside the timed call, on one of the pool's
+        // workers, so this never saturates (the tests check it does not).
+        other_nanos: pool_nanos.saturating_sub(tracegen_nanos + warmup_nanos + measured_nanos),
         elapsed_nanos,
         refs_per_sec: per_sec(refs, elapsed_nanos),
     };
-    PerfReport {
-        cfg: *cfg,
+    Ok(PerfReport {
+        cfg,
         results,
         totals,
-    }
-}
-
-/// Runs one scenario over its pre-materialized arena stream and times its
-/// two phases: the warm-up prefix and the measured window (construction
-/// and trace generation excluded). Recording both makes phase-specific
-/// regressions visible instead of averaged away.
-///
-/// The timers need the phases apart, so this does not call
-/// [`ScenarioJob::run`]: every scenario is one warm-up and one measured
-/// window under its own design, and ASR never runs best-of-six here.
-fn time_scenario(
-    s: &ScenarioJob,
-    cfg: &ExperimentConfig,
-    arena: &TraceArena,
-) -> (MeasuredRun, u64, u64) {
-    let mut slice = arena.slice(&s.workload, cfg.seed, cfg.total_refs());
-    let mut sim = CmpSimulator::with_seed(s.design, &s.workload, cfg.seed);
-    let t = Instant::now();
-    sim.run_warmup(&mut slice, cfg.warmup_refs);
-    let warmup_nanos = saturating_nanos(t.elapsed().as_nanos());
-    let t = Instant::now();
-    let run = sim.run_measured(&mut slice, cfg.measured_refs);
-    let measured_nanos = saturating_nanos(t.elapsed().as_nanos());
-    (run, warmup_nanos, measured_nanos)
+    })
 }
 
 fn per_sec(count: u64, nanos: u64) -> f64 {
@@ -237,8 +241,8 @@ fn per_sec(count: u64, nanos: u64) -> f64 {
     count as f64 * 1e9 / nanos as f64
 }
 
-fn saturating_nanos(n: u128) -> u64 {
-    n.min(u64::MAX as u128) as u64
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 impl PerfReport {
@@ -326,13 +330,14 @@ impl PerfReport {
         out.push_str("  ],\n");
         out.push_str(&format!(
             "  \"totals\": {{\"scenarios\": {}, \"refs\": {}, \"tracegen_nanos\": {}, \
-             \"warmup_nanos\": {}, \"measured_nanos\": {}, \"elapsed_nanos\": {}, \
-             \"refs_per_sec\": {}}}\n}}\n",
+             \"warmup_nanos\": {}, \"measured_nanos\": {}, \"other_nanos\": {}, \
+             \"elapsed_nanos\": {}, \"refs_per_sec\": {}}}\n}}\n",
             self.totals.scenarios,
             self.totals.refs,
             tn(self.totals.tracegen_nanos),
             tn(self.totals.warmup_nanos),
             tn(self.totals.measured_nanos),
+            tn(self.totals.other_nanos),
             tn(self.totals.elapsed_nanos),
             t(self.totals.refs_per_sec),
         ));
@@ -344,6 +349,7 @@ impl PerfReport {
 mod tests {
     use super::*;
     use rnuca_warehouse::Warehouse;
+    use rnuca_workloads::TraceKey;
 
     fn tiny_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::smoke();
@@ -352,21 +358,38 @@ mod tests {
         cfg
     }
 
-    /// Runs `scenarios` over a fresh arena.
-    fn run(scenarios: &[ScenarioJob], cfg: &ExperimentConfig, workers: usize) -> PerfReport {
+    /// Runs `scenarios` of `matrix` over `arena` on `workers` workers.
+    fn run_in(
+        matrix: &ScenarioMatrix,
+        scenarios: &[ScenarioJob],
+        workers: usize,
+        arena: &Arc<TraceArena>,
+    ) -> PerfReport {
         run_perf(
+            matrix,
             scenarios,
-            cfg,
             &ExperimentEngine::with_workers(workers),
-            &TraceArena::new(),
+            arena,
         )
+        .expect("no scenario panics")
     }
 
-    fn tiny_scenarios() -> Vec<ScenarioJob> {
+    /// Runs every job of `matrix` over a fresh arena.
+    fn run(matrix: &ScenarioMatrix, workers: usize) -> PerfReport {
+        let jobs = matrix.jobs().expect("the matrix is valid");
+        run_in(matrix, &jobs, workers, &Arc::new(TraceArena::new()))
+    }
+
+    /// OLTP DB2 under shared and R-NUCA: two scenarios over one stream.
+    fn tiny_matrix() -> ScenarioMatrix {
         let mut m = ScenarioMatrix::new(tiny_cfg());
         m.workloads = vec![WorkloadSpec::oltp_db2()];
         m.designs = vec![LlcDesign::Shared, LlcDesign::rnuca_default()];
-        m.jobs().expect("baseline jobs are valid")
+        m
+    }
+
+    fn tiny_scenarios() -> Vec<ScenarioJob> {
+        tiny_matrix().jobs().expect("baseline jobs are valid")
     }
 
     /// The default 45-scenario list.
@@ -388,12 +411,13 @@ mod tests {
         let cores: Vec<usize> = scenarios.iter().map(|s| s.workload.num_cores()).collect();
         assert_eq!(cores[..15], [[16; 5], [32; 5], [64; 5]].concat());
         assert_eq!(scenarios[15].workload.name, "em3d");
+        // "A" is adaptive ASR alone, even at the full preset.
+        assert!(!perf_matrix(ExperimentConfig::full()).cfg.asr_best_of);
     }
 
     #[test]
     fn report_totals_are_consistent_with_scenarios() {
-        let cfg = tiny_cfg();
-        let report = run(&tiny_scenarios(), &cfg, 1);
+        let report = run(&tiny_matrix(), 1);
         assert_eq!(report.totals.scenarios, 2);
         assert_eq!(report.totals.refs, 2 * 1000);
         assert!(
@@ -413,13 +437,6 @@ mod tests {
             report.totals.measured_nanos,
             report.results.iter().map(|r| r.measured_nanos).sum::<u64>()
         );
-        assert!(
-            report.totals.elapsed_nanos
-                >= report.totals.tracegen_nanos
-                    + report.totals.warmup_nanos
-                    + report.totals.measured_nanos,
-            "one worker: the phases run one after another inside the elapsed time"
-        );
         assert_eq!(
             report.totals.refs_per_sec,
             report.totals.refs as f64 * 1e9 / report.totals.elapsed_nanos as f64
@@ -436,7 +453,7 @@ mod tests {
         }
         assert!(records
             .iter()
-            .all(|r| r.schema == 8 && r.config == "custom"));
+            .all(|r| r.schema == 9 && r.config == "custom"));
         assert_eq!(records[2].kind, RowKind::Totals);
         assert_eq!(records[2].refs_per_sec, Some(report.totals.refs_per_sec));
         // Storing the same report twice adds nothing the second time.
@@ -446,28 +463,64 @@ mod tests {
     }
 
     #[test]
+    fn phases_add_up_to_the_pool_time() {
+        // Every phase is timed inside the run, on one of its workers, so
+        // the phases never exceed the pool's time and `other` is the exact
+        // remainder: it never saturates at zero.
+        let mut m = tiny_matrix();
+        m.core_counts = vec![16, 32];
+        for workers in [1, 2] {
+            let t = run(&m, workers).totals;
+            let phases = t.tracegen_nanos + t.warmup_nanos + t.measured_nanos;
+            let pool = t.elapsed_nanos * workers as u64;
+            let other = pool.checked_sub(phases);
+            assert!(
+                other.is_some_and(|o| o > 0),
+                "{workers} workers: phases {phases} ns outside a pool of {pool} ns"
+            );
+            assert_eq!(Some(t.other_nanos), other, "{workers} workers");
+        }
+    }
+
+    #[test]
     fn default_perf_run_generates_exactly_nine_streams() {
         // 45 scenarios resolve onto 9 unique streams (3 workloads x 3 core
-        // counts), each generated exactly once.
-        let cfg = tiny_cfg();
-        let arena = TraceArena::new();
-        let report = run_perf(
-            &default_scenarios(),
-            &cfg,
-            &ExperimentEngine::with_workers(2),
-            &arena,
-        );
+        // counts), each generated exactly once and retired after its last
+        // scenario.
+        let m = perf_matrix(tiny_cfg());
+        let arena = Arc::new(TraceArena::new());
+        let report = run_in(&m, &default_scenarios(), 2, &arena);
         assert_eq!(report.totals.scenarios, 45);
-        assert_eq!(arena.len(), 9, "one stream per (workload, cores)");
         assert_eq!(arena.generations(), 9, "each generated exactly once");
+        assert_eq!(arena.len(), 0, "every stream is retired");
+    }
+
+    #[test]
+    fn a_filtered_perf_run_generates_only_its_scenarios_streams() {
+        let m = perf_matrix(tiny_cfg());
+        let em3d = filter_scenarios(default_scenarios(), "em3d");
+        let arena = Arc::new(TraceArena::new());
+        let report = run_in(&m, &em3d, 2, &arena);
+        let labels = |jobs: &[ScenarioJob]| jobs.iter().map(ScenarioJob::label).collect::<Vec<_>>();
+        assert_eq!(report.totals.scenarios, 15);
+        assert!(report.results.iter().all(|r| r.workload == "em3d"));
+        assert_eq!(
+            report
+                .results
+                .iter()
+                .map(|r| format!("{}/{}/{}/{}c", r.workload, r.letter, r.design, r.cores))
+                .collect::<Vec<_>>(),
+            labels(&em3d),
+            "results come back in filtered-list order"
+        );
+        assert_eq!(arena.generations(), 3, "em3d at 16, 32 and 64 cores");
+        assert_eq!(arena.len(), 0);
     }
 
     #[test]
     fn canonical_json_is_identical_across_worker_counts() {
-        let cfg = tiny_cfg();
-        let scenarios = tiny_scenarios();
-        let serial = run(&scenarios, &cfg, 1);
-        let pooled = run(&scenarios, &cfg, 4);
+        let serial = run(&tiny_matrix(), 1);
+        let pooled = run(&tiny_matrix(), 4);
         assert_eq!(serial.to_canonical_json(), pooled.to_canonical_json());
         // The deterministic fields agree even in the timed documents.
         for (a, b) in serial.results.iter().zip(&pooled.results) {
@@ -504,18 +557,19 @@ mod tests {
                 tracegen_nanos: 3,
                 warmup_nanos: 15,
                 measured_nanos: 18,
+                other_nanos: 4,
                 elapsed_nanos: 40,
                 refs_per_sec: 5e10,
             },
         };
         let expected = r#"{
-  "schema_version": 8,
+  "schema_version": 9,
   "config": {"warmup_refs": 600, "measured_refs": 400, "seed": 42},
   "scenarios": [
     {"workload": "OLTP DB2", "design": "shared", "letter": "S", "cores": 16, "refs": 1000, "total_cpi": 1.5, "off_chip_rate": 0.25, "warmup_nanos": 7, "measured_nanos": 9},
     {"workload": "OLTP DB2", "design": "R-NUCA \"4\"", "letter": "R", "cores": 16, "refs": 1000, "total_cpi": 0.1, "off_chip_rate": 0.25, "warmup_nanos": 8, "measured_nanos": 9}
   ],
-  "totals": {"scenarios": 2, "refs": 2000, "tracegen_nanos": 3, "warmup_nanos": 15, "measured_nanos": 18, "elapsed_nanos": 40, "refs_per_sec": 50000000000}
+  "totals": {"scenarios": 2, "refs": 2000, "tracegen_nanos": 3, "warmup_nanos": 15, "measured_nanos": 18, "other_nanos": 4, "elapsed_nanos": 40, "refs_per_sec": 50000000000}
 }
 "#;
         assert_eq!(report.to_json(), expected);
@@ -579,7 +633,7 @@ mod tests {
         // Two designs over one workload share an arena slab; their
         // deterministic digests must come out as if each streamed privately.
         let cfg = tiny_cfg();
-        let report = run(&tiny_scenarios(), &cfg, 2);
+        let report = run(&tiny_matrix(), 2);
         for (s, r) in tiny_scenarios().iter().zip(&report.results) {
             let single = rnuca_sim::run_single(&s.workload, s.design, &cfg);
             assert_eq!(r.total_cpi, single.total_cpi());

@@ -2,7 +2,7 @@
 //! chosen job boundary mid-sweep, resume it from its journal, and prove the
 //! resumed warehouse is byte-identical to one built by a run that was never
 //! interrupted. And poison one job: a sweep quarantines it, while a figure
-//! that needs every job fails loudly.
+//! or the perf report, which need every job, fail loudly.
 //!
 //! Ignored by default — each leg runs a full `--smoke` sweep, so CI runs
 //! this in release mode (`cargo test --release -p rnuca-bench --test
@@ -181,6 +181,13 @@ fn a_poisoned_sweep_job_is_quarantined_journaled_and_stored_as_failed() {
         stderr.contains("sweep: 1 of 288 jobs quarantined"),
         "{stderr}"
     );
+    // The typed failure is the only report of the panic: the attempt's raw
+    // panic-hook block stays off stderr.
+    assert!(
+        stderr.contains("job 0 failed after 1 attempt (panic)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "{stderr}");
     let json = String::from_utf8(out.stdout).expect("utf-8 JSON");
     assert!(
         json.contains("\"results\": [\n    null,\n"),
@@ -227,8 +234,39 @@ fn a_poisoned_job_fails_the_figures_loudly() {
         "{stderr}"
     );
     assert!(stderr.contains(site), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
     assert!(
         !stdout.contains("Figure 7"),
         "no table is printed: {stdout}"
     );
+}
+
+#[test]
+#[ignore = "runs a --smoke perf subset; CI's chaos-smoke step runs it in release"]
+fn a_poisoned_perf_scenario_fails_the_report_loudly() {
+    // The perf report needs every scenario of its (filtered) list, so one
+    // poisoned scenario ends the run with its typed failure and exit 1,
+    // and no report is written.
+    let out_path = temp("poisoned-perf.json");
+    std::fs::remove_file(&out_path).ok();
+    let site = "sim::member::em3d::shared::16c";
+    let out = figures(
+        &[
+            "--smoke",
+            "--workers=2",
+            "perf",
+            "--filter=em3d",
+            &format!("--out={}", out_path.display()),
+        ],
+        Some(&format!("{site}=panic@1")),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    // Job 2 of the em3d subset is its shared design at 16 cores.
+    assert!(
+        stderr.contains("job 2 failed after 1 attempt (panic)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    assert!(!out_path.exists(), "no partial report is written");
 }

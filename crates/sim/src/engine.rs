@@ -11,29 +11,27 @@
 //! its job, so the output is ordered by job index and **identical for every
 //! worker-pool size**.
 //!
-//! Two execution modes share that machinery:
+//! [`ExperimentEngine::run_supervised`] is the one way to run a job list,
+//! and every matrix run takes it. Each attempt runs inline on the worker
+//! that claimed the job, under [`catch_unwind`] and a [`RetryPolicy`]
+//! (retries, seeded backoff, per-attempt deadline); each slot yields
+//! `Result<T, JobFailure>`, so one poisoned scenario becomes a failure
+//! record while every other job still completes. Deadlines are cooperative:
+//! the job receives the instant its attempt must finish by and unwinds with
+//! a [`DeadlineExceeded`] payload once it passes it. An accept hook sees
+//! each final outcome on the claiming worker, which is where callers
+//! journal it.
 //!
-//! * [`ExperimentEngine::run_supervised`] — the job path every matrix run
-//!   takes. Each attempt runs inline on the worker that claimed the job,
-//!   under [`catch_unwind`] and a [`RetryPolicy`] (retries, seeded backoff,
-//!   per-attempt deadline); each slot yields `Result<T, JobFailure>`, so one
-//!   poisoned scenario becomes a failure record while every other job still
-//!   completes. Deadlines are cooperative: the job receives the instant its
-//!   attempt must finish by and unwinds with a
-//!   [`DeadlineExceeded`] payload once it passes it. An accept hook sees
-//!   each final outcome on the claiming worker, which is where callers
-//!   journal it.
-//! * [`ExperimentEngine::run`] — fail fast, for the perf suite's timing
-//!   loop. The first panicking job stops the pool and the *original* panic
-//!   payload is re-raised on the caller's thread (not a secondary
-//!   poisoned-lock error, and not the anonymous "a scoped thread panicked"
-//!   that `std::thread::scope` would raise).
+//! A panic inside an attempt does not reach the process's panic hook: the
+//! failure already carries its message, and callers report it in their own
+//! words. Panics anywhere else still print as usual.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 use std::time::Instant;
 
 use rnuca_types::retry::{DeadlineExceeded, RetryPolicy};
@@ -122,11 +120,40 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 
 /// Locks ignoring poison. A worker that panicked between locking and
 /// unlocking a result slot poisons it; the interesting error is the job's
-/// panic (kept as a [`JobFailure`] or re-raised by `run`), not the
-/// secondary poisoning, so recover the guard instead of masking the root
-/// cause with a poisoned-lock `expect`.
+/// panic (kept as a [`JobFailure`]), not the secondary poisoning, so
+/// recover the guard instead of masking the root cause with a poisoned-lock
+/// `expect`.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// Set while this thread runs a supervised attempt.
+    static IN_ATTEMPT: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Wraps the process's panic hook, once, so that it stays silent for a
+/// panic raised inside a supervised attempt and runs as before for every
+/// other panic. The attempt's [`JobFailure`] carries the message instead.
+fn silence_attempt_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !IN_ATTEMPT.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+}
+
+/// Runs `attempt` under [`catch_unwind`] with this thread marked as inside
+/// a supervised attempt.
+fn catch_attempt<T>(attempt: impl FnOnce() -> T) -> std::thread::Result<T> {
+    let outer = IN_ATTEMPT.with(|flag| flag.replace(true));
+    let outcome = catch_unwind(AssertUnwindSafe(attempt));
+    IN_ATTEMPT.with(|flag| flag.set(outer));
+    outcome
 }
 
 impl ExperimentEngine {
@@ -152,56 +179,12 @@ impl ExperimentEngine {
         self.workers
     }
 
-    /// Runs `run` over every job, returning results in job order.
-    ///
-    /// `run` receives the job index and the job. It must be a pure function
-    /// of both for the engine's determinism guarantee to hold — every worker
-    /// count then yields the identical result vector.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the *original* panic payload of the lowest-indexed
-    /// panicking job after all workers have stopped claiming. No further
-    /// jobs are claimed once a panic is observed, but jobs already in
-    /// flight on other workers run to completion first.
-    pub fn run<J, T, F>(&self, jobs: &[J], run: F) -> Vec<T>
-    where
-        J: Sync,
-        T: Send,
-        F: Fn(usize, &J) -> T + Sync,
-    {
-        let panicked = AtomicBool::new(false);
-        let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        self.claim_each(
-            jobs.len(),
-            || panicked.load(Ordering::Acquire),
-            |i| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| run(i, &jobs[i])));
-                if outcome.is_err() {
-                    panicked.store(true, Ordering::Release);
-                }
-                *lock(&slots[i]) = Some(outcome);
-            },
-        );
-        let mut results = Vec::with_capacity(jobs.len());
-        for slot in slots {
-            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                Some(Ok(result)) => results.push(result),
-                // The lowest-index failure, re-raised with its original
-                // payload as if the caller had run that job inline.
-                Some(Err(payload)) => std::panic::resume_unwind(payload),
-                None => unreachable!("claims stop only after a recorded panic"),
-            }
-        }
-        results
-    }
-
     /// Supervised execution with per-attempt wall-clock deadlines, seeded
     /// backoff, a cooperative stop flag, and an accept hook.
     ///
     /// Each job is attempted up to `policy.attempts()` times, every attempt
-    /// inline on the worker that claimed the job, under [`catch_unwind`].
+    /// inline on the worker that claimed the job, under [`catch_unwind`]
+    /// and with the panic hook silenced for the attempt's own panics.
     /// Between attempts of job `i` the worker sleeps the policy's
     /// seeded-jitter backoff `delay(seed, i, attempt)` — a pure function of
     /// its arguments, so the pause schedule (like the results) is identical
@@ -244,6 +227,7 @@ impl ExperimentEngine {
         A: Fn(usize, &Result<T, JobFailure>) -> Result<(), E> + Sync,
         E: Send,
     {
+        silence_attempt_panics();
         let rejected: Mutex<Option<E>> = Mutex::new(None);
         let slots: Vec<Mutex<Option<Result<T, JobFailure>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
@@ -255,8 +239,7 @@ impl ExperimentEngine {
                 let outcome = loop {
                     // A deadline too far out to represent never passes.
                     let deadline = policy.deadline.and_then(|d| Instant::now().checked_add(d));
-                    let failed = match catch_unwind(AssertUnwindSafe(|| run(i, &jobs[i], deadline)))
-                    {
+                    let failed = match catch_attempt(|| run(i, &jobs[i], deadline)) {
                         Ok(result) => break Ok(result),
                         Err(payload) if payload.is::<DeadlineExceeded>() => (
                             FailureCause::Deadline,
@@ -379,35 +362,34 @@ mod tests {
     #[test]
     fn results_are_ordered_by_job_index() {
         let jobs: Vec<usize> = (0..100).collect();
-        let results = ExperimentEngine::with_workers(7).run(&jobs, |i, &j| {
+        let results = supervise(7, jobs, 0, &RetryPolicy::default(), |i, &j| {
             assert_eq!(i, j);
             j * 3
         });
-        assert_eq!(results, (0..100).map(|j| j * 3).collect::<Vec<_>>());
+        assert_eq!(results, (0..100).map(|j| Ok(j * 3)).collect::<Vec<_>>());
     }
 
     #[test]
     fn output_is_identical_for_every_worker_count() {
         let jobs: Vec<u64> = (0..37).collect();
-        let reference = ExperimentEngine::with_workers(1).run(&jobs, |_, &j| j * j + 1);
+        let policy = RetryPolicy::default();
+        let reference = supervise(1, jobs.clone(), 0, &policy, |_, &j| j * j + 1);
         for workers in [2, 3, 8, 64] {
-            let out = ExperimentEngine::with_workers(workers).run(&jobs, |_, &j| j * j + 1);
+            let out = supervise(workers, jobs.clone(), 0, &policy, |_, &j| j * j + 1);
             assert_eq!(out, reference, "worker count {workers} changed the output");
         }
     }
 
     #[test]
     fn empty_job_list_yields_empty_results() {
-        let jobs: Vec<u32> = Vec::new();
-        let out: Vec<u32> = ExperimentEngine::new().run(&jobs, |_, &j| j);
+        let out = supervise(4, Vec::<u32>::new(), 0, &RetryPolicy::default(), |_, &j| j);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_workers_than_jobs_is_fine() {
-        let jobs = vec![10, 20];
-        let out = ExperimentEngine::with_workers(16).run(&jobs, |_, &j| j + 1);
-        assert_eq!(out, vec![11, 21]);
+        let out = supervise(16, vec![10, 20], 0, &RetryPolicy::default(), |_, &j| j + 1);
+        assert_eq!(out, vec![Ok(11), Ok(21)]);
     }
 
     #[test]
@@ -415,40 +397,6 @@ mod tests {
         assert_eq!(ExperimentEngine::with_workers(0).workers(), 1);
         assert!(ExperimentEngine::new().workers() >= 1);
         assert_eq!(ExperimentEngine::default(), ExperimentEngine::new());
-    }
-
-    #[test]
-    fn run_propagates_the_original_panic_payload() {
-        let jobs: Vec<usize> = (0..20).collect();
-        let caught = std::panic::catch_unwind(|| {
-            ExperimentEngine::with_workers(4).run(&jobs, |_, &j| {
-                if j == 7 {
-                    panic!("scenario {j} exploded");
-                }
-                j
-            })
-        })
-        .expect_err("run must propagate the job panic");
-        let message = payload_message(caught.as_ref());
-        assert_eq!(
-            message, "scenario 7 exploded",
-            "the original payload must survive, not a poisoned-lock expect"
-        );
-    }
-
-    #[test]
-    fn run_propagates_the_lowest_indexed_panic() {
-        let jobs: Vec<usize> = (0..30).collect();
-        let caught = std::panic::catch_unwind(|| {
-            ExperimentEngine::with_workers(8).run(&jobs, |_, &j| {
-                if j == 5 || j == 23 {
-                    panic!("boom at {j}");
-                }
-                j
-            })
-        })
-        .expect_err("run must propagate a job panic");
-        assert_eq!(payload_message(caught.as_ref()), "boom at 5");
     }
 
     #[test]

@@ -178,7 +178,7 @@ mod tests {
         cfg.asr_best_of = true;
         cfg.warmup_refs = 10_000;
         cfg.measured_refs = 8_000;
-        let best = asr_job(&spec).run(&cfg, &TraceArena::new(), None);
+        let (best, _) = asr_job(&spec).run(&cfg, &TraceArena::new(), None);
         // The best-of result can be no slower than the adaptive version alone.
         let adaptive = run_single(&spec, asr_job(&spec).design, &cfg);
         assert!(best.total_cpi() <= adaptive.total_cpi() + 1e-9);
@@ -234,7 +234,7 @@ mod tests {
                 point: ConfigPoint::baseline(),
             };
             assert_eq!(
-                job.run(&cfg, &arena, None),
+                job.run(&cfg, &arena, None).0,
                 run_single(&spec, design, &cfg),
                 "{design} must be replay-invariant"
             );
@@ -309,7 +309,7 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let traces = TraceArena::new();
-        let best = asr_job(&spec).run(&cfg, &traces, None);
+        let (best, _) = asr_job(&spec).run(&cfg, &traces, None);
         assert_eq!(best, best_of_six_streamed(&spec, &cfg));
         assert_eq!(traces.generations(), 1, "the stream was generated once");
     }

@@ -59,8 +59,8 @@ pub use journal::{
 };
 pub use report::TextTable;
 pub use scenario::{
-    QuarantinedSweep, ResumeSummary, ScenarioJob, ScenarioMatrix, ScenarioResult, ScenarioSweep,
-    SweepError, SweepOptions, SweepOutcome, SWEEP_SCHEMA_VERSION,
+    JobPhases, QuarantinedSweep, ResumeSummary, ScenarioJob, ScenarioMatrix, ScenarioResult,
+    ScenarioSweep, SweepError, SweepOptions, SweepOutcome, SWEEP_SCHEMA_VERSION,
 };
 pub use simulator::{CmpSimulator, MeasuredRun};
 pub use tile::{Tile, TileAccess};

@@ -20,6 +20,10 @@
 //! by default; retries, backoff and a per-attempt deadline when set), an
 //! optional warehouse sink, and the experiment service's stop flag and
 //! progress callback. `figures`, the service and the tests all call it.
+//! It is [`ScenarioMatrix::jobs`] plus one executor,
+//! [`ScenarioMatrix::run_jobs`], which the perf suite calls directly to run
+//! a filtered subset of its matrix. Each job's [`JobPhases`] come back with
+//! the outcome.
 //!
 //! Every job is independent: [`ScenarioJob::run`] builds the job's
 //! simulator, warms it in place over the job's [`TraceArena`] slab, and
@@ -69,7 +73,7 @@ use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Schema version of the sweep rows [`ScenarioMatrix::run`] appends to the
 /// warehouse (bumped when their column content changes meaning, so old and
@@ -136,12 +140,15 @@ impl ScenarioJob {
     /// references it replays and unwinds with a [`DeadlineExceeded`]
     /// payload once the deadline has passed. Stream generation and
     /// simulator construction run unchecked.
+    ///
+    /// The run comes back with its [`JobPhases`]: where the job's wall time
+    /// went, measured here on the worker that ran it.
     pub fn run(
         &self,
         cfg: &ExperimentConfig,
         traces: &TraceArena,
         deadline: Option<Instant>,
-    ) -> MeasuredRun {
+    ) -> (MeasuredRun, JobPhases) {
         // Per-job injection site for the quarantine tests: the site name
         // pins one scenario regardless of worker count or job order, so a
         // chaos test can poison exactly one job.
@@ -153,14 +160,35 @@ impl ScenarioJob {
                 self.workload.num_cores()
             ));
         }
+        let mut sim = CmpSimulator::with_seed(self.design, &self.workload, cfg.seed);
+        let start = Instant::now();
         let mut slice = Deadlined {
             slice: traces.slice(&self.workload, cfg.seed, cfg.total_refs()),
             deadline,
         };
-        let mut sim = CmpSimulator::with_seed(self.design, &self.workload, cfg.seed);
+        let streamed = Instant::now();
         sim.run_warmup(&mut slice, cfg.warmup_refs);
+        let warmed = Instant::now();
+        let run = self.measure(sim, &mut slice, cfg);
+        let phases = JobPhases {
+            stream: streamed - start,
+            warm: warmed - streamed,
+            measure: warmed.elapsed(),
+        };
+        (run, phases)
+    }
+
+    /// Measures the warmed simulator: once under the job's own design, or,
+    /// for ASR under `cfg.asr_best_of`, once per ASR version, keeping the
+    /// fastest.
+    fn measure(
+        &self,
+        mut sim: CmpSimulator,
+        slice: &mut Deadlined,
+        cfg: &ExperimentConfig,
+    ) -> MeasuredRun {
         if !(cfg.asr_best_of && matches!(self.design, LlcDesign::Asr { .. })) {
-            return sim.run_measured(&mut slice, cfg.measured_refs);
+            return sim.run_measured(slice, cfg.measured_refs);
         }
         let versions = AsrPolicy::all_versions();
         let (&last, earlier) = versions.split_last().expect("ASR has six versions");
@@ -173,7 +201,7 @@ impl ScenarioJob {
             })
             .collect();
         sim.set_asr_policy(last);
-        runs.push(sim.run_measured(&mut slice, cfg.measured_refs));
+        runs.push(sim.run_measured(slice, cfg.measured_refs));
         runs.into_iter()
             .min_by(|a, b| a.total_cpi().total_cmp(&b.total_cpi()))
             .expect("ASR has six versions")
@@ -190,6 +218,20 @@ impl ScenarioJob {
             self.workload.num_cores()
         )
     }
+}
+
+/// Where one [`ScenarioJob::run`] spent its wall time. Simulator
+/// construction is in none of the three phases.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JobPhases {
+    /// Inside [`TraceArena::slice`]: generating the job's stream, or waiting
+    /// on the worker that generates it. Near zero when the stream exists.
+    pub stream: Duration,
+    /// Warming the simulator over the stream's prefix.
+    pub warm: Duration,
+    /// Measuring the rest of the stream (every ASR version under
+    /// [`ExperimentConfig::asr_best_of`]).
+    pub measure: Duration,
 }
 
 /// A job's trace slice that checks the attempt's deadline before each batch
@@ -412,6 +454,9 @@ impl fmt::Debug for SweepOptions<'_> {
 pub struct SweepOutcome {
     /// Every job's result or quarantined failure, in job order.
     pub sweep: QuarantinedSweep,
+    /// Each job's [`JobPhases`], in job order: `None` for a job the journal
+    /// replayed and for a quarantined job.
+    pub phases: Vec<Option<JobPhases>>,
     /// How many jobs the journal replayed and how many ran.
     pub resumed: ResumeSummary,
     /// The warehouse append, when [`SweepOptions::store`] was set.
@@ -553,7 +598,29 @@ impl ScenarioMatrix {
     /// ended the run early. A job's panic never unwinds out of the run; it
     /// is quarantined.
     pub fn run(&self, opts: &SweepOptions<'_>) -> Result<SweepOutcome, SweepError> {
-        let jobs = self.jobs()?;
+        self.run_jobs(&self.jobs()?, opts)
+    }
+
+    /// Runs `jobs` exactly as [`ScenarioMatrix::run`] runs the matrix's own
+    /// job list, under this matrix's [`ExperimentConfig`]. `jobs` may be any
+    /// list, such as a filtered subset of [`ScenarioMatrix::jobs`]; results,
+    /// phases and failures are indexed by position in `jobs`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ScenarioMatrix::run`]. A journal records the matrix, so
+    /// with [`SweepOptions::journal`] set, a `jobs` other than
+    /// [`ScenarioMatrix::jobs`] is a [`SweepError::Config`].
+    pub fn run_jobs(
+        &self,
+        jobs: &[ScenarioJob],
+        opts: &SweepOptions<'_>,
+    ) -> Result<SweepOutcome, SweepError> {
+        if opts.journal.is_some() && jobs != self.jobs()? {
+            return Err(SweepError::Config(ConfigError::new(
+                "a journaled sweep runs its matrix's own job list",
+            )));
+        }
         let (journal, mut slots) = match opts.journal {
             Some(path) => {
                 let (journal, entries) = self.open_journal(path, opts.resume, jobs.len())?;
@@ -575,7 +642,7 @@ impl ScenarioMatrix {
             None => (None, vec![None; jobs.len()]),
         };
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
-        let streams = StreamCountdown::new(&opts.arena, &jobs, &pending, self.cfg.seed);
+        let streams = StreamCountdown::new(&opts.arena, jobs, &pending, self.cfg.seed);
 
         // The one place a job's final outcome is recorded: its stream's
         // countdown, the journal, then the progress report. `k` indexes
@@ -586,12 +653,12 @@ impl ScenarioMatrix {
                 progress(n, pending.len());
             }
         };
-        let accept = |k: usize, outcome: &Result<MeasuredRun, JobFailure>| {
+        let accept = |k: usize, outcome: &Result<(MeasuredRun, JobPhases), JobFailure>| {
             streams.finished(k);
             if let Some(journal) = &journal {
                 let job = pending[k];
                 match outcome {
-                    Ok(run) => journal.append(job, run),
+                    Ok((run, _)) => journal.append(job, run),
                     Err(f) => journal.append_failure(
                         job,
                         &JournalFailure {
@@ -617,8 +684,15 @@ impl ScenarioMatrix {
             |_, &i, deadline| jobs[i].run(&self.cfg, &opts.arena, deadline),
             accept,
         )?;
+        let mut phases = vec![None; jobs.len()];
         for (&i, outcome) in pending.iter().zip(outcomes) {
-            slots[i] = outcome.map(|r| r.map_err(|f| JobFailure { job: i, ..f }));
+            slots[i] = outcome.map(|r| match r {
+                Ok((run, job_phases)) => {
+                    phases[i] = Some(job_phases);
+                    Ok(run)
+                }
+                Err(f) => Err(JobFailure { job: i, ..f }),
+            });
         }
         let results: Vec<Result<ScenarioResult, JobFailure>> = jobs
             .iter()
@@ -639,6 +713,7 @@ impl ScenarioMatrix {
                 cfg: self.cfg,
                 results,
             },
+            phases,
             resumed: ResumeSummary {
                 replayed: jobs.len() - pending.len(),
                 ran: pending.len(),
@@ -1179,7 +1254,66 @@ mod tests {
         );
         assert_eq!(arena.len(), 0);
         assert_eq!(arena.generations(), 2, "replayed jobs need no stream");
+        let ran: Vec<bool> = resumed.phases.iter().map(Option::is_some).collect();
+        assert_eq!(
+            ran,
+            [false, false, false, true, true, true],
+            "replayed jobs have no phases"
+        );
         assert_eq!(resumed.sweep.into_sweep().unwrap(), sweep_of(&m));
+    }
+
+    #[test]
+    fn a_job_subset_runs_alone_and_reports_its_phases() {
+        // The subset is indexed by its own positions: em3d's two jobs only,
+        // over em3d's stream alone, each with the phases it spent.
+        let m = three_stream_matrix();
+        let subset: Vec<ScenarioJob> = m.jobs().unwrap().split_off(4);
+        let arena = Arc::new(TraceArena::new());
+        let outcome = m
+            .run_jobs(
+                &subset,
+                &SweepOptions {
+                    arena: Arc::clone(&arena),
+                    ..SweepOptions::new(ExperimentEngine::with_workers(2))
+                },
+            )
+            .expect("no journal, no stop flag");
+        let sweep = outcome.sweep.into_sweep().expect("every job completes");
+        assert_eq!(sweep.results, sweep_of(&m).results[4..]);
+        assert_eq!(arena.generations(), 1, "em3d's stream only");
+        assert_eq!(arena.len(), 0);
+        for phases in &outcome.phases {
+            let phases = phases.expect("every job ran");
+            assert!(phases.warm > Duration::ZERO && phases.measure > Duration::ZERO);
+        }
+        assert_eq!(
+            outcome.resumed,
+            ResumeSummary {
+                replayed: 0,
+                ran: 2
+            }
+        );
+
+        // A journal records the whole matrix: a subset cannot be journaled,
+        // and the refusal comes before the journal file is created.
+        let path = std::env::temp_dir().join(format!(
+            "rnuca-scenario-{}-subset.journal",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let journaled = m.run_jobs(
+            &subset,
+            &SweepOptions {
+                journal: Some(&path),
+                ..SweepOptions::new(ExperimentEngine::with_workers(1))
+            },
+        );
+        assert!(
+            matches!(journaled, Err(SweepError::Config(_))),
+            "{journaled:?}"
+        );
+        assert!(!path.exists());
     }
 
     #[test]
@@ -1210,6 +1344,11 @@ mod tests {
                 .expect("the matrix is valid");
             assert_eq!(outcome.sweep.failures().len(), quarantined);
             assert_eq!(outcome.sweep.completed(), 6 - quarantined);
+            assert_eq!(
+                outcome.phases[0].is_none(),
+                quarantined == 1,
+                "a quarantined job has no phases"
+            );
             assert_eq!(arena.len(), 0);
             assert_eq!(arena.generations(), 3, "each stream generated once");
         }

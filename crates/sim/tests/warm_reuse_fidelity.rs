@@ -86,7 +86,7 @@ fn cloned_asr_variants_are_byte_identical_to_fresh_runs() {
                 );
                 fresh_runs.push(fresh);
             }
-            let best_of_six = ScenarioJob {
+            let (best_of_six, _) = ScenarioJob {
                 workload: spec.clone(),
                 design: warm_design,
                 point: ConfigPoint {

@@ -24,7 +24,8 @@
 //! lives from its first job's start to its last job's end, and live trace
 //! memory is bounded by the jobs in flight rather than by the matrix. A
 //! retired key requested again is regenerated (about 40 ns per reference).
-//! Only the perf suite materializes its streams up front.
+//! Every matrix run, the perf suite's included, resolves its streams this
+//! way.
 //!
 //! Memory footprint: a slab stores 11 bytes per reference (8-byte physical
 //! address, 2-byte core index, 1-byte class+kind tag) — about 9.5 MiB for
@@ -327,9 +328,7 @@ struct Cell {
 /// request generates the slab, later ones are a lock-and-clone. The arena
 /// keeps a stream until [`TraceArena::retire`] drops its handle; replay
 /// cursors already holding the slab keep it alive until they finish, and a
-/// later request for a retired key generates it afresh. The perf suite
-/// materializes its streams up front with [`TraceArena::populate`] to time
-/// generation apart from simulation.
+/// later request for a retired key generates it afresh.
 #[derive(Debug, Default)]
 pub struct TraceArena {
     cells: Mutex<HashMap<TraceKey, Arc<Cell>>>,
@@ -411,7 +410,9 @@ impl TraceArena {
     }
 
     /// Ensures the stream is materialized at `min_len` references, without
-    /// returning it — the up-front materialization entry point.
+    /// returning it. No matrix run calls it (jobs generate their streams on
+    /// first use); it lets a caller time generation on its own, as the
+    /// per-layer tracer in `perfbench/` does.
     pub fn populate(&self, spec: &WorkloadSpec, seed: u64, min_len: usize) {
         self.slab(spec, seed, min_len);
     }

@@ -45,7 +45,6 @@ pub mod characterize;
 pub mod generator;
 pub mod regions;
 pub mod spec;
-pub mod trace_io;
 
 pub use arena::{TraceArena, TraceKey, TraceSlab, TraceSlice, TraceSource};
 pub use characterize::{
@@ -54,4 +53,3 @@ pub use characterize::{
 pub use generator::TraceGenerator;
 pub use regions::AddressLayout;
 pub use spec::{CmpPreset, SharingPattern, WorkloadSpec};
-pub use trace_io::{decode_trace, encode_trace, TraceDecodeError, TraceEncodeError};
