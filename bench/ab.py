@@ -4,8 +4,9 @@
     python3 bench/ab.py BASE_REV
 
 Checks BASE_REV out into a git worktree under target/, then, for each gated
-workload (perf-suite, the kernel-bound one, and sweep-journaled, the
-orchestration-bound one), runs `perfbench/run.py --workload W --seconds 1
+workload (perf-suite, the kernel-bound one; eval-best-of-six, where the
+private-like designs P and ASR take most references; and sweep-journaled,
+the orchestration-bound one), runs `perfbench/run.py --workload W --seconds 1
 --trace 0` from each tree in alternating pairs, each side building into its
 own CARGO_TARGET_DIR under target/. Exits 1 when a HEAD run reports
 `correct: false` or failed jobs, or when, on any workload, HEAD's median of a
@@ -22,7 +23,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 3
-WORKLOADS = ("perf-suite", "sweep-journaled")
+WORKLOADS = ("perf-suite", "eval-best-of-six", "sweep-journaled")
 PERFBENCH_ARGS = ["--seconds", "1", "--trace", "0"]
 GATED = ("refs_per_s", "peak_rss_mb")
 

@@ -59,18 +59,27 @@ class Verdict(unittest.TestCase):
 class EveryWorkload(unittest.TestCase):
     BASE = [run(4.0e6), run(4.4e6), run(4.2e6)]
 
-    def test_both_the_kernel_and_the_orchestration_workload_are_gated(self):
-        self.assertEqual(ab.WORKLOADS, ("perf-suite", "sweep-journaled"))
+    def test_the_kernel_evaluation_and_orchestration_workloads_are_gated(self):
+        self.assertEqual(ab.WORKLOADS, ("perf-suite", "eval-best-of-six", "sweep-journaled"))
 
     def test_each_workload_is_gated_with_the_same_bounds(self):
         ok, slow = [run(4.2e6)] * 3, [run(3.0e6)] * 3
-        runs = {"perf-suite": (self.BASE, ok), "sweep-journaled": (self.BASE, ok)}
+        runs = {w: (self.BASE, ok) for w in ab.WORKLOADS}
         self.assertEqual(ab.verdicts(runs, GATED), [])
-        runs["sweep-journaled"] = (self.BASE, slow)
+        for w in ab.WORKLOADS:
+            with self.subTest(workload=w):
+                problems = ab.verdicts(dict(runs, **{w: (self.BASE, slow)}), GATED)
+                self.assertEqual(len(problems), 1)
+                self.assertTrue(problems[0].startswith(f"{w}: "), problems[0])
+                self.assertIn("trails", problems[0])
+
+    def test_an_incorrect_evaluation_run_fails_the_gate(self):
+        ok = [run(4.2e6)] * 3
+        runs = {w: (self.BASE, ok) for w in ab.WORKLOADS}
+        runs["eval-best-of-six"] = (self.BASE, [run(4.2e6, correct=False)] + ok[1:])
         problems = ab.verdicts(runs, GATED)
         self.assertEqual(len(problems), 1)
-        self.assertTrue(problems[0].startswith("sweep-journaled: "), problems[0])
-        self.assertIn("trails", problems[0])
+        self.assertTrue(problems[0].startswith("eval-best-of-six: HEAD run 0"), problems[0])
 
 
 if __name__ == "__main__":

@@ -711,6 +711,7 @@ fn perf(
         t.measured_nanos as f64 / 1e9,
         t.other_nanos as f64 / 1e9,
     );
+    print!("{}", report.render_phase_costs());
 }
 
 /// Resolves `--filter` against the perf matrix's jobs, exiting when nothing

@@ -24,6 +24,9 @@
 //! rate `perfbench` reports as `refs_per_s` for the same run, and CI gates
 //! on it by comparing a change against its merge-base on one host
 //! (`bench/ab.py`), never against a number recorded on another machine.
+//! [`PerfReport::render_phase_costs`] explains it: warm-up and measured
+//! nanoseconds per reference by design and core count, and Private's
+//! measured cost over Shared's.
 //!
 //! Everything except the timing fields is a pure function of the scenario
 //! list and the [`ExperimentConfig`]: [`PerfReport::to_canonical_json`]
@@ -136,6 +139,20 @@ pub struct PerfTotals {
     pub refs_per_sec: f64,
 }
 
+/// The warm and measure cost per reference of one design at one core
+/// count, over every workload the run timed it on.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PhaseCost {
+    /// Design letter ("P", "A", "S", "R", "I").
+    letter: &'static str,
+    /// Core count.
+    cores: usize,
+    /// Wall-clock nanoseconds per warm-up reference.
+    warm_ns_per_ref: f64,
+    /// Wall-clock nanoseconds per measured reference.
+    measure_ns_per_ref: f64,
+}
+
 /// A complete perf run: configuration, per-scenario results, aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
@@ -241,11 +258,105 @@ fn per_sec(count: u64, nanos: u64) -> f64 {
     count as f64 * 1e9 / nanos as f64
 }
 
+fn per_ref(nanos: u64, refs: u64) -> f64 {
+    if refs == 0 {
+        return 0.0;
+    }
+    nanos as f64 / refs as f64
+}
+
+/// The distinct values of `items`, in first-seen order.
+fn first_seen<T: PartialEq>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut seen = Vec::new();
+    for item in items {
+        if !seen.contains(&item) {
+            seen.push(item);
+        }
+    }
+    seen
+}
+
 fn nanos(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 impl PerfReport {
+    /// Where the per-reference time goes: one [`PhaseCost`] per design
+    /// letter × core count the run timed, letters in first-seen order, then
+    /// core counts in first-seen order. Each sums its scenarios' warm-up
+    /// and measured nanoseconds over the references each phase stepped.
+    pub(crate) fn phase_costs(&self) -> Vec<PhaseCost> {
+        let letters = first_seen(self.results.iter().map(|r| r.letter));
+        let cores = first_seen(self.results.iter().map(|r| r.cores));
+        let mut costs = Vec::new();
+        for &letter in &letters {
+            for &c in &cores {
+                let runs = self
+                    .results
+                    .iter()
+                    .filter(|r| r.letter == letter && r.cores == c);
+                let (warm, measure, n) = runs.fold((0, 0, 0), |(w, m, n), r| {
+                    (w + r.warmup_nanos, m + r.measured_nanos, n + 1)
+                });
+                if n > 0 {
+                    costs.push(PhaseCost {
+                        letter,
+                        cores: c,
+                        warm_ns_per_ref: per_ref(warm, n * self.cfg.warmup_refs as u64),
+                        measure_ns_per_ref: per_ref(measure, n * self.cfg.measured_refs as u64),
+                    });
+                }
+            }
+        }
+        costs
+    }
+
+    /// Private's measured nanoseconds per reference over Shared's, each
+    /// summed over every scenario the design ran: the private-like path's
+    /// cost target is at most 1.5. `None` unless both designs ran.
+    pub(crate) fn private_over_shared(&self) -> Option<f64> {
+        let measure = |letter: &str| {
+            let runs = self.results.iter().filter(|r| r.letter == letter);
+            let (nanos, n) = runs.fold((0u64, 0u64), |(t, n), r| (t + r.measured_nanos, n + 1));
+            (n > 0).then(|| per_ref(nanos, n * self.cfg.measured_refs as u64))
+        };
+        let (p, s) = (measure("P")?, measure("S")?);
+        (s > 0.0).then(|| p / s)
+    }
+
+    /// Where the per-reference time goes, as text: warm-up and measured
+    /// nanoseconds per reference in one row per design letter and one
+    /// `warm / measure` column per core count, each cell summed over the
+    /// workloads, then Private's measured cost over Shared's when both ran
+    /// (the private-like path's cost target is at most 1.5).
+    pub fn render_phase_costs(&self) -> String {
+        let costs = self.phase_costs();
+        let cores = first_seen(costs.iter().map(|c| c.cores));
+        let mut out = String::from("ns/ref, warm / measure:\n    ");
+        for c in &cores {
+            out.push_str(&format!("{:>16}", format!("{c}c")));
+        }
+        for letter in first_seen(costs.iter().map(|c| c.letter)) {
+            out.push_str(&format!("\n  {letter:<2}"));
+            for &c in &cores {
+                let cell = costs
+                    .iter()
+                    .find(|p| p.letter == letter && p.cores == c)
+                    .map_or("-".to_string(), |p| {
+                        format!("{:.0} / {:.0}", p.warm_ns_per_ref, p.measure_ns_per_ref)
+                    });
+                out.push_str(&format!("{cell:>16}"));
+            }
+        }
+        out.push('\n');
+        if let Some(ratio) = self.private_over_shared() {
+            out.push_str(&format!(
+                "P/S measure: {ratio:.2}x (target: at most 1.50x)\n"
+            ));
+        }
+        out
+    }
+
     /// This report as warehouse rows: one `scenario` row per result and one
     /// `totals` row carrying the run's `refs_per_sec` headline.
     ///
@@ -573,6 +684,75 @@ mod tests {
 }
 "#;
         assert_eq!(report.to_json(), expected);
+    }
+
+    #[test]
+    fn phase_costs_split_per_reference_time_by_design_and_cores() {
+        // tiny_cfg: 600 warm-up and 400 measured references per scenario.
+        let result = |workload: &str, letter, cores, warmup_nanos, measured_nanos| PerfResult {
+            workload: workload.to_string(),
+            fingerprint: 0,
+            letter,
+            design: letter.to_string(),
+            cores,
+            refs: 1000,
+            total_cpi: 1.0,
+            off_chip_rate: 0.0,
+            warmup_nanos,
+            measured_nanos,
+        };
+        let report = PerfReport {
+            cfg: tiny_cfg(),
+            results: vec![
+                result("a", "P", 16, 600_000, 400_000),
+                result("a", "S", 16, 60_000, 80_000),
+                result("a", "P", 32, 1_200_000, 800_000),
+                result("b", "P", 16, 1_800_000, 1_200_000),
+                result("b", "S", 16, 120_000, 160_000),
+            ],
+            totals: PerfTotals {
+                scenarios: 5,
+                refs: 5000,
+                tracegen_nanos: 0,
+                warmup_nanos: 0,
+                measured_nanos: 0,
+                other_nanos: 0,
+                elapsed_nanos: 1,
+                refs_per_sec: 0.0,
+            },
+        };
+        let cost = |letter, cores, warm_ns_per_ref, measure_ns_per_ref| PhaseCost {
+            letter,
+            cores,
+            warm_ns_per_ref,
+            measure_ns_per_ref,
+        };
+        // P at 16 cores sums workloads a and b: 2.4 ms over 1200 warm-up
+        // references and 1.6 ms over 800 measured ones.
+        assert_eq!(
+            report.phase_costs(),
+            [
+                cost("P", 16, 2000.0, 2000.0),
+                cost("P", 32, 2000.0, 2000.0),
+                cost("S", 16, 150.0, 300.0),
+            ]
+        );
+        // P measures 2.4 ms over 1200 references, S 0.24 ms over 800.
+        assert_eq!(report.private_over_shared(), Some(2000.0 / 300.0));
+        assert_eq!(
+            report.render_phase_costs(),
+            "ns/ref, warm / measure:
+                 16c             32c
+  P      2000 / 2000     2000 / 2000
+  S        150 / 300               -
+P/S measure: 6.67x (target: at most 1.50x)
+"
+        );
+
+        let mut shared_only = report.clone();
+        shared_only.results.retain(|r| r.letter == "S");
+        assert_eq!(shared_only.private_over_shared(), None);
+        assert!(!shared_only.render_phase_costs().contains("P/S"));
     }
 
     #[test]

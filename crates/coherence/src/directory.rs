@@ -2,7 +2,7 @@
 
 use crate::protocol::{MosiState, ReadOutcome, ReadSource, WriteOutcome};
 use crate::sharers::SharerSet;
-use crate::table::EntryTable;
+use crate::table::{EntryTable, KEY_LIMIT};
 use rnuca_types::addr::BlockAddr;
 use rnuca_types::ids::TileId;
 use serde::{Deserialize, Serialize};
@@ -40,9 +40,11 @@ pub struct DirectoryStats {
 /// * tracking which **L2 slices** hold a block (private / ASR designs).
 ///
 /// Every store and every local L2 miss of the private/ASR designs performs a
-/// directory transaction, so the entry table is an open-addressed,
-/// structure-of-arrays store keyed by the block number (see the `table`
-/// module for the layout rationale) rather than a SipHash `HashMap`.
+/// directory transaction, so the entry table is an open-addressed store of
+/// 16-byte entries keyed by the block number (see the `table` module for
+/// the layout rationale) rather than a SipHash `HashMap`. A block number
+/// must be below 2^48 to fit an entry; the simulated 42-bit physical
+/// address space keeps it below 2^36.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directory {
     num_tiles: usize,
@@ -129,12 +131,23 @@ impl Directory {
         );
     }
 
+    /// The block's number, which must fit the entry table's 48-bit key.
+    fn checked_key(block: BlockAddr) -> u64 {
+        let key = block.block_number();
+        assert!(
+            key < KEY_LIMIT,
+            "block number {key:#x} does not fit the directory's 48-bit key"
+        );
+        key
+    }
+
     /// Handles a read request from `requester`, returning where the data comes
     /// from and which state the requester ends up in.
     pub fn handle_read(&mut self, block: BlockAddr, requester: TileId) -> ReadOutcome {
         self.check_tile(requester);
+        let key = Self::checked_key(block);
         self.stats.reads += 1;
-        let (slot, _) = self.entries.get_or_insert(block.block_number());
+        let (slot, _) = self.entries.get_or_insert(key);
         let mut sharers = SharerSet::from_bits(self.entries.sharer_bits(slot));
 
         if sharers.contains(requester) {
@@ -189,8 +202,9 @@ impl Directory {
     /// data source and the set of tiles that must be invalidated.
     pub fn handle_write(&mut self, block: BlockAddr, requester: TileId) -> WriteOutcome {
         self.check_tile(requester);
+        let key = Self::checked_key(block);
         self.stats.writes += 1;
-        let (slot, _) = self.entries.get_or_insert(block.block_number());
+        let (slot, _) = self.entries.get_or_insert(key);
         let sharers = SharerSet::from_bits(self.entries.sharer_bits(slot));
 
         let had_copy = sharers.contains(requester);
@@ -258,22 +272,6 @@ impl Directory {
             self.entries.remove_at(slot);
         }
         needs_writeback
-    }
-
-    /// Invalidates every copy of `block` on chip (e.g. an R-NUCA page
-    /// shoot-down), returning the tiles that held a copy.
-    pub fn invalidate_all(&mut self, block: BlockAddr) -> Vec<TileId> {
-        match self.entries.find(block.block_number()) {
-            Some(slot) => {
-                let tiles: Vec<TileId> = SharerSet::from_bits(self.entries.sharer_bits(slot))
-                    .iter()
-                    .collect();
-                self.entries.remove_at(slot);
-                self.stats.invalidations_sent += tiles.len() as u64;
-                tiles
-            }
-            None => Vec::new(),
-        }
     }
 }
 
@@ -395,19 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_clears_the_entry() {
-        let mut d = Directory::new(16);
-        for i in 0..5 {
-            d.handle_read(b(7), t(i));
-        }
-        let mut tiles = d.invalidate_all(b(7));
-        tiles.sort();
-        assert_eq!(tiles, (0..5).map(t).collect::<Vec<_>>());
-        assert!(!d.is_cached(b(7)));
-        assert!(d.invalidate_all(b(7)).is_empty());
-    }
-
-    #[test]
     fn tracked_blocks_counts_entries() {
         let mut d = Directory::new(16);
         d.handle_read(b(1), t(0));
@@ -421,6 +406,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_tile_panics() {
         Directory::new(8).handle_read(b(0), t(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "block number 0x1000000000000 does not fit")]
+    fn block_number_past_the_key_field_panics() {
+        Directory::new(8).handle_write(b(1 << 48), t(0));
     }
 
     #[test]

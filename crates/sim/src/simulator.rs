@@ -200,11 +200,34 @@ impl MeasuredRun {
     }
 }
 
-/// Internal per-block record of "dirty and sitting in some core's L1".
+/// Internal per-block record of "dirty and sitting in some core's L1": the
+/// writing core in the top 16 bits, the write's clock stamp in the low 48.
+/// One `u64` keeps the dirty map's slot at 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct L1DirtyEntry {
-    owner: CoreId,
-    stamp: u64,
+struct L1DirtyEntry(u64);
+
+impl L1DirtyEntry {
+    /// Bits of the stamp field.
+    const STAMP_BITS: u32 = 48;
+
+    /// # Panics
+    ///
+    /// Panics if `stamp` does not fit 48 bits.
+    fn new(owner: CoreId, stamp: u64) -> Self {
+        assert!(
+            stamp < 1 << Self::STAMP_BITS,
+            "dirty-map stamp {stamp} does not fit 48 bits"
+        );
+        L1DirtyEntry((owner.index() as u64) << Self::STAMP_BITS | stamp)
+    }
+
+    fn owner(self) -> CoreId {
+        CoreId::new((self.0 >> Self::STAMP_BITS) as usize)
+    }
+
+    fn stamp(self) -> u64 {
+        self.0 & ((1 << Self::STAMP_BITS) - 1)
+    }
 }
 
 /// A fixed bit set over hashed page numbers that over-approximates "pages
@@ -283,7 +306,8 @@ pub struct CmpSimulator {
     placement: PlacementEngine,
     l2_directory: Directory,
     /// Dirty-in-some-L1 tracking, keyed by block number (open-addressed —
-    /// this map is probed on every single reference).
+    /// this map is probed on every single reference). Each entry packs into
+    /// one `u64`, so a slot is 24 bytes.
     l1_dirty: U64Map<L1DirtyEntry>,
     /// Over-approximates the pages holding an `l1_dirty` entry.
     dirty_pages: DirtyPageFilter,
@@ -589,7 +613,10 @@ impl CmpSimulator {
     /// buffer's oldest block off the tile, that departing block's entry
     /// (the `handle_eviction` probe). Cores issue round-robin, so at this
     /// lookahead the tile's state is unchanged when its reference arrives
-    /// and the peeked victim is the one the eviction will name.
+    /// and the peeked victim is the one the eviction will name. Each hint
+    /// pulls in a whole entry: a directory entry's key, sharer mask and
+    /// owner/dirty bits share one 16-byte slot, and a dirty-map slot (key
+    /// and packed owner/stamp) is 24 bytes.
     fn prefetch_private_like(&self, access: &MemoryAccess) {
         let block = access.addr.block(self.block_bytes);
         self.l1_dirty.prefetch(block.block_number());
@@ -765,11 +792,11 @@ impl CmpSimulator {
         // the expired-entry removal.
         let slot = self.l1_dirty.find_slot(block.block_number())?;
         let e = *self.l1_dirty.slot_value(slot);
-        if stamp.saturating_sub(e.stamp) >= L1_RESIDENCY_WINDOW {
+        if stamp.saturating_sub(e.stamp()) >= L1_RESIDENCY_WINDOW {
             self.l1_dirty.remove_slot(slot);
             None
-        } else if e.owner != requester {
-            Some(e.owner)
+        } else if e.owner() != requester {
+            Some(e.owner())
         } else {
             None
         }
@@ -778,13 +805,8 @@ impl CmpSimulator {
     fn note_write(&mut self, block: BlockAddr, writer: CoreId) {
         self.dirty_pages
             .insert(block.block_number() >> self.page_block_shift);
-        self.l1_dirty.insert(
-            block.block_number(),
-            L1DirtyEntry {
-                owner: writer,
-                stamp: self.clock,
-            },
-        );
+        self.l1_dirty
+            .insert(block.block_number(), L1DirtyEntry::new(writer, self.clock));
     }
 
     fn clear_dirty(&mut self, block: BlockAddr) {
@@ -807,7 +829,7 @@ impl CmpSimulator {
         let filter = &mut self.dirty_pages;
         filter.clear();
         self.l1_dirty.retain(|block, e| {
-            let keep = clock.saturating_sub(e.stamp) < L1_RESIDENCY_WINDOW;
+            let keep = clock.saturating_sub(e.stamp()) < L1_RESIDENCY_WINDOW;
             if keep {
                 filter.insert(block >> shift);
             }
@@ -1546,6 +1568,26 @@ mod tests {
         sim.step(&access(0, 4, 0, AccessKind::Read));
         assert!(!sim.dirty_pages.may_contain(4));
         reclassify(&mut sim, 4);
+    }
+
+    #[test]
+    fn l1_dirty_entry_packs_owner_and_stamp() {
+        let top = L1DirtyEntry::new(CoreId::new(63), (1 << 48) - 1);
+        assert_eq!(top.owner(), CoreId::new(63));
+        assert_eq!(top.stamp(), (1 << 48) - 1);
+        let zero = L1DirtyEntry::new(CoreId::new(0), 0);
+        assert_eq!(zero.owner(), CoreId::new(0));
+        assert_eq!(zero.stamp(), 0);
+        let widest = L1DirtyEntry::new(CoreId::new(u16::MAX as usize), 5);
+        assert_eq!(widest.owner(), CoreId::new(u16::MAX as usize));
+        assert_eq!(widest.stamp(), 5);
+        assert_eq!(std::mem::size_of::<Option<(u64, L1DirtyEntry)>>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit 48 bits")]
+    fn l1_dirty_entry_rejects_a_stamp_past_48_bits() {
+        L1DirtyEntry::new(CoreId::new(0), 1 << 48);
     }
 
     #[test]
