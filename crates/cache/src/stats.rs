@@ -1,9 +1,7 @@
 //! Hit/miss/eviction counters shared by the cache structures.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by a [`crate::CacheArray`] (and reused by the victim cache).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Probes that found the block resident.
     pub hits: u64,

@@ -2,16 +2,15 @@
 
 use crate::protocol::{MosiState, ReadOutcome, ReadSource, WriteOutcome};
 use crate::sharers::SharerSet;
-use crate::table::{EntryTable, KEY_LIMIT};
+use crate::table::{Entry, EntryTable, KEY_LIMIT};
 use rnuca_types::addr::BlockAddr;
 use rnuca_types::ids::TileId;
-use serde::{Deserialize, Serialize};
 
 /// Blocks the directory pre-sizes for; past this it grows by doubling.
 const INITIAL_BLOCK_CAPACITY: usize = 8_192;
 
 /// Counters accumulated by a [`Directory`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectoryStats {
     /// Read transactions handled.
     pub reads: u64,
@@ -45,7 +44,7 @@ pub struct DirectoryStats {
 /// the layout rationale) rather than a SipHash `HashMap`. A block number
 /// must be below 2^48 to fit an entry; the simulated 42-bit physical
 /// address space keeps it below 2^36.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Directory {
     num_tiles: usize,
     entries: EntryTable,
@@ -104,7 +103,7 @@ impl Directory {
     pub fn sharers(&self, block: BlockAddr) -> SharerSet {
         self.entries
             .find(block.block_number())
-            .map(|slot| SharerSet::from_bits(self.entries.sharer_bits(slot)))
+            .map(|slot| SharerSet::from_bits(self.entries.slot(slot).sharer_bits()))
             .unwrap_or_default()
     }
 
@@ -112,14 +111,14 @@ impl Directory {
     pub fn owner(&self, block: BlockAddr) -> Option<TileId> {
         self.entries
             .find(block.block_number())
-            .and_then(|slot| self.entries.owner(slot))
+            .and_then(|slot| self.entries.slot(slot).owner())
     }
 
     /// Returns `true` if any tile holds a copy of the block.
     pub fn is_cached(&self, block: BlockAddr) -> bool {
         self.entries
             .find(block.block_number())
-            .map(|slot| self.entries.sharer_bits(slot) != 0)
+            .map(|slot| self.entries.slot(slot).sharer_bits() != 0)
             .unwrap_or(false)
     }
 
@@ -147,12 +146,13 @@ impl Directory {
         self.check_tile(requester);
         let key = Self::checked_key(block);
         self.stats.reads += 1;
-        let (slot, _) = self.entries.get_or_insert(key);
-        let mut sharers = SharerSet::from_bits(self.entries.sharer_bits(slot));
+        let (slot, _) = self.entries.find_or_insert(key, || Entry::new(key));
+        let e = self.entries.slot_mut(slot);
+        let mut sharers = SharerSet::from_bits(e.sharer_bits());
 
         if sharers.contains(requester) {
             // Already has a copy: nothing to do (the requester's cache hit).
-            let state = if self.entries.owner(slot) == Some(requester) && self.entries.dirty(slot) {
+            let state = if e.owner() == Some(requester) && e.dirty() {
                 MosiState::Modified
             } else {
                 MosiState::Shared
@@ -166,10 +166,9 @@ impl Directory {
 
         if sharers.is_empty() {
             // Not on chip: fetch from memory, requester becomes the sole (clean) sharer.
-            self.entries
-                .set_sharer_bits(slot, SharerSet::singleton(requester).to_bits());
-            self.entries.set_owner(slot, Some(requester));
-            self.entries.set_dirty(slot, false);
+            e.set_sharer_bits(SharerSet::singleton(requester).to_bits());
+            e.set_owner(Some(requester));
+            e.set_dirty(false);
             self.stats.memory_fetches += 1;
             return ReadOutcome {
                 source: ReadSource::Memory,
@@ -179,17 +178,16 @@ impl Directory {
         }
 
         // Forward from the owner (if dirty) or any current sharer.
-        let dirty = self.entries.dirty(slot);
+        let dirty = e.dirty();
         let supplier = if dirty {
-            self.entries
-                .owner(slot)
+            e.owner()
                 .or_else(|| sharers.first())
                 .expect("dirty entry has an owner")
         } else {
             sharers.first().expect("non-empty sharer set")
         };
         sharers.insert(requester);
-        self.entries.set_sharer_bits(slot, sharers.to_bits());
+        e.set_sharer_bits(sharers.to_bits());
         self.stats.forwards += 1;
         ReadOutcome {
             source: ReadSource::Cache(supplier),
@@ -204,8 +202,9 @@ impl Directory {
         self.check_tile(requester);
         let key = Self::checked_key(block);
         self.stats.writes += 1;
-        let (slot, _) = self.entries.get_or_insert(key);
-        let sharers = SharerSet::from_bits(self.entries.sharer_bits(slot));
+        let (slot, _) = self.entries.find_or_insert(key, || Entry::new(key));
+        let e = self.entries.slot_mut(slot);
+        let sharers = SharerSet::from_bits(e.sharer_bits());
 
         let had_copy = sharers.contains(requester);
         let invalidations = sharers.without(requester);
@@ -217,9 +216,8 @@ impl Directory {
             self.stats.memory_fetches += 1;
             ReadSource::Memory
         } else {
-            let supplier = if self.entries.dirty(slot) {
-                self.entries
-                    .owner(slot)
+            let supplier = if e.dirty() {
+                e.owner()
                     .or_else(|| sharers.first())
                     .expect("dirty entry has an owner")
             } else {
@@ -229,10 +227,9 @@ impl Directory {
             ReadSource::Cache(supplier)
         };
 
-        self.entries
-            .set_sharer_bits(slot, SharerSet::singleton(requester).to_bits());
-        self.entries.set_owner(slot, Some(requester));
-        self.entries.set_dirty(slot, true);
+        e.set_sharer_bits(SharerSet::singleton(requester).to_bits());
+        e.set_owner(Some(requester));
+        e.set_dirty(true);
         WriteOutcome {
             source,
             invalidations,
@@ -252,21 +249,22 @@ impl Directory {
         let Some(slot) = self.entries.find(block.block_number()) else {
             return false;
         };
-        let mut sharers = SharerSet::from_bits(self.entries.sharer_bits(slot));
+        let e = self.entries.slot_mut(slot);
+        let mut sharers = SharerSet::from_bits(e.sharer_bits());
         let was_present = sharers.remove(tile);
         if !was_present {
             return false;
         }
-        self.entries.set_sharer_bits(slot, sharers.to_bits());
-        let needs_writeback = self.entries.dirty(slot) && self.entries.owner(slot) == Some(tile);
+        e.set_sharer_bits(sharers.to_bits());
+        let needs_writeback = e.dirty() && e.owner() == Some(tile);
         if needs_writeback {
             self.stats.dirty_writebacks += 1;
             // Ownership (and the dirty data) returns to memory; remaining
             // sharers keep clean copies.
-            self.entries.set_dirty(slot, false);
-            self.entries.set_owner(slot, sharers.first());
-        } else if self.entries.owner(slot) == Some(tile) {
-            self.entries.set_owner(slot, sharers.first());
+            e.set_dirty(false);
+            e.set_owner(sharers.first());
+        } else if e.owner() == Some(tile) {
+            e.set_owner(sharers.first());
         }
         if sharers.is_empty() {
             self.entries.remove_at(slot);

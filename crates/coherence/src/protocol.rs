@@ -2,11 +2,10 @@
 
 use crate::sharers::SharerSet;
 use rnuca_types::ids::TileId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four stable states of the MOSI protocol (modelled after Piranha, per Section 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MosiState {
     /// The only copy on chip, dirty with respect to memory.
     Modified,
@@ -49,7 +48,7 @@ impl fmt::Display for MosiState {
 }
 
 /// Where the data for a read request comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReadSource {
     /// No on-chip copy existed; the block is fetched from main memory.
     Memory,
@@ -60,7 +59,7 @@ pub enum ReadSource {
 }
 
 /// The directory's answer to a read request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadOutcome {
     /// Where the data comes from.
     pub source: ReadSource,
@@ -78,7 +77,7 @@ pub struct ReadOutcome {
 /// `Vec<TileId>`: directory writes happen on every store the private/ASR
 /// designs simulate, and a heap allocation per store was the single
 /// per-access allocation left on the simulator's hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteOutcome {
     /// Where the data comes from (memory, a remote cache, or already present
     /// if the requester only needed an upgrade).

@@ -1,14 +1,13 @@
 //! Sharer bit-set: which tiles hold a copy of a block.
 
 use rnuca_types::ids::TileId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A set of tiles holding a copy of a block, stored as a 64-bit mask.
 ///
 /// The paper's directory stores a 16-bit sharers mask per block (Section 2.2);
 /// 64 bits leaves room for the larger configurations discussed in Section 5.5.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SharerSet(u64);
 
 impl SharerSet {

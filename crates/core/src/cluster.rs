@@ -9,11 +9,10 @@
 
 use crate::rotational::RotationalMap;
 use rnuca_types::ids::TileId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two cluster shapes described in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterKind {
     /// A cluster logically surrounding a centre core; every core defines its
     /// own (overlapping) cluster. Used for instruction replication.

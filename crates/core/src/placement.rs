@@ -21,10 +21,9 @@ use rnuca_os::PageClass;
 use rnuca_types::addr::BlockAddr;
 use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::{CoreId, TileId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`PlacementEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementConfig {
     /// Torus width in tiles.
     pub width: usize,

@@ -2,11 +2,10 @@
 //! baseline Section 5.1 argues against).
 
 use rnuca_types::ids::TileId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The interconnect topology connecting the tiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// 2-D folded torus: every row and column wraps around, so the distance
     /// along an axis of length `n` is at most `n / 2`. This is the topology

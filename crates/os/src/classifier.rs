@@ -14,10 +14,9 @@ use crate::page_table::{PageClass, PageTable, PageUpdate};
 use crate::tlb::Tlb;
 use rnuca_types::addr::PageAddr;
 use rnuca_types::ids::CoreId;
-use serde::{Deserialize, Serialize};
 
 /// What happened on an access, from the OS's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassificationEvent {
     /// The core's TLB already had the classification; no OS involvement.
     TlbHit,
@@ -37,7 +36,7 @@ pub enum ClassificationEvent {
 }
 
 /// The classification returned to the requesting core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassificationOutcome {
     /// The page's classification after this access.
     pub class: PageClass,
@@ -46,7 +45,7 @@ pub struct ClassificationOutcome {
 }
 
 /// Counters accumulated by the OS layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OsStats {
     /// Accesses satisfied by the requesting core's TLB.
     pub tlb_hits: u64,
@@ -57,7 +56,7 @@ pub struct OsStats {
 }
 
 /// The OS classification machinery: a page table plus one TLB per core.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OsClassifier {
     page_table: PageTable,
     tlbs: Vec<Tlb>,

@@ -17,14 +17,13 @@
 use rnuca_types::addr::PageAddr;
 use rnuca_types::ids::CoreId;
 use rnuca_types::index_map::U64Map;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Pages the table pre-sizes for; past this it grows by doubling.
 const INITIAL_PAGE_CAPACITY: usize = 4_096;
 
 /// The classification recorded for a data page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageClass {
     /// Accessed by a single core; placed in that core's local L2 slice.
     Private,
@@ -49,7 +48,7 @@ impl fmt::Display for PageClass {
 }
 
 /// Per-page state kept by the OS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageInfo {
     /// Current classification.
     pub class: PageClass,
@@ -75,7 +74,7 @@ pub enum PageUpdate {
 }
 
 /// The page table: a map from page number to classification state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PageTable {
     entries: U64Map<PageInfo>,
 }

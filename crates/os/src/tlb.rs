@@ -30,7 +30,7 @@ struct Node {
 }
 
 /// A fully-associative, LRU translation lookaside buffer caching page classifications.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     capacity: usize,
     /// Page number → slab slot of its node.

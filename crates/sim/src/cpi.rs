@@ -8,11 +8,10 @@
 //! involved. [`DetailedCpi`] carries all of those at once.
 
 use rnuca_types::access::AccessClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The top-level CPI components of Figure 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpiComponent {
     /// Useful computation.
     Busy,
@@ -59,7 +58,7 @@ impl fmt::Display for CpiComponent {
 }
 
 /// A CPI breakdown over the six top-level components.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CpiBreakdown {
     /// Useful computation.
     pub busy: f64,
@@ -123,7 +122,7 @@ impl CpiBreakdown {
 }
 
 /// The full CPI detail needed to regenerate Figures 7-11.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DetailedCpi {
     /// The top-level breakdown (Figure 7).
     pub breakdown: CpiBreakdown,

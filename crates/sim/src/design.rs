@@ -1,10 +1,9 @@
 //! The LLC designs under comparison (Section 5.1 of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// ASR's policy for allocating clean shared blocks in the local L2 slice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AsrPolicy {
     /// Allocate locally with a fixed probability (the paper's five static versions).
     Static(f64),
@@ -37,7 +36,7 @@ impl fmt::Display for AsrPolicy {
 }
 
 /// One of the last-level-cache organisations compared in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LlcDesign {
     /// Each tile's slice is a private L2; a full-map directory keeps slices coherent.
     Private,

@@ -16,10 +16,9 @@
 use crate::design::LlcDesign;
 use crate::simulator::{CmpSimulator, MeasuredRun};
 use rnuca_workloads::{TraceGenerator, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one evaluation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentConfig {
     /// References used to warm caches, TLBs, and page tables before measuring.
     pub warmup_refs: usize,

@@ -67,7 +67,6 @@ use rnuca_types::MemoryAccess;
 use rnuca_types::{ConfigError, Fnv64};
 use rnuca_warehouse::{AppendSummary, RowKind, RunRecord, Warehouse};
 use rnuca_workloads::{TraceArena, TraceKey, TraceSlice, TraceSource, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -89,7 +88,7 @@ pub const SWEEP_SCHEMA_VERSION: u64 = 2;
 /// Sizes exceeding a point's core count are skipped for that point; sizes
 /// that are not powers of two are skipped too, rather than panicking inside
 /// a worker the way the rotational map's constructor would.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioMatrix {
     /// Workload profiles to evaluate.
     pub workloads: Vec<WorkloadSpec>,
@@ -106,7 +105,7 @@ pub struct ScenarioMatrix {
 }
 
 /// One flattened job of a [`ScenarioMatrix`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioJob {
     /// The workload, already pinned to the job's system configuration.
     pub workload: WorkloadSpec,
@@ -250,7 +249,7 @@ impl TraceSource for Deadlined {
 }
 
 /// The outcome of one scenario job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// Workload name.
     pub workload: String,
@@ -267,7 +266,7 @@ pub struct ScenarioResult {
 }
 
 /// All results of one matrix run, in flattened job order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSweep {
     /// The run lengths and seed the sweep used.
     pub cfg: ExperimentConfig,

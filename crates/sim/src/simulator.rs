@@ -27,7 +27,6 @@ use rnuca_types::ids::{CoreId, TileId};
 use rnuca_types::index_map::U64Map;
 use rnuca_types::{ByteReader, DecodeError};
 use rnuca_workloads::{TraceSource, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// How long (in L2 references) a dirty block is assumed to stay in its writer's L1.
 const L1_RESIDENCY_WINDOW: u64 = 64_000;
@@ -90,7 +89,7 @@ const L1_DIRTY_INITIAL_CAPACITY: usize = 16_384;
 const DIRTY_FILTER_BITS: usize = 1 << 16;
 
 /// The per-run results returned by [`CmpSimulator::run_measured`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredRun {
     /// Per-instruction CPI detail (busy included).
     pub cpi: DetailedCpi,
@@ -307,7 +306,8 @@ pub struct CmpSimulator {
     l2_directory: Directory,
     /// Dirty-in-some-L1 tracking, keyed by block number (open-addressed —
     /// this map is probed on every single reference). Each entry packs into
-    /// one `u64`, so a slot is 24 bytes.
+    /// one `u64`, so a slot is 24 bytes. The map grows and is swept
+    /// ([`Self::sweep_expired_l1_dirty`]) inside one slot array.
     l1_dirty: U64Map<L1DirtyEntry>,
     /// Over-approximates the pages holding an `l1_dirty` entry.
     dirty_pages: DirtyPageFilter,
@@ -822,7 +822,9 @@ impl CmpSimulator {
     /// residency window, bounding the map to the blocks written within the
     /// last two windows without changing any simulation outcome. The
     /// dirty-page filter is rebuilt from the surviving entries in the same
-    /// pass.
+    /// pass. The sweep re-places the survivors in the map's own slot array
+    /// (see [`U64Map::retain`]), so it allocates nothing but a bitset of one
+    /// bit per slot; no outcome depends on where an entry lands.
     fn sweep_expired_l1_dirty(&mut self) {
         let clock = self.clock;
         let shift = self.page_block_shift;

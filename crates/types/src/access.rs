@@ -10,11 +10,10 @@
 use crate::addr::PhysAddr;
 use crate::ids::CoreId;
 use crate::latency::Cycles;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The access class a block/page belongs to (ground truth from the workload model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AccessClass {
     /// Instruction fetches: read-only, typically shared by all cores in server
     /// workloads. R-NUCA replicates these at cluster granularity.
@@ -52,7 +51,7 @@ impl fmt::Display for AccessClass {
 }
 
 /// Whether an access reads or writes the referenced location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// An instruction fetch (always a read; distinguished so that requests
     /// from the L1-I can be classified immediately, as in Section 4.3).
@@ -92,7 +91,7 @@ impl fmt::Display for AccessKind {
 /// `class` field carries the workload generator's ground truth and is used
 /// only for characterization figures and for measuring the OS classifier's
 /// accuracy — the placement policies never look at it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryAccess {
     /// The core issuing the reference.
     pub core: CoreId,
@@ -130,7 +129,7 @@ impl fmt::Display for MemoryAccess {
 ///
 /// The CPI model charges a different latency to each outcome; the evaluation
 /// figures (7-10) break CPI down along exactly these lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceOutcome {
     /// Hit in the local L1 (no L2 involvement).
     L1Hit,
@@ -172,7 +171,7 @@ impl ServiceOutcome {
 ///
 /// Summed over a run and divided by instruction count these produce the CPI
 /// breakdowns of Figures 7-10.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessCost {
     /// Cycles spent in on-chip network traversal.
     pub network: Cycles,

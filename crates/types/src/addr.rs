@@ -7,7 +7,6 @@
 //! set-index bits, and rotational interleaving uses the same bits combined
 //! with the tile's rotational ID (Section 4.1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Width of the simulated physical address space in bits (Table 1).
@@ -23,7 +22,7 @@ pub const PHYS_ADDR_BITS: u32 = 42;
 /// assert_eq!(a.block(64).block_number(), 0x1_2345_6789 / 64);
 /// assert_eq!(a.page(8192).page_number(), 0x1_2345_6789 / 8192);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
@@ -82,7 +81,7 @@ impl From<u64> for PhysAddr {
 }
 
 /// A cache-block (line) number: the physical address shifted right by the block-offset bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockAddr(u64);
 
 impl BlockAddr {
@@ -150,7 +149,7 @@ impl fmt::Display for BlockAddr {
 }
 
 /// A page number: the physical address shifted right by the page-offset bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageAddr(u64);
 
 impl PageAddr {

@@ -7,10 +7,9 @@
 use crate::error::ConfigError;
 use crate::fingerprint::Fnv64;
 use crate::latency::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a single set-associative cache array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -70,7 +69,7 @@ impl CacheGeometry {
 }
 
 /// Configuration of the per-tile L1 caches (split I/D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L1Config {
     /// Geometry of each of the L1-I and L1-D arrays.
     pub geometry: CacheGeometry,
@@ -83,7 +82,7 @@ pub struct L1Config {
 }
 
 /// Configuration of one L2 NUCA slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2SliceConfig {
     /// Geometry of the slice.
     pub geometry: CacheGeometry,
@@ -96,7 +95,7 @@ pub struct L2SliceConfig {
 }
 
 /// Configuration of the on-chip interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NocConfig {
     /// Torus width (tiles per row).
     pub width: usize,
@@ -123,7 +122,7 @@ impl NocConfig {
 }
 
 /// Configuration of main memory and the on-chip memory controllers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryConfig {
     /// Total main-memory capacity in bytes.
     pub capacity_bytes: u64,
@@ -136,7 +135,7 @@ pub struct MemoryConfig {
 }
 
 /// Full system configuration (one row of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Number of processor cores (== number of tiles).
     pub num_cores: usize,
@@ -336,7 +335,7 @@ impl Default for SystemConfig {
 /// what a stream *costs* to simulate, never which references it contains, so
 /// two configurations with equal `TraceGeometry` replay the identical
 /// stream. Trace memoization keys on this struct for exactly that reason.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceGeometry {
     /// Number of cores issuing references.
     pub num_cores: usize,
@@ -434,7 +433,7 @@ impl SystemConfig {
 /// via [`ConfigPoint::apply`]; `instr_cluster_size` is carried along for the
 /// simulation layer, which realises it by parameterising the R-NUCA design
 /// rather than the system configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ConfigPoint {
     /// Override for the number of cores (and tiles) on the chip.
     pub num_cores: Option<usize>,

@@ -6,7 +6,6 @@
 //! them up silently breaks the indexing function, so each gets its own
 //! newtype.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a processor core (the paper's CID).
@@ -25,7 +24,7 @@ use std::fmt;
 /// let t: TileId = c.tile();
 /// assert_eq!(t.index(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(u16);
 
 impl CoreId {
@@ -71,7 +70,7 @@ impl From<TileId> for CoreId {
 ///
 /// Tiles are numbered in row-major order over the 2-D torus: tile `y * width + x`
 /// sits at coordinates `(x, y)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileId(u16);
 
 impl TileId {
@@ -132,7 +131,7 @@ impl From<CoreId> for TileId {
 /// receive consecutive RIDs; consecutive tiles in a column receive RIDs that
 /// differ by `log2(n)` (Section 4.1 of the paper). RID assignment itself lives
 /// in the `rnuca-os` crate; this type only carries the value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RotationalId(u8);
 
 impl RotationalId {
@@ -162,7 +161,7 @@ impl fmt::Display for RotationalId {
 ///
 /// Table 1 provisions one controller per four cores, each co-located with a
 /// tile and reached over the on-chip network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MemCtrlId(u16);
 
 impl MemCtrlId {

@@ -1,33 +1,309 @@
-//! An open-addressed hash map keyed by `u64` — the simulator's hot-path map.
+//! Open-addressed hash tables keyed by `u64`: the simulator's hot-path maps.
 //!
 //! Every per-access lookup in the simulator is keyed by an address
 //! representation that is already a small `u64` (block numbers, page
 //! numbers). `std::collections::HashMap` spends most of such a lookup in
 //! SipHash and in DoS-resistance machinery that a deterministic simulator
-//! does not need. [`U64Map`] replaces it on those paths: Fibonacci
+//! does not need. [`RawTable`] is the one table those paths use: Fibonacci
 //! multiplicative hashing, linear probing over a power-of-two slot array,
-//! and backward-shift deletion (no tombstones), so probe chains stay short
-//! for the life of the map.
+//! backward-shift deletion (no tombstones, so probe chains stay short for
+//! the life of the table), and doubling past a 7/8 load. It is generic over
+//! the layout of a slot ([`TableSlot`]), and there are two:
 //!
-//! Unlike `HashMap`, iteration order is *deterministic*: it depends only on
-//! the sequence of operations performed, never on a per-instance random
-//! state, which is the property the engine's reproducibility guarantees
-//! lean on.
+//! * [`U64Map<V>`] keeps `Option<(u64, V)>` slots. It serves the L1-dirty
+//!   map, the OS page table and the TLBs' page maps.
+//! * The coherence directory keeps 16-byte `{ key << 16 | owner/dirty,
+//!   sharers }` records, so that a probe, its sharer mask and its owner bits
+//!   share one host cache line (`rnuca_coherence`'s `table` module).
+//!
+//! Growth and sweeps happen in place. Doubling extends the slot array
+//! through `realloc`, and [`RawTable::retain`] (the L1-dirty expiry sweep)
+//! empties the rejected slots; both then re-place the entries inside that
+//! array, a short-lived side bitset marking those still to move. Copying
+//! into a fresh array leaves each outgrown one behind as a hole no larger
+//! array fits: on `figures --workers=2 perf`, copy-growth of the directory's
+//! slots peaked at 104–125 MiB over 17 runs, in-place growth at 89–91 MiB.
 
 use std::fmt;
 
 /// The multiplier of Fibonacci hashing: `2^64 / phi`, rounded to odd.
 const FIB_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Smallest number of slots a non-empty map allocates.
+/// Smallest number of slots a non-empty table allocates.
 const MIN_SLOTS: usize = 16;
+
+/// The layout of one [`RawTable`] slot.
+pub trait TableSlot {
+    /// An empty slot.
+    const EMPTY: Self;
+
+    /// The key of an occupied slot, or `None` for an empty one.
+    fn key(&self) -> Option<u64>;
+}
+
+/// An open-addressed, linear-probing table of `S` slots keyed by `u64`.
+///
+/// Slot indices are valid until the next insertion, removal or sweep.
+#[derive(Debug, Clone)]
+pub struct RawTable<S> {
+    /// Always a power of two long, at least `MIN_SLOTS`.
+    slots: Vec<S>,
+    /// Number of occupied slots.
+    len: usize,
+}
+
+impl<S: TableSlot> RawTable<S> {
+    /// A table pre-sized to hold `capacity` entries without growing.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let mut table = RawTable {
+            slots: Vec::new(),
+            len: 0,
+        };
+        // The fewest slots that keep `capacity` entries under a 7/8 load.
+        table.resize((capacity * 8 / 7 + 1).next_power_of_two().max(MIN_SLOTS));
+        table
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the table holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of slots currently allocated (diagnostics and tests).
+    pub fn capacity_slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        // Fibonacci hashing: multiply spreads low-entropy keys across the
+        // high bits; shift keeps exactly log2(slots) of them.
+        let hash = key.wrapping_mul(FIB_MULT);
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Hints the CPU to pull the first slot of `key`'s probe chain into
+    /// cache. Purely a performance hint, used by the simulator's batch
+    /// drivers, which know the next several keys in advance and overlap
+    /// their (otherwise serialized) misses.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        prefetch_read(&self.slots[self.home(key)]);
+    }
+
+    /// The index of the slot holding `key`, if present.
+    #[inline]
+    pub fn find(&self, key: u64) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i].key() {
+                None => return None,
+                Some(k) if k == key => return Some(i),
+                Some(_) => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The index of the slot holding `key`, filling the empty slot it
+    /// belongs in with `vacant()` first if it is absent. The flag reports
+    /// whether the entry was just created. Grows the table beforehand if one
+    /// more entry would pass a 7/8 load.
+    #[inline]
+    pub fn find_or_insert(&mut self, key: u64, vacant: impl FnOnce() -> S) -> (usize, bool) {
+        self.reserve_one();
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i].key() {
+                None => {
+                    self.slots[i] = vacant();
+                    debug_assert_eq!(self.slots[i].key(), Some(key), "filled slot holds its key");
+                    self.len += 1;
+                    return (i, true);
+                }
+                Some(k) if k == key => return (i, false),
+                Some(_) => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot at index `i`.
+    #[inline]
+    pub fn slot(&self, i: usize) -> &S {
+        &self.slots[i]
+    }
+
+    /// The slot at index `i`, mutably. The caller must not change its key.
+    #[inline]
+    pub fn slot_mut(&mut self, i: usize) -> &mut S {
+        &mut self.slots[i]
+    }
+
+    /// Removes and returns the entry in occupied slot `i`. Backward-shift
+    /// deletion moves the later entries of its probe chain up, so no
+    /// tombstones accumulate and lookups never slow down as the table
+    /// churns.
+    pub fn remove_at(&mut self, i: usize) -> S {
+        debug_assert!(self.slots[i].key().is_some(), "slot {i} must be occupied");
+        let removed = std::mem::replace(&mut self.slots[i], S::EMPTY);
+        self.len -= 1;
+        let mask = self.slots.len() - 1;
+        let (mut hole, mut j) = (i, i);
+        loop {
+            j = (j + 1) & mask;
+            let Some(k) = self.slots[j].key() else { break };
+            // The entry at `j` may move into the hole only if its home lies
+            // cyclically at or before the hole, i.e. its probe distance
+            // reaches past the hole.
+            if j.wrapping_sub(self.home(k)) & mask >= j.wrapping_sub(hole) & mask {
+                self.slots.swap(hole, j);
+                hole = j;
+            }
+        }
+        removed
+    }
+
+    /// Keeps only the entries for which `keep` returns `true`, then
+    /// re-places the survivors in the same slot array (O(slots); meant for
+    /// periodic sweeps, not per-access paths).
+    pub fn retain(&mut self, mut keep: impl FnMut(&mut S) -> bool) {
+        // A survivor can have to move only if the sweep emptied a slot
+        // before it in its cluster (a run of occupied slots); the cluster
+        // holding slot 0 may wrap around from the end, so its survivors are
+        // all marked.
+        let mut marks = Marks::new(self.slots.len());
+        let mut hole = true;
+        for (i, s) in self.slots.iter_mut().enumerate() {
+            if s.key().is_none() {
+                hole = false;
+            } else if !keep(s) {
+                *s = S::EMPTY;
+                self.len -= 1;
+                hole = true;
+            } else if hole {
+                marks.set(i);
+            }
+        }
+        self.place_marked(marks, 0..self.slots.len());
+    }
+
+    /// Iterates over the occupied slots in slot order (deterministic for a
+    /// given operation history).
+    pub fn iter(&self) -> impl Iterator<Item = &S> {
+        self.slots.iter().filter(|s| s.key().is_some())
+    }
+
+    /// Doubles the table if one more entry would pass a 7/8 load.
+    #[inline]
+    fn reserve_one(&mut self) {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+        }
+    }
+
+    /// Doubles the slot array in place; out of line, so probe loops stay small.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let old = self.slots.len();
+        self.resize(old * 2);
+        let mut marks = Marks::new(old * 2);
+        for i in 0..old {
+            if self.slots[i].key().is_some() {
+                marks.set(i);
+            }
+        }
+        self.place_marked(marks, (0..old).rev());
+    }
+
+    /// Extends the slot array to `slots` empty-tailed slots in place
+    /// (through `realloc`), hinting huge-page backing before the new slots
+    /// are first touched (see [`crate::os_hint::advise_huge_pages`]).
+    fn resize(&mut self, slots: usize) {
+        self.slots.reserve_exact(slots - self.slots.len());
+        crate::os_hint::advise_huge_pages(self.slots.as_ptr(), slots * std::mem::size_of::<S>());
+        self.slots.resize_with(slots, || S::EMPTY);
+    }
+
+    /// Re-places the marked entries, visiting their slots in `order`, each
+    /// by linear probing from its home in the current slot array. An entry
+    /// whose probe reaches a marked slot swaps into it, and the entry it
+    /// displaced is placed next, so no placed entry's probe run ever covers
+    /// a marked slot, which is what makes emptying one safe.
+    ///
+    /// Any order is correct; the callers pick the one that seldom swaps.
+    /// After doubling an entry's home moves up (to about twice its old
+    /// slot), so growth visits the old slots from the top down; after a
+    /// sweep an entry's home is at or below its slot, so the sweep visits
+    /// from the bottom up. Either way an entry nearly always lands in a
+    /// slot already visited.
+    fn place_marked(&mut self, mut marks: Marks, order: impl Iterator<Item = usize>) {
+        let mask = self.slots.len() - 1;
+        for start in order {
+            if !marks.take(start) {
+                continue;
+            }
+            let mut entry = std::mem::replace(&mut self.slots[start], S::EMPTY);
+            let mut i = self.home(entry.key().expect("marked slots are occupied"));
+            loop {
+                if self.slots[i].key().is_none() {
+                    self.slots[i] = entry;
+                    break;
+                }
+                if marks.take(i) {
+                    std::mem::swap(&mut self.slots[i], &mut entry);
+                    i = self.home(entry.key().expect("marked slots are occupied"));
+                } else {
+                    i = (i + 1) & mask;
+                }
+            }
+        }
+    }
+}
+
+/// One bit per slot: the entries an in-place rehash has still to place.
+struct Marks(Vec<u64>);
+
+impl Marks {
+    fn new(slots: usize) -> Self {
+        Marks(vec![0; slots.div_ceil(64)])
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Clears bit `i`, returning whether it was set.
+    fn take(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.0[i / 64], 1 << (i % 64));
+        let set = *word & bit != 0;
+        *word &= !bit;
+        set
+    }
+}
+
+impl<V> TableSlot for Option<(u64, V)> {
+    const EMPTY: Self = None;
+
+    #[inline]
+    fn key(&self) -> Option<u64> {
+        self.as_ref().map(|&(k, _)| k)
+    }
+}
 
 /// Opaque handle to an occupied slot of a [`U64Map`], returned by
 /// [`U64Map::find_slot`]. Valid until the next insertion or removal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot(usize);
 
-/// An open-addressed, linear-probing hash map from `u64` keys to `V`.
+/// An open-addressed, linear-probing hash map from `u64` keys to `V`: a
+/// [`RawTable`] of `Option<(u64, V)>` slots.
 ///
 /// # Example
 ///
@@ -42,276 +318,117 @@ pub struct Slot(usize);
 /// ```
 #[derive(Clone)]
 pub struct U64Map<V> {
-    /// Slot array, always a power of two long (or empty before first insert).
-    slots: Vec<Option<(u64, V)>>,
-    /// Number of occupied slots.
-    len: usize,
+    table: RawTable<Option<(u64, V)>>,
 }
 
 impl<V> U64Map<V> {
-    /// Creates an empty map (no allocation until the first insert).
+    /// Creates an empty map.
     pub fn new() -> Self {
-        U64Map {
-            slots: Vec::new(),
-            len: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates a map pre-sized to hold `capacity` entries without growing.
     pub fn with_capacity(capacity: usize) -> Self {
-        if capacity == 0 {
-            return Self::new();
-        }
-        let slots = slots_for(capacity);
         U64Map {
-            slots: new_slot_vec(slots),
-            len: 0,
+            table: RawTable::with_capacity(capacity),
         }
     }
 
     /// Number of entries in the map.
     pub fn len(&self) -> usize {
-        self.len
+        self.table.len()
     }
 
     /// Returns `true` if the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.table.is_empty()
     }
 
     /// Number of slots currently allocated (diagnostics and tests).
     pub fn capacity_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    fn home(&self, key: u64) -> usize {
-        // Fibonacci hashing: multiply spreads low-entropy keys across the
-        // high bits; shift keeps exactly log2(slots) of them.
-        let hash = key.wrapping_mul(FIB_MULT);
-        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+        self.table.capacity_slots()
     }
 
     /// Hints the CPU to pull the probe chain's first cache line for `key`
-    /// into cache. Purely a performance hint — no architectural effect —
-    /// used by the simulator's batch drivers, which know the next several
-    /// keys in advance and overlap their (otherwise serialized) misses.
+    /// into cache (see [`RawTable::prefetch`]).
     #[inline]
     pub fn prefetch(&self, key: u64) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let i = self.home(key);
-        prefetch_read(&self.slots[i]);
-    }
-
-    /// The slot index holding `key`, if present.
-    fn find(&self, key: u64) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.mask();
-        let mut i = self.home(key);
-        loop {
-            match &self.slots[i] {
-                None => return None,
-                Some((k, _)) if *k == key => return Some(i),
-                Some(_) => i = (i + 1) & mask,
-            }
-        }
+        self.table.prefetch(key);
     }
 
     /// Looks up a key.
     pub fn get(&self, key: u64) -> Option<&V> {
-        self.find(key)
-            .map(|i| &self.slots[i].as_ref().expect("found slot is occupied").1)
+        self.find_slot(key).map(|slot| self.slot_value(slot))
     }
 
-    /// Locates a key, returning an opaque slot handle that gives the caller
-    /// read, write, and remove access without re-probing — the map-level
-    /// analogue of the cache array's entry handles. The handle is
-    /// invalidated by any subsequent insertion or removal.
+    /// Locates a key, returning a handle that reads or removes its entry
+    /// without probing again.
     pub fn find_slot(&self, key: u64) -> Option<Slot> {
-        self.find(key).map(Slot)
+        self.table.find(key).map(Slot)
     }
 
     /// The value of a slot located by [`U64Map::find_slot`].
     pub fn slot_value(&self, slot: Slot) -> &V {
-        &self.slots[slot.0]
+        &self
+            .table
+            .slot(slot.0)
             .as_ref()
             .expect("slot handle is occupied")
             .1
     }
 
-    /// Mutable access to the value of a slot located by [`U64Map::find_slot`].
-    pub fn slot_value_mut(&mut self, slot: Slot) -> &mut V {
-        &mut self.slots[slot.0]
-            .as_mut()
+    /// Removes the entry in a slot located by [`U64Map::find_slot`],
+    /// skipping the probe [`U64Map::remove`] would repeat.
+    pub fn remove_slot(&mut self, slot: Slot) -> V {
+        self.table
+            .remove_at(slot.0)
             .expect("slot handle is occupied")
             .1
-    }
-
-    /// Removes the entry in a slot located by [`U64Map::find_slot`],
-    /// skipping the probe [`U64Map::remove`] would repeat. Uses the same
-    /// backward-shift deletion, so no tombstones accumulate.
-    pub fn remove_slot(&mut self, slot: Slot) -> V {
-        let (_, value) = self.slots[slot.0].take().expect("slot handle is occupied");
-        self.len -= 1;
-        self.backward_shift(slot.0);
-        value
-    }
-
-    /// Looks up a key mutably.
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        let i = self.find(key)?;
-        Some(&mut self.slots[i].as_mut().expect("found slot is occupied").1)
-    }
-
-    /// Returns `true` if the key is present.
-    pub fn contains_key(&self, key: u64) -> bool {
-        self.find(key).is_some()
     }
 
     /// Inserts a key/value pair, returning the previous value if the key was
     /// already present.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        self.reserve_one();
-        let mask = self.mask();
-        let mut i = self.home(key);
-        loop {
-            match &mut self.slots[i] {
-                slot @ None => {
-                    *slot = Some((key, value));
-                    self.len += 1;
-                    return None;
-                }
-                Some((k, v)) if *k == key => {
-                    return Some(std::mem::replace(v, value));
-                }
-                Some(_) => i = (i + 1) & mask,
-            }
-        }
+        let mut fresh = Some(value);
+        let (i, _) = self
+            .table
+            .find_or_insert(key, || Some((key, fresh.take().expect("filled once"))));
+        // `fresh` is still full only if the key was present.
+        fresh.map(|value| std::mem::replace(self.value_mut(i), value))
     }
 
     /// Returns a mutable reference to the value for `key`, inserting
     /// `default()` first if the key is absent. The flag reports whether the
-    /// entry was just created — a single-probe replacement for the
+    /// entry was just created: a single-probe replacement for the
     /// get-then-insert double lookup.
     pub fn get_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> V) -> (&mut V, bool) {
-        self.reserve_one();
-        let mask = self.mask();
-        let mut i = self.home(key);
-        let inserted = loop {
-            match &self.slots[i] {
-                None => {
-                    self.slots[i] = Some((key, default()));
-                    self.len += 1;
-                    break true;
-                }
-                Some((k, _)) if *k == key => break false,
-                Some(_) => i = (i + 1) & mask,
-            }
-        };
-        (
-            &mut self.slots[i]
-                .as_mut()
-                .expect("slot was just filled or matched")
-                .1,
-            inserted,
-        )
+        let (i, inserted) = self.table.find_or_insert(key, || Some((key, default())));
+        (self.value_mut(i), inserted)
     }
 
     /// Removes a key, returning its value if it was present.
-    ///
-    /// Uses backward-shift deletion: subsequent entries of the probe chain
-    /// are moved up so no tombstones accumulate and lookups never slow down
-    /// as the map churns.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let hole = self.find(key)?;
-        let (_, value) = self.slots[hole].take().expect("found slot is occupied");
-        self.len -= 1;
-        self.backward_shift(hole);
-        Some(value)
+        let slot = self.find_slot(key)?;
+        Some(self.remove_slot(slot))
     }
 
-    /// Closes the probe-chain hole left at `hole` by a removal, moving
-    /// subsequent entries of the chain up so no tombstones accumulate.
-    fn backward_shift(&mut self, mut hole: usize) {
-        let mask = self.mask();
-        let mut i = hole;
-        loop {
-            i = (i + 1) & mask;
-            let Some((k, _)) = &self.slots[i] else { break };
-            // The entry at `i` may move into the hole only if its home
-            // position lies cyclically at or before the hole — i.e. its
-            // probe distance reaches past the hole.
-            let home = self.home(*k);
-            let dist_from_home = i.wrapping_sub(home) & mask;
-            let dist_from_hole = i.wrapping_sub(hole) & mask;
-            if dist_from_home >= dist_from_hole {
-                self.slots[hole] = self.slots[i].take();
-                hole = i;
-            }
-        }
-    }
-
-    /// Keeps only the entries for which the predicate returns `true`.
-    ///
-    /// Rebuilds the table in place (O(slots)); meant for periodic sweeps,
-    /// not per-access paths.
+    /// Keeps only the entries for which the predicate returns `true`, in
+    /// place (see [`RawTable::retain`]).
     pub fn retain(&mut self, mut pred: impl FnMut(u64, &mut V) -> bool) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let slots = self.slots.len();
-        let old = std::mem::replace(&mut self.slots, new_slot_vec(slots));
-        self.len = 0;
-        for (k, mut v) in old.into_iter().flatten() {
-            if pred(k, &mut v) {
-                self.insert(k, v);
-            }
-        }
-    }
-
-    /// Removes every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        self.len = 0;
+        self.table.retain(|s| {
+            let (k, v) = s.as_mut().expect("retain visits occupied slots");
+            pred(*k, v)
+        });
     }
 
     /// Iterates over the entries in slot order (deterministic for a given
     /// operation history).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|(k, v)| (*k, v)))
+        self.table.iter().flatten().map(|(k, v)| (*k, v))
     }
 
-    /// Iterates over the values in slot order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|(_, v)| v))
-    }
-
-    /// Grows the slot array if one more insert would push the load factor
-    /// past 7/8.
-    fn reserve_one(&mut self) {
-        if self.slots.is_empty() {
-            self.slots = new_slot_vec(MIN_SLOTS);
-            return;
-        }
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
-            let doubled = self.slots.len() * 2;
-            let old = std::mem::replace(&mut self.slots, new_slot_vec(doubled));
-            self.len = 0;
-            for (k, v) in old.into_iter().flatten() {
-                self.insert(k, v);
-            }
-        }
+    fn value_mut(&mut self, i: usize) -> &mut V {
+        &mut self.table.slot_mut(i).as_mut().expect("slot is occupied").1
     }
 }
 
@@ -352,36 +469,6 @@ pub fn prefetch_read<T>(value: &T) {
     }
 }
 
-/// Slot count for a requested entry capacity: next power of two above
-/// `capacity * 8/7`, at least [`MIN_SLOTS`].
-fn slots_for(capacity: usize) -> usize {
-    (capacity * 8 / 7 + 1).next_power_of_two().max(MIN_SLOTS)
-}
-
-fn new_slot_vec<V>(slots: usize) -> Vec<Option<(u64, V)>> {
-    let mut v: Vec<Option<(u64, V)>> = Vec::with_capacity(slots);
-    // Hint huge-page backing before first touch: large maps (directory
-    // entry tables, page tables) are probed at random, and 4 KB pages put a
-    // dTLB miss on nearly every probe. Advising on the untouched capacity
-    // lets the kernel fault the slots in as huge pages as `resize_with`
-    // initializes them.
-    crate::os_hint::advise_huge_pages(v.as_ptr(), slots * std::mem::size_of::<Option<(u64, V)>>());
-    v.resize_with(slots, || None);
-    v
-}
-
-/// Layout-exact equality: two maps compare equal only when their slot
-/// arrays match position-for-position (same probe chains, same tombstone
-/// history resolution), which is what a `clone` preserves. Maps holding equal key→value sets in different slot layouts
-/// compare *unequal* — this is deliberate.
-impl<V: PartialEq> PartialEq for U64Map<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.slots == other.slots
-    }
-}
-
-impl<V: Eq> Eq for U64Map<V> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,19 +486,10 @@ mod tests {
         assert_eq!(m.insert(1, 11), Some(10));
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(1), Some(&11));
-        assert!(m.contains_key(2));
+        assert_eq!(m.get(2), Some(&20));
         assert_eq!(m.remove(1), Some(11));
         assert_eq!(m.remove(1), None);
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn get_mut_updates_in_place() {
-        let mut m: U64Map<u32> = U64Map::new();
-        m.insert(9, 1);
-        *m.get_mut(9).unwrap() += 5;
-        assert_eq!(m.get(9), Some(&6));
-        assert_eq!(m.get_mut(10), None);
     }
 
     #[test]
@@ -461,20 +539,27 @@ mod tests {
         m.retain(|k, _| k % 3 == 0);
         assert_eq!(m.len(), 34);
         assert!(m.iter().all(|(k, _)| k % 3 == 0));
-        assert_eq!(m.values().copied().max(), Some(99));
+        assert_eq!(m.iter().map(|(_, v)| *v).max(), Some(99));
     }
 
     #[test]
-    fn clear_keeps_allocation() {
-        let mut m: U64Map<u8> = U64Map::with_capacity(50);
-        for i in 0..50 {
-            m.insert(i, 0);
+    fn retain_keeps_allocation() {
+        let mut m: U64Map<u64> = U64Map::new();
+        for i in 0..1000 {
+            m.insert(i, i);
         }
-        let slots = m.capacity_slots();
-        m.clear();
-        assert!(m.is_empty());
+        let (ptr, slots) = (m.table.slots.as_ptr(), m.capacity_slots());
+        m.retain(|k, _| k % 2 == 0);
+        assert_eq!(m.len(), 500);
+        assert_eq!(
+            m.table.slots.as_ptr(),
+            ptr,
+            "the sweep re-placed the survivors inside the same slot array"
+        );
         assert_eq!(m.capacity_slots(), slots);
-        assert_eq!(m.get(3), None);
+        for i in 0..1000 {
+            assert_eq!(m.get(i), (i % 2 == 0).then_some(&i));
+        }
     }
 
     #[test]
@@ -510,17 +595,16 @@ mod tests {
             m.insert(i * 31, i as u32);
         }
         assert!(m.find_slot(999).is_none());
+        assert_eq!(m.insert(5 * 31, 50), Some(5));
         let slot = m.find_slot(5 * 31).expect("key present");
-        assert_eq!(m.slot_value(slot), &5);
-        *m.slot_value_mut(slot) = 50;
-        assert_eq!(m.get(5 * 31), Some(&50));
+        assert_eq!(m.slot_value(slot), &50);
         assert_eq!(m.remove_slot(slot), 50);
         assert_eq!(m.get(5 * 31), None);
         assert_eq!(m.len(), 63);
         // Backward-shift after a slot removal keeps every other key reachable.
         for i in 0..64u64 {
             if i != 5 {
-                assert!(m.contains_key(i * 31), "key {i} lost after slot removal");
+                assert!(m.get(i * 31).is_some(), "key {i} lost after slot removal");
             }
         }
     }
@@ -533,19 +617,23 @@ mod tests {
     }
 
     /// The load-bearing test: a randomized operation mix (insert, remove,
-    /// lookup, occasional retain) must match `std::collections::HashMap`
+    /// lookup, periodic retain) must match `std::collections::HashMap`
     /// exactly. This exercises backward-shift deletion across wrap-around
     /// probe chains, which is where open-addressed maps classically go
-    /// wrong.
+    /// wrong, and the in-place rehash through both of its callers: the key
+    /// universe widens as the run goes on, so the map doubles from
+    /// [`MIN_SLOTS`] again and again between sweeps.
     #[test]
     fn randomized_operations_match_std_hashmap() {
         let mut rng = StdRng::seed_from_u64(0xBEEF);
         let mut ours: U64Map<u64> = U64Map::new();
         let mut reference: HashMap<u64, u64> = HashMap::new();
+        let mut growths = 0;
         for step in 0..60_000u64 {
-            // A small key universe forces constant collisions and deletions
-            // inside shared probe chains.
-            let key = rng.gen_range(0..400u64);
+            // A small universe early on forces constant collisions and
+            // deletions inside shared probe chains.
+            let key = rng.gen_range(0..16 + step / 8);
+            let slots = ours.capacity_slots();
             match rng.gen_range(0..10) {
                 0..=4 => {
                     assert_eq!(ours.insert(key, step), reference.insert(key, step));
@@ -562,7 +650,6 @@ mod tests {
                 }
                 8 => {
                     assert_eq!(ours.get(key), reference.get(&key));
-                    assert_eq!(ours.contains_key(key), reference.contains_key(&key));
                 }
                 _ => {
                     let (v, inserted) = ours.get_or_insert_with(key, || step);
@@ -572,13 +659,19 @@ mod tests {
                     assert_eq!(inserted, reference.len() > prev_len);
                 }
             }
+            growths += usize::from(ours.capacity_slots() > slots);
             assert_eq!(ours.len(), reference.len());
-            if step % 10_000 == 0 {
-                ours.retain(|k, _| k % 7 != 3);
-                reference.retain(|k, _| k % 7 != 3);
+            if step % 1_000 == 999 {
+                let dropped = step / 1_000 % 7;
+                ours.retain(|k, _| k % 7 != dropped);
+                reference.retain(|k, _| k % 7 != dropped);
                 assert_eq!(ours.len(), reference.len());
+                for (k, v) in &reference {
+                    assert_eq!(ours.get(*k), Some(v), "key {k} lost by a sweep");
+                }
             }
         }
+        assert!(growths >= 6, "only {growths} doublings between sweeps");
         // Final full-content comparison.
         let mut ours_sorted: Vec<(u64, u64)> = ours.iter().map(|(k, v)| (k, *v)).collect();
         ours_sorted.sort_unstable();

@@ -1,6 +1,5 @@
 //! Cycle-count arithmetic used by the timing model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
@@ -19,9 +18,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// let hop = link + router;
 /// assert_eq!(hop * 3u32, Cycles(9));
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycles(pub u64);
 
 impl Cycles {

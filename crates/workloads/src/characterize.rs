@@ -13,11 +13,10 @@
 //!   intervenes (resp. writes).
 
 use rnuca_types::access::{AccessClass, MemoryAccess};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Figure 3: breakdown of L2 references by access class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClassBreakdown {
     /// Fraction of references that are instruction fetches.
     pub instructions: f64,
@@ -37,7 +36,7 @@ impl ClassBreakdown {
 }
 
 /// One bubble of Figure 2: blocks of a class with a given number of sharers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharerBubble {
     /// Access class of the bubble.
     pub class: AccessClass,
@@ -52,7 +51,7 @@ pub struct SharerBubble {
 }
 
 /// Figure 2: the full set of sharer bubbles for a trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SharerProfile {
     /// All non-empty bubbles, ordered by class then sharer count.
     pub bubbles: Vec<SharerBubble>,
@@ -83,7 +82,7 @@ impl SharerProfile {
 }
 
 /// Figure 4: cumulative distribution of references over a class's footprint.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkingSetCdf {
     /// `(footprint_kb, cumulative_fraction)` points, sorted by footprint, for
     /// blocks ordered from most- to least-referenced.
@@ -115,7 +114,7 @@ impl WorkingSetCdf {
 }
 
 /// Figure 5: reuse-run histogram (1st, 2nd, 3rd-4th, 5th-8th, 9+ accesses).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReuseHistogram {
     /// Accesses that start a run (first touch by this core since interference).
     pub first: u64,
@@ -169,7 +168,7 @@ impl ReuseHistogram {
 }
 
 /// The complete characterization of a trace (Figures 2-5 for one workload).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceCharacterization {
     /// Figure 3 data.
     pub breakdown: ClassBreakdown,

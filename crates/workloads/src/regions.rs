@@ -13,13 +13,12 @@
 use rnuca_types::access::AccessClass;
 use rnuca_types::addr::{BlockAddr, PageAddr, PhysAddr};
 use rnuca_types::ids::CoreId;
-use serde::{Deserialize, Serialize};
 
 /// Alignment (and maximum size) of each class region: 1 GiB.
 const REGION_STRIDE: u64 = 1 << 30;
 
 /// The address-space layout of one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressLayout {
     block_bytes: usize,
     page_bytes: usize,

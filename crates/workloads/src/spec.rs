@@ -8,11 +8,10 @@
 //! production traces.
 
 use rnuca_types::config::{ConfigPoint, SystemConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which CMP configuration (Table 1 column) a workload runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpPreset {
     /// 16-core CMP with 1 MB L2 slices (server and scientific workloads).
     Server16,
@@ -45,7 +44,7 @@ impl fmt::Display for CmpPreset {
 }
 
 /// How shared data is shared among cores (the bubble positions of Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SharingPattern {
     /// Every core is equally likely to touch every shared block (server workloads).
     Universal,
@@ -60,7 +59,7 @@ pub enum SharingPattern {
 }
 
 /// The statistical profile of one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Human-readable name used in reports ("OLTP DB2", "DSS Qry6", ...).
     pub name: String,
