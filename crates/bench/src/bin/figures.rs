@@ -103,8 +103,38 @@ use rnuca_types::ids::TileId;
 use rnuca_types::{BackoffConfig, RetryPolicy};
 use rnuca_warehouse::{render_errors, Warehouse};
 use rnuca_workloads::{TraceArena, WorkloadSpec};
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
+
+// Every `print!`/`println!` below resolves to these, not to std's: std's
+// panic when the reader of stdout hangs up (`figures perf --list | head -1`),
+// turning a finished pipeline into a crash report.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. Once the reader has closed the pipe nobody is left to
+/// read the rest, so `figures` exits 0 quietly instead of panicking; any
+/// other write error still panics.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 const CHARACTERIZATION_REFS: usize = 400_000;
 const CHARACTERIZATION_REFS_QUICK: usize = 60_000;
@@ -875,8 +905,11 @@ fn fig6() {
     let engine = rnuca::PlacementEngine::new(rnuca::PlacementConfig::from_system(
         &SystemConfig::server_16(),
     ));
-    let cluster = engine.instruction_cluster(rnuca_types::ids::CoreId::new(5));
-    let members: Vec<String> = cluster.members().iter().map(TileId::to_string).collect();
+    let members: Vec<String> = engine
+        .instruction_cluster(rnuca_types::ids::CoreId::new(5))
+        .iter()
+        .map(TileId::to_string)
+        .collect();
     println!(
         "  size-4 fixed-center cluster of tile T5: {{{}}}",
         members.join(", ")

@@ -129,11 +129,6 @@ impl<T> CacheArray<T> {
         &self.stats
     }
 
-    /// Resets the accumulated statistics (contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Number of blocks currently resident.
     pub fn len(&self) -> usize {
         self.resident
@@ -210,15 +205,6 @@ impl<T> CacheArray<T> {
     pub fn probe(&mut self, block: BlockAddr) -> Option<&T> {
         match self.probe_entry(block) {
             ProbeEntry::Hit(e) => Some(self.entry_meta(e)),
-            ProbeEntry::Miss(_) => None,
-        }
-    }
-
-    /// Looks up a block, updating LRU state and hit/miss counters, returning
-    /// mutable access to the stored metadata on a hit.
-    pub fn probe_mut(&mut self, block: BlockAddr) -> Option<&mut T> {
-        match self.probe_entry(block) {
-            ProbeEntry::Hit(e) => Some(self.entry_meta_mut(e)),
             ProbeEntry::Miss(_) => None,
         }
     }
@@ -519,16 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_mut_allows_in_place_update() {
-        let mut c: CacheArray<u32> = CacheArray::new(tiny());
-        c.insert(b(2), 10);
-        if let Some(m) = c.probe_mut(b(2)) {
-            *m += 5;
-        }
-        assert_eq!(c.peek(b(2)), Some(&15));
-    }
-
-    #[test]
     fn invalidate_removes_block() {
         let mut c: CacheArray<u32> = CacheArray::new(tiny());
         c.insert(b(5), 50);
@@ -601,16 +577,6 @@ mod tests {
         assert!(!c.is_empty());
         c.clear();
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c: CacheArray<()> = CacheArray::new(tiny());
-        c.insert(b(1), ());
-        c.probe(b(1));
-        c.reset_stats();
-        assert_eq!(c.stats().hits, 0);
-        assert!(c.contains(b(1)));
     }
 
     #[test]

@@ -21,24 +21,6 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Hit rate in [0, 1]; zero if no probes were recorded.
-    pub fn hit_rate(&self) -> f64 {
-        if self.probes() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.probes() as f64
-        }
-    }
-
-    /// Miss rate in [0, 1]; zero if no probes were recorded.
-    pub fn miss_rate(&self) -> f64 {
-        if self.probes() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.probes() as f64
-        }
-    }
-
     /// Adds another set of counters to this one.
     pub fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
@@ -54,22 +36,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rates() {
+    fn probes_count_hits_and_misses() {
         let s = CacheStats {
             hits: 3,
             misses: 1,
             ..Default::default()
         };
         assert_eq!(s.probes(), 4);
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.miss_rate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_rates_are_zero() {
-        let s = CacheStats::default();
-        assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.miss_rate(), 0.0);
     }
 
     #[test]

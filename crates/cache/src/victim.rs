@@ -200,16 +200,6 @@ impl<T> VictimCache<T> {
         self.stats.invalidations += 1;
         Some(self.take(slot).1)
     }
-
-    /// Removes all victims.
-    pub fn clear(&mut self) {
-        for m in &mut self.metas {
-            *m = None;
-        }
-        self.occupied = 0;
-        self.head = NIL;
-        self.tail = NIL;
-    }
 }
 
 #[cfg(test)]
@@ -288,19 +278,6 @@ mod tests {
         assert_eq!(v.stats().hits, 0);
         assert_eq!(v.stats().invalidations, 1);
         assert_eq!(v.invalidate(b(5)), None);
-    }
-
-    #[test]
-    fn clear_empties_buffer() {
-        let mut v: VictimCache<()> = VictimCache::new(4);
-        v.insert(b(1), ());
-        v.insert(b(2), ());
-        v.clear();
-        assert!(v.is_empty());
-        assert_eq!(v.capacity(), 4);
-        // The buffer is fully usable after a clear.
-        v.insert(b(3), ());
-        assert!(v.contains(b(3)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Full-map directory: per-block sharer tracking and MOSI transaction handling.
+//! Full-map directory: per-block sharers and dirty owner, and the answer to
+//! each transaction — who supplies the data, whom to invalidate.
 
-use crate::protocol::{MosiState, ReadOutcome, ReadSource, WriteOutcome};
 use crate::sharers::SharerSet;
 use crate::table::{Entry, EntryTable, KEY_LIMIT};
 use rnuca_types::addr::BlockAddr;
@@ -8,6 +8,18 @@ use rnuca_types::ids::TileId;
 
 /// Blocks the directory pre-sizes for; past this it grows by doubling.
 const INITIAL_BLOCK_CAPACITY: usize = 8_192;
+
+/// Where the data for a read request comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ReadSource {
+    /// No on-chip copy existed; the block is fetched from main memory.
+    Memory,
+    /// The request already had a valid copy (hit at the requester; no transaction needed).
+    AlreadyPresent,
+    /// The data is forwarded from the cache of another tile (the dirty
+    /// owner, else a sharer).
+    Cache(TileId),
+}
 
 /// Counters accumulated by a [`Directory`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,16 +91,6 @@ impl Directory {
         &self.stats
     }
 
-    /// Resets the statistics, keeping the sharing state.
-    pub fn reset_stats(&mut self) {
-        self.stats = DirectoryStats::default();
-    }
-
-    /// Number of blocks with at least one on-chip copy.
-    pub fn tracked_blocks(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Hints the CPU to pull the directory entry of `block` into cache ahead
     /// of a transaction. The entry table is the largest randomly-probed
     /// structure of the private/ASR designs, so the simulator's batch
@@ -140,9 +142,9 @@ impl Directory {
         key
     }
 
-    /// Handles a read request from `requester`, returning where the data comes
-    /// from and which state the requester ends up in.
-    pub fn handle_read(&mut self, block: BlockAddr, requester: TileId) -> ReadOutcome {
+    /// Handles a read request from `requester`, returning where the data
+    /// comes from. A requester that did not hold the block joins the sharers.
+    pub fn handle_read(&mut self, block: BlockAddr, requester: TileId) -> ReadSource {
         self.check_tile(requester);
         let key = Self::checked_key(block);
         self.stats.reads += 1;
@@ -152,16 +154,7 @@ impl Directory {
 
         if sharers.contains(requester) {
             // Already has a copy: nothing to do (the requester's cache hit).
-            let state = if e.owner() == Some(requester) && e.dirty() {
-                MosiState::Modified
-            } else {
-                MosiState::Shared
-            };
-            return ReadOutcome {
-                source: ReadSource::AlreadyPresent,
-                downgraded_owner: false,
-                new_state: state,
-            };
+            return ReadSource::AlreadyPresent;
         }
 
         if sharers.is_empty() {
@@ -170,16 +163,11 @@ impl Directory {
             e.set_owner(Some(requester));
             e.set_dirty(false);
             self.stats.memory_fetches += 1;
-            return ReadOutcome {
-                source: ReadSource::Memory,
-                downgraded_owner: false,
-                new_state: MosiState::Shared,
-            };
+            return ReadSource::Memory;
         }
 
         // Forward from the owner (if dirty) or any current sharer.
-        let dirty = e.dirty();
-        let supplier = if dirty {
+        let supplier = if e.dirty() {
             e.owner()
                 .or_else(|| sharers.first())
                 .expect("dirty entry has an owner")
@@ -189,16 +177,13 @@ impl Directory {
         sharers.insert(requester);
         e.set_sharer_bits(sharers.to_bits());
         self.stats.forwards += 1;
-        ReadOutcome {
-            source: ReadSource::Cache(supplier),
-            downgraded_owner: dirty,
-            new_state: MosiState::Shared,
-        }
+        ReadSource::Cache(supplier)
     }
 
     /// Handles a write (or upgrade) request from `requester`, returning the
-    /// data source and the set of tiles that must be invalidated.
-    pub fn handle_write(&mut self, block: BlockAddr, requester: TileId) -> WriteOutcome {
+    /// tiles whose copies must be invalidated before the write can proceed.
+    /// The requester becomes the block's sole holder and its dirty owner.
+    pub fn handle_write(&mut self, block: BlockAddr, requester: TileId) -> SharerSet {
         self.check_tile(requester);
         let key = Self::checked_key(block);
         self.stats.writes += 1;
@@ -206,58 +191,39 @@ impl Directory {
         let e = self.entries.slot_mut(slot);
         let sharers = SharerSet::from_bits(e.sharer_bits());
 
-        let had_copy = sharers.contains(requester);
         let invalidations = sharers.without(requester);
         self.stats.invalidations_sent += invalidations.len() as u64;
-
-        let source = if had_copy {
-            ReadSource::AlreadyPresent
-        } else if sharers.is_empty() {
-            self.stats.memory_fetches += 1;
-            ReadSource::Memory
-        } else {
-            let supplier = if e.dirty() {
-                e.owner()
-                    .or_else(|| sharers.first())
-                    .expect("dirty entry has an owner")
+        if !sharers.contains(requester) {
+            if sharers.is_empty() {
+                self.stats.memory_fetches += 1;
             } else {
-                sharers.first().expect("non-empty sharer set")
-            };
-            self.stats.forwards += 1;
-            ReadSource::Cache(supplier)
-        };
+                self.stats.forwards += 1;
+            }
+        }
 
         e.set_sharer_bits(SharerSet::singleton(requester).to_bits());
         e.set_owner(Some(requester));
         e.set_dirty(true);
-        WriteOutcome {
-            source,
-            invalidations,
-            new_state: MosiState::Modified,
-        }
+        invalidations
     }
 
-    /// Records that `tile` evicted its copy of `block`.
-    ///
-    /// Returns `true` if the eviction requires a dirty writeback to memory
-    /// (the evicting tile was the owner of a dirty block).
-    pub fn handle_eviction(&mut self, block: BlockAddr, tile: TileId) -> bool {
+    /// Records that `tile` evicted its copy of `block`. Evicting the dirty
+    /// owner's copy counts a writeback in [`DirectoryStats::dirty_writebacks`].
+    pub fn handle_eviction(&mut self, block: BlockAddr, tile: TileId) {
         self.check_tile(tile);
         // Every eviction of a tracked block used to probe the entry table
         // twice (lookup, then keyed removal once the sharer set drained);
         // the slot index makes the removal free.
         let Some(slot) = self.entries.find(block.block_number()) else {
-            return false;
+            return;
         };
         let e = self.entries.slot_mut(slot);
         let mut sharers = SharerSet::from_bits(e.sharer_bits());
-        let was_present = sharers.remove(tile);
-        if !was_present {
-            return false;
+        if !sharers.remove(tile) {
+            return;
         }
         e.set_sharer_bits(sharers.to_bits());
-        let needs_writeback = e.dirty() && e.owner() == Some(tile);
-        if needs_writeback {
+        if e.dirty() && e.owner() == Some(tile) {
             self.stats.dirty_writebacks += 1;
             // Ownership (and the dirty data) returns to memory; remaining
             // sharers keep clean copies.
@@ -269,7 +235,6 @@ impl Directory {
         if sharers.is_empty() {
             self.entries.remove_at(slot);
         }
-        needs_writeback
     }
 }
 
@@ -288,9 +253,7 @@ mod tests {
     #[test]
     fn first_read_fetches_from_memory() {
         let mut d = Directory::new(16);
-        let r = d.handle_read(b(1), t(0));
-        assert_eq!(r.source, ReadSource::Memory);
-        assert_eq!(r.new_state, MosiState::Shared);
+        assert_eq!(d.handle_read(b(1), t(0)), ReadSource::Memory);
         assert!(d.is_cached(b(1)));
         assert_eq!(d.stats().memory_fetches, 1);
     }
@@ -299,12 +262,7 @@ mod tests {
     fn second_read_forwards_from_sharer() {
         let mut d = Directory::new(16);
         d.handle_read(b(1), t(0));
-        let r = d.handle_read(b(1), t(3));
-        assert_eq!(r.source, ReadSource::Cache(t(0)));
-        assert!(
-            !r.downgraded_owner,
-            "clean copy should not need a downgrade"
-        );
+        assert_eq!(d.handle_read(b(1), t(3)), ReadSource::Cache(t(0)));
         assert_eq!(d.sharers(b(1)).len(), 2);
         assert_eq!(d.stats().forwards, 1);
     }
@@ -313,9 +271,10 @@ mod tests {
     fn read_after_write_downgrades_the_owner() {
         let mut d = Directory::new(16);
         d.handle_write(b(1), t(2));
-        let r = d.handle_read(b(1), t(5));
-        assert_eq!(r.source, ReadSource::Cache(t(2)));
-        assert!(r.downgraded_owner);
+        // Tile 0 is now the lowest-numbered sharer, but the dirty owner, not
+        // the first sharer, supplies.
+        d.handle_read(b(1), t(0));
+        assert_eq!(d.handle_read(b(1), t(5)), ReadSource::Cache(t(2)));
         assert_eq!(d.owner(b(1)), Some(t(2)));
     }
 
@@ -323,8 +282,7 @@ mod tests {
     fn repeated_read_by_same_tile_is_already_present() {
         let mut d = Directory::new(16);
         d.handle_read(b(1), t(0));
-        let r = d.handle_read(b(1), t(0));
-        assert_eq!(r.source, ReadSource::AlreadyPresent);
+        assert_eq!(d.handle_read(b(1), t(0)), ReadSource::AlreadyPresent);
     }
 
     #[test]
@@ -333,11 +291,10 @@ mod tests {
         for i in 0..4 {
             d.handle_read(b(9), t(i));
         }
-        let w = d.handle_write(b(9), t(1));
-        assert_eq!(w.invalidations.len(), 3);
-        assert!(!w.invalidations.contains(t(1)));
-        assert_eq!(w.source, ReadSource::AlreadyPresent);
-        assert_eq!(w.new_state, MosiState::Modified);
+        let invalidations = d.handle_write(b(9), t(1));
+        assert_eq!(invalidations.len(), 3);
+        assert!(!invalidations.contains(t(1)));
+        assert_eq!(d.stats().forwards, 3, "an upgrade forwards nothing");
         assert_eq!(d.sharers(b(9)).len(), 1);
         assert_eq!(d.owner(b(9)), Some(t(1)));
     }
@@ -346,24 +303,22 @@ mod tests {
     fn write_by_non_sharer_forwards_and_invalidates() {
         let mut d = Directory::new(16);
         d.handle_read(b(9), t(0));
-        let w = d.handle_write(b(9), t(5));
-        assert_eq!(w.source, ReadSource::Cache(t(0)));
-        assert_eq!(w.invalidations, SharerSet::singleton(t(0)));
+        assert_eq!(d.handle_write(b(9), t(5)), SharerSet::singleton(t(0)));
+        assert_eq!(d.stats().forwards, 1);
     }
 
     #[test]
     fn write_miss_with_no_copies_goes_to_memory() {
         let mut d = Directory::new(16);
-        let w = d.handle_write(b(2), t(7));
-        assert_eq!(w.source, ReadSource::Memory);
-        assert!(w.invalidations.is_empty());
+        assert!(d.handle_write(b(2), t(7)).is_empty());
+        assert_eq!(d.stats().memory_fetches, 1);
     }
 
     #[test]
     fn eviction_of_dirty_owner_requires_writeback() {
         let mut d = Directory::new(16);
         d.handle_write(b(4), t(3));
-        assert!(d.handle_eviction(b(4), t(3)));
+        d.handle_eviction(b(4), t(3));
         assert!(!d.is_cached(b(4)));
         assert_eq!(d.stats().dirty_writebacks, 1);
     }
@@ -373,11 +328,13 @@ mod tests {
         let mut d = Directory::new(16);
         d.handle_read(b(4), t(0));
         d.handle_read(b(4), t(1));
-        assert!(!d.handle_eviction(b(4), t(0)));
+        d.handle_eviction(b(4), t(0));
         assert!(d.is_cached(b(4)));
         assert_eq!(d.sharers(b(4)).len(), 1);
         // Evicting a non-sharer is a no-op.
-        assert!(!d.handle_eviction(b(4), t(9)));
+        d.handle_eviction(b(4), t(9));
+        assert_eq!(d.sharers(b(4)), SharerSet::singleton(t(1)));
+        assert_eq!(d.stats().dirty_writebacks, 0);
     }
 
     #[test]
@@ -385,19 +342,26 @@ mod tests {
         let mut d = Directory::new(16);
         d.handle_write(b(4), t(3));
         d.handle_read(b(4), t(5)); // downgrades owner, two sharers now
-        assert!(d.handle_eviction(b(4), t(3)));
+        d.handle_eviction(b(4), t(3));
+        assert_eq!(d.stats().dirty_writebacks, 1);
         assert_eq!(d.owner(b(4)), Some(t(5)));
         assert!(d.is_cached(b(4)));
+        // The data went back to memory: the new owner's copy is clean, so
+        // its eviction writes nothing back.
+        d.handle_eviction(b(4), t(5));
+        assert_eq!(d.stats().dirty_writebacks, 1);
     }
 
     #[test]
-    fn tracked_blocks_counts_entries() {
+    fn the_last_eviction_untracks_the_block() {
         let mut d = Directory::new(16);
         d.handle_read(b(1), t(0));
         d.handle_read(b(2), t(0));
-        assert_eq!(d.tracked_blocks(), 2);
         d.handle_eviction(b(1), t(0));
-        assert_eq!(d.tracked_blocks(), 1);
+        assert!(!d.is_cached(b(1)));
+        assert!(d.is_cached(b(2)));
+        // An untracked block starts over from memory.
+        assert_eq!(d.handle_read(b(1), t(3)), ReadSource::Memory);
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Directory-based MOSI coherence protocol model.
+//! Directory-based coherence model.
 //!
 //! The paper's private and ASR designs keep the per-tile L2 slices coherent
-//! with a four-state MOSI protocol modelled after Piranha, driven by an
-//! (optimistically zero-area) full-map distributed directory; the shared and
-//! R-NUCA designs only need a directory covering the L1 caches, because every
-//! modifiable block has exactly one possible L2 location (Sections 2.2 and 4).
+//! with a Piranha-style MOSI protocol driven by an (optimistically
+//! zero-area) full-map distributed directory; the shared and R-NUCA designs
+//! only need a directory covering the L1 caches, because every modifiable
+//! block has exactly one possible L2 location (Sections 2.2 and 4).
 //!
-//! This crate provides the *functional* protocol: a [`Directory`] that tracks
-//! sharers/owners per block and answers, for every read or write, which
-//! coherence actions are required (forward to owner, invalidate sharers,
-//! fetch from memory). The *timing* of those actions — network traversals and
-//! slice lookups — is charged by the simulator crate.
+//! The trace-driven simulator reads two answers from that protocol: who
+//! supplies the data of a read, and whom a write invalidates. This crate's
+//! [`Directory`] tracks, per block, the set of sharers and a dirty owner —
+//! all the state those answers depend on — and returns exactly them: a
+//! [`ReadSource`] for a read, the invalidation [`SharerSet`] for a write.
+//! The *timing* of those actions — network traversals and slice lookups —
+//! is charged by the simulator crate.
 //!
 //! # Example
 //!
@@ -22,24 +24,24 @@
 //! let mut dir = Directory::new(16);
 //! let block = BlockAddr::from_block_number(7);
 //! // First reader fetches from memory.
-//! let r0 = dir.handle_read(block, TileId::new(0));
-//! assert_eq!(r0.source, ReadSource::Memory);
+//! assert_eq!(dir.handle_read(block, TileId::new(0)), ReadSource::Memory);
 //! // Second reader is serviced by an existing sharer.
-//! let r1 = dir.handle_read(block, TileId::new(1));
-//! assert_eq!(r1.source, ReadSource::Cache(TileId::new(0)));
-//! // A writer invalidates every other sharer.
-//! let w = dir.handle_write(block, TileId::new(2));
-//! assert_eq!(w.invalidations.len(), 2);
+//! assert_eq!(
+//!     dir.handle_read(block, TileId::new(1)),
+//!     ReadSource::Cache(TileId::new(0))
+//! );
+//! // A writer invalidates every other sharer and becomes the dirty owner.
+//! let invalidations = dir.handle_write(block, TileId::new(2));
+//! assert_eq!(invalidations.len(), 2);
+//! assert_eq!(dir.owner(block), Some(TileId::new(2)));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod directory;
-pub mod protocol;
 pub mod sharers;
 mod table;
 
-pub use directory::{Directory, DirectoryStats};
-pub use protocol::{MosiState, ReadOutcome, ReadSource, WriteOutcome};
+pub use directory::{Directory, DirectoryStats, ReadSource};
 pub use sharers::SharerSet;

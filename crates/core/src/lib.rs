@@ -15,10 +15,13 @@
 //!   size-16 cluster (the whole chip), which keeps exactly one copy per block
 //!   and thus obviates L2 coherence.
 //!
-//! The three pieces exposed here are [`rotational`] (the indexing function and
-//! RID machinery), [`cluster`] (fixed-center / fixed-boundary cluster
-//! geometry), and [`placement`] (the [`PlacementEngine`] that the simulator
-//! queries on every L1 miss).
+//! The two pieces exposed here are [`rotational`] (the indexing function, RID
+//! machinery and cluster membership) and [`placement`] (the
+//! [`PlacementEngine`] that the simulator queries on every L1 miss). A
+//! cluster is just its member tiles: [`RotationalMap::cluster_members`]
+//! lists the slices a core's size-`n` fixed-center cluster spans, and
+//! [`PlacementEngine::instruction_cluster`] the ones it fetches
+//! instructions from.
 //!
 //! # Example
 //!
@@ -47,10 +50,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cluster;
 pub mod placement;
 pub mod rotational;
 
-pub use cluster::{Cluster, ClusterKind};
 pub use placement::{PlacementConfig, PlacementEngine};
 pub use rotational::{rotational_index, RotationalMap};

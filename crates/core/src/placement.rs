@@ -15,7 +15,6 @@
 //! second probe or a directory indirection — which is the property the paper
 //! leans on for its latency advantage.
 
-use crate::cluster::Cluster;
 use crate::rotational::RotationalMap;
 use rnuca_os::PageClass;
 use rnuca_types::addr::BlockAddr;
@@ -123,10 +122,10 @@ impl PlacementEngine {
         }
     }
 
-    /// The fixed-center instruction cluster of `core` (the slices it ever
-    /// fetches instructions from).
-    pub fn instruction_cluster(&self, core: CoreId) -> Cluster {
-        Cluster::fixed_center_from_map(core.tile(), &self.instr_map)
+    /// The members of `core`'s fixed-center instruction cluster (the slices
+    /// it ever fetches instructions from), sorted.
+    pub fn instruction_cluster(&self, core: CoreId) -> Vec<TileId> {
+        self.instr_map.cluster_members(core.tile())
     }
 }
 
@@ -189,7 +188,7 @@ mod tests {
             for n in 0..64u64 {
                 let home = e.place(PageClass::Instruction, b(n << 10), core);
                 assert!(
-                    cluster.contains(home),
+                    cluster.contains(&home),
                     "instruction home must stay in the cluster"
                 );
             }

@@ -423,6 +423,40 @@ mod tests {
     }
 
     #[test]
+    fn size4_fixed_center_cluster_members() {
+        let members = RotationalMap::new(4, 4, 4).cluster_members(TileId::new(5));
+        assert_eq!(members.len(), 4);
+        assert!(
+            members.contains(&TileId::new(5)),
+            "centre is always a member"
+        );
+    }
+
+    #[test]
+    fn size1_cluster_is_just_the_center() {
+        let map = RotationalMap::new(1, 4, 4);
+        assert_eq!(map.cluster_members(TileId::new(7)), vec![TileId::new(7)]);
+    }
+
+    #[test]
+    fn size16_cluster_covers_the_chip() {
+        let map = RotationalMap::new(16, 4, 4);
+        let all: Vec<TileId> = (0..16).map(TileId::new).collect();
+        assert_eq!(map.cluster_members(TileId::new(3)), all);
+    }
+
+    #[test]
+    fn neighbouring_fixed_center_clusters_overlap() {
+        let map = RotationalMap::new(4, 4, 4);
+        let a = map.cluster_members(TileId::new(5));
+        let b = map.cluster_members(TileId::new(6));
+        assert!(
+            a.iter().any(|t| b.contains(t)),
+            "adjacent size-4 clusters share slices (Figure 6)"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds tile count")]
     fn oversized_cluster_panics() {
         RotationalMap::new(32, 4, 4);

@@ -2,12 +2,11 @@
 //!
 //! The paper's tiled CMP connects tiles with a **2-D folded torus** (Table 1:
 //! 32-byte links, 1-cycle link latency, 2-cycle routers; Section 5.1 argues
-//! tori avoid the hot spots and edge effects of meshes). This crate provides:
-//!
-//! * [`Topology`] — torus or mesh over a `width x height` grid of tiles, with
-//!   closed-form hop distances, diameters and average distances,
-//! * [`Network`] — the simulator's latency oracle on the torus:
-//!   `hops * (link + router)` plus payload serialization.
+//! tori avoid the hot spots and edge effects of meshes). This crate
+//! provides [`Network`], the simulator's latency oracle on that torus: the
+//! closed-form hop count between two tiles (the per-axis ring distances
+//! summed), times `link + router`, plus payload serialization. It models no
+//! contention and no other topology.
 //!
 //! # Example
 //!
@@ -28,7 +27,5 @@
 #![warn(missing_debug_implementations)]
 
 pub mod network;
-pub mod topology;
 
 pub use network::Network;
-pub use topology::Topology;

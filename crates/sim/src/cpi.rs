@@ -147,11 +147,6 @@ impl DetailedCpi {
         self.breakdown.total()
     }
 
-    /// The Figure 8 quantity: CPI of L1-to-L1 transfers plus all shared-data L2 loads.
-    pub fn shared_access_cpi(&self) -> f64 {
-        self.breakdown.l1_to_l1 + self.l2_shared_load + self.l2_shared_coherence
-    }
-
     /// Adds L2 CPI to both the top-level breakdown and the per-class detail.
     pub fn add_l2(&mut self, class: AccessClass, coherence_indirection: bool, cpi: f64) {
         self.breakdown.add(CpiComponent::L2, cpi);
@@ -242,7 +237,6 @@ mod tests {
         assert!((d.l2_shared_coherence - 0.25).abs() < 1e-12);
         assert!((d.breakdown.off_chip - 0.9).abs() < 1e-12);
         assert!((d.off_chip_instructions - 0.5).abs() < 1e-12);
-        assert!((d.shared_access_cpi() - 0.35).abs() < 1e-12);
     }
 
     #[test]

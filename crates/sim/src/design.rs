@@ -93,11 +93,6 @@ impl LlcDesign {
             LlcDesign::Ideal => "I",
         }
     }
-
-    /// Returns `true` for the designs that need an L2-level coherence directory.
-    pub fn needs_l2_coherence(&self) -> bool {
-        matches!(self, LlcDesign::Private | LlcDesign::Asr { .. })
-    }
 }
 
 impl fmt::Display for LlcDesign {
@@ -128,18 +123,6 @@ mod tests {
             .map(LlcDesign::letter)
             .collect();
         assert_eq!(speedup, vec!["P", "A", "S", "R", "I"]);
-    }
-
-    #[test]
-    fn coherence_requirements() {
-        assert!(LlcDesign::Private.needs_l2_coherence());
-        assert!(LlcDesign::Asr {
-            policy: AsrPolicy::Static(0.5)
-        }
-        .needs_l2_coherence());
-        assert!(!LlcDesign::Shared.needs_l2_coherence());
-        assert!(!LlcDesign::rnuca_default().needs_l2_coherence());
-        assert!(!LlcDesign::Ideal.needs_l2_coherence());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Trace-driven tiled-CMP simulator comparing last-level-cache designs.
 //!
 //! This crate ties the substrates together — the torus network
-//! (`rnuca-noc`), the cache arrays (`rnuca-cache`), the MOSI directory
+//! (`rnuca-noc`), the cache arrays (`rnuca-cache`), the coherence directory
 //! (`rnuca-coherence`), the memory controllers (`rnuca-mem`), the OS page
 //! classifier (`rnuca-os`), the R-NUCA placement engine (`rnuca`) and the
 //! synthetic workloads (`rnuca-workloads`) — into the experiment the paper
@@ -12,8 +12,8 @@
 //!
 //! | Design  | L2 organisation | Coherence at L2 |
 //! |---------|-----------------|-----------------|
-//! | Private | every slice is a private L2 for its tile, blocks replicate freely | full-map MOSI directory |
-//! | ASR     | private + probabilistic local allocation of clean shared blocks   | full-map MOSI directory |
+//! | Private | every slice is a private L2 for its tile, blocks replicate freely | full-map directory (sharers, dirty owner) |
+//! | ASR     | private + probabilistic local allocation of clean shared blocks   | full-map directory (sharers, dirty owner) |
 //! | Shared  | blocks address-interleaved over all slices, one location each     | none (L1-only directory) |
 //! | R-NUCA  | class-aware placement: local / rotational cluster / interleaved    | none (L1-only directory) |
 //! | Ideal   | aggregate capacity at local-slice latency                           | none |

@@ -1621,7 +1621,7 @@ mod tests {
             }),
             ("config_override field", |m| {
                 let mut cfg: SystemConfig = m.workloads[0].system_config();
-                cfg.l2_slice.mshrs += 1;
+                cfg.l2_slice.victim_entries += 1;
                 m.workloads[0].config_override = Some(cfg);
             }),
         ];

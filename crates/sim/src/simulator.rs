@@ -1055,8 +1055,7 @@ impl CmpSimulator {
         };
 
         // Local miss: consult the distributed directory.
-        let read = self.l2_directory.handle_read(block, tile);
-        match read.source {
+        match self.l2_directory.handle_read(block, tile) {
             ReadSource::Memory => {
                 let exit = self.mem.exit_tile_for(access.addr);
                 let cost = self.slice_latency()
@@ -1114,8 +1113,8 @@ impl CmpSimulator {
     /// Makes `tile` the directory's sole holder of `block`, invalidating
     /// every other slice's copy.
     fn invalidate_other_copies(&mut self, block: BlockAddr, tile: TileId) {
-        let write = self.l2_directory.handle_write(block, tile);
-        for victim_tile in write.invalidations.iter() {
+        let invalidations = self.l2_directory.handle_write(block, tile);
+        for victim_tile in invalidations.iter() {
             self.tiles[victim_tile.index()].invalidate(block);
         }
     }

@@ -9,7 +9,6 @@
 
 use crate::addr::PhysAddr;
 use crate::ids::CoreId;
-use crate::latency::Cycles;
 use std::fmt;
 
 /// The access class a block/page belongs to (ground truth from the workload model).
@@ -125,71 +124,6 @@ impl fmt::Display for MemoryAccess {
     }
 }
 
-/// Where an L2-level request was ultimately serviced.
-///
-/// The CPI model charges a different latency to each outcome; the evaluation
-/// figures (7-10) break CPI down along exactly these lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServiceOutcome {
-    /// Hit in the local L1 (no L2 involvement).
-    L1Hit,
-    /// Serviced by an L2 slice (local or remote) without any coherence indirection.
-    L2Hit {
-        /// Network hops from the requesting tile to the servicing slice and back.
-        round_trip_hops: u32,
-    },
-    /// Serviced by a remote L1 cache (L1-to-L1 transfer through the directory).
-    L1ToL1 {
-        /// Total network hops on the critical path.
-        round_trip_hops: u32,
-        /// Number of L2-slice/directory lookups on the critical path.
-        slice_lookups: u32,
-    },
-    /// Serviced by a remote L2 slice after a coherence indirection
-    /// (private/ASR designs only).
-    L2CoherenceHit {
-        /// Total network hops on the critical path.
-        round_trip_hops: u32,
-        /// Number of L2-slice/directory lookups on the critical path.
-        slice_lookups: u32,
-    },
-    /// Missed on chip and was serviced by main memory.
-    OffChip {
-        /// Network hops to reach the memory controller and return.
-        round_trip_hops: u32,
-    },
-}
-
-impl ServiceOutcome {
-    /// Returns `true` if the request left the chip.
-    pub fn is_off_chip(self) -> bool {
-        matches!(self, ServiceOutcome::OffChip { .. })
-    }
-}
-
-/// The latency components charged to a single L1-miss request.
-///
-/// Summed over a run and divided by instruction count these produce the CPI
-/// breakdowns of Figures 7-10.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccessCost {
-    /// Cycles spent in on-chip network traversal.
-    pub network: Cycles,
-    /// Cycles spent accessing L2 slices (including directory lookups embedded in slices).
-    pub slice: Cycles,
-    /// Cycles spent in off-chip DRAM access (zero for on-chip hits).
-    pub off_chip: Cycles,
-    /// Cycles of classification / re-classification overhead (R-NUCA page shoot-downs).
-    pub reclassification: Cycles,
-}
-
-impl AccessCost {
-    /// Total cycles charged for this access.
-    pub fn total(self) -> Cycles {
-        self.network + self.slice + self.off_chip + self.reclassification
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,24 +157,5 @@ mod tests {
         assert!(s.contains("P2"));
         assert!(s.contains("read"));
         assert!(s.contains("Shared"));
-    }
-
-    #[test]
-    fn outcome_off_chip_predicate() {
-        assert!(ServiceOutcome::OffChip { round_trip_hops: 4 }.is_off_chip());
-        assert!(!ServiceOutcome::L2Hit { round_trip_hops: 2 }.is_off_chip());
-        assert!(!ServiceOutcome::L1Hit.is_off_chip());
-    }
-
-    #[test]
-    fn access_cost_total_sums_components() {
-        let c = AccessCost {
-            network: Cycles(6),
-            slice: Cycles(14),
-            off_chip: Cycles(0),
-            reclassification: Cycles(2),
-        };
-        assert_eq!(c.total(), Cycles(22));
-        assert_eq!(AccessCost::default().total(), Cycles(0));
     }
 }

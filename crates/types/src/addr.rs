@@ -61,11 +61,6 @@ impl PhysAddr {
         );
         PageAddr(self.0 >> page_bytes.trailing_zeros())
     }
-
-    /// Returns the byte offset of this address within its cache block.
-    pub fn block_offset(self, block_bytes: usize) -> usize {
-        (self.0 as usize) & (block_bytes - 1)
-    }
 }
 
 impl fmt::Display for PhysAddr {
@@ -197,7 +192,6 @@ mod tests {
         let a = PhysAddr::new(0x12345678);
         assert_eq!(a.block(64).block_number(), 0x12345678 >> 6);
         assert_eq!(a.page(8192).page_number(), 0x12345678 >> 13);
-        assert_eq!(a.block_offset(64), 0x38);
     }
 
     #[test]

@@ -3,6 +3,14 @@
 //! Two presets are provided: [`SystemConfig::server_16`] (the 16-core CMP used
 //! for server and scientific workloads) and [`SystemConfig::desktop_8`] (the
 //! 8-core CMP used for the multi-programmed MIX workload).
+//!
+//! Only the parameters a simulated result is computed from are fields. The
+//! simulator is trace-driven on the post-L1 reference stream: every
+//! reference in a trace is already an L1 miss, so Table 1's L1 geometry and
+//! hit latency, the MSHR counts (the model has no outstanding-miss
+//! overlap), the clock frequency (results are in cycles) and the DRAM
+//! capacity (the traces never exhaust it) would change nothing it reports,
+//! and have no field here.
 
 use crate::error::ConfigError;
 use crate::fingerprint::Fnv64;
@@ -68,19 +76,6 @@ impl CacheGeometry {
     }
 }
 
-/// Configuration of the per-tile L1 caches (split I/D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct L1Config {
-    /// Geometry of each of the L1-I and L1-D arrays.
-    pub geometry: CacheGeometry,
-    /// Load-to-use latency of an L1 hit.
-    pub hit_latency: Cycles,
-    /// Number of outstanding-miss registers.
-    pub mshrs: usize,
-    /// Victim-cache entries attached to each L1.
-    pub victim_entries: usize,
-}
-
 /// Configuration of one L2 NUCA slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2SliceConfig {
@@ -88,8 +83,6 @@ pub struct L2SliceConfig {
     pub geometry: CacheGeometry,
     /// Access latency of a hit in the slice (bank access only, excluding network).
     pub hit_latency: Cycles,
-    /// Number of outstanding-miss registers.
-    pub mshrs: usize,
     /// Victim-cache entries attached to each slice.
     pub victim_entries: usize,
 }
@@ -124,8 +117,6 @@ impl NocConfig {
 /// Configuration of main memory and the on-chip memory controllers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryConfig {
-    /// Total main-memory capacity in bytes.
-    pub capacity_bytes: u64,
     /// OS page size in bytes.
     pub page_bytes: usize,
     /// DRAM access latency in core cycles (45 ns at 2 GHz = 90 cycles).
@@ -139,10 +130,6 @@ pub struct MemoryConfig {
 pub struct SystemConfig {
     /// Number of processor cores (== number of tiles).
     pub num_cores: usize,
-    /// Core clock frequency in Hz (2 GHz in the paper).
-    pub clock_hz: u64,
-    /// Per-tile L1 configuration.
-    pub l1: L1Config,
     /// Per-tile L2 slice configuration.
     pub l2_slice: L2SliceConfig,
     /// Interconnect configuration.
@@ -157,19 +144,10 @@ impl SystemConfig {
     pub fn server_16() -> Self {
         SystemConfig {
             num_cores: 16,
-            clock_hz: 2_000_000_000,
-            l1: L1Config {
-                geometry: CacheGeometry::new(64 * 1024, 2, 64)
-                    .expect("L1 geometry from Table 1 is valid"),
-                hit_latency: Cycles(2),
-                mshrs: 32,
-                victim_entries: 16,
-            },
             l2_slice: L2SliceConfig {
                 geometry: CacheGeometry::new(1024 * 1024, 16, 64)
                     .expect("L2 geometry from Table 1 is valid"),
                 hit_latency: Cycles(14),
-                mshrs: 32,
                 victim_entries: 16,
             },
             torus: NocConfig {
@@ -180,7 +158,6 @@ impl SystemConfig {
                 link_bytes: 32,
             },
             memory: MemoryConfig {
-                capacity_bytes: 3 * 1024 * 1024 * 1024,
                 page_bytes: 8192,
                 access_latency: Cycles(90),
                 cores_per_controller: 4,
@@ -193,19 +170,10 @@ impl SystemConfig {
     pub fn desktop_8() -> Self {
         SystemConfig {
             num_cores: 8,
-            clock_hz: 2_000_000_000,
-            l1: L1Config {
-                geometry: CacheGeometry::new(64 * 1024, 2, 64)
-                    .expect("L1 geometry from Table 1 is valid"),
-                hit_latency: Cycles(2),
-                mshrs: 32,
-                victim_entries: 16,
-            },
             l2_slice: L2SliceConfig {
                 geometry: CacheGeometry::new(3 * 1024 * 1024, 12, 64)
                     .expect("L2 geometry from Table 1 is valid"),
                 hit_latency: Cycles(25),
-                mshrs: 32,
                 victim_entries: 16,
             },
             torus: NocConfig {
@@ -216,7 +184,6 @@ impl SystemConfig {
                 link_bytes: 32,
             },
             memory: MemoryConfig {
-                capacity_bytes: 3 * 1024 * 1024 * 1024,
                 page_bytes: 8192,
                 access_latency: Cycles(90),
                 cores_per_controller: 4,
@@ -293,7 +260,8 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns an error if the torus dimensions do not multiply to the core
-    /// count, or either cache geometry fails validation.
+    /// count, the page size is not a power of two, or the slice geometry
+    /// fails validation.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.torus.num_tiles() != self.num_cores {
             return Err(ConfigError::new(
@@ -306,11 +274,6 @@ impl SystemConfig {
         if !self.memory.page_bytes.is_power_of_two() {
             return Err(ConfigError::new("page size must be a power of two"));
         }
-        CacheGeometry::new(
-            self.l1.geometry.capacity_bytes,
-            self.l1.geometry.ways,
-            self.l1.geometry.block_bytes,
-        )?;
         CacheGeometry::new(
             self.l2_slice.geometry.capacity_bytes,
             self.l2_slice.geometry.ways,
@@ -354,24 +317,20 @@ impl SystemConfig {
     pub fn write_fingerprint(&self, h: &mut Fnv64) {
         let SystemConfig {
             num_cores,
-            clock_hz,
-            l1,
             l2_slice,
             torus,
             memory,
         } = self;
-        let L1Config {
-            geometry: l1_geometry,
-            hit_latency: l1_hit,
-            mshrs: l1_mshrs,
-            victim_entries: l1_victims,
-        } = l1;
         let L2SliceConfig {
-            geometry: l2_geometry,
-            hit_latency: l2_hit,
-            mshrs: l2_mshrs,
-            victim_entries: l2_victims,
+            geometry,
+            hit_latency,
+            victim_entries,
         } = l2_slice;
+        let CacheGeometry {
+            capacity_bytes,
+            ways,
+            block_bytes,
+        } = geometry;
         let NocConfig {
             width,
             height,
@@ -380,27 +339,16 @@ impl SystemConfig {
             link_bytes,
         } = torus;
         let MemoryConfig {
-            capacity_bytes,
             page_bytes,
             access_latency,
             cores_per_controller,
         } = memory;
-        h.write_u64(*num_cores as u64).write_u64(*clock_hz);
-        for (geometry, hit, mshrs, victims) in [
-            (l1_geometry, l1_hit, l1_mshrs, l1_victims),
-            (l2_geometry, l2_hit, l2_mshrs, l2_victims),
-        ] {
-            let CacheGeometry {
-                capacity_bytes,
-                ways,
-                block_bytes,
-            } = geometry;
-            for v in [*capacity_bytes, *ways, *block_bytes, *mshrs, *victims] {
-                h.write_u64(v as u64);
-            }
-            h.write_u64(hit.0);
-        }
         for v in [
+            *num_cores,
+            *capacity_bytes,
+            *ways,
+            *block_bytes,
+            *victim_entries,
             *width,
             *height,
             *link_bytes,
@@ -409,10 +357,9 @@ impl SystemConfig {
         ] {
             h.write_u64(v as u64);
         }
-        for latency in [link_latency, router_latency, access_latency] {
+        for latency in [hit_latency, link_latency, router_latency, access_latency] {
             h.write_u64(latency.0);
         }
-        h.write_u64(*capacity_bytes);
     }
 
     /// The trace-determining subset of this configuration (see [`TraceGeometry`]).
@@ -491,8 +438,6 @@ mod tests {
         assert_eq!(cfg.l2_slice.geometry.capacity_bytes, 1024 * 1024);
         assert_eq!(cfg.l2_slice.geometry.ways, 16);
         assert_eq!(cfg.l2_slice.hit_latency, Cycles(14));
-        assert_eq!(cfg.l1.geometry.capacity_bytes, 64 * 1024);
-        assert_eq!(cfg.l1.hit_latency, Cycles(2));
         assert_eq!(cfg.torus.width * cfg.torus.height, 16);
         assert_eq!(cfg.memory.access_latency, Cycles(90));
         assert_eq!(cfg.num_mem_controllers(), 4);
@@ -530,8 +475,8 @@ mod tests {
         let g = CacheGeometry::new(1024 * 1024, 16, 64).unwrap();
         assert_eq!(g.num_sets(), 1024);
         assert_eq!(g.num_blocks(), 16384);
-        let l1 = CacheGeometry::new(64 * 1024, 2, 64).unwrap();
-        assert_eq!(l1.num_sets(), 512);
+        let small = CacheGeometry::new(64 * 1024, 2, 64).unwrap();
+        assert_eq!(small.num_sets(), 512);
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl Cycles {
     pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
     }
-
-    /// Converts to a floating-point cycle count (for CPI arithmetic).
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
 }
 
 impl Add for Cycles {
@@ -110,8 +105,7 @@ mod tests {
     }
 
     #[test]
-    fn display_and_as_f64() {
+    fn display_counts_cycles() {
         assert_eq!(Cycles(14).to_string(), "14 cyc");
-        assert!((Cycles(14).as_f64() - 14.0).abs() < f64::EPSILON);
     }
 }

@@ -309,18 +309,6 @@ impl WorkloadSpec {
         ]
     }
 
-    /// The server workloads only.
-    pub fn server_suite() -> Vec<WorkloadSpec> {
-        vec![
-            Self::oltp_db2(),
-            Self::oltp_oracle(),
-            Self::apache(),
-            Self::dss_qry6(),
-            Self::dss_qry8(),
-            Self::dss_qry13(),
-        ]
-    }
-
     /// Number of cores the workload runs on.
     pub fn num_cores(&self) -> usize {
         self.system_config().num_cores
@@ -481,10 +469,11 @@ mod tests {
 
     #[test]
     fn server_workloads_are_instruction_and_shared_heavy() {
-        for spec in WorkloadSpec::server_suite() {
-            if spec.name.starts_with("DSS") {
-                continue;
-            }
+        for spec in [
+            WorkloadSpec::oltp_db2(),
+            WorkloadSpec::oltp_oracle(),
+            WorkloadSpec::apache(),
+        ] {
             assert!(
                 spec.instr_fraction + spec.shared_fraction > 0.5,
                 "{} should be dominated by instructions + shared data",

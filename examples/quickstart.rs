@@ -41,8 +41,11 @@ fn main() {
         "  shared data   -> {}",
         engine.place(PageClass::Shared, block, core)
     );
-    let cluster = engine.instruction_cluster(core);
-    let members: Vec<String> = cluster.members().iter().map(ToString::to_string).collect();
+    let members: Vec<String> = engine
+        .instruction_cluster(core)
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     println!(
         "  instruction cluster of {core}: {{{}}}",
         members.join(", ")

@@ -56,14 +56,13 @@ proptest! {
             let b = BlockAddr::from_block_number(block);
             let t = TileId::new(tile);
             if is_write {
-                let w = dir.handle_write(b, t);
-                prop_assert!(!w.invalidations.contains(t));
+                prop_assert!(!dir.handle_write(b, t).contains(t));
                 prop_assert_eq!(dir.sharers(b).len(), 1);
                 prop_assert_eq!(dir.owner(b), Some(t));
             } else {
-                let r = dir.handle_read(b, t);
+                let source = dir.handle_read(b, t);
                 prop_assert!(dir.sharers(b).contains(t));
-                if let ReadSource::Cache(supplier) = r.source {
+                if let ReadSource::Cache(supplier) = source {
                     prop_assert_ne!(supplier, t, "a forward must come from another tile");
                 }
             }

@@ -53,8 +53,7 @@ proptest! {
         let core = CoreId::new(core);
         let b = BlockAddr::from_block_number(block);
         let home = engine.place(PageClass::Instruction, b, core);
-        let cluster = engine.instruction_cluster(core);
-        prop_assert!(cluster.contains(home));
+        prop_assert!(engine.instruction_cluster(core).contains(&home));
         // Size-4 fixed-center clusters keep instructions within one torus hop.
         let (cx, cy) = core.tile().coords(4);
         let (hx, hy) = home.coords(4);
