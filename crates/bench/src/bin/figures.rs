@@ -596,8 +596,9 @@ fn exit_sweep_error(jpath: &str, e: SweepError) -> ! {
             std::process::exit(EXIT_CORRUPT);
         }
         SweepError::Journal(e @ JournalError::FingerprintMismatch { .. }) => exit_with(&format!(
-            "{e}\njournal {jpath} belongs to a different sweep (axes, seed, run lengths, or \
-             schema changed); delete it to start this sweep from scratch"
+            "{e}\njournal {jpath} belongs to a different sweep (an axis, the seed, a run \
+             length, a configuration value, the schema or the model version changed); delete \
+             it to start this sweep from scratch"
         )),
         other => exit_with(&format!("sweep failed: {other}")),
     }

@@ -37,7 +37,7 @@
 //! results warehouse as [`PerfReport::to_records`] rows.
 
 use rnuca_sim::{
-    ExperimentConfig, ExperimentEngine, JobFailure, JobPhases, LlcDesign, ScenarioJob,
+    ExperimentConfig, ExperimentEngine, JobFailure, JobKey, JobPhases, LlcDesign, ScenarioJob,
     ScenarioMatrix, SweepOptions,
 };
 use rnuca_types::json::json_string;
@@ -88,9 +88,9 @@ pub fn filter_scenarios(scenarios: Vec<ScenarioJob>, filter: &str) -> Vec<Scenar
 pub struct PerfResult {
     /// Workload name.
     pub workload: String,
-    /// The workload's [`WorkloadSpec::fingerprint`]: the identity its
-    /// warehouse row keys on. Not written to the JSON report.
-    pub fingerprint: u64,
+    /// The scenario's [`JobKey`]: the identity its warehouse row keys on.
+    /// Not written to the JSON report.
+    pub key: JobKey,
     /// Design letter ("P", "A", "S", "R", "I").
     pub letter: &'static str,
     /// Human-readable design name.
@@ -167,8 +167,8 @@ pub struct PerfReport {
 /// The version stamped into the perf report and the `schema` column of its
 /// warehouse rows; bump when either changes. Version 9 adds
 /// `totals.other_nanos`, and `tracegen_nanos` became the summed per-job
-/// stream time; version 8 keyed `scenario` rows on the full workload spec's
-/// fingerprint.
+/// stream time; version 8 keyed `scenario` rows on the workload spec (they
+/// now key on the job's [`JobKey`]).
 pub const PERF_SCHEMA_VERSION: u64 = 9;
 
 /// Runs `scenarios` (`matrix`'s jobs, or a subset of them) through one
@@ -215,7 +215,7 @@ pub fn run_perf(
         .zip(&phases)
         .map(|((s, r), p)| PerfResult {
             workload: s.workload.name.clone(),
-            fingerprint: s.workload.fingerprint(),
+            key: s.key(&cfg),
             letter: s.design.letter(),
             design: s.design.to_string(),
             cores: r.cores,
@@ -370,7 +370,7 @@ impl PerfReport {
         let mut records = Vec::with_capacity(self.results.len() + 1);
         for res in &self.results {
             let mut r = RunRecord::new(RowKind::Scenario, seed, schema, label);
-            r.fingerprint = res.fingerprint;
+            r.job_key = res.key.0;
             r.workload = Some(res.workload.clone());
             r.design = Some(res.letter.to_string());
             r.letter = Some(res.letter.to_string());
@@ -553,13 +553,13 @@ mod tests {
             report.totals.refs as f64 * 1e9 / report.totals.elapsed_nanos as f64
         );
 
-        // As warehouse rows: one scenario row per result, keyed on the same
-        // full-spec fingerprint as a sweep row, then the totals row.
+        // As warehouse rows: one scenario row per result, keyed on its
+        // job's key as a sweep row is, then the totals row.
         let records = report.to_records();
         assert_eq!(records.len(), 3);
         for (r, s) in records.iter().zip(&tiny_scenarios()) {
             assert_eq!(r.kind, RowKind::Scenario);
-            assert_eq!(r.fingerprint, s.workload.fingerprint());
+            assert_eq!(r.job_key, s.key(&tiny_cfg()).0);
             assert_eq!(r.design.as_deref(), Some(s.design.letter()));
         }
         assert!(records
@@ -571,6 +571,34 @@ mod tests {
         let store = Warehouse::new();
         assert_eq!(store.append_all(&records).added, 3);
         assert_eq!(store.append_all(&records).deduplicated, 3);
+    }
+
+    #[test]
+    fn a_report_that_computes_something_else_appends_its_scenario_rows_again() {
+        // Each re-run differs from the first only in one value its results
+        // depend on, and all three carry the same `custom` config label.
+        // The totals row is new every time: it measures wall-clock.
+        let mut m = tiny_matrix();
+        m.designs.push(LlcDesign::Asr {
+            policy: rnuca_sim::AsrPolicy::Adaptive,
+        });
+        let jobs = m.jobs().expect("the matrix is valid").len();
+        let store = Warehouse::new();
+        assert_eq!(store.append_all(&run(&m, 2).to_records()).added, jobs + 1);
+
+        let mut best_of = m.clone();
+        best_of.cfg.asr_best_of = true;
+        let report = run(&best_of, 2);
+        assert_eq!(report.cfg.label(), "custom");
+        let appended = store.append_all(&report.to_records());
+        assert_eq!(appended.added, jobs + 1, "only asr_best_of differs");
+
+        let mut longer = m.clone();
+        longer.cfg.warmup_refs += 100;
+        let report = run(&longer, 2);
+        assert_eq!(report.cfg.label(), "custom");
+        let appended = store.append_all(&report.to_records());
+        assert_eq!(appended.added, jobs + 1, "only the warm-up length differs");
     }
 
     #[test]
@@ -646,7 +674,7 @@ mod tests {
         // number formatting and schema version are pinned byte for byte.
         let result = |design: &str, letter, total_cpi, warmup_nanos| PerfResult {
             workload: "OLTP DB2".to_string(),
-            fingerprint: 0xfeed,
+            key: JobKey(0xfeed),
             letter,
             design: design.to_string(),
             cores: 16,
@@ -691,7 +719,7 @@ mod tests {
         // tiny_cfg: 600 warm-up and 400 measured references per scenario.
         let result = |workload: &str, letter, cores, warmup_nanos, measured_nanos| PerfResult {
             workload: workload.to_string(),
-            fingerprint: 0,
+            key: JobKey(0),
             letter,
             design: letter.to_string(),
             cores,

@@ -242,6 +242,59 @@ mod tests {
     }
 
     #[test]
+    fn a_journal_of_other_jobs_fails_the_submission_and_replays_nothing() {
+        let root = temp_dir("stalejournal");
+        let spool = Spool::new(&root.join("spool")).unwrap();
+        let store_path = root.join("warehouse.bin");
+        let registry = Arc::new(Registry::new());
+        let spec = SubmitSpec {
+            workloads: vec!["oltp-db2".to_string()],
+            designs: vec!["S".to_string()],
+            core_counts: vec![16],
+            ..SubmitSpec::default()
+        };
+        let id = spec.submission_id().unwrap();
+        spool.write_spec(&id, &spec).unwrap();
+        // A journal left under this id by jobs with other keys (here: the
+        // same matrix under another seed), with the one job's run in it.
+        let other = SubmitSpec {
+            seed: Some(7),
+            ..spec.clone()
+        }
+        .to_matrix()
+        .unwrap();
+        let journal = rnuca_sim::SweepJournal::create(
+            &spool.journal_path(&id),
+            other.fingerprint().unwrap(),
+            1,
+        )
+        .unwrap();
+        let run = rnuca_sim::run_single(
+            &rnuca_workloads::WorkloadSpec::oltp_db2(),
+            rnuca_sim::LlcDesign::Shared,
+            &other.cfg,
+        );
+        journal.append(0, &run).unwrap();
+        drop(journal);
+        registry.submit(&id, spec).unwrap();
+
+        let runner = Runner::new(registry.clone(), spool.clone(), store_path.clone(), 1);
+        let worker = thread::spawn(move || runner.run());
+        let state = wait_terminal(&registry, &id);
+        registry.drain();
+        worker.join().unwrap();
+        match state {
+            SubmissionState::Failed(msg) => {
+                assert!(msg.contains("journal fingerprint"), "got: {msg}")
+            }
+            other => panic!("expected a refused journal, got {other}"),
+        }
+        assert!(spool.journal_path(&id).exists(), "the spool entry stays");
+        assert!(!store_path.exists(), "nothing reached the warehouse");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn an_invalid_spec_fails_the_submission_not_the_runner() {
         let root = temp_dir("badspec");
         let spool = Spool::new(&root.join("spool")).unwrap();

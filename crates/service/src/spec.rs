@@ -11,8 +11,8 @@
 //!
 //! The encoding is *canonical* — [`SubmitSpec::encode`] always emits every
 //! field in this order — so the same line doubles as the spool's spec file
-//! and as input to the submission id (which is derived from the matrix
-//! fingerprint, making resubmission of an identical spec idempotent).
+//! and as input to the submission id (which is the matrix fingerprint over
+//! its jobs' keys, making resubmission of an identical spec idempotent).
 
 use rnuca_sim::{AsrPolicy, ExperimentConfig, LlcDesign, ScenarioMatrix};
 use rnuca_types::retry::{BackoffConfig, RetryPolicy};
@@ -242,15 +242,19 @@ impl SubmitSpec {
         }
     }
 
-    /// The submission id: the matrix fingerprint, rendered. Identical specs
-    /// (and only identical specs) share an id, so resubmitting a sweep that
-    /// is already queued or running is a no-op rather than a duplicate.
+    /// The submission id: the matrix fingerprint, rendered. Specs whose
+    /// matrices flatten to the same jobs (same [`JobKey`]s, in order) share
+    /// an id, so resubmitting a sweep that is already queued or running is
+    /// a no-op rather than a duplicate.
+    ///
+    /// [`JobKey`]: rnuca_sim::JobKey
     ///
     /// # Errors
     ///
     /// Same as [`SubmitSpec::to_matrix`].
     pub fn submission_id(&self) -> Result<String, String> {
-        Ok(format!("s{:016x}", self.to_matrix()?.fingerprint()))
+        let fingerprint = self.to_matrix()?.fingerprint().map_err(|e| e.to_string())?;
+        Ok(format!("s{fingerprint:016x}"))
     }
 }
 

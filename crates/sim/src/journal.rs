@@ -7,10 +7,19 @@
 //! entry — job index, fixed-size [`MeasuredRun`] record, FNV-64 checksum —
 //! to the journal file. Resume replays the journal, verifies that its
 //! header matches the matrix being run (fingerprint and job count), skips
-//! every journaled job, and re-runs only the rest. Because job results are
-//! a pure function of `(job, seed)`, the resumed sweep is *bit-identical*
-//! to an uninterrupted one — the chaos differential suite pins this down
-//! to the warehouse byte level.
+//! every journaled job, and re-runs only the rest. The header's
+//! fingerprint is [`ScenarioMatrix::fingerprint`]: a hash of every job's
+//! [`JobKey`], which covers everything a job's result is computed from
+//! (the applied system configuration, the workload profile, the design,
+//! the run lengths, the seed and the model version). A journal is
+//! therefore replayed only into the same jobs under the same model, and
+//! the resumed sweep is *bit-identical* to an uninterrupted one — the
+//! chaos differential suite pins this down to the warehouse byte level.
+//! A journal written by other jobs, or under another `MODEL_VERSION`, is
+//! refused by fingerprint.
+//!
+//! [`ScenarioMatrix::fingerprint`]: crate::ScenarioMatrix::fingerprint
+//! [`JobKey`]: crate::JobKey
 //!
 //! # File format (version 2)
 //!

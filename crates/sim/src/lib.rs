@@ -59,8 +59,9 @@ pub use journal::{
 };
 pub use report::TextTable;
 pub use scenario::{
-    JobPhases, QuarantinedSweep, ResumeSummary, ScenarioJob, ScenarioMatrix, ScenarioResult,
-    ScenarioSweep, SweepError, SweepOptions, SweepOutcome, SWEEP_SCHEMA_VERSION,
+    JobKey, JobPhases, QuarantinedSweep, ResumeSummary, ScenarioJob, ScenarioMatrix,
+    ScenarioResult, ScenarioSweep, SweepError, SweepOptions, SweepOutcome, MODEL_VERSION,
+    SWEEP_SCHEMA_VERSION,
 };
 pub use simulator::{CmpSimulator, MeasuredRun};
 pub use tile::{Tile, TileAccess};

@@ -34,7 +34,7 @@
 //! materialized once each and retired from the arena after the last job
 //! that replays it) but never warmed state across jobs, so a job's result
 //! does not depend on which options ran it or on which other jobs ran
-//! beside it.
+//! beside it: it depends only on what its [`JobKey`] hashes.
 //!
 //! # Example
 //!
@@ -66,7 +66,9 @@ use rnuca_types::retry::{DeadlineExceeded, RetryPolicy};
 use rnuca_types::MemoryAccess;
 use rnuca_types::{ConfigError, Fnv64};
 use rnuca_warehouse::{AppendSummary, RowKind, RunRecord, Warehouse};
-use rnuca_workloads::{TraceArena, TraceKey, TraceSlice, TraceSource, WorkloadSpec};
+use rnuca_workloads::{
+    SharingPattern, TraceArena, TraceKey, TraceSlice, TraceSource, WorkloadSpec,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -79,6 +81,22 @@ use std::time::{Duration, Instant};
 /// new rows stay distinguishable by the `schema` column). Version 2: an
 /// ASR row under `asr_best_of` is the best of the six ASR versions.
 pub const SWEEP_SCHEMA_VERSION: u64 = 2;
+
+/// Version of the simulated model, mixed into every [`JobKey`].
+///
+/// Bump it with any change that moves a simulated result (a golden
+/// `MeasuredRun` digest): every result stored under the old model then
+/// stops matching, so journals and service spool entries are refused by
+/// fingerprint and warehouse rows no longer deduplicate against new ones.
+/// The `golden_results` suite pins it to the golden digests.
+pub const MODEL_VERSION: u64 = 1;
+
+/// The identity of one job's result: [`ScenarioJob::key`]'s FNV-1a hash
+/// of everything the result is computed from. Journals and service
+/// submission ids carry it through [`ScenarioMatrix::fingerprint`];
+/// `sweep`, `failed` and perf `scenario` warehouse rows key on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct JobKey(pub u64);
 
 /// A declarative sweep over workloads, designs, and configuration axes.
 ///
@@ -204,6 +222,90 @@ impl ScenarioJob {
         runs.into_iter()
             .min_by(|a, b| a.total_cpi().total_cmp(&b.total_cpi()))
             .expect("ASR has six versions")
+    }
+
+    /// The job's [`JobKey`] under `cfg`: [`MODEL_VERSION`], the applied
+    /// system configuration, the workload profile, the design and its
+    /// parameter, the run lengths, the seed and `asr_best_of`.
+    ///
+    /// Every field is mixed one by one in an explicit encoding, never
+    /// through `Debug` output, so the value is stable across compiler
+    /// versions; exhaustive destructuring makes a new field a compile error
+    /// here. The workload's `preset` and `config_override` are left out:
+    /// they only choose the applied configuration, which is mixed in whole.
+    pub fn key(&self, cfg: &ExperimentConfig) -> JobKey {
+        let WorkloadSpec {
+            name,
+            preset: _,
+            busy_cpi,
+            l2_refs_per_kilo_instr,
+            instr_fraction,
+            private_fraction,
+            shared_fraction,
+            instr_footprint_kb,
+            private_footprint_kb_per_core,
+            shared_footprint_kb,
+            shared_write_fraction,
+            private_write_fraction,
+            sharing,
+            hot_access_fraction,
+            hot_footprint_fraction,
+            config_override: _,
+        } = &self.workload;
+        let ExperimentConfig {
+            warmup_refs,
+            measured_refs,
+            seed,
+            asr_best_of,
+        } = cfg;
+        let mut h = Fnv64::new();
+        h.write_u64(MODEL_VERSION);
+        self.workload.system_config().write_fingerprint(&mut h);
+        h.write_str(name);
+        for v in [
+            busy_cpi,
+            l2_refs_per_kilo_instr,
+            instr_fraction,
+            private_fraction,
+            shared_fraction,
+            shared_write_fraction,
+            private_write_fraction,
+            hot_access_fraction,
+            hot_footprint_fraction,
+        ] {
+            h.write_f64(*v);
+        }
+        for v in [
+            instr_footprint_kb,
+            private_footprint_kb_per_core,
+            shared_footprint_kb,
+        ] {
+            h.write_u64(*v);
+        }
+        match sharing {
+            SharingPattern::Universal => h.write_u64(0),
+            SharingPattern::NearestNeighbor { degree } => h.write_u64(1).write_u64(*degree as u64),
+            SharingPattern::ProducerConsumer => h.write_u64(2),
+        };
+        match self.design {
+            LlcDesign::Private => h.write_u64(0),
+            LlcDesign::Asr {
+                policy: AsrPolicy::Static(p),
+            } => h.write_u64(1).write_f64(p),
+            LlcDesign::Asr {
+                policy: AsrPolicy::Adaptive,
+            } => h.write_u64(2),
+            LlcDesign::Shared => h.write_u64(3),
+            LlcDesign::RNuca { instr_cluster_size } => {
+                h.write_u64(4).write_u64(instr_cluster_size as u64)
+            }
+            LlcDesign::Ideal => h.write_u64(5),
+        };
+        h.write_u64(*warmup_refs as u64)
+            .write_u64(*measured_refs as u64)
+            .write_u64(*seed)
+            .write_bool(*asr_best_of);
+        JobKey(h.finish())
     }
 
     /// The job's label, `workload/letter/design/Ncores` — the string
@@ -574,13 +676,13 @@ impl ScenarioMatrix {
     ///
     /// With a journal, every job's final outcome is appended the moment it
     /// exists, so a crash loses at most the jobs in flight. On resume,
-    /// journaled runs and failures are replayed instead of re-run; because
-    /// every job's result is a pure function of the matrix and the seed,
-    /// the resumed sweep — and any warehouse built from it — is
-    /// bit-identical to an uninterrupted run.
-    /// Store rows key on the workload fingerprint plus design, geometry,
-    /// seed, and schema, so re-running a matrix into the same store adds
-    /// zero rows and only genuinely new points grow it.
+    /// journaled runs and failures are replayed instead of re-run; the
+    /// journal carries the matrix [`fingerprint`](Self::fingerprint), which
+    /// covers every job's [`JobKey`], so the resumed sweep — and any
+    /// warehouse built from it — is bit-identical to an uninterrupted run.
+    /// Store rows key on their job's [`JobKey`], so re-running a matrix
+    /// into the same store adds zero rows and only genuinely new jobs grow
+    /// it.
     ///
     /// Each unique stream the pending jobs replay is generated once, and
     /// the arena's handle on it is retired as soon as the last of those
@@ -622,7 +724,7 @@ impl ScenarioMatrix {
         }
         let (journal, mut slots) = match opts.journal {
             Some(path) => {
-                let (journal, entries) = self.open_journal(path, opts.resume, jobs.len())?;
+                let (journal, entries) = self.open_journal(path, opts.resume, jobs)?;
                 let slots = entries
                     .into_iter()
                     .enumerate()
@@ -728,9 +830,10 @@ impl ScenarioMatrix {
         &self,
         path: &Path,
         resume: bool,
-        jobs: usize,
+        jobs: &[ScenarioJob],
     ) -> Result<(SweepJournal, Vec<Option<JournalEntry>>), JournalError> {
-        let fingerprint = self.fingerprint();
+        let fingerprint = fingerprint(&self.cfg, jobs);
+        let jobs = jobs.len();
         if !resume {
             let journal = SweepJournal::create(path, fingerprint, jobs as u64)?;
             return Ok((journal, vec![None; jobs]));
@@ -757,68 +860,34 @@ impl ScenarioMatrix {
         Ok((journal, slots))
     }
 
-    /// A fingerprint over every field of the matrix (and the journal and
-    /// row format versions), identifying "the same sweep" for journal
-    /// resume and service submission ids. Any change — a workload profile,
-    /// an axis value, a run length, the seed — changes the fingerprint, so
-    /// a stale journal is rejected rather than silently mixed into a
-    /// different sweep.
+    /// The identity of "the same sweep", for journal resume and service
+    /// submission ids: an FNV-1a hash of [`JOURNAL_VERSION`],
+    /// [`SWEEP_SCHEMA_VERSION`] and the [`JobKey`] of every job, in job
+    /// order. Two matrices that flatten to jobs with the same keys share
+    /// it, however they were written down; any change to what a job
+    /// computes (a workload profile, an applied configuration value, a run
+    /// length, the seed, [`MODEL_VERSION`]) changes it, so a stale journal
+    /// is rejected rather than silently mixed into a different sweep.
     ///
-    /// Fields are mixed one by one in an explicit encoding (workloads via
-    /// [`WorkloadSpec::fingerprint`]), never through `Debug` output, so the
-    /// value is stable across compiler versions; exhaustive destructuring
-    /// makes a new field a compile error here.
-    pub fn fingerprint(&self) -> u64 {
-        let ScenarioMatrix {
-            workloads,
-            designs,
-            core_counts,
-            slice_capacities_kb,
-            cluster_sizes,
-            cfg,
-        } = self;
-        let ExperimentConfig {
-            warmup_refs,
-            measured_refs,
-            seed,
-            asr_best_of,
-        } = cfg;
-        let mut h = Fnv64::new();
-        h.write_u64(u64::from(JOURNAL_VERSION))
-            .write_u64(SWEEP_SCHEMA_VERSION)
-            .write_u64(workloads.len() as u64);
-        for workload in workloads {
-            h.write_u64(workload.fingerprint());
-        }
-        h.write_u64(designs.len() as u64);
-        for design in designs {
-            match design {
-                LlcDesign::Private => h.write_u64(0),
-                LlcDesign::Asr {
-                    policy: AsrPolicy::Static(p),
-                } => h.write_u64(1).write_f64(*p),
-                LlcDesign::Asr {
-                    policy: AsrPolicy::Adaptive,
-                } => h.write_u64(2),
-                LlcDesign::Shared => h.write_u64(3),
-                LlcDesign::RNuca { instr_cluster_size } => {
-                    h.write_u64(4).write_u64(*instr_cluster_size as u64)
-                }
-                LlcDesign::Ideal => h.write_u64(5),
-            };
-        }
-        for axis in [core_counts, slice_capacities_kb, cluster_sizes] {
-            h.write_u64(axis.len() as u64);
-            for &v in axis {
-                h.write_u64(v as u64);
-            }
-        }
-        h.write_u64(*warmup_refs as u64)
-            .write_u64(*measured_refs as u64)
-            .write_u64(*seed)
-            .write_bool(*asr_best_of);
-        h.finish()
+    /// # Errors
+    ///
+    /// As for [`ScenarioMatrix::jobs`].
+    pub fn fingerprint(&self) -> Result<u64, ConfigError> {
+        Ok(fingerprint(&self.cfg, &self.jobs()?))
     }
+}
+
+/// [`ScenarioMatrix::fingerprint`] of a matrix under `cfg` that flattens to
+/// `jobs`.
+fn fingerprint(cfg: &ExperimentConfig, jobs: &[ScenarioJob]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(u64::from(JOURNAL_VERSION))
+        .write_u64(SWEEP_SCHEMA_VERSION)
+        .write_u64(jobs.len() as u64);
+    for job in jobs {
+        h.write_u64(job.key(cfg).0);
+    }
+    h.finish()
 }
 
 /// The trace keys a run's pending jobs replay, each counting down the jobs
@@ -886,8 +955,8 @@ fn result_from(job: &ScenarioJob, run: MeasuredRun) -> ScenarioResult {
 /// `failure` column for a quarantined job.
 ///
 /// Both kinds carry the same identity columns (workload, design, geometry,
-/// seed, schema, and the workload's [`WorkloadSpec::fingerprint`]), so a
-/// failure is attributable to a precise scenario. Failed rows key on
+/// seed, schema) and the job's [`JobKey`], so a failure is attributable to
+/// a precise scenario. Failed rows key on
 /// identity *and* the failure text: storing the same failure again
 /// deduplicates, while the same scenario failing differently later adds a
 /// new row.
@@ -907,7 +976,7 @@ fn record(
         cfg.label(),
     );
     let system = job.workload.system_config();
-    r.fingerprint = job.workload.fingerprint();
+    r.job_key = job.key(cfg).0;
     r.workload = Some(job.workload.name.clone());
     r.design = Some(job.design.letter().to_string());
     r.letter = Some(job.design.letter().to_string());
@@ -1521,6 +1590,33 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_that_computes_something_else_appends_its_rows_again() {
+        // Each re-run differs from the first only in one value its results
+        // depend on, and all three carry the same `custom` config label.
+        let mut m = tiny_matrix();
+        m.designs.push(LlcDesign::Asr {
+            policy: AsrPolicy::Adaptive,
+        });
+        let jobs = m.jobs().expect("the matrix is valid").len();
+        let engine = ExperimentEngine::with_workers(2);
+        let store = Warehouse::new();
+        assert_eq!(sweep_into(&m, engine, &store).1.added, jobs);
+
+        let mut best_of = m.clone();
+        best_of.cfg.asr_best_of = true;
+        assert_eq!(best_of.cfg.label(), "custom");
+        let (_, appended) = sweep_into(&best_of, engine, &store);
+        assert_eq!(appended.added, jobs, "only asr_best_of differs");
+
+        let mut longer = m.clone();
+        longer.cfg.warmup_refs += 100;
+        assert_eq!(longer.cfg.label(), "custom");
+        let (_, appended) = sweep_into(&longer, engine, &store);
+        assert_eq!(appended.added, jobs, "only the warm-up length differs");
+        assert_eq!(store.len(), 3 * jobs);
+    }
+
+    #[test]
     fn sweep_records_mirror_the_json_fields() {
         let m = tiny_matrix();
         let store = Warehouse::new();
@@ -1549,10 +1645,32 @@ mod tests {
     fn the_paper_evaluation_fingerprint_is_pinned() {
         // Journals and service submission ids key on this value: a change
         // here orphans every journal and spool entry written before it, so
-        // it must only move on purpose (a format or schema version bump).
+        // it must only move on purpose (a journal, schema or model version
+        // bump, or a change to what a job computes). Re-pinned when the
+        // fingerprint became a hash of the jobs' keys.
         assert_eq!(
-            ScenarioMatrix::paper_evaluation(ExperimentConfig::smoke()).fingerprint(),
-            0xcbf2_61c7_f794_0641
+            ScenarioMatrix::paper_evaluation(ExperimentConfig::smoke())
+                .fingerprint()
+                .unwrap(),
+            0xb493_1ac2_3073_f764
+        );
+    }
+
+    #[test]
+    fn matrices_with_identical_job_lists_share_a_fingerprint() {
+        use rnuca_types::config::SystemConfig;
+        let mut by_preset = ScenarioMatrix::new(ExperimentConfig::smoke());
+        by_preset.workloads = vec![WorkloadSpec::oltp_db2()];
+        by_preset.designs = LlcDesign::speedup_set();
+        let by_values = ScenarioMatrix {
+            workloads: vec![WorkloadSpec::oltp_db2().with_system_config(SystemConfig::server_16())],
+            ..by_preset.clone()
+        };
+        assert_ne!(by_preset, by_values);
+        assert_eq!(by_preset.jobs().unwrap(), by_values.jobs().unwrap());
+        assert_eq!(
+            by_preset.fingerprint().unwrap(),
+            by_values.fingerprint().unwrap()
         );
     }
 
@@ -1615,10 +1733,6 @@ mod tests {
             ("hot_footprint_fraction", |m| {
                 m.workloads[0].hot_footprint_fraction += 0.01
             }),
-            ("config_override", |m| {
-                let cfg = m.workloads[0].system_config();
-                m.workloads[0].config_override = Some(cfg);
-            }),
             ("config_override field", |m| {
                 let mut cfg: SystemConfig = m.workloads[0].system_config();
                 cfg.l2_slice.victim_entries += 1;
@@ -1626,15 +1740,21 @@ mod tests {
             }),
         ];
         let base = ScenarioMatrix::paper_evaluation(ExperimentConfig::smoke());
-        let mut seen = vec![("unchanged", base.fingerprint())];
+        let mut seen = vec![("unchanged", base.fingerprint().unwrap())];
         for (field, mutate) in mutations {
             let mut m = base.clone();
             mutate(&mut m);
-            let fingerprint = m.fingerprint();
+            let fingerprint = m.fingerprint().unwrap();
             if let Some((other, _)) = seen.iter().find(|(_, f)| *f == fingerprint) {
                 panic!("changing {field} gives the same fingerprint as {other}");
             }
             seen.push((field, fingerprint));
         }
+
+        // An override equal to the preset's own configuration applies the
+        // same values, so every job, and the fingerprint, is unchanged.
+        let mut m = base.clone();
+        m.workloads[0].config_override = Some(m.workloads[0].system_config());
+        assert_eq!(m.fingerprint().unwrap(), base.fingerprint().unwrap());
     }
 }

@@ -212,8 +212,8 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
     .expect_err("a stale journal must be rejected, not silently mixed in");
     match err {
         SweepError::Journal(JournalError::FingerprintMismatch { found, expected }) => {
-            assert_eq!(found, m.fingerprint());
-            assert_eq!(expected, other.fingerprint());
+            assert_eq!(found, m.fingerprint().unwrap());
+            assert_eq!(expected, other.fingerprint().unwrap());
         }
         other => panic!("expected a fingerprint mismatch, got: {other}"),
     }
@@ -420,8 +420,8 @@ fn every_option_combination_runs_the_same_sweep() {
                 if let Journal::ResumeHalfWritten = journal {
                     // Half the jobs already journaled, as an interrupted
                     // run leaves them.
-                    let written =
-                        SweepJournal::create(&path, m.fingerprint(), 4).expect("journal create");
+                    let written = SweepJournal::create(&path, m.fingerprint().unwrap(), 4)
+                        .expect("journal create");
                     for i in [0, 3] {
                         written
                             .append(i, &baseline.results[i].run)

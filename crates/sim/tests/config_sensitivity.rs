@@ -7,10 +7,12 @@
 //! error here until it gets a variant below (an unused binding fails the
 //! workspace's `-D warnings` lint), and then asserts that changing each
 //! value on its own changes the private (P) or R-NUCA (R) `MeasuredRun` of
-//! a short OLTP run whose small slices evict.
+//! a short OLTP run whose small slices evict, and the job's `JobKey`.
 
-use rnuca_sim::{run_single, ExperimentConfig, LlcDesign, MeasuredRun};
-use rnuca_types::config::{CacheGeometry, L2SliceConfig, MemoryConfig, NocConfig, SystemConfig};
+use rnuca_sim::{run_single, ExperimentConfig, LlcDesign, MeasuredRun, ScenarioJob};
+use rnuca_types::config::{
+    CacheGeometry, ConfigPoint, L2SliceConfig, MemoryConfig, NocConfig, SystemConfig,
+};
 use rnuca_types::latency::Cycles;
 use rnuca_workloads::WorkloadSpec;
 
@@ -33,11 +35,18 @@ fn results(cfg: SystemConfig) -> [MeasuredRun; 2] {
     [LlcDesign::Private, LlcDesign::rnuca_default()].map(|design| run_single(&spec, design, &RUN))
 }
 
-#[test]
-fn every_system_config_value_moves_a_result() {
-    let base = SystemConfig::server_16()
+/// The configuration every variant changes one value of: the 16-core
+/// preset with 64 KB slices.
+fn base() -> SystemConfig {
+    SystemConfig::server_16()
         .with_slice_capacity(64 * 1024)
-        .expect("64 KB slices are realizable");
+        .expect("64 KB slices are realizable")
+}
+
+/// One variant of [`base`] per `SystemConfig` value, named by the value it
+/// changes.
+fn variants() -> Vec<(&'static str, SystemConfig)> {
+    let base = base();
     let SystemConfig {
         num_cores,
         l2_slice:
@@ -75,7 +84,7 @@ fn every_system_config_value_moves_a_result() {
     // The torus must hold one tile per core, so `num_cores`, `width` and
     // `height` can only change in pairs; each variant names the value it
     // is there for.
-    let variants = [
+    vec![
         (
             "num_cores",
             SystemConfig {
@@ -180,18 +189,50 @@ fn every_system_config_value_moves_a_result() {
                 ..base.memory
             }),
         ),
-    ];
+    ]
+}
+
+#[test]
+fn every_system_config_value_moves_a_result() {
+    let base = base();
     let base_results = results(base);
-    let unmoved: Vec<&str> = variants
-        .iter()
+    let unmoved: Vec<&str> = variants()
+        .into_iter()
         .filter(|(_, cfg)| {
             assert_ne!(*cfg, base);
             results(*cfg) == base_results
         })
-        .map(|(field, _)| *field)
+        .map(|(field, _)| field)
         .collect();
     assert!(
         unmoved.is_empty(),
         "changing these SystemConfig values moves no P or R result: {unmoved:?}"
+    );
+}
+
+/// Every value a result is computed from is part of the job's identity, so
+/// a stored result is never reused under a different configuration.
+#[test]
+fn every_system_config_value_moves_the_job_key() {
+    let key = |cfg: SystemConfig| {
+        ScenarioJob {
+            workload: WorkloadSpec {
+                config_override: Some(cfg),
+                ..WorkloadSpec::oltp_db2()
+            },
+            design: LlcDesign::rnuca_default(),
+            point: ConfigPoint::baseline(),
+        }
+        .key(&RUN)
+    };
+    let base_key = key(base());
+    let unmoved: Vec<&str> = variants()
+        .into_iter()
+        .filter(|(_, cfg)| key(*cfg) == base_key)
+        .map(|(field, _)| field)
+        .collect();
+    assert!(
+        unmoved.is_empty(),
+        "changing these SystemConfig values leaves the JobKey unchanged: {unmoved:?}"
     );
 }

@@ -1,9 +1,11 @@
 //! The shared FNV-1a fingerprint hasher behind every memoization and
 //! dedup key in the workspace.
 //!
-//! Two subsystems key their stores by content fingerprints: the trace
-//! arena (workload profile → reference stream) and the results warehouse
-//! (scenario identity → stored row). Before this module each hand-rolled
+//! Three things are keyed by content fingerprints: the trace arena
+//! (workload profile → reference stream), each scenario job's `JobKey`
+//! (everything its result is computed from → the identity that journals,
+//! service submission ids and warehouse rows carry), and the results
+//! warehouse's row keys. Before this module each hand-rolled
 //! the same FNV-1a loop; [`Fnv64`] centralises the constants and the
 //! mixing discipline so a key is always built the same way — and so the
 //! warehouse's persisted keys stay stable across builds (FNV-1a is

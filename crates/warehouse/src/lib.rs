@@ -3,11 +3,11 @@
 //! Every measured run the simulator produces — perf scenarios, perf report
 //! totals, sweep points, and quarantined sweep failures — lands in one
 //! [`Warehouse`]: a versioned, structure-of-arrays columnar store keyed by
-//! `(workload fingerprint, design, geometry, seed, schema version)`. Rows
-//! come only from the run that measured them. The key makes appends
-//! idempotent: storing the same report twice or re-running the same sweep
-//! adds zero new rows, so repeated CI runs and local sweeps accumulate
-//! incrementally instead of duplicating.
+//! [`RunRecord::key`] (for a measured job, its job key plus the identity
+//! columns). Rows come only from the run that measured them. The key makes
+//! appends idempotent: storing the same report twice or re-running the same
+//! sweep adds zero new rows, so repeated CI runs and local sweeps
+//! accumulate incrementally instead of duplicating.
 //!
 //! On top of the store sits a small typed query language:
 //!

@@ -16,9 +16,7 @@ pub enum RowKind {
     Scenario,
     /// Whole-report totals: throughput over every scenario in one perf run.
     Totals,
-    /// One sweep point from a [`ScenarioMatrix`] evaluation run.
-    ///
-    /// [`ScenarioMatrix`]: https://example.invalid/rnuca-sim
+    /// One sweep point from an `rnuca_sim::ScenarioMatrix` evaluation run.
     Sweep,
     /// One quarantined sweep point: the job was supervised, every attempt
     /// failed, and instead of silently vanishing from results it is stored
@@ -53,7 +51,8 @@ pub struct RunRecord {
     pub workload: Option<String>,
     /// LLC design letter-name (`R`, `P`, `S`, `A`, `I`), when per-design.
     pub design: Option<String>,
-    /// Geometry point letter from the paper's sweep (`a`..`d`).
+    /// The design letter again (`R`, `P`, `S`, `A`, `I`): every producer
+    /// stores the same letter here as in `design`.
     pub letter: Option<String>,
     /// Core count of the simulated CMP.
     pub cores: Option<i64>,
@@ -61,9 +60,10 @@ pub struct RunRecord {
     pub slice_kb: Option<i64>,
     /// R-NUCA fixed-center cluster size.
     pub cluster: Option<i64>,
-    /// Workload fingerprint: FNV-1a of the full workload spec. Not a
-    /// column; folded into the dedup key.
-    pub fingerprint: u64,
+    /// The `JobKey` of the job that measured this row (`rnuca_sim`'s hash
+    /// of everything its result is computed from), or 0 on rows no single
+    /// job measured. Not a column; folded into the dedup key.
+    pub job_key: u64,
     /// RNG seed the run used.
     pub seed: i64,
     /// Schema version of the producing pipeline (perf schema for
@@ -123,7 +123,7 @@ impl RunRecord {
             cores: None,
             slice_kb: None,
             cluster: None,
-            fingerprint: 0,
+            job_key: 0,
             seed,
             schema,
             config: config.to_string(),
@@ -150,10 +150,13 @@ impl RunRecord {
     /// The dedup key for this record.
     ///
     /// Deterministic rows (scenario, sweep) are keyed by *identity* — what
-    /// was run: workload fingerprint, design, geometry, seed, schema, and
-    /// config. Their metrics are a pure function of
-    /// that identity, so re-running the same point maps to the same key
-    /// and the first row wins — repeated sweeps are incremental.
+    /// was run: the [`job_key`](RunRecord::job_key) plus the workload,
+    /// design, geometry, seed, schema and config columns. The job key
+    /// hashes everything the job's result is computed from, the model
+    /// version included, so re-running the same job under the same model
+    /// maps to the same key and the first row wins — repeated sweeps are
+    /// incremental — while a job that differs in anything its result
+    /// depends on appends a row of its own.
     ///
     /// Totals rows measure wall-clock, which is *not* a
     /// function of identity, so they are keyed by full content: the same
@@ -183,7 +186,7 @@ impl RunRecord {
         hash_opt_i64(h, self.cores);
         hash_opt_i64(h, self.slice_kb);
         hash_opt_i64(h, self.cluster);
-        h.write_u64(self.fingerprint);
+        h.write_u64(self.job_key);
         h.write_i64(self.seed);
         h.write_i64(self.schema);
         h.write_str(&self.config);
@@ -286,9 +289,9 @@ mod tests {
         let mut r = RunRecord::new(RowKind::Scenario, 42, 5, "full");
         r.workload = Some("apache".into());
         r.design = Some("R".into());
-        r.letter = Some("b".into());
+        r.letter = Some("R".into());
         r.cores = Some(32);
-        r.fingerprint = 0xDEAD_BEEF;
+        r.job_key = 0xDEAD_BEEF;
         r.total_cpi = Some(1.25);
         r
     }

@@ -18,7 +18,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn record(workload: &str, cores: i64) -> RunRecord {
     let mut r = RunRecord::new(RowKind::Sweep, 42, 5, "smoke");
-    r.fingerprint = cores as u64;
+    r.job_key = cores as u64;
     r.workload = Some(workload.to_string());
     r.cores = Some(cores);
     r.total_cpi = Some(1.5);

@@ -21,7 +21,7 @@ fn record_from(id: u64, kind_idx: u64, a: u64, b: u64, c: u64) -> RunRecord {
     };
     let config = ["full", "quick", "smoke", "custom"][(a % 4) as usize];
     let mut r = RunRecord::new(kind, (id % 1000) as i64, 5, config);
-    r.fingerprint = a;
+    r.job_key = a;
     if a & 1 == 0 {
         r.warmup_nanos = Some((c % 1_000_000_007) as i64);
     }

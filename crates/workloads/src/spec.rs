@@ -345,69 +345,6 @@ impl WorkloadSpec {
         1000.0 / self.l2_refs_per_kilo_instr
     }
 
-    /// A fingerprint over every field of the spec, mixed one by one (the
-    /// system configuration override included), identifying the exact
-    /// profile a result was measured under.
-    ///
-    /// The encoding is explicit rather than derived from `Debug` output, so
-    /// it stays stable across compiler versions and formatting changes;
-    /// exhaustive destructuring makes a new field a compile error here.
-    pub fn fingerprint(&self) -> u64 {
-        let WorkloadSpec {
-            name,
-            preset,
-            busy_cpi,
-            l2_refs_per_kilo_instr,
-            instr_fraction,
-            private_fraction,
-            shared_fraction,
-            instr_footprint_kb,
-            private_footprint_kb_per_core,
-            shared_footprint_kb,
-            shared_write_fraction,
-            private_write_fraction,
-            sharing,
-            hot_access_fraction,
-            hot_footprint_fraction,
-            config_override,
-        } = self;
-        let mut h = rnuca_types::Fnv64::new();
-        h.write_str(name).write_u64(match preset {
-            CmpPreset::Server16 => 0,
-            CmpPreset::Desktop8 => 1,
-        });
-        match sharing {
-            SharingPattern::Universal => h.write_u64(0),
-            SharingPattern::NearestNeighbor { degree } => h.write_u64(1).write_u64(*degree as u64),
-            SharingPattern::ProducerConsumer => h.write_u64(2),
-        };
-        for v in [
-            busy_cpi,
-            l2_refs_per_kilo_instr,
-            instr_fraction,
-            private_fraction,
-            shared_fraction,
-            shared_write_fraction,
-            private_write_fraction,
-            hot_access_fraction,
-            hot_footprint_fraction,
-        ] {
-            h.write_f64(*v);
-        }
-        for v in [
-            instr_footprint_kb,
-            private_footprint_kb_per_core,
-            shared_footprint_kb,
-        ] {
-            h.write_u64(*v);
-        }
-        h.write_bool(config_override.is_some());
-        if let Some(cfg) = config_override {
-            cfg.write_fingerprint(&mut h);
-        }
-        h.finish()
-    }
-
     /// Validates that the fractions are sane probabilities.
     pub fn validate(&self) -> Result<(), rnuca_types::ConfigError> {
         let sum = self.instr_fraction + self.private_fraction + self.shared_fraction;
