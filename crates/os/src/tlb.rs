@@ -113,17 +113,16 @@ impl Tlb {
 
     /// Fills the TLB with a classification after an OS trap, evicting the
     /// least-recently-used entry if the TLB is full.
+    ///
+    /// The page must be absent: the trap follows this TLB's lookup miss,
+    /// and the only TLB change in between, a re-classification's
+    /// shoot-down, hits the previous owner's TLB, never the accessor's.
     pub fn fill(&mut self, page: PageAddr, class: PageClass) {
         let key = page.page_number();
-        if let Some(&idx) = self.map.get(key) {
-            // Refresh in place: update the class and promote to MRU.
-            self.nodes[idx as usize].class = class;
-            if self.head != idx {
-                self.unlink(idx);
-                self.link_front(idx);
-            }
-            return;
-        }
+        debug_assert!(
+            self.map.get(key).is_none(),
+            "page {page} is already in the TLB"
+        );
         let idx = if self.map.len() >= self.capacity {
             // Evict the LRU tail and reuse its slot.
             let victim = self.tail;
@@ -197,15 +196,6 @@ mod tests {
         assert_eq!(tlb.lookup(p(2)), None, "LRU entry should be evicted");
         assert_eq!(tlb.lookup(p(1)), Some(PageClass::Private));
         assert_eq!(tlb.lookup(p(3)), Some(PageClass::Private));
-    }
-
-    #[test]
-    fn refilling_existing_page_updates_class_without_eviction() {
-        let mut tlb = Tlb::new(1);
-        tlb.fill(p(1), PageClass::Private);
-        tlb.fill(p(1), PageClass::Shared);
-        assert_eq!(tlb.len(), 1);
-        assert_eq!(tlb.lookup(p(1)), Some(PageClass::Shared));
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! at: the matrix fingerprint mixes `JOURNAL_VERSION` in, so a stale
 //! journal fails the version check with a clear message.
 
-use crate::engine::FailureCause;
+use crate::engine::{lock, FailureCause, JobFailure};
 use crate::simulator::MeasuredRun;
 use rnuca_types::failpoint;
 use rnuca_types::{ByteReader, DecodeError, Fnv64};
@@ -65,7 +65,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
 /// The journal file's magic bytes.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"RNUCAJL\0";
@@ -74,13 +74,16 @@ pub const JOURNAL_MAGIC: &[u8; 8] = b"RNUCAJL\0";
 /// refuses other versions rather than guessing).
 pub const JOURNAL_VERSION: u32 = 2;
 
+/// Offset of the header's job count: after magic, version and fingerprint.
+pub(crate) const JOB_COUNT_OFFSET: u64 = 8 + 4 + 8;
+
 /// Header size in bytes: magic + version + fingerprint + job count.
-const HEADER_LEN: u64 = 8 + 4 + 8 + 8;
+const HEADER_LEN: u64 = JOB_COUNT_OFFSET + 8;
 
 /// Entry kind byte: a completed [`MeasuredRun`].
 const ENTRY_RUN: u8 = 0;
 
-/// Entry kind byte: a quarantined [`JournalFailure`].
+/// Entry kind byte: a quarantined [`JobFailure`].
 const ENTRY_FAILED: u8 = 1;
 
 /// Bytes before the payload in every entry: job + kind + len.
@@ -91,68 +94,56 @@ const ENTRY_PRELUDE: usize = 8 + 1 + 4;
 /// would allocate unbounded memory from a corrupt byte.
 const MAX_FAILURE_PAYLOAD: usize = 64 * 1024;
 
-/// A typed quarantined-failure record: what the journal remembers about a
-/// job whose supervision gave up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalFailure {
-    /// Attempts made before the job was quarantined.
-    pub attempts: u32,
-    /// Why the final attempt failed.
-    pub cause: FailureCause,
-    /// The final failure's message.
-    pub message: String,
+/// A failure entry's payload: attempts u32 | cause u8 | msg_len u32 | msg
+/// bytes. The job index is the entry's, not the payload's.
+fn encode_failure(failure: &JobFailure) -> Vec<u8> {
+    let msg = failure.message.as_bytes();
+    let cause: u8 = match failure.cause {
+        FailureCause::Panic => 0,
+        FailureCause::Deadline => 1,
+    };
+    let mut out = Vec::with_capacity(9 + msg.len());
+    out.extend_from_slice(&failure.attempts.to_le_bytes());
+    out.push(cause);
+    out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
+    out.extend_from_slice(msg);
+    out
 }
 
-impl JournalFailure {
-    /// Payload encoding: attempts u32 | cause u8 | msg_len u32 | msg bytes.
-    fn encode_payload(&self) -> Vec<u8> {
-        let msg = self.message.as_bytes();
-        let cause: u8 = match self.cause {
-            FailureCause::Panic => 0,
-            FailureCause::Deadline => 1,
-        };
-        let mut out = Vec::with_capacity(9 + msg.len());
-        out.extend_from_slice(&self.attempts.to_le_bytes());
-        out.push(cause);
-        out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-        out.extend_from_slice(msg);
-        out
-    }
-
-    /// Decodes a payload previously written by [`Self::encode_payload`].
-    /// Panic-free: the payload passed its entry checksum, so any internal
-    /// inconsistency is writer/reader disagreement reported as `Err`, with
-    /// offsets relative to the payload.
-    fn decode_payload(payload: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = ByteReader::new(payload);
-        let attempts = r.u32("failure attempt count")?;
-        let cause = match r.u8("failure cause")? {
-            0 => FailureCause::Panic,
-            1 => FailureCause::Deadline,
-            b => {
-                return Err(DecodeError {
-                    offset: r.pos() - 1,
-                    message: format!("unknown failure cause byte {b}"),
-                })
-            }
-        };
-        let msg_len = r.u32("failure message length")? as usize;
-        if msg_len != r.remaining() {
+/// Decodes job `job`'s failure payload, written by [`encode_failure`].
+/// Panic-free: the payload passed its entry checksum, so any internal
+/// inconsistency is writer/reader disagreement reported as `Err`, with
+/// offsets relative to the payload.
+fn decode_failure(payload: &[u8], job: usize) -> Result<JobFailure, DecodeError> {
+    let mut r = ByteReader::new(payload);
+    let attempts = r.u32("failure attempt count")?;
+    let cause = match r.u8("failure cause")? {
+        0 => FailureCause::Panic,
+        1 => FailureCause::Deadline,
+        b => {
             return Err(DecodeError {
-                offset: r.pos() - 4,
-                message: format!(
-                    "failure message length {msg_len} disagrees with the payload ({} bytes left)",
-                    r.remaining()
-                ),
-            });
+                offset: r.pos() - 1,
+                message: format!("unknown failure cause byte {b}"),
+            })
         }
-        let message = String::from_utf8_lossy(r.take(msg_len, "failure message")?).into_owned();
-        Ok(JournalFailure {
-            attempts,
-            cause,
-            message,
-        })
+    };
+    let msg_len = r.u32("failure message length")? as usize;
+    if msg_len != r.remaining() {
+        return Err(DecodeError {
+            offset: r.pos() - 4,
+            message: format!(
+                "failure message length {msg_len} disagrees with the payload ({} bytes left)",
+                r.remaining()
+            ),
+        });
     }
+    let message = String::from_utf8_lossy(r.take(msg_len, "failure message")?).into_owned();
+    Ok(JobFailure {
+        job,
+        attempts,
+        cause,
+        message,
+    })
 }
 
 /// One intact journal entry, as replay returns it.
@@ -161,7 +152,7 @@ pub enum JournalEntry {
     /// The job completed; its measured result.
     Run(MeasuredRun),
     /// The job was quarantined; the typed failure record.
-    Failed(JournalFailure),
+    Failed(JobFailure),
 }
 
 /// Why a journal could not be loaded or matched to a matrix.
@@ -186,15 +177,6 @@ pub enum JournalError {
         /// Fingerprint of the matrix being resumed.
         expected: u64,
     },
-    /// The journal's job count differs from the matrix's flattened job
-    /// list (same guard as the fingerprint, but with a clearer message
-    /// when only an axis changed).
-    JobCountMismatch {
-        /// Job count recorded in the journal header.
-        found: u64,
-        /// Job count of the matrix being resumed.
-        expected: u64,
-    },
 }
 
 impl fmt::Display for JournalError {
@@ -208,11 +190,6 @@ impl fmt::Display for JournalError {
                 f,
                 "journal fingerprint {found:#018x} does not match this matrix \
                  ({expected:#018x}): it records a different sweep"
-            ),
-            JournalError::JobCountMismatch { found, expected } => write!(
-                f,
-                "journal records {found} jobs but this matrix flattens to \
-                 {expected}: an axis changed since the journal was written"
             ),
         }
     }
@@ -240,13 +217,6 @@ impl From<DecodeError> for JournalError {
             message: e.message,
         }
     }
-}
-
-/// Locks ignoring poison: an injected panic inside [`SweepJournal::append`]
-/// must not wedge the remaining workers on a poisoned file lock — the
-/// interesting failure is the panic itself.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The append side of a sweep journal.
@@ -314,7 +284,8 @@ impl SweepJournal {
 
     /// Appends one quarantined job's typed failure entry and flushes it —
     /// the journal-side record that lets `--resume` *skip* a poisoned job
-    /// instead of re-crashing on it.
+    /// instead of re-crashing on it. The entry is filed under `job`;
+    /// `failure.job` is not written.
     ///
     /// # Errors
     ///
@@ -324,8 +295,8 @@ impl SweepJournal {
     /// # Panics
     ///
     /// Same injected fail points as [`SweepJournal::append`].
-    pub fn append_failure(&self, job: usize, failure: &JournalFailure) -> std::io::Result<()> {
-        self.append_entry(job, ENTRY_FAILED, &failure.encode_payload())
+    pub fn append_failure(&self, job: usize, failure: &JobFailure) -> std::io::Result<()> {
+        self.append_entry(job, ENTRY_FAILED, &encode_failure(failure))
     }
 
     /// The shared append path: frame, checksum, fail points, write, flush.
@@ -497,9 +468,9 @@ impl JournalReplay {
                 ENTRY_RUN => {
                     JournalEntry::Run(MeasuredRun::from_bytes(payload).map_err(in_payload)?)
                 }
-                _ => JournalEntry::Failed(
-                    JournalFailure::decode_payload(payload).map_err(in_payload)?,
-                ),
+                _ => {
+                    JournalEntry::Failed(decode_failure(payload, job as usize).map_err(in_payload)?)
+                }
             };
             entries.insert(job, entry);
             valid_len = r.pos();
@@ -563,7 +534,8 @@ mod tests {
     /// The bytes of a 6-job journal holding jobs 0 (run), 1 (quarantined)
     /// and 2 (run), and those three entries in job order.
     fn three_entry_journal(name: &str) -> (Vec<u8>, [JournalEntry; 3]) {
-        let failure = JournalFailure {
+        let failure = JobFailure {
+            job: 1,
             attempts: 2,
             cause: FailureCause::Panic,
             message: "poisoned".to_string(),
@@ -653,7 +625,8 @@ mod tests {
         journal
             .append_failure(
                 1,
-                &JournalFailure {
+                &JobFailure {
+                    job: 1,
                     attempts: 3,
                     cause: FailureCause::Panic,
                     message: "member OLTP DB2 exploded".to_string(),
@@ -663,7 +636,9 @@ mod tests {
         journal
             .append_failure(
                 2,
-                &JournalFailure {
+                // Filed under the argument (2), not under `job`.
+                &JobFailure {
+                    job: 0,
                     attempts: 1,
                     cause: FailureCause::Deadline,
                     message: String::new(),
@@ -688,6 +663,7 @@ mod tests {
         }
         match replay.entries.get(&2) {
             Some(JournalEntry::Failed(f)) => {
+                assert_eq!(f.job, 2);
                 assert_eq!(f.cause, FailureCause::Deadline);
                 assert_eq!(f.message, "");
             }

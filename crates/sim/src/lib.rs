@@ -54,9 +54,7 @@ pub use cpi::{CpiBreakdown, CpiComponent, DetailedCpi};
 pub use design::{AsrPolicy, LlcDesign};
 pub use engine::{ExperimentEngine, FailureCause, JobFailure};
 pub use experiment::{run_single, ExperimentConfig};
-pub use journal::{
-    JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
-};
+pub use journal::{JournalEntry, JournalError, JournalReplay, SweepJournal, JOURNAL_VERSION};
 pub use report::TextTable;
 pub use scenario::{
     JobKey, JobPhases, QuarantinedSweep, ResumeSummary, ScenarioJob, ScenarioMatrix,

@@ -57,7 +57,7 @@ use crate::design::{AsrPolicy, LlcDesign};
 use crate::engine::{ExperimentEngine, JobFailure};
 use crate::experiment::ExperimentConfig;
 use crate::journal::{
-    JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
+    JournalEntry, JournalError, JournalReplay, SweepJournal, JOB_COUNT_OFFSET, JOURNAL_VERSION,
 };
 use crate::simulator::{CmpSimulator, MeasuredRun};
 use rnuca_types::config::ConfigPoint;
@@ -727,15 +727,9 @@ impl ScenarioMatrix {
                 let (journal, entries) = self.open_journal(path, opts.resume, jobs)?;
                 let slots = entries
                     .into_iter()
-                    .enumerate()
-                    .map(|(job, entry)| match entry? {
+                    .map(|entry| match entry? {
                         JournalEntry::Run(run) => Some(Ok(run)),
-                        JournalEntry::Failed(f) => Some(Err(JobFailure {
-                            job,
-                            attempts: f.attempts,
-                            cause: f.cause,
-                            message: f.message,
-                        })),
+                        JournalEntry::Failed(f) => Some(Err(f)),
                     })
                     .collect();
                 (Some(journal), slots)
@@ -760,14 +754,7 @@ impl ScenarioMatrix {
                 let job = pending[k];
                 match outcome {
                     Ok((run, _)) => journal.append(job, run),
-                    Err(f) => journal.append_failure(
-                        job,
-                        &JournalFailure {
-                            attempts: f.attempts,
-                            cause: f.cause,
-                            message: f.message.clone(),
-                        },
-                    ),
+                    Err(f) => journal.append_failure(job, f),
                 }
                 .map_err(JournalError::Io)?;
             }
@@ -845,10 +832,16 @@ impl ScenarioMatrix {
                 expected: fingerprint,
             });
         }
+        // The fingerprint hashes the job count, so a count that disagrees
+        // under a matching fingerprint is a damaged header field (the
+        // header carries no checksum).
         if replay.jobs as usize != jobs {
-            return Err(JournalError::JobCountMismatch {
-                found: replay.jobs,
-                expected: jobs as u64,
+            return Err(JournalError::Corrupt {
+                offset: JOB_COUNT_OFFSET,
+                message: format!(
+                    "header records {} jobs, but its fingerprint is of this {jobs}-job matrix",
+                    replay.jobs
+                ),
             });
         }
         let journal = SweepJournal::resume(path, &replay)?;

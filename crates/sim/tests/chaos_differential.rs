@@ -221,6 +221,53 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
 }
 
 #[test]
+fn a_journal_whose_job_count_disagrees_with_its_fingerprint_is_corrupt() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let m = chaos_matrix();
+    let engine = ExperimentEngine::with_workers(1);
+    let arena = Arc::new(TraceArena::new());
+    let done = run_sweep(&m, engine, &arena, None, RetryPolicy::default(), None)
+        .expect("the chaos matrix is valid")
+        .sweep
+        .into_sweep()
+        .expect("every job completes");
+
+    // The fingerprint hashes the job count, so a header that carries this
+    // matrix's fingerprint with another count has a damaged count field.
+    let jobs = m.jobs().unwrap().len() as u64;
+    let path = journal_path("job-count");
+    let journal = SweepJournal::create(&path, m.fingerprint().unwrap(), jobs + 1).unwrap();
+    journal.append(0, &done.results[0].run).unwrap();
+    drop(journal);
+    let written = std::fs::read(&path).unwrap();
+
+    let store = Warehouse::new();
+    let err = run_sweep(
+        &m,
+        engine,
+        &arena,
+        Some((&path, true)),
+        RetryPolicy::default(),
+        Some(&store),
+    )
+    .expect_err("a damaged header must not resume");
+    match err {
+        SweepError::Journal(JournalError::Corrupt { offset, .. }) => assert_eq!(
+            offset, 20,
+            "the job count follows magic, version and fingerprint"
+        ),
+        other => panic!("expected a corrupt journal, got: {other}"),
+    }
+    assert!(store.is_empty(), "nothing is replayed or stored");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        written,
+        "the journal is left as it was"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn an_injected_panic_quarantines_exactly_that_job() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();

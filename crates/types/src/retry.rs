@@ -21,6 +21,7 @@
 //! counts as a failed attempt, exactly like a panic. Work outside those
 //! checks is not interrupted.
 
+use crate::failpoint::splitmix64;
 use std::time::{Duration, Instant};
 
 /// Seeded-jitter exponential backoff between supervised retry attempts.
@@ -146,15 +147,6 @@ impl DeadlineExceeded {
             std::panic::resume_unwind(Box::new(DeadlineExceeded));
         }
     }
-}
-
-/// SplitMix64 — the same dependency-free mixer the fail-point subsystem
-/// uses for its seeded triggers.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

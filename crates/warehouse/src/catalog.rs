@@ -16,7 +16,7 @@ pub enum ColumnType {
     Int,
     /// 64-bit IEEE float (stored by bit pattern, round-trips exactly).
     Float,
-    /// Interned UTF-8 string.
+    /// UTF-8 string.
     Str,
 }
 

@@ -1,4 +1,4 @@
-//! Query execution over the columnar store.
+//! Query execution over the row store.
 //!
 //! Filters are conjunctive; comparisons against a null cell are false
 //! (except the explicit `= null` / `!= null` presence tests). Sorting is
@@ -20,12 +20,10 @@ pub(super) fn execute(store: &Store, plan: &Plan) -> QueryOutput {
         .collect();
 
     if let Some((col, descending)) = plan.sort {
-        let keys: Vec<Value> = rows.iter().map(|&row| store.value(row, col)).collect();
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| {
+        rows.sort_by(|&a, &b| {
             // Nulls sort last in both directions: decide them before the
             // direction flip so `desc` cannot float them to the top.
-            match (&keys[a], &keys[b]) {
+            match (store.value(a, col), store.value(b, col)) {
                 (Value::Null, Value::Null) => Ordering::Equal,
                 (Value::Null, _) => Ordering::Greater,
                 (_, Value::Null) => Ordering::Less,
@@ -39,7 +37,6 @@ pub(super) fn execute(store: &Store, plan: &Plan) -> QueryOutput {
                 }
             }
         });
-        rows = order.into_iter().map(|i| rows[i]).collect();
     }
 
     if let Some(top) = plan.top {
@@ -55,14 +52,19 @@ pub(super) fn execute(store: &Store, plan: &Plan) -> QueryOutput {
         columns: projected.iter().map(|&c| CATALOG[c].name).collect(),
         rows: rows
             .iter()
-            .map(|&row| projected.iter().map(|&c| store.value(row, c)).collect())
+            .map(|&row| {
+                projected
+                    .iter()
+                    .map(|&c| store.value(row, c).clone())
+                    .collect()
+            })
             .collect(),
     }
 }
 
 fn matches(store: &Store, row: usize, filter: &Filter) -> bool {
     let cell = store.value(row, filter.col);
-    match (&filter.operand, &cell) {
+    match (&filter.operand, cell) {
         // Presence tests are the only filters that see null cells.
         (Operand::Null, _) => {
             let is_null = matches!(cell, Value::Null);

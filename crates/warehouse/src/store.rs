@@ -1,27 +1,24 @@
-//! The columnar store: SoA slabs, dedup index, byte codec, and the
-//! thread-safe [`Warehouse`] wrapper.
+//! The row store: one [`Value`] per (row, catalog column), the dedup
+//! index, the byte codec, and the thread-safe [`Warehouse`] wrapper.
 //!
-//! Layout follows the simulator's slab idiom (`TraceSlab`, `EntryTable`):
-//! one contiguous array per column plus a validity byte per cell, with
-//! strings interned into a shared pool so repeated workload/design names
-//! cost four bytes per row. The file format is little-endian, versioned,
-//! and headed by a catalog hash, so decoding against a changed column set
-//! fails loudly instead of misreading slabs.
+//! The file format is little-endian, versioned, and headed by a catalog
+//! hash, so decoding against a changed column set fails loudly instead of
+//! misreading rows; each row is its key followed by its cells in catalog
+//! order (see `Store::encode`).
 //!
 //! The store is *logically* append-only: rows are never mutated or
 //! removed, and every append is keyed by [`RunRecord::key`] against a
-//! `HashMap` index, which makes re-appends no-ops. Persistence rewrites
-//! the file wholesale — row counts are thousands, not billions, and a
-//! single atomic rewrite keeps the format trivially seekable (fixed-width
-//! slabs, mmap-friendly) without a journal.
+//! `HashSet` index, which makes re-appends no-ops. Persistence rewrites
+//! the file wholesale — a sweep appends hundreds of rows, not billions,
+//! and a single atomic rewrite needs no journal.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::catalog::{catalog_hash, ColumnType, CATALOG};
+use crate::catalog::{catalog_hash, Column, ColumnType, CATALOG};
 use crate::query::{self, QueryError, QueryOutput};
 use crate::record::RunRecord;
 use rnuca_types::failpoint;
@@ -32,8 +29,9 @@ use rnuca_types::{ByteReader, DecodeError, Fnv64};
 const MAGIC: &[u8; 8] = b"RNUCAWH\0";
 
 /// Bumped on any change to the byte layout below.
-/// Version 2 added the FNV-64 checksum trailer.
-const FORMAT_VERSION: u32 = 2;
+/// Version 2 added the FNV-64 checksum trailer; version 3 stores rows
+/// instead of per-column slabs over an interned string pool.
+const FORMAT_VERSION: u32 = 3;
 
 /// One materialized cell, as queries and projections see it.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,112 +221,24 @@ pub struct AppendSummary {
     pub batch: u32,
 }
 
-/// Interned string storage: each distinct string stored once, cells hold
-/// a `u32` id.
-#[derive(Debug, Default)]
-struct StringPool {
-    strings: Vec<String>,
-    index: HashMap<String, u32>,
-}
-
-impl StringPool {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.index.get(s) {
-            return id;
-        }
-        let id = u32::try_from(self.strings.len()).expect("string pool fits u32");
-        self.strings.push(s.to_string());
-        self.index.insert(s.to_string(), id);
-        id
-    }
-
-    fn get(&self, id: u32) -> &str {
-        &self.strings[id as usize]
-    }
-}
-
-/// One column's cells, structure-of-arrays style.
-#[derive(Debug)]
-enum ColumnData {
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    Str(Vec<u32>),
-}
-
-impl ColumnData {
-    fn with_type(ty: ColumnType) -> Self {
-        match ty {
-            ColumnType::Int => ColumnData::Int(Vec::new()),
-            ColumnType::Float => ColumnData::Float(Vec::new()),
-            ColumnType::Str => ColumnData::Str(Vec::new()),
-        }
-    }
-}
-
-/// One column: a validity byte per row plus the typed data slab.
-#[derive(Debug)]
-struct ColumnSlab {
-    valid: Vec<u8>,
-    data: ColumnData,
-}
-
-impl ColumnSlab {
-    fn with_type(ty: ColumnType) -> Self {
-        ColumnSlab {
-            valid: Vec::new(),
-            data: ColumnData::with_type(ty),
-        }
-    }
-
-    /// Appends one cell; null pushes a zeroed placeholder so every slab
-    /// stays exactly `row_count` long (fixed-width, seekable).
-    fn push(&mut self, value: Value, pool: &mut StringPool) {
-        let valid = !matches!(value, Value::Null);
-        self.valid.push(u8::from(valid));
-        match (&mut self.data, value) {
-            (ColumnData::Int(v), Value::Int(x)) => v.push(x),
-            (ColumnData::Int(v), Value::Null) => v.push(0),
-            (ColumnData::Float(v), Value::Float(x)) => v.push(x),
-            (ColumnData::Float(v), Value::Null) => v.push(0.0),
-            (ColumnData::Str(v), Value::Str(x)) => v.push(pool.intern(&x)),
-            (ColumnData::Str(v), Value::Null) => v.push(0),
-            (_, v) => unreachable!("cell {v:?} does not match the column type"),
-        }
-    }
-
-    fn value(&self, row: usize, pool: &StringPool) -> Value {
-        if self.valid[row] == 0 {
-            return Value::Null;
-        }
-        match &self.data {
-            ColumnData::Int(v) => Value::Int(v[row]),
-            ColumnData::Float(v) => Value::Float(v[row]),
-            ColumnData::Str(v) => Value::Str(pool.get(v[row]).to_string()),
-        }
-    }
-}
-
-/// The single-threaded store: slabs, keys, dedup index.
+/// The single-threaded store: row keys, dedup index, and one cell per
+/// catalog column for every row.
 #[derive(Debug)]
 pub(crate) struct Store {
     keys: Vec<u64>,
-    index: HashMap<u64, usize>,
+    index: HashSet<u64>,
     next_batch: u32,
-    pool: StringPool,
-    columns: Vec<ColumnSlab>,
+    /// One `Vec` per row, in [`CATALOG`] order.
+    rows: Vec<Vec<Value>>,
 }
 
 impl Store {
     fn new() -> Self {
         Store {
             keys: Vec::new(),
-            index: HashMap::new(),
+            index: HashSet::new(),
             next_batch: 0,
-            pool: StringPool::default(),
-            columns: CATALOG
-                .iter()
-                .map(|c| ColumnSlab::with_type(c.ty))
-                .collect(),
+            rows: Vec::new(),
         }
     }
 
@@ -336,26 +246,43 @@ impl Store {
         self.keys.len()
     }
 
-    /// The cell at (`row`, `col`), materialized.
-    pub(crate) fn value(&self, row: usize, col: usize) -> Value {
-        self.columns[col].value(row, &self.pool)
+    /// The cell at (`row`, `col`).
+    pub(crate) fn value(&self, row: usize, col: usize) -> &Value {
+        &self.rows[row][col]
     }
 
     /// Appends `record` unless its key is already present.
     fn push_record(&mut self, record: &RunRecord, batch: u32) -> bool {
         let key = record.key();
-        if self.index.contains_key(&key) {
+        if !self.index.insert(key) {
             return false;
         }
-        let row = self.keys.len();
+        let row: Vec<Value> = CATALOG
+            .iter()
+            .map(|col| record.cell(col.name, batch))
+            .collect();
+        // `encode` writes a cell by its variant and `decode` reads it by
+        // the column's type, so the two must agree.
+        debug_assert!(
+            row.iter().zip(CATALOG).all(|(cell, col)| matches!(
+                (cell, col.ty),
+                (Value::Null, _)
+                    | (Value::Int(_), ColumnType::Int)
+                    | (Value::Float(_), ColumnType::Float)
+                    | (Value::Str(_), ColumnType::Str)
+            )),
+            "a cell does not match its column's type"
+        );
         self.keys.push(key);
-        self.index.insert(key, row);
-        for (slab, col) in self.columns.iter_mut().zip(CATALOG) {
-            slab.push(record.cell(col.name, batch), &mut self.pool);
-        }
+        self.rows.push(row);
         true
     }
 
+    /// The file image: the header (magic, version, catalog hash, row
+    /// count, next batch); then each row as its key followed, per catalog
+    /// column, by a presence byte (0 = null, 1 = value) and the value in
+    /// the column's type (`i64`, `f64` bits, or a `u32` length plus UTF-8
+    /// bytes); then the FNV-64 trailer over everything before it.
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -363,37 +290,24 @@ impl Store {
         out.extend_from_slice(&catalog_hash().to_le_bytes());
         out.extend_from_slice(&(self.keys.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.next_batch.to_le_bytes());
-        for key in &self.keys {
+        for (key, row) in self.keys.iter().zip(&self.rows) {
             out.extend_from_slice(&key.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.pool.strings.len() as u32).to_le_bytes());
-        for s in &self.pool.strings {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        for slab in &self.columns {
-            out.extend_from_slice(&slab.valid);
-            match &slab.data {
-                ColumnData::Int(v) => {
-                    for x in v {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                ColumnData::Float(v) => {
-                    for x in v {
-                        out.extend_from_slice(&x.to_bits().to_le_bytes());
-                    }
-                }
-                ColumnData::Str(v) => {
-                    for x in v {
-                        out.extend_from_slice(&x.to_le_bytes());
+            for cell in row {
+                out.push(u8::from(!matches!(cell, Value::Null)));
+                match cell {
+                    Value::Null => {}
+                    Value::Int(x) => out.extend_from_slice(&x.to_le_bytes()),
+                    Value::Float(x) => out.extend_from_slice(&x.to_bits().to_le_bytes()),
+                    Value::Str(s) => {
+                        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                        out.extend_from_slice(s.as_bytes());
                     }
                 }
             }
         }
         // Checksum trailer over everything above: a torn save or a bit
         // flip anywhere in the file fails loudly on open instead of
-        // misreading slabs (a flipped float byte would otherwise decode
+        // misreading rows (a flipped float byte would otherwise decode
         // silently).
         let mut h = Fnv64::new();
         h.write(&out);
@@ -420,7 +334,7 @@ impl Store {
             return Err(StoreError::CatalogMismatch { found, expected });
         }
         // Header is plausible: verify the checksum trailer over the whole
-        // body before trusting any slab bytes.
+        // body before trusting any row bytes.
         let body_len = match bytes.len().checked_sub(8) {
             Some(body_len) if body_len >= r.pos() => body_len,
             _ => {
@@ -467,95 +381,74 @@ impl Store {
         }
         let next_batch = r.u32("next batch")?;
 
-        let keys_at = r.pos();
-        let mut keys = Vec::with_capacity(row_count);
+        let mut store = Store {
+            keys: Vec::with_capacity(row_count),
+            index: HashSet::with_capacity(row_count),
+            next_batch,
+            rows: Vec::with_capacity(row_count),
+        };
         for _ in 0..row_count {
-            keys.push(r.u64("row key")?);
-        }
-        let mut index = HashMap::with_capacity(row_count);
-        for (row, &key) in keys.iter().enumerate() {
-            if index.insert(key, row).is_some() {
+            let key_at = r.pos();
+            let key = r.u64("row key")?;
+            if !store.index.insert(key) {
                 return Err(StoreError::Corrupt {
-                    offset: keys_at + row * 8,
+                    offset: key_at,
                     message: format!("duplicate row key {key:#x}"),
                 });
             }
-        }
-
-        let pool_len = r.u32("string pool size")? as usize;
-        let mut pool = StringPool::default();
-        for i in 0..pool_len {
-            let len = r.u32("string length")? as usize;
-            let string_at = r.pos();
-            let raw = r.take(len, "string bytes")?;
-            let s = std::str::from_utf8(raw).map_err(|_| StoreError::Corrupt {
-                offset: string_at,
-                message: format!("pool string {i} is not UTF-8"),
-            })?;
-            pool.intern(s);
-        }
-
-        let mut columns = Vec::with_capacity(CATALOG.len());
-        for col in CATALOG {
-            let valid = r.take(row_count, "validity slab")?.to_vec();
-            let data = match col.ty {
-                ColumnType::Int => {
-                    let mut v = Vec::with_capacity(row_count);
-                    for _ in 0..row_count {
-                        v.push(r.i64("int cell")?);
-                    }
-                    ColumnData::Int(v)
-                }
-                ColumnType::Float => {
-                    let mut v = Vec::with_capacity(row_count);
-                    for _ in 0..row_count {
-                        v.push(r.f64("float cell")?);
-                    }
-                    ColumnData::Float(v)
-                }
-                ColumnType::Str => {
-                    let mut v = Vec::with_capacity(row_count);
-                    for _ in 0..row_count {
-                        let id_at = r.pos();
-                        let id = r.u32("string cell")?;
-                        if id as usize >= pool.strings.len().max(1) {
-                            return Err(StoreError::Corrupt {
-                                offset: id_at,
-                                message: format!(
-                                    "string id {id} out of range for column {}",
-                                    col.name
-                                ),
-                            });
-                        }
-                        v.push(id);
-                    }
-                    ColumnData::Str(v)
-                }
-            };
-            columns.push(ColumnSlab { valid, data });
+            store.keys.push(key);
+            let cells = CATALOG
+                .iter()
+                .map(|col| decode_cell(&mut r, col))
+                .collect::<Result<_, _>>()?;
+            store.rows.push(cells);
         }
         if r.remaining() != 0 {
             return Err(StoreError::Corrupt {
                 offset: r.pos(),
-                message: format!(
-                    "{} trailing bytes after the last column slab",
-                    r.remaining()
-                ),
+                message: format!("{} trailing bytes after the last row", r.remaining()),
             });
         }
-        Ok(Store {
-            keys,
-            index,
-            next_batch,
-            pool,
-            columns,
-        })
+        Ok(store)
     }
+}
+
+/// Reads one cell of `col`: its presence byte, then, when present, the
+/// value in the column's type.
+fn decode_cell(r: &mut ByteReader<'_>, col: &Column) -> Result<Value, StoreError> {
+    let presence_at = r.pos();
+    match r.u8("presence byte")? {
+        0 => return Ok(Value::Null),
+        1 => {}
+        other => {
+            return Err(StoreError::Corrupt {
+                offset: presence_at,
+                message: format!(
+                    "presence byte {other} for column {} is neither 0 nor 1",
+                    col.name
+                ),
+            })
+        }
+    }
+    Ok(match col.ty {
+        ColumnType::Int => Value::Int(r.i64("int cell")?),
+        ColumnType::Float => Value::Float(r.f64("float cell")?),
+        ColumnType::Str => {
+            let len = r.u32("string length")? as usize;
+            let string_at = r.pos();
+            let raw = r.take(len, "string bytes")?;
+            let s = std::str::from_utf8(raw).map_err(|e| StoreError::Corrupt {
+                offset: string_at + e.valid_up_to(),
+                message: format!("column {} string is not UTF-8", col.name),
+            })?;
+            Value::Str(s.to_string())
+        }
+    })
 }
 
 /// The thread-safe results warehouse.
 ///
-/// A `Warehouse` wraps the columnar `Store` in a mutex so concurrent
+/// A `Warehouse` wraps the row `Store` in a mutex so concurrent
 /// producers (the perf harness's worker pool, parallel sweep jobs) can
 /// append directly; the dedup index makes appends idempotent, so racing
 /// producers of the same row resolve to exactly one copy.
@@ -848,6 +741,56 @@ mod tests {
         let rendered = StoreError::Version(9).render(Path::new("old.bin"), &[]);
         assert!(rendered.contains("error: warehouse format version 9"));
         assert!(rendered.contains("--> old.bin"));
+    }
+
+    /// Recomputes the checksum trailer, so a hand-made body edit reaches
+    /// the row decoder instead of failing the checksum.
+    fn reseal(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 8;
+        let mut h = Fnv64::new();
+        h.write(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&h.finish().to_le_bytes());
+    }
+
+    #[test]
+    fn a_presence_byte_other_than_0_or_1_is_corrupt_at_its_offset() {
+        let w = Warehouse::new();
+        w.append(&rec("apache", 16));
+        let mut bytes = w.to_bytes();
+        // Header (32 bytes), then the first row's key (8): the next byte
+        // is the `batch` column's presence byte.
+        let at = 40;
+        assert_eq!(bytes[at], 1, "batch is never null");
+        bytes[at] = 2;
+        reseal(&mut bytes);
+        match Warehouse::from_bytes(&bytes) {
+            Err(StoreError::Corrupt { offset, message }) => {
+                assert_eq!(offset, at);
+                assert!(message.contains("presence byte 2"), "{message}");
+            }
+            other => panic!("want Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_string_that_is_not_utf8_is_corrupt_at_the_bad_byte() {
+        let w = Warehouse::new();
+        w.append(&rec("apache", 16));
+        let mut bytes = w.to_bytes();
+        let start = bytes
+            .windows(6)
+            .position(|win| win == b"apache")
+            .expect("workload string stored");
+        let at = start + 2;
+        bytes[at] = 0xFF;
+        reseal(&mut bytes);
+        match Warehouse::from_bytes(&bytes) {
+            Err(StoreError::Corrupt { offset, message }) => {
+                assert_eq!(offset, at);
+                assert!(message.contains("not UTF-8"), "{message}");
+            }
+            other => panic!("want Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -137,3 +137,38 @@ proptest! {
         prop_assert_eq!(os.page_table().get(page).unwrap().class, info.class);
     }
 }
+
+proptest! {
+    /// The TLB size cannot change a classification. The only class
+    /// transition, private to shared, shoots down the previous owner's TLB
+    /// entry, and a private page sits in no other core's TLB, so a TLB hit
+    /// always returns what the page table holds. A 1-entry and a 512-entry
+    /// TLB, driven over four times more pages than the larger one holds,
+    /// agree on every access's class, on which accesses are first touches
+    /// and re-classifications (from the same previous owner), and on the
+    /// re-classification count.
+    #[test]
+    fn tlb_size_never_changes_a_classification(
+        accesses in proptest::collection::vec((0usize..4, 0u64..2048, any::<bool>(), 0u8..8), 1..3000)
+    ) {
+        let mut one = OsClassifier::new(4, 1);
+        let mut full = OsClassifier::new(4, 512);
+        let decisive = |event: ClassificationEvent| match event {
+            ClassificationEvent::FirstTouch | ClassificationEvent::Reclassified { .. } => Some(event),
+            ClassificationEvent::TlbHit | ClassificationEvent::PageTableHit => None,
+        };
+        for &(core, page, hot, fetch) in &accesses {
+            // Half the references go to eight hot pages, so pages are
+            // re-touched by several cores and re-classified; the rest
+            // spread over 2,048 pages.
+            let page = PageAddr::from_page_number(if hot { page % 8 } else { page });
+            let core = CoreId::new(core);
+            let is_instruction = fetch == 0;
+            let a = one.access(page, core, is_instruction);
+            let b = full.access(page, core, is_instruction);
+            prop_assert_eq!(a.class, b.class);
+            prop_assert_eq!(decisive(a.event), decisive(b.event));
+        }
+        prop_assert_eq!(one.stats().reclassifications, full.stats().reclassifications);
+    }
+}
