@@ -102,7 +102,7 @@ use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::TileId;
 use rnuca_types::{BackoffConfig, RetryPolicy};
 use rnuca_warehouse::{render_errors, Warehouse};
-use rnuca_workloads::{TraceArena, WorkloadSpec};
+use rnuca_workloads::{TraceArena, TraceCharacterization, WorkloadSpec};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -327,14 +327,19 @@ fn main() {
             )
     });
     let evaluation = needs_eval.then(|| Evaluation::run(cfg, engine));
+    // Figures 2-5 share one characterization of the suite.
+    let needs_characterization = targets
+        .iter()
+        .any(|t| matches!(t.as_str(), "all" | "fig2" | "fig3" | "fig4" | "fig5"));
+    let suite = needs_characterization.then(|| characterize_suite(char_refs, char_seed));
 
     for target in &targets {
         match target.as_str() {
             "table1" => table1(),
-            "fig2" => fig2(char_refs, char_seed),
-            "fig3" => fig3(char_refs, char_seed),
-            "fig4" => fig4(char_refs, char_seed),
-            "fig5" => fig5(char_refs, char_seed),
+            "fig2" => fig2(suite.as_ref().unwrap()),
+            "fig3" => fig3(suite.as_ref().unwrap()),
+            "fig4" => fig4(suite.as_ref().unwrap()),
+            "fig5" => fig5(suite.as_ref().unwrap()),
             "fig6" => fig6(),
             "fig7" => fig7(evaluation.as_ref().unwrap()),
             "fig8" => fig8(evaluation.as_ref().unwrap()),
@@ -361,10 +366,10 @@ fn main() {
             ),
             "all" => {
                 table1();
-                fig2(char_refs, char_seed);
-                fig3(char_refs, char_seed);
-                fig4(char_refs, char_seed);
-                fig5(char_refs, char_seed);
+                fig2(suite.as_ref().unwrap());
+                fig3(suite.as_ref().unwrap());
+                fig4(suite.as_ref().unwrap());
+                fig5(suite.as_ref().unwrap());
                 fig6();
                 let c = evaluation.as_ref().unwrap();
                 accuracy(c);
@@ -811,7 +816,19 @@ fn table1() {
     }
 }
 
-fn fig2(refs: usize, seed: u64) {
+/// Every suite workload with the characterization of its trace: `refs`
+/// references generated under `seed`.
+fn characterize_suite(refs: usize, seed: u64) -> Vec<(WorkloadSpec, TraceCharacterization)> {
+    WorkloadSpec::evaluation_suite()
+        .into_iter()
+        .map(|spec| {
+            let c = characterize_workload(&spec, refs, seed);
+            (spec, c)
+        })
+        .collect()
+}
+
+fn fig2(suite: &[(WorkloadSpec, TraceCharacterization)]) {
     heading("Figure 2: L2 reference clustering (sharers vs read-write blocks)");
     let mut table = TextTable::new(vec![
         "workload",
@@ -820,8 +837,7 @@ fn fig2(refs: usize, seed: u64) {
         "%accesses",
         "%RW blocks",
     ]);
-    for spec in WorkloadSpec::evaluation_suite() {
-        let c = characterize_workload(&spec, refs, seed);
+    for (spec, c) in suite {
         for b in &c.sharers.bubbles {
             if b.access_fraction < 0.005 {
                 continue;
@@ -838,12 +854,28 @@ fn fig2(refs: usize, seed: u64) {
     println!("{table}");
 }
 
-fn fig3(refs: usize, seed: u64) {
+fn fig3(suite: &[(WorkloadSpec, TraceCharacterization)]) {
     heading("Figure 3: L2 reference breakdown by access class");
-    println!("{}", rnuca_bench::figure3_table(refs, seed));
+    let mut table = TextTable::new(vec![
+        "workload",
+        "instr",
+        "private",
+        "shared-RW",
+        "shared-RO",
+    ]);
+    for (spec, c) in suite {
+        table.add_row(vec![
+            spec.name.clone(),
+            fmt_pct(c.breakdown.instructions),
+            fmt_pct(c.breakdown.private_data),
+            fmt_pct(c.breakdown.shared_read_write),
+            fmt_pct(c.breakdown.shared_read_only),
+        ]);
+    }
+    println!("{table}");
 }
 
-fn fig4(refs: usize, seed: u64) {
+fn fig4(suite: &[(WorkloadSpec, TraceCharacterization)]) {
     heading(
         "Figure 4: working-set CDFs (footprint KB capturing 50% / 90% of each class's references)",
     );
@@ -856,8 +888,7 @@ fn fig4(refs: usize, seed: u64) {
         "shared KB@50%",
         "shared KB@90%",
     ]);
-    for spec in WorkloadSpec::evaluation_suite() {
-        let c = characterize_workload(&spec, refs, seed);
+    for (spec, c) in suite {
         table.add_row(vec![
             spec.name.clone(),
             fmt3(c.instr_cdf.kb_at_fraction(0.5)),
@@ -871,13 +902,12 @@ fn fig4(refs: usize, seed: u64) {
     println!("{table}");
 }
 
-fn fig5(refs: usize, seed: u64) {
+fn fig5(suite: &[(WorkloadSpec, TraceCharacterization)]) {
     heading("Figure 5: instruction and shared-data reuse by the same core");
     let mut table = TextTable::new(vec![
         "workload", "class", "1st", "2nd", "3rd-4th", "5th-8th", "9+",
     ]);
-    for spec in WorkloadSpec::evaluation_suite() {
-        let c = characterize_workload(&spec, refs, seed);
+    for (spec, c) in suite {
         for (label, hist) in [("Instr", c.instr_reuse), ("Shared", c.shared_reuse)] {
             let f = hist.fractions();
             table.add_row(vec![

@@ -1,5 +1,5 @@
 //! Helpers behind the `figures` binary: the perf suite (whose rows go to
-//! the warehouse) and the figure tables.
+//! the warehouse), trace characterization and the sweep matrix.
 //!
 //! Everything heavy lives in `rnuca-sim`; this crate only provides small
 //! formatting and orchestration helpers for the figure-regeneration
@@ -11,8 +11,7 @@ pub mod perf;
 
 pub use perf::{filter_scenarios, perf_matrix, run_perf, PerfReport, PerfResult, PerfTotals};
 
-use rnuca_sim::report::fmt_pct;
-use rnuca_sim::{ExperimentConfig, LlcDesign, ScenarioMatrix, TextTable};
+use rnuca_sim::{ExperimentConfig, LlcDesign, ScenarioMatrix};
 use rnuca_workloads::{TraceCharacterization, TraceGenerator, WorkloadSpec};
 
 /// Generates a trace of `n` references for a workload and characterizes it.
@@ -20,28 +19,6 @@ pub fn characterize_workload(spec: &WorkloadSpec, n: usize, seed: u64) -> TraceC
     let mut gen = TraceGenerator::new(spec, seed);
     let trace = gen.generate(n);
     TraceCharacterization::analyze(&trace, spec.system_config().l2_slice.geometry.block_bytes)
-}
-
-/// Renders Figure 3 (L2 reference breakdown by class) as a text table.
-pub fn figure3_table(n: usize, seed: u64) -> TextTable {
-    let mut table = TextTable::new(vec![
-        "workload",
-        "instr",
-        "private",
-        "shared-RW",
-        "shared-RO",
-    ]);
-    for spec in WorkloadSpec::evaluation_suite() {
-        let c = characterize_workload(&spec, n, seed);
-        table.add_row(vec![
-            spec.name.clone(),
-            fmt_pct(c.breakdown.instructions),
-            fmt_pct(c.breakdown.private_data),
-            fmt_pct(c.breakdown.shared_read_write),
-            fmt_pct(c.breakdown.shared_read_only),
-        ]);
-    }
-    table
 }
 
 /// The scenario matrix behind the `figures sweep` subcommand: the full
@@ -66,12 +43,6 @@ mod tests {
         let c = characterize_workload(&WorkloadSpec::em3d(), 5_000, 1);
         assert_eq!(c.accesses, 5_000);
         assert!(c.breakdown.private_data > 0.5);
-    }
-
-    #[test]
-    fn figure3_table_has_all_workloads() {
-        let t = figure3_table(2_000, 1);
-        assert_eq!(t.len(), 8);
     }
 
     #[test]

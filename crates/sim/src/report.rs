@@ -1,8 +1,7 @@
-//! Plain-text table formatting for the figure harness and examples.
+//! Cell formatting for the figure harness and examples, and the table they
+//! fill: [`rnuca_types::TextTable`], re-exported as `rnuca_sim::TextTable`.
 
-use std::fmt;
-
-/// A simple column-aligned text table.
+/// The aligned text table every figure and example prints.
 ///
 /// # Example
 ///
@@ -13,73 +12,7 @@ use std::fmt;
 /// let s = t.to_string();
 /// assert!(s.contains("OLTP DB2"));
 /// ```
-#[derive(Debug, Clone)]
-pub struct TextTable {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl TextTable {
-    /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        TextTable {
-            headers: headers.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row. Rows shorter than the header are padded with empty cells.
-    pub fn add_row(&mut self, row: Vec<String>) {
-        self.rows.push(row);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    fn column_widths(&self) -> Vec<usize> {
-        let cols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(cols) {
-                if cell.len() > widths[i] {
-                    widths[i] = cell.len();
-                }
-            }
-        }
-        widths
-    }
-}
-
-impl fmt::Display for TextTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let widths = self.column_widths();
-        let write_row = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
-            let mut line = String::new();
-            for (i, width) in widths.iter().enumerate() {
-                let cell = cells.get(i).map(String::as_str).unwrap_or("");
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                line.push_str(&format!("{cell:<width$}"));
-            }
-            writeln!(f, "{}", line.trim_end())
-        };
-        write_row(f, &self.headers)?;
-        let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1));
-        writeln!(f, "{}", "-".repeat(total))?;
-        for row in &self.rows {
-            write_row(f, row)?;
-        }
-        Ok(())
-    }
-}
+pub use rnuca_types::TextTable;
 
 /// Formats a float with 3 decimal places for report cells.
 pub fn fmt3(v: f64) -> String {
@@ -105,8 +38,6 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[1].starts_with("---"));
         assert_eq!(lines.len(), 4);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

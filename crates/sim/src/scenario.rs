@@ -231,12 +231,12 @@ impl ScenarioJob {
     /// Every field is mixed one by one in an explicit encoding, never
     /// through `Debug` output, so the value is stable across compiler
     /// versions; exhaustive destructuring makes a new field a compile error
-    /// here. The workload's `preset` and `config_override` are left out:
-    /// they only choose the applied configuration, which is mixed in whole.
+    /// here. The workload's `system` is the applied configuration, mixed in
+    /// whole.
     pub fn key(&self, cfg: &ExperimentConfig) -> JobKey {
         let WorkloadSpec {
             name,
-            preset: _,
+            system: _,
             busy_cpi,
             l2_refs_per_kilo_instr,
             instr_fraction,
@@ -250,7 +250,6 @@ impl ScenarioJob {
             sharing,
             hot_access_fraction,
             hot_footprint_fraction,
-            config_override: _,
         } = &self.workload;
         let ExperimentConfig {
             warmup_refs,
@@ -1651,19 +1650,27 @@ mod tests {
 
     #[test]
     fn matrices_with_identical_job_lists_share_a_fingerprint() {
-        use rnuca_types::config::SystemConfig;
         let mut by_preset = ScenarioMatrix::new(ExperimentConfig::smoke());
         by_preset.workloads = vec![WorkloadSpec::oltp_db2()];
         by_preset.designs = LlcDesign::speedup_set();
-        let by_values = ScenarioMatrix {
-            workloads: vec![WorkloadSpec::oltp_db2().with_system_config(SystemConfig::server_16())],
+        // The preset's own core count, named explicitly: the jobs carry a
+        // different `point` label but apply the same configuration.
+        let explicit = ScenarioMatrix {
+            core_counts: vec![16],
             ..by_preset.clone()
         };
-        assert_ne!(by_preset, by_values);
-        assert_eq!(by_preset.jobs().unwrap(), by_values.jobs().unwrap());
+        assert_ne!(by_preset, explicit);
+        let keys = |m: &ScenarioMatrix| -> Vec<JobKey> {
+            m.jobs()
+                .unwrap()
+                .iter()
+                .map(|job| job.key(&m.cfg))
+                .collect()
+        };
+        assert_eq!(keys(&by_preset), keys(&explicit));
         assert_eq!(
             by_preset.fingerprint().unwrap(),
-            by_values.fingerprint().unwrap()
+            explicit.fingerprint().unwrap()
         );
     }
 
@@ -1688,8 +1695,8 @@ mod tests {
             ("seed", |m| m.cfg.seed += 1),
             ("asr_best_of", |m| m.cfg.asr_best_of = !m.cfg.asr_best_of),
             ("name", |m| m.workloads[0].name.push('!')),
-            ("preset", |m| {
-                m.workloads[0].preset = rnuca_workloads::CmpPreset::Desktop8
+            ("system", |m| {
+                m.workloads[0].system = SystemConfig::desktop_8()
             }),
             ("busy_cpi", |m| m.workloads[0].busy_cpi += 0.5),
             ("l2_refs_per_kilo_instr", |m| {
@@ -1726,10 +1733,8 @@ mod tests {
             ("hot_footprint_fraction", |m| {
                 m.workloads[0].hot_footprint_fraction += 0.01
             }),
-            ("config_override field", |m| {
-                let mut cfg: SystemConfig = m.workloads[0].system_config();
-                cfg.l2_slice.victim_entries += 1;
-                m.workloads[0].config_override = Some(cfg);
+            ("system field", |m| {
+                m.workloads[0].system.l2_slice.victim_entries += 1
             }),
         ];
         let base = ScenarioMatrix::paper_evaluation(ExperimentConfig::smoke());
@@ -1743,11 +1748,5 @@ mod tests {
             }
             seen.push((field, fingerprint));
         }
-
-        // An override equal to the preset's own configuration applies the
-        // same values, so every job, and the fingerprint, is unchanged.
-        let mut m = base.clone();
-        m.workloads[0].config_override = Some(m.workloads[0].system_config());
-        assert_eq!(m.fingerprint().unwrap(), base.fingerprint().unwrap());
     }
 }

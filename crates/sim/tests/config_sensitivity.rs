@@ -29,7 +29,7 @@ fn results(cfg: SystemConfig) -> [MeasuredRun; 2] {
     cfg.validate()
         .expect("every variant is a valid configuration");
     let spec = WorkloadSpec {
-        config_override: Some(cfg),
+        system: cfg,
         ..WorkloadSpec::oltp_db2()
     };
     [LlcDesign::Private, LlcDesign::rnuca_default()].map(|design| run_single(&spec, design, &RUN))
@@ -217,7 +217,7 @@ fn every_system_config_value_moves_the_job_key() {
     let key = |cfg: SystemConfig| {
         ScenarioJob {
             workload: WorkloadSpec {
-                config_override: Some(cfg),
+                system: cfg,
                 ..WorkloadSpec::oltp_db2()
             },
             design: LlcDesign::rnuca_default(),

@@ -38,6 +38,7 @@ pub mod json;
 pub mod latency;
 pub mod os_hint;
 pub mod retry;
+pub mod table;
 
 pub use access::{AccessClass, AccessKind, MemoryAccess};
 pub use addr::{BlockAddr, PageAddr, PhysAddr};
@@ -51,3 +52,4 @@ pub use ids::{CoreId, MemCtrlId, RotationalId, TileId};
 pub use index_map::U64Map;
 pub use latency::Cycles;
 pub use retry::{BackoffConfig, DeadlineExceeded, RetryPolicy};
+pub use table::TextTable;

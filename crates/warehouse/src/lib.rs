@@ -15,12 +15,15 @@
 //! design=R & cores>=32 sort off_chip_rate show workload, cores, off_chip_rate top 5
 //! ```
 //!
-//! The pipeline is a lexer, a resilient parser that collects every syntax
-//! error in one pass, name resolution against the typed column
-//! [catalog](catalog::CATALOG) (with did-you-mean suggestions), and an
-//! executor supporting conjunctive filters, comparisons, sorting,
-//! projection, and row limits. Errors carry byte spans into the query text
-//! and render in compiler style.
+//! The pipeline is a lexer; one resilient recursive-descent pass that
+//! resolves each clause against the typed column
+//! [catalog](catalog::CATALOG) as soon as it has parsed (with did-you-mean
+//! suggestions) and yields the executable plan directly, collecting every
+//! error in one run; and an executor supporting conjunctive filters,
+//! comparisons, sorting, projection, and row limits. Errors carry byte
+//! spans into the query text and render in compiler style; results render
+//! as JSON or through the same [`TextTable`](rnuca_types::TextTable) every
+//! figure prints.
 #![warn(missing_docs)]
 
 pub mod catalog;

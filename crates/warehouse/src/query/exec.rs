@@ -2,13 +2,14 @@
 //!
 //! Filters are conjunctive; comparisons against a null cell are false
 //! (except the explicit `= null` / `!= null` presence tests). Sorting is
-//! stable with nulls last regardless of direction, so ties and gaps stay
-//! deterministic. Projection defaults to every catalog column.
+//! stable with nulls last, and NaNs after every number, regardless of
+//! direction, so ties and gaps stay deterministic. Projection defaults to
+//! every catalog column.
 
 use std::cmp::Ordering;
 
 use super::lexer::CmpOp;
-use super::resolve::{Filter, Operand, Plan};
+use super::parser::{Filter, Operand, Plan};
 use super::QueryOutput;
 use crate::catalog::CATALOG;
 use crate::store::{Store, Value};
@@ -21,21 +22,17 @@ pub(super) fn execute(store: &Store, plan: &Plan) -> QueryOutput {
 
     if let Some((col, descending)) = plan.sort {
         rows.sort_by(|&a, &b| {
-            // Nulls sort last in both directions: decide them before the
+            let (x, y) = (store.value(a, col), store.value(b, col));
+            // Gaps sort last in both directions: decide them before the
             // direction flip so `desc` cannot float them to the top.
-            match (store.value(a, col), store.value(b, col)) {
-                (Value::Null, Value::Null) => Ordering::Equal,
-                (Value::Null, _) => Ordering::Greater,
-                (_, Value::Null) => Ordering::Less,
-                (x, y) => {
-                    let cmp = cmp_cells(x, y);
-                    if descending {
-                        cmp.reverse()
-                    } else {
-                        cmp
-                    }
+            gap(x).cmp(&gap(y)).then_with(|| {
+                let cmp = cmp_cells(x, y);
+                if descending {
+                    cmp.reverse()
+                } else {
+                    cmp
                 }
-            }
+            })
         });
     }
 
@@ -111,17 +108,22 @@ fn apply_partial(op: CmpOp, ord: Option<Ordering>) -> bool {
     ord.is_some_and(|o| apply(op, o))
 }
 
-/// Total order for sort keys: null > everything (nulls last ascending);
-/// mixed types cannot occur since a sort key is one column.
+/// Where a cell sorts relative to the column's values: nulls last, and NaN
+/// after every number, so the sort order is total.
+fn gap(cell: &Value) -> u8 {
+    match cell {
+        Value::Null => 2,
+        Value::Float(v) if v.is_nan() => 1,
+        _ => 0,
+    }
+}
+
+/// Order of two cells of one sort column with the same [`gap`]: a column
+/// holds one type, and two nulls or two NaNs are equal.
 fn cmp_cells(a: &Value, b: &Value) -> Ordering {
     match (a, b) {
-        (Value::Null, Value::Null) => Ordering::Equal,
-        (Value::Null, _) => Ordering::Greater,
-        (_, Value::Null) => Ordering::Less,
         (Value::Int(x), Value::Int(y)) => x.cmp(y),
         (Value::Float(x), Value::Float(y)) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
-        (Value::Int(x), Value::Float(y)) => (*x as f64).partial_cmp(y).unwrap_or(Ordering::Equal),
-        (Value::Float(x), Value::Int(y)) => x.partial_cmp(&(*y as f64)).unwrap_or(Ordering::Equal),
         (Value::Str(x), Value::Str(y)) => x.cmp(y),
         _ => Ordering::Equal,
     }
@@ -219,6 +221,46 @@ mod tests {
                 Value::Str("totals".to_string()),
                 "null cores must sort last with {dir}"
             );
+        }
+    }
+
+    #[test]
+    fn sorting_a_float_column_with_nan_is_a_total_order() {
+        // A store is outside input: any f64 bit pattern decodes, NaN too.
+        let w = Warehouse::new();
+        let records: Vec<RunRecord> = (0..40)
+            .map(|seed| {
+                let mut r = RunRecord::new(RowKind::Scenario, seed, 5, "full");
+                r.total_cpi = Some(if seed % 3 == 0 {
+                    f64::NAN
+                } else {
+                    ((seed * 7) % 13) as f64
+                });
+                r
+            })
+            .collect();
+        w.append_all(&records);
+        for dir in ["asc", "desc"] {
+            let out = w
+                .query(&format!("sort total_cpi {dir} show seed, total_cpi"))
+                .expect("clean query");
+            let cpis: Vec<f64> = out
+                .rows
+                .iter()
+                .map(|row| match row[1] {
+                    Value::Float(v) => v,
+                    ref other => panic!("total_cpi cell {other:?}"),
+                })
+                .collect();
+            let (numbers, nans) = cpis.split_at(cpis.iter().position(|v| v.is_nan()).unwrap());
+            assert_eq!(nans.len(), 14, "NaNs sort after every number ({dir})");
+            assert!(nans.iter().all(|v| v.is_nan()), "{cpis:?}");
+            let mut sorted = numbers.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            if dir == "desc" {
+                sorted.reverse();
+            }
+            assert_eq!(numbers, sorted, "{dir}");
         }
     }
 

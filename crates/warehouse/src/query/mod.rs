@@ -20,18 +20,21 @@
 //! kind=scenario & design=R & cores>=32 sort off_chip_rate desc top 5
 //! ```
 //!
-//! The pipeline — lexer, resilient parser, name resolution against the
-//! typed catalog, executor — is
-//! deliberately error-accumulating: one pass reports *every* problem in
-//! the query, each with a byte span into the source and, for near-miss
-//! column names, a did-you-mean suggestion.
+//! The pipeline has three stages: the lexer, one resilient
+//! recursive-descent pass that resolves each clause against the typed
+//! catalog as soon as it has parsed (no syntax tree in between), and the
+//! executor over the row store. It is deliberately error-accumulating: one
+//! run reports *every* problem in the query, each with a byte span into
+//! the source and, for near-miss column names, a did-you-mean suggestion.
+//! A clean query's rows print through the same [`TextTable`] every figure
+//! table uses, or as JSON.
 
 mod exec;
 mod lexer;
 mod parser;
-mod resolve;
 
 use crate::store::{Store, Value};
+use rnuca_types::TextTable;
 use std::fmt;
 
 /// A half-open byte range into the query source text.
@@ -136,54 +139,13 @@ pub struct QueryOutput {
 }
 
 impl QueryOutput {
-    /// Renders an aligned text table (header, rule, rows; nulls as `-`).
+    /// Renders an aligned [`TextTable`] (header, rule, rows; nulls as `-`).
     pub fn render_table(&self) -> String {
-        let mut widths: Vec<usize> = self.columns.iter().map(|c| c.chars().count()).collect();
-        let cells: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|row| row.iter().map(|v| v.to_string()).collect())
-            .collect();
-        for row in &cells {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.chars().count());
-            }
+        let mut table = TextTable::new(self.columns.clone());
+        for row in &self.rows {
+            table.add_row(row.iter().map(Value::to_string).collect());
         }
-        let mut out = String::new();
-        let last = self.columns.len().saturating_sub(1);
-        for (i, (name, w)) in self.columns.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            // The last column stays unpadded: no trailing whitespace.
-            if i < last {
-                out.push_str(&format!("{name:<w$}"));
-            } else {
-                out.push_str(name);
-            }
-        }
-        out.push('\n');
-        for (i, w) in widths.iter().enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(&"-".repeat(*w));
-        }
-        out.push('\n');
-        for row in &cells {
-            for (i, (cell, w)) in row.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                if i < last {
-                    out.push_str(&format!("{cell:<w$}"));
-                } else {
-                    out.push_str(cell);
-                }
-            }
-            out.push('\n');
-        }
-        out
+        table.to_string()
     }
 
     /// Renders a JSON array of row objects (null cells as `null`).
@@ -210,15 +172,14 @@ impl QueryOutput {
     }
 }
 
-/// Runs `text` against `store`: lex, parse, resolve, execute.
+/// Runs `text` against `store`: lex, parse and resolve, execute.
 ///
-/// All diagnostics from every stage come back together; the query only
-/// executes when the pipeline is clean.
+/// All diagnostics from both passes come back together; the query only
+/// executes when they are clean.
 pub(crate) fn run_query(store: &Store, text: &str) -> Result<QueryOutput, Vec<QueryError>> {
     let mut errors = Vec::new();
     let tokens = lexer::lex(text, &mut errors);
-    let ast = parser::parse(&tokens, text.len(), &mut errors);
-    let plan = resolve::resolve(&ast, &mut errors);
+    let plan = parser::parse(&tokens, text.len(), &mut errors);
     if errors.is_empty() {
         Ok(exec::execute(store, &plan))
     } else {

@@ -52,4 +52,4 @@ pub use characterize::{
 };
 pub use generator::TraceGenerator;
 pub use regions::AddressLayout;
-pub use spec::{CmpPreset, SharingPattern, WorkloadSpec};
+pub use spec::{SharingPattern, WorkloadSpec};

@@ -10,39 +10,6 @@
 use rnuca_types::config::{ConfigPoint, SystemConfig};
 use std::fmt;
 
-/// Which CMP configuration (Table 1 column) a workload runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpPreset {
-    /// 16-core CMP with 1 MB L2 slices (server and scientific workloads).
-    Server16,
-    /// 8-core CMP with 3 MB L2 slices (multi-programmed workloads).
-    Desktop8,
-}
-
-impl CmpPreset {
-    /// The corresponding [`SystemConfig`].
-    pub fn system_config(self) -> SystemConfig {
-        match self {
-            CmpPreset::Server16 => SystemConfig::server_16(),
-            CmpPreset::Desktop8 => SystemConfig::desktop_8(),
-        }
-    }
-
-    /// Number of cores in the preset.
-    pub fn num_cores(self) -> usize {
-        self.system_config().num_cores
-    }
-}
-
-impl fmt::Display for CmpPreset {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CmpPreset::Server16 => f.write_str("16-core"),
-            CmpPreset::Desktop8 => f.write_str("8-core"),
-        }
-    }
-}
-
 /// How shared data is shared among cores (the bubble positions of Figure 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SharingPattern {
@@ -63,8 +30,10 @@ pub enum SharingPattern {
 pub struct WorkloadSpec {
     /// Human-readable name used in reports ("OLTP DB2", "DSS Qry6", ...).
     pub name: String,
-    /// Which CMP it runs on.
-    pub preset: CmpPreset,
+    /// The system configuration it runs on: a Table 1 column (the 16-core
+    /// server CMP or the 8-core desktop CMP) for the presets, which scenario
+    /// sweeps re-pin to other core counts and slice capacities.
+    pub system: SystemConfig,
     /// CPI of useful computation, excluding L2 and off-chip stalls (the
     /// "busy" component of Figure 7).
     pub busy_cpi: f64,
@@ -99,12 +68,6 @@ pub struct WorkloadSpec {
     pub hot_access_fraction: f64,
     /// Fraction of each class's footprint that constitutes the hot subset.
     pub hot_footprint_fraction: f64,
-
-    /// System configuration override for scenario sweeps. `None` (the
-    /// default) runs the workload on its preset's configuration; `Some`
-    /// replaces it, letting one workload profile be evaluated at many core
-    /// counts and slice capacities.
-    pub config_override: Option<SystemConfig>,
 }
 
 impl WorkloadSpec {
@@ -113,7 +76,7 @@ impl WorkloadSpec {
     pub fn oltp_db2() -> Self {
         WorkloadSpec {
             name: "OLTP DB2".to_string(),
-            preset: CmpPreset::Server16,
+            system: SystemConfig::server_16(),
             busy_cpi: 1.0,
             l2_refs_per_kilo_instr: 42.0,
             instr_fraction: 0.44,
@@ -127,7 +90,6 @@ impl WorkloadSpec {
             sharing: SharingPattern::Universal,
             hot_access_fraction: 0.92,
             hot_footprint_fraction: 0.2,
-            config_override: None,
         }
     }
 
@@ -137,7 +99,7 @@ impl WorkloadSpec {
     pub fn oltp_oracle() -> Self {
         WorkloadSpec {
             name: "OLTP Oracle".to_string(),
-            preset: CmpPreset::Server16,
+            system: SystemConfig::server_16(),
             busy_cpi: 0.95,
             l2_refs_per_kilo_instr: 38.0,
             instr_fraction: 0.52,
@@ -151,7 +113,6 @@ impl WorkloadSpec {
             sharing: SharingPattern::Universal,
             hot_access_fraction: 0.94,
             hot_footprint_fraction: 0.15,
-            config_override: None,
         }
     }
 
@@ -160,7 +121,7 @@ impl WorkloadSpec {
     pub fn apache() -> Self {
         WorkloadSpec {
             name: "Apache".to_string(),
-            preset: CmpPreset::Server16,
+            system: SystemConfig::server_16(),
             busy_cpi: 1.1,
             l2_refs_per_kilo_instr: 48.0,
             instr_fraction: 0.55,
@@ -174,7 +135,6 @@ impl WorkloadSpec {
             sharing: SharingPattern::Universal,
             hot_access_fraction: 0.9,
             hot_footprint_fraction: 0.2,
-            config_override: None,
         }
     }
 
@@ -183,7 +143,7 @@ impl WorkloadSpec {
     pub fn dss_qry6() -> Self {
         WorkloadSpec {
             name: "DSS Qry6".to_string(),
-            preset: CmpPreset::Server16,
+            system: SystemConfig::server_16(),
             busy_cpi: 0.8,
             l2_refs_per_kilo_instr: 26.0,
             instr_fraction: 0.16,
@@ -197,7 +157,6 @@ impl WorkloadSpec {
             sharing: SharingPattern::Universal,
             hot_access_fraction: 0.35,
             hot_footprint_fraction: 0.5,
-            config_override: None,
         }
     }
 
@@ -205,7 +164,7 @@ impl WorkloadSpec {
     pub fn dss_qry8() -> Self {
         WorkloadSpec {
             name: "DSS Qry8".to_string(),
-            preset: CmpPreset::Server16,
+            system: SystemConfig::server_16(),
             busy_cpi: 0.85,
             l2_refs_per_kilo_instr: 30.0,
             instr_fraction: 0.28,
@@ -219,7 +178,6 @@ impl WorkloadSpec {
             sharing: SharingPattern::Universal,
             hot_access_fraction: 0.5,
             hot_footprint_fraction: 0.4,
-            config_override: None,
         }
     }
 
@@ -227,7 +185,7 @@ impl WorkloadSpec {
     pub fn dss_qry13() -> Self {
         WorkloadSpec {
             name: "DSS Qry13".to_string(),
-            preset: CmpPreset::Server16,
+            system: SystemConfig::server_16(),
             busy_cpi: 0.9,
             l2_refs_per_kilo_instr: 34.0,
             instr_fraction: 0.36,
@@ -241,7 +199,6 @@ impl WorkloadSpec {
             sharing: SharingPattern::Universal,
             hot_access_fraction: 0.55,
             hot_footprint_fraction: 0.35,
-            config_override: None,
         }
     }
 
@@ -251,7 +208,7 @@ impl WorkloadSpec {
     pub fn em3d() -> Self {
         WorkloadSpec {
             name: "em3d".to_string(),
-            preset: CmpPreset::Server16,
+            system: SystemConfig::server_16(),
             busy_cpi: 0.7,
             l2_refs_per_kilo_instr: 22.0,
             instr_fraction: 0.02,
@@ -265,7 +222,6 @@ impl WorkloadSpec {
             sharing: SharingPattern::NearestNeighbor { degree: 4 },
             hot_access_fraction: 0.4,
             hot_footprint_fraction: 0.5,
-            config_override: None,
         }
     }
 
@@ -276,7 +232,7 @@ impl WorkloadSpec {
     pub fn mix() -> Self {
         WorkloadSpec {
             name: "MIX".to_string(),
-            preset: CmpPreset::Desktop8,
+            system: SystemConfig::desktop_8(),
             busy_cpi: 1.2,
             l2_refs_per_kilo_instr: 18.0,
             instr_fraction: 0.03,
@@ -290,7 +246,6 @@ impl WorkloadSpec {
             sharing: SharingPattern::ProducerConsumer,
             hot_access_fraction: 0.8,
             hot_footprint_fraction: 0.2,
-            config_override: None,
         }
     }
 
@@ -314,18 +269,16 @@ impl WorkloadSpec {
         self.system_config().num_cores
     }
 
-    /// The system configuration the workload runs on: the preset's, unless a
-    /// scenario sweep installed an override.
+    /// The system configuration the workload runs on.
     pub fn system_config(&self) -> SystemConfig {
-        self.config_override
-            .unwrap_or_else(|| self.preset.system_config())
+        self.system
     }
 
     /// Returns a copy of this workload pinned to an explicit system
     /// configuration (scenario sweeps use this to evaluate one profile at
     /// many core counts and slice capacities).
     pub fn with_system_config(mut self, cfg: SystemConfig) -> Self {
-        self.config_override = Some(cfg);
+        self.system = cfg;
         self
     }
 
@@ -379,7 +332,7 @@ impl WorkloadSpec {
 
 impl fmt::Display for WorkloadSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({})", self.name, self.preset)
+        write!(f, "{} ({}-core)", self.name, self.system.num_cores)
     }
 }
 
@@ -428,7 +381,7 @@ mod tests {
     #[test]
     fn mix_runs_on_the_8_core_preset() {
         let mix = WorkloadSpec::mix();
-        assert_eq!(mix.preset, CmpPreset::Desktop8);
+        assert_eq!(mix.system, SystemConfig::desktop_8());
         assert_eq!(mix.num_cores(), 8);
         assert_eq!(
             mix.system_config().l2_slice.geometry.capacity_bytes,
@@ -465,8 +418,15 @@ mod tests {
 
     #[test]
     fn preset_display() {
-        assert_eq!(CmpPreset::Server16.to_string(), "16-core");
         assert_eq!(format!("{}", WorkloadSpec::apache()), "Apache (16-core)");
+        assert_eq!(WorkloadSpec::mix().to_string(), "MIX (8-core)");
+        let scaled = WorkloadSpec::apache()
+            .at_config_point(&ConfigPoint {
+                num_cores: Some(64),
+                ..ConfigPoint::default()
+            })
+            .unwrap();
+        assert_eq!(scaled.to_string(), "Apache (64-core)");
     }
 
     #[test]
